@@ -31,7 +31,7 @@ import numpy as np
 
 from .chains import Chain, earliest_chain
 from .instance import Instance, horizon as instance_horizon
-from .simplex import LinearProgram, solve_lp
+from .simplex import Basis, LinearProgram, solve_lp
 
 PRICE_TOL = 1e-7
 POSTHOC_TOL = 1e-6
@@ -219,8 +219,36 @@ def _greedy_disjoint_chains(inst: Instance, horizon: int) -> list[Chain]:
     return chains
 
 
-def _solve_master(inst: Instance, columns: list[Chain], costs: np.ndarray):
-    """LP over the current columns; returns (solution, eta, xi dict, slot key list)."""
+def _warm_basis(prev, columns: list, row_keys: list) -> Basis | None:
+    """Map the previous master's optimal basis onto the new master by chain
+    and row key.  ``prev`` is (basic chains, rows whose slack is nonbasic);
+    a row the previous master lacked enters with its slack basic."""
+    if prev is None:
+        return None
+    basic, tight = prev
+    return Basis(
+        columns=np.array([k for k, c in enumerate(columns) if c in basic], dtype=np.int64),
+        slack_rows=np.array([r for r, key in enumerate(row_keys) if key not in tight], dtype=np.int64),
+    )
+
+
+def _basis_keys(res, columns: list, row_keys: list) -> tuple[set, set]:
+    """The optimal basis of a master in the key form ``_warm_basis`` reads."""
+    slack = set(res.basis.slack_rows.tolist())
+    basic = {columns[k] for k in res.basis.columns}
+    return basic, {key for r, key in enumerate(row_keys) if r not in slack}
+
+
+def _unique(chains: list[Chain]) -> list[Chain]:
+    """Drop repeated chains, keeping the first; a repeated column would make
+    a warm-start basis that names it singular."""
+    return list(dict.fromkeys(chains))
+
+
+def _solve_master(inst: Instance, columns: list[Chain], costs: np.ndarray, warm=None):
+    """LP over the current columns, started from the previous round's basis
+    ``warm`` (see ``_basis_keys``) when given; returns (solution, eta, xi
+    dict, basis in key form)."""
     slot_keys = sorted({(c.machine, t) for c in columns for t in c.slots})
     slot_pos = {key: k for k, key in enumerate(slot_keys)}
     lp = LinearProgram(num_vars=len(columns))
@@ -234,7 +262,8 @@ def _solve_master(inst: Instance, columns: list[Chain], costs: np.ndarray):
             rows[slot_pos[(c.machine, t)]].append(k)
     for members in rows:
         lp.add_row(np.array(members), np.ones(len(members)), "<=", 1.0)
-    res = solve_lp(lp)
+    row_keys = [("job", j) for j in range(inst.num_jobs)] + slot_keys
+    res = solve_lp(lp, _warm_basis(warm, columns, row_keys))
     if res.status != "optimal":
         raise ChainLpError(f"restricted master is {res.status}")
     eta = np.maximum(res.duals[: inst.num_jobs], 0.0)
@@ -243,7 +272,7 @@ def _solve_master(inst: Instance, columns: list[Chain], costs: np.ndarray):
         v = -res.duals[inst.num_jobs + k]
         if v > 1e-12:
             xi[key] = float(v)
-    return res, eta, xi
+    return res, eta, xi, _basis_keys(res, columns, row_keys)
 
 
 def _xi_matrix(inst: Instance, xi: dict, horizon: int) -> np.ndarray:
@@ -281,6 +310,7 @@ def _price_all(inst: Instance, ximat: np.ndarray, eta: np.ndarray, H: int, seen:
 
 SMOOTHING = 0.8  # weight on the dual stability center while pricing
 GAP_REL_TOL = 1e-6
+PURGE_ABOVE = 900  # master size (columns) that triggers a purge of stale ones
 
 
 def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int = 2000) -> ChainSolution:
@@ -291,7 +321,14 @@ def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int =
     sum_j mu_j - sum xi once it proves the master objective is within 1e-6
     relative of the true optimum.  Pricing runs against duals smoothed
     toward the best-bound stability center, which stops the tailing-off that
-    raw degenerate master duals produce.
+    raw degenerate master duals produce.  Each round's master starts from the
+    previous round's optimal basis.
+
+    The returned duals certify ``gap_bound``: on a clean stop they are the
+    final master duals; on a gap stop they are the stability center's xi
+    with eta_j the cheapest chain cost of job j under it.  Either way every
+    chain prices non-negative (to 1e-7) and sum(eta) - sum(xi) is at least
+    ``objective - gap_bound``.
     """
     H = instance_horizon(inst) if horizon is None else int(horizon)
     rel = inst.release_matrix()
@@ -302,6 +339,7 @@ def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int =
             for i in range(inst.num_machines):
                 if inst.allowed(j, i):
                     columns.append(earliest_chain(i, j, int(rel[j, i]), inst.size(j, i)))
+    columns = _unique(columns)
     seen = {(c.machine, c.job, c.slots) for c in columns}
     base_keys = {(c.machine, c.job, c.slots) for c in base}
     born = [0] * len(columns)
@@ -309,13 +347,15 @@ def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int =
     best_lb = -np.inf
     center_eta = None
     center_xi = None
+    center_mu = None
     gap_bound = np.inf
     clean = False
     iterations = 0
+    warm = None
     for _ in range(max_rounds):
         iterations += 1
         costs = np.array([inst.weights[c.job] * c.completion for c in columns])
-        res, eta, xi = _solve_master(inst, columns, costs)
+        res, eta, xi, warm = _solve_master(inst, columns, costs, warm)
         ximat = _xi_matrix(inst, xi, H)
         if center_eta is None:
             center_eta, center_xi = eta, ximat
@@ -328,7 +368,7 @@ def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int =
             lb = float(mu.sum() - xi_s.sum())
             if lb > best_lb:
                 best_lb = lb
-                center_eta, center_xi = eta_s, xi_s
+                center_eta, center_xi, center_mu = eta_s, xi_s, mu
             gap_bound = max(res.objective - best_lb, 0.0)
             if gap_bound <= GAP_REL_TOL * (1.0 + abs(res.objective)):
                 new_cols = []
@@ -343,12 +383,15 @@ def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int =
         if not new_cols:
             break
 
-        if len(columns) > 900:
-            # Purge stale zero columns; the feasibility base always stays.
+        if len(columns) > PURGE_ABOVE:
+            # Purge stale zero columns; the feasibility base and the basis
+            # that warm-starts the next master always stay.
+            basic = warm[0]
             keep = [
                 k
                 for k, (c, z) in enumerate(zip(columns, res.x))
                 if z > 1e-9
+                or c in basic
                 or (c.machine, c.job, c.slots) in base_keys
                 or born[k] >= iterations - 3
             ]
@@ -365,14 +408,18 @@ def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int =
 
     if clean:
         # Independent certificate: re-price everything against the final duals.
-        gap_bound = 0.0
         ximat = _xi_matrix(inst, xi, H)
         _, mu = _price_all(inst, ximat, eta, H, set())
         worst = float((mu - eta).min())
         if worst < -POSTHOC_TOL:
             raise ChainLpError(f"pricing certificate failed at {worst:.2e}")
+        gap_bound = max(res.objective - float(mu.sum() - ximat.sum()), 0.0)
     elif gap_bound > GAP_REL_TOL * (1.0 + abs(res.objective)):
         raise ChainLpError(f"gap certificate {gap_bound:.2e} above tolerance")
+    else:
+        # Return the duals that proved the bound: the stability center.
+        eta = center_mu
+        xi = {(int(i), int(t) + 1): float(center_xi[i, t]) for i, t in zip(*np.nonzero(center_xi > 0.0))}
 
     support = [(c, float(z)) for c, z in zip(columns, res.x) if z > 1e-9]
     sol = ChainSolution(
@@ -515,24 +562,34 @@ def solve_chain_lp_compressed(inst: Instance, eps: float, max_rounds: int = 500)
     """Column generation over the block-compressed timeline.
 
     Chain cost charges the right endpoint of the chain's final block, so the
-    objective lies within a (1 + eps) factor of the exact chain LP.
+    objective lies within a (1 + eps) factor of the exact chain LP.  Each
+    round's master starts from the previous round's optimal basis.
+    ``gap_bound`` comes from the final round's pricing: the Lagrangian bound
+    sum_j mu_j - sum_{i,k} len_k xi_{i,k}, with mu_j job j's cheapest block
+    allocation, must lie within 1e-6 relative of the objective.
     """
     H = instance_horizon(inst)
     timeline = build_compressed_timeline(inst, eps, H)
     ends, starts = timeline.ends, timeline.starts
     rel = inst.release_matrix()
 
-    def block_of(t: int) -> int:
-        return int(np.searchsorted(ends, t, side="left"))
+    usage_cache: dict = {}
+
+    def usage(c: Chain) -> dict:
+        """Slot count per block of the chain's slots, cached per chain."""
+        if c not in usage_cache:
+            blocks, counts = np.unique(np.searchsorted(ends, c.slots, side="left"), return_counts=True)
+            usage_cache[c] = dict(zip(blocks.tolist(), counts.tolist()))
+        return usage_cache[c]
 
     def chain_cost(c: Chain) -> float:
-        return float(inst.weights[c.job] * ends[block_of(c.completion)])
+        return float(inst.weights[c.job] * ends[max(usage(c))])
 
     columns = _greedy_disjoint_chains(inst, H)
     seen = {(c.machine, c.job, c.slots) for c in columns}
 
-    def solve_master(cols):
-        keys = sorted({(c.machine, block_of(t)) for c in cols for t in c.slots})
+    def solve_master(cols, warm):
+        keys = sorted({(c.machine, blk) for c in cols for blk in usage(c)})
         pos = {key: k for k, key in enumerate(keys)}
         lp = LinearProgram(num_vars=len(cols))
         lp.set_objective(np.array([chain_cost(c) for c in cols]))
@@ -541,35 +598,38 @@ def solve_chain_lp_compressed(inst: Instance, eps: float, max_rounds: int = 500)
             lp.add_row(np.array(idx), np.ones(len(idx)), ">=", 1.0)
         use: list[dict] = [dict() for _ in keys]
         for k, c in enumerate(cols):
-            for t in c.slots:
-                d = use[pos[(c.machine, block_of(t))]]
-                d[k] = d.get(k, 0) + 1
+            for blk, count in usage(c).items():
+                use[pos[(c.machine, blk)]][k] = count
         for key, d in zip(keys, use):
             i, blk = key
             cap = float(ends[blk] - starts[blk])
             lp.add_row(np.array(list(d)), np.array([float(v) for v in d.values()]), "<=", cap)
-        res = solve_lp(lp)
+        row_keys = [("job", j) for j in range(inst.num_jobs)] + keys
+        res = solve_lp(lp, _warm_basis(warm, cols, row_keys))
         if res.status != "optimal":
             raise ChainLpError(f"compressed master is {res.status}")
         eta = np.maximum(res.duals[: inst.num_jobs], 0.0)
         xi = np.zeros((inst.num_machines, len(ends)))
         for k, (i, blk) in enumerate(keys):
             xi[i, blk] = max(-res.duals[inst.num_jobs + k], 0.0)
-        return res, eta, xi
+        return res, eta, xi, _basis_keys(res, cols, row_keys)
 
     iterations = 0
+    warm = None
     for _ in range(max_rounds):
         iterations += 1
-        res, eta, xi = solve_master(columns)
+        res, eta, xi, warm = solve_master(columns, warm)
         new_cols = []
+        mu = np.full(inst.num_jobs, np.inf)
         for j in range(inst.num_jobs):
             for i in range(inst.num_machines):
                 if not inst.allowed(j, i):
                     continue
-                chain, _ = _price_chain_blocks(
+                chain, rc = _price_chain_blocks(
                     i, j, xi[i], float(eta[j]), float(inst.weights[j]),
                     inst.size(j, i), int(rel[j, i]), timeline,
                 )
+                mu[j] = min(mu[j], rc + float(eta[j]))
                 if chain is not None:
                     key = (chain.machine, chain.job, chain.slots)
                     if key not in seen:
@@ -580,6 +640,11 @@ def solve_chain_lp_compressed(inst: Instance, eps: float, max_rounds: int = 500)
         columns.extend(new_cols)
     else:
         raise ChainLpError(f"compressed generation did not converge in {max_rounds} rounds")
+
+    lower = float(mu.sum() - (timeline.lengths * xi).sum())
+    gap_bound = max(res.objective - lower, 0.0)
+    if gap_bound > GAP_REL_TOL * (1.0 + abs(res.objective)):
+        raise ChainLpError(f"compressed gap certificate {gap_bound:.2e} above tolerance")
 
     support = [(c, float(z)) for c, z in zip(columns, res.x) if z > 1e-9]
     xi_dict = {
@@ -597,6 +662,7 @@ def solve_chain_lp_compressed(inst: Instance, eps: float, max_rounds: int = 500)
         compressed=True,
         blocks=ends,
         iterations=iterations,
+        gap_bound=gap_bound,
     )
     validate_chain_solution(inst, sol)
     return sol

@@ -2,7 +2,7 @@
 
 Subcommands: gen, solve-interval, solve-chain, round, round-preemptive,
 oracle, analyze-dist, lowerbound, bench.  Global flags --seed, --format
-(csv | json), --out, --threads.  Reports are pure functions of (instance,
+(csv | json), --out.  Reports are pure functions of (instance,
 flags, seed): rerunning with the same arguments reproduces them byte for
 byte.  Exit codes: 0 success, 1 computation error, 2 usage error.
 """
@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="write the report to this path")
-    parser.add_argument("--threads", type=int, default=1, help="parallelism cap")
 
     # The same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values given before it.
@@ -282,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -351,8 +349,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         args.func(args)
     except _ERRORS as exc:

@@ -29,6 +29,11 @@ ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
 
 MASS_TOL = 1e-4
 GRID_AGREE_TOL = 1e-7
+# Draws inverted per bisection batch.  The batch's temporaries (64 KB each)
+# stay under glibc's default 128 KB mmap threshold, so they are reused from
+# the heap instead of being mapped and faulted in afresh at every bisection
+# step; the draws are the same at any batch size.
+SAMPLE_CHUNK = 8192
 
 
 class DistributionError(ValueError):
@@ -158,6 +163,14 @@ class OffsetDistribution:
         """
         scalar = size is None
         u = rng.random(1 if scalar else size) * self.raw_mass
+        out = np.empty_like(u)
+        flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+        for first in range(0, flat_u.size, SAMPLE_CHUNK):
+            flat_out[first : first + SAMPLE_CHUNK] = self._invert(flat_u[first : first + SAMPLE_CHUNK])
+        return float(out[0]) if scalar else out
+
+    def _invert(self, u: np.ndarray) -> np.ndarray:
+        """Bisection for F(theta) = u, elementwise."""
         lo = np.zeros_like(u)
         hi = np.ones_like(u)
         for _ in range(60):
@@ -165,8 +178,7 @@ class OffsetDistribution:
             below = self.cdf(mid) <= u
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if scalar else out
+        return 0.5 * (lo + hi)
 
     # -- approximation constants -------------------------------------------
 

@@ -216,20 +216,22 @@ def build_interval_lp(inst: Instance, starts: StartTimeSet | None = None) -> Int
         idx = np.flatnonzero(job == j)
         lp.add_row(idx, np.ones(idx.size), "==", 1.0)
     # Cover rows, one per (machine, retained time): variable k on machine i
-    # covers t iff start < t <= start + p.
-    cover_members: dict[tuple, list[int]] = {
-        (i, int(t)): [] for i in range(inst.num_machines) for t in cover_times
-    }
-    for k in range(job.size):
-        lo = np.searchsorted(cover_times, int(start[k]), side="right")
-        hi = np.searchsorted(cover_times, int(start[k] + p[k]), side="right")
-        i = int(machine[k])
-        for t in cover_times[lo:hi]:
-            cover_members[(i, int(t))].append(k)
-    for i in range(inst.num_machines):
-        for t in cover_times:
-            members = cover_members[(i, int(t))]
-            lp.add_row(np.array(members, dtype=np.int64), np.ones(len(members)), "<=", 1.0)
+    # covers t iff start < t <= start + p, a run of retained times found by
+    # binary search.  Members are listed per row in increasing k.
+    lo = np.searchsorted(cover_times, start, side="right")
+    hi = np.searchsorted(cover_times, start + p, side="right")
+    span = hi - lo
+    member = np.repeat(np.arange(job.size), span)
+    offset = np.arange(member.size) - np.repeat(np.cumsum(span) - span, span)
+    row = machine[member] * cover_times.size + lo[member] + offset
+    order = np.argsort(row, kind="stable")
+    member = member[order]
+    bounds = np.cumsum(np.bincount(row, minlength=inst.num_machines * cover_times.size))
+    first = 0
+    for last in bounds:
+        members = member[first:last]
+        lp.add_row(members, np.ones(members.size), "<=", 1.0)
+        first = last
     return IntervalLpModel(
         lp=lp, machine=machine, job=job, start=start, horizon=H, cover_times=cover_times
     )

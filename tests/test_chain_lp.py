@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import alphasched.chain_lp as chain_lp
+from alphasched.bench import random_instance
 from alphasched.chain_lp import (
+    GAP_REL_TOL,
     build_compressed_timeline,
     enumerate_chains,
     price_chain,
@@ -146,6 +149,87 @@ def test_posthoc_pricing_certificate():
                 inst.size(j, i), int(rel[j, i]), H,
             )
             assert rc >= -1e-6
+
+
+def _instance_9005():
+    rng = np.random.default_rng(9005)
+    n, m = rng.integers(5, 7), rng.integers(2, 4)
+    return random_instance(rng, n, m)
+
+
+def _cheapest_chain_costs(inst, slot_price, charge, horizon):
+    """Per job, min over chains of w * charge(last slot) + the slot prices:
+    for each last slot C, C's price plus the p - 1 cheapest earlier slots."""
+    rel = inst.release_matrix()
+    mu = np.full(inst.num_jobs, np.inf)
+    for j in range(inst.num_jobs):
+        for i in range(inst.num_machines):
+            if not inst.allowed(j, i):
+                continue
+            r, p = int(rel[j, i]), inst.size(j, i)
+            prices = np.array([slot_price(i, t) for t in range(1, horizon + 1)])
+            for C in range(r + p, horizon + 1):
+                earlier = np.sort(prices[r : C - 1])[: p - 1].sum()
+                cost = inst.weights[j] * charge(C) + prices[C - 1] + earlier
+                mu[j] = min(mu[j], cost)
+    return mu
+
+
+def test_returned_duals_certify_the_gap_bound():
+    inst = _instance_9005()
+    sol = solve_chain_lp(inst)
+    mu = _cheapest_chain_costs(inst, lambda i, t: sol.xi.get((i, t), 0.0), lambda C: C, sol.horizon)
+    # Every chain prices non-negative under (eta, xi) ...
+    assert (mu - sol.eta >= -1e-6).all()
+    # ... and the Lagrangian bound from xi proves what gap_bound claims.
+    bound = mu.sum() - sum(sol.xi.values())
+    scale = 1e-9 * (1.0 + abs(sol.objective))
+    assert bound >= sol.objective - sol.gap_bound - scale
+    assert bound <= sol.objective + scale
+    assert 0.0 <= sol.gap_bound <= GAP_REL_TOL * (1.0 + abs(sol.objective))
+
+
+def test_compressed_gap_bound_from_final_pricing():
+    inst = _instance_9005()
+    sol = solve_chain_lp_compressed(inst, 0.5)
+    ends = sol.blocks
+    lengths = np.diff(np.concatenate(([0], ends)))
+
+    def block(t):
+        return int(np.searchsorted(ends, t, side="left"))
+
+    mu = _cheapest_chain_costs(
+        inst, lambda i, t: sol.xi.get((i, block(t)), 0.0), lambda C: ends[block(C)], sol.horizon
+    )
+    bound = mu.sum() - sum(lengths[k] * v for (_, k), v in sol.xi.items())
+    scale = 1e-9 * (1.0 + abs(sol.objective))
+    assert 0.0 <= sol.gap_bound <= GAP_REL_TOL * (1.0 + abs(sol.objective))
+    assert sol.objective - bound <= sol.gap_bound + scale
+    assert bound <= sol.objective + scale
+
+
+def test_masters_warm_start_across_rounds_and_purges(monkeypatch):
+    calls = []
+    solve_lp = chain_lp.solve_lp
+
+    def recording_solve_lp(lp, basis=None):
+        res = solve_lp(lp, basis)
+        calls.append((lp.num_vars, basis is not None, res.warm))
+        return res
+
+    monkeypatch.setattr(chain_lp, "solve_lp", recording_solve_lp)
+    monkeypatch.setattr(chain_lp, "PURGE_ABOVE", 40)  # purge on a small instance
+    inst = random_instance(np.random.default_rng(0), 8, 2, p_max=8, r_max=12)
+    sol = solve_chain_lp(inst)
+    exact = calls[:]
+    comp = solve_chain_lp_compressed(inst, 0.5)
+    assert len(exact) == sol.iterations > 3 and len(calls) == sol.iterations + comp.iterations
+    sizes = [size for size, _, _ in exact]
+    assert any(b < a for a, b in zip(sizes, sizes[1:])), "no purge happened"
+    # Every master but each solve's first gets the previous basis and
+    # starts from it.
+    assert [given for _, given, _ in calls] == [k not in (0, len(exact)) for k in range(len(calls))]
+    assert all(warm for _, given, warm in calls if given)
 
 
 def test_solution_chains_are_valid():

@@ -123,6 +123,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "round", "--trials", "3")[0] == 2  # missing instance
     assert main([]) == 2
+    assert run(capsys, "--threads", "2", "analyze-dist", "--dist", "uniform")[0] == 2  # removed flag
 
 
 def test_missing_instance_file_exit_one(capsys):

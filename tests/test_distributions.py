@@ -96,6 +96,21 @@ def test_sampling_deterministic_and_mean():
     assert abs(big.mean() - target) <= 3 * sem
 
 
+def test_batched_sampling_matches_one_bisection():
+    # The sampler inverts in batches; the draws must equal one bisection
+    # over the whole array, for a shape spanning several batches.
+    d = OffsetDistribution.truncated_quadratic()
+    got = d.sample(np.random.default_rng(3), (3, 7000))
+    u = np.random.default_rng(3).random((3, 7000)) * d.raw_mass
+    lo, hi = np.zeros_like(u), np.ones_like(u)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = d.cdf(mid) <= u
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    assert got.shape == (3, 7000)
+    assert np.array_equal(got, 0.5 * (lo + hi))
+
+
 def test_quadratic_stats_match_hand_formulas():
     f1, beta, phi_star, rho = closed_form_quadratic_constants()
     s = OffsetDistribution.truncated_quadratic().stats()

@@ -165,6 +165,35 @@ def test_compressed_cover_rows_only_at_retained_times():
     assert res.status == "optimal"
 
 
+def _cover_rows_by_loop(inst, model):
+    """Cover rows built one variable and one covered time at a time."""
+    p = inst.sizes[model.job, model.machine]
+    members = {(i, int(t)): [] for i in range(inst.num_machines) for t in model.cover_times}
+    for k in range(model.job.size):
+        for t in model.cover_times:
+            if model.start[k] < t <= model.start[k] + p[k]:
+                members[(int(model.machine[k]), int(t))].append(k)
+    return [members[(i, int(t))] for i in range(inst.num_machines) for t in model.cover_times]
+
+
+def test_cover_rows_match_per_variable_loop():
+    rng = np.random.default_rng(31)
+    for trial in range(12):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        sizes = rng.integers(1, 7, size=(n, m))
+        sizes[rng.random((n, m)) < 0.2] = FORBIDDEN
+        sizes[np.arange(n), rng.integers(0, m, size=n)] = rng.integers(1, 7, size=n)
+        inst = make(sizes, rng.integers(0, 9, size=n), rng.uniform(1, 5, n))
+        starts = compress_start_times(inst, 0.5) if trial % 2 else None
+        model = build_interval_lp(inst, starts)
+        cover = model.lp.rows[inst.num_jobs :]
+        expected = _cover_rows_by_loop(inst, model)
+        assert len(cover) == len(expected)
+        for (idx, val, sense, rhs), want in zip(cover, expected):
+            assert idx.tolist() == want
+            assert (val == 1.0).all() and sense == "<=" and rhs == 1.0
+
+
 def test_solution_from_triples_validates():
     inst = make([[2], [2]], [0, 0], [1.0, 1.0])
     sol = solution_from_triples(inst, [(0, 0, 0, 1.0), (0, 1, 2, 1.0)])

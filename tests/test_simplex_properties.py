@@ -1,0 +1,225 @@
+"""Property tests for solve_lp on random small LPs with mixed senses and
+bounds, checked against an exhaustive vertex oracle, and for warm starts."""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from alphasched.simplex import Basis, LinearProgram, solve_lp  # noqa: E402
+
+TOL = 1e-6
+BOX = 1e5  # far beyond any vertex of the generated LPs (integer data <= 5)
+
+
+@st.composite
+def small_lps(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 4))
+    coef = st.integers(-3, 3)
+    c = np.array(draw(st.lists(coef, min_size=n, max_size=n)), dtype=float)
+    lower = np.array(draw(st.lists(st.integers(-2, 1), min_size=n, max_size=n)), dtype=float)
+    widths = draw(st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=n, max_size=n))
+    upper = np.array([np.inf if w is None else lo + w for lo, w in zip(lower, widths)])
+    lp = LinearProgram(n, objective=c, lower=lower, upper=upper)
+    for _ in range(k):
+        a = draw(st.lists(coef, min_size=n, max_size=n))
+        sense = draw(st.sampled_from(("<=", "==", ">=")))
+        lp.add_row(np.arange(n), np.array(a, dtype=float), sense, float(draw(st.integers(-5, 5))))
+    return lp
+
+
+def _vertex_min(lp, box):
+    """min c.x over the LP with x <= lower + box added where the upper
+    bound is infinite, by enumerating basic points; None when empty."""
+    n = lp.num_vars
+    upper = np.where(np.isfinite(lp.upper), lp.upper, lp.lower + box)
+    G, h = [], []  # G x <= h
+    for idx, val, sense, rhs in lp.rows:
+        a = np.zeros(n)
+        np.add.at(a, idx, val)
+        if sense in ("<=", "=="):
+            G.append(a), h.append(rhs)
+        if sense in (">=", "=="):
+            G.append(-a), h.append(-rhs)
+    G = np.vstack(G + [-np.eye(n), np.eye(n)])
+    h = np.concatenate([h, -lp.lower, upper])
+    best = None
+    for combo in combinations(range(G.shape[0]), n):
+        M = G[list(combo)]
+        if abs(np.linalg.det(M)) < 1e-9:
+            continue
+        x = np.linalg.solve(M, h[list(combo)])
+        if (G @ x <= h + 1e-7 * (1 + np.abs(h))).all():
+            value = float(lp.objective @ x)
+            best = value if best is None else min(best, value)
+    return best
+
+
+def _oracle(lp):
+    """(status, objective): a growing box moves the optimum of an unbounded
+    LP and leaves a bounded one's alone."""
+    near, far = _vertex_min(lp, BOX), _vertex_min(lp, 2 * BOX)
+    if near is None:
+        return "infeasible", None
+    if far < near - TOL * (1 + abs(near)):
+        return "unbounded", None
+    return "optimal", near
+
+
+def _row_matrix(lp):
+    A = np.zeros((len(lp.rows), lp.num_vars))
+    for k, (idx, val, _, _) in enumerate(lp.rows):
+        np.add.at(A[k], idx, val)
+    return A
+
+
+def _check_certificate(lp, res):
+    A = _row_matrix(lp)
+    x, y = res.x, res.duals
+    senses = [s for _, _, s, _ in lp.rows]
+    rhs = np.array([r for _, _, _, r in lp.rows])
+    scale = 1.0 + abs(res.objective)
+    act = A @ x
+    for k, sense in enumerate(senses):
+        if sense == "<=":
+            assert act[k] <= rhs[k] + TOL and y[k] <= TOL
+        elif sense == ">=":
+            assert act[k] >= rhs[k] - TOL and y[k] >= -TOL
+        else:
+            assert abs(act[k] - rhs[k]) <= TOL
+    assert (x >= lp.lower - TOL).all() and (x <= lp.upper + TOL).all()
+    # Reduced costs: non-negative except where an upper bound holds x.
+    d = lp.objective - A.T @ y
+    below = x < lp.upper - TOL
+    assert (d[below] >= -TOL).all()
+    dual = float(y @ rhs) + float(np.maximum(d, 0) @ lp.lower)
+    dual += float(np.minimum(d, 0)[np.isfinite(lp.upper)] @ lp.upper[np.isfinite(lp.upper)])
+    assert abs(res.objective - dual) <= TOL * scale
+    assert abs(res.objective - float(lp.objective @ x)) <= TOL * scale
+
+
+def _hint_is_feasible_basis(lp, hint):
+    """Independent check: the hinted columns form a nonsingular basis whose
+    basic solution is non-negative."""
+    A = _row_matrix(lp)
+    ub_vars = np.flatnonzero(np.isfinite(lp.upper))
+    m = len(lp.rows) + ub_vars.size
+    full = np.zeros((m, lp.num_vars))
+    full[: len(lp.rows)] = A
+    full[len(lp.rows) + np.arange(ub_vars.size), ub_vars] = 1.0
+    senses = [s for _, _, s, _ in lp.rows] + ["<="] * ub_vars.size
+    rhs = np.array([r for _, _, _, r in lp.rows] + list(lp.upper[ub_vars]))
+    b = rhs - full @ lp.lower
+    if any(senses[r] == "==" for r in hint.slack_rows):
+        return False
+    B = np.zeros((m, m))
+    B[:, : hint.columns.size] = full[:, hint.columns]
+    for k, r in enumerate(hint.slack_rows):
+        B[r, hint.columns.size + k] = 1.0 if senses[r] == "<=" else -1.0
+    if np.linalg.matrix_rank(B) < m:
+        return False
+    return bool((np.linalg.solve(B, b) >= -1e-7).all())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_lps(), st.randoms(use_true_random=False))
+def test_solve_lp_matches_oracle_and_certifies(lp, rnd):
+    res = solve_lp(lp)
+    status, value = _oracle(lp)
+    assert res.status == status
+    if status != "optimal":
+        return
+    assert res.objective == pytest.approx(value, abs=TOL * (1 + abs(value)))
+    _check_certificate(lp, res)
+
+    n, m = lp.num_vars, len(lp.rows) + int(np.isfinite(lp.upper).sum())
+    if m == 0:
+        return  # bounds only: solved without a basis
+    # Re-solving from the optimal basis pivots no more.  A redundant row
+    # whose artificial stays basic leaves the basis a row short, which
+    # starts cold.
+    again = solve_lp(lp, res.basis)
+    full = res.basis.columns.size + res.basis.slack_rows.size == m
+    assert again.warm == full
+    if full:
+        assert again.iterations == 0
+    assert again.objective == pytest.approx(res.objective, abs=TOL * (1 + abs(value)))
+    _check_certificate(lp, again)
+
+    # Any other basis of the right size starts warm only if it is a
+    # nonsingular, primal feasible basis; either way the optimum is the same.
+    picks = sorted(rnd.sample(range(n + m), m))
+    hint = Basis(
+        columns=np.array([j for j in picks if j < n], dtype=np.int64),
+        slack_rows=np.array([j - n for j in picks if j >= n], dtype=np.int64),
+    )
+    other = solve_lp(lp, hint)
+    assert other.warm == _hint_is_feasible_basis(lp, hint)
+    assert other.objective == pytest.approx(res.objective, abs=TOL * (1 + abs(value)))
+    _check_certificate(lp, other)
+
+
+def _two_column_lp():
+    # min x0 + x1 + 2 x2  s.t.  x0 + x1 + x2 >= 2,  x0 + x1 <= 3,  x2 <= 4
+    lp = LinearProgram(3, objective=np.array([1.0, 1.0, 2.0]))
+    lp.add_row([0, 1, 2], [1.0, 1.0, 1.0], ">=", 2.0)
+    lp.add_row([0, 1], [1.0, 1.0], "<=", 3.0)
+    lp.add_row([2], [1.0], "<=", 4.0)
+    return lp
+
+
+def test_singular_basis_falls_back_cold():
+    lp = _two_column_lp()
+    cold = solve_lp(lp)
+    # x0 and x1 have identical columns: a basis holding both is singular.
+    res = solve_lp(lp, Basis(columns=np.array([0, 1]), slack_rows=np.array([2])))
+    assert not res.warm and res.status == "optimal"
+    assert res.objective == pytest.approx(cold.objective)
+
+
+def test_infeasible_basis_falls_back_cold():
+    lp = _two_column_lp()
+    cold = solve_lp(lp)
+    # Basic x0, x2 and row 1's slack: row 2 forces x2 = 4, so row 0 needs
+    # x0 = -2.
+    hint = Basis(columns=np.array([0, 2]), slack_rows=np.array([1]))
+    res = solve_lp(lp, hint)
+    assert not res.warm
+    assert res.objective == pytest.approx(cold.objective)
+
+
+def test_wrong_size_and_equality_slack_fall_back_cold():
+    lp = _two_column_lp()
+    cold = solve_lp(lp)
+    for hint in (
+        Basis(columns=np.array([0]), slack_rows=np.array([2])),
+        Basis(columns=np.array([0, 5]), slack_rows=np.array([2])),
+        Basis(columns=np.array([0, 0]), slack_rows=np.array([2])),
+    ):
+        res = solve_lp(lp, hint)
+        assert not res.warm and res.objective == pytest.approx(cold.objective)
+    eq = LinearProgram(2, objective=np.array([1.0, 2.0]))
+    eq.add_row([0, 1], [1.0, 1.0], "==", 1.0)
+    res = solve_lp(eq, Basis(columns=np.array([], dtype=np.int64), slack_rows=np.array([0])))
+    assert not res.warm and res.objective == pytest.approx(1.0)
+
+
+def test_warm_start_after_adding_a_column_and_a_row():
+    # Column generation in miniature: the old optimum plus the new row's
+    # slack is a feasible basis of the grown LP.
+    lp = _two_column_lp()
+    first = solve_lp(lp)
+    grown = LinearProgram(4, objective=np.array([1.0, 1.0, 2.0, 0.5]))
+    grown.add_row([0, 1, 2, 3], [1.0, 1.0, 1.0, 1.0], ">=", 2.0)
+    grown.add_row([0, 1], [1.0, 1.0], "<=", 3.0)
+    grown.add_row([2], [1.0], "<=", 4.0)
+    grown.add_row([3], [1.0], "<=", 1.5)
+    hint = Basis(columns=first.basis.columns, slack_rows=np.append(first.basis.slack_rows, 3))
+    res = solve_lp(grown, hint)
+    assert res.warm and res.status == "optimal"
+    assert res.objective == pytest.approx(solve_lp(grown).objective)
+    assert res.objective == pytest.approx(1.5 * 0.5 + 0.5 * 1.0)
