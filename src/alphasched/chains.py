@@ -37,7 +37,9 @@ class Chain:
         for v in (0, length]."""
         if not 0.0 < work <= self.length + 1e-12:
             raise ValueError(f"work argument {work} outside (0, {self.length}]")
-        k = min(math.ceil(work - 1e-12), self.length)
+        # A work value within 1e-12 of an integer counts as that integer,
+        # and one in (0, 1e-12] lies in the first slot.
+        k = min(max(math.ceil(work - 1e-12), 1), self.length)
         return self.slots[k - 1] + work - k
 
     def inverse(self, t: float) -> float:

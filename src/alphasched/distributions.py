@@ -16,6 +16,12 @@ reached only in the limit phi -> 0, reported with ``attained=False``).
 The truncated quadratic density has raw mass F(1) slightly above 1
 (about 1.00000125).  Constants are computed from the raw, unnormalized
 density; sampling divides by F(1) so draws are honest probabilities.
+
+Sampling inverts the raw CDF piece by piece: a draw's piece comes from the
+cumulative mass at the breakpoints, pieces of constant density invert in
+closed form, and polynomial pieces take safeguarded Newton steps from a
+precomputed monotone table (the PINV idea of Derflinger, Hoermann and
+Leydold, ACM TOMACS 2010).
 """
 
 from __future__ import annotations
@@ -29,11 +35,12 @@ ONE_MINUS_INV_E = 1.0 - 1.0 / math.e
 
 MASS_TOL = 1e-4
 GRID_AGREE_TOL = 1e-7
-# Draws inverted per bisection batch.  The batch's temporaries (64 KB each)
-# stay under glibc's default 128 KB mmap threshold, so they are reused from
-# the heap instead of being mapped and faulted in afresh at every bisection
-# step; the draws are the same at any batch size.
-SAMPLE_CHUNK = 8192
+# Inverse-CDF sampling on polynomial pieces: points of each piece's start
+# table, the Newton step below which a draw counts as converged, and a cap
+# on the steps (a root where the density vanishes converges only linearly).
+TABLE_POINTS = 257
+NEWTON_TOL = 1e-12
+NEWTON_CAP = 100
 
 
 class DistributionError(ValueError):
@@ -78,6 +85,7 @@ class OffsetDistribution:
         self._K = []
         acc_F = 0.0
         acc_K = 0.0
+        cum = [0.0]
         for k, c in enumerate(self.coeffs):
             lo = self.breakpoints[k]
             Fp = _polyint(c)
@@ -89,6 +97,7 @@ class OffsetDistribution:
             hi = self.breakpoints[k + 1]
             acc_F = _polyval(Fp, hi)
             acc_K = _polyval(Kp, hi)
+            cum.append(float(acc_F))
         self.raw_mass = float(acc_F)
 
         grid = np.linspace(0.0, 1.0, 4097)
@@ -96,6 +105,40 @@ class OffsetDistribution:
             raise DistributionError("density is negative on [0, 1]")
         if abs(self.raw_mass - 1.0) > MASS_TOL:
             raise DistributionError(f"raw mass {self.raw_mass:.8f} not within {MASS_TOL} of 1")
+        self._build_inverse(np.maximum.accumulate(cum))
+
+    def _build_inverse(self, cum: np.ndarray) -> None:
+        """Tables for ``sample``: the raw mass below each breakpoint and,
+        per piece, how theta is recovered from a raw CDF value u.
+
+        A draw with u in piece k starts from theta = start + (u - cum) * slope.
+        For a constant density h that is the exact inverse (start at the
+        piece's left end, slope 1/h); a piece of zero mass is only reached
+        at u >= F(1), where sup{t : F(t) <= u} is its right end (slope 0).
+        A polynomial piece keeps theta at TABLE_POINTS equally spaced CDF
+        levels, solved here from a start interpolated on equally spaced
+        theta; draws find their bracket in it by arithmetic, not search.
+        """
+        self._cum = cum
+        self._hi = self.breakpoints[1:]
+        self._start = self.breakpoints[:-1].copy()
+        self._slope = np.zeros(len(self.coeffs))
+        self._tables = {}
+        for k, c in enumerate(self.coeffs):
+            lo, hi = self.breakpoints[k], self.breakpoints[k + 1]
+            c = np.trim_zeros(c, "b")
+            if cum[k + 1] <= cum[k]:
+                self._start[k] = hi
+            elif c.size == 1:
+                self._slope[k] = 1.0 / c[0]
+            else:
+                t = np.linspace(lo, hi, TABLE_POINTS)
+                F = np.maximum.accumulate(_polyval(self._F[k], t))
+                levels = np.linspace(cum[k], cum[k + 1], TABLE_POINTS)
+                lows, highs = np.full(TABLE_POINTS, lo), np.full(TABLE_POINTS, hi)
+                theta = self._newton(k, levels, lows, highs, np.interp(levels, F, t))
+                scale = (TABLE_POINTS - 1) / (cum[k + 1] - cum[k])
+                self._tables[k] = (np.maximum.accumulate(theta), scale)
 
     # -- constructors ----------------------------------------------------
 
@@ -159,26 +202,64 @@ class OffsetDistribution:
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | float:
         """Inverse-CDF draws using the normalized CDF F/F(1).
 
-        Inversion is by bisection to well below 1e-12.
+        Each draw is theta = sup{t : F(t) <= u} for u uniform on [0, F(1)),
+        with F the raw CDF.  The draw's piece is the one whose cumulative
+        mass range holds u, so pieces of zero mass are never chosen.
+        Constant-density pieces invert in closed form; polynomial pieces
+        take bracketed Newton steps until every step is below 1e-12.
         """
         scalar = size is None
         u = rng.random(1 if scalar else size) * self.raw_mass
-        out = np.empty_like(u)
-        flat_u, flat_out = u.reshape(-1), out.reshape(-1)
-        for first in range(0, flat_u.size, SAMPLE_CHUNK):
-            flat_out[first : first + SAMPLE_CHUNK] = self._invert(flat_u[first : first + SAMPLE_CHUNK])
-        return float(out[0]) if scalar else out
+        piece = np.searchsorted(self._cum, u, side="right") - 1
+        np.clip(piece, 0, len(self.coeffs) - 1, out=piece)
+        # Updates run in place: at rounding sizes each temporary is a fresh
+        # allocation that is page-faulted in, which costs as much as the math.
+        theta = u - self._cum[piece]
+        theta *= self._slope[piece]
+        theta += self._start[piece]
+        np.minimum(theta, self._hi[piece], out=theta)
+        for k, (table, scale) in self._tables.items():
+            mask = piece == k
+            u_k = u[mask]
+            x = u_k - self._cum[k]
+            x *= scale
+            j = np.minimum(x.astype(np.intp), TABLE_POINTS - 2)
+            x -= j
+            lows, highs = table[j], table[j + 1]
+            start = highs - lows
+            start *= x
+            start += lows
+            np.clip(start, lows, highs, out=start)
+            theta[mask] = self._newton(k, u_k, lows, highs, start)
+        return float(theta[0]) if scalar else theta
 
-    def _invert(self, u: np.ndarray) -> np.ndarray:
-        """Bisection for F(theta) = u, elementwise."""
-        lo = np.zeros_like(u)
-        hi = np.ones_like(u)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) <= u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+    def _newton(self, k, u, lows, highs, t) -> np.ndarray:
+        """Solve F(theta) = u on polynomial piece k from the start t inside
+        the bracket [lows, highs], which holds the root.  Each step narrows
+        the bracket; a Newton step that leaves it, or meets a vanishing
+        density away from the root, is replaced by the bracket's midpoint.
+        The arrays are updated in place, like those of ``sample``."""
+        F_k, f_k = self._F[k], self.coeffs[k]
+        for _ in range(NEWTON_CAP):
+            resid = _polyval(F_k, t)
+            resid -= u
+            dens = _polyval(f_k, t)
+            below = resid <= 0.0
+            np.copyto(lows, t, where=below)
+            np.copyto(highs, t, where=~below)
+            bad = (dens <= 0.0) & (resid != 0.0)
+            np.divide(resid, dens, out=resid, where=dens > 0.0)
+            step, nxt = resid, dens
+            np.subtract(t, step, out=nxt)
+            bad |= nxt < lows
+            bad |= nxt > highs
+            if bad.any():
+                nxt[bad] = 0.5 * (lows[bad] + highs[bad])
+            np.subtract(nxt, t, out=step)
+            t = nxt
+            if np.abs(step, out=step).max(initial=0.0) < NEWTON_TOL:
+                break
+        return t
 
     # -- approximation constants -------------------------------------------
 
@@ -273,7 +354,12 @@ def from_spec(text: str) -> OffsetDistribution:
 
 
 def _polyval(coeffs: np.ndarray, x):
-    return np.polynomial.polynomial.polyval(x, coeffs)
+    """Polynomial value by Horner's rule, updating one array in place."""
+    out = np.full(np.shape(x), coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
+    return out
 
 
 def _polyint(coeffs: np.ndarray) -> np.ndarray:

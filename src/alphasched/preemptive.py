@@ -20,6 +20,7 @@ from .chain_lp import ChainLpError, ChainSolution
 from .chains import chain_eval_many
 from .distributions import OffsetDistribution
 from .instance import Instance, NonPreemptiveSchedule
+from .rounding import _sequence
 
 DEFAULT_CLIP = 1.0 / 5100.0
 
@@ -93,30 +94,7 @@ def simulate_preemptive_rounding(
         work = theta[:, j] * size[:, j]
         tau[:, j] = chain_eval_many(slot_matrices[j], chain_idx[:, j], work)
 
-    sizef = size.astype(float)
-    span = float(tau.max(initial=0.0)) + 1.0
-    order = np.argsort(machine * span + tau, axis=1, kind="stable")
-    mach_sorted = np.take_along_axis(machine, order, axis=1)
-    tau_sorted = np.take_along_axis(tau, order, axis=1)
-    size_sorted = np.take_along_axis(sizef, order, axis=1)
-    frac_sorted = np.empty((trials, n))
-    int_sorted = np.empty((trials, n))
-    prev_frac = np.zeros(trials)
-    prev_int = np.zeros(trials)
-    prev_mach = np.full(trials, -1, dtype=np.int64)
-    for k in range(n):
-        same = mach_sorted[:, k] == prev_mach
-        begin_frac = np.maximum(tau_sorted[:, k], np.where(same, prev_frac, 0.0))
-        begin_int = np.maximum(np.ceil(tau_sorted[:, k]), np.where(same, prev_int, 0.0))
-        frac_sorted[:, k] = begin_frac + size_sorted[:, k]
-        int_sorted[:, k] = begin_int + size_sorted[:, k]
-        prev_frac = frac_sorted[:, k]
-        prev_int = int_sorted[:, k]
-        prev_mach = mach_sorted[:, k]
-    completion_frac = np.empty((trials, n))
-    completion_int = np.empty((trials, n))
-    np.put_along_axis(completion_frac, order, frac_sorted, axis=1)
-    np.put_along_axis(completion_int, order, int_sorted, axis=1)
+    completion_frac, completion_int = _sequence(machine, tau, size.astype(float), tau, np.ceil(tau))
     return completion_frac, completion_int, (machine, tau)
 
 

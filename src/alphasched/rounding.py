@@ -81,30 +81,31 @@ class _Sampler:
         return machine, start
 
 
-def _sequence(machine, key, release, size):
-    """Per machine, order jobs by key and chain starts as
-    max(release, predecessor completion).  All arrays are (trials, n);
-    returns per-job completion times (trials, n) as floats."""
+def _sequence(machine, key, size, *releases):
+    """Per machine, order jobs by key (ties by job index) and chain starts
+    as max(release, predecessor completion), once per release array.  All
+    arrays are (trials, n); the order is sorted and gathered once, and one
+    (trials, n) float array of completion times is returned per release."""
     trials, n = machine.shape
     span = float(key.max(initial=0.0) - min(0.0, float(key.min(initial=0.0))) + 1.0)
-    sort_key = machine * span + key
-    order = np.argsort(sort_key, axis=1, kind="stable")
-    mach_sorted = np.take_along_axis(machine, order, axis=1)
-    rel_sorted = np.take_along_axis(release, order, axis=1)
-    size_sorted = np.take_along_axis(size, order, axis=1)
-    completion_sorted = np.empty((trials, n))
-    prev_fin = np.zeros(trials)
-    prev_mach = np.full(trials, -1, dtype=np.int64)
-    for k in range(n):
-        same = mach_sorted[:, k] == prev_mach
-        begin = np.maximum(rel_sorted[:, k], np.where(same, prev_fin, -np.inf))
-        fin = begin + size_sorted[:, k]
-        completion_sorted[:, k] = fin
-        prev_fin = fin
-        prev_mach = mach_sorted[:, k]
-    completion = np.empty((trials, n))
-    np.put_along_axis(completion, order, completion_sorted, axis=1)
-    return completion
+    order = np.argsort(machine * span + key, axis=1, kind="stable")
+    # Flat positions of the jobs in sorted order, laid out (n, trials) so
+    # that each step of the recurrence below reads contiguous rows.
+    pos = np.ascontiguousarray((order + np.arange(0, trials * n, n)[:, None]).T)
+    mach_sorted = np.take(machine, pos)
+    size_sorted = np.take(size, pos)
+    follows = mach_sorted[1:] == mach_sorted[:-1]
+    out = []
+    for release in releases:
+        fin = np.take(release, pos)
+        fin[0] += size_sorted[0]
+        for k in range(1, n):
+            np.maximum(fin[k], fin[k - 1], out=fin[k], where=follows[k - 1])
+            fin[k] += size_sorted[k]
+        completion = np.empty((trials, n))
+        completion.ravel()[pos] = fin
+        out.append(completion)
+    return out
 
 
 def simulate_rounding(
@@ -123,8 +124,7 @@ def simulate_rounding(
     size = inst.sizes[np.arange(n)[None, :], machine].astype(float)
     release = rel_all[np.arange(n)[None, :], machine].astype(float)
     tau = start + theta * size
-    completion_conv = _sequence(machine, tau, release, size)
-    completion_pseudo = _sequence(machine, tau, np.maximum(tau, release), size)
+    completion_conv, completion_pseudo = _sequence(machine, tau, size, release, np.maximum(tau, release))
     return completion_conv, completion_pseudo, (machine, start, theta, tau)
 
 

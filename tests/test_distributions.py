@@ -96,19 +96,78 @@ def test_sampling_deterministic_and_mean():
     assert abs(big.mean() - target) <= 3 * sem
 
 
-def test_batched_sampling_matches_one_bisection():
-    # The sampler inverts in batches; the draws must equal one bisection
-    # over the whole array, for a shape spanning several batches.
-    d = OffsetDistribution.truncated_quadratic()
-    got = d.sample(np.random.default_rng(3), (3, 7000))
-    u = np.random.default_rng(3).random((3, 7000)) * d.raw_mass
-    lo, hi = np.zeros_like(u), np.ones_like(u)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = d.cdf(mid) <= u
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    assert got.shape == (3, 7000)
-    assert np.array_equal(got, 0.5 * (lo + hi))
+def bisect_cdf(d, u, chunk=1 << 16):
+    """Reference inverse: 60 bisection steps for sup{t : F(t) <= u} on the
+    public raw CDF, in chunks to keep the temporaries small."""
+    out = np.empty_like(u)
+    for first in range(0, u.size, chunk):
+        target = u[first : first + chunk]
+        lo, hi = np.zeros_like(target), np.ones_like(target)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            below = d.cdf(mid) <= target
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        out[first : first + chunk] = 0.5 * (lo + hi)
+    return out
+
+
+class FixedUniforms:
+    """Stands in for a Generator: ``random`` returns the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        return self.values.reshape(size)
+
+
+RAMP = OffsetDistribution([0.0, 1.0], [[0.0, 2.0]], name="ramp")  # f(t) = 2t vanishes at 0
+TENT = OffsetDistribution([0.0, 0.5, 1.0], [[0.0, 4.0], [4.0, -4.0]], name="tent")
+GAP = OffsetDistribution([0.0, 0.25, 0.75, 1.0], [[2.0], [0.0], [2.0]], name="gap")
+
+
+def test_sampler_matches_bisection_reference():
+    # Same uniforms, same theta: the sampler inverts the CDF that bisection
+    # inverted, also where the density vanishes at an end (RAMP).
+    for dist in (
+        OffsetDistribution.uniform(),
+        OffsetDistribution.truncated_quadratic(),
+        OffsetDistribution.clipped_uniform(1.0 / 5100.0),
+        RAMP,
+    ):
+        got = dist.sample(np.random.default_rng(3), 1_000_000)
+        u = np.random.default_rng(3).random(1_000_000) * dist.raw_mass
+        assert np.abs(got - bisect_cdf(dist, u)).max() <= 1e-12, dist.name
+
+
+@pytest.mark.parametrize(
+    "dist, r, expected",
+    [
+        (OffsetDistribution.uniform(), 0.0, 0.0),
+        (OffsetDistribution.truncated_quadratic(), 0.0, 0.0),
+        (OffsetDistribution.clipped_uniform(0.01), 0.0, 0.01),  # end of the leading flat stretch
+        (RAMP, 0.0, 0.0),
+        (TENT, 0.5, 0.5),  # the breakpoint between two polynomial pieces
+        (GAP, 0.5, 0.75),  # sup of the flat stretch, not its left end
+        (GAP, 0.25, 0.125),
+    ],
+)
+def test_sampler_edges(dist, r, expected):
+    got = dist.sample(FixedUniforms([r, r]), 2)
+    assert got == pytest.approx([expected] * 2, abs=1e-12)
+    assert got == pytest.approx(bisect_cdf(dist, np.array([r, r]) * dist.raw_mass), abs=1e-12)
+    assert dist.sample(FixedUniforms([r]), None) == pytest.approx(expected, abs=1e-12)
+
+
+def test_sampler_stays_in_support_at_top_of_range():
+    # The largest uniforms a Generator can return: closed-form inversion
+    # alone lands an ulp past 1 - lam, inside the trailing zero piece.
+    top = np.nextafter(1.0, 0.0) - np.arange(64) * 2.0**-53
+    lam = 1.0 / 5100.0
+    clipped = OffsetDistribution.clipped_uniform(lam).sample(FixedUniforms(top), top.size)
+    assert clipped.max() <= 1.0 - lam
+    quadratic = OffsetDistribution.truncated_quadratic().sample(FixedUniforms(top), top.size)
+    assert quadratic.max() <= D
 
 
 def test_quadratic_stats_match_hand_formulas():

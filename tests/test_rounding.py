@@ -7,6 +7,7 @@ from alphasched.distributions import OffsetDistribution
 from alphasched.instance import Instance, evaluate_schedule
 from alphasched.interval_lp import solution_from_triples, solve_interval_lp
 from alphasched.rounding import (
+    _sequence,
     busy_densities,
     estimate_ratio,
     idle_diagnostic,
@@ -27,6 +28,34 @@ def make(sizes, releases, weights):
         releases=releases,
         weights=weights,
     )
+
+
+def sequence_reference(machine, key, size, release):
+    """Per trial and machine: run the jobs in (key, job index) order, each
+    starting at max(release, predecessor completion)."""
+    trials, n = machine.shape
+    completion = np.empty((trials, n))
+    for r in range(trials):
+        for m in set(machine[r].tolist()):
+            prev = -math.inf
+            for j in sorted((j for j in range(n) if machine[r, j] == m), key=lambda j: (key[r, j], j)):
+                prev = max(release[r, j], prev) + size[r, j]
+                completion[r, j] = prev
+    return completion
+
+
+def test_sequence_kernel_matches_per_trial_reference():
+    rng = np.random.default_rng(17)
+    for trials, n, m in [(1, 1, 1), (40, 6, 3), (25, 9, 2), (30, 5, 4), (20, 7, 1)]:
+        machine = rng.integers(0, m, (trials, n))
+        key = rng.integers(-2, 6, (trials, n)) / 2.0  # few values: many ties
+        size = rng.integers(1, 5, (trials, n)).astype(float)
+        release = rng.integers(0, 4, (trials, n)).astype(float)
+        releases = (release, np.maximum(key, release), np.ceil(key + rng.random((trials, n))))
+        got = _sequence(machine, key, size, *releases)
+        assert len(got) == len(releases)
+        for completion, rel in zip(got, releases):
+            assert np.array_equal(completion, sequence_reference(machine, key, size, rel))
 
 
 def test_single_job_deterministic():
