@@ -2,10 +2,13 @@
 
 The master has one variable per generated chain, a covering row per job
 (total chain mass at least 1) and a capacity row per occupied (machine,
-slot).  Pricing is exact: for fixed machine, job and completion time C the
-cheapest chain takes the p - 1 slots with the smallest slot duals before C
-plus the slot ending at C; a sweep over C with a running smallest-(p-1)
-multiset finds the best completion in O(horizon log horizon).
+slot).  It is kept across rounds: a round appends only its new columns'
+entries and re-solves from the previous round's optimal basis.  Pricing is
+exact: for fixed machine, job and completion time C the cheapest chain
+takes the p - 1 slots with the smallest slot duals before C plus the slot
+ending at C.  Slot duals are non-negative and mostly zero, so those p - 1
+are the window's zeros first and then its smallest positive duals; every
+job of a machine is priced at every C at once.
 
 Column generation terminates cleanly when no chain prices below -1e-7 (the
 master duals are then feasible for the full dual, certifying optimality,
@@ -23,9 +26,9 @@ materialized greedily (earliest first) inside each chosen block.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain as concat
 
 import numpy as np
 
@@ -93,106 +96,106 @@ def price_chain(
     release: int,
     horizon: int,
 ) -> tuple[Chain | None, float]:
-    """Cheapest chain by reduced cost w * C + sum(xi over slots) - eta.
-
-    xi_row[t - 1] is the dual of slot (t - 1, t].  Returns (chain, reduced
-    cost) when the best chain prices below -1e-7, else (None, best cost).
-    The sweep holds the p - 1 smallest duals seen so far in a two-heap
-    selected/reserve structure.
-    """
-    p = size
-    first_c = release + p
-    if first_c > horizon:
-        return None, math.inf
-    # selected: max-heap (as negatives) of the p-1 cheapest slots in the
-    # window; reserve: min-heap of the rest.
-    selected: list = []
-    reserve: list = []
-    sel_sum = 0.0
-    best_cost = math.inf
-    best_c = -1
-    for t in range(release + 1, first_c):
-        heapq.heappush(selected, -xi_row[t - 1])
-        sel_sum += xi_row[t - 1]
-    for C in range(first_c, horizon + 1):
-        if C > first_c:
-            v = xi_row[C - 2]  # slot C-1 enters the window
-            if len(selected) < p - 1:
-                heapq.heappush(selected, -v)
-                sel_sum += v
-            elif selected and v < -selected[0]:
-                worst = -heapq.heapreplace(selected, -v)
-                sel_sum += v - worst
-                heapq.heappush(reserve, worst)
-            else:
-                heapq.heappush(reserve, v)
-        cost = weight * C + sel_sum + xi_row[C - 1] - eta_j
-        if cost < best_cost - 1e-15:
-            best_cost = cost
-            best_c = C
-    if best_cost >= -PRICE_TOL:
-        return None, best_cost
-    return _chain_for_completion(machine, job, xi_row, release, p, best_c), best_cost
+    """Cheapest chain by reduced cost w * C + sum(xi over slots) - eta, as
+    ``price_chain_multi`` finds it for one job and one bucket.  Returns
+    (chain, reduced cost) when it prices below -1e-7, else (None, best
+    cost)."""
+    found, best = price_chain_multi(
+        machine, xi_row, [job], [eta_j], [weight], [size], [release], horizon, buckets=1
+    )
+    return (found[0][0] if found else None), float(best[0])
 
 
 def _chain_for_completion(machine, job, xi_row, release, p, C) -> Chain:
     """Cheapest chain completing exactly at C: the p - 1 smallest duals in
     the window plus the final slot."""
     window = xi_row[release : C - 1]
-    order = np.argsort(window, kind="stable")[: p - 1]
-    slots = sorted(int(release + 1 + k) for k in order)
-    slots.append(C)
-    return Chain(machine=machine, job=job, slots=tuple(slots))
+    slots = np.sort(np.argsort(window, kind="stable")[: p - 1]) + release + 1
+    return Chain(machine=machine, job=job, slots=(*slots.tolist(), C))
+
+
+PRICE_CELLS = 1 << 22  # (positive dual, job, C) mask cells per batch of jobs; bounds memory
 
 
 def price_chain_multi(
     machine: int,
-    job: int,
     xi_row: np.ndarray,
-    eta_j: float,
-    weight: float,
-    size: int,
-    release: int,
+    jobs,
+    eta,
+    weights,
+    sizes,
+    releases,
     horizon: int,
     buckets: int = 4,
-) -> tuple[list, float]:
-    """Like price_chain but returns the best violating chain per completion
-    bucket (diverse columns speed up column generation); also returns the
-    overall minimum reduced cost."""
-    p = size
-    first_c = release + p
-    if first_c > horizon:
-        return [], math.inf
-    span = horizon - first_c + 1
-    selected: list = []
-    reserve: list = []
-    sel_sum = 0.0
-    best = [(math.inf, -1)] * buckets
-    for t in range(release + 1, first_c):
-        heapq.heappush(selected, -xi_row[t - 1])
-        sel_sum += xi_row[t - 1]
-    for C in range(first_c, horizon + 1):
-        if C > first_c:
-            v = xi_row[C - 2]
-            if len(selected) < p - 1:
-                heapq.heappush(selected, -v)
-                sel_sum += v
-            elif selected and v < -selected[0]:
-                worst = -heapq.heapreplace(selected, -v)
-                sel_sum += v - worst
-                heapq.heappush(reserve, worst)
-            else:
-                heapq.heappush(reserve, v)
-        cost = weight * C + sel_sum + xi_row[C - 1] - eta_j
-        b = (C - first_c) * buckets // span
-        if cost < best[b][0] - 1e-15:
-            best[b] = (cost, C)
-    overall = min(cost for cost, _ in best)
-    out = []
-    for cost, C in best:
-        if C >= 0 and cost < -PRICE_TOL:
-            out.append((_chain_for_completion(machine, job, xi_row, release, p, C), cost))
-    return out, overall
+) -> tuple[list, np.ndarray]:
+    """Price every given job on one machine against its slot duals.
+
+    xi_row[t - 1] >= 0 is the dual of slot (t - 1, t]; ``eta``, ``weights``,
+    ``sizes`` and ``releases`` are per job.  Job j's cheapest chain
+    completing at C costs w_j C + xi_C - eta_j plus the p_j - 1 smallest
+    duals in the window (r_j, C - 1]: the window's zeros, then as many of
+    its smallest positive duals as are still needed.  The positive duals are
+    sorted once, and a (positive dual, job, C) mask of the window members
+    whose rank among the window's positive duals is within that need sums
+    them for every job and C at once.
+
+    Returns (found, best): ``found`` lists (chain, reduced cost) for the best
+    completion in each of ``buckets`` equal ranges of C that prices below
+    -1e-7, job by job (diverse columns speed up column generation), ties to
+    rounding going to the earliest C; ``best[k]`` is the minimum reduced
+    cost of the k-th job, inf when no chain of it fits by the horizon.
+    """
+    H = int(horizon)
+    xi = np.asarray(xi_row, dtype=float)[:H]
+    if (xi < 0.0).any():
+        raise ValueError("slot duals must be non-negative")
+    jobs = np.asarray(jobs, dtype=np.int64)
+    eta = np.asarray(eta, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    p = np.asarray(sizes, dtype=np.int64)
+    r = np.asarray(releases, dtype=np.int64)
+    C = np.arange(1, H + 1)
+    zeros = np.concatenate(([0], np.cumsum(xi == 0.0)))  # zero duals in slots 1..t
+    pos = np.flatnonzero(xi > 0.0)
+    pos = pos[np.argsort(xi[pos], kind="stable")]
+    t, v = pos + 1, xi[pos]  # positive duals in increasing order, with their slots
+    # For C > r_j, a positive dual's rank in job j's window is its rank among
+    # those before C less the number of those up to r_j ranked before it.
+    before_c = t[:, None] < C
+    rank_c = np.cumsum(before_c, axis=0)
+    cost = np.empty((jobs.size, H))
+    step = max(1, PRICE_CELLS // max(1, t.size * H))
+    for j0 in range(0, jobs.size, step):
+        g = slice(j0, j0 + step)
+        after_r = t[:, None] > r[g]
+        need = (p[g] - 1)[:, None] - (zeros[C - 1] - zeros[np.minimum(r[g], H)][:, None])
+        take = after_r[:, :, None] & before_c[:, None, :]
+        take &= rank_c[:, None, :] <= need + np.cumsum(~after_r, axis=0)[:, :, None]
+        cheapest = (v @ take.reshape(t.size, need.size)).reshape(need.shape)
+        cost[g] = w[g, None] * C + cheapest + xi - eta[g, None]
+    first = r + p
+    cost[C < first[:, None]] = np.inf
+    best = cost.min(axis=1, initial=np.inf)
+
+    # Bucket b of job j holds the C with (C - first_j) * buckets // span_j == b.
+    fits = np.flatnonzero(first <= H)
+    span = (H + 1 - first[fits])[:, None]
+    lo = -(-np.arange(buckets) * span // buckets)  # offset of each bucket's first C
+    hi = np.concatenate((lo[:, 1:], span), axis=1)
+    filled = lo < hi
+    begin = fits[:, None] * H + first[fits, None] - 1 + lo
+    bucket_min = np.full(lo.shape, np.inf)
+    if filled.any():
+        bucket_min[filled] = np.minimum.reduceat(cost.ravel(), begin[filled])
+    found = []
+    for a, b in zip(*np.nonzero(bucket_min < -PRICE_TOL)):
+        j = fits[a]
+        c0 = int(first[j]) + int(lo[a, b])
+        seg = cost[j, c0 - 1 : int(first[j]) - 1 + int(hi[a, b])]
+        c = c0 + int(np.argmax(seg <= bucket_min[a, b] + 1e-12 * (1.0 + abs(bucket_min[a, b]))))
+        chain = _chain_for_completion(machine, int(jobs[j]), xi, int(r[j]), int(p[j]), c)
+        found.append((chain, float(bucket_min[a, b])))
+    return found, best
 
 
 def _greedy_disjoint_chains(inst: Instance, horizon: int) -> list[Chain]:
@@ -219,92 +222,125 @@ def _greedy_disjoint_chains(inst: Instance, horizon: int) -> list[Chain]:
     return chains
 
 
-def _warm_basis(prev, columns: list, row_keys: list) -> Basis | None:
-    """Map the previous master's optimal basis onto the new master by chain
-    and row key.  ``prev`` is (basic chains, rows whose slack is nonbasic);
-    a row the previous master lacked enters with its slack basic."""
-    if prev is None:
-        return None
-    basic, tight = prev
-    return Basis(
-        columns=np.array([k for k, c in enumerate(columns) if c in basic], dtype=np.int64),
-        slack_rows=np.array([r for r, key in enumerate(row_keys) if key not in tight], dtype=np.int64),
-    )
+class _Master:
+    """Restricted master, kept and extended across column-generation rounds.
 
+    Rows are the job covering rows, then one capacity row per (machine,
+    block) that some column uses, in key order.  A column's coefficient in a
+    capacity row is its slot count in that block, and the row's right-hand
+    side is the block's length; the exact timeline is the case of unit
+    blocks (``ends`` = 1..H).  The entries are held sorted by row key, then
+    column, so they are the rows' member and coefficient lists: appending
+    columns merges in only their entries, and a purge drops columns by mask.
+    Each solve starts from the previous optimal basis, mapped by column
+    index and row key.
+    """
 
-def _basis_keys(res, columns: list, row_keys: list) -> tuple[set, set]:
-    """The optimal basis of a master in the key form ``_warm_basis`` reads."""
-    slack = set(res.basis.slack_rows.tolist())
-    basic = {columns[k] for k in res.basis.columns}
-    return basic, {key for r, key in enumerate(row_keys) if r not in slack}
+    def __init__(self, inst: Instance, ends: np.ndarray):
+        self.inst = inst
+        self.ends = np.asarray(ends, dtype=np.int64)
+        self.lengths = np.diff(self.ends, prepend=0).astype(float)
+        self.columns: list[Chain] = []
+        self.costs = np.zeros(0)
+        # Row key of job j is j, of (machine i, block k) num_jobs + i * K + k.
+        self.key = np.zeros(0, dtype=np.int64)
+        self.col = np.zeros(0, dtype=np.int64)
+        self.coef = np.zeros(0)
+        self.basic = None  # basic columns of the last optimum
+        self.tight = None  # keys of its rows whose slack is nonbasic
 
+    def add(self, chains: list[Chain]) -> None:
+        """Append columns, merging in only their entries and costs."""
+        if not chains:
+            return
+        n, K = self.inst.num_jobs, self.ends.size
+        cols = len(self.columns) + np.arange(len(chains))
+        job = np.array([c.job for c in chains], dtype=np.int64)
+        machine = np.array([c.machine for c in chains], dtype=np.int64)
+        lengths = np.array([c.length for c in chains], dtype=np.int64)
+        owner = np.repeat(np.arange(len(chains)), lengths)
+        slots = np.fromiter(concat.from_iterable(c.slots for c in chains), np.int64, owner.size)
+        block = np.searchsorted(self.ends, slots, side="left")
+        # One capacity entry per (chain, block): a chain's blocks ascend.
+        key = n + machine[owner] * K + block
+        first = np.flatnonzero((np.diff(key, prepend=-1) != 0) | (np.diff(owner, prepend=-1) != 0))
+        count = np.diff(first, append=key.size)
+        # New entries go after the old ones of their row, in column order.
+        key = np.concatenate((self.key, job, key[first]))
+        order = np.argsort(key, kind="stable")
+        self.key = key[order]
+        self.col = np.concatenate((self.col, cols, cols[owner[first]]))[order]
+        self.coef = np.concatenate((self.coef, np.ones(job.size), count))[order]
+        last = np.cumsum(lengths) - 1
+        self.costs = np.concatenate((self.costs, self.inst.weights[job] * self.ends[block[last]]))
+        self.columns.extend(chains)
 
-def _unique(chains: list[Chain]) -> list[Chain]:
-    """Drop repeated chains, keeping the first; a repeated column would make
-    a warm-start basis that names it singular."""
-    return list(dict.fromkeys(chains))
+    def purge(self, keep: np.ndarray) -> None:
+        """Drop the columns outside the mask ``keep``, which holds every
+        basic one; rows left without entries go with them."""
+        index = np.cumsum(keep) - 1
+        live = keep[self.col]
+        self.key, self.col, self.coef = self.key[live], index[self.col[live]], self.coef[live]
+        self.costs = self.costs[keep]
+        self.columns = [c for c, k in zip(self.columns, keep) if k]
+        self.basic = index[self.basic]
 
+    def lp(self) -> tuple[LinearProgram, np.ndarray]:
+        """The current master and its row keys."""
+        n = self.inst.num_jobs
+        start = np.flatnonzero(np.diff(self.key, prepend=-1) != 0)
+        keys = self.key[start]
+        cap = keys >= n
+        rhs = np.where(cap, self.lengths[(keys - n) % self.ends.size], 1.0)
+        lp = LinearProgram(num_vars=len(self.columns), objective=self.costs)
+        lp.add_rows(np.append(start, self.key.size), self.col, self.coef, np.where(cap, "<=", ">="), rhs)
+        return lp, keys
 
-def _solve_master(inst: Instance, columns: list[Chain], costs: np.ndarray, warm=None):
-    """LP over the current columns, started from the previous round's basis
-    ``warm`` (see ``_basis_keys``) when given; returns (solution, eta, xi
-    dict, basis in key form)."""
-    slot_keys = sorted({(c.machine, t) for c in columns for t in c.slots})
-    slot_pos = {key: k for k, key in enumerate(slot_keys)}
-    lp = LinearProgram(num_vars=len(columns))
-    lp.set_objective(costs)
-    for j in range(inst.num_jobs):
-        idx = [k for k, c in enumerate(columns) if c.job == j]
-        lp.add_row(np.array(idx), np.ones(len(idx)), ">=", 1.0)
-    rows: list[list[int]] = [[] for _ in slot_keys]
-    for k, c in enumerate(columns):
-        for t in c.slots:
-            rows[slot_pos[(c.machine, t)]].append(k)
-    for members in rows:
-        lp.add_row(np.array(members), np.ones(len(members)), "<=", 1.0)
-    row_keys = [("job", j) for j in range(inst.num_jobs)] + slot_keys
-    res = solve_lp(lp, _warm_basis(warm, columns, row_keys))
-    if res.status != "optimal":
-        raise ChainLpError(f"restricted master is {res.status}")
-    eta = np.maximum(res.duals[: inst.num_jobs], 0.0)
-    xi = {}
-    for k, key in enumerate(slot_keys):
-        v = -res.duals[inst.num_jobs + k]
-        if v > 1e-12:
-            xi[key] = float(v)
-    return res, eta, xi, _basis_keys(res, columns, row_keys)
-
-
-def _xi_matrix(inst: Instance, xi: dict, horizon: int) -> np.ndarray:
-    mat = np.zeros((inst.num_machines, horizon))
-    for (i, t), v in xi.items():
-        mat[i, t - 1] = v
-    return mat
+    def solve(self):
+        """Solve the master; returns (solution, eta, xi) with eta the job
+        duals clipped at zero and xi[i, k] the negated dual of the capacity
+        row of (machine i, block k), zero where there is none."""
+        n, K = self.inst.num_jobs, self.ends.size
+        lp, keys = self.lp()
+        warm = None
+        if self.basic is not None:
+            warm = Basis(columns=self.basic, slack_rows=np.flatnonzero(~np.isin(keys, self.tight)))
+        res = solve_lp(lp, warm)
+        if res.status != "optimal":
+            raise ChainLpError(f"restricted master is {res.status}")
+        slack = np.zeros(keys.size, dtype=bool)
+        slack[res.basis.slack_rows] = True
+        self.basic, self.tight = res.basis.columns, keys[~slack]
+        cap = keys >= n
+        eta = np.zeros(n)
+        eta[keys[~cap]] = np.maximum(res.duals[~cap], 0.0)
+        xi = np.zeros((self.inst.num_machines, K))
+        xi[(keys[cap] - n) // K, (keys[cap] - n) % K] = -res.duals[cap]
+        return res, eta, xi
 
 
 def _price_all(inst: Instance, ximat: np.ndarray, eta: np.ndarray, H: int, seen: set):
-    """Price every (machine, job) pair against the given duals.
+    """Price every (machine, job) pair against the given duals, one
+    ``price_chain_multi`` call per machine.
 
-    Returns (new chains, per-job cheapest chain cost mu_j).  The mu values
-    certify a Lagrangian lower bound sum_j mu_j - sum xi on the LP optimum.
+    Returns (new chains, ordered by job, then machine, then bucket; per-job
+    cheapest chain cost mu_j).  The mu values certify a Lagrangian lower
+    bound sum_j mu_j - sum xi on the LP optimum.
     """
     rel = inst.release_matrix()
-    new_cols = []
+    allowed = inst.allowed_mask()
+    found = []
     mu = np.full(inst.num_jobs, np.inf)
-    for j in range(inst.num_jobs):
-        for i in range(inst.num_machines):
-            if not inst.allowed(j, i):
-                continue
-            found, best_rc = price_chain_multi(
-                i, j, ximat[i], float(eta[j]), float(inst.weights[j]),
-                inst.size(j, i), int(rel[j, i]), H,
-            )
-            mu[j] = min(mu[j], best_rc + float(eta[j]))
-            for chain, _ in found:
-                key = (chain.machine, chain.job, chain.slots)
-                if key not in seen:
-                    new_cols.append(chain)
-                    seen.add(key)
+    for i in range(inst.num_machines):
+        jobs = np.flatnonzero(allowed[:, i])
+        chains, best = price_chain_multi(
+            i, ximat[i], jobs, eta[jobs], inst.weights[jobs], inst.sizes[jobs, i], rel[jobs, i], H
+        )
+        mu[jobs] = np.minimum(mu[jobs], best + eta[jobs])
+        found.extend(chain for chain, _ in chains)
+    found.sort(key=lambda chain: chain.job)
+    new_cols = [chain for chain in found if chain not in seen]
+    seen.update(new_cols)
     return new_cols, mu
 
 
@@ -339,10 +375,13 @@ def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int =
             for i in range(inst.num_machines):
                 if inst.allowed(j, i):
                     columns.append(earliest_chain(i, j, int(rel[j, i]), inst.size(j, i)))
-    columns = _unique(columns)
-    seen = {(c.machine, c.job, c.slots) for c in columns}
-    base_keys = {(c.machine, c.job, c.slots) for c in base}
-    born = [0] * len(columns)
+    # A repeated column would make a warm-start basis that names it singular;
+    # the base chains stay first.
+    columns = list(dict.fromkeys(columns))
+    master = _Master(inst, np.arange(1, H + 1))
+    master.add(columns)
+    seen = set(columns)
+    born = np.zeros(len(columns), dtype=np.int64)
 
     best_lb = -np.inf
     center_eta = None
@@ -351,12 +390,10 @@ def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int =
     gap_bound = np.inf
     clean = False
     iterations = 0
-    warm = None
     for _ in range(max_rounds):
         iterations += 1
-        costs = np.array([inst.weights[c.job] * c.completion for c in columns])
-        res, eta, xi, warm = _solve_master(inst, columns, costs, warm)
-        ximat = _xi_matrix(inst, xi, H)
+        res, eta, xi = master.solve()
+        ximat = np.where(xi > 1e-12, xi, 0.0)
         if center_eta is None:
             center_eta, center_xi = eta, ximat
 
@@ -383,32 +420,22 @@ def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int =
         if not new_cols:
             break
 
-        if len(columns) > PURGE_ABOVE:
+        if len(master.columns) > PURGE_ABOVE:
             # Purge stale zero columns; the feasibility base and the basis
             # that warm-starts the next master always stay.
-            basic = warm[0]
-            keep = [
-                k
-                for k, (c, z) in enumerate(zip(columns, res.x))
-                if z > 1e-9
-                or c in basic
-                or (c.machine, c.job, c.slots) in base_keys
-                or born[k] >= iterations - 3
-            ]
-            dropped = set(range(len(columns))) - set(keep)
-            for k in dropped:
-                c = columns[k]
-                seen.discard((c.machine, c.job, c.slots))
-            columns = [columns[k] for k in keep]
-            born = [born[k] for k in keep]
-        columns.extend(new_cols)
-        born.extend([iterations] * len(new_cols))
+            keep = (res.x > 1e-9) | (born >= iterations - 3)
+            keep[: len(base)] = True
+            keep[res.basis.columns] = True
+            seen.difference_update(c for c, k in zip(master.columns, keep) if not k)
+            master.purge(keep)
+            born = born[keep]
+        master.add(new_cols)
+        born = np.concatenate((born, np.full(len(new_cols), iterations)))
     else:
         raise ChainLpError(f"column generation did not converge in {max_rounds} rounds")
 
     if clean:
         # Independent certificate: re-price everything against the final duals.
-        ximat = _xi_matrix(inst, xi, H)
         _, mu = _price_all(inst, ximat, eta, H, set())
         worst = float((mu - eta).min())
         if worst < -POSTHOC_TOL:
@@ -418,15 +445,14 @@ def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int =
         raise ChainLpError(f"gap certificate {gap_bound:.2e} above tolerance")
     else:
         # Return the duals that proved the bound: the stability center.
-        eta = center_mu
-        xi = {(int(i), int(t) + 1): float(center_xi[i, t]) for i, t in zip(*np.nonzero(center_xi > 0.0))}
+        eta, ximat = center_mu, center_xi
 
-    support = [(c, float(z)) for c, z in zip(columns, res.x) if z > 1e-9]
+    support = [(c, float(z)) for c, z in zip(master.columns, res.x) if z > 1e-9]
     sol = ChainSolution(
         chains=support,
         objective=float(res.objective),
         eta=eta,
-        xi=xi,
+        xi={(int(i), int(t) + 1): float(ximat[i, t]) for i, t in zip(*np.nonzero(ximat > 0.0))},
         horizon=H,
         iterations=iterations,
         gap_bound=float(gap_bound),
@@ -520,42 +546,35 @@ def _price_chain_blocks(
     timeline: CompressedTimeline,
 ):
     """Cheapest block allocation: for each completion block k*, take one slot
-    there plus the p - 1 cheapest remaining slots in blocks up to k*."""
+    there plus the p - 1 cheapest remaining slots in blocks up to k*.
+
+    The blocks are sorted by dual once, stably, and filled greedily in that
+    order for every k* at once: row k* of a K x K matrix holds each block's
+    remaining capacity in that order (none past k*, one less in k* itself),
+    and the fill takes what the need left by the earlier blocks allows.
+    """
     ends, starts = timeline.ends, timeline.starts
     avail = np.maximum(ends - np.maximum(starts, release), 0).astype(np.int64)
-    best = (math.inf, None)
     K = len(ends)
-    for kstar in range(K):
-        if avail[kstar] < 1:
-            continue
-        total_avail = int(avail[: kstar + 1].sum())
-        if total_avail < size:
-            continue
-        order = np.argsort(xi_blocks[: kstar + 1], kind="stable")
-        need = size - 1
-        cost = weight * float(ends[kstar]) + xi_blocks[kstar] - eta_j
-        counts = np.zeros(kstar + 1, dtype=np.int64)
-        counts[kstar] = 1
-        for k in order:
-            if need == 0:
-                break
-            take = int(min(avail[k] - counts[k], need))
-            if take > 0:
-                counts[k] += take
-                need -= take
-                cost += take * xi_blocks[k]
-        if need > 0:
-            continue
-        if cost < best[0] - 1e-15:
-            best = (cost, counts)
-    if best[1] is None or best[0] >= -PRICE_TOL:
-        return None, best[0]
-    counts = best[1]
+    order = np.argsort(xi_blocks, kind="stable")
+    kstar = np.arange(K)[:, None]
+    room = np.where(order <= kstar, np.maximum(avail[order] - (order == kstar), 0), 0)
+    take = np.clip(size - 1 - (np.cumsum(room, axis=1) - room), 0, room)
+    # Added up in fill order, as a block-by-block loop would.
+    terms = np.concatenate(((weight * ends + xi_blocks - eta_j)[:, None], take * xi_blocks[order]), axis=1)
+    cost = np.cumsum(terms, axis=1)[:, -1]
+    cost[(avail < 1) | (np.cumsum(avail) < size)] = np.inf
+    kbest = int(np.argmin(cost))
+    if cost[kbest] >= -PRICE_TOL:
+        return None, float(cost[kbest])
+    counts = np.zeros(K, dtype=np.int64)
+    counts[order] = take[kbest]
+    counts[kbest] += 1
     slots = []
     for k in np.flatnonzero(counts):
         lo = int(max(starts[k], release)) + 1
         slots.extend(range(lo, lo + int(counts[k])))
-    return Chain(machine=machine, job=job, slots=tuple(sorted(slots))), best[0]
+    return Chain(machine=machine, job=job, slots=tuple(sorted(slots))), float(cost[kbest])
 
 
 def solve_chain_lp_compressed(inst: Instance, eps: float, max_rounds: int = 500) -> ChainSolution:
@@ -570,55 +589,18 @@ def solve_chain_lp_compressed(inst: Instance, eps: float, max_rounds: int = 500)
     """
     H = instance_horizon(inst)
     timeline = build_compressed_timeline(inst, eps, H)
-    ends, starts = timeline.ends, timeline.starts
+    ends = timeline.ends
     rel = inst.release_matrix()
-
-    usage_cache: dict = {}
-
-    def usage(c: Chain) -> dict:
-        """Slot count per block of the chain's slots, cached per chain."""
-        if c not in usage_cache:
-            blocks, counts = np.unique(np.searchsorted(ends, c.slots, side="left"), return_counts=True)
-            usage_cache[c] = dict(zip(blocks.tolist(), counts.tolist()))
-        return usage_cache[c]
-
-    def chain_cost(c: Chain) -> float:
-        return float(inst.weights[c.job] * ends[max(usage(c))])
-
+    master = _Master(inst, ends)
     columns = _greedy_disjoint_chains(inst, H)
-    seen = {(c.machine, c.job, c.slots) for c in columns}
-
-    def solve_master(cols, warm):
-        keys = sorted({(c.machine, blk) for c in cols for blk in usage(c)})
-        pos = {key: k for k, key in enumerate(keys)}
-        lp = LinearProgram(num_vars=len(cols))
-        lp.set_objective(np.array([chain_cost(c) for c in cols]))
-        for j in range(inst.num_jobs):
-            idx = [k for k, c in enumerate(cols) if c.job == j]
-            lp.add_row(np.array(idx), np.ones(len(idx)), ">=", 1.0)
-        use: list[dict] = [dict() for _ in keys]
-        for k, c in enumerate(cols):
-            for blk, count in usage(c).items():
-                use[pos[(c.machine, blk)]][k] = count
-        for key, d in zip(keys, use):
-            i, blk = key
-            cap = float(ends[blk] - starts[blk])
-            lp.add_row(np.array(list(d)), np.array([float(v) for v in d.values()]), "<=", cap)
-        row_keys = [("job", j) for j in range(inst.num_jobs)] + keys
-        res = solve_lp(lp, _warm_basis(warm, cols, row_keys))
-        if res.status != "optimal":
-            raise ChainLpError(f"compressed master is {res.status}")
-        eta = np.maximum(res.duals[: inst.num_jobs], 0.0)
-        xi = np.zeros((inst.num_machines, len(ends)))
-        for k, (i, blk) in enumerate(keys):
-            xi[i, blk] = max(-res.duals[inst.num_jobs + k], 0.0)
-        return res, eta, xi, _basis_keys(res, cols, row_keys)
+    master.add(columns)
+    seen = set(columns)
 
     iterations = 0
-    warm = None
     for _ in range(max_rounds):
         iterations += 1
-        res, eta, xi, warm = solve_master(columns, warm)
+        res, eta, xi = master.solve()
+        xi = np.maximum(xi, 0.0)
         new_cols = []
         mu = np.full(inst.num_jobs, np.inf)
         for j in range(inst.num_jobs):
@@ -630,14 +612,12 @@ def solve_chain_lp_compressed(inst: Instance, eps: float, max_rounds: int = 500)
                     inst.size(j, i), int(rel[j, i]), timeline,
                 )
                 mu[j] = min(mu[j], rc + float(eta[j]))
-                if chain is not None:
-                    key = (chain.machine, chain.job, chain.slots)
-                    if key not in seen:
-                        new_cols.append(chain)
-                        seen.add(key)
+                if chain is not None and chain not in seen:
+                    new_cols.append(chain)
+                    seen.add(chain)
         if not new_cols:
             break
-        columns.extend(new_cols)
+        master.add(new_cols)
     else:
         raise ChainLpError(f"compressed generation did not converge in {max_rounds} rounds")
 
@@ -646,13 +626,8 @@ def solve_chain_lp_compressed(inst: Instance, eps: float, max_rounds: int = 500)
     if gap_bound > GAP_REL_TOL * (1.0 + abs(res.objective)):
         raise ChainLpError(f"compressed gap certificate {gap_bound:.2e} above tolerance")
 
-    support = [(c, float(z)) for c, z in zip(columns, res.x) if z > 1e-9]
-    xi_dict = {
-        (i, k): float(xi[i, k])
-        for i in range(inst.num_machines)
-        for k in range(len(ends))
-        if xi[i, k] > 1e-12
-    }
+    support = [(c, float(z)) for c, z in zip(master.columns, res.x) if z > 1e-9]
+    xi_dict = {(int(i), int(k)): float(xi[i, k]) for i, k in zip(*np.nonzero(xi > 1e-12))}
     sol = ChainSolution(
         chains=support,
         objective=float(res.objective),

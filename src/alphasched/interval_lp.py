@@ -212,9 +212,10 @@ def build_interval_lp(inst: Instance, starts: StartTimeSet | None = None) -> Int
     p = inst.sizes[job, machine]
     lp = LinearProgram(num_vars=job.size)
     lp.set_objective(inst.weights[job] * (start + p))
-    for j in range(inst.num_jobs):
-        idx = np.flatnonzero(job == j)
-        lp.add_row(idx, np.ones(idx.size), "==", 1.0)
+    lp.add_rows(
+        np.concatenate(([0], np.cumsum(counts))), np.argsort(job, kind="stable"),
+        np.ones(job.size), ["=="] * inst.num_jobs, np.ones(inst.num_jobs),
+    )
     # Cover rows, one per (machine, retained time): variable k on machine i
     # covers t iff start < t <= start + p, a run of retained times found by
     # binary search.  Members are listed per row in increasing k.
@@ -227,11 +228,9 @@ def build_interval_lp(inst: Instance, starts: StartTimeSet | None = None) -> Int
     order = np.argsort(row, kind="stable")
     member = member[order]
     bounds = np.cumsum(np.bincount(row, minlength=inst.num_machines * cover_times.size))
-    first = 0
-    for last in bounds:
-        members = member[first:last]
-        lp.add_row(members, np.ones(members.size), "<=", 1.0)
-        first = last
+    lp.add_rows(
+        np.concatenate(([0], bounds)), member, np.ones(member.size), ["<="] * bounds.size, np.ones(bounds.size)
+    )
     return IntervalLpModel(
         lp=lp, machine=machine, job=job, start=start, horizon=H, cover_times=cover_times
     )

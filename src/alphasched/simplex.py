@@ -88,18 +88,40 @@ class LinearProgram:
 
     def add_row(self, indices, coeffs, sense: str, rhs: float) -> int:
         """Append a constraint row; returns its index."""
+        return self.add_rows((0, np.size(indices)), indices, coeffs, (sense,), (rhs,))[0]
+
+    def add_rows(self, indptr, indices, coeffs, senses, rhs) -> range:
+        """Append a block of rows in compressed form: row k holds
+        ``indices[indptr[k]:indptr[k + 1]]`` with the matching ``coeffs``,
+        sense ``senses[k]`` and right-hand side ``rhs[k]``.  Either the
+        whole block is appended or, on malformed input, none of it; returns
+        the new rows' indices."""
         idx = np.asarray(indices, dtype=np.int64)
         val = np.asarray(coeffs, dtype=float)
         if idx.shape != val.shape or idx.ndim != 1:
             raise LpError("row indices and coefficients must be 1-d and aligned")
+        ptr = np.asarray(indptr, dtype=np.int64)
+        b = np.asarray(rhs, dtype=float)
+        senses = list(senses)
+        count = ptr.size - 1
+        if ptr.ndim != 1 or count < 0 or len(senses) != count or b.shape != (count,):
+            raise LpError("row pointers, senses and right-hand sides must describe the same rows")
+        bounds = ptr.tolist()
+        if bounds[0] != 0 or bounds[-1] != idx.size or (ptr[1:] < ptr[:-1]).any():
+            raise LpError("row pointers must rise from 0 to the number of entries")
         if idx.size and (idx.min() < 0 or idx.max() >= self.num_vars):
             raise LpError("row index out of range")
-        if sense not in _SENSES:
-            raise LpError(f"unknown sense {sense!r}")
-        if not np.isfinite(val).all() or not np.isfinite(rhs):
+        unknown = [s for s in senses if s not in _SENSES]
+        if unknown:
+            raise LpError(f"unknown sense {unknown[0]!r}")
+        if not np.isfinite(val).all() or not np.isfinite(b).all():
             raise LpError("row coefficients and rhs must be finite")
-        self.rows.append((idx, val, sense, float(rhs)))
-        return len(self.rows) - 1
+        first = len(self.rows)
+        spans = list(zip(bounds, bounds[1:]))
+        self.rows.extend(
+            zip([idx[lo:hi] for lo, hi in spans], [val[lo:hi] for lo, hi in spans], senses, b.tolist())
+        )
+        return range(first, len(self.rows))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from alphasched.chains import Chain, earliest_chain
 from alphasched.instance import Instance, horizon
 from alphasched.interval_lp import solve_interval_lp
 from alphasched.oracle import brute_force_preemptive
+from alphasched.simplex import LinearProgram, solve_lp
 
 
 def make(sizes, releases, weights):
@@ -285,3 +286,55 @@ def test_chain_dataclass_guards():
         Chain(machine=0, job=0, slots=(3, 3, 4)).validate(0, 10, 3)
     with pytest.raises(ValueError):
         Chain(machine=0, job=0, slots=(1, 2)).validate(1, 10, 2)
+
+
+def _fresh_master(inst, ends, columns):
+    """The master built from nothing: job rows, then one capacity row per
+    (machine, block) in key order, as {key: {column: coefficient}}, with
+    each row's right-hand side and each column's cost."""
+    rows = {("job", j): {} for j in range(inst.num_jobs)}
+    capacity = {}
+    for k, c in enumerate(columns):
+        rows[("job", c.job)][k] = 1.0
+        for t in c.slots:
+            key = (c.machine, int(np.searchsorted(ends, t, side="left")))
+            capacity.setdefault(key, {})
+            capacity[key][k] = capacity[key].get(k, 0.0) + 1.0
+    rows.update(sorted(capacity.items()))
+    lengths = np.diff(ends, prepend=0)
+    rhs = [1.0 if key[0] == "job" else float(lengths[key[1]]) for key in rows]
+    costs = [inst.weights[c.job] * ends[np.searchsorted(ends, c.completion, side="left")] for c in columns]
+    return rows, rhs, costs
+
+
+def test_incremental_master_matches_fresh_build(monkeypatch):
+    checked = []
+    solve = chain_lp._Master.solve
+
+    def checking_solve(master):
+        lp, keys = master.lp()
+        n, K = master.inst.num_jobs, master.ends.size
+        rows, rhs, costs = _fresh_master(master.inst, master.ends, master.columns)
+        decoded = [("job", int(k)) if k < n else (int(k - n) // K, int(k - n) % K) for k in keys]
+        assert decoded == list(rows)
+        for (idx, val, sense, b), key, want_b in zip(lp.rows, rows, rhs):
+            assert dict(zip(idx.tolist(), val.tolist())) == rows[key]
+            assert idx.tolist() == sorted(rows[key])
+            assert sense == (">=" if key[0] == "job" else "<=") and b == want_b
+        assert lp.objective.tolist() == costs
+        fresh = LinearProgram(num_vars=len(costs), objective=np.array(costs))
+        for key, b in zip(rows, rhs):
+            fresh.add_row(list(rows[key]), list(rows[key].values()), ">=" if key[0] == "job" else "<=", b)
+        res = solve(master)
+        assert res[0].objective == pytest.approx(solve_lp(fresh).objective, rel=1e-9, abs=1e-9)
+        checked.append(len(master.columns))
+        return res
+
+    monkeypatch.setattr(chain_lp._Master, "solve", checking_solve)
+    monkeypatch.setattr(chain_lp, "PURGE_ABOVE", 40)  # purge on a small instance
+    inst = random_instance(np.random.default_rng(0), 8, 2, p_max=8, r_max=12)
+    sol = solve_chain_lp(inst)
+    assert len(checked) == sol.iterations > 3
+    assert any(b < a for a, b in zip(checked, checked[1:])), "no purge happened"
+    comp = solve_chain_lp_compressed(inst, 0.5)
+    assert len(checked) == sol.iterations + comp.iterations

@@ -68,6 +68,57 @@ def test_variable_bounds():
     assert res.objective == pytest.approx(-7.0)
 
 
+MALFORMED_ROWS = [
+    ([0, 5], [1.0, 1.0], "<=", 1.0),  # index out of range
+    ([-1], [1.0], "<=", 1.0),  # negative index
+    ([0], [1.0], "<>", 1.0),  # unknown sense
+    ([0], [1.0], None, 1.0),
+    ([0, 1], [1.0], "<=", 1.0),  # misaligned
+    ([[0, 1]], [[1.0, 1.0]], "<=", 1.0),  # not 1-d
+    ([0], [np.nan], ">=", 1.0),  # non-finite coefficient
+    ([0], [1.0], ">=", np.inf),  # non-finite rhs
+]
+
+
+@pytest.mark.parametrize("row", MALFORMED_ROWS)
+def test_add_rows_rejects_what_add_row_rejects(row):
+    idx, val, sense, rhs = row
+    lp = LinearProgram(2)
+    with pytest.raises(LpError):
+        lp.add_row(idx, val, sense, rhs)
+    # The same row after a good one, as one block: nothing is appended.
+    good_idx = np.concatenate(([0, 1], np.ravel(idx)))
+    good_val = np.concatenate(([1.0, 2.0], np.ravel(val)))
+    if np.ndim(idx) == 1 and np.size(idx) == np.size(val):
+        with pytest.raises(LpError):
+            lp.add_rows([0, 2, good_idx.size], good_idx, good_val, ["==", sense], [3.0, rhs])
+    with pytest.raises(LpError):
+        lp.add_rows([0, np.size(idx)], idx, val, [sense], [rhs])
+    assert lp.rows == []
+
+
+def test_add_rows_block_shape_checks_and_equivalence():
+    lp = LinearProgram(3)
+    for ptr, senses, rhs in [
+        ([1, 2], ["<="], [1.0]),  # does not start at 0
+        ([0, 2, 1, 3], ["<="] * 3, [1.0] * 3),  # decreasing
+        ([0, 2], ["<="], [1.0]),  # does not end at the entry count
+        ([0, 1, 3], ["<="], [1.0, 1.0]),  # a sense short
+        ([0, 1, 3], ["<=", ">="], [1.0]),  # a rhs short
+    ]:
+        with pytest.raises(LpError):
+            lp.add_rows(ptr, [0, 1, 2], [1.0, 2.0, 3.0], senses, rhs)
+    assert lp.rows == []
+    assert lp.add_rows([0, 1, 1, 3], [2, 0, 1], [1.0, 2.0, 3.0], ["<=", "==", ">="], [4, 0, 5]) == range(3)
+    one_by_one = LinearProgram(3)
+    for idx, val, sense, rhs in [([2], [1.0], "<=", 4), ([], [], "==", 0), ([0, 1], [2.0, 3.0], ">=", 5)]:
+        one_by_one.add_row(idx, val, sense, rhs)
+    for got, want in zip(lp.rows, one_by_one.rows):
+        assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+        assert got[2:] == want[2:] and type(got[2]) is str and type(got[3]) is float
+    assert lp.add_rows([0], [], [], [], []) == range(3, 3)
+
+
 def test_lp_text_dump_mentions_rows():
     lp = LinearProgram(2, objective=np.array([1.0, -2.0]))
     lp.add_row([0, 1], [1.0, 3.0], "<=", 4.0)
