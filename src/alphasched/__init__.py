@@ -5,8 +5,6 @@ from .chain_lp import (
     ChainLpError,
     ChainSolution,
     build_compressed_timeline,
-    enumerate_chains,
-    price_chain,
     solve_chain_lp,
     solve_chain_lp_compressed,
 )
@@ -91,7 +89,6 @@ __all__ = [
     "compress_start_times",
     "default_offset_distribution",
     "distribution_stats",
-    "enumerate_chains",
     "estimate_ratio",
     "estimate_ratio_preemptive",
     "evaluate_schedule",
@@ -101,7 +98,6 @@ __all__ = [
     "load_instance",
     "lp_to_text",
     "parse_instance",
-    "price_chain",
     "round_once",
     "round_preemptive_once",
     "run_lb_experiment",

@@ -2,8 +2,8 @@
 
 The master has one variable per generated chain, a covering row per job
 (total chain mass at least 1) and a capacity row per occupied (machine,
-slot).  It is kept across rounds: a round appends only its new columns'
-entries and re-solves from the previous round's optimal basis.  Pricing is
+slot).  It is one live LP across rounds: a round appends its new rows and
+columns, and the solve resumes from the previous round's optimum.  Pricing is
 exact: for fixed machine, job and completion time C the cheapest chain
 takes the p - 1 slots with the smallest slot duals before C plus the slot
 ending at C.  Slot duals are non-negative and mostly zero, so those p - 1
@@ -77,33 +77,6 @@ class ChainSolution:
             slot_str = " ".join(str(t) for t in chain.slots)
             lines.append(f"{chain.machine},{chain.job},{z:.12g},{slot_str}")
         return "\n".join(lines) + "\n"
-
-
-def enumerate_chains(release: int, size: int, horizon: int):
-    """All slot tuples for a job of the given size (test-scale oracle)."""
-    from itertools import combinations
-
-    return combinations(range(release + 1, horizon + 1), size)
-
-
-def price_chain(
-    machine: int,
-    job: int,
-    xi_row: np.ndarray,
-    eta_j: float,
-    weight: float,
-    size: int,
-    release: int,
-    horizon: int,
-) -> tuple[Chain | None, float]:
-    """Cheapest chain by reduced cost w * C + sum(xi over slots) - eta, as
-    ``price_chain_multi`` finds it for one job and one bucket.  Returns
-    (chain, reduced cost) when it prices below -1e-7, else (None, best
-    cost)."""
-    found, best = price_chain_multi(
-        machine, xi_row, [job], [eta_j], [weight], [size], [release], horizon, buckets=1
-    )
-    return (found[0][0] if found else None), float(best[0])
 
 
 def _chain_for_completion(machine, job, xi_row, release, p, C) -> Chain:
@@ -223,38 +196,43 @@ def _greedy_disjoint_chains(inst: Instance, horizon: int) -> list[Chain]:
 
 
 class _Master:
-    """Restricted master, kept and extended across column-generation rounds.
+    """Restricted master: one live LP for a whole column-generation run.
 
     Rows are the job covering rows, then one capacity row per (machine,
-    block) that some column uses, in key order.  A column's coefficient in a
-    capacity row is its slot count in that block, and the row's right-hand
-    side is the block's length; the exact timeline is the case of unit
-    blocks (``ends`` = 1..H).  The entries are held sorted by row key, then
-    column, so they are the rows' member and coefficient lists: appending
-    columns merges in only their entries, and a purge drops columns by mask.
-    Each solve starts from the previous optimal basis, mapped by column
-    index and row key.
+    block), in the order columns first use them.  A column's coefficient in
+    a capacity row is its slot count in that block, and the row's
+    right-hand side is the block's length; the exact timeline is the case of
+    unit blocks (``ends`` = 1..H).  A round appends its new capacity rows,
+    empty, and then its new columns to the LP, so the next ``solve_lp``
+    resumes from the previous optimum with the new rows' slacks basic.  A
+    purge rebuilds the LP from the kept columns and warm-starts it from the
+    previous basis, matched by column index and row key.
     """
 
     def __init__(self, inst: Instance, ends: np.ndarray):
         self.inst = inst
         self.ends = np.asarray(ends, dtype=np.int64)
         self.lengths = np.diff(self.ends, prepend=0).astype(float)
+        self._reset()
+
+    def _reset(self) -> None:
+        n = self.inst.num_jobs
         self.columns: list[Chain] = []
-        self.costs = np.zeros(0)
-        # Row key of job j is j, of (machine i, block k) num_jobs + i * K + k.
-        self.key = np.zeros(0, dtype=np.int64)
-        self.col = np.zeros(0, dtype=np.int64)
-        self.coef = np.zeros(0)
-        self.basic = None  # basic columns of the last optimum
-        self.tight = None  # keys of its rows whose slack is nonbasic
+        self.lp = LinearProgram(num_vars=0)
+        self.lp.add_rows(np.zeros(n + 1, dtype=np.int64), [], [], [">="] * n, np.ones(n))
+        # Row key of job j is j, of (machine i, block k) num_jobs + i * K + k;
+        # ``keys`` holds each LP row's key and ``row`` each key's LP row.
+        self.keys = np.arange(n)
+        self.row = np.full(n + self.inst.num_machines * self.ends.size, -1, dtype=np.int64)
+        self.row[:n] = self.keys
+        self.basis = None  # optimal basis of the last solve
+        self.hint = None  # (basic columns, keys of rows with nonbasic slack) after a purge
 
     def add(self, chains: list[Chain]) -> None:
-        """Append columns, merging in only their entries and costs."""
+        """Append columns, and first the capacity rows they open."""
         if not chains:
             return
         n, K = self.inst.num_jobs, self.ends.size
-        cols = len(self.columns) + np.arange(len(chains))
         job = np.array([c.job for c in chains], dtype=np.int64)
         machine = np.array([c.machine for c in chains], dtype=np.int64)
         lengths = np.array([c.length for c in chains], dtype=np.int64)
@@ -265,52 +243,55 @@ class _Master:
         key = n + machine[owner] * K + block
         first = np.flatnonzero((np.diff(key, prepend=-1) != 0) | (np.diff(owner, prepend=-1) != 0))
         count = np.diff(first, append=key.size)
-        # New entries go after the old ones of their row, in column order.
-        key = np.concatenate((self.key, job, key[first]))
-        order = np.argsort(key, kind="stable")
-        self.key = key[order]
-        self.col = np.concatenate((self.col, cols, cols[owner[first]]))[order]
-        self.coef = np.concatenate((self.coef, np.ones(job.size), count))[order]
+        key = key[first]
+        opened = np.unique(key[self.row[key] < 0])
+        if opened.size:
+            self.row[opened] = self.lp.num_rows + np.arange(opened.size)
+            self.keys = np.concatenate((self.keys, opened))
+            self.lp.add_rows(
+                np.zeros(opened.size + 1, dtype=np.int64), [], [], ["<="] * opened.size,
+                self.lengths[(opened - n) % K],
+            )
+        # Column k lists its job row, then its capacity rows by block.
+        ptr = np.concatenate(([0], np.cumsum(1 + np.bincount(owner[first], minlength=len(chains)))))
+        on_job = np.zeros(ptr[-1], dtype=bool)
+        on_job[ptr[:-1]] = True
+        rows = np.empty(ptr[-1], dtype=np.int64)
+        coef = np.ones(ptr[-1])
+        rows[on_job] = job
+        rows[~on_job] = self.row[key]
+        coef[~on_job] = count
         last = np.cumsum(lengths) - 1
-        self.costs = np.concatenate((self.costs, self.inst.weights[job] * self.ends[block[last]]))
+        self.lp.add_columns(ptr, rows, coef, self.inst.weights[job] * self.ends[block[last]])
         self.columns.extend(chains)
 
     def purge(self, keep: np.ndarray) -> None:
-        """Drop the columns outside the mask ``keep``, which holds every
-        basic one; rows left without entries go with them."""
+        """Rebuild the LP from the columns in the mask ``keep``, which holds
+        every basic one; rows left without entries go.  The next solve
+        starts from the last basis."""
         index = np.cumsum(keep) - 1
-        live = keep[self.col]
-        self.key, self.col, self.coef = self.key[live], index[self.col[live]], self.coef[live]
-        self.costs = self.costs[keep]
-        self.columns = [c for c, k in zip(self.columns, keep) if k]
-        self.basic = index[self.basic]
-
-    def lp(self) -> tuple[LinearProgram, np.ndarray]:
-        """The current master and its row keys."""
-        n = self.inst.num_jobs
-        start = np.flatnonzero(np.diff(self.key, prepend=-1) != 0)
-        keys = self.key[start]
-        cap = keys >= n
-        rhs = np.where(cap, self.lengths[(keys - n) % self.ends.size], 1.0)
-        lp = LinearProgram(num_vars=len(self.columns), objective=self.costs)
-        lp.add_rows(np.append(start, self.key.size), self.col, self.coef, np.where(cap, "<=", ">="), rhs)
-        return lp, keys
+        slack = np.zeros(self.keys.size, dtype=bool)
+        slack[self.basis.slack_rows] = True
+        hint = (index[self.basis.columns], self.keys[~slack])
+        kept = [c for c, k in zip(self.columns, keep) if k]
+        self._reset()
+        self.add(kept)
+        self.hint = hint
 
     def solve(self):
         """Solve the master; returns (solution, eta, xi) with eta the job
         duals clipped at zero and xi[i, k] the negated dual of the capacity
         row of (machine i, block k), zero where there is none."""
         n, K = self.inst.num_jobs, self.ends.size
-        lp, keys = self.lp()
-        warm = None
-        if self.basic is not None:
-            warm = Basis(columns=self.basic, slack_rows=np.flatnonzero(~np.isin(keys, self.tight)))
-        res = solve_lp(lp, warm)
+        keys, warm = self.keys, None
+        if self.hint is not None:
+            basic, tight = self.hint
+            warm = Basis(columns=basic, slack_rows=np.flatnonzero(~np.isin(keys, tight)))
+            self.hint = None
+        res = solve_lp(self.lp, warm)
         if res.status != "optimal":
             raise ChainLpError(f"restricted master is {res.status}")
-        slack = np.zeros(keys.size, dtype=bool)
-        slack[res.basis.slack_rows] = True
-        self.basic, self.tight = res.basis.columns, keys[~slack]
+        self.basis = res.basis
         cap = keys >= n
         eta = np.zeros(n)
         eta[keys[~cap]] = np.maximum(res.duals[~cap], 0.0)

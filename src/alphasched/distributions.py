@@ -206,7 +206,7 @@ class OffsetDistribution:
         with F the raw CDF.  The draw's piece is the one whose cumulative
         mass range holds u, so pieces of zero mass are never chosen.
         Constant-density pieces invert in closed form; polynomial pieces
-        take bracketed Newton steps until every step is below 1e-12.
+        take bracketed Newton steps, each draw until its step is below 1e-12.
         """
         scalar = size is None
         u = rng.random(1 if scalar else size) * self.raw_mass
@@ -238,8 +238,11 @@ class OffsetDistribution:
         the bracket [lows, highs], which holds the root.  Each step narrows
         the bracket; a Newton step that leaves it, or meets a vanishing
         density away from the root, is replaced by the bracket's midpoint.
-        The arrays are updated in place, like those of ``sample``."""
+        A draw stops once its own step is below 1e-12, and only the draws
+        still moving take further steps.  ``lows`` and ``highs`` are
+        overwritten, like the temporaries of ``sample``."""
         F_k, f_k = self._F[k], self.coeffs[k]
+        out, active = None, None  # the result and the draws still moving, once some stop
         for _ in range(NEWTON_CAP):
             resid = _polyval(F_k, t)
             resid -= u
@@ -257,9 +260,21 @@ class OffsetDistribution:
                 nxt[bad] = 0.5 * (lows[bad] + highs[bad])
             np.subtract(nxt, t, out=step)
             t = nxt
-            if np.abs(step, out=step).max(initial=0.0) < NEWTON_TOL:
+            np.abs(step, out=step)
+            if step.max(initial=0.0) < NEWTON_TOL:
                 break
-        return t
+            if step.min() < NEWTON_TOL:
+                moving = step >= NEWTON_TOL
+                if out is None:
+                    out, active = t, np.arange(t.size)
+                else:
+                    out[active] = t
+                active = active[moving]
+                t, u, lows, highs = t[moving], u[moving], lows[moving], highs[moving]
+        if out is None:
+            return t
+        out[active] = t
+        return out
 
     # -- approximation constants -------------------------------------------
 

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from alphasched.chain_lp import enumerate_chains, price_chain, solve_chain_lp
+from alphasched.chain_lp import solve_chain_lp
 from alphasched.cli import main as cli_main
 from alphasched.distributions import OffsetDistribution
 from alphasched.instance import Instance, horizon
@@ -24,6 +24,7 @@ from alphasched.lowerbound import run_lb_experiment
 from alphasched.oracle import brute_force_nonpreemptive, brute_force_preemptive
 from alphasched.rounding import estimate_ratio, idle_diagnostic
 from alphasched.preemptive import default_offset_distribution, estimate_ratio_preemptive
+from chain_reference import enumerate_chains, price_chain
 
 SEED = 20250808
 QUAD = OffsetDistribution.truncated_quadratic()

@@ -6,8 +6,6 @@ from alphasched.bench import random_instance
 from alphasched.chain_lp import (
     GAP_REL_TOL,
     build_compressed_timeline,
-    enumerate_chains,
-    price_chain,
     solve_chain_lp,
     solve_chain_lp_compressed,
     validate_chain_solution,
@@ -17,6 +15,7 @@ from alphasched.instance import Instance, horizon
 from alphasched.interval_lp import solve_interval_lp
 from alphasched.oracle import brute_force_preemptive
 from alphasched.simplex import LinearProgram, solve_lp
+from chain_reference import enumerate_chains, price_chain
 
 
 def make(sizes, releases, weights):
@@ -210,27 +209,37 @@ def test_compressed_gap_bound_from_final_pricing():
 
 
 def test_masters_warm_start_across_rounds_and_purges(monkeypatch):
-    calls = []
+    calls, purges = [], []
     solve_lp = chain_lp.solve_lp
+    purge = chain_lp._Master.purge
 
     def recording_solve_lp(lp, basis=None):
         res = solve_lp(lp, basis)
-        calls.append((lp.num_vars, basis is not None, res.warm))
+        calls.append((lp, lp.num_vars, basis is not None, res.warm))
         return res
 
+    def recording_purge(master, keep):
+        purges.append(len(calls))  # the next master is rebuilt
+        purge(master, keep)
+
     monkeypatch.setattr(chain_lp, "solve_lp", recording_solve_lp)
+    monkeypatch.setattr(chain_lp._Master, "purge", recording_purge)
     monkeypatch.setattr(chain_lp, "PURGE_ABOVE", 40)  # purge on a small instance
     inst = random_instance(np.random.default_rng(0), 8, 2, p_max=8, r_max=12)
     sol = solve_chain_lp(inst)
     exact = calls[:]
     comp = solve_chain_lp_compressed(inst, 0.5)
     assert len(exact) == sol.iterations > 3 and len(calls) == sol.iterations + comp.iterations
-    sizes = [size for size, _, _ in exact]
+    sizes = [size for _, size, _, _ in exact]
     assert any(b < a for a, b in zip(sizes, sizes[1:])), "no purge happened"
-    # Every master but each solve's first gets the previous basis and
-    # starts from it.
-    assert [given for _, given, _ in calls] == [k not in (0, len(exact)) for k in range(len(calls))]
-    assert all(warm for _, given, warm in calls if given)
+    # Each solve keeps one live master LP, which only a purge rebuilds.
+    # Every master but each solve's first starts warm: it resumes the
+    # previous optimum, or after a purge is given the previous basis.
+    rebuilt = [k in purges for k in range(len(calls))]
+    new_lp = [k in (0, len(exact)) or rebuilt[k] for k in range(len(calls))]
+    assert [lp is not calls[k - 1][0] for k, (lp, _, _, _) in enumerate(calls)] == new_lp
+    assert [given for _, _, given, _ in calls] == rebuilt
+    assert [warm for _, _, _, warm in calls] == [k not in (0, len(exact)) for k in range(len(calls))]
 
 
 def test_solution_chains_are_valid():
@@ -312,15 +321,18 @@ def test_incremental_master_matches_fresh_build(monkeypatch):
     solve = chain_lp._Master.solve
 
     def checking_solve(master):
-        lp, keys = master.lp()
+        lp, keys = master.lp, master.keys
         n, K = master.inst.num_jobs, master.ends.size
         rows, rhs, costs = _fresh_master(master.inst, master.ends, master.columns)
+        want_rhs = dict(zip(rows, rhs))
         decoded = [("job", int(k)) if k < n else (int(k - n) // K, int(k - n) % K) for k in keys]
-        assert decoded == list(rows)
-        for (idx, val, sense, b), key, want_b in zip(lp.rows, rows, rhs):
+        # The live LP appends rows as columns open them: the same rows as a
+        # fresh build, possibly in another order.
+        assert len(decoded) == len(set(decoded)) == lp.num_rows and set(decoded) == set(rows)
+        for (idx, val, sense, b), key in zip(lp.rows, decoded):
             assert dict(zip(idx.tolist(), val.tolist())) == rows[key]
             assert idx.tolist() == sorted(rows[key])
-            assert sense == (">=" if key[0] == "job" else "<=") and b == want_b
+            assert sense == (">=" if key[0] == "job" else "<=") and b == want_rhs[key]
         assert lp.objective.tolist() == costs
         fresh = LinearProgram(num_vars=len(costs), objective=np.array(costs))
         for key, b in zip(rows, rhs):

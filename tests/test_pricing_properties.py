@@ -16,9 +16,9 @@ from alphasched.chain_lp import (  # noqa: E402
     PRICE_TOL,
     CompressedTimeline,
     _price_chain_blocks,
-    enumerate_chains,
     price_chain_multi,
 )
+from chain_reference import enumerate_chains  # noqa: E402
 
 
 def heap_sweep(xi_row, eta_j, weight, size, release, horizon, buckets):

@@ -119,6 +119,78 @@ def test_add_rows_block_shape_checks_and_equivalence():
     assert lp.add_rows([0], [], [], [], []) == range(3, 3)
 
 
+def test_add_columns_builds_the_same_lp_as_add_rows():
+    by_rows = LinearProgram(3, objective=np.array([1.0, 2.0, -1.0]), upper=np.array([np.inf, np.inf, 2.0]))
+    by_rows.add_rows([0, 2, 5], [0, 2, 0, 1, 2], [1.0, 1.0, 2.0, 1.0, -1.0], [">=", "<="], [1.0, 6.0])
+    by_cols = LinearProgram(0)
+    assert by_cols.add_rows([0, 0, 0], [], [], [">=", "<="], [1.0, 6.0]) == range(2)
+    assert by_cols.add_columns([0, 2, 3, 5], [0, 1, 1, 0, 1], [1.0, 2.0, 1.0, 1.0, -1.0], [1.0, 2.0, -1.0],
+                               upper=[np.inf, np.inf, 2.0]) == range(3)
+    for got, want in zip(by_cols.rows, by_rows.rows):
+        assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+        assert got[2:] == want[2:]
+    assert by_cols.lower.tolist() == by_rows.lower.tolist() and by_cols.upper.tolist() == by_rows.upper.tolist()
+    assert solve_lp(by_cols).objective == pytest.approx(solve_lp(by_rows).objective)
+    for bad in [
+        ([0, 1], [2], [1.0], [1.0]),  # row out of range
+        ([0, 2], [0], [1.0], [1.0]),  # pointers do not end at the entry count
+        ([0, 1], [0], [np.nan], [1.0]),  # non-finite coefficient
+        ([0, 1], [0], [1.0], [1.0, 2.0]),  # a cost too many
+        ([0, 1], [0], [1.0], [np.inf]),  # non-finite cost
+    ]:
+        with pytest.raises(LpError):
+            by_cols.add_columns(*bad)
+    with pytest.raises(LpError):
+        by_cols.add_columns([0, 1], [0], [1.0], [1.0], lower=[-np.inf])
+    assert by_cols.num_vars == 3 and by_cols.objective.size == 3 and len(by_cols.rows[0][0]) == 2
+
+
+def _lp_with_redundant_equation():
+    """x0 >= 0 and an empty row '== 0', solved once: the optimum keeps the
+    empty row's artificial basic at zero."""
+    lp = LinearProgram(1)
+    lp.add_row([0], [1.0], ">=", 0.0)
+    lp.add_row([], [], "==", 0.0)
+    first = solve_lp(lp)
+    assert first.status == "optimal" and first.objective == 0.0
+    assert first.basis.columns.size + first.basis.slack_rows.size == 1  # a row short
+    return lp
+
+
+def test_appended_column_on_a_redundant_row_does_not_resume():
+    # The new column's entry in the empty row forces x1 = 0; resuming would
+    # let x1 grow against the locked artificial and report unbounded.
+    lp = _lp_with_redundant_equation()
+    lp.add_columns([0, 1], [1], [-1.0], [-1.0])
+    res = solve_lp(lp)
+    assert res.status == "optimal" and not res.warm
+    assert res.objective == pytest.approx(0.0, abs=1e-12)
+    assert res.x[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_lower_bound_shift_on_a_redundant_row_does_not_resume(monkeypatch):
+    # -x1 + x2 == 0 with x1 >= 1: the shift would set the basic artificial
+    # to 1, which only the final certificate catches.  The solve must start
+    # cold at once, not fail and take the conservative retry.
+    import alphasched.simplex as simplex
+
+    lp = _lp_with_redundant_equation()
+    lp.add_columns([0, 1, 2], [1, 1], [-1.0, 1.0], [1.0, 1.0], lower=[1.0, 0.0])
+    modes = []
+    solve = simplex._solve
+
+    def recording(lp, hint, safe):
+        modes.append(safe)
+        return solve(lp, hint, safe)
+
+    monkeypatch.setattr(simplex, "_solve", recording)
+    res = solve_lp(lp)
+    assert modes == [False]
+    assert res.status == "optimal" and not res.warm
+    assert res.objective == pytest.approx(2.0)
+    assert res.x[1:].tolist() == pytest.approx([1.0, 1.0])
+
+
 def test_lp_text_dump_mentions_rows():
     lp = LinearProgram(2, objective=np.array([1.0, -2.0]))
     lp.add_row([0, 1], [1.0, 3.0], "<=", 4.0)

@@ -223,3 +223,106 @@ def test_warm_start_after_adding_a_column_and_a_row():
     assert res.warm and res.status == "optimal"
     assert res.objective == pytest.approx(solve_lp(grown).objective)
     assert res.objective == pytest.approx(1.5 * 0.5 + 0.5 * 1.0)
+
+
+def _copy(lp):
+    """The same LP, built afresh: it carries no solver state."""
+    fresh = LinearProgram(lp.num_vars, objective=lp.objective.copy(), lower=lp.lower.copy(), upper=lp.upper.copy())
+    for idx, val, sense, rhs in lp.rows:
+        fresh.add_row(idx, val, sense, rhs)
+    return fresh
+
+
+def _assert_same_answer(res, cold, lp):
+    assert res.status == cold.status
+    if cold.status == "optimal":
+        assert abs(res.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective))
+        _check_certificate(lp, res)
+
+
+@st.composite
+def appended(draw, lp):
+    """Columns, then rows, or rows, then columns, appended to ``lp``; returns
+    whether an equation row was among them."""
+    coef = st.integers(-3, 3)
+    equation = False
+
+    def columns():
+        k = draw(st.integers(0, 3))
+        ptr, idx, val = [0], [], []
+        for _ in range(k):
+            rows = draw(st.lists(st.integers(0, lp.num_rows - 1), unique=True, max_size=lp.num_rows)) if lp.num_rows else []
+            idx += rows
+            val += [float(draw(coef)) for _ in rows]
+            ptr.append(len(idx))
+        lower = np.array(draw(st.lists(st.integers(-2, 1), min_size=k, max_size=k)), dtype=float)
+        widths = draw(st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=k, max_size=k))
+        lp.add_columns(
+            ptr, idx, val, np.array(draw(st.lists(coef, min_size=k, max_size=k)), dtype=float),
+            lower, [np.inf if w is None else lo + w for lo, w in zip(lower, widths)],
+        )
+
+    def rows():
+        nonlocal equation
+        for _ in range(draw(st.integers(0, 3))):
+            sense = draw(st.sampled_from(("<=", "==", ">=")))
+            equation |= sense == "=="
+            a = np.array(draw(st.lists(coef, min_size=lp.num_vars, max_size=lp.num_vars)), dtype=float)
+            lp.add_row(np.arange(lp.num_vars), a, sense, float(draw(st.integers(-5, 5))))
+
+    for step in (columns, rows) if draw(st.booleans()) else (rows, columns):
+        step()
+    return equation
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_lps(), st.data())
+def test_resume_after_appending_matches_cold_solve(lp, data):
+    first = solve_lp(lp)
+    n0, R0 = lp.num_vars, lp.num_rows
+    m0 = R0 + int(np.isfinite(lp.upper).sum())
+    equation = data.draw(appended(lp))
+    res = solve_lp(lp)
+    _assert_same_answer(res, solve_lp(_copy(lp)), lp)
+    m = lp.num_rows + int(np.isfinite(lp.upper).sum())
+    if res.status == "optimal" and m and res.basis.columns.size + res.basis.slack_rows.size == m:
+        # The returned basis names the resumed optimum in the grown LP's terms.
+        again = solve_lp(_copy(lp), res.basis)
+        assert again.warm and again.iterations == 0
+    if first.status != "optimal" or m0 == 0:
+        assert not res.warm  # nothing to resume from
+        return
+    if first.basis.columns.size + first.basis.slack_rows.size < m0:
+        # An artificial stays basic, which no Basis can name and which
+        # blocks a resume: an appended column may have an entry in its row.
+        assert not res.warm
+        return
+    # The resumed start is the old basis plus the slacks of the new rows
+    # and of the new variables' upper bounds, numbered as in the grown LP.
+    R, bounded = lp.num_rows, np.isfinite(lp.upper)
+    old = first.basis.slack_rows
+    slack_rows = np.concatenate((
+        old[old < R0], R + (old[old >= R0] - R0), np.arange(R0, R),
+        R + int(bounded[:n0].sum()) + np.arange(int(bounded[n0:].sum())),
+    ))
+    start = Basis(columns=first.basis.columns, slack_rows=slack_rows)
+    assert res.warm == (not equation and _hint_is_feasible_basis(lp, start))
+    if lp.num_vars == n0 and R == R0:
+        assert res.warm and res.iterations == 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_lps(), st.data())
+def test_in_place_edits_between_solves_give_the_cold_answer(lp, data):
+    solve_lp(lp)
+    j = data.draw(st.integers(0, lp.num_vars - 1))
+    what = data.draw(st.sampled_from(("objective", "lower", "upper")))
+    if what == "objective":
+        lp.objective[j] += data.draw(st.sampled_from((-2.0, -1.0, 1.0, 2.0)))
+    elif what == "lower":
+        lp.lower[j] -= 1.0
+    else:
+        lp.upper[j] = np.inf if np.isfinite(lp.upper[j]) else lp.lower[j] + 1.0
+    res = solve_lp(lp)
+    assert not res.warm
+    _assert_same_answer(res, solve_lp(_copy(lp)), lp)
