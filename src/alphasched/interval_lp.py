@@ -12,6 +12,24 @@ the cover constraint at every integer time (no job starts strictly between
 two retained times, so the mass at a skipped time equals the mass at the
 preceding retained one), and the compressed optimum is at most a (1 + eps)
 factor above the full one.  Both properties are re-verified post hoc.
+
+The solve starts from a list schedule instead of the simplex's two-phase
+cold start.  Jobs go in Smith's-rule order (w_j / min_i p_ij, largest
+first), and each takes the variable that finishes it earliest without
+overlapping the jobs placed before it, gaps included.  Its n variables and
+every cover row's slack form a basis: each job row holds only its job's
+chosen column, and the cover slacks are unit columns, so the basis is
+nonsingular, and every slack is 0 or 1, so it is primal feasible.  The
+simplex takes it as a warm start and skips phase 1.  Over the full range a
+job can always be placed after every placed one; on a compressed start set
+placement can fail, and the solve then starts cold.  The optimum is the same
+either way, but where it is tied the returned vertex can differ from the one
+a cold start reaches.
+
+The simplex holds a dense basis inverse, rows x rows doubles, with rows =
+n + machines x cover times.  ``build_interval_lp`` counts the rows before it
+allocates anything and raises ``IntervalLpError`` when that inverse would
+exceed ``MAX_BASIS_INVERSE_BYTES``.
 """
 
 from __future__ import annotations
@@ -22,10 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance, InstanceError, horizon as instance_horizon
-from .simplex import LinearProgram, solve_lp
+from .simplex import Basis, LinearProgram, solve_lp
 
 COVER_TOL = 1e-6
 ASSIGN_TOL = 1e-6
+# Largest dense basis inverse an interval LP may need: 512 MiB, 8192 rows.
+# A solve holds up to about three matrices of that size at once (the
+# inverse, a refactorization's new one, a rank-one update's temporary).
+MAX_BASIS_INVERSE_BYTES = 2**29
 
 
 class IntervalLpError(RuntimeError):
@@ -174,15 +196,27 @@ def build_interval_lp(inst: Instance, starts: StartTimeSet | None = None) -> Int
     """Assemble the LP over the full integer range or a compressed start set.
 
     With a compressed set, variables exist only for s in the set and cover
-    rows only for times t with t - 1 in the set.
+    rows only for times t with t - 1 in the set.  Variables run by job, then
+    machine, then start.  Raises IntervalLpError, before allocating, when
+    the LP's basis inverse would exceed ``MAX_BASIS_INVERSE_BYTES``.
     """
     T = instance_horizon(inst)
     if starts is None:
         H = T
+        num_covers = H
+    else:
+        H = starts.horizon
+        num_covers = int(np.count_nonzero(starts.times + 1 <= H))
+    rows = inst.num_jobs + inst.num_machines * num_covers
+    if 8 * rows * rows > MAX_BASIS_INVERSE_BYTES:
+        raise IntervalLpError(
+            f"interval LP too large: {rows} rows need a {8 * rows * rows / 2**20:.0f} MiB basis "
+            f"inverse, over the {MAX_BASIS_INVERSE_BYTES / 2**20:.0f} MiB limit"
+        )
+    if starts is None:
         start_list = np.arange(0, T, dtype=np.int64)
         cover_times = np.arange(1, H + 1, dtype=np.int64)
     else:
-        H = starts.horizon
         start_list = starts.times
         cover_times = start_list[start_list + 1 <= H] + 1
 
@@ -236,16 +270,64 @@ def build_interval_lp(inst: Instance, starts: StartTimeSet | None = None) -> Int
     )
 
 
+def list_schedule(inst: Instance, model: IntervalLpModel) -> np.ndarray | None:
+    """A non-preemptive schedule made of the model's variables: the chosen
+    variable per job, or None when some job has no free admissible start
+    (possible on a compressed start set only).
+
+    Jobs go in Smith's-rule order, by w_j / min_i p_ij, largest first and
+    ties by index.  Each takes, over its allowed machines, the admissible
+    start that finishes it earliest without overlapping a job placed before
+    it; ties go to the lower machine.
+    """
+    M = inst.num_machines
+    smallest = np.where(inst.allowed_mask(), inst.sizes, np.iinfo(np.int64).max).min(axis=1)
+    order = np.argsort(-(inst.weights / smallest), kind="stable")
+    # Block (j, i) of the variables is model.*[bounds[j*M + i]:bounds[j*M + i + 1]].
+    bounds = np.searchsorted(model.job * M + model.machine, np.arange(inst.num_jobs * M + 1))
+    # Busy windows per machine, sorted and disjoint; the last one is a
+    # sentinel that starts after every admissible finish.
+    busy_start = [np.array([model.horizon + 1]) for _ in range(M)]
+    busy_end = [np.array([model.horizon + 1]) for _ in range(M)]
+    chosen = np.empty(inst.num_jobs, dtype=np.int64)
+    for j in order:
+        best_finish, best = np.inf, -1
+        for i in range(M):
+            lo, hi = bounds[j * M + i], bounds[j * M + i + 1]
+            if lo == hi:
+                continue
+            s = model.start[lo:hi]
+            p = int(inst.sizes[j, i])
+            # Start s is free iff the first window ending after s begins at
+            # or after s + p.
+            free = np.flatnonzero(busy_start[i][np.searchsorted(busy_end[i], s, side="right")] >= s + p)
+            if free.size and s[free[0]] + p < best_finish:
+                best_finish, best = s[free[0]] + p, lo + free[0]
+        if best < 0:
+            return None
+        i, s = int(model.machine[best]), int(model.start[best])
+        at = np.searchsorted(busy_start[i], s)
+        busy_start[i] = np.insert(busy_start[i], at, s)
+        busy_end[i] = np.insert(busy_end[i], at, best_finish)
+        chosen[j] = best
+    return chosen
+
+
 def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalIntervalSolution:
     """Solve the relaxation; eps=None solves over the full time range,
-    otherwise over the compressed start set for that eps.
+    otherwise over the compressed start set for that eps.  The simplex
+    starts from the basis of ``list_schedule``, or cold when it finds none.
 
     The returned solution is validated against the full per-integer-time
     cover check regardless of mode.
     """
     starts = None if eps is None else compress_start_times(inst, eps)
     model = build_interval_lp(inst, starts)
-    res = solve_lp(model.lp)
+    chosen = list_schedule(inst, model)
+    hint = None
+    if chosen is not None:
+        hint = Basis(columns=chosen, slack_rows=np.arange(inst.num_jobs, model.lp.num_rows))
+    res = solve_lp(model.lp, hint)
     if res.status != "optimal":
         raise IntervalLpError(f"interval LP is {res.status}")
     keep = res.x > 1e-11

@@ -119,6 +119,20 @@ def test_oracle_guard_exit_code(tmp_path, capsys):
     assert "guard" in err
 
 
+def test_oversized_interval_lp_exit_code(tmp_path, capsys):
+    # 20 machines at horizon 1020: the full LP has 20,403 rows, and its
+    # basis inverse would need 3.1 GiB.
+    doc = {
+        "machines": 20,
+        "jobs": [{"release": 0, "weight": 1.0, "sizes": [17] * 20} for _ in range(3)],
+    }
+    path = tmp_path / "wide.inst.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve-interval", str(path), "--full")
+    assert code == 1 and out == ""
+    assert "too large" in err
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "round", "--trials", "3")[0] == 2  # missing instance

@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from alphasched.instance import FORBIDDEN, Instance, horizon
+from alphasched import interval_lp
+from alphasched.instance import FORBIDDEN, Instance, NonPreemptiveSchedule, evaluate_schedule, horizon
 from alphasched.interval_lp import (
     IntervalLpError,
     StartTimeSet,
     build_interval_lp,
     compress_start_times,
+    list_schedule,
     solution_from_triples,
     solve_interval_lp,
     validate_fractional,
@@ -211,3 +215,105 @@ def test_csv_export_round_trips_values():
     lines = text.strip().splitlines()
     assert lines[0] == "machine,job,start,y"
     assert len(lines) == 1 + sol.value.size
+
+
+def solve_recorded(inst, eps=None):
+    """solve_interval_lp, and the LpSolution of its simplex call."""
+    seen = []
+
+    def spy(lp, basis=None):
+        seen.append(solve_lp(lp, basis))
+        return seen[-1]
+
+    with mock.patch.object(interval_lp, "solve_lp", spy):
+        sol = solve_interval_lp(inst, eps)
+    assert len(seen) == 1
+    return sol, seen[0]
+
+
+def scheduled(inst, model):
+    """The list schedule as (machine, start) per job."""
+    chosen = list_schedule(inst, model)
+    return model.machine[chosen].tolist(), model.start[chosen].tolist()
+
+
+def test_list_schedule_smith_order_back_to_back():
+    # w/p: job 0 has 1/2, job 1 has 3/3, so job 1 goes first, at 0, and job
+    # 0 follows it without a gap.
+    inst = make([[2], [3]], [0, 0], [1.0, 3.0])
+    assert scheduled(inst, build_interval_lp(inst)) == ([0, 0], [3, 0])
+
+
+def test_list_schedule_fills_gaps_and_picks_earliest_finish():
+    # Job 0 (w/p = 4) is placed first at its release 4; job 1 fits in the
+    # gap before it and finishes at 2.  Job 2 finishes earliest on machine
+    # 1, at 6: on machine 0 the gap [2, 4) is one slot too short for p = 3,
+    # and the next free start is 5.
+    inst = make([[1, 9], [2, 9], [3, 6]], [4, 0, 0], [4.0, 1.0, 0.5])
+    machine, start = scheduled(inst, build_interval_lp(inst))
+    assert machine == [0, 0, 1] and start == [4, 0, 0]
+    cost = evaluate_schedule(inst, NonPreemptiveSchedule(machine=np.array(machine), start=np.array(start)))
+    assert cost.completion.tolist() == [5, 2, 6]
+
+
+def test_list_schedule_ties_go_to_the_lower_machine():
+    inst = make([[2, 2], [2, 2]], [0, 0], [1.0, 1.0])
+    assert scheduled(inst, build_interval_lp(inst)) == ([0, 1], [0, 0])
+
+
+def test_solve_starts_warm_and_matches_cold():
+    rng = np.random.default_rng(5)
+    inst = make(rng.integers(1, 6, size=(6, 2)), rng.integers(0, 8, size=6), rng.uniform(1, 5, 6))
+    for eps in (None, 0.5):
+        sol, res = solve_recorded(inst, eps)
+        assert res.warm
+        starts = None if eps is None else compress_start_times(inst, eps)
+        cold = solve_lp(build_interval_lp(inst, starts).lp)
+        assert not cold.warm
+        assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+
+
+def test_unplaceable_list_schedule_falls_back_cold():
+    # Starts {0, 2}, horizon 3.  Job 1 (w/p = 1) takes start 0; job 0 (p = 2)
+    # then has only start 0 left, which overlaps, so there is no list
+    # schedule.  The LP is feasible: job 0 at 0, job 1 at 2.
+    inst = make([[2], [1]], [0, 0], [1.0, 1.0])
+    starts = StartTimeSet(times=np.array([0, 2]), epsilon=0.5, delta=0.125, horizon=3)
+    model = build_interval_lp(inst, starts)
+    assert list_schedule(inst, model) is None
+    with mock.patch.object(interval_lp, "compress_start_times", lambda inst, eps: starts):
+        sol, res = solve_recorded(inst, 0.5)
+    assert not res.warm
+    cold = solve_lp(build_interval_lp(inst, starts).lp)
+    assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
+    assert sorted(zip(sol.job.tolist(), sol.start.tolist())) == [(0, 0), (1, 2)]
+
+
+def oversized(machines=20, jobs=3, size=17):
+    # H = jobs * machines * size = 1020: 20,403 rows, a 3.1 GiB basis inverse.
+    return make(np.full((jobs, machines), size), [0] * jobs, [1.0] * jobs)
+
+
+def test_size_guard_refuses_before_allocating():
+    inst = oversized()
+    tracemalloc.start()
+    try:
+        with pytest.raises(IntervalLpError, match="too large: 20403 rows"):
+            build_interval_lp(inst)
+        with pytest.raises(IntervalLpError, match="too large"):
+            solve_interval_lp(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # The compressed LP of the same instance is small enough.
+    assert build_interval_lp(inst, compress_start_times(inst, 0.5)).lp.num_rows < 4096
+
+
+def test_size_guard_limit_is_inclusive(monkeypatch):
+    inst = make([[2], [3]], [0, 0], [1.0, 1.0])  # H = 5: 2 + 5 rows
+    monkeypatch.setattr(interval_lp, "MAX_BASIS_INVERSE_BYTES", 8 * 7 * 7)
+    assert build_interval_lp(inst).lp.num_rows == 7
+    monkeypatch.setattr(interval_lp, "MAX_BASIS_INVERSE_BYTES", 8 * 7 * 7 - 1)
+    with pytest.raises(IntervalLpError, match="too large: 7 rows"):
+        build_interval_lp(inst)
