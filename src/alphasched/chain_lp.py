@@ -1,32 +1,39 @@
 """Configuration LP over chains, solved by column generation.
 
-The master has one variable per generated chain, a covering row per job
-(total chain mass at least 1) and a capacity row per occupied (machine,
-slot).  It is one live LP across rounds: a round appends its new rows and
-columns, and the solve resumes from the previous round's optimum.  Pricing is
-exact: for fixed machine, job and completion time C the cheapest chain
-takes the p - 1 slots with the smallest slot duals before C plus the slot
-ending at C.  Slot duals are non-negative and mostly zero, so those p - 1
-are the window's zeros first and then its smallest positive duals; every
-job of a machine is priced at every C at once.
+The timeline is a partition of (0, H] into blocks (ends[k-1], ends[k]]: the
+exact LP has unit blocks (``ends`` = 1..H), and for horizons too long to
+index slot by slot a compressed timeline has blocks of geometrically growing
+length.  The master has one variable per generated chain, a covering row per
+job (total chain mass at least 1) and a capacity row per occupied (machine,
+block) whose right-hand side is the block's length.  A chain uses each block
+for as many slots as it has there and is charged w_j times the right end of
+its last block.  The master is one live LP across rounds: a round appends
+its new rows and columns, and the solve resumes from the previous round's
+optimum.
+
+One driver serves every timeline, and one exact pricer: each slot carries
+its block's dual, and the cheapest chain completing in block k takes a slot
+there plus the p - 1 slots with the smallest duals in (r_j, ends[k] - 1].
+Slot duals are non-negative and mostly zero, so those p - 1 are the window's
+zeros first and then its smallest positive duals; every job of a machine is
+priced at every block end at once.  A chain enters the master in one form,
+the earliest slots after the release in each of its blocks, so two chains
+with the same slot count per block are one column.
 
 Column generation terminates cleanly when no chain prices below -1e-7 (the
 master duals are then feasible for the full dual, certifying optimality,
 re-checked by an independent post-hoc pass), or through the Lagrangian
 pricing bound once it proves the master objective is within 1e-6 relative of
 the true optimum.  Pricing runs against smoothed duals to damp the
-oscillation degenerate masters produce.
-
-For horizons too long to index slot by slot, the timeline can be compressed
-into blocks with geometrically growing lengths: capacity is aggregated per
-block, a chain's charged completion time becomes the right endpoint of its
-last block, and pricing picks slot counts per block.  Concrete slots are
-materialized greedily (earliest first) inside each chosen block.
+oscillation degenerate masters produce.  Before a round opens capacity rows
+whose dense basis inverse would exceed ``MAX_BASIS_INVERSE_BYTES``, the
+solve stops with ``ChainLpError``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain as concat
 
@@ -34,7 +41,7 @@ import numpy as np
 
 from .chains import Chain, earliest_chain
 from .instance import Instance, horizon as instance_horizon
-from .simplex import Basis, LinearProgram, solve_lp
+from .simplex import MAX_BASIS_INVERSE_BYTES, Basis, LinearProgram, solve_lp
 
 PRICE_TOL = 1e-7
 POSTHOC_TOL = 1e-6
@@ -42,7 +49,8 @@ MASS_TOL = 1e-6
 
 
 class ChainLpError(RuntimeError):
-    """Master infeasibility, stalled generation, or a failed certificate."""
+    """Master infeasibility, stalled generation, an oversized master, or a
+    failed certificate."""
 
 
 @dataclass
@@ -50,20 +58,12 @@ class ChainSolution:
     chains: list  # [(Chain, z)]
     objective: float
     eta: np.ndarray  # dual per job
-    xi: dict  # (machine, slot or block) -> dual, zero entries omitted
+    xi: dict  # (machine, block right end) -> dual, zero entries omitted; a slot is its own end in exact mode
     horizon: int
     compressed: bool = False
     blocks: np.ndarray | None = None  # block endpoints when compressed
     iterations: int = 0
     gap_bound: float = 0.0  # certified distance to the true LP optimum
-
-    def completion_cost(self, chain: Chain) -> float:
-        """Charged completion: actual slot for exact mode, right endpoint of
-        the final block in compressed mode."""
-        if not self.compressed:
-            return float(chain.completion)
-        k = int(np.searchsorted(self.blocks, chain.completion, side="left"))
-        return float(self.blocks[k])
 
     def support_by_job(self, num_jobs: int):
         groups = [[] for _ in range(num_jobs)]
@@ -79,12 +79,18 @@ class ChainSolution:
         return "\n".join(lines) + "\n"
 
 
-def _chain_for_completion(machine, job, xi_row, release, p, C) -> Chain:
-    """Cheapest chain completing exactly at C: the p - 1 smallest duals in
-    the window plus the final slot."""
-    window = xi_row[release : C - 1]
-    slots = np.sort(np.argsort(window, kind="stable")[: p - 1]) + release + 1
-    return Chain(machine=machine, job=job, slots=(*slots.tolist(), C))
+def _earliest_per_block(machine, job, slots, release, ends) -> Chain:
+    """The chain with the same slot count per block as ``slots`` (a list,
+    ascending) that takes each block's earliest slots after the release;
+    ``ends`` is the list of block right ends."""
+    packed, a = [], 0
+    while a < len(slots):
+        k = bisect_left(ends, slots[a])
+        b = bisect_right(slots, ends[k], a)  # slots[a:b] lie in block k
+        first = max(ends[k - 1] if k else 0, release) + 1
+        packed.extend(range(first, first + b - a))
+        a = b
+    return Chain(machine=machine, job=job, slots=packed)
 
 
 PRICE_CELLS = 1 << 22  # (positive dual, job, C) mask cells per batch of jobs; bounds memory
@@ -100,34 +106,42 @@ def price_chain_multi(
     releases,
     horizon: int,
     buckets: int = 4,
+    ends=None,
 ) -> tuple[list, np.ndarray]:
-    """Price every given job on one machine against its slot duals.
+    """Price every given job on one machine against its block duals.
 
-    xi_row[t - 1] >= 0 is the dual of slot (t - 1, t]; ``eta``, ``weights``,
-    ``sizes`` and ``releases`` are per job.  Job j's cheapest chain
-    completing at C costs w_j C + xi_C - eta_j plus the p_j - 1 smallest
-    duals in the window (r_j, C - 1]: the window's zeros, then as many of
-    its smallest positive duals as are still needed.  The positive duals are
-    sorted once, and a (positive dual, job, C) mask of the window members
-    whose rank among the window's positive duals is within that need sums
-    them for every job and C at once.
+    ``ends`` are the blocks' right ends, strictly increasing up to the
+    horizon, 1..horizon (unit blocks) by default.  xi_row[k] >= 0 is the
+    dual of block k and every slot of the block carries it; ``eta``,
+    ``weights``, ``sizes`` and ``releases`` are per job.  Job j's cheapest
+    chain completing in block k, at C = ends[k], costs w_j C + xi_C - eta_j
+    plus the p_j - 1 smallest slot duals in the window (r_j, C - 1]: the
+    window's zeros, then as many of its smallest positive duals as are still
+    needed.  The positive duals are sorted once, and a (positive dual, job,
+    C) mask of the window members whose rank among the window's positive
+    duals is within that need sums them for every job and C at once.
 
     Returns (found, best): ``found`` lists (chain, reduced cost) for the best
-    completion in each of ``buckets`` equal ranges of C that prices below
-    -1e-7, job by job (diverse columns speed up column generation), ties to
-    rounding going to the earliest C; ``best[k]`` is the minimum reduced
-    cost of the k-th job, inf when no chain of it fits by the horizon.
+    completion in each of ``buckets`` equal ranges of block ends that prices
+    below -1e-7, job by job (diverse columns speed up column generation),
+    ties to rounding going to the earliest end, each chain taking the
+    earliest slots after the release in each of its blocks; ``best[k]`` is
+    the minimum reduced cost of the k-th job, inf when no chain of it fits
+    by the horizon.
     """
     H = int(horizon)
-    xi = np.asarray(xi_row, dtype=float)[:H]
+    C = np.arange(1, H + 1) if ends is None else np.asarray(ends, dtype=np.int64)
+    K = C.size
+    xi = np.asarray(xi_row, dtype=float)[:K]
     if (xi < 0.0).any():
         raise ValueError("slot duals must be non-negative")
+    if K < H:
+        xi = np.repeat(xi, np.diff(C, prepend=0))
     jobs = np.asarray(jobs, dtype=np.int64)
     eta = np.asarray(eta, dtype=float)
     w = np.asarray(weights, dtype=float)
     p = np.asarray(sizes, dtype=np.int64)
     r = np.asarray(releases, dtype=np.int64)
-    C = np.arange(1, H + 1)
     zeros = np.concatenate(([0], np.cumsum(xi == 0.0)))  # zero duals in slots 1..t
     pos = np.flatnonzero(xi > 0.0)
     pos = pos[np.argsort(xi[pos], kind="stable")]
@@ -135,45 +149,57 @@ def price_chain_multi(
     # For C > r_j, a positive dual's rank in job j's window is its rank among
     # those before C less the number of those up to r_j ranked before it.
     before_c = t[:, None] < C
-    rank_c = np.cumsum(before_c, axis=0)
-    cost = np.empty((jobs.size, H))
-    step = max(1, PRICE_CELLS // max(1, t.size * H))
+    rank_c = np.cumsum(before_c, axis=0, dtype=np.int32)  # int32 halves the mask's memory traffic
+    cost = np.empty((jobs.size, K))
+    step = max(1, PRICE_CELLS // max(1, t.size * K))
     for j0 in range(0, jobs.size, step):
         g = slice(j0, j0 + step)
         after_r = t[:, None] > r[g]
-        need = (p[g] - 1)[:, None] - (zeros[C - 1] - zeros[np.minimum(r[g], H)][:, None])
+        need = ((p[g] - 1)[:, None] - (zeros[C - 1] - zeros[np.minimum(r[g], H)][:, None])).astype(np.int32)
         take = after_r[:, :, None] & before_c[:, None, :]
-        take &= rank_c[:, None, :] <= need + np.cumsum(~after_r, axis=0)[:, :, None]
+        take &= rank_c[:, None, :] <= need + np.cumsum(~after_r, axis=0, dtype=np.int32)[:, :, None]
         cheapest = (v @ take.reshape(t.size, need.size)).reshape(need.shape)
-        cost[g] = w[g, None] * C + cheapest + xi - eta[g, None]
+        cost[g] = w[g, None] * C + cheapest + xi[C - 1] - eta[g, None]
     first = r + p
     cost[C < first[:, None]] = np.inf
     best = cost.min(axis=1, initial=np.inf)
 
-    # Bucket b of job j holds the C with (C - first_j) * buckets // span_j == b.
-    fits = np.flatnonzero(first <= H)
-    span = (H + 1 - first[fits])[:, None]
-    lo = -(-np.arange(buckets) * span // buckets)  # offset of each bucket's first C
+    # Bucket b of job j holds the block ends k >= k0_j (the first end C with
+    # room for the job) with (k - k0_j) * buckets // span_j == b.
+    k0 = np.searchsorted(C, first, side="left")
+    fits = np.flatnonzero(k0 < K)
+    span = (K - k0[fits])[:, None]
+    lo = -(-np.arange(buckets) * span // buckets)  # offset of each bucket's first end
     hi = np.concatenate((lo[:, 1:], span), axis=1)
     filled = lo < hi
-    begin = fits[:, None] * H + first[fits, None] - 1 + lo
+    begin = fits[:, None] * K + k0[fits, None] + lo
     bucket_min = np.full(lo.shape, np.inf)
     if filled.any():
         bucket_min[filled] = np.minimum.reduceat(cost.ravel(), begin[filled])
-    found = []
+    found, block_ends = [], C.tolist()
     for a, b in zip(*np.nonzero(bucket_min < -PRICE_TOL)):
         j = fits[a]
-        c0 = int(first[j]) + int(lo[a, b])
-        seg = cost[j, c0 - 1 : int(first[j]) - 1 + int(hi[a, b])]
-        c = c0 + int(np.argmax(seg <= bucket_min[a, b] + 1e-12 * (1.0 + abs(bucket_min[a, b]))))
-        chain = _chain_for_completion(machine, int(jobs[j]), xi, int(r[j]), int(p[j]), c)
+        k = int(k0[j]) + int(lo[a, b])
+        seg = cost[j, k : int(k0[j]) + int(hi[a, b])]
+        c = int(C[k + int(np.argmax(seg <= bucket_min[a, b] + 1e-12 * (1.0 + abs(bucket_min[a, b]))))])
+        # The cheapest chain completing at c: the p - 1 smallest duals in
+        # the window, then the final slot.
+        rj, pj = int(r[j]), int(p[j])
+        slots = (np.sort(np.argsort(xi[rj : c - 1], kind="stable")[: pj - 1]) + rj + 1).tolist() + [c]
+        if K < H:  # unit blocks hold a chain's slots in that form already
+            chain = _earliest_per_block(machine, int(jobs[j]), slots, rj, block_ends)
+        else:
+            chain = Chain(machine=machine, job=int(jobs[j]), slots=slots)
         found.append((chain, float(bucket_min[a, b])))
     return found, best
 
 
-def _greedy_disjoint_chains(inst: Instance, horizon: int) -> list[Chain]:
+def _greedy_disjoint_chains(inst: Instance, ends: np.ndarray) -> list[Chain]:
     """A feasible integral chain per job: fastest machine, earliest free
-    slots.  Guarantees the initial master is feasible."""
+    slots, each then taking its blocks' earliest slots after its release.
+    Guarantees the initial master is feasible."""
+    ends = ends.tolist()
+    horizon = ends[-1]
     rel = inst.release_matrix()
     free = [np.ones(horizon + 1, dtype=bool) for _ in range(inst.num_machines)]
     chains = []
@@ -191,7 +217,7 @@ def _greedy_disjoint_chains(inst: Instance, horizon: int) -> list[Chain]:
                 free[i][t] = False
                 slots.append(t)
             t += 1
-        chains.append(Chain(machine=i, job=j, slots=tuple(slots)))
+        chains.append(_earliest_per_block(i, j, slots, int(rel[j, i]), ends))
     return chains
 
 
@@ -201,12 +227,11 @@ class _Master:
     Rows are the job covering rows, then one capacity row per (machine,
     block), in the order columns first use them.  A column's coefficient in
     a capacity row is its slot count in that block, and the row's
-    right-hand side is the block's length; the exact timeline is the case of
-    unit blocks (``ends`` = 1..H).  A round appends its new capacity rows,
-    empty, and then its new columns to the LP, so the next ``solve_lp``
-    resumes from the previous optimum with the new rows' slacks basic.  A
-    purge rebuilds the LP from the kept columns and warm-starts it from the
-    previous basis, matched by column index and row key.
+    right-hand side is the block's length.  A round appends its new capacity
+    rows, empty, and then its new columns to the LP, so the next
+    ``solve_lp`` resumes from the previous optimum with the new rows' slacks
+    basic.  A purge rebuilds the LP from the kept columns and warm-starts it
+    from the previous basis, matched by column index and row key.
     """
 
     def __init__(self, inst: Instance, ends: np.ndarray):
@@ -229,7 +254,9 @@ class _Master:
         self.hint = None  # (basic columns, keys of rows with nonbasic slack) after a purge
 
     def add(self, chains: list[Chain]) -> None:
-        """Append columns, and first the capacity rows they open."""
+        """Append columns, and first the capacity rows they open.  Raises
+        ChainLpError, before growing the LP, when the master's basis inverse
+        would exceed ``MAX_BASIS_INVERSE_BYTES``."""
         if not chains:
             return
         n, K = self.inst.num_jobs, self.ends.size
@@ -246,6 +273,12 @@ class _Master:
         key = key[first]
         opened = np.unique(key[self.row[key] < 0])
         if opened.size:
+            rows = self.lp.num_rows + opened.size
+            if 8 * rows * rows > MAX_BASIS_INVERSE_BYTES:
+                raise ChainLpError(
+                    f"chain LP master too large: {rows} rows need a {8 * rows * rows / 2**20:.0f} MiB "
+                    f"basis inverse, over the {MAX_BASIS_INVERSE_BYTES / 2**20:.0f} MiB limit"
+                )
             self.row[opened] = self.lp.num_rows + np.arange(opened.size)
             self.keys = np.concatenate((self.keys, opened))
             self.lp.add_rows(
@@ -300,22 +333,23 @@ class _Master:
         return res, eta, xi
 
 
-def _price_all(inst: Instance, ximat: np.ndarray, eta: np.ndarray, H: int, seen: set):
-    """Price every (machine, job) pair against the given duals, one
+def _price_all(inst: Instance, ximat: np.ndarray, eta: np.ndarray, ends: np.ndarray, seen: set):
+    """Price every (machine, job) pair against the given block duals, one
     ``price_chain_multi`` call per machine.
 
     Returns (new chains, ordered by job, then machine, then bucket; per-job
     cheapest chain cost mu_j).  The mu values certify a Lagrangian lower
-    bound sum_j mu_j - sum xi on the LP optimum.
+    bound sum_j mu_j - sum_{i,k} len_k xi_{i,k} on the LP optimum.
     """
     rel = inst.release_matrix()
     allowed = inst.allowed_mask()
+    H = int(ends[-1])
     found = []
     mu = np.full(inst.num_jobs, np.inf)
     for i in range(inst.num_machines):
         jobs = np.flatnonzero(allowed[:, i])
         chains, best = price_chain_multi(
-            i, ximat[i], jobs, eta[jobs], inst.weights[jobs], inst.sizes[jobs, i], rel[jobs, i], H
+            i, ximat[i], jobs, eta[jobs], inst.weights[jobs], inst.sizes[jobs, i], rel[jobs, i], H, ends=ends
         )
         mu[jobs] = np.minimum(mu[jobs], best + eta[jobs])
         found.extend(chain for chain, _ in chains)
@@ -328,15 +362,17 @@ def _price_all(inst: Instance, ximat: np.ndarray, eta: np.ndarray, H: int, seen:
 SMOOTHING = 0.8  # weight on the dual stability center while pricing
 GAP_REL_TOL = 1e-6
 PURGE_ABOVE = 900  # master size (columns) that triggers a purge of stale ones
+MAX_ROUNDS = 2000
 
 
-def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int = 2000) -> ChainSolution:
-    """Column generation to optimality of the chain LP.
+def _generate(inst: Instance, ends: np.ndarray, compressed: bool = False) -> ChainSolution:
+    """Column generation to optimality of the chain LP over the blocks with
+    right ends ``ends``.
 
     Termination is certified either way: cleanly, when no chain prices below
     -1e-7 against the master duals, or by the Lagrangian pricing bound
-    sum_j mu_j - sum xi once it proves the master objective is within 1e-6
-    relative of the true optimum.  Pricing runs against duals smoothed
+    sum_j mu_j - sum len_k xi once it proves the master objective is within
+    1e-6 relative of the true optimum.  Pricing runs against duals smoothed
     toward the best-bound stability center, which stops the tailing-off that
     raw degenerate master duals produce.  Each round's master starts from the
     previous round's optimal basis.
@@ -344,12 +380,11 @@ def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int =
     The returned duals certify ``gap_bound``: on a clean stop they are the
     final master duals; on a gap stop they are the stability center's xi
     with eta_j the cheapest chain cost of job j under it.  Either way every
-    chain prices non-negative (to 1e-7) and sum(eta) - sum(xi) is at least
-    ``objective - gap_bound``.
+    chain prices non-negative (to 1e-7) and sum(eta) - sum(len xi) is at
+    least ``objective - gap_bound``.
     """
-    H = instance_horizon(inst) if horizon is None else int(horizon)
     rel = inst.release_matrix()
-    base = _greedy_disjoint_chains(inst, H)
+    base = _greedy_disjoint_chains(inst, ends)
     columns = list(base)
     if inst.num_jobs * inst.num_machines <= 200:
         for j in range(inst.num_jobs):
@@ -359,20 +394,17 @@ def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int =
     # A repeated column would make a warm-start basis that names it singular;
     # the base chains stay first.
     columns = list(dict.fromkeys(columns))
-    master = _Master(inst, np.arange(1, H + 1))
+    master = _Master(inst, ends)
     master.add(columns)
+    lengths = master.lengths
     seen = set(columns)
     born = np.zeros(len(columns), dtype=np.int64)
 
     best_lb = -np.inf
-    center_eta = None
-    center_xi = None
-    center_mu = None
+    center_eta = center_xi = center_mu = None
     gap_bound = np.inf
     clean = False
-    iterations = 0
-    for _ in range(max_rounds):
-        iterations += 1
+    for iterations in range(1, MAX_ROUNDS + 1):
         res, eta, xi = master.solve()
         ximat = np.where(xi > 1e-12, xi, 0.0)
         if center_eta is None:
@@ -382,8 +414,8 @@ def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int =
         for alpha in (SMOOTHING, 0.0):
             eta_s = alpha * center_eta + (1 - alpha) * eta
             xi_s = alpha * center_xi + (1 - alpha) * ximat
-            cols, mu = _price_all(inst, xi_s, eta_s, H, seen)
-            lb = float(mu.sum() - xi_s.sum())
+            cols, mu = _price_all(inst, xi_s, eta_s, ends, seen)
+            lb = float(mu.sum() - (xi_s * lengths).sum())
             if lb > best_lb:
                 best_lb = lb
                 center_eta, center_xi, center_mu = eta_s, xi_s, mu
@@ -413,15 +445,15 @@ def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int =
         master.add(new_cols)
         born = np.concatenate((born, np.full(len(new_cols), iterations)))
     else:
-        raise ChainLpError(f"column generation did not converge in {max_rounds} rounds")
+        raise ChainLpError(f"column generation did not converge in {MAX_ROUNDS} rounds")
 
     if clean:
         # Independent certificate: re-price everything against the final duals.
-        _, mu = _price_all(inst, ximat, eta, H, set())
+        _, mu = _price_all(inst, ximat, eta, ends, set())
         worst = float((mu - eta).min())
         if worst < -POSTHOC_TOL:
             raise ChainLpError(f"pricing certificate failed at {worst:.2e}")
-        gap_bound = max(res.objective - float(mu.sum() - ximat.sum()), 0.0)
+        gap_bound = max(res.objective - float(mu.sum() - (ximat * lengths).sum()), 0.0)
     elif gap_bound > GAP_REL_TOL * (1.0 + abs(res.objective)):
         raise ChainLpError(f"gap certificate {gap_bound:.2e} above tolerance")
     else:
@@ -433,8 +465,10 @@ def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int =
         chains=support,
         objective=float(res.objective),
         eta=eta,
-        xi={(int(i), int(t) + 1): float(ximat[i, t]) for i, t in zip(*np.nonzero(ximat > 0.0))},
-        horizon=H,
+        xi={(int(i), int(ends[k])): float(ximat[i, k]) for i, k in zip(*np.nonzero(ximat > 0.0))},
+        horizon=int(ends[-1]),
+        compressed=compressed,
+        blocks=ends if compressed else None,
         iterations=iterations,
         gap_bound=float(gap_bound),
     )
@@ -442,37 +476,44 @@ def solve_chain_lp(inst: Instance, horizon: int | None = None, max_rounds: int =
     return sol
 
 
+def solve_chain_lp(inst: Instance) -> ChainSolution:
+    """The exact chain LP: column generation over unit blocks, one per slot
+    up to the instance horizon."""
+    return _generate(inst, np.arange(1, instance_horizon(inst) + 1))
+
+
+def solve_chain_lp_compressed(inst: Instance, eps: float) -> ChainSolution:
+    """The chain LP over the block-compressed timeline of
+    ``build_compressed_timeline``.
+
+    Chain cost charges the right endpoint of the chain's final block, so the
+    objective lies within a (1 + eps) factor of the exact chain LP.
+    ``gap_bound`` and the returned duals are certified as in the exact mode,
+    with the Lagrangian bound sum_j mu_j - sum_{i,k} len_k xi_{i,k}.
+    """
+    return _generate(inst, build_compressed_timeline(inst, eps).ends, compressed=True)
+
+
 def validate_chain_solution(inst: Instance, sol: ChainSolution) -> None:
+    """Chains valid for their job, job mass at least 1, and per (machine,
+    block) load at most the block length (per slot at most 1 in exact
+    mode)."""
     rel = inst.release_matrix()
+    ends = sol.blocks if sol.compressed else np.arange(1, sol.horizon + 1)
     mass = np.zeros(inst.num_jobs)
-    occupancy: dict = {}
+    load = np.zeros((inst.num_machines, ends.size))
     for chain, z in sol.chains:
         chain.validate(int(rel[chain.job, chain.machine]), sol.horizon, inst.size(chain.job, chain.machine))
         mass[chain.job] += z
-        if not sol.compressed:
-            for t in chain.slots:
-                key = (chain.machine, t)
-                occupancy[key] = occupancy.get(key, 0.0) + z
+        blocks = np.searchsorted(ends, chain.slots, side="left")
+        load[chain.machine] += z * np.bincount(blocks, minlength=ends.size)
     if (mass < 1.0 - MASS_TOL).any():
         j = int(np.argmin(mass))
         raise ChainLpError(f"job {j} covered only to {mass[j]:.8f}")
-    if occupancy and max(occupancy.values()) > 1.0 + MASS_TOL:
-        key = max(occupancy, key=occupancy.get)
-        raise ChainLpError(f"slot {key} overloaded: {occupancy[key]:.8f}")
-    if sol.compressed:
-        # Per-block aggregated capacity instead of per-slot occupancy.
-        ends = sol.blocks
-        load: dict = {}
-        for chain, z in sol.chains:
-            ks = np.searchsorted(ends, np.array(chain.slots), side="left")
-            for k in ks:
-                key = (chain.machine, int(k))
-                load[key] = load.get(key, 0.0) + z
-        starts = np.concatenate(([0], ends[:-1]))
-        for (i, k), v in load.items():
-            cap = float(ends[k] - starts[k])
-            if v > cap + MASS_TOL:
-                raise ChainLpError(f"block {(i, k)} overloaded: {v:.6f} > {cap:g}")
+    over = load - np.diff(ends, prepend=0) > MASS_TOL
+    if over.any():
+        i, k = np.argwhere(over)[0]
+        raise ChainLpError(f"machine {i} block ending at {ends[k]} overloaded: {load[i, k]:.8f}")
 
 
 # -- compressed timeline -------------------------------------------------
@@ -514,111 +555,3 @@ def build_compressed_timeline(inst: Instance, eps: float, horizon: int | None = 
         k += 1
     ends = np.array(sorted(pts), dtype=np.int64)
     return CompressedTimeline(ends=ends, epsilon=eps)
-
-
-def _price_chain_blocks(
-    machine: int,
-    job: int,
-    xi_blocks: np.ndarray,
-    eta_j: float,
-    weight: float,
-    size: int,
-    release: int,
-    timeline: CompressedTimeline,
-):
-    """Cheapest block allocation: for each completion block k*, take one slot
-    there plus the p - 1 cheapest remaining slots in blocks up to k*.
-
-    The blocks are sorted by dual once, stably, and filled greedily in that
-    order for every k* at once: row k* of a K x K matrix holds each block's
-    remaining capacity in that order (none past k*, one less in k* itself),
-    and the fill takes what the need left by the earlier blocks allows.
-    """
-    ends, starts = timeline.ends, timeline.starts
-    avail = np.maximum(ends - np.maximum(starts, release), 0).astype(np.int64)
-    K = len(ends)
-    order = np.argsort(xi_blocks, kind="stable")
-    kstar = np.arange(K)[:, None]
-    room = np.where(order <= kstar, np.maximum(avail[order] - (order == kstar), 0), 0)
-    take = np.clip(size - 1 - (np.cumsum(room, axis=1) - room), 0, room)
-    # Added up in fill order, as a block-by-block loop would.
-    terms = np.concatenate(((weight * ends + xi_blocks - eta_j)[:, None], take * xi_blocks[order]), axis=1)
-    cost = np.cumsum(terms, axis=1)[:, -1]
-    cost[(avail < 1) | (np.cumsum(avail) < size)] = np.inf
-    kbest = int(np.argmin(cost))
-    if cost[kbest] >= -PRICE_TOL:
-        return None, float(cost[kbest])
-    counts = np.zeros(K, dtype=np.int64)
-    counts[order] = take[kbest]
-    counts[kbest] += 1
-    slots = []
-    for k in np.flatnonzero(counts):
-        lo = int(max(starts[k], release)) + 1
-        slots.extend(range(lo, lo + int(counts[k])))
-    return Chain(machine=machine, job=job, slots=tuple(sorted(slots))), float(cost[kbest])
-
-
-def solve_chain_lp_compressed(inst: Instance, eps: float, max_rounds: int = 500) -> ChainSolution:
-    """Column generation over the block-compressed timeline.
-
-    Chain cost charges the right endpoint of the chain's final block, so the
-    objective lies within a (1 + eps) factor of the exact chain LP.  Each
-    round's master starts from the previous round's optimal basis.
-    ``gap_bound`` comes from the final round's pricing: the Lagrangian bound
-    sum_j mu_j - sum_{i,k} len_k xi_{i,k}, with mu_j job j's cheapest block
-    allocation, must lie within 1e-6 relative of the objective.
-    """
-    H = instance_horizon(inst)
-    timeline = build_compressed_timeline(inst, eps, H)
-    ends = timeline.ends
-    rel = inst.release_matrix()
-    master = _Master(inst, ends)
-    columns = _greedy_disjoint_chains(inst, H)
-    master.add(columns)
-    seen = set(columns)
-
-    iterations = 0
-    for _ in range(max_rounds):
-        iterations += 1
-        res, eta, xi = master.solve()
-        xi = np.maximum(xi, 0.0)
-        new_cols = []
-        mu = np.full(inst.num_jobs, np.inf)
-        for j in range(inst.num_jobs):
-            for i in range(inst.num_machines):
-                if not inst.allowed(j, i):
-                    continue
-                chain, rc = _price_chain_blocks(
-                    i, j, xi[i], float(eta[j]), float(inst.weights[j]),
-                    inst.size(j, i), int(rel[j, i]), timeline,
-                )
-                mu[j] = min(mu[j], rc + float(eta[j]))
-                if chain is not None and chain not in seen:
-                    new_cols.append(chain)
-                    seen.add(chain)
-        if not new_cols:
-            break
-        master.add(new_cols)
-    else:
-        raise ChainLpError(f"compressed generation did not converge in {max_rounds} rounds")
-
-    lower = float(mu.sum() - (timeline.lengths * xi).sum())
-    gap_bound = max(res.objective - lower, 0.0)
-    if gap_bound > GAP_REL_TOL * (1.0 + abs(res.objective)):
-        raise ChainLpError(f"compressed gap certificate {gap_bound:.2e} above tolerance")
-
-    support = [(c, float(z)) for c, z in zip(master.columns, res.x) if z > 1e-9]
-    xi_dict = {(int(i), int(k)): float(xi[i, k]) for i, k in zip(*np.nonzero(xi > 1e-12))}
-    sol = ChainSolution(
-        chains=support,
-        objective=float(res.objective),
-        eta=eta,
-        xi=xi_dict,
-        horizon=H,
-        compressed=True,
-        blocks=ends,
-        iterations=iterations,
-        gap_bound=gap_bound,
-    )
-    validate_chain_solution(inst, sol)
-    return sol

@@ -40,14 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance, InstanceError, horizon as instance_horizon
-from .simplex import Basis, LinearProgram, solve_lp
+from .simplex import MAX_BASIS_INVERSE_BYTES, Basis, LinearProgram, solve_lp
 
 COVER_TOL = 1e-6
 ASSIGN_TOL = 1e-6
-# Largest dense basis inverse an interval LP may need: 512 MiB, 8192 rows.
-# A solve holds up to about three matrices of that size at once (the
-# inverse, a refactorization's new one, a rank-one update's temporary).
-MAX_BASIS_INVERSE_BYTES = 2**29
 
 
 class IntervalLpError(RuntimeError):

@@ -20,7 +20,7 @@ from .chain_lp import ChainLpError, ChainSolution
 from .chains import chain_eval_many
 from .distributions import OffsetDistribution
 from .instance import Instance, NonPreemptiveSchedule
-from .rounding import _sequence
+from .rounding import _draw_categorical, _sequence
 
 DEFAULT_CLIP = 1.0 / 5100.0
 
@@ -43,38 +43,29 @@ class _ChainSampler:
     """Per-job categorical over solution chains, padded for vector lookups."""
 
     def __init__(self, inst: Instance, sol: ChainSolution):
-        self.inst = inst
-        groups = sol.support_by_job(inst.num_jobs)
-        self.per_job = []
-        for j, group in enumerate(groups):
+        self.cdfs, self.slot_matrices, machines, sizes = [], [], [], []
+        for j, group in enumerate(sol.support_by_job(inst.num_jobs)):
             if not group:
                 raise ChainLpError(f"job {j} has no chain in the solution")
             mass = sum(z for _, z in group)
             if mass < 1.0 - 1e-6:
                 raise ChainLpError(f"job {j} chain mass {mass:.8f} below 1")
-            probs = np.array([z for _, z in group]) / mass
-            machines = np.array([c.machine for c, _ in group], dtype=np.int64)
-            sizes = np.array([len(c.slots) for c, _ in group], dtype=np.int64)
-            width = int(sizes.max())
-            slot_matrix = np.zeros((len(group), width), dtype=np.int64)
+            self.cdfs.append(np.cumsum(np.array([z for _, z in group]) / mass))
+            machines.extend(c.machine for c, _ in group)
+            sizes.extend(len(c.slots) for c, _ in group)
+            slot_matrix = np.zeros((len(group), max(len(c.slots) for c, _ in group)), dtype=np.int64)
             for k, (c, _) in enumerate(group):
                 slot_matrix[k, : len(c.slots)] = c.slots
-            self.per_job.append((np.cumsum(probs), machines, sizes, slot_matrix))
+            self.slot_matrices.append(slot_matrix)
+        # Job j's chains are entries offset[j]: of the flat arrays.
+        self.offset = np.cumsum([0] + [cdf.size for cdf in self.cdfs[:-1]])
+        self.machines = np.array(machines, dtype=np.int64)
+        self.sizes = np.array(sizes, dtype=np.int64)
 
     def draw(self, rng: np.random.Generator, trials: int):
-        n = self.inst.num_jobs
-        machine = np.empty((trials, n), dtype=np.int64)
-        size = np.empty((trials, n), dtype=np.int64)
-        chain_idx = np.empty((trials, n), dtype=np.int64)
-        slot_matrices = []
-        for j, (cdf, machines, sizes, slot_matrix) in enumerate(self.per_job):
-            k = np.searchsorted(cdf, rng.random(trials), side="right")
-            np.clip(k, 0, len(cdf) - 1, out=k)
-            chain_idx[:, j] = k
-            machine[:, j] = machines[k]
-            size[:, j] = sizes[k]
-            slot_matrices.append(slot_matrix)
-        return machine, size, chain_idx, slot_matrices
+        chain_idx = _draw_categorical(rng, self.cdfs, trials)
+        k = chain_idx + self.offset
+        return self.machines[k], self.sizes[k], chain_idx, self.slot_matrices
 
 
 def simulate_preemptive_rounding(

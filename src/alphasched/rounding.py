@@ -55,6 +55,17 @@ class IdleDiagnostic:
     trials: int
 
 
+def _draw_categorical(rng: np.random.Generator, cdfs: list, trials: int) -> np.ndarray:
+    """Per job, ``trials`` indices into its support drawn from its
+    cumulative masses ``cdfs[j]``: one ``rng.random(trials)`` call per job,
+    in job order, searched from the right and clipped to the support.
+    Column j of the (trials, n) result is job j's."""
+    k = np.empty((trials, len(cdfs)), dtype=np.int64)
+    for j, cdf in enumerate(cdfs):
+        k[:, j] = np.searchsorted(cdf, rng.random(trials), side="right")
+    return np.minimum(k, [cdf.size - 1 for cdf in cdfs], out=k)
+
+
 class _Sampler:
     """Categorical (machine, start) sampler per job from the y support."""
 
@@ -62,23 +73,19 @@ class _Sampler:
         # Rounding needs per-job mass 1 and structural sanity; it does not
         # require the cover rows to hold.
         validate_fractional(inst, sol, check_cover=False)
-        self.inst = inst
-        self.per_job = []
-        for machines, starts, probs in sol.support_by_job(inst):
+        support = sol.support_by_job(inst)
+        self.cdfs = []
+        for _, _, probs in support:
             cdf = np.cumsum(probs)
-            cdf /= cdf[-1]
-            self.per_job.append((machines, starts, cdf))
+            self.cdfs.append(cdf / cdf[-1])
+        # Job j's support is entries offset[j]: of the flat arrays.
+        self.offset = np.cumsum([0] + [cdf.size for cdf in self.cdfs[:-1]])
+        self.machines = np.concatenate([machines for machines, _, _ in support]).astype(np.int64)
+        self.starts = np.concatenate([starts for _, starts, _ in support]).astype(np.int64)
 
     def draw(self, rng: np.random.Generator, trials: int):
-        n = self.inst.num_jobs
-        machine = np.empty((trials, n), dtype=np.int64)
-        start = np.empty((trials, n), dtype=np.int64)
-        for j, (machines, starts, cdf) in enumerate(self.per_job):
-            k = np.searchsorted(cdf, rng.random(trials), side="right")
-            np.clip(k, 0, len(cdf) - 1, out=k)
-            machine[:, j] = machines[k]
-            start[:, j] = starts[k]
-        return machine, start
+        k = _draw_categorical(rng, self.cdfs, trials) + self.offset
+        return self.machines[k], self.starts[k]
 
 
 def _sequence(machine, key, size, *releases):

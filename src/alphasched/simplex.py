@@ -54,6 +54,10 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 REFACTOR_EVERY = 120
+# Largest dense basis inverse a model builder may ask for: 512 MiB, 8192
+# rows.  A solve holds up to about three matrices of that size at once (the
+# inverse, a refactorization's new one, a rank-one update's temporary).
+MAX_BASIS_INVERSE_BYTES = 2**29
 
 _SENSES = ("<=", "==", ">=")
 _LE, _GE = _SENSES.index("<="), _SENSES.index(">=")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,14 @@ import alphasched.chain_lp as chain_lp
 from alphasched.bench import random_instance
 from alphasched.chain_lp import (
     GAP_REL_TOL,
+    ChainLpError,
     build_compressed_timeline,
     solve_chain_lp,
     solve_chain_lp_compressed,
     validate_chain_solution,
 )
 from alphasched.chains import Chain, earliest_chain
-from alphasched.instance import Instance, horizon
+from alphasched.instance import Instance, horizon, load_instance
 from alphasched.interval_lp import solve_interval_lp
 from alphasched.oracle import brute_force_preemptive
 from alphasched.simplex import LinearProgram, solve_lp
@@ -193,15 +196,13 @@ def test_compressed_gap_bound_from_final_pricing():
     inst = _instance_9005()
     sol = solve_chain_lp_compressed(inst, 0.5)
     ends = sol.blocks
-    lengths = np.diff(np.concatenate(([0], ends)))
+    length = dict(zip(ends.tolist(), np.diff(ends, prepend=0).tolist()))
 
-    def block(t):
-        return int(np.searchsorted(ends, t, side="left"))
+    def end(t):
+        return int(ends[np.searchsorted(ends, t, side="left")])
 
-    mu = _cheapest_chain_costs(
-        inst, lambda i, t: sol.xi.get((i, block(t)), 0.0), lambda C: ends[block(C)], sol.horizon
-    )
-    bound = mu.sum() - sum(lengths[k] * v for (_, k), v in sol.xi.items())
+    mu = _cheapest_chain_costs(inst, lambda i, t: sol.xi.get((i, end(t)), 0.0), end, sol.horizon)
+    bound = mu.sum() - sum(length[e] * v for (_, e), v in sol.xi.items())
     scale = 1e-9 * (1.0 + abs(sol.objective))
     assert 0.0 <= sol.gap_bound <= GAP_REL_TOL * (1.0 + abs(sol.objective))
     assert sol.objective - bound <= sol.gap_bound + scale
@@ -350,3 +351,62 @@ def test_incremental_master_matches_fresh_build(monkeypatch):
     assert any(b < a for a, b in zip(checked, checked[1:])), "no purge happened"
     comp = solve_chain_lp_compressed(inst, 0.5)
     assert len(checked) == sol.iterations + comp.iterations
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "chain-cg"
+
+
+def _block_counts(chain, ends):
+    return chain.job, chain.machine, tuple(np.bincount(np.searchsorted(ends, chain.slots), minlength=ends.size))
+
+
+def test_master_columns_differ_in_block_counts(monkeypatch):
+    # The greedy base chains take the earliest free slots; every column
+    # enters in the earliest-slots-per-block form, so a priced chain with
+    # the same slot counts per block is never a second column.
+    masters = []
+    solve = chain_lp._Master.solve
+
+    def checking_solve(master):
+        counts = [_block_counts(c, master.ends) for c in master.columns]
+        assert len(counts) == len(set(counts))
+        masters.append(len(counts))
+        return solve(master)
+
+    monkeypatch.setattr(chain_lp._Master, "solve", checking_solve)
+    for seed in (9006, 9007):
+        sol = solve_chain_lp_compressed(random_instance(np.random.default_rng(seed), 6, 2), 0.5)
+        assert len(masters) == sol.iterations
+        masters.clear()
+    sol = solve_chain_lp_compressed(load_instance(CORPUS / "chain-0002.inst.json"), 0.2)
+    assert len(masters) == sol.iterations and masters[-1] > 100
+
+
+def _largest_master(monkeypatch, inst):
+    rows = []
+    solve = chain_lp._Master.solve
+
+    def recording_solve(master):
+        rows.append(master.lp.num_rows)
+        return solve(master)
+
+    monkeypatch.setattr(chain_lp._Master, "solve", recording_solve)
+    sol = solve_chain_lp(inst)
+    monkeypatch.setattr(chain_lp._Master, "solve", solve)
+    return sol, max(rows)
+
+
+def test_master_size_guard(monkeypatch):
+    inst = _instance_9005()
+    sol, rows = _largest_master(monkeypatch, inst)
+    # The limit is inclusive: the largest master's inverse fits exactly.
+    monkeypatch.setattr(chain_lp, "MAX_BASIS_INVERSE_BYTES", 8 * rows * rows)
+    assert solve_chain_lp(inst).objective == sol.objective
+    monkeypatch.setattr(chain_lp, "MAX_BASIS_INVERSE_BYTES", 8 * rows * rows - 1)
+    with pytest.raises(ChainLpError, match=f"too large: {rows} rows"):
+        solve_chain_lp(inst)
+    # The compressed master has fewer rows, and the guard covers it too.
+    assert solve_chain_lp_compressed(inst, 0.5).objective >= sol.objective - 1e-6
+    monkeypatch.setattr(chain_lp, "MAX_BASIS_INVERSE_BYTES", 8 * inst.num_jobs**2)
+    with pytest.raises(ChainLpError, match="too large"):
+        solve_chain_lp_compressed(inst, 0.5)

@@ -1,5 +1,6 @@
 import json
 
+import alphasched.chain_lp as chain_lp
 from alphasched.cli import main
 
 
@@ -186,3 +187,13 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("trial,objective,ratio")
+
+
+def test_oversized_chain_lp_exit_code(tmp_path, capsys, monkeypatch):
+    # A limit below the first master's 3 job rows plus its capacity rows.
+    monkeypatch.setattr(chain_lp, "MAX_BASIS_INVERSE_BYTES", 8 * 4 * 4)
+    inst = write_instance(tmp_path)
+    for extra in ((), ("--epsilon", "0.5")):
+        code, out, err = run(capsys, "solve-chain", inst, *extra)
+        assert code == 1 and out == ""
+        assert "too large" in err

@@ -1,7 +1,8 @@
-"""Property tests for the chain pricers: the batched exact pricer against
-brute force over all chains and against the per-job heap sweep it replaced,
-and the vectorized block pricer against the per-completion-block loop it
-replaced.  Both references are kept here, as they were in the library."""
+"""Property tests for the chain pricer: over unit blocks against brute
+force over all chains and against the per-job heap sweep it replaced, and
+over coarser blocks against the per-completion-block loop of the block
+pricer it replaced.  Both references are kept here, as they were in the
+library."""
 
 import heapq
 import math
@@ -15,7 +16,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from alphasched.chain_lp import (  # noqa: E402
     PRICE_TOL,
     CompressedTimeline,
-    _price_chain_blocks,
     price_chain_multi,
 )
 from chain_reference import enumerate_chains  # noqa: E402
@@ -204,12 +204,20 @@ def test_block_pricer_matches_per_block_loop(H, num_ends, grid, density, seed):
     weight = float(rng.integers(1, 33) / 8.0) if grid else float(rng.uniform(0.1, 4.0))
     eta = weight * (release + size) + float(rng.uniform(-2.0, 2.0 * H))
     counts, ref_cost = block_loop(xi, eta, weight, size, release, timeline)
-    chain, cost = _price_chain_blocks(1, 2, xi, eta, weight, size, release, timeline)
-    assert close(cost, ref_cost)
-    if counts is None or ref_cost >= -PRICE_TOL:
-        assert chain is None
+    found, best = price_chain_multi(1, xi, [2], [eta], [weight], [size], [release], H, buckets=1, ends=ends)
+    if counts is None:
+        assert math.isinf(best[0]) and not found
         return
+    assert close(best[0], ref_cost)
+    if ref_cost >= -PRICE_TOL:
+        assert not found
+        return
+    [(chain, cost)] = found
+    assert close(cost, ref_cost)
     got = np.bincount(np.searchsorted(ends, chain.slots, side="left"), minlength=ends.size)
     assert got.tolist() == counts.tolist()
     chain.validate(release, H, size)
     assert (chain.machine, chain.job) == (1, 2)
+    # Each block's slots are its earliest ones after the release.
+    first = np.maximum(timeline.starts, release) + 1
+    assert chain.slots == tuple(t for k in np.flatnonzero(counts) for t in range(first[k], first[k] + counts[k]))
