@@ -29,8 +29,8 @@ from .instance import (
 from .interval_lp import IntervalLpError, solve_interval_lp
 from .lowerbound import run_lb_experiment
 from .oracle import GuardExceeded, brute_force_nonpreemptive, brute_force_preemptive
-from .preemptive import simulate_preemptive_rounding
-from .rounding import simulate_rounding
+from .preemptive import _preemptive_trials
+from .rounding import _round_trials
 from .simplex import LpError, NumericalError
 from .instance import horizon as instance_horizon
 
@@ -129,7 +129,7 @@ def _cmd_round(args) -> None:
     dist = from_spec(args.dist)
     sol = solve_interval_lp(inst)
     rng = np.random.default_rng(args.seed)
-    conv, _, _ = simulate_rounding(inst, sol, dist, rng, args.trials)
+    conv, _, _ = _round_trials(inst, sol, dist, rng, args.trials, full=False)
     objectives = conv @ inst.weights
     columns = ["trial", "objective", "ratio"]
     if args.per_job:
@@ -152,7 +152,7 @@ def _cmd_round_preemptive(args) -> None:
     dist = from_spec(args.dist) if args.dist else OffsetDistribution.clipped_uniform(args.clip)
     sol = solve_chain_lp(inst)
     rng = np.random.default_rng(args.seed)
-    frac, integral, _ = simulate_preemptive_rounding(inst, sol, dist, rng, args.trials)
+    frac, integral, _ = _preemptive_trials(inst, sol, dist, rng, args.trials, full=False)
     w = inst.weights
     obj = frac @ w
     obj_int = integral @ w

@@ -20,7 +20,7 @@ from .chain_lp import ChainLpError, ChainSolution
 from .chains import chain_eval_many
 from .distributions import OffsetDistribution
 from .instance import Instance, NonPreemptiveSchedule
-from .rounding import _draw_categorical, _sequence
+from .rounding import _run_trials, _sequence
 
 DEFAULT_CLIP = 1.0 / 5100.0
 
@@ -60,12 +60,29 @@ class _ChainSampler:
         # Job j's chains are entries offset[j]: of the flat arrays.
         self.offset = np.cumsum([0] + [cdf.size for cdf in self.cdfs[:-1]])
         self.machines = np.array(machines, dtype=np.int64)
-        self.sizes = np.array(sizes, dtype=np.int64)
+        self.sizes = np.array(sizes, dtype=float)
 
-    def draw(self, rng: np.random.Generator, trials: int):
-        chain_idx = _draw_categorical(rng, self.cdfs, trials)
-        k = chain_idx + self.offset
-        return self.machines[k], self.sizes[k], chain_idx, self.slot_matrices
+
+def _preemptive_trials(inst, sol, dist, rng, trials, full):
+    """Fractional-start and integral completions of ``trials`` trials, then
+    the draws (machine, tau) when ``full``, None otherwise."""
+    sampler = _ChainSampler(inst, sol)
+    shape = (trials, inst.num_jobs)
+    frac, integral = np.empty(shape), np.empty(shape)
+    draws = (np.empty(shape, np.int64), np.empty(shape)) if full else None
+
+    def step(rows, chain_idx, theta):
+        k = chain_idx + sampler.offset
+        machine, size = sampler.machines[k], sampler.sizes[k]
+        tau = np.empty(theta.shape)
+        for j, slot_matrix in enumerate(sampler.slot_matrices):
+            tau[:, j] = chain_eval_many(slot_matrix, chain_idx[:, j], theta[:, j] * size[:, j])
+        _sequence(machine, tau, size, tau, np.ceil(tau), out=(frac[rows], integral[rows]))
+        if full:
+            draws[0][rows], draws[1][rows] = machine, tau
+
+    _run_trials(rng, sampler.cdfs, dist, trials, step)
+    return frac, integral, draws
 
 
 def simulate_preemptive_rounding(
@@ -76,17 +93,7 @@ def simulate_preemptive_rounding(
     trials: int,
 ):
     """Returns (fractional-start completions, integral completions, tau)."""
-    sampler = _ChainSampler(inst, sol)
-    machine, size, chain_idx, slot_matrices = sampler.draw(rng, trials)
-    n = inst.num_jobs
-    theta = dist.sample(rng, (trials, n))
-    tau = np.empty((trials, n))
-    for j in range(n):
-        work = theta[:, j] * size[:, j]
-        tau[:, j] = chain_eval_many(slot_matrices[j], chain_idx[:, j], work)
-
-    completion_frac, completion_int = _sequence(machine, tau, size.astype(float), tau, np.ceil(tau))
-    return completion_frac, completion_int, (machine, tau)
+    return _preemptive_trials(inst, sol, dist, rng, trials, full=True)
 
 
 def round_preemptive_once(
@@ -119,7 +126,7 @@ def estimate_ratio_preemptive(
         raise ValueError("need at least one trial")
     dist = dist or default_offset_distribution()
     rng = np.random.default_rng(seed)
-    frac, integral, _ = simulate_preemptive_rounding(inst, sol, dist, rng, trials)
+    frac, integral, _ = _preemptive_trials(inst, sol, dist, rng, trials, full=False)
     w = inst.weights
     objectives = frac @ w
     ratios = objectives / sol.objective

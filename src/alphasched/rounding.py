@@ -11,7 +11,15 @@ tau order.  Two schedules are tracked per trial:
     completion)), integral and never worse realization by realization.
 
 The converted schedule is what the rounding returns; the pseudo cost is kept
-as analysis metadata.  Trials are vectorized over a (trials, jobs) layout.
+as analysis metadata.
+
+Trials run in blocks (``_run_trials``, shared with the chain LP rounding of
+``preemptive``): each block's (block trials, jobs) arrays take 64 KiB, so
+they stay in cache and the allocator reuses them instead of page-faulting
+fresh ones in.  The random stream is that of one unblocked batch, so a
+seeded result does not depend on the block length (up to pseudo-releases
+within a rounding error of each other, see ``_sequence``).  The estimators
+keep only the completion times they report.
 """
 
 from __future__ import annotations
@@ -55,19 +63,49 @@ class IdleDiagnostic:
     trials: int
 
 
-def _draw_categorical(rng: np.random.Generator, cdfs: list, trials: int) -> np.ndarray:
-    """Per job, ``trials`` indices into its support drawn from its
-    cumulative masses ``cdfs[j]``: one ``rng.random(trials)`` call per job,
-    in job order, searched from the right and clipped to the support.
-    Column j of the (trials, n) result is job j's."""
-    k = np.empty((trials, len(cdfs)), dtype=np.int64)
+# Trials run in blocks whose (trials x jobs) float64 arrays take this many
+# bytes: a block's temporaries stay in cache, and the allocator reuses them
+# from block to block instead of page-faulting fresh ones in on every call.
+BLOCK_BYTES = 64 * 1024
+
+
+def _block_trials(n: int) -> int:
+    """Trials per block for ``n`` jobs."""
+    return max(1, BLOCK_BYTES // (8 * max(n, 1)))
+
+
+def _draw_categorical(cdfs: list, u: np.ndarray) -> np.ndarray:
+    """Per job j, indices into its support drawn from its cumulative masses
+    ``cdfs[j]`` by the uniforms ``u[j]``, searched from the right and
+    clipped to the support.  Column j of the (trials, n) result is job j's."""
+    k = np.empty((u.shape[1], len(cdfs)), dtype=np.int64)
     for j, cdf in enumerate(cdfs):
-        k[:, j] = np.searchsorted(cdf, rng.random(trials), side="right")
+        k[:, j] = np.searchsorted(cdf, u[j], side="right")
     return np.minimum(k, [cdf.size - 1 for cdf in cdfs], out=k)
 
 
+def _run_trials(rng: np.random.Generator, cdfs: list, dist: OffsetDistribution, trials: int, step) -> None:
+    """The Monte Carlo loop of both rounding paths.
+
+    Job j's support indices come from row j of one ``rng.random((n,
+    trials))`` draw, the same stream as one ``rng.random(trials)`` call per
+    job in job order.  The trials then run in blocks of ``_block_trials(n)``;
+    each block draws its (block, n) offsets with ``dist.sample``, so the
+    blocks consume the offset stream in trial order, as one (trials, n)
+    draw would.  ``step(rows, k, theta)`` gets the block's slice of the
+    trials, its support indices and its offsets, and writes what it keeps
+    into the caller's arrays."""
+    u = rng.random((len(cdfs), trials))
+    block = _block_trials(len(cdfs))
+    for lo in range(0, trials, block):
+        rows = slice(lo, min(lo + block, trials))
+        k = _draw_categorical(cdfs, u[:, rows])
+        step(rows, k, dist.sample(rng, k.shape))
+
+
 class _Sampler:
-    """Categorical (machine, start) sampler per job from the y support."""
+    """Categorical (machine, start) sampler per job from the y support, with
+    each support entry's size and release on its machine."""
 
     def __init__(self, inst: Instance, sol: FractionalIntervalSolution):
         # Rounding needs per-job mass 1 and structural sanity; it does not
@@ -79,20 +117,29 @@ class _Sampler:
             cdf = np.cumsum(probs)
             self.cdfs.append(cdf / cdf[-1])
         # Job j's support is entries offset[j]: of the flat arrays.
-        self.offset = np.cumsum([0] + [cdf.size for cdf in self.cdfs[:-1]])
+        counts = [cdf.size for cdf in self.cdfs]
+        self.offset = np.cumsum([0] + counts[:-1])
         self.machines = np.concatenate([machines for machines, _, _ in support]).astype(np.int64)
         self.starts = np.concatenate([starts for _, starts, _ in support]).astype(np.int64)
+        jobs = np.repeat(np.arange(inst.num_jobs), counts)
+        self.sizes = inst.sizes[jobs, self.machines].astype(float)
+        self.releases = inst.release_matrix()[jobs, self.machines].astype(float)
 
-    def draw(self, rng: np.random.Generator, trials: int):
-        k = _draw_categorical(rng, self.cdfs, trials) + self.offset
-        return self.machines[k], self.starts[k]
+    def entries(self, k: np.ndarray):
+        """Machines, starts, sizes and releases of the per-job support
+        indices ``k`` (converted to flat entries in place)."""
+        k += self.offset
+        return self.machines[k], self.starts[k], self.sizes[k], self.releases[k]
 
 
-def _sequence(machine, key, size, *releases):
+def _sequence(machine, key, size, *releases, out=None):
     """Per machine, order jobs by key (ties by job index) and chain starts
     as max(release, predecessor completion), once per release array.  All
     arrays are (trials, n); the order is sorted and gathered once, and one
-    (trials, n) float array of completion times is returned per release."""
+    (trials, n) float array of completion times is returned per release,
+    written into the arrays of ``out`` when given.  The sort key is
+    machine * span + key with span above the batch's key range, so keys on
+    one machine within its rounding error tie."""
     trials, n = machine.shape
     span = float(key.max(initial=0.0) - min(0.0, float(key.min(initial=0.0))) + 1.0)
     order = np.argsort(machine * span + key, axis=1, kind="stable")
@@ -102,17 +149,42 @@ def _sequence(machine, key, size, *releases):
     mach_sorted = np.take(machine, pos)
     size_sorted = np.take(size, pos)
     follows = mach_sorted[1:] == mach_sorted[:-1]
-    out = []
-    for release in releases:
+    if out is None:
+        out = [np.empty((trials, n)) for _ in releases]
+    for release, completion in zip(releases, out):
         fin = np.take(release, pos)
         fin[0] += size_sorted[0]
         for k in range(1, n):
             np.maximum(fin[k], fin[k - 1], out=fin[k], where=follows[k - 1])
             fin[k] += size_sorted[k]
-        completion = np.empty((trials, n))
-        completion.ravel()[pos] = fin
-        out.append(completion)
+        np.put(completion, pos, fin)
     return out
+
+
+def _round_trials(inst, sol, dist, rng, trials, full):
+    """Converted completions of ``trials`` trials, then the pseudo
+    completions and the draws (machine, start, theta, tau) when ``full``,
+    None in their place otherwise."""
+    sampler = _Sampler(inst, sol)
+    shape = (trials, inst.num_jobs)
+    conv = np.empty(shape)
+    pseudo = np.empty(shape) if full else None
+    draws = None
+    if full:
+        draws = (np.empty(shape, np.int64), np.empty(shape, np.int64), np.empty(shape), np.empty(shape))
+
+    def step(rows, k, theta):
+        machine, start, size, release = sampler.entries(k)
+        tau = start + theta * size
+        if full:
+            _sequence(machine, tau, size, release, np.maximum(tau, release), out=(conv[rows], pseudo[rows]))
+            for kept, block in zip(draws, (machine, start, theta, tau)):
+                kept[rows] = block
+        else:
+            _sequence(machine, tau, size, release, out=(conv[rows],))
+
+    _run_trials(rng, sampler.cdfs, dist, trials, step)
+    return conv, pseudo, draws
 
 
 def simulate_rounding(
@@ -123,16 +195,7 @@ def simulate_rounding(
     trials: int,
 ):
     """Vectorized trials; returns (converted C, pseudo C, draw arrays)."""
-    sampler = _Sampler(inst, sol)
-    machine, start = sampler.draw(rng, trials)
-    n = inst.num_jobs
-    theta = dist.sample(rng, (trials, n))
-    rel_all = inst.release_matrix()
-    size = inst.sizes[np.arange(n)[None, :], machine].astype(float)
-    release = rel_all[np.arange(n)[None, :], machine].astype(float)
-    tau = start + theta * size
-    completion_conv, completion_pseudo = _sequence(machine, tau, size, release, np.maximum(tau, release))
-    return completion_conv, completion_pseudo, (machine, start, theta, tau)
+    return _round_trials(inst, sol, dist, rng, trials, full=True)
 
 
 def round_once(
@@ -162,7 +225,7 @@ def estimate_ratio(
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    conv, _, _ = simulate_rounding(inst, sol, dist, rng, trials)
+    conv, _, _ = _round_trials(inst, sol, dist, rng, trials, full=False)
     objectives = conv @ inst.weights
     ratios = objectives / sol.objective
     mean = float(ratios.mean())
@@ -239,29 +302,29 @@ def idle_diagnostic(
     g, h = busy_densities(inst, sol, dist, job, machine, grid)
 
     sampler = _Sampler(inst, sol)
-    rng = np.random.default_rng(seed)
-    mach, start = sampler.draw(rng, trials)
-    n = inst.num_jobs
-    theta = dist.sample(rng, (trials, n))
-    size = inst.sizes[np.arange(n)[None, :], mach].astype(float)
-    tau_all = start + theta * size
-    # Force the conditioned job; its own processing cannot touch (0, tau].
-    mach[:, job] = machine
-    tau_all[:, job] = tau
-    size[:, job] = inst.size(job, machine)
-
     idle = np.ones((trials, grid.size), dtype=bool)
-    order = np.argsort(tau_all, axis=1, kind="stable")
-    prev_fin = np.zeros(trials)
-    for k in range(n):
-        jk = order[:, k]
-        rows = np.arange(trials)
-        on_mach = mach[rows, jk] == machine
-        t0 = np.maximum(tau_all[rows, jk], np.where(on_mach, prev_fin, 0.0))
-        fin = t0 + size[rows, jk]
-        covered = on_mach[:, None] & (jk != job)[:, None] & (t0[:, None] < grid) & (grid <= fin[:, None])
-        idle &= ~covered
-        prev_fin = np.where(on_mach, fin, prev_fin)
+
+    def step(rows, k, theta):
+        mach, start, size, _ = sampler.entries(k)
+        tau_all = start + theta * size
+        # Force the conditioned job; its own processing cannot touch (0, tau].
+        mach[:, job] = machine
+        tau_all[:, job] = tau
+        size[:, job] = inst.size(job, machine)
+        block_idle = idle[rows]
+        trial = np.arange(block_idle.shape[0])
+        order = np.argsort(tau_all, axis=1, kind="stable")
+        prev_fin = np.zeros(trial.size)
+        for i in range(inst.num_jobs):
+            jk = order[:, i]
+            on_mach = mach[trial, jk] == machine
+            t0 = np.maximum(tau_all[trial, jk], np.where(on_mach, prev_fin, 0.0))
+            fin = t0 + size[trial, jk]
+            covered = on_mach[:, None] & (jk != job)[:, None] & (t0[:, None] < grid) & (grid <= fin[:, None])
+            block_idle &= ~covered
+            prev_fin = np.where(on_mach, fin, prev_fin)
+
+    _run_trials(np.random.default_rng(seed), sampler.cdfs, dist, trials, step)
     idle_hat = idle.mean(axis=0)
     sigma = np.sqrt(idle_hat * (1.0 - idle_hat) / trials)
     return IdleDiagnostic(grid=grid, g=g, h=h, idle_hat=idle_hat, idle_sigma=sigma, trials=trials)

@@ -54,9 +54,12 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 REFACTOR_EVERY = 120
+# Entries per row chunk of a dense rank-one update of the basis inverse.
+UPDATE_CHUNK = 8192
 # Largest dense basis inverse a model builder may ask for: 512 MiB, 8192
 # rows.  A solve holds up to about three matrices of that size at once (the
-# inverse, a refactorization's new one, a rank-one update's temporary).
+# inverse, and during a refactorization the gathered basis columns and the
+# inverse of their block).
 MAX_BASIS_INVERSE_BYTES = 2**29
 
 _SENSES = ("<=", "==", ">=")
@@ -557,6 +560,7 @@ class _State:
         self.iters = 0
         self.since_refactor = 0
         self.refactor_every = refactor_every
+        self.binv = None
         if factor:
             self.refactor()
         else:
@@ -615,7 +619,8 @@ class _State:
         """Invert the basis by blocks.  Basic columns with a single nonzero
         (slacks, artificials, one-row variables) in distinct rows make the
         basis block triangular up to permutation, so only the square block of
-        the other columns on the other rows needs a dense inverse."""
+        the other columns on the other rows needs a dense inverse.  The
+        inverse is written into the current one's buffer when it fits."""
         cols, basis, m = self.cols, self.basis, self.m
         lo = cols.colptr[basis]
         single = np.flatnonzero((cols.colptr[basis + 1] - lo == 1) & (cols.vals[lo] != 0.0))
@@ -625,14 +630,19 @@ class _State:
         scale = cols.vals[lo[unit_pos]]
         other_pos = _others(unit_pos, m)
         other_row = _others(unit_row, m)
-        binv = np.zeros((m, m))
-        binv[unit_pos, unit_row] = 1.0 / scale
         if other_pos.size:
             B_other = cols.gather(basis[other_pos])
             try:
                 inner = np.linalg.inv(B_other[other_row])
             except np.linalg.LinAlgError as exc:
                 raise NumericalError("singular basis during refactorization") from exc
+        binv = self.binv
+        if binv is None or binv.shape != (m, m):
+            binv = np.zeros((m, m))
+        else:
+            binv.fill(0.0)
+        binv[unit_pos, unit_row] = 1.0 / scale
+        if other_pos.size:
             binv[np.ix_(other_pos, other_row)] = inner
             binv[np.ix_(unit_pos, other_row)] = -(B_other[unit_row] @ inner) / scale[:, None]
         self.binv = binv
@@ -657,7 +667,11 @@ class _State:
         if 3 * lhs.size * rhs.size < self.m * self.m:
             binv[np.ix_(lhs, rhs)] -= np.outer(direction[lhs], binv[row, rhs])
         else:
-            binv -= np.multiply.outer(direction, binv[row])
+            # By row chunks, so that no m x m temporary is allocated.
+            pivot_row = binv[row].copy()
+            step = max(1, UPDATE_CHUNK // self.m)
+            for top in range(0, self.m, step):
+                binv[top : top + step] -= np.multiply.outer(direction[top : top + step], pivot_row)
         self.basis[row] = col
         self.iters += 1
         self.since_refactor += 1
