@@ -2,9 +2,10 @@
 
 Subcommands: gen, solve-interval, solve-chain, round, round-preemptive,
 oracle, analyze-dist, lowerbound, bench.  Global flags --seed, --format
-(csv | json), --out.  Reports are pure functions of (instance,
-flags, seed): rerunning with the same arguments reproduces them byte for
-byte.  Exit codes: 0 success, 1 computation error, 2 usage error.
+(csv | json), --out.  --seed defaults to 0, except that bench takes the
+config's seed unless --seed is given.  Reports are pure functions of
+(instance, flags, seed): rerunning with the same arguments reproduces them
+byte for byte.  Exit codes: 0 success, 1 computation error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .instance import (
 from .interval_lp import IntervalLpError, solve_interval_lp
 from .lowerbound import run_lb_experiment
 from .oracle import GuardExceeded, brute_force_nonpreemptive, brute_force_preemptive
-from .preemptive import _preemptive_trials
-from .rounding import _round_trials
+from .preemptive import simulate_preemptive_rounding
+from .rounding import simulate_rounding
 from .simplex import LpError, NumericalError
 from .instance import horizon as instance_horizon
 
@@ -129,7 +130,7 @@ def _cmd_round(args) -> None:
     dist = from_spec(args.dist)
     sol = solve_interval_lp(inst)
     rng = np.random.default_rng(args.seed)
-    conv, _, _ = _round_trials(inst, sol, dist, rng, args.trials, full=False)
+    conv, _, _ = simulate_rounding(inst, sol, dist, rng, args.trials, full=False)
     objectives = conv @ inst.weights
     columns = ["trial", "objective", "ratio"]
     if args.per_job:
@@ -152,7 +153,7 @@ def _cmd_round_preemptive(args) -> None:
     dist = from_spec(args.dist) if args.dist else OffsetDistribution.clipped_uniform(args.clip)
     sol = solve_chain_lp(inst)
     rng = np.random.default_rng(args.seed)
-    frac, integral, _ = _preemptive_trials(inst, sol, dist, rng, args.trials, full=False)
+    frac, integral, _ = simulate_preemptive_rounding(inst, sol, dist, rng, args.trials, full=False)
     w = inst.weights
     obj = frac @ w
     obj_int = integral @ w
@@ -233,7 +234,7 @@ def _cmd_lowerbound(args) -> None:
 
 def _cmd_bench(args) -> None:
     cfg = parse_bench_config(Path(args.config).read_text(encoding="utf-8"))
-    if args.seed != 0:
+    if args.seed is not None:
         cfg["seed"] = args.seed
     rows = bench_random_suite(cfg)
     if args.format == "csv":
@@ -271,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="alphasched",
         description="LP rounding toolkit for weighted completion time scheduling",
     )
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    parser.add_argument("--seed", type=int, default=None, help="master RNG seed (default 0; bench: the config's)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="write the report to this path")
 
@@ -349,6 +350,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.seed is None and args.func is not _cmd_bench:
+        args.seed = 0  # bench falls back to its config's seed
     try:
         args.func(args)
     except _ERRORS as exc:

@@ -133,6 +133,10 @@ def run_lb_experiment(eps: float, T: int, trials: int, seed: int) -> LowerBoundR
     if abs(1.0 / eps - k) > 1e-9:
         raise ValueError("1/eps must be an integer")
     T = int(T)
+    if T < 1:
+        raise ValueError("T must be positive")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
     w_big = eps / math.e
     t_idx = np.arange(1, T + 1)

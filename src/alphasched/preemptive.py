@@ -8,6 +8,13 @@ that fractional-start schedule is the object the ratio bound is proven for
 and is the cost used by the estimator.  The emitted schedule additionally
 rounds each start up to the next integer and re-packs in the same order,
 which never violates a release (tau always exceeds it).
+
+``simulate_preemptive_rounding`` is the one rounding pass: the replay, the
+estimator and the CLI all call it.  With ``full=False`` it keeps only the
+fractional-start and integral completions, which is all
+``estimate_ratio_preemptive`` reports.  Trials run in blocks through
+``rounding._run_trials``, and the machines are sequenced by
+``rounding._sequence``.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .chain_lp import ChainLpError, ChainSolution
 from .chains import chain_eval_many
 from .distributions import OffsetDistribution
 from .instance import Instance, NonPreemptiveSchedule
-from .rounding import _run_trials, _sequence
+from .rounding import _ratio_stats, _run_trials, _sequence
 
 DEFAULT_CLIP = 1.0 / 5100.0
 
@@ -40,10 +47,12 @@ class PreemptiveRatioEstimate:
 
 
 class _ChainSampler:
-    """Per-job categorical over solution chains, padded for vector lookups."""
+    """Per-job categorical over solution chains.  Job j's chains are flat
+    entries offset[j]: of ``machines``, ``sizes`` and the rows of ``slots``,
+    which holds every chain's slots padded to the longest chain."""
 
     def __init__(self, inst: Instance, sol: ChainSolution):
-        self.cdfs, self.slot_matrices, machines, sizes = [], [], [], []
+        self.cdfs, chains = [], []
         for j, group in enumerate(sol.support_by_job(inst.num_jobs)):
             if not group:
                 raise ChainLpError(f"job {j} has no chain in the solution")
@@ -51,38 +60,13 @@ class _ChainSampler:
             if mass < 1.0 - 1e-6:
                 raise ChainLpError(f"job {j} chain mass {mass:.8f} below 1")
             self.cdfs.append(np.cumsum(np.array([z for _, z in group]) / mass))
-            machines.extend(c.machine for c, _ in group)
-            sizes.extend(len(c.slots) for c, _ in group)
-            slot_matrix = np.zeros((len(group), max(len(c.slots) for c, _ in group)), dtype=np.int64)
-            for k, (c, _) in enumerate(group):
-                slot_matrix[k, : len(c.slots)] = c.slots
-            self.slot_matrices.append(slot_matrix)
-        # Job j's chains are entries offset[j]: of the flat arrays.
+            chains.extend(c for c, _ in group)
         self.offset = np.cumsum([0] + [cdf.size for cdf in self.cdfs[:-1]])
-        self.machines = np.array(machines, dtype=np.int64)
-        self.sizes = np.array(sizes, dtype=float)
-
-
-def _preemptive_trials(inst, sol, dist, rng, trials, full):
-    """Fractional-start and integral completions of ``trials`` trials, then
-    the draws (machine, tau) when ``full``, None otherwise."""
-    sampler = _ChainSampler(inst, sol)
-    shape = (trials, inst.num_jobs)
-    frac, integral = np.empty(shape), np.empty(shape)
-    draws = (np.empty(shape, np.int64), np.empty(shape)) if full else None
-
-    def step(rows, chain_idx, theta):
-        k = chain_idx + sampler.offset
-        machine, size = sampler.machines[k], sampler.sizes[k]
-        tau = np.empty(theta.shape)
-        for j, slot_matrix in enumerate(sampler.slot_matrices):
-            tau[:, j] = chain_eval_many(slot_matrix, chain_idx[:, j], theta[:, j] * size[:, j])
-        _sequence(machine, tau, size, tau, np.ceil(tau), out=(frac[rows], integral[rows]))
-        if full:
-            draws[0][rows], draws[1][rows] = machine, tau
-
-    _run_trials(rng, sampler.cdfs, dist, trials, step)
-    return frac, integral, draws
+        self.machines = np.array([c.machine for c in chains], dtype=np.int64)
+        self.sizes = np.array([c.length for c in chains], dtype=float)
+        self.slots = np.zeros((len(chains), max(c.length for c in chains)), dtype=np.int64)
+        for k, c in enumerate(chains):
+            self.slots[k, : c.length] = c.slots
 
 
 def simulate_preemptive_rounding(
@@ -91,9 +75,25 @@ def simulate_preemptive_rounding(
     dist: OffsetDistribution,
     rng: np.random.Generator,
     trials: int,
+    full: bool = True,
 ):
-    """Returns (fractional-start completions, integral completions, tau)."""
-    return _preemptive_trials(inst, sol, dist, rng, trials, full=True)
+    """Returns (fractional-start completions, integral completions, draws).
+
+    The draws are (machine, tau).  With ``full=False`` they are not kept,
+    and None stands for them."""
+    sampler = _ChainSampler(inst, sol)
+
+    def step(k, theta, frac, integral, *draws):
+        k += sampler.offset
+        machine, size = sampler.machines[k], sampler.sizes[k]
+        tau = chain_eval_many(sampler.slots, k, theta * size)
+        _sequence(machine, tau, size, tau, np.ceil(tau), out=(frac, integral))
+        for kept, block in zip(draws, (machine, tau)):
+            kept[...] = block
+
+    dtypes = (float, float, np.int64, float) if full else (float, float)
+    frac, integral, *draws = _run_trials(rng, sampler.cdfs, dist, trials, step, dtypes)
+    return frac, integral, tuple(draws) if full else None
 
 
 def round_preemptive_once(
@@ -122,17 +122,14 @@ def estimate_ratio_preemptive(
     dist: OffsetDistribution | None = None,
 ) -> PreemptiveRatioEstimate:
     """Monte Carlo mean of (fractional-start objective) / (chain LP value)."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
     dist = dist or default_offset_distribution()
     rng = np.random.default_rng(seed)
-    frac, integral, _ = _preemptive_trials(inst, sol, dist, rng, trials, full=False)
+    frac, integral, _ = simulate_preemptive_rounding(inst, sol, dist, rng, trials, full=False)
     w = inst.weights
     objectives = frac @ w
-    ratios = objectives / sol.objective
-    sem = float(ratios.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    mean, sem = _ratio_stats(objectives, sol.objective)
     return PreemptiveRatioEstimate(
-        mean_ratio=float(ratios.mean()),
+        mean_ratio=mean,
         std_error=sem,
         lp_objective=sol.objective,
         mean_objective=float(objectives.mean()),

@@ -13,13 +13,17 @@ tau order.  Two schedules are tracked per trial:
 The converted schedule is what the rounding returns; the pseudo cost is kept
 as analysis metadata.
 
+``simulate_rounding`` is the one rounding pass: ``round_once``, the
+estimator and the CLI all call it.  With ``full=False`` it keeps only the
+converted completions, which is all ``estimate_ratio`` reports.
+
 Trials run in blocks (``_run_trials``, shared with the chain LP rounding of
-``preemptive``): each block's (block trials, jobs) arrays take 64 KiB, so
-they stay in cache and the allocator reuses them instead of page-faulting
-fresh ones in.  The random stream is that of one unblocked batch, so a
-seeded result does not depend on the block length (up to pseudo-releases
-within a rounding error of each other, see ``_sequence``).  The estimators
-keep only the completion times they report.
+``preemptive`` and with ``idle_diagnostic``): each block's (block trials,
+jobs) arrays take 64 KiB, so they stay in cache and the allocator reuses
+them instead of page-faulting fresh ones in.  The random stream is that of
+one unblocked batch, so a seeded result does not depend on the block length
+(up to pseudo-releases within a rounding error of each other, see
+``_sequence``).  Every machine's jobs are sequenced by ``_sequence``.
 """
 
 from __future__ import annotations
@@ -84,7 +88,9 @@ def _draw_categorical(cdfs: list, u: np.ndarray) -> np.ndarray:
     return np.minimum(k, [cdf.size - 1 for cdf in cdfs], out=k)
 
 
-def _run_trials(rng: np.random.Generator, cdfs: list, dist: OffsetDistribution, trials: int, step) -> None:
+def _run_trials(
+    rng: np.random.Generator, cdfs: list, dist: OffsetDistribution, trials: int, step, dtypes=()
+) -> list:
     """The Monte Carlo loop of both rounding paths.
 
     Job j's support indices come from row j of one ``rng.random((n,
@@ -92,15 +98,26 @@ def _run_trials(rng: np.random.Generator, cdfs: list, dist: OffsetDistribution, 
     job in job order.  The trials then run in blocks of ``_block_trials(n)``;
     each block draws its (block, n) offsets with ``dist.sample``, so the
     blocks consume the offset stream in trial order, as one (trials, n)
-    draw would.  ``step(rows, k, theta)`` gets the block's slice of the
-    trials, its support indices and its offsets, and writes what it keeps
-    into the caller's arrays."""
+    draw would.  Returns one (trials, n) array per entry of ``dtypes``;
+    ``step(k, theta, *outs)`` gets a block's support indices, its offsets
+    and its rows of those arrays, which it fills."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    outs = [np.empty((trials, len(cdfs)), dtype) for dtype in dtypes]
     u = rng.random((len(cdfs), trials))
     block = _block_trials(len(cdfs))
     for lo in range(0, trials, block):
         rows = slice(lo, min(lo + block, trials))
         k = _draw_categorical(cdfs, u[:, rows])
-        step(rows, k, dist.sample(rng, k.shape))
+        step(k, dist.sample(rng, k.shape), *(out[rows] for out in outs))
+    return outs
+
+
+def _ratio_stats(objectives: np.ndarray, lp_objective: float):
+    """Mean and standard error of the trials' objective / LP objective."""
+    ratios = objectives / lp_objective
+    sem = float(ratios.std(ddof=1) / np.sqrt(ratios.size)) if ratios.size > 1 else 0.0
+    return float(ratios.mean()), sem
 
 
 class _Sampler:
@@ -161,41 +178,33 @@ def _sequence(machine, key, size, *releases, out=None):
     return out
 
 
-def _round_trials(inst, sol, dist, rng, trials, full):
-    """Converted completions of ``trials`` trials, then the pseudo
-    completions and the draws (machine, start, theta, tau) when ``full``,
-    None in their place otherwise."""
-    sampler = _Sampler(inst, sol)
-    shape = (trials, inst.num_jobs)
-    conv = np.empty(shape)
-    pseudo = np.empty(shape) if full else None
-    draws = None
-    if full:
-        draws = (np.empty(shape, np.int64), np.empty(shape, np.int64), np.empty(shape), np.empty(shape))
-
-    def step(rows, k, theta):
-        machine, start, size, release = sampler.entries(k)
-        tau = start + theta * size
-        if full:
-            _sequence(machine, tau, size, release, np.maximum(tau, release), out=(conv[rows], pseudo[rows]))
-            for kept, block in zip(draws, (machine, start, theta, tau)):
-                kept[rows] = block
-        else:
-            _sequence(machine, tau, size, release, out=(conv[rows],))
-
-    _run_trials(rng, sampler.cdfs, dist, trials, step)
-    return conv, pseudo, draws
-
-
 def simulate_rounding(
     inst: Instance,
     sol: FractionalIntervalSolution,
     dist: OffsetDistribution,
     rng: np.random.Generator,
     trials: int,
+    full: bool = True,
 ):
-    """Vectorized trials; returns (converted C, pseudo C, draw arrays)."""
-    return _round_trials(inst, sol, dist, rng, trials, full=True)
+    """Vectorized trials; returns (converted C, pseudo C, draw arrays).
+
+    The draws are (machine, start, theta, tau).  With ``full=False`` only
+    the converted completions are kept, and None stands for the rest."""
+    sampler = _Sampler(inst, sol)
+
+    def step(k, theta, conv, pseudo=None, *draws):
+        machine, start, size, release = sampler.entries(k)
+        tau = start + theta * size
+        if not full:
+            _sequence(machine, tau, size, release, out=(conv,))
+            return
+        _sequence(machine, tau, size, release, np.maximum(tau, release), out=(conv, pseudo))
+        for kept, block in zip(draws, (machine, start, theta, tau)):
+            kept[...] = block
+
+    dtypes = (float, float, np.int64, np.int64, float, float) if full else (float,)
+    conv, *rest = _run_trials(rng, sampler.cdfs, dist, trials, step, dtypes)
+    return (conv, rest[0], tuple(rest[1:])) if full else (conv, None, None)
 
 
 def round_once(
@@ -222,14 +231,9 @@ def estimate_ratio(
     seed: int,
 ) -> RatioEstimate:
     """Monte Carlo mean of (converted objective) / (LP objective)."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    conv, _, _ = _round_trials(inst, sol, dist, rng, trials, full=False)
+    conv, _, _ = simulate_rounding(inst, sol, dist, np.random.default_rng(seed), trials, full=False)
     objectives = conv @ inst.weights
-    ratios = objectives / sol.objective
-    mean = float(ratios.mean())
-    sem = float(ratios.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    mean, sem = _ratio_stats(objectives, sol.objective)
     per_job_sem = (
         conv.std(axis=0, ddof=1) / np.sqrt(trials) if trials > 1 else np.zeros(inst.num_jobs)
     )
@@ -302,29 +306,21 @@ def idle_diagnostic(
     g, h = busy_densities(inst, sol, dist, job, machine, grid)
 
     sampler = _Sampler(inst, sol)
-    idle = np.ones((trials, grid.size), dtype=bool)
+    idle = np.zeros(grid.size, dtype=np.int64)
 
-    def step(rows, k, theta):
+    def step(k, theta):
         mach, start, size, _ = sampler.entries(k)
         tau_all = start + theta * size
         # Force the conditioned job; its own processing cannot touch (0, tau].
-        mach[:, job] = machine
-        tau_all[:, job] = tau
-        size[:, job] = inst.size(job, machine)
-        block_idle = idle[rows]
-        trial = np.arange(block_idle.shape[0])
-        order = np.argsort(tau_all, axis=1, kind="stable")
-        prev_fin = np.zeros(trial.size)
-        for i in range(inst.num_jobs):
-            jk = order[:, i]
-            on_mach = mach[trial, jk] == machine
-            t0 = np.maximum(tau_all[trial, jk], np.where(on_mach, prev_fin, 0.0))
-            fin = t0 + size[trial, jk]
-            covered = on_mach[:, None] & (jk != job)[:, None] & (t0[:, None] < grid) & (grid <= fin[:, None])
-            block_idle &= ~covered
-            prev_fin = np.where(on_mach, fin, prev_fin)
+        mach[:, job], tau_all[:, job], size[:, job] = machine, tau, inst.size(job, machine)
+        # The pseudo schedule: every job released at its tau.
+        (fin,) = _sequence(mach, tau_all, size, tau_all)
+        others = mach == machine
+        others[:, job] = False  # completion - size may round below tau
+        busy = others[:, :, None] & ((fin - size)[:, :, None] < grid) & (grid <= fin[:, :, None])
+        idle[...] += k.shape[0] - busy.any(axis=1).sum(axis=0)
 
     _run_trials(np.random.default_rng(seed), sampler.cdfs, dist, trials, step)
-    idle_hat = idle.mean(axis=0)
+    idle_hat = idle / trials
     sigma = np.sqrt(idle_hat * (1.0 - idle_hat) / trials)
     return IdleDiagnostic(grid=grid, g=g, h=h, idle_hat=idle_hat, idle_sigma=sigma, trials=trials)

@@ -108,6 +108,42 @@ def test_lowerbound_subcommand(capsys):
     assert out2 == out
 
 
+def test_counts_below_one_exit_one(tmp_path, capsys):
+    inst = write_instance(tmp_path)
+    for bad in ("0", "-2"):
+        for argv, message in [
+            (("round", inst, "--trials", bad), "need at least one trial"),
+            (("round-preemptive", inst, "--trials", bad), "need at least one trial"),
+            (("lowerbound", "--epsilon", "0.5", "--horizon", "8", "--trials", bad), "need at least one trial"),
+            (("lowerbound", "--epsilon", "0.5", "--horizon", bad, "--trials", "5"), "T must be positive"),
+        ]:
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", argv
+            assert message in err, argv
+
+
+def test_bench_seed_flag_overrides_config(tmp_path, capsys):
+    def config(name, **seed):
+        doc = {"trials": 50, "dists": ["uniform"], "generators": [{"count": 2, "n": 3, "m": 2}], **seed}
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    seven, zero = config("seven.json", seed=7), config("zero.json", seed=0)
+    reports = {}
+    for key, argv in {
+        "seven": ("bench", "--config", seven),
+        "seven --seed 0": ("bench", "--config", seven, "--seed", "0"),
+        "--seed 0 seven": ("--seed", "0", "bench", "--config", seven),
+        "zero": ("bench", "--config", zero),
+        "seven --seed 7": ("bench", "--config", seven, "--seed", "7"),
+    }.items():
+        code, reports[key], _ = run(capsys, *argv)
+        assert code == 0, key
+    assert reports["seven --seed 0"] == reports["--seed 0 seven"] == reports["zero"]
+    assert reports["seven --seed 7"] == reports["seven"] != reports["zero"]
+
+
 def test_oracle_guard_exit_code(tmp_path, capsys):
     doc = {
         "machines": 3,

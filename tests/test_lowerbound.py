@@ -60,6 +60,11 @@ def test_parameter_validation():
     assert inst.meta.get("relaxed_T")
     inst, _ = build_lb_instance(0.5, 16, strict=True)  # 16 = 2 * 8
     assert not inst.meta.get("relaxed_T")
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="need at least one trial"):
+            run_lb_experiment(0.5, 8, trials=bad, seed=0)
+        with pytest.raises(ValueError, match="T must be positive"):
+            run_lb_experiment(0.5, bad, trials=10, seed=0)
 
 
 def test_insertion_scan_matches_order_enumeration():

@@ -174,3 +174,14 @@ def test_mass_renormalization():
     )
     share_first = (tau[:, 0] < 1).mean()
     assert share_first == pytest.approx(0.8 / 1.2, abs=0.01)
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_trial_counts_below_one_are_refused(trials):
+    inst = make([[2]], [0], [1.0])
+    sol = manual_solution(inst, [(Chain(machine=0, job=0, slots=(1, 2)), 1.0)])
+    for full in (True, False):
+        with pytest.raises(ValueError, match="need at least one trial"):
+            simulate_preemptive_rounding(inst, sol, CLIPPED, np.random.default_rng(0), trials, full=full)
+    with pytest.raises(ValueError, match="need at least one trial"):
+        estimate_ratio_preemptive(inst, sol, trials, 0)

@@ -185,9 +185,13 @@ def test_idle_diagnostic_bounds():
 def test_idle_diagnostic_empty_machine():
     inst = make([[3, 3]], [0], [1.0])
     sol = solution_from_triples(inst, [(0, 0, 0, 1.0)])
-    diag = idle_diagnostic(inst, sol, QUAD, job=0, machine=1, tau=3.0, trials=500, seed=0)
-    assert (diag.g == 0).all() and (diag.h == 0).all()
-    assert (diag.idle_hat == 1.0).all()  # e^0 = 1
+    # At tau 0.3 the conditioned job's start, read back as completion -
+    # size = 3.3 - 3, rounds below tau; its own processing still never
+    # counts as busy.
+    for tau in (3.0, 0.3):
+        diag = idle_diagnostic(inst, sol, QUAD, job=0, machine=1, tau=tau, trials=500, seed=0)
+        assert (diag.g == 0).all() and (diag.h == 0).all()
+        assert (diag.idle_hat == 1.0).all()  # e^0 = 1
 
 
 def _uniform_limitation_gadget(eps_inv: int, r: int, p: int):
@@ -244,3 +248,18 @@ def test_invalid_fractional_solution_refused():
     )
     with pytest.raises(Exception, match="assignment mass"):
         estimate_ratio(inst, bad, QUAD, trials=10, seed=0)
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_trial_counts_below_one_are_refused(trials):
+    inst = make([[2, 3], [1, 4]], [0, 1], [1.0, 2.0])
+    sol = solve_interval_lp(inst)
+    calls = [
+        lambda: simulate_rounding(inst, sol, QUAD, np.random.default_rng(0), trials),
+        lambda: simulate_rounding(inst, sol, QUAD, np.random.default_rng(0), trials, full=False),
+        lambda: estimate_ratio(inst, sol, QUAD, trials, 0),
+        lambda: idle_diagnostic(inst, sol, QUAD, job=0, machine=0, tau=2.0, trials=trials),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="need at least one trial"):
+            call()

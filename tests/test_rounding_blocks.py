@@ -1,6 +1,7 @@
 """Monte Carlo rounding in trial blocks: the same arrays and the same use
 of the random stream as one unblocked batch, at and around the block
-edges, and a bounded memory peak for the estimators."""
+edges, the idle diagnostic against its own per-job loop, the estimators'
+one rounding pass, and a bounded memory peak for the estimators."""
 
 import tracemalloc
 
@@ -12,13 +13,22 @@ from alphasched.bench import random_instance
 from alphasched.chain_lp import solve_chain_lp
 from alphasched.chains import chain_eval_many
 from alphasched.interval_lp import solve_interval_lp
+from alphasched import preemptive, rounding
 from alphasched.preemptive import (
     _ChainSampler,
     default_offset_distribution,
     estimate_ratio_preemptive,
     simulate_preemptive_rounding,
 )
-from alphasched.rounding import _block_trials, _Sampler, _sequence, estimate_ratio, simulate_rounding
+from alphasched.rounding import (
+    _block_trials,
+    _Sampler,
+    _sequence,
+    busy_densities,
+    estimate_ratio,
+    idle_diagnostic,
+    simulate_rounding,
+)
 
 
 # -- the library before blocking, kept as the reference -----------------------
@@ -47,9 +57,22 @@ def reference_simulate_rounding(inst, sol, dist, rng, trials):
     return completion_conv, completion_pseudo, (machine, start, theta, tau)
 
 
+def reference_slot_matrices(inst, sol):
+    """Per job, its support chains' slots as rows, padded to its longest."""
+    matrices = []
+    for group in sol.support_by_job(inst.num_jobs):
+        matrix = np.zeros((len(group), max(len(c.slots) for c, _ in group)), dtype=np.int64)
+        for k, (c, _) in enumerate(group):
+            matrix[k, : len(c.slots)] = c.slots
+        matrices.append(matrix)
+    return matrices
+
+
 def reference_simulate_preemptive_rounding(inst, sol, dist, rng, trials):
-    """``simulate_preemptive_rounding`` with every (trials, n) array at once."""
+    """``simulate_preemptive_rounding`` with every (trials, n) array at once
+    and one ``chain_eval_many`` call per job."""
     sampler = _ChainSampler(inst, sol)
+    slot_matrices = reference_slot_matrices(inst, sol)
     chain_idx = reference_categorical(rng, sampler.cdfs, trials)
     k = chain_idx + sampler.offset
     machine, size = sampler.machines[k], sampler.sizes[k].astype(np.int64)
@@ -58,9 +81,37 @@ def reference_simulate_preemptive_rounding(inst, sol, dist, rng, trials):
     tau = np.empty((trials, n))
     for j in range(n):
         work = theta[:, j] * size[:, j]
-        tau[:, j] = chain_eval_many(sampler.slot_matrices[j], chain_idx[:, j], work)
+        tau[:, j] = chain_eval_many(slot_matrices[j], chain_idx[:, j], work)
     completion_frac, completion_int = _sequence(machine, tau, size.astype(float), tau, np.ceil(tau))
     return completion_frac, completion_int, (machine, tau)
+
+
+def reference_idle_hat(inst, sol, dist, job, machine, tau, trials, seed, grid_points=64):
+    """``idle_diagnostic``'s idle frequencies from its former loop over the
+    jobs in tau order, with every (trials, n) array at once."""
+    grid = tau * (np.arange(1, grid_points + 1) / grid_points)
+    rng = np.random.default_rng(seed)
+    sampler = _Sampler(inst, sol)
+    k = reference_categorical(rng, sampler.cdfs, trials)
+    mach, start, size, _ = sampler.entries(k)
+    theta = dist.sample(rng, k.shape)
+    tau_all = start + theta * size
+    mach[:, job] = machine
+    tau_all[:, job] = tau
+    size[:, job] = inst.size(job, machine)
+    idle = np.ones((trials, grid.size), dtype=bool)
+    trial = np.arange(trials)
+    order = np.argsort(tau_all, axis=1, kind="stable")
+    prev_fin = np.zeros(trials)
+    for i in range(inst.num_jobs):
+        jk = order[:, i]
+        on_mach = mach[trial, jk] == machine
+        t0 = np.maximum(tau_all[trial, jk], np.where(on_mach, prev_fin, 0.0))
+        fin = t0 + size[trial, jk]
+        covered = on_mach[:, None] & (jk != job)[:, None] & (t0[:, None] < grid) & (grid <= fin[:, None])
+        idle &= ~covered
+        prev_fin = np.where(on_mach, fin, prev_fin)
+    return idle.mean(axis=0)
 
 
 def test_golden_trial_counts_are_not_block_multiples():
@@ -117,6 +168,45 @@ def test_simulate_preemptive_rounding_blocks_match_unblocked(instances):
             want = reference_simulate_preemptive_rounding(inst, sol, dist, ref_rng, trials)
             assert_same_arrays(got, want)
             assert rng.random() == ref_rng.random()
+
+
+def test_idle_diagnostic_matches_per_job_loop(instances):
+    for inst, sol, _ in instances:
+        block = _block_trials(inst.num_jobs)
+        tau = 0.6 * sol.horizon
+        for machine in range(inst.num_machines):
+            for trials in (1, block - 1, block + 1, 3000):
+                diag = idle_diagnostic(inst, sol, DISTS["quadratic"], 0, machine, tau, trials, seed=trials)
+                want = reference_idle_hat(inst, sol, DISTS["quadratic"], 0, machine, tau, trials, trials)
+                g, h = busy_densities(inst, sol, DISTS["quadratic"], 0, machine, diag.grid)
+                assert np.array_equal(diag.idle_hat, want)
+                assert np.array_equal(diag.idle_sigma, np.sqrt(want * (1.0 - want) / trials))
+                assert np.array_equal(diag.g, g) and np.array_equal(diag.h, h)
+                assert diag.trials == trials
+
+
+# -- one rounding pass ------------------------------------------------------------
+
+
+def test_estimators_round_through_public_functions(monkeypatch):
+    """The estimators look ``simulate_*`` up as module globals (so a
+    wrapper installed on the module sees every trial) and keep only the
+    completions they report."""
+    calls = []
+
+    def spy(fn):
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__name__, kwargs))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(rounding, "simulate_rounding", spy(simulate_rounding))
+    monkeypatch.setattr(preemptive, "simulate_preemptive_rounding", spy(simulate_preemptive_rounding))
+    est = estimate_ratio(INST, golden_interval_solution(), DISTS["uniform"], 50, 1)
+    pre = estimate_ratio_preemptive(INST, golden_chain_solution(), 50, 1)
+    assert calls == [("simulate_rounding", {"full": False}), ("simulate_preemptive_rounding", {"full": False})]
+    assert est.trials == pre.trials == 50
 
 
 # -- memory -----------------------------------------------------------------------
