@@ -9,7 +9,7 @@ from .chain_lp import (
     solve_chain_lp_compressed,
 )
 from .chains import Chain, earliest_chain
-from .distributions import DistributionStats, OffsetDistribution, distribution_stats
+from .distributions import DistributionStats, OffsetDistribution
 from .instance import (
     FORBIDDEN,
     Instance,
@@ -88,7 +88,6 @@ __all__ = [
     "busy_densities",
     "compress_start_times",
     "default_offset_distribution",
-    "distribution_stats",
     "estimate_ratio",
     "estimate_ratio_preemptive",
     "evaluate_schedule",

@@ -20,14 +20,19 @@ priced at every block end at once.  A chain enters the master in one form,
 the earliest slots after the release in each of its blocks, so two chains
 with the same slot count per block are one column.
 
-Column generation terminates cleanly when no chain prices below -1e-7 (the
-master duals are then feasible for the full dual, certifying optimality,
-re-checked by an independent post-hoc pass), or through the Lagrangian
-pricing bound once it proves the master objective is within 1e-6 relative of
-the true optimum.  Pricing runs against smoothed duals to damp the
-oscillation degenerate masters produce.  Before a round opens capacity rows
-whose dense basis inverse would exceed ``MAX_BASIS_INVERSE_BYTES``, the
-solve stops with ``ChainLpError``.
+Column generation stops on one certificate: the Lagrangian pricing bound
+sum_j mu_j - sum_{i,k} len_k xi_{i,k}, from the stability center (the
+smoothed duals behind the best bound so far), once it proves the master
+objective within 1e-6 relative of the true optimum.  The solution carries
+those duals.  Pricing runs against duals smoothed toward that center, to damp
+the oscillation degenerate masters produce, and then against the raw master
+duals if the smoothed ones give no new chain; when neither does and the gap
+is still open, the solve stops with ``ChainLpError``, as it does before a
+round opens capacity rows whose dense basis inverse would exceed
+``MAX_BASIS_INVERSE_BYTES``.  The driver solves on the weights times the
+power of two that brings the largest into [1, 2), and scales the answer
+back: that is exact in floating point, and the absolute pricing and simplex
+tolerances then act alike at every scale of the weights.
 """
 
 from __future__ import annotations
@@ -40,17 +45,16 @@ from itertools import chain as concat
 import numpy as np
 
 from .chains import Chain, earliest_chain
-from .instance import Instance, horizon as instance_horizon
+from .instance import Instance, horizon as instance_horizon, normalize_weights
 from .simplex import MAX_BASIS_INVERSE_BYTES, Basis, LinearProgram, solve_lp
 
 PRICE_TOL = 1e-7
-POSTHOC_TOL = 1e-6
 MASS_TOL = 1e-6
 
 
 class ChainLpError(RuntimeError):
-    """Master infeasibility, stalled generation, an oversized master, or a
-    failed certificate."""
+    """Master infeasibility, an open gap that pricing adds no chain to
+    close, no convergence in ``MAX_ROUNDS``, or an oversized master."""
 
 
 @dataclass
@@ -314,7 +318,8 @@ class _Master:
     def solve(self):
         """Solve the master; returns (solution, eta, xi) with eta the job
         duals clipped at zero and xi[i, k] the negated dual of the capacity
-        row of (machine i, block k), zero where there is none."""
+        row of (machine i, block k), zero where there is none or where it is
+        at most 1e-12 (the non-negative form pricing takes)."""
         n, K = self.inst.num_jobs, self.ends.size
         keys, warm = self.keys, None
         if self.hint is not None:
@@ -329,7 +334,8 @@ class _Master:
         eta = np.zeros(n)
         eta[keys[~cap]] = np.maximum(res.duals[~cap], 0.0)
         xi = np.zeros((self.inst.num_machines, K))
-        xi[(keys[cap] - n) // K, (keys[cap] - n) % K] = -res.duals[cap]
+        dual = -res.duals[cap]
+        xi[(keys[cap] - n) // K, (keys[cap] - n) % K] = np.where(dual > 1e-12, dual, 0.0)
         return res, eta, xi
 
 
@@ -369,20 +375,20 @@ def _generate(inst: Instance, ends: np.ndarray, compressed: bool = False) -> Cha
     """Column generation to optimality of the chain LP over the blocks with
     right ends ``ends``.
 
-    Termination is certified either way: cleanly, when no chain prices below
-    -1e-7 against the master duals, or by the Lagrangian pricing bound
-    sum_j mu_j - sum len_k xi once it proves the master objective is within
-    1e-6 relative of the true optimum.  Pricing runs against duals smoothed
-    toward the best-bound stability center, which stops the tailing-off that
-    raw degenerate master duals produce.  Each round's master starts from the
-    previous round's optimal basis.
+    Each round solves the master, from the previous round's optimal basis,
+    and prices every chain against duals smoothed toward the stability
+    center, then, if that yields no new chain, against the raw master duals.
+    A pricing pass whose Lagrangian bound sum_j mu_j - sum len_k xi beats the
+    best so far moves the center to its duals.  The run stops when the
+    master objective is within 1e-6 relative of the best bound, and raises
+    ``ChainLpError`` when the raw pass adds no chain while the gap is open.
 
-    The returned duals certify ``gap_bound``: on a clean stop they are the
-    final master duals; on a gap stop they are the stability center's xi
-    with eta_j the cheapest chain cost of job j under it.  Either way every
-    chain prices non-negative (to 1e-7) and sum(eta) - sum(len xi) is at
-    least ``objective - gap_bound``.
+    The returned duals are the stability center's: its xi, and eta_j the
+    cheapest chain cost of job j under it.  So every chain prices
+    non-negative, and sum(eta) - sum(len xi) is at least
+    ``objective - gap_bound``.
     """
+    inst, shift = normalize_weights(inst)
     rel = inst.release_matrix()
     base = _greedy_disjoint_chains(inst, ends)
     columns = list(base)
@@ -402,35 +408,27 @@ def _generate(inst: Instance, ends: np.ndarray, compressed: bool = False) -> Cha
 
     best_lb = -np.inf
     center_eta = center_xi = center_mu = None
-    gap_bound = np.inf
-    clean = False
     for iterations in range(1, MAX_ROUNDS + 1):
         res, eta, xi = master.solve()
-        ximat = np.where(xi > 1e-12, xi, 0.0)
         if center_eta is None:
-            center_eta, center_xi = eta, ximat
+            center_eta, center_xi = eta, xi
 
-        new_cols = None
         for alpha in (SMOOTHING, 0.0):
             eta_s = alpha * center_eta + (1 - alpha) * eta
-            xi_s = alpha * center_xi + (1 - alpha) * ximat
-            cols, mu = _price_all(inst, xi_s, eta_s, ends, seen)
+            xi_s = alpha * center_xi + (1 - alpha) * xi
+            new_cols, mu = _price_all(inst, xi_s, eta_s, ends, seen)
             lb = float(mu.sum() - (xi_s * lengths).sum())
             if lb > best_lb:
                 best_lb = lb
                 center_eta, center_xi, center_mu = eta_s, xi_s, mu
             gap_bound = max(res.objective - best_lb, 0.0)
-            if gap_bound <= GAP_REL_TOL * (1.0 + abs(res.objective)):
-                new_cols = []
+            closed = gap_bound <= GAP_REL_TOL * (1.0 + abs(res.objective))
+            if closed or new_cols:
                 break
-            if cols:
-                new_cols = cols
-                break
-            if alpha == 0.0:
-                # no chain priced below tolerance against the true duals
-                clean = True
-                new_cols = []
-        if not new_cols:
+        else:
+            gap = np.ldexp(gap_bound, -shift)
+            raise ChainLpError(f"gap certificate {gap:.2e} still open, and pricing found no new chain")
+        if closed:
             break
 
         if len(master.columns) > PURGE_ABOVE:
@@ -447,30 +445,18 @@ def _generate(inst: Instance, ends: np.ndarray, compressed: bool = False) -> Cha
     else:
         raise ChainLpError(f"column generation did not converge in {MAX_ROUNDS} rounds")
 
-    if clean:
-        # Independent certificate: re-price everything against the final duals.
-        _, mu = _price_all(inst, ximat, eta, ends, set())
-        worst = float((mu - eta).min())
-        if worst < -POSTHOC_TOL:
-            raise ChainLpError(f"pricing certificate failed at {worst:.2e}")
-        gap_bound = max(res.objective - float(mu.sum() - (ximat * lengths).sum()), 0.0)
-    elif gap_bound > GAP_REL_TOL * (1.0 + abs(res.objective)):
-        raise ChainLpError(f"gap certificate {gap_bound:.2e} above tolerance")
-    else:
-        # Return the duals that proved the bound: the stability center.
-        eta, ximat = center_mu, center_xi
-
     support = [(c, float(z)) for c, z in zip(master.columns, res.x) if z > 1e-9]
+    eta, xi = np.ldexp(center_mu, -shift), np.ldexp(center_xi, -shift)
     sol = ChainSolution(
         chains=support,
-        objective=float(res.objective),
+        objective=float(np.ldexp(res.objective, -shift)),
         eta=eta,
-        xi={(int(i), int(ends[k])): float(ximat[i, k]) for i, k in zip(*np.nonzero(ximat > 0.0))},
+        xi={(int(i), int(ends[b])): float(xi[i, b]) for i, b in zip(*np.nonzero(xi > 0.0))},
         horizon=int(ends[-1]),
         compressed=compressed,
         blocks=ends if compressed else None,
         iterations=iterations,
-        gap_bound=float(gap_bound),
+        gap_bound=float(np.ldexp(gap_bound, -shift)),
     )
     validate_chain_solution(inst, sol)
     return sol

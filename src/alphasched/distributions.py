@@ -345,10 +345,6 @@ class OffsetDistribution:
         return f"OffsetDistribution({self.name})"
 
 
-def distribution_stats(dist: OffsetDistribution) -> DistributionStats:
-    return dist.stats()
-
-
 def from_spec(text: str) -> OffsetDistribution:
     """Parse a distribution name: uniform | quadratic | clipped:<lam> | poly:<file>."""
     if text == "uniform":

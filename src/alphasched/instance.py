@@ -15,7 +15,8 @@ and returns the objective together with per-job completion times.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -262,6 +263,17 @@ def horizon(inst: Instance) -> int:
     total = int(inst.sizes[allowed].sum())
     rel = inst.release_matrix()
     return total + int(rel[allowed].max(initial=0))
+
+
+def normalize_weights(inst: Instance) -> tuple[Instance, int]:
+    """(``inst`` with every weight times 2**k, k) for the k that brings the
+    largest weight into [1, 2), or k = 0 when every weight is zero.  A power
+    of two scales exactly in floating point, so an LP solved on the result
+    and scaled back by 2**-k is the LP of ``inst``, solved with tolerances
+    that do not depend on the scale of the weights."""
+    top = float(inst.weights.max())
+    k = 1 - math.frexp(top)[1] if top > 0.0 else 0
+    return replace(inst, weights=np.ldexp(inst.weights, k)), k
 
 
 def evaluate_schedule(inst: Instance, sched) -> ScheduleCost:

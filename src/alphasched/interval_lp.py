@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, InstanceError, horizon as instance_horizon
+from .instance import Instance, InstanceError, horizon as instance_horizon, normalize_weights
 from .simplex import MAX_BASIS_INVERSE_BYTES, Basis, LinearProgram, solve_lp
 
 COVER_TOL = 1e-6
@@ -315,11 +315,13 @@ def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalInt
     starts from the basis of ``list_schedule``, or cold when it finds none.
 
     The returned solution is validated against the full per-integer-time
-    cover check regardless of mode.
+    cover check regardless of mode.  The LP is solved on the weights of
+    ``normalize_weights`` and its objective scaled back.
     """
     starts = None if eps is None else compress_start_times(inst, eps)
-    model = build_interval_lp(inst, starts)
-    chosen = list_schedule(inst, model)
+    scaled, shift = normalize_weights(inst)
+    model = build_interval_lp(scaled, starts)
+    chosen = list_schedule(scaled, model)
     hint = None
     if chosen is not None:
         hint = Basis(columns=chosen, slack_rows=np.arange(inst.num_jobs, model.lp.num_rows))
@@ -332,7 +334,7 @@ def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalInt
         job=model.job[keep],
         start=model.start[keep],
         value=res.x[keep],
-        objective=float(res.objective),
+        objective=float(np.ldexp(res.objective, -shift)),
         horizon=model.horizon,
     )
     validate_fractional(inst, sol)

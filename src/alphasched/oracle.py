@@ -31,20 +31,11 @@ class GuardExceeded(RuntimeError):
     """Instance too large for exhaustive search."""
 
 
-def _np_guard(inst: Instance, guard: int) -> None:
-    work = inst.num_machines**inst.num_jobs * factorial(inst.num_jobs)
+def _guard(inst: Instance, guard: int, factor: int, kind: str, unit: str) -> None:
+    """Raise GuardExceeded when m^n n! times ``factor`` exceeds ``guard``."""
+    work = inst.num_machines**inst.num_jobs * factorial(inst.num_jobs) * factor
     if work > guard:
-        raise GuardExceeded(
-            f"non-preemptive oracle guard: {work:.3g} orderings > {guard:.3g}"
-        )
-
-
-def _p_guard(inst: Instance, guard: int) -> None:
-    work = inst.num_machines**inst.num_jobs * factorial(inst.num_jobs) * inst.num_jobs
-    if work > guard:
-        raise GuardExceeded(
-            f"preemptive oracle guard: {work:.3g} search states > {guard:.3g}"
-        )
+        raise GuardExceeded(f"{kind} oracle guard: {work:.3g} {unit} > {guard:.3g}")
 
 
 def _best_order_nonpreemptive(inst: Instance, machine: int, jobs: tuple):
@@ -147,54 +138,47 @@ def _bits(mask: int, n: int) -> tuple:
     return tuple(j for j in range(n) if mask >> j & 1)
 
 
-def brute_force_nonpreemptive(inst: Instance, guard: int = DEFAULT_GUARD):
-    """(optimal objective, optimal NonPreemptiveSchedule)."""
-    _np_guard(inst, guard)
+def _search(inst: Instance, best_order):
+    """Optimal objective over job partitions, with each machine's subset
+    solved by ``best_order(inst, machine, jobs) -> (cost, plan)``; returns
+    (objective, [(machine, plan)] for the machines that get jobs)."""
     n = inst.num_jobs
     memo: dict = {}
 
     def subset_cost(i: int, mask: int):
         key = (i, mask)
         if key not in memo:
-            memo[key] = _best_order_nonpreemptive(inst, i, _bits(mask, n))
+            memo[key] = best_order(inst, i, _bits(mask, n))
         return memo[key][0] if mask else 0.0
 
     objective, assignment = _partition_dp(inst, subset_cost)
-    machine = np.zeros(n, dtype=np.int64)
-    start = np.zeros(n, dtype=np.int64)
-    for i, mask in enumerate(assignment):
-        if mask:
-            _, starts = memo[(i, mask)]
-            for j, s in starts.items():
-                machine[j] = i
-                start[j] = s
-    return float(objective), NonPreemptiveSchedule(machine=machine, start=start)
+    return float(objective), [(i, memo[(i, mask)][1]) for i, mask in enumerate(assignment) if mask]
+
+
+def brute_force_nonpreemptive(inst: Instance, guard: int = DEFAULT_GUARD):
+    """(optimal objective, optimal NonPreemptiveSchedule)."""
+    _guard(inst, guard, 1, "non-preemptive", "orderings")
+    objective, plans = _search(inst, _best_order_nonpreemptive)
+    machine = np.zeros(inst.num_jobs, dtype=np.int64)
+    start = np.zeros(inst.num_jobs, dtype=np.int64)
+    for i, starts in plans:
+        for j, s in starts.items():
+            machine[j] = i
+            start[j] = s
+    return objective, NonPreemptiveSchedule(machine=machine, start=start)
 
 
 def brute_force_preemptive(inst: Instance, guard: int = DEFAULT_GUARD):
     """(optimal objective, optimal PreemptiveSchedule), migration disallowed."""
-    _p_guard(inst, guard)
-    n = inst.num_jobs
-    memo: dict = {}
-
-    def subset_cost(i: int, mask: int):
-        key = (i, mask)
-        if key not in memo:
-            memo[key] = _best_order_preemptive(inst, i, _bits(mask, n))
-        return memo[key][0] if mask else 0.0
-
-    objective, assignment = _partition_dp(inst, subset_cost)
-    machine = np.zeros(n, dtype=np.int64)
-    chains: list = [None] * n
-    for i, mask in enumerate(assignment):
-        if mask:
-            _, intervals = memo[(i, mask)]
-            for j, ivs in intervals.items():
-                machine[j] = i
-                slots = []
-                for lo, hi in ivs:
-                    slots.extend(range(lo + 1, hi + 1))
-                chains[j] = Chain(machine=i, job=j, slots=tuple(sorted(slots)))
-    return float(objective), PreemptiveSchedule(
-        machine=machine, chains=tuple(c.slots for c in chains)
-    )
+    _guard(inst, guard, inst.num_jobs, "preemptive", "search states")
+    objective, plans = _search(inst, _best_order_preemptive)
+    machine = np.zeros(inst.num_jobs, dtype=np.int64)
+    chains: list = [None] * inst.num_jobs
+    for i, intervals in plans:
+        for j, ivs in intervals.items():
+            machine[j] = i
+            slots = []
+            for lo, hi in ivs:
+                slots.extend(range(lo + 1, hi + 1))
+            chains[j] = Chain(machine=i, job=j, slots=tuple(sorted(slots)))
+    return objective, PreemptiveSchedule(machine=machine, chains=tuple(c.slots for c in chains))

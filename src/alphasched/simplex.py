@@ -263,13 +263,13 @@ def solve_lp(lp: LinearProgram, basis: Basis | None = None) -> LpSolution:
     LP has only grown since, and otherwise starts cold.  ``basis`` names a
     starting basis instead; if it does not fit the LP, is singular or is
     primal infeasible the solve starts cold.  A numerically troubled run is
-    retried once, cold and in a conservative mode (Bland's rule throughout,
-    frequent refactorization), before giving up.
+    retried once, cold and with Bland's rule from the first pivot, before
+    giving up.
     """
     try:
-        return _solve(lp, basis, safe=False)
+        return _solve(lp, basis, bland=False)
     except NumericalError:
-        return _solve(lp, None, safe=True)
+        return _solve(lp, None, bland=True)
 
 
 class _Columns:
@@ -450,7 +450,7 @@ class _Model:
         return Basis(columns=np.sort(basic_var[basic_var >= 0]), slack_rows=np.sort(public[rows]))
 
 
-def _solve(lp: LinearProgram, hint: Basis | None, safe: bool) -> LpSolution:
+def _solve(lp: LinearProgram, hint: Basis | None, bland: bool) -> LpSolution:
     live, lp._live = lp._live, None
     if (lp.upper - lp.lower < -FEAS_TOL).any():
         return LpSolution(status="infeasible")
@@ -461,20 +461,19 @@ def _solve(lp: LinearProgram, hint: Basis | None, safe: bool) -> LpSolution:
             return LpSolution(status="unbounded")
         x = lp.lower.copy()
         return LpSolution(status="optimal", x=x, objective=float(lp.objective @ x), duals=np.zeros(0))
-    refactor_every = 20 if safe else REFACTOR_EVERY
 
     state = live.resume(lp) if live is not None and hint is None else None
     warm = state is not None
     if not warm:
         model = _Model()
         model.extend(lp)
-        state = _warm_state(model, hint, refactor_every)
+        state = _warm_state(model, hint)
         warm = state is not None
     if not warm:
-        state = _State(model, model.cold_basis(), refactor_every)
+        state = _State(model, model.cold_basis())
         if model.art.any():
             c1 = model.art.astype(float)
-            status = _iterate(state, c1, locked=np.zeros(model.cols.total, dtype=bool), bland=safe)
+            status = _iterate(state, c1, locked=np.zeros(model.cols.total, dtype=bool), bland=bland)
             if status == "unbounded":  # cannot happen: phase-1 objective >= 0
                 raise NumericalError("phase 1 reported unbounded")
             if state.objective(c1) > FEAS_TOL:
@@ -482,7 +481,7 @@ def _solve(lp: LinearProgram, hint: Basis | None, safe: bool) -> LpSolution:
             _evict_artificials(state, model.art)
 
     model = state.model
-    status = _iterate(state, model.c, locked=model.art, bland=safe)
+    status = _iterate(state, model.c, locked=model.art, bland=bland)
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=state.iters, warm=warm)
 
@@ -517,7 +516,7 @@ def _solve(lp: LinearProgram, hint: Basis | None, safe: bool) -> LpSolution:
     )
 
 
-def _warm_state(model: _Model, hint: Basis | None, refactor_every: int):
+def _warm_state(model: _Model, hint: Basis | None):
     """Simplex state at the hinted basis, or None when the hint is not a
     primal feasible basis of the model, which is built from nothing (so its
     rows and columns are numbered as in ``Basis``)."""
@@ -536,7 +535,7 @@ def _warm_state(model: _Model, hint: Basis | None, refactor_every: int):
     if np.unique(basis).size != m:
         return None
     try:
-        state = _State(model, basis, refactor_every, factor=True)
+        state = _State(model, basis, factor=True)
     except NumericalError:
         return None
     if not np.isfinite(state.xb).all() or state.xb.min() < -FEAS_TOL:
@@ -552,14 +551,13 @@ class _State:
     """Basis, dense basis inverse and basic values of a model.  A cold start
     begins at a basis of unit columns, whose inverse is the identity."""
 
-    def __init__(self, model: _Model, basis: np.ndarray, refactor_every: int, factor: bool = False):
+    def __init__(self, model: _Model, basis: np.ndarray, factor: bool = False):
         self.model = model
         self.cols = model.cols
         self.basis = basis
         self.m = model.cols.m
         self.iters = 0
         self.since_refactor = 0
-        self.refactor_every = refactor_every
         self.binv = None
         if factor:
             self.refactor()
@@ -603,7 +601,7 @@ class _State:
             self.basis = np.concatenate((self.basis, slack))
         self.xb = self.binv @ model.b
         # Optimality is declared against a fresh factorization only.
-        self.iters, self.since_refactor, self.refactor_every = 0, 1, REFACTOR_EVERY
+        self.iters, self.since_refactor = 0, 1
         if not np.isfinite(self.xb).all() or self.xb.min(initial=0.0) < -FEAS_TOL:
             return None
         return self
@@ -675,7 +673,7 @@ class _State:
         self.basis[row] = col
         self.iters += 1
         self.since_refactor += 1
-        if self.since_refactor >= self.refactor_every:
+        if self.since_refactor >= REFACTOR_EVERY:
             self.refactor()
 
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,34 @@ def test_returned_duals_certify_the_gap_bound():
     assert bound >= sol.objective - sol.gap_bound - scale
     assert bound <= sol.objective + scale
     assert 0.0 <= sol.gap_bound <= GAP_REL_TOL * (1.0 + abs(sol.objective))
+
+
+@pytest.mark.parametrize("eps", [None, 0.5])
+def test_open_gap_without_a_new_chain_raises(monkeypatch, eps):
+    # No chain prices below -1e3, so the first round's smoothed and raw
+    # pricing passes both add nothing while the gap is open.
+    monkeypatch.setattr(chain_lp, "PRICE_TOL", 1e3)
+    inst = _instance_9005()
+    with pytest.raises(ChainLpError, match=r"gap certificate \S+ still open"):
+        solve_chain_lp(inst) if eps is None else solve_chain_lp_compressed(inst, eps)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lp_optima_scale_with_the_weights(seed):
+    # Both LPs' optima are linear in the weights; absolute tolerances must
+    # not make them depend on the weights' scale.
+    inst = random_instance(np.random.default_rng(seed), 8, 2)
+    solves = (
+        solve_interval_lp,
+        lambda x: solve_interval_lp(x, 0.5),
+        solve_chain_lp,
+        lambda x: solve_chain_lp_compressed(x, 0.5),
+    )
+    for solve in solves:
+        base = solve(inst).objective
+        for scale in (1e-10, 1e-8, 1e8, 1e10):
+            scaled = solve(replace(inst, weights=inst.weights * scale))
+            assert scaled.objective / scale == pytest.approx(base, rel=1e-12)
 
 
 def test_compressed_gap_bound_from_final_pricing():

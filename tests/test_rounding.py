@@ -194,6 +194,17 @@ def test_idle_diagnostic_empty_machine():
         assert (diag.idle_hat == 1.0).all()  # e^0 = 1
 
 
+def test_idle_diagnostic_busy_interval_excludes_its_start():
+    # Offsets below 1e-17 leave job 1's start at exactly 2.0, a grid point;
+    # its busy interval is (2, 5], so t = 2 is idle.
+    dist = OffsetDistribution([0.0, 1e-17, 1.0], [[1e17], [0.0]])
+    inst = make([[1], [3]], [5, 0], [1.0, 1.0])
+    sol = solution_from_triples(inst, [(0, 0, 5, 1.0), (0, 1, 2, 1.0)])
+    diag = idle_diagnostic(inst, sol, dist, job=0, machine=0, tau=8.0, trials=200, seed=0, grid_points=8)
+    assert diag.grid.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+    assert diag.idle_hat.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+
+
 def _uniform_limitation_gadget(eps_inv: int, r: int, p: int):
     """One unit job spread across eps_inv machines against big jobs parked at
     0; the classic witness that uniform offsets lose a factor near 2."""

@@ -179,9 +179,9 @@ def test_lower_bound_shift_on_a_redundant_row_does_not_resume(monkeypatch):
     modes = []
     solve = simplex._solve
 
-    def recording(lp, hint, safe):
-        modes.append(safe)
-        return solve(lp, hint, safe)
+    def recording(lp, hint, bland):
+        modes.append(bland)
+        return solve(lp, hint, bland)
 
     monkeypatch.setattr(simplex, "_solve", recording)
     res = solve_lp(lp)
