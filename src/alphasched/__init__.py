@@ -22,7 +22,6 @@ from .instance import (
     instance_to_json,
     load_instance,
     parse_instance,
-    save_instance,
 )
 from .interval_lp import (
     FractionalIntervalSolution,
@@ -100,7 +99,6 @@ __all__ = [
     "round_once",
     "round_preemptive_once",
     "run_lb_experiment",
-    "save_instance",
     "simulate_preemptive_rounding",
     "simulate_rounding",
     "solution_from_triples",

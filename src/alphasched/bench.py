@@ -27,7 +27,15 @@ def random_instance(
 ) -> Instance:
     """Uniform sizes in [1, p_max], releases in [0, r_max], weights in
     [1, w_max]; each (job, machine) pair is forbidden with ``forbid_prob``
-    (a job's row is redrawn while fully forbidden)."""
+    (a job's row is redrawn while fully forbidden).  Raises ValueError on
+    settings no instance meets: fewer than one job or machine, p_max below
+    1, r_max below 0, or forbid_prob outside [0, 1)."""
+    if num_jobs < 1 or num_machines < 1:
+        raise ValueError("need at least one job and one machine")
+    if p_max < 1 or r_max < 0:
+        raise ValueError("need p_max >= 1 and r_max >= 0")
+    if not 0.0 <= forbid_prob < 1.0:
+        raise ValueError(f"forbid_prob must lie in [0, 1), got {forbid_prob}")
     sizes = np.empty((num_jobs, num_machines), dtype=np.int64)
     for j in range(num_jobs):
         while True:
@@ -66,12 +74,16 @@ BENCH_HEADER = "instance-id,lp-interval,lp-chain,oracle-np,oracle-p,dist,mean-ra
 
 def parse_bench_config(text: str) -> dict:
     cfg = json.loads(text)
+    if not isinstance(cfg, dict):
+        raise ValueError("bench config must be a JSON object")
     cfg.setdefault("seed", 0)
     cfg.setdefault("trials", 1000)
     cfg.setdefault("dists", ["quadratic", "uniform"])
-    if "generators" not in cfg or not cfg["generators"]:
+    if not isinstance(cfg.get("generators"), list) or not cfg["generators"]:
         raise ValueError("bench config needs a non-empty 'generators' list")
     for g in cfg["generators"]:
+        if not isinstance(g, dict):
+            raise ValueError("each bench generator must be a JSON object")
         g.setdefault("count", 1)
         g.setdefault("p_max", 6)
         g.setdefault("r_max", 8)

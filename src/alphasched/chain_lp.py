@@ -27,10 +27,10 @@ objective within 1e-6 relative of the true optimum.  The solution carries
 those duals.  Pricing runs against duals smoothed toward that center, to damp
 the oscillation degenerate masters produce, and then against the raw master
 duals if the smoothed ones give no new chain; when neither does and the gap
-is still open, the solve stops with ``ChainLpError``, as it does before a
-round opens capacity rows whose dense basis inverse would exceed
-``MAX_BASIS_INVERSE_BYTES``.  The driver solves on the weights times the
-power of two that brings the largest into [1, 2), and scales the answer
+is still open, the solve stops with ``ChainLpError``.  A round that would
+open capacity rows past the simplex's basis-inverse budget is refused by
+``LinearProgram`` with ``LpError``.  The driver solves on the weights times
+the power of two that brings the largest into [1, 2), and scales the answer
 back: that is exact in floating point, and the absolute pricing and simplex
 tolerances then act alike at every scale of the weights.
 """
@@ -46,7 +46,7 @@ import numpy as np
 
 from .chains import Chain, earliest_chain
 from .instance import Instance, horizon as instance_horizon, normalize_weights
-from .simplex import MAX_BASIS_INVERSE_BYTES, Basis, LinearProgram, solve_lp
+from .simplex import Basis, LinearProgram, solve_lp
 
 PRICE_TOL = 1e-7
 MASS_TOL = 1e-6
@@ -54,7 +54,7 @@ MASS_TOL = 1e-6
 
 class ChainLpError(RuntimeError):
     """Master infeasibility, an open gap that pricing adds no chain to
-    close, no convergence in ``MAX_ROUNDS``, or an oversized master."""
+    close, or no convergence in ``MAX_ROUNDS``."""
 
 
 @dataclass
@@ -74,13 +74,6 @@ class ChainSolution:
         for chain, z in self.chains:
             groups[chain.job].append((chain, z))
         return groups
-
-    def to_csv(self) -> str:
-        lines = ["machine,job,z,slots"]
-        for chain, z in sorted(self.chains, key=lambda cz: (cz[0].machine, cz[0].job, cz[0].slots)):
-            slot_str = " ".join(str(t) for t in chain.slots)
-            lines.append(f"{chain.machine},{chain.job},{z:.12g},{slot_str}")
-        return "\n".join(lines) + "\n"
 
 
 def _earliest_per_block(machine, job, slots, release, ends) -> Chain:
@@ -258,9 +251,7 @@ class _Master:
         self.hint = None  # (basic columns, keys of rows with nonbasic slack) after a purge
 
     def add(self, chains: list[Chain]) -> None:
-        """Append columns, and first the capacity rows they open.  Raises
-        ChainLpError, before growing the LP, when the master's basis inverse
-        would exceed ``MAX_BASIS_INVERSE_BYTES``."""
+        """Append columns, and first the capacity rows they open."""
         if not chains:
             return
         n, K = self.inst.num_jobs, self.ends.size
@@ -277,18 +268,11 @@ class _Master:
         key = key[first]
         opened = np.unique(key[self.row[key] < 0])
         if opened.size:
-            rows = self.lp.num_rows + opened.size
-            if 8 * rows * rows > MAX_BASIS_INVERSE_BYTES:
-                raise ChainLpError(
-                    f"chain LP master too large: {rows} rows need a {8 * rows * rows / 2**20:.0f} MiB "
-                    f"basis inverse, over the {MAX_BASIS_INVERSE_BYTES / 2**20:.0f} MiB limit"
-                )
-            self.row[opened] = self.lp.num_rows + np.arange(opened.size)
-            self.keys = np.concatenate((self.keys, opened))
-            self.lp.add_rows(
+            self.row[opened] = self.lp.add_rows(
                 np.zeros(opened.size + 1, dtype=np.int64), [], [], ["<="] * opened.size,
                 self.lengths[(opened - n) % K],
             )
+            self.keys = np.concatenate((self.keys, opened))
         # Column k lists its job row, then its capacity rows by block.
         ptr = np.concatenate(([0], np.cumsum(1 + np.bincount(owner[first], minlength=len(chains)))))
         on_job = np.zeros(ptr[-1], dtype=bool)
@@ -521,12 +505,12 @@ class CompressedTimeline:
         return self.ends - self.starts
 
 
-def build_compressed_timeline(inst: Instance, eps: float, horizon: int | None = None) -> CompressedTimeline:
+def build_compressed_timeline(inst: Instance, eps: float) -> CompressedTimeline:
     """Block endpoints: all release times plus ceil((1+eps)^k), capped at the
-    horizon."""
+    instance horizon."""
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    H = instance_horizon(inst) if horizon is None else int(horizon)
+    H = instance_horizon(inst)
     pts = {H}
     rel = inst.release_matrix()
     for r in np.unique(rel):

@@ -26,8 +26,10 @@ Leydold, ACM TOMACS 2010).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -193,10 +195,6 @@ class OffsetDistribution:
         """Integral of the raw CDF from 0 to phi."""
         return self._eval_piecewise(self._K, phi)
 
-    def pdf_cdf(self, theta):
-        """(f(theta), F(theta)) with F the raw CDF."""
-        return self.pdf(theta), self.cdf(theta)
-
     # -- sampling ----------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray | float:
@@ -354,9 +352,10 @@ def from_spec(text: str) -> OffsetDistribution:
     if text.startswith("clipped:"):
         return OffsetDistribution.clipped_uniform(float(text.split(":", 1)[1]))
     if text.startswith("poly:"):
-        import json
-
-        doc = json.loads(open(text.split(":", 1)[1], encoding="utf-8").read())
+        path = text.split(":", 1)[1]
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict) or "breakpoints" not in doc or "coeffs" not in doc:
+            raise DistributionError(f"{path}: a poly file is a JSON object with 'breakpoints' and 'coeffs'")
         return OffsetDistribution(doc["breakpoints"], doc["coeffs"], name=doc.get("name", "poly"))
     raise DistributionError(f"unknown distribution {text!r}")
 

@@ -248,10 +248,6 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps(doc, indent=2, sort_keys=False)
 
 
-def save_instance(inst: Instance, path: str | Path) -> None:
-    Path(path).write_text(instance_to_json(inst) + "\n", encoding="utf-8")
-
-
 # -- horizon and evaluation ---------------------------------------------
 
 

@@ -26,10 +26,13 @@ placement can fail, and the solve then starts cold.  The optimum is the same
 either way, but where it is tied the returned vertex can differ from the one
 a cold start reaches.
 
-The simplex holds a dense basis inverse, rows x rows doubles, with rows =
-n + machines x cover times.  ``build_interval_lp`` counts the rows before it
-allocates anything and raises ``IntervalLpError`` when that inverse would
-exceed ``MAX_BASIS_INVERSE_BYTES``.
+The LP is built as the chain LP's master is: its rows first, empty, and then
+every variable as one column.  The simplex holds a dense basis inverse, rows
+x rows doubles, with rows = n + machines x cover times.  The builder counts
+the rows first and asks ``LinearProgram.reserve`` for them, which raises
+``LpError`` when that inverse would exceed its budget, so an oversized LP
+(a release far out makes the full range long) is refused before any array
+of its size is built.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance, InstanceError, horizon as instance_horizon, normalize_weights
-from .simplex import MAX_BASIS_INVERSE_BYTES, Basis, LinearProgram, solve_lp
+from .simplex import Basis, LinearProgram, solve_lp
 
 COVER_TOL = 1e-6
 ASSIGN_TOL = 1e-6
@@ -112,15 +115,6 @@ class FractionalIntervalSolution:
             out.append((self.machine[mask], self.start[mask], self.value[mask]))
         return out
 
-    def to_csv(self) -> str:
-        lines = ["machine,job,start,y"]
-        order = np.lexsort((self.start, self.job, self.machine))
-        for k in order:
-            lines.append(
-                f"{int(self.machine[k])},{int(self.job[k])},{int(self.start[k])},{self.value[k]:.12g}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def validate_fractional(
     inst: Instance, sol: FractionalIntervalSolution, check_cover: bool = True
@@ -146,18 +140,21 @@ def validate_fractional(
         raise IntervalLpError(f"job assignment mass off by {err:.3e}")
     if not check_cover:
         return
-    # Cover at every integer t: difference array per machine.
+    # Cover at every integer t: the load of machine i at t sums the mass with
+    # start < t <= start + p, so it changes only at the event times start + 1
+    # and start + p + 1; a difference array over the events gives it.
     for i in range(inst.num_machines):
         mask = sol.machine == i
         if not mask.any():
             continue
-        diff = np.zeros(H + 2)
-        np.add.at(diff, sol.start[mask] + 1, sol.value[mask])
-        np.add.at(diff, sol.start[mask] + p[mask] + 1, -sol.value[mask])
-        load = np.cumsum(diff)[1 : H + 1]
+        begin, end = sol.start[mask] + 1, sol.start[mask] + p[mask] + 1
+        events, at = np.unique(np.concatenate((begin, end)), return_inverse=True)
+        diff = np.zeros(events.size)
+        np.add.at(diff, at, np.concatenate((sol.value[mask], -sol.value[mask])))
+        load = np.cumsum(diff)
         worst = load.max(initial=0.0)
         if worst > 1.0 + COVER_TOL:
-            t = int(np.argmax(load)) + 1
+            t = int(events[np.argmax(load)])
             raise IntervalLpError(f"machine {i} overloaded at t={t}: {worst:.8f}")
 
 
@@ -189,81 +186,56 @@ class IntervalLpModel:
 
 
 def build_interval_lp(inst: Instance, starts: StartTimeSet | None = None) -> IntervalLpModel:
-    """Assemble the LP over the full integer range or a compressed start set.
+    """Assemble the LP over a start set: the compressed one given, or by
+    default the full range, starts 0..T-1 with horizon T.
 
-    With a compressed set, variables exist only for s in the set and cover
-    rows only for times t with t - 1 in the set.  Variables run by job, then
-    machine, then start.  Raises IntervalLpError, before allocating, when
-    the LP's basis inverse would exceed ``MAX_BASIS_INVERSE_BYTES``.
+    Variables exist only for starts in the set and cover rows only for times
+    t with t - 1 in the set.  The job rows and cover rows are added first,
+    empty, so that ``LinearProgram`` refuses an oversized LP (``LpError``)
+    before any variable exists.  Then each variable is one column, in its
+    job row and the cover rows it spans; variables run by job, then machine,
+    then start.
     """
-    T = instance_horizon(inst)
+    n = inst.num_jobs
     if starts is None:
-        H = T
-        num_covers = H
+        H = C = instance_horizon(inst)
     else:
-        H = starts.horizon
-        num_covers = int(np.count_nonzero(starts.times + 1 <= H))
-    rows = inst.num_jobs + inst.num_machines * num_covers
-    if 8 * rows * rows > MAX_BASIS_INVERSE_BYTES:
-        raise IntervalLpError(
-            f"interval LP too large: {rows} rows need a {8 * rows * rows / 2**20:.0f} MiB basis "
-            f"inverse, over the {MAX_BASIS_INVERSE_BYTES / 2**20:.0f} MiB limit"
-        )
-    if starts is None:
-        start_list = np.arange(0, T, dtype=np.int64)
-        cover_times = np.arange(1, H + 1, dtype=np.int64)
-    else:
-        start_list = starts.times
-        cover_times = start_list[start_list + 1 <= H] + 1
+        H, C = starts.horizon, np.count_nonzero(starts.times + 1 <= starts.horizon)
+    covers = inst.num_machines * C
+    lp = LinearProgram(num_vars=0)
+    lp.reserve(n + covers)  # before any array of the LP's size exists
+    times = np.arange(H, dtype=np.int64) if starts is None else starts.times
+    cover_times = times[times + 1 <= H] + 1
+    lp.add_rows(np.zeros(n + covers + 1, dtype=np.int64), [], [], ["=="] * n + ["<="] * covers, np.ones(n + covers))
 
     rel = inst.release_matrix()
     machines, jobs, begins = [], [], []
-    for j in range(inst.num_jobs):
+    for j in range(n):
         for i in range(inst.num_machines):
             if not inst.allowed(j, i):
                 continue
             p = inst.size(j, i)
-            lo = np.searchsorted(start_list, rel[j, i], side="left")
-            hi = np.searchsorted(start_list, H - p, side="right")
-            ss = start_list[lo:hi]
+            ss = times[np.searchsorted(times, rel[j, i], side="left") : np.searchsorted(times, H - p, side="right")]
             machines.append(np.full(ss.size, i, dtype=np.int64))
             jobs.append(np.full(ss.size, j, dtype=np.int64))
             begins.append(ss)
-    machine = np.concatenate(machines) if machines else np.zeros(0, dtype=np.int64)
-    job = np.concatenate(jobs)
-    start = np.concatenate(begins)
+    machine, job, start = (np.concatenate(a) for a in (machines, jobs, begins))
+    missing = np.setdiff1d(np.arange(n), job)
+    if missing.size:
+        raise IntervalLpError(f"job {int(missing[0])} has no admissible start time")
 
-    counts = np.zeros(inst.num_jobs, dtype=np.int64)
-    np.add.at(counts, job, 1)
-    if (counts == 0).any():
-        j = int(np.flatnonzero(counts == 0)[0])
-        raise IntervalLpError(f"job {j} has no admissible start time")
-
+    # Variable k on machine i covers t iff start < t <= start + p: a run of
+    # span[k] cover times from lo[k] on, found by binary search.  Its column
+    # lists its job row, then those cover rows in increasing order.
     p = inst.sizes[job, machine]
-    lp = LinearProgram(num_vars=job.size)
-    lp.set_objective(inst.weights[job] * (start + p))
-    lp.add_rows(
-        np.concatenate(([0], np.cumsum(counts))), np.argsort(job, kind="stable"),
-        np.ones(job.size), ["=="] * inst.num_jobs, np.ones(inst.num_jobs),
-    )
-    # Cover rows, one per (machine, retained time): variable k on machine i
-    # covers t iff start < t <= start + p, a run of retained times found by
-    # binary search.  Members are listed per row in increasing k.
     lo = np.searchsorted(cover_times, start, side="right")
-    hi = np.searchsorted(cover_times, start + p, side="right")
-    span = hi - lo
-    member = np.repeat(np.arange(job.size), span)
-    offset = np.arange(member.size) - np.repeat(np.cumsum(span) - span, span)
-    row = machine[member] * cover_times.size + lo[member] + offset
-    order = np.argsort(row, kind="stable")
-    member = member[order]
-    bounds = np.cumsum(np.bincount(row, minlength=inst.num_machines * cover_times.size))
-    lp.add_rows(
-        np.concatenate(([0], bounds)), member, np.ones(member.size), ["<="] * bounds.size, np.ones(bounds.size)
-    )
-    return IntervalLpModel(
-        lp=lp, machine=machine, job=job, start=start, horizon=H, cover_times=cover_times
-    )
+    span = np.searchsorted(cover_times, start + p, side="right") - lo
+    ptr = np.concatenate(([0], np.cumsum(1 + span)))
+    after_job = np.arange(ptr[-1]) - ptr[:-1].repeat(1 + span) - 1
+    rows = (n + machine * C + lo).repeat(1 + span) + after_job
+    rows[ptr[:-1]] = job
+    lp.add_columns(ptr, rows, np.ones(rows.size), inst.weights[job] * (start + p))
+    return IntervalLpModel(lp=lp, machine=machine, job=job, start=start, horizon=H, cover_times=cover_times)
 
 
 def list_schedule(inst: Instance, model: IntervalLpModel) -> np.ndarray | None:
@@ -276,35 +248,36 @@ def list_schedule(inst: Instance, model: IntervalLpModel) -> np.ndarray | None:
     start that finishes it earliest without overlapping a job placed before
     it; ties go to the lower machine.
     """
-    M = inst.num_machines
+    M, C = inst.num_machines, model.cover_times.size
     smallest = np.where(inst.allowed_mask(), inst.sizes, np.iinfo(np.int64).max).min(axis=1)
     order = np.argsort(-(inst.weights / smallest), kind="stable")
     # Block (j, i) of the variables is model.*[bounds[j*M + i]:bounds[j*M + i + 1]].
     bounds = np.searchsorted(model.job * M + model.machine, np.arange(inst.num_jobs * M + 1))
-    # Busy windows per machine, sorted and disjoint; the last one is a
-    # sentinel that starts after every admissible finish.
-    busy_start = [np.array([model.horizon + 1]) for _ in range(M)]
-    busy_end = [np.array([model.horizon + 1]) for _ in range(M)]
+    # Variable k holds the cover times in (start, start + p], indices
+    # lo[k]..hi[k]-1.  Every variable holds the cover time start + 1, so two
+    # variables on one machine overlap iff they share a cover time.
+    p = inst.sizes[model.job, model.machine]
+    lo = np.searchsorted(model.cover_times, model.start, side="right")
+    hi = np.searchsorted(model.cover_times, model.start + p, side="right")
+    # taken[i, c]: cover time c of machine i is held by a placed job, and
+    # held[i, c] counts the taken ones below c.
+    taken = np.zeros((M, C), dtype=bool)
+    held = np.zeros((M, C + 1), dtype=np.int64)
     chosen = np.empty(inst.num_jobs, dtype=np.int64)
     for j in order:
         best_finish, best = np.inf, -1
         for i in range(M):
-            lo, hi = bounds[j * M + i], bounds[j * M + i + 1]
-            if lo == hi:
-                continue
-            s = model.start[lo:hi]
-            p = int(inst.sizes[j, i])
-            # Start s is free iff the first window ending after s begins at
-            # or after s + p.
-            free = np.flatnonzero(busy_start[i][np.searchsorted(busy_end[i], s, side="right")] >= s + p)
-            if free.size and s[free[0]] + p < best_finish:
-                best_finish, best = s[free[0]] + p, lo + free[0]
+            a, b = bounds[j * M + i], bounds[j * M + i + 1]
+            free = np.flatnonzero(held[i, hi[a:b]] == held[i, lo[a:b]])
+            if free.size:
+                k = a + free[0]
+                if model.start[k] + p[k] < best_finish:
+                    best_finish, best = model.start[k] + p[k], k
         if best < 0:
             return None
-        i, s = int(model.machine[best]), int(model.start[best])
-        at = np.searchsorted(busy_start[i], s)
-        busy_start[i] = np.insert(busy_start[i], at, s)
-        busy_end[i] = np.insert(busy_end[i], at, best_finish)
+        i = model.machine[best]
+        taken[i, lo[best] : hi[best]] = True
+        held[i, 1:] = np.cumsum(taken[i])
         chosen[j] = best
     return chosen
 

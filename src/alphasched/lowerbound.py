@@ -41,19 +41,26 @@ class LowerBoundResult:
     ratio_sem: float
 
 
+def _machines_and_horizon(eps: float, T: int) -> tuple[int, int]:
+    """(1/eps, T) as integers; raises ValueError unless eps lies in (0, 1]
+    with 1/eps an integer and T is positive."""
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    k = 1.0 / eps
+    if abs(k - round(k)) > 1e-9:
+        raise ValueError(f"1/eps must be an integer, got 1/{eps} = {k}")
+    if int(T) < 1:
+        raise ValueError("T must be positive")
+    return int(round(k)), int(T)
+
+
 def build_lb_instance(eps: float, T: int, strict: bool = False):
     """(Instance, prescribed FractionalIntervalSolution) for the family.
 
     1/eps must be an integer; with ``strict`` T must also be a multiple of
     1/eps^3 (otherwise the relaxation is recorded in the instance meta).
     """
-    k = 1.0 / eps
-    if abs(k - round(k)) > 1e-9:
-        raise ValueError(f"1/eps must be an integer, got 1/{eps} = {k}")
-    k = int(round(k))
-    T = int(T)
-    if T < 1:
-        raise ValueError("T must be positive")
+    k, T = _machines_and_horizon(eps, T)
     step = k**3
     exact_multiple = T % step == 0
     if strict and not exact_multiple:
@@ -129,12 +136,7 @@ def run_lb_experiment(eps: float, T: int, trials: int, seed: int) -> LowerBoundR
     The headline ratio counts machines 1..1/eps only; the full ratio adds
     the spare machine's cost.
     """
-    k = int(round(1.0 / eps))
-    if abs(1.0 / eps - k) > 1e-9:
-        raise ValueError("1/eps must be an integer")
-    T = int(T)
-    if T < 1:
-        raise ValueError("T must be positive")
+    k, T = _machines_and_horizon(eps, T)
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)

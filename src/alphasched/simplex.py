@@ -7,7 +7,9 @@ generation, and the library depends on numpy alone.
 
 A ``LinearProgram`` holds its constraint entries natively as flat numpy
 arrays and only grows: ``add_rows`` appends rows, ``add_columns`` appends
-variables with their entries in existing rows.  The solver works on its
+variables with their entries in existing rows.  It refuses, with ``LpError``
+and before it appends anything, growth whose standard form would need a
+basis inverse over ``MAX_BASIS_INVERSE_BYTES``.  The solver works on its
 standard form: variables shifted to lower bound zero, finite upper bounds as
 extra rows, rows oriented so the right-hand side starts non-negative, and
 slack, surplus and artificial unit columns.  That matrix is held column-wise
@@ -56,10 +58,10 @@ OPT_TOL = 1e-7
 REFACTOR_EVERY = 120
 # Entries per row chunk of a dense rank-one update of the basis inverse.
 UPDATE_CHUNK = 8192
-# Largest dense basis inverse a model builder may ask for: 512 MiB, 8192
-# rows.  A solve holds up to about three matrices of that size at once (the
-# inverse, and during a refactorization the gathered basis columns and the
-# inverse of their block).
+# Largest dense basis inverse a LinearProgram may grow to need: 512 MiB,
+# 8192 standard-form rows.  A solve holds up to about three matrices of that
+# size at once (the inverse, and during a refactorization the gathered basis
+# columns and the inverse of their block).
 MAX_BASIS_INVERSE_BYTES = 2**29
 
 _SENSES = ("<=", "==", ">=")
@@ -97,6 +99,7 @@ class LinearProgram:
         self._row = self._col = _frozen(np.zeros(0, dtype=np.int64))
         self._val = self._rhs = _frozen(np.zeros(0))
         self._sense = _frozen(np.zeros(0, dtype=np.int8))  # index into _SENSES
+        self.reserve(0)
         self._live = None  # solver state after the last optimal solve
 
     @property
@@ -115,12 +118,6 @@ class LinearProgram:
             for lo, hi, s, rhs in zip([0] + ends, ends, self._sense.tolist(), self._rhs.tolist())
         ]
 
-    def set_objective(self, coeffs) -> None:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.num_vars,):
-            raise LpError("objective dimension mismatch")
-        self.objective = coeffs
-
     def add_row(self, indices, coeffs, sense: str, rhs: float) -> int:
         """Append a constraint row; returns its index."""
         return self.add_rows((0, np.size(indices)), indices, coeffs, (sense,), (rhs,))[0]
@@ -132,9 +129,10 @@ class LinearProgram:
         whole block is appended or, on malformed input, none of it; returns
         the new rows' indices."""
         idx, val, ptr = _compressed(indptr, indices, coeffs, "row")
+        count = ptr.size - 1
+        self.reserve(count)
         b = np.asarray(rhs, dtype=float)
         senses = list(senses)
-        count = ptr.size - 1
         if len(senses) != count or b.shape != (count,):
             raise LpError("row pointers, senses and right-hand sides must describe the same rows")
         if idx.size and (idx.min() < 0 or idx.max() >= self.num_vars):
@@ -166,6 +164,7 @@ class LinearProgram:
             raise LpError("column row index out of range")
         if not np.isfinite(val).all() or not np.isfinite(cost).all() or not np.isfinite(lo).all():
             raise LpError("column coefficients, costs and lower bounds must be finite")
+        self.reserve(np.count_nonzero(np.isfinite(hi)))
         first = self.num_vars
         self._append_entries(idx, first + np.repeat(np.arange(count), np.diff(ptr)), val)
         self.objective = np.concatenate((self.objective, cost))
@@ -173,6 +172,18 @@ class LinearProgram:
         self.upper = np.concatenate((self.upper, hi))
         self.num_vars += count
         return range(first, self.num_vars)
+
+    def reserve(self, rows: int) -> None:
+        """Raise LpError unless ``rows`` more standard-form rows keep the
+        dense basis inverse within ``MAX_BASIS_INVERSE_BYTES`` (inclusive).
+        Appends check this themselves; a builder calls it first to refuse an
+        oversized model before it allocates the model's arrays."""
+        m = self.num_rows + int(np.count_nonzero(np.isfinite(self.upper))) + int(rows)
+        if 8 * m * m > MAX_BASIS_INVERSE_BYTES:
+            raise LpError(
+                f"linear program too large: {m} rows need a {8 * m * m / 2**20:.0f} MiB basis "
+                f"inverse, over the {MAX_BASIS_INVERSE_BYTES / 2**20:.0f} MiB limit"
+            )
 
     def _append_entries(self, rows, cols, vals) -> None:
         self._row = _frozen(np.concatenate((self._row, rows)))
@@ -535,7 +546,7 @@ def _warm_state(model: _Model, hint: Basis | None):
     if np.unique(basis).size != m:
         return None
     try:
-        state = _State(model, basis, factor=True)
+        state = _State(model, basis)
     except NumericalError:
         return None
     if not np.isfinite(state.xb).all() or state.xb.min() < -FEAS_TOL:
@@ -548,22 +559,18 @@ def _warm_state(model: _Model, hint: Basis | None):
 
 
 class _State:
-    """Basis, dense basis inverse and basic values of a model.  A cold start
-    begins at a basis of unit columns, whose inverse is the identity."""
+    """Basis, dense basis inverse and basic values of a model, factorized
+    at construction.  A cold start begins at a basis of unit columns, which
+    refactorizes to the identity."""
 
-    def __init__(self, model: _Model, basis: np.ndarray, factor: bool = False):
+    def __init__(self, model: _Model, basis: np.ndarray):
         self.model = model
         self.cols = model.cols
         self.basis = basis
         self.m = model.cols.m
         self.iters = 0
-        self.since_refactor = 0
         self.binv = None
-        if factor:
-            self.refactor()
-        else:
-            self.binv = np.eye(self.m)
-            self.xb = model.b.copy()
+        self.refactor()
 
     def resume(self, lp: LinearProgram):
         """This state carried over to what ``lp`` gained since it was

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import alphasched.chain_lp as chain_lp
+import alphasched.simplex as simplex
 from alphasched.bench import random_instance
 from alphasched.chain_lp import (
     GAP_REL_TOL,
@@ -18,7 +19,7 @@ from alphasched.chains import Chain, earliest_chain
 from alphasched.instance import Instance, horizon, load_instance
 from alphasched.interval_lp import solve_interval_lp
 from alphasched.oracle import brute_force_preemptive
-from alphasched.simplex import LinearProgram, solve_lp
+from alphasched.simplex import LinearProgram, LpError, solve_lp
 from chain_reference import enumerate_chains, price_chain
 
 
@@ -429,13 +430,13 @@ def test_master_size_guard(monkeypatch):
     inst = _instance_9005()
     sol, rows = _largest_master(monkeypatch, inst)
     # The limit is inclusive: the largest master's inverse fits exactly.
-    monkeypatch.setattr(chain_lp, "MAX_BASIS_INVERSE_BYTES", 8 * rows * rows)
+    monkeypatch.setattr(simplex, "MAX_BASIS_INVERSE_BYTES", 8 * rows * rows)
     assert solve_chain_lp(inst).objective == sol.objective
-    monkeypatch.setattr(chain_lp, "MAX_BASIS_INVERSE_BYTES", 8 * rows * rows - 1)
-    with pytest.raises(ChainLpError, match=f"too large: {rows} rows"):
+    monkeypatch.setattr(simplex, "MAX_BASIS_INVERSE_BYTES", 8 * rows * rows - 1)
+    with pytest.raises(LpError, match=f"too large: {rows} rows"):
         solve_chain_lp(inst)
     # The compressed master has fewer rows, and the guard covers it too.
     assert solve_chain_lp_compressed(inst, 0.5).objective >= sol.objective - 1e-6
-    monkeypatch.setattr(chain_lp, "MAX_BASIS_INVERSE_BYTES", 8 * inst.num_jobs**2)
-    with pytest.raises(ChainLpError, match="too large"):
+    monkeypatch.setattr(simplex, "MAX_BASIS_INVERSE_BYTES", 8 * inst.num_jobs**2)
+    with pytest.raises(LpError, match="too large"):
         solve_chain_lp_compressed(inst, 0.5)

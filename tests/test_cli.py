@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import alphasched.chain_lp as chain_lp
+import alphasched
+import alphasched.simplex as simplex
 from alphasched.cli import main
 
 
@@ -122,6 +127,51 @@ def test_counts_below_one_exit_one(tmp_path, capsys):
             assert message in err, argv
 
 
+def test_malformed_input_exits_one(tmp_path, capsys):
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    bench_list = write("list.json", [{"n": 2, "m": 1}])
+    bench_scalar_gen = write("gen.json", {"generators": [3]})
+    poly_no_coeffs = write("nocoeffs.json", {"breakpoints": [0.0, 1.0]})
+    poly_list = write("list-poly.json", [[0.0, 1.0], [[1.0]]])
+    for argv, message in [
+        (("lowerbound", "--epsilon", "0", "--horizon", "8", "--trials", "5"), "eps must lie in (0, 1]"),
+        (("lowerbound", "--epsilon", "-0.5", "--horizon", "8", "--trials", "5"), "eps must lie in (0, 1]"),
+        (("bench", "--config", bench_list), "bench config must be a JSON object"),
+        (("bench", "--config", bench_scalar_gen), "each bench generator must be a JSON object"),
+        (("analyze-dist", "--dist", f"poly:{poly_no_coeffs}"), "'breakpoints' and 'coeffs'"),
+        (("analyze-dist", "--dist", f"poly:{poly_list}"), "'breakpoints' and 'coeffs'"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert message in err and "Traceback" not in err, argv
+
+
+def test_impossible_generator_settings_exit_one(tmp_path):
+    # Each of these once redrew a job's size row forever.  Run in a
+    # subprocess with a timeout, so that a hang fails the test.
+    config = tmp_path / "bench.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(alphasched.__file__).resolve().parents[1]))
+    for argv, message in [
+        (("gen", "--n", "2", "--m", "0"), "at least one job and one machine"),
+        (("gen", "--n", "2", "--m", "2", "--forbid-prob", "1.0"), "forbid_prob must lie in [0, 1)"),
+        (("gen", "--n", "2", "--m", "2", "--forbid-prob", "1.5"), "forbid_prob must lie in [0, 1)"),
+        ({"n": 2, "m": 0}, "at least one job and one machine"),
+        ({"n": 2, "m": 2, "forbid_prob": 1}, "forbid_prob must lie in [0, 1)"),
+    ]:
+        if isinstance(argv, dict):  # a bench config's generator
+            config.write_text(json.dumps({"trials": 5, "generators": [argv]}))
+            argv = ("bench", "--config", str(config))
+        proc = subprocess.run(
+            [sys.executable, "-m", "alphasched.cli", *argv], capture_output=True, text=True, timeout=30, env=env
+        )
+        assert proc.returncode == 1 and proc.stdout == "", argv
+        assert message in proc.stderr and "Traceback" not in proc.stderr, argv
+
+
 def test_bench_seed_flag_overrides_config(tmp_path, capsys):
     def config(name, **seed):
         doc = {"trials": 50, "dists": ["uniform"], "generators": [{"count": 2, "n": 3, "m": 2}], **seed}
@@ -168,6 +218,25 @@ def test_oversized_interval_lp_exit_code(tmp_path, capsys):
     code, out, err = run(capsys, "solve-interval", str(path), "--full")
     assert code == 1 and out == ""
     assert "too large" in err
+
+
+def test_far_release_round_exits_one(tmp_path, capsys):
+    # A release at 1e12: the full LP that `round` solves is refused by its
+    # row count, while `solve-interval` compresses the start times and solves.
+    doc = {
+        "machines": 2,
+        "jobs": [
+            {"release": 0, "weight": 1.0, "sizes": [2, 3]},
+            {"release": 10**12, "weight": 2.0, "sizes": [1, 4]},
+        ],
+    }
+    path = tmp_path / "far.inst.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "round", str(path), "--dist", "uniform", "--trials", "2")
+    assert code == 1 and out == ""
+    assert "too large" in err
+    code, out, _ = run(capsys, "solve-interval", str(path))
+    assert code == 0 and out.splitlines()[1].startswith("objective,")
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -227,7 +296,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 def test_oversized_chain_lp_exit_code(tmp_path, capsys, monkeypatch):
     # A limit below the first master's 3 job rows plus its capacity rows.
-    monkeypatch.setattr(chain_lp, "MAX_BASIS_INVERSE_BYTES", 8 * 4 * 4)
+    monkeypatch.setattr(simplex, "MAX_BASIS_INVERSE_BYTES", 8 * 4 * 4)
     inst = write_instance(tmp_path)
     for extra in ((), ("--epsilon", "0.5")):
         code, out, err = run(capsys, "solve-chain", inst, *extra)

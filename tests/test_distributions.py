@@ -31,12 +31,10 @@ def closed_form_quadratic_constants():
 
 def test_quadratic_pdf_cdf_endpoints():
     d = OffsetDistribution.truncated_quadratic()
-    f0, F0 = d.pdf_cdf(0.0)
-    assert f0 == pytest.approx(0.8746)
-    assert F0 == 0.0
-    f1, F1 = d.pdf_cdf(1.0)
-    assert f1 == 0.0
-    assert F1 == pytest.approx(1.00000125, abs=1e-7)
+    assert d.pdf(0.0) == pytest.approx(0.8746)
+    assert d.cdf(0.0) == 0.0
+    assert d.pdf(1.0) == 0.0
+    assert d.cdf(1.0) == pytest.approx(1.00000125, abs=1e-7)
     assert d.pdf(D + 1e-9) == 0.0
 
 
@@ -44,9 +42,8 @@ def test_clipped_uniform_interior():
     lam = 0.01
     d = OffsetDistribution.clipped_uniform(lam)
     theta = 0.37
-    f, F = d.pdf_cdf(theta)
-    assert f == pytest.approx(1.0 / (1.0 - 2 * lam))
-    assert F == pytest.approx((theta - lam) / (1.0 - 2 * lam))
+    assert d.pdf(theta) == pytest.approx(1.0 / (1.0 - 2 * lam))
+    assert d.cdf(theta) == pytest.approx((theta - lam) / (1.0 - 2 * lam))
     assert d.cdf(lam) == pytest.approx(0.0, abs=1e-15)
     assert d.cdf(1.0) == pytest.approx(1.0)
 

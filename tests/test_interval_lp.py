@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from alphasched import interval_lp
+from alphasched import interval_lp, simplex
 from alphasched.instance import FORBIDDEN, Instance, NonPreemptiveSchedule, evaluate_schedule, horizon
 from alphasched.interval_lp import (
     IntervalLpError,
@@ -19,7 +19,7 @@ from alphasched.interval_lp import (
     validate_fractional,
 )
 from alphasched.oracle import brute_force_nonpreemptive
-from alphasched.simplex import solve_lp
+from alphasched.simplex import LpError, solve_lp
 
 
 def make(sizes, releases, weights):
@@ -208,15 +208,6 @@ def test_solution_from_triples_validates():
         solution_from_triples(inst, [(0, 0, 0, 0.5), (0, 1, 2, 1.0)])
 
 
-def test_csv_export_round_trips_values():
-    inst = make([[2], [2]], [0, 0], [1.0, 1.0])
-    sol = solve_interval_lp(inst)
-    text = sol.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "machine,job,start,y"
-    assert len(lines) == 1 + sol.value.size
-
-
 def solve_recorded(inst, eps=None):
     """solve_interval_lp, and the LpSolution of its simplex call."""
     seen = []
@@ -294,26 +285,45 @@ def oversized(machines=20, jobs=3, size=17):
     return make(np.full((jobs, machines), size), [0] * jobs, [1.0] * jobs)
 
 
+def far_release():
+    # One release at 1e12 puts the horizon past 1e12.
+    return make([[2, 3], [1, 4], [3, 3]], [0, 10**12, 5], [1.0, 2.0, 1.5])
+
+
 def test_size_guard_refuses_before_allocating():
-    inst = oversized()
-    tracemalloc.start()
-    try:
-        with pytest.raises(IntervalLpError, match="too large: 20403 rows"):
-            build_interval_lp(inst)
-        with pytest.raises(IntervalLpError, match="too large"):
-            solve_interval_lp(inst)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-    # The compressed LP of the same instance is small enough.
-    assert build_interval_lp(inst, compress_start_times(inst, 0.5)).lp.num_rows < 4096
+    # The full LP is refused from its row count alone, before any array of
+    # its size is built.
+    for inst, rows in ((oversized(), 20403), (far_release(), 2000000000035)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(LpError, match=f"too large: {rows} rows"):
+                build_interval_lp(inst)
+            with pytest.raises(LpError, match="too large"):
+                solve_interval_lp(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    # The compressed LP of the 20,403-row instance is small enough.
+    assert build_interval_lp(oversized(), compress_start_times(oversized(), 0.5)).lp.num_rows < 4096
+
+
+def test_compressed_solve_far_release():
+    # The compressed LP has a few hundred start times; scheduling its warm
+    # start and checking the cover at every integer time must not cost
+    # memory or time in proportion to the 1.5e12 horizon.
+    inst = far_release()
+    sol = solve_interval_lp(inst, 0.5)
+    assert sol.horizon > 10**12
+    assert sol.start[sol.job == 1].min() >= 10**12
+    schedule = 1.0 * 2 + 2.0 * (10**12 + 1) + 1.5 * 8  # cost of a feasible schedule
+    assert 2.0 * (10**12 + 1) < sol.objective <= 1.5 * schedule
 
 
 def test_size_guard_limit_is_inclusive(monkeypatch):
     inst = make([[2], [3]], [0, 0], [1.0, 1.0])  # H = 5: 2 + 5 rows
-    monkeypatch.setattr(interval_lp, "MAX_BASIS_INVERSE_BYTES", 8 * 7 * 7)
+    monkeypatch.setattr(simplex, "MAX_BASIS_INVERSE_BYTES", 8 * 7 * 7)
     assert build_interval_lp(inst).lp.num_rows == 7
-    monkeypatch.setattr(interval_lp, "MAX_BASIS_INVERSE_BYTES", 8 * 7 * 7 - 1)
-    with pytest.raises(IntervalLpError, match="too large: 7 rows"):
+    monkeypatch.setattr(simplex, "MAX_BASIS_INVERSE_BYTES", 8 * 7 * 7 - 1)
+    with pytest.raises(LpError, match="too large: 7 rows"):
         build_interval_lp(inst)

@@ -1,7 +1,8 @@
 """Property tests for the interval LP's list-schedule start: on random
 instances the list schedule is a valid schedule, the LP optimum lies at or
 below its cost, and the solve starts warm from it and reaches the optimum of
-a cold solve."""
+a cold solve.  The list schedule also makes the same choices as a reference
+that keeps each machine's busy windows as sorted intervals."""
 
 import numpy as np
 import pytest
@@ -23,6 +24,51 @@ def instances(draw):
     n, m = draw(st.integers(2, 8)), draw(st.integers(1, 3))
     forbid = draw(st.floats(0.0, 0.3))
     return random_instance(np.random.default_rng(seed), n, m, forbid_prob=forbid)
+
+
+def busy_window_list_schedule(inst, model):
+    """Reference list schedule: the same rule, with the jobs placed so far
+    held per machine as sorted, disjoint busy windows [start, finish)."""
+    M = inst.num_machines
+    smallest = np.where(inst.allowed_mask(), inst.sizes, np.iinfo(np.int64).max).min(axis=1)
+    order = np.argsort(-(inst.weights / smallest), kind="stable")
+    bounds = np.searchsorted(model.job * M + model.machine, np.arange(inst.num_jobs * M + 1))
+    # The last window is a sentinel that starts after every admissible finish.
+    busy_start = [np.array([model.horizon + 1]) for _ in range(M)]
+    busy_end = [np.array([model.horizon + 1]) for _ in range(M)]
+    chosen = np.empty(inst.num_jobs, dtype=np.int64)
+    for j in order:
+        best_finish, best = np.inf, -1
+        for i in range(M):
+            lo, hi = bounds[j * M + i], bounds[j * M + i + 1]
+            if lo == hi:
+                continue
+            s = model.start[lo:hi]
+            p = int(inst.sizes[j, i])
+            # Start s is free iff the first window ending after s begins at
+            # or after s + p.
+            free = np.flatnonzero(busy_start[i][np.searchsorted(busy_end[i], s, side="right")] >= s + p)
+            if free.size and s[free[0]] + p < best_finish:
+                best_finish, best = s[free[0]] + p, lo + free[0]
+        if best < 0:
+            return None
+        i, s = int(model.machine[best]), int(model.start[best])
+        at = np.searchsorted(busy_start[i], s)
+        busy_start[i] = np.insert(busy_start[i], at, s)
+        busy_end[i] = np.insert(busy_end[i], at, best_finish)
+        chosen[j] = best
+    return chosen
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instances(), st.sampled_from((None, 0.2, 0.5)))
+def test_list_schedule_matches_busy_window_reference(inst, eps):
+    model = build_interval_lp(inst, None if eps is None else compress_start_times(inst, eps))
+    chosen, reference = list_schedule(inst, model), busy_window_list_schedule(inst, model)
+    if reference is None:
+        assert chosen is None
+    else:
+        assert chosen is not None and chosen.tolist() == reference.tolist()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

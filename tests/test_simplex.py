@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from alphasched import simplex
 from alphasched.simplex import LinearProgram, LpError, lp_to_text, solve_lp
 
 
@@ -56,7 +57,23 @@ def test_dimension_errors():
     with pytest.raises(LpError):
         lp.add_row([0], [1.0], "<>", 1.0)
     with pytest.raises(LpError):
-        lp.set_objective([1.0])
+        lp.add_columns([0, 1], [0], [1.0], [1.0, 2.0])
+
+
+def test_size_budget_counts_rows_and_finite_upper_bounds(monkeypatch):
+    # Standard-form rows: the LP's rows plus one per finite upper bound.
+    monkeypatch.setattr(simplex, "MAX_BASIS_INVERSE_BYTES", 8 * 3 * 3)
+    lp = LinearProgram(1, upper=[1.0])
+    lp.add_rows([0, 1, 2], [0, 0], [1.0, 1.0], ["<=", ">="], [2.0, 0.0])
+    with pytest.raises(LpError, match="too large: 4 rows"):
+        lp.add_columns([0, 0], [], [], [1.0], upper=[5.0])
+    with pytest.raises(LpError, match="too large: 4 rows"):
+        lp.add_row([0], [1.0], "<=", 1.0)
+    assert (lp.num_vars, lp.num_rows) == (1, 2)  # nothing was appended
+    lp.add_columns([0, 1, 2], [0, 1], [1.0, 1.0], [1.0, 1.0])  # unbounded: no row
+    assert solve_lp(lp).status == "optimal"
+    with pytest.raises(LpError, match="too large: 4 rows"):
+        LinearProgram(4, upper=np.ones(4))
 
 
 def test_variable_bounds():
