@@ -25,6 +25,7 @@ from alphasched import (
     solve_chain_lp_compressed,
     solve_interval_lp,
 )
+from alphasched.instance import lp_horizon
 from alphasched.interval_lp import validate_fractional
 
 rng = np.random.default_rng(12)
@@ -38,10 +39,11 @@ while True:
     )
     if 100 <= horizon(inst) <= 160:
         break
-T = horizon(inst)
+T = lp_horizon(inst)  # the interval LP's horizon, at most horizon(inst)
 
 starts = compress_start_times(inst, eps=0.5)
-print(f"horizon T = {T}; compressed start set has {starts.times.size} of {T} times")
+print(f"horizon {horizon(inst)}, LP horizon T = {T}; compressed start set has "
+      f"{starts.times.size} times below {starts.horizon}, the full range {T}")
 print(f"first entries: {starts.times[:14].tolist()} ... last: {starts.times[-3:].tolist()}")
 
 full = solve_interval_lp(inst)

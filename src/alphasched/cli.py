@@ -153,10 +153,7 @@ def _cmd_round_preemptive(args) -> None:
     dist = from_spec(args.dist) if args.dist else OffsetDistribution.clipped_uniform(args.clip)
     sol = solve_chain_lp(inst)
     rng = np.random.default_rng(args.seed)
-    frac, integral, _ = simulate_preemptive_rounding(inst, sol, dist, rng, args.trials, full=False)
-    w = inst.weights
-    obj = frac @ w
-    obj_int = integral @ w
+    obj, obj_int, _ = simulate_preemptive_rounding(inst, sol, dist, rng, args.trials, full=False)
     rows = [
         [t, float(obj[t]), float(obj[t] / sol.objective), float(obj_int[t])]
         for t in range(args.trials)

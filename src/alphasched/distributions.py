@@ -167,16 +167,16 @@ class OffsetDistribution:
 
     # -- evaluation -------------------------------------------------------
 
-    def _piece_index(self, theta: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.breakpoints, theta, side="right") - 1
-        return np.clip(idx, 0, len(self.coeffs) - 1)
-
     def _eval_piecewise(self, polys, theta):
         theta = np.asarray(theta, dtype=float)
-        if (theta < -1e-12).any() or (theta > 1.0 + 1e-12).any():
+        if theta.size and (theta.min() < -1e-12 or theta.max() > 1.0 + 1e-12):
             raise DistributionError("theta out of [0, 1]")
         theta = np.clip(theta, 0.0, 1.0)
-        idx = self._piece_index(theta)
+        if len(polys) == 1:
+            return _polyval(polys[0], theta)
+        # Piece k holds theta in [breakpoints[k], breakpoints[k + 1]), the
+        # last piece also theta = 1.
+        idx = np.searchsorted(self.breakpoints[1:-1], theta, side="right")
         out = np.empty_like(theta)
         for k, poly in enumerate(polys):
             mask = idx == k

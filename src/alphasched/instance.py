@@ -261,6 +261,33 @@ def horizon(inst: Instance) -> int:
     return total + int(rel[allowed].max(initial=0))
 
 
+def lp_horizon(inst: Instance) -> int:
+    """Horizon of the start-time indexed LP: min(``horizon(inst)``, r_max +
+    sum_j max_i p_ij + p_max - 1), with releases and sizes taken over the
+    allowed (job, machine) pairs only.
+
+    The LP over starts 0..H-1 has the same optimum at this horizon as at any
+    larger H.  With weights >= 0, take among its optimal solutions one that
+    minimizes sum y * s.  A start s >= r_max + 1 on machine i with positive
+    mass finds the slot (s-1, s] full: otherwise moving a little of that mass
+    to start s-1 (admissible, as s-1 >= r_ij) would lower the cost or
+    sum y * s.  By induction downward from s every slot in (r_max, s] is full
+    (the mass covering slot t either starts before t-1, and covers t-1 too,
+    or starts at t-1, whose slot is full by the same move).  Job j's volume
+    on machine i is at most its mass there times max_i p_ij, so s - r_max is
+    below the machine's volume, which is at most sum_j max_i p_ij.  Every
+    start is then at most r_max + sum_j max_i p_ij - 1, and every completion
+    at most this bound.  The argument bounds starts, not completions, so the
+    p_max term stays: r_max + sum_j max_i p_ij alone, the bound of a
+    schedule without idle time after r_max, is not proven for the LP, where
+    a job split over two starts on one machine can end up to (1 - y) * p
+    later."""
+    allowed = inst.allowed_mask()
+    longest = np.where(allowed, inst.sizes, 0).max(axis=1)
+    r_max = int(inst.release_matrix()[allowed].max(initial=0))
+    return min(horizon(inst), r_max + int(longest.sum()) + int(longest.max()) - 1)
+
+
 def normalize_weights(inst: Instance) -> tuple[Instance, int]:
     """(``inst`` with every weight times 2**k, k) for the k that brings the
     largest weight into [1, 2), or k = 0 when every weight is zero.  A power

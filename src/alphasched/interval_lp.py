@@ -5,6 +5,12 @@ objective charges w_j * (s + p[j, i]) per unit of mass, one equality row
 forces each job to be fully assigned, and one cover row per (machine, time)
 caps the mass processed at any unit slot at 1.
 
+The full range runs over starts 0..T-1 with T = ``instance.lp_horizon``,
+not the instance's ``horizon``: some optimal LP solution over any longer
+range completes every job by T (proven in ``lp_horizon``), so the optimum
+is the same at a fraction of the rows and variables.  The compressed start
+sets extend the same T.
+
 For large horizons the admissible start times can be compressed to a set
 that is dense near 0 and geometric afterwards; cover rows are then kept only
 at the retained times.  Any solution of the compressed LP still satisfies
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, InstanceError, horizon as instance_horizon, normalize_weights
+from .instance import Instance, InstanceError, horizon as instance_horizon, lp_horizon, normalize_weights
 from .simplex import Basis, LinearProgram, solve_lp
 
 COVER_TOL = 1e-6
@@ -69,7 +75,7 @@ def compress_start_times(inst: Instance, eps: float) -> StartTimeSet:
         raise InstanceError(f"eps must lie in (0, 1/2], got {eps}")
     n = inst.num_jobs
     delta = eps / (2 * n)
-    T = instance_horizon(inst)
+    T = lp_horizon(inst)
     extended = math.ceil((1.0 + eps) * T)
     dense_top = math.ceil(1.0 / delta)
     times = set(range(dense_top + 1))
@@ -187,7 +193,7 @@ class IntervalLpModel:
 
 def build_interval_lp(inst: Instance, starts: StartTimeSet | None = None) -> IntervalLpModel:
     """Assemble the LP over a start set: the compressed one given, or by
-    default the full range, starts 0..T-1 with horizon T.
+    default the full range, starts 0..T-1 with horizon T = ``lp_horizon``.
 
     Variables exist only for starts in the set and cover rows only for times
     t with t - 1 in the set.  The job rows and cover rows are added first,
@@ -198,7 +204,7 @@ def build_interval_lp(inst: Instance, starts: StartTimeSet | None = None) -> Int
     """
     n = inst.num_jobs
     if starts is None:
-        H = C = instance_horizon(inst)
+        H = C = lp_horizon(inst)
     else:
         H, C = starts.horizon, np.count_nonzero(starts.times + 1 <= starts.horizon)
     covers = inst.num_machines * C

@@ -11,9 +11,9 @@ which never violates a release (tau always exceeds it).
 
 ``simulate_preemptive_rounding`` is the one rounding pass: the replay, the
 estimator and the CLI all call it.  With ``full=False`` it keeps only the
-fractional-start and integral completions, which is all
-``estimate_ratio_preemptive`` reports.  Trials run in blocks through
-``rounding._run_trials``, and the machines are sequenced by
+trials' fractional-start and integral objectives, which is all
+``estimate_ratio_preemptive`` and the CLI report.  Trials run in blocks
+through ``rounding._run_trials``, and the machines are sequenced by
 ``rounding._sequence``.
 """
 
@@ -27,7 +27,7 @@ from .chain_lp import ChainLpError, ChainSolution
 from .chains import chain_eval_many
 from .distributions import OffsetDistribution
 from .instance import Instance, NonPreemptiveSchedule
-from .rounding import _ratio_stats, _run_trials, _sequence
+from .rounding import _block_trials, _ratio_stats, _run_trials, _sequence
 
 DEFAULT_CLIP = 1.0 / 5100.0
 
@@ -79,20 +79,31 @@ def simulate_preemptive_rounding(
 ):
     """Returns (fractional-start completions, integral completions, draws).
 
-    The draws are (machine, tau).  With ``full=False`` they are not kept,
-    and None stands for them."""
+    The draws are (machine, tau).  With ``full=False`` each block is reduced
+    to its trials' weighted objectives: the result is (fractional-start
+    objectives, integral objectives, None), one value per trial."""
     sampler = _ChainSampler(inst, sol)
+    # Without full, every block's completions go to the same two arrays.
+    work = None if full else np.empty((2, _block_trials(inst.num_jobs), inst.num_jobs))
 
     def step(k, theta, frac, integral, *draws):
         k += sampler.offset
         machine, size = sampler.machines[k], sampler.sizes[k]
         tau = chain_eval_many(sampler.slots, k, theta * size)
+        if not full:
+            completions = work[:, : k.shape[0]]
+            _sequence(machine, tau, size, tau, np.ceil(tau), out=completions)
+            for completion, objective in zip(completions, (frac, integral)):
+                np.matmul(completion, inst.weights, out=objective)
+            return
         _sequence(machine, tau, size, tau, np.ceil(tau), out=(frac, integral))
         for kept, block in zip(draws, (machine, tau)):
             kept[...] = block
 
+    shape = (inst.num_jobs,) if full else ()
     dtypes = (float, float, np.int64, float) if full else (float, float)
-    frac, integral, *draws = _run_trials(rng, sampler.cdfs, dist, trials, step, dtypes)
+    arrays = [(dtype, shape) for dtype in dtypes]
+    frac, integral, *draws = _run_trials(rng, sampler.cdfs, dist, trials, step, arrays)
     return frac, integral, tuple(draws) if full else None
 
 
@@ -124,15 +135,13 @@ def estimate_ratio_preemptive(
     """Monte Carlo mean of (fractional-start objective) / (chain LP value)."""
     dist = dist or default_offset_distribution()
     rng = np.random.default_rng(seed)
-    frac, integral, _ = simulate_preemptive_rounding(inst, sol, dist, rng, trials, full=False)
-    w = inst.weights
-    objectives = frac @ w
+    objectives, integral, _ = simulate_preemptive_rounding(inst, sol, dist, rng, trials, full=False)
     mean, sem = _ratio_stats(objectives, sol.objective)
     return PreemptiveRatioEstimate(
         mean_ratio=mean,
         std_error=sem,
         lp_objective=sol.objective,
         mean_objective=float(objectives.mean()),
-        mean_integral_objective=float((integral @ w).mean()),
+        mean_integral_objective=float(integral.mean()),
         trials=trials,
     )

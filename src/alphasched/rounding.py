@@ -19,11 +19,13 @@ converted completions, which is all ``estimate_ratio`` reports.
 
 Trials run in blocks (``_run_trials``, shared with the chain LP rounding of
 ``preemptive`` and with ``idle_diagnostic``): each block's (block trials,
-jobs) arrays take 64 KiB, so they stay in cache and the allocator reuses
-them instead of page-faulting fresh ones in.  The random stream is that of
-one unblocked batch, so a seeded result does not depend on the block length
-(up to pseudo-releases within a rounding error of each other, see
-``_sequence``).  Every machine's jobs are sequenced by ``_sequence``.
+jobs) arrays take 32 KiB, so they stay in cache and the allocator reuses
+them instead of page-faulting fresh ones in.  Only the support indices are
+drawn for every trial up front, job by job, in the smallest unsigned dtype
+that holds them.  The random stream is that of one unblocked batch, so a
+seeded result does not depend on the block length (up to pseudo-releases
+within a rounding error of each other, see ``_sequence``).  Every machine's
+jobs are sequenced by ``_sequence``.
 """
 
 from __future__ import annotations
@@ -70,7 +72,11 @@ class IdleDiagnostic:
 # Trials run in blocks whose (trials x jobs) float64 arrays take this many
 # bytes: a block's temporaries stay in cache, and the allocator reuses them
 # from block to block instead of page-faulting fresh ones in on every call.
-BLOCK_BYTES = 64 * 1024
+# A block holds up to about 15 such arrays at once (the quadratic sampler's
+# Newton steps, or the sequencing).  At 64 KiB that is about 1 MiB, which
+# glibc's heap trims and page-faults back in on every block unless some
+# larger array freed earlier raised its trim threshold.
+BLOCK_BYTES = 32 * 1024
 
 
 def _block_trials(n: int) -> int:
@@ -78,37 +84,41 @@ def _block_trials(n: int) -> int:
     return max(1, BLOCK_BYTES // (8 * max(n, 1)))
 
 
-def _draw_categorical(cdfs: list, u: np.ndarray) -> np.ndarray:
-    """Per job j, indices into its support drawn from its cumulative masses
-    ``cdfs[j]`` by the uniforms ``u[j]``, searched from the right and
-    clipped to the support.  Column j of the (trials, n) result is job j's."""
-    k = np.empty((u.shape[1], len(cdfs)), dtype=np.int64)
+def _draw_categorical(rng: np.random.Generator, cdfs: list, trials: int) -> np.ndarray:
+    """Per job j, ``trials`` indices into its support drawn from its
+    cumulative masses ``cdfs[j]`` by one ``rng.random(trials)`` call, in job
+    order, searched from the right and clipped to the support.  Column j of
+    the (trials, n) result is job j's, in the smallest unsigned dtype that
+    holds every index."""
+    dtype = np.min_scalar_type(max(cdf.size for cdf in cdfs) - 1)
+    k = np.empty((trials, len(cdfs)), dtype)
     for j, cdf in enumerate(cdfs):
-        k[:, j] = np.searchsorted(cdf, u[j], side="right")
-    return np.minimum(k, [cdf.size - 1 for cdf in cdfs], out=k)
+        drawn = np.searchsorted(cdf, rng.random(trials), side="right")
+        np.minimum(drawn, cdf.size - 1, out=k[:, j], casting="unsafe")
+    return k
 
 
 def _run_trials(
-    rng: np.random.Generator, cdfs: list, dist: OffsetDistribution, trials: int, step, dtypes=()
+    rng: np.random.Generator, cdfs: list, dist: OffsetDistribution, trials: int, step, arrays=()
 ) -> list:
     """The Monte Carlo loop of both rounding paths.
 
-    Job j's support indices come from row j of one ``rng.random((n,
-    trials))`` draw, the same stream as one ``rng.random(trials)`` call per
-    job in job order.  The trials then run in blocks of ``_block_trials(n)``;
-    each block draws its (block, n) offsets with ``dist.sample``, so the
-    blocks consume the offset stream in trial order, as one (trials, n)
-    draw would.  Returns one (trials, n) array per entry of ``dtypes``;
-    ``step(k, theta, *outs)`` gets a block's support indices, its offsets
-    and its rows of those arrays, which it fills."""
+    Every job's support indices are drawn first (``_draw_categorical``), the
+    same stream as one ``rng.random((n, trials))`` call.  The trials then
+    run in blocks of ``_block_trials(n)``; each block draws its (block, n)
+    offsets with ``dist.sample``, so the blocks consume the offset stream in
+    trial order, as one (trials, n) draw would.  Returns one array of shape
+    (trials, *shape) per (dtype, shape) entry of ``arrays``; ``step(k,
+    theta, *outs)`` gets a block's int64 support indices, its offsets and
+    its rows of those arrays, which it fills."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    outs = [np.empty((trials, len(cdfs)), dtype) for dtype in dtypes]
-    u = rng.random((len(cdfs), trials))
+    outs = [np.empty((trials, *shape), dtype) for dtype, shape in arrays]
+    indices = _draw_categorical(rng, cdfs, trials)
     block = _block_trials(len(cdfs))
     for lo in range(0, trials, block):
         rows = slice(lo, min(lo + block, trials))
-        k = _draw_categorical(cdfs, u[:, rows])
+        k = indices[rows].astype(np.int64)
         step(k, dist.sample(rng, k.shape), *(out[rows] for out in outs))
     return outs
 
@@ -203,7 +213,8 @@ def simulate_rounding(
             kept[...] = block
 
     dtypes = (float, float, np.int64, np.int64, float, float) if full else (float,)
-    conv, *rest = _run_trials(rng, sampler.cdfs, dist, trials, step, dtypes)
+    arrays = [(dtype, (inst.num_jobs,)) for dtype in dtypes]
+    conv, *rest = _run_trials(rng, sampler.cdfs, dist, trials, step, arrays)
     return (conv, rest[0], tuple(rest[1:])) if full else (conv, None, None)
 
 
@@ -234,14 +245,19 @@ def estimate_ratio(
     conv, _, _ = simulate_rounding(inst, sol, dist, np.random.default_rng(seed), trials, full=False)
     objectives = conv @ inst.weights
     mean, sem = _ratio_stats(objectives, sol.objective)
-    per_job_sem = (
-        conv.std(axis=0, ddof=1) / np.sqrt(trials) if trials > 1 else np.zeros(inst.num_jobs)
-    )
+    # conv.mean(axis=0) and conv.std(axis=0, ddof=1), the same operations,
+    # with the deviations taken in place on the array this function owns.
+    per_job_mean = np.add.reduce(conv, axis=0) / trials
+    per_job_sem = np.zeros(inst.num_jobs)
+    if trials > 1:
+        conv -= per_job_mean
+        np.square(conv, out=conv)
+        per_job_sem = np.sqrt(np.add.reduce(conv, axis=0) / (trials - 1)) / np.sqrt(trials)
     return RatioEstimate(
         mean_ratio=mean,
         std_error=sem,
         lp_objective=sol.objective,
-        per_job_mean_completion=conv.mean(axis=0),
+        per_job_mean_completion=per_job_mean,
         per_job_sem_completion=per_job_sem,
         per_job_lp_cost=sol.job_lp_cost(inst),
         mean_objective=float(objectives.mean()),

@@ -80,7 +80,8 @@ class LinearProgram:
     """Sparse LP in minimization form that grows by appending.
 
     Variables default to ``x >= 0``; ``objective``, ``lower`` and ``upper``
-    are per-variable arrays and may be edited in place.  The constraint
+    are per-variable arrays and may be edited in place (``solve_lp`` checks
+    the budget again, as a finite upper bound adds a row).  The constraint
     entries (row, variable, coefficient) and each row's sense and right-hand
     side are read-only arrays, in the order they were added; ``rows`` lists
     them per row as (indices, coefficients, sense, rhs).
@@ -275,8 +276,10 @@ def solve_lp(lp: LinearProgram, basis: Basis | None = None) -> LpSolution:
     starting basis instead; if it does not fit the LP, is singular or is
     primal infeasible the solve starts cold.  A numerically troubled run is
     retried once, cold and with Bland's rule from the first pivot, before
-    giving up.
+    giving up.  An LP whose bounds were edited in place past the
+    basis-inverse budget raises ``LpError`` before any solver state exists.
     """
+    lp.reserve(0)
     try:
         return _solve(lp, basis, bland=False)
     except NumericalError:

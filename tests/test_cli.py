@@ -207,11 +207,11 @@ def test_oracle_guard_exit_code(tmp_path, capsys):
 
 
 def test_oversized_interval_lp_exit_code(tmp_path, capsys):
-    # 20 machines at horizon 1020: the full LP has 20,403 rows, and its
-    # basis inverse would need 3.1 GiB.
+    # 20 machines at LP horizon 679: the full LP has 13,583 rows, and its
+    # basis inverse would need 1.4 GiB.
     doc = {
         "machines": 20,
-        "jobs": [{"release": 0, "weight": 1.0, "sizes": [17] * 20} for _ in range(3)],
+        "jobs": [{"release": 0, "weight": 1.0, "sizes": [170] * 20} for _ in range(3)],
     }
     path = tmp_path / "wide.inst.json"
     path.write_text(json.dumps(doc))

@@ -13,6 +13,7 @@ from alphasched.instance import (
     evaluate_schedule,
     horizon,
     instance_to_json,
+    lp_horizon,
     parse_instance,
     relabel,
 )
@@ -99,6 +100,37 @@ def test_horizon_monotone_in_jobs():
         small = make(sizes[:n], releases[:n], weights[:n])
         big = make(sizes, releases, weights)
         assert horizon(big) >= horizon(small)
+
+
+def test_lp_horizon_equals_horizon_on_one_machine():
+    for inst in (make([[3], [5], [2]], [2, 0, 7], [1.0, 1.0, 1.0]), make([[1]], [100], [1.0])):
+        assert lp_horizon(inst) == horizon(inst)
+
+
+def test_lp_horizon_examples():
+    # r_max + sum_j max_i p_ij + p_max - 1 = 2 + (5 + 4 + 2) + 5 - 1 = 17.
+    inst = make([[3, 5], [4, 1], [2, 2]], [2, 0, 1], [1.0, 1.0, 1.0])
+    assert (horizon(inst), lp_horizon(inst)) == (19, 17)
+    # Never above the horizon: 0 + 5 + 3 - 1 = 7 > 5.
+    inst = make([[3, FORBIDDEN], [FORBIDDEN, 2]], [0, 0], [1.0, 1.0])
+    assert lp_horizon(inst) == horizon(inst) == 5
+
+
+def test_lp_horizon_ignores_forbidden_pairs():
+    # Job 0 cannot run on machine 1, so neither its release 50 there nor the
+    # sentinel size counts: r_max = 3, sum_j max_i p_ij = 9 + 4 + 2, p_max = 9.
+    inst = make(
+        [[3, FORBIDDEN, 9], [4, 1, 1], [2, 2, 2]],
+        [[0, 50, 1], [1, 2, 3], [0, 0, 0]],
+        [1.0, 1.0, 1.0],
+    )
+    assert (horizon(inst), lp_horizon(inst)) == (27, 3 + 15 + 9 - 1)
+
+
+def test_lp_horizon_per_machine_releases():
+    # r_max is the largest per-machine release, 7, on job 0's machine 1.
+    inst = make([[2, 3], [1, 4], [2, 2]], [[0, 7], [2, 1], [0, 0]], [1.0, 1.0, 1.0])
+    assert (horizon(inst), lp_horizon(inst)) == (21, 7 + 9 + 4 - 1)
 
 
 def test_evaluate_single_job():

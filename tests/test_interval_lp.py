@@ -280,8 +280,9 @@ def test_unplaceable_list_schedule_falls_back_cold():
     assert sorted(zip(sol.job.tolist(), sol.start.tolist())) == [(0, 0), (1, 2)]
 
 
-def oversized(machines=20, jobs=3, size=17):
-    # H = jobs * machines * size = 1020: 20,403 rows, a 3.1 GiB basis inverse.
+def oversized(machines=20, jobs=3, size=170):
+    # lp_horizon = jobs * size + size - 1 = 679: 3 + 20 x 679 = 13,583 rows,
+    # a 1.4 GiB basis inverse.
     return make(np.full((jobs, machines), size), [0] * jobs, [1.0] * jobs)
 
 
@@ -293,7 +294,7 @@ def far_release():
 def test_size_guard_refuses_before_allocating():
     # The full LP is refused from its row count alone, before any array of
     # its size is built.
-    for inst, rows in ((oversized(), 20403), (far_release(), 2000000000035)):
+    for inst, rows in ((oversized(), 13583), (far_release(), 2000000000029)):
         tracemalloc.start()
         try:
             with pytest.raises(LpError, match=f"too large: {rows} rows"):
@@ -304,7 +305,7 @@ def test_size_guard_refuses_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-    # The compressed LP of the 20,403-row instance is small enough.
+    # The compressed LP of the 13,583-row instance is small enough.
     assert build_interval_lp(oversized(), compress_start_times(oversized(), 0.5)).lp.num_rows < 4096
 
 

@@ -2,7 +2,8 @@
 instances the list schedule is a valid schedule, the LP optimum lies at or
 below its cost, and the solve starts warm from it and reaches the optimum of
 a cold solve.  The list schedule also makes the same choices as a reference
-that keeps each machine's busy windows as sorted intervals."""
+that keeps each machine's busy windows as sorted intervals.  The full-range
+LP at ``lp_horizon`` has the optimum of the LP at the instance's horizon."""
 
 import numpy as np
 import pytest
@@ -11,9 +12,20 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from alphasched.bench import random_instance  # noqa: E402
-from alphasched.instance import NonPreemptiveSchedule, evaluate_schedule  # noqa: E402
-from alphasched.interval_lp import build_interval_lp, compress_start_times, list_schedule  # noqa: E402
-from alphasched.simplex import solve_lp  # noqa: E402
+from alphasched.instance import (  # noqa: E402
+    Instance,
+    NonPreemptiveSchedule,
+    evaluate_schedule,
+    horizon,
+    lp_horizon,
+)
+from alphasched.interval_lp import (  # noqa: E402
+    StartTimeSet,
+    build_interval_lp,
+    compress_start_times,
+    list_schedule,
+)
+from alphasched.simplex import Basis, solve_lp  # noqa: E402
 
 from test_interval_lp import solve_recorded  # noqa: E402
 
@@ -88,3 +100,33 @@ def test_list_schedule_start_is_warm_and_optimal(inst, eps):
     cold = solve_lp(build_interval_lp(inst, starts).lp)
     assert cold.status == "optimal" and not cold.warm
     assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+
+
+@st.composite
+def release_instances(draw):
+    """``instances``, with per-machine releases half the time."""
+    inst = draw(instances())
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        releases = rng.integers(0, 9, size=(inst.num_jobs, inst.num_machines))
+        inst = Instance(inst.num_machines, inst.num_jobs, inst.sizes, releases, inst.weights)
+    return inst
+
+
+def solve_model(inst, model):
+    """The model's LP solved from its list schedule, as ``solve_interval_lp``
+    starts it."""
+    chosen = list_schedule(inst, model)
+    res = solve_lp(model.lp, Basis(columns=chosen, slack_rows=np.arange(inst.num_jobs, model.lp.num_rows)))
+    assert res.status == "optimal"
+    return res
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(release_instances())
+def test_lp_horizon_keeps_the_optimum_of_the_full_horizon(inst):
+    H = horizon(inst)
+    full = build_interval_lp(inst, StartTimeSet(times=np.arange(H), epsilon=0.0, delta=0.0, horizon=H))
+    tight = build_interval_lp(inst)
+    assert tight.horizon == lp_horizon(inst) <= H
+    assert solve_model(inst, tight).objective == pytest.approx(solve_model(inst, full).objective, rel=1e-12)

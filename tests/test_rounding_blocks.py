@@ -237,3 +237,25 @@ def test_estimators_hold_few_full_size_arrays():
         assert peak <= 3 * array, peak / array
     peak = traced_peak(lambda: estimate_ratio_preemptive(INST, csol, trials, 1))
     assert peak <= 4 * array, peak / array
+
+
+def test_estimate_ratio_peak_below_two_arrays():
+    """The converted completions it reports from, plus less than one more
+    trials x jobs array: the support indices are drawn job by job and kept
+    in bytes, and the deviations are taken in place."""
+    trials = 50_000
+    array = trials * INST.num_jobs * 8
+    isol = golden_interval_solution()
+    for dist in DISTS.values():
+        peak = traced_peak(lambda: estimate_ratio(INST, isol, dist, trials, 1))
+        assert peak < 2 * array, peak / array
+
+
+def test_estimate_ratio_preemptive_peak_below_one_and_a_half_arrays(instances):
+    """Each block is reduced to its trials' two objectives, so no trials x
+    jobs float array is held at all."""
+    inst, _, csol = instances[1]
+    trials = 100_000
+    array = trials * inst.num_jobs * 8
+    peak = traced_peak(lambda: estimate_ratio_preemptive(inst, csol, trials, 1))
+    assert peak < 1.5 * array, peak / array

@@ -4,7 +4,7 @@ The values in ``tests/data/golden-rounding.json`` and the two CSVs beside
 it were written by the library before its Monte Carlo trials ran in
 blocks, on the fixture ``golden-8x2.inst.json`` (``alphasched gen --n 8 --m
 2 --p-max 4 --r-max 6 --seed 1``); the trial counts are not multiples of
-the block length (1,024 trials at 8 jobs).  The estimators' solutions are
+the block length (512 trials at 8 jobs).  The estimators' solutions are
 stored with the golden values, so they do not depend on the LP solver; the
 CLI subcommands solve their LP themselves.  Floats are stored with
 ``float.hex`` and compared exactly.  Only the public API is used here.

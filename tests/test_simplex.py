@@ -76,6 +76,24 @@ def test_size_budget_counts_rows_and_finite_upper_bounds(monkeypatch):
         LinearProgram(4, upper=np.ones(4))
 
 
+def test_size_budget_holds_for_bounds_edited_in_place(monkeypatch):
+    # Finite upper bounds set in place add standard-form rows that no append
+    # saw; the solve refuses them, also when it would resume.
+    monkeypatch.setattr(simplex, "MAX_BASIS_INVERSE_BYTES", 8 * 3 * 3)
+    lp = LinearProgram(4)
+    lp.upper[:] = 1.0
+    with pytest.raises(LpError, match="too large: 4 rows"):
+        solve_lp(lp)
+    lp = LinearProgram(3, objective=[1.0, 2.0, 3.0])
+    lp.add_row([0, 1, 2], [1.0, 1.0, 1.0], ">=", 1.5)
+    assert solve_lp(lp).objective == pytest.approx(1.5)
+    lp.upper[:] = 1.0
+    with pytest.raises(LpError, match="too large: 4 rows"):
+        solve_lp(lp)
+    lp.upper[2] = np.inf
+    assert solve_lp(lp).objective == pytest.approx(2.0)
+
+
 def test_variable_bounds():
     lp = LinearProgram(1, objective=np.array([1.0]), lower=np.array([2.0]))
     res = solve_lp(lp)
