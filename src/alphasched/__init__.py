@@ -50,7 +50,7 @@ from .rounding import (
     round_once,
     simulate_rounding,
 )
-from .simplex import Basis, LinearProgram, LpError, LpSolution, NumericalError, lp_to_text, solve_lp
+from .simplex import Basis, LinearProgram, LpError, LpSolution, NumericalError, solve_lp
 
 __version__ = "0.1.0"
 
@@ -94,7 +94,6 @@ __all__ = [
     "idle_diagnostic",
     "instance_to_json",
     "load_instance",
-    "lp_to_text",
     "parse_instance",
     "round_once",
     "round_preemptive_once",

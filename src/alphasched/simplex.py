@@ -40,11 +40,16 @@ appended row is an equation (it has no slack to enter with), or when the
 extended basis is not primal feasible.  A given basis of the wrong size, a
 singular one or a primal infeasible one falls back to the cold start.
 
-Pivoting uses Dantzig's rule with an automatic switch to Bland's rule once a
-degeneracy stall is detected; optimality is only declared against a fresh
-factorization.  Every answer, resumed, warm or cold, passes the same final
-certificate: primal residual, no positive artificial, duality gap.
-Numerical failure raises, never returns silently wrong answers.
+Pivoting uses Dantzig's rule; the ratio test breaks ties toward the largest
+pivot element.  Degenerate bases, such as the chain-LP masters', are handled
+by one mechanism (Wolfe, J. SIAM 11, 1963): once the objective stalls, the
+right-hand side is shifted along each basic column whose value is below
+``FEAS_TOL``, which lifts that value alone.  At the perturbed optimum the
+shift is dropped, and dual simplex pivots repair any basic value left below
+``-FEAS_TOL``.  Optimality is only declared against a fresh factorization,
+and every answer passes the same final certificate: primal residual, no
+positive artificial, duality gap.  Numerical failure raises
+``NumericalError``: no retry, no silently wrong answer.
 """
 from __future__ import annotations
 
@@ -52,10 +57,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PIVOT_TOL = 1e-9
+# Smallest pivot element: on 0/1 chain masters, round-off of a true zero
+# reached 1e-8, and a pivot on it left the basis singular.
+PIVOT_TOL = 1e-7
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 REFACTOR_EVERY = 120
+# The right-hand side is perturbed once the objective has not improved for
+# more than STALL_SCALE * (3 m + 50) pivots in a row (m rows); the lifted
+# basic values grow by PERTURB times a factor in [1, 2).
+STALL_SCALE = 1
+PERTURB = 1e-6
 # Entries per row chunk of a dense rank-one update of the basis inverse.
 UPDATE_CHUNK = 8192
 # Largest dense basis inverse a LinearProgram may grow to need: 512 MiB,
@@ -241,31 +253,6 @@ class LpSolution:
     warm: bool = False  # resumed the LP's last optimum, or started from the given basis
 
 
-def lp_to_text(lp: LinearProgram) -> str:
-    """Debug dump in LP text format for cross-checking with other solvers."""
-    out = ["Minimize", " obj: " + _expr(np.arange(lp.num_vars), lp.objective)]
-    out.append("Subject To")
-    op = {"<=": "<=", ">=": ">=", "==": "="}
-    for k, (idx, val, sense, rhs) in enumerate(lp.rows):
-        out.append(f" c{k}: " + _expr(idx, val) + f" {op[sense]} {rhs:.12g}")
-    out.append("Bounds")
-    for j in range(lp.num_vars):
-        hi = "+inf" if not np.isfinite(lp.upper[j]) else f"{lp.upper[j]:.12g}"
-        out.append(f" {lp.lower[j]:.12g} <= x{j} <= {hi}")
-    out.append("End")
-    return "\n".join(out) + "\n"
-
-
-def _expr(idx, val) -> str:
-    terms = []
-    for j, v in zip(idx, val):
-        if v == 0:
-            continue
-        sign = "-" if v < 0 else ("+" if terms else "")
-        terms.append(f"{sign} {abs(v):.12g} x{int(j)}")
-    return " ".join(terms) if terms else "0 x0"
-
-
 def solve_lp(lp: LinearProgram, basis: Basis | None = None) -> LpSolution:
     """Solve the LP; on ``optimal`` the solution carries a dual value per
     original row (>= rows have non-negative duals, <= rows non-positive)
@@ -274,16 +261,14 @@ def solve_lp(lp: LinearProgram, basis: Basis | None = None) -> LpSolution:
     Without ``basis`` the solve resumes from the LP's last optimum when the
     LP has only grown since, and otherwise starts cold.  ``basis`` names a
     starting basis instead; if it does not fit the LP, is singular or is
-    primal infeasible the solve starts cold.  A numerically troubled run is
-    retried once, cold and with Bland's rule from the first pivot, before
-    giving up.  An LP whose bounds were edited in place past the
+    primal infeasible the solve starts cold.  A stall perturbs the
+    right-hand side until the optimum, which dual simplex pivots then repair
+    for the LP itself; a numerical failure raises ``NumericalError``, with
+    no retry.  An LP whose bounds were edited in place past the
     basis-inverse budget raises ``LpError`` before any solver state exists.
     """
     lp.reserve(0)
-    try:
-        return _solve(lp, basis, bland=False)
-    except NumericalError:
-        return _solve(lp, None, bland=True)
+    return _solve(lp, basis)
 
 
 class _Columns:
@@ -464,7 +449,7 @@ class _Model:
         return Basis(columns=np.sort(basic_var[basic_var >= 0]), slack_rows=np.sort(public[rows]))
 
 
-def _solve(lp: LinearProgram, hint: Basis | None, bland: bool) -> LpSolution:
+def _solve(lp: LinearProgram, hint: Basis | None) -> LpSolution:
     live, lp._live = lp._live, None
     if (lp.upper - lp.lower < -FEAS_TOL).any():
         return LpSolution(status="infeasible")
@@ -487,7 +472,7 @@ def _solve(lp: LinearProgram, hint: Basis | None, bland: bool) -> LpSolution:
         state = _State(model, model.cold_basis())
         if model.art.any():
             c1 = model.art.astype(float)
-            status = _iterate(state, c1, locked=np.zeros(model.cols.total, dtype=bool), bland=bland)
+            status = _iterate(state, c1, locked=np.zeros(model.cols.total, dtype=bool))
             if status == "unbounded":  # cannot happen: phase-1 objective >= 0
                 raise NumericalError("phase 1 reported unbounded")
             if state.objective(c1) > FEAS_TOL:
@@ -495,7 +480,7 @@ def _solve(lp: LinearProgram, hint: Basis | None, bland: bool) -> LpSolution:
             _evict_artificials(state, model.art)
 
     model = state.model
-    status = _iterate(state, model.c, locked=model.art, bland=bland)
+    status = _iterate(state, model.c, locked=model.art)
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=state.iters, warm=warm)
 
@@ -564,12 +549,14 @@ def _warm_state(model: _Model, hint: Basis | None):
 class _State:
     """Basis, dense basis inverse and basic values of a model, factorized
     at construction.  A cold start begins at a basis of unit columns, which
-    refactorizes to the identity."""
+    refactorizes to the identity.  The basic values solve for ``b``, the
+    model's right-hand side or a perturbed copy of it."""
 
     def __init__(self, model: _Model, basis: np.ndarray):
         self.model = model
         self.cols = model.cols
         self.basis = basis
+        self.b = model.b
         self.m = model.cols.m
         self.iters = 0
         self.binv = None
@@ -609,7 +596,7 @@ class _State:
             binv[np.arange(m0, m), np.arange(m0, m)] = 1.0 / s
             self.binv, self.m = binv, m
             self.basis = np.concatenate((self.basis, slack))
-        self.xb = self.binv @ model.b
+        self.b, self.xb = model.b, self.binv @ model.b
         # Optimality is declared against a fresh factorization only.
         self.iters, self.since_refactor = 0, 1
         if not np.isfinite(self.xb).all() or self.xb.min(initial=0.0) < -FEAS_TOL:
@@ -636,8 +623,8 @@ class _State:
         unit_pos = single[first]
         unit_row = cols.rows[lo[unit_pos]]
         scale = cols.vals[lo[unit_pos]]
-        other_pos = _others(unit_pos, m)
-        other_row = _others(unit_row, m)
+        other_pos = np.flatnonzero(np.bincount(unit_pos, minlength=m) == 0)
+        other_row = np.flatnonzero(np.bincount(unit_row, minlength=m) == 0)
         if other_pos.size:
             B_other = cols.gather(basis[other_pos])
             try:
@@ -654,8 +641,17 @@ class _State:
             binv[np.ix_(other_pos, other_row)] = inner
             binv[np.ix_(unit_pos, other_row)] = -(B_other[unit_row] @ inner) / scale[:, None]
         self.binv = binv
-        self.xb = binv @ self.model.b
+        self.xb = binv @ self.b
         self.since_refactor = 0
+
+    def perturb(self) -> None:
+        """Lift each basic value below ``FEAS_TOL`` by PERTURB times a
+        factor in [1, 2) read off its column index, through ``b`` along that
+        basic column: the other basic values do not move."""
+        low = self.xb < FEAS_TOL
+        lift = PERTURB * (1.0 + (0.6180339887 * self.basis[low]) % 1.0)
+        self.b = self.b + self.cols.right_multiply(np.bincount(self.basis[low], lift, self.cols.total))
+        self.xb[low] += lift
 
     def pivot(self, row: int, col: int, direction: np.ndarray) -> None:
         """Basis change; ``direction`` (binv @ a_col) is consumed."""
@@ -687,21 +683,21 @@ class _State:
             self.refactor()
 
 
-def _iterate(state: _State, c: np.ndarray, locked: np.ndarray, bland: bool = False) -> str:
+def _iterate(state: _State, c: np.ndarray, locked: np.ndarray) -> str:
     """Run simplex iterations to optimality of cost vector ``c``.
 
-    Dantzig pricing; Bland's rule engages permanently after the objective
-    stalls (anti-cycling).  The ratio test breaks ties toward the largest
-    pivot element, which keeps the basis inverse well conditioned.  Locked
-    columns never enter.  The duals ``y`` get a rank-one update per pivot
-    and are recomputed at each refactorization; optimality is confirmed
-    against a fresh factorization.
+    Dantzig pricing; the ratio test breaks ties toward the largest pivot
+    element, which keeps the basis inverse well conditioned.  A stall
+    perturbs the right-hand side; at the perturbed optimum the perturbation
+    is dropped, and dual simplex pivots take any basic value left below
+    ``-FEAS_TOL`` out of the basis.  Locked columns never enter.  The duals
+    ``y`` get a rank-one update per primal pivot and are recomputed at each
+    refactorization; optimality is confirmed against a fresh factorization.
     """
     m = state.m
-    total = state.cols.total
     stall = 0
-    stall_limit = 3 * m + 50
-    max_iters = 60 * (m + total) + 10_000
+    stall_limit = STALL_SCALE * (3 * m + 50)
+    max_iters = 60 * (m + state.cols.total) + 10_000
     last_obj = np.inf
     start_iters = state.iters
 
@@ -715,14 +711,28 @@ def _iterate(state: _State, c: np.ndarray, locked: np.ndarray, bland: bool = Fal
         reduced[locked] = 0.0
         candidates = np.flatnonzero(reduced < -OPT_TOL)
         if candidates.size == 0:
-            if state.since_refactor == 0:
+            if state.since_refactor > 0:
+                state.refactor()
+                continue
+            if state.b is not state.model.b:
+                state.b = state.model.b
+                state.refactor()
+            leave = int(np.argmin(state.xb))
+            if state.xb[leave] >= -FEAS_TOL:
                 return "optimal"
-            state.refactor()
+            # Dual ratio test on the leaving row, ties toward the largest pivot.
+            row = state.cols.left_multiply(state.binv[leave])
+            row[locked] = 0.0
+            eligible = np.flatnonzero(row < -PIVOT_TOL)
+            if eligible.size == 0:
+                raise NumericalError("no column repairs a negative basic value")
+            ratios = np.maximum(reduced[eligible], 0.0) / -row[eligible]
+            ties = eligible[ratios <= ratios.min() + 1e-9 * (1.0 + ratios.min())]
+            enter = int(ties[np.argmin(row[ties])])
+            state.pivot(leave, enter, state.direction(enter))
+            y = None
             continue
-        if bland:
-            enter = int(candidates[0])
-        else:
-            enter = int(candidates[np.argmin(reduced[candidates])])
+        enter = int(candidates[np.argmin(reduced[candidates])])
 
         direction = state.direction(enter)
         positive = np.flatnonzero(direction > PIVOT_TOL)
@@ -732,22 +742,18 @@ def _iterate(state: _State, c: np.ndarray, locked: np.ndarray, bland: bool = Fal
         ratios = xb[positive] / direction[positive]
         best = ratios.min()
         ties = positive[np.flatnonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))]
-        if bland:
-            leave = int(ties[np.argmin(state.basis[ties])])
-        else:
-            leave = int(ties[np.argmax(direction[ties])])
+        leave = int(ties[np.argmax(direction[ties])])
         state.pivot(leave, enter, direction)
         y += reduced[enter] * state.binv[leave]
 
         obj = state.objective(c)
         if obj < last_obj - 1e-12:
-            last_obj = obj
-            stall = 0
+            last_obj, stall = obj, 0
         else:
             stall += 1
-            if stall > stall_limit and not bland:
-                bland = True
-                stall = 0
+            if stall > stall_limit:
+                state.perturb()
+                last_obj, stall = state.objective(c), 0
 
 
 def _evict_artificials(state: _State, art_mask: np.ndarray) -> None:
@@ -765,9 +771,3 @@ def _evict_artificials(state: _State, art_mask: np.ndarray) -> None:
             enter = int(nz[0])
             state.pivot(row, enter, state.direction(enter))
 
-
-def _others(idx: np.ndarray, m: int) -> np.ndarray:
-    """0..m-1 without ``idx``, in increasing order."""
-    keep = np.ones(m, dtype=bool)
-    keep[idx] = False
-    return np.flatnonzero(keep)

@@ -1,10 +1,11 @@
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from alphasched import simplex
-from alphasched.simplex import LinearProgram, LpError, lp_to_text, solve_lp
+from alphasched.simplex import LinearProgram, LpError, solve_lp
 
 
 def test_min_x_geq_one():
@@ -206,31 +207,57 @@ def test_appended_column_on_a_redundant_row_does_not_resume():
 def test_lower_bound_shift_on_a_redundant_row_does_not_resume(monkeypatch):
     # -x1 + x2 == 0 with x1 >= 1: the shift would set the basic artificial
     # to 1, which only the final certificate catches.  The solve must start
-    # cold at once, not fail and take the conservative retry.
-    import alphasched.simplex as simplex
-
+    # cold at once, in its one and only pass, not fail and recover.
     lp = _lp_with_redundant_equation()
     lp.add_columns([0, 1, 2], [1, 1], [-1.0, 1.0], [1.0, 1.0], lower=[1.0, 0.0])
-    modes = []
+    hints = []
     solve = simplex._solve
 
-    def recording(lp, hint, bland):
-        modes.append(bland)
-        return solve(lp, hint, bland)
+    def recording(lp, hint):
+        hints.append(hint)
+        return solve(lp, hint)
 
     monkeypatch.setattr(simplex, "_solve", recording)
     res = solve_lp(lp)
-    assert modes == [False]
+    assert hints == [None]
     assert res.status == "optimal" and not res.warm
     assert res.objective == pytest.approx(2.0)
     assert res.x[1:].tolist() == pytest.approx([1.0, 1.0])
 
 
-def test_lp_text_dump_mentions_rows():
-    lp = LinearProgram(2, objective=np.array([1.0, -2.0]))
-    lp.add_row([0, 1], [1.0, 3.0], "<=", 4.0)
-    text = lp_to_text(lp)
-    assert "Minimize" in text and "c0:" in text and "3 x1" in text
+# A chain-LP master of random_instance(default_rng(8010), 8, 2, p_max=40,
+# r_max=40), the 39th of its exact column generation: a degenerate set
+# partitioning LP (224 capacity rows <= 1, 8 job rows >= 1, 877 chains), on
+# which Dantzig pivoting stalls until the right-hand side is perturbed.  Its
+# optimum by HiGHS (scipy 1.17.1):
+DEGENERATE_MASTER = Path(__file__).parent / "data" / "degenerate-chain-master.npz"
+DEGENERATE_MASTER_OPTIMUM = 264.95326712517266
+
+
+def test_degenerate_chain_master_solves_and_certifies():
+    d = np.load(DEGENERATE_MASTER)
+    lp = LinearProgram(0)
+    lp.add_rows(np.zeros(d["rhs"].size + 1, dtype=int), [], [], [simplex._SENSES[k] for k in d["sense"]], d["rhs"])
+    order = np.argsort(d["col"], kind="stable")
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(d["col"], minlength=d["objective"].size))))
+    lp.add_columns(ptr, d["row"][order], d["val"][order], d["objective"], d["lower"], d["upper"])
+    res = solve_lp(lp)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(DEGENERATE_MASTER_OPTIMUM, rel=1e-9)
+    # About 7,500 pivots; without the perturbation Dantzig's rule stalls
+    # for about 88,000.
+    assert res.iterations < 20_000
+    # The certificate, from the LP's data alone: primal feasible, dual
+    # feasible with the right signs, and no duality gap.
+    row, col, val = d["row"].astype(int), d["col"].astype(int), d["val"]
+    activity = np.bincount(row, weights=val * res.x[col], minlength=lp.num_rows)
+    le, ge = d["sense"] == simplex._LE, d["sense"] == simplex._GE
+    assert (res.x >= -1e-9).all()
+    assert (activity[le] <= d["rhs"][le] + 1e-9).all() and (activity[ge] >= d["rhs"][ge] - 1e-9).all()
+    assert (res.duals[le] <= 1e-9).all() and (res.duals[ge] >= -1e-9).all()
+    reduced = d["objective"] - np.bincount(col, weights=val * res.duals[row], minlength=lp.num_vars)
+    assert reduced.min() >= -1e-7
+    assert res.duals @ d["rhs"] == pytest.approx(res.objective, rel=1e-9)
 
 
 def _vertex_oracle(c, rows):

@@ -9,6 +9,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from alphasched import simplex  # noqa: E402
 from alphasched.simplex import Basis, LinearProgram, solve_lp  # noqa: E402
 
 TOL = 1e-6
@@ -326,3 +327,77 @@ def test_in_place_edits_between_solves_give_the_cold_answer(lp, data):
     res = solve_lp(lp)
     assert not res.warm
     _assert_same_answer(res, solve_lp(_copy(lp)), lp)
+
+
+@st.composite
+def set_partitioning_lps(draw):
+    """min c.x over 0/1 columns covering each row exactly once (==) or at
+    least once (>=), x >= 0: most basic values sit at 0 or 1, and small
+    integer costs tie."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 5))
+    cover = draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k).filter(any), min_size=n, max_size=n))
+    cost = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    sense = draw(st.sampled_from(("==", ">=")))
+    lp = LinearProgram(n, objective=np.array(cost, dtype=float))
+    for r in range(k):
+        idx = [j for j in range(n) if cover[j][r]]
+        lp.add_row(idx, np.ones(len(idx)), sense, 1.0)
+    return lp
+
+
+@pytest.mark.parametrize("stall_scale", [1, 0], ids=["as-is", "perturb-at-once"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lp=set_partitioning_lps())
+def test_degenerate_set_partitioning_matches_oracle(stall_scale, lp):
+    # With STALL_SCALE 0 the first pivot without progress perturbs the
+    # right-hand side, so the perturbed optimum and its dual repair run on
+    # LPs whose optimum is known.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "STALL_SCALE", stall_scale)
+        res = solve_lp(lp)
+    value = _vertex_min(lp, BOX)  # costs >= 1 and x >= 0: never unbounded
+    if value is None:
+        assert res.status == "infeasible"
+        return
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(value, abs=TOL * (1 + abs(value)))
+    _check_certificate(lp, res)
+
+
+@st.composite
+def chain_masters(draw):
+    """Chain-LP masters in miniature: a column puts one job on a run of
+    slots; slot rows are <= 1, job rows >= 1 or == 1.  Job j's column on
+    slots 2j, 2j + 1 keeps every LP feasible."""
+    jobs = draw(st.integers(2, 4))
+    slots = draw(st.integers(2 * jobs, 2 * jobs + 6))
+    weight = draw(st.lists(st.integers(1, 3), min_size=jobs, max_size=jobs))
+    runs = draw(st.lists(st.tuples(st.integers(0, jobs - 1), st.integers(0, slots - 1), st.integers(1, 3)),
+                         min_size=4, max_size=16))
+    runs = [(j, s, min(n, slots - s)) for j, s, n in runs]
+    columns = list(dict.fromkeys([(j, 2 * j, 2) for j in range(jobs)] + runs))
+    lp = LinearProgram(0)
+    job_sense = draw(st.sampled_from(("==", ">=")))
+    lp.add_rows(np.zeros(slots + jobs + 1, dtype=int), [], [], ["<="] * slots + [job_sense] * jobs,
+                np.ones(slots + jobs))
+    rows = [[*range(s, s + n), slots + j] for j, s, n in columns]
+    lp.add_columns(np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows), np.ones(sum(map(len, rows))),
+                   [weight[j] * (s + n) for j, s, n in columns])
+    return lp
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lp=chain_masters())
+def test_large_perturbations_repair_to_the_certified_optimum(lp):
+    # Shifts of 0.3 against right-hand sides of 1 make the perturbed optimum
+    # often infeasible for the LP itself, so the dual repair has real work.
+    # Every LP is feasible and bounded; the certificate proves optimality.
+    expected = solve_lp(_copy(lp))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "STALL_SCALE", 0)
+        mp.setattr(simplex, "PERTURB", 0.3)
+        res = solve_lp(lp)
+    assert res.status == expected.status == "optimal"
+    assert res.objective == pytest.approx(expected.objective, abs=TOL * (1 + abs(expected.objective)))
+    _check_certificate(lp, res)
