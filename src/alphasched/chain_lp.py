@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import chain as concat
 
 import numpy as np
@@ -66,8 +67,9 @@ class ChainSolution:
     horizon: int
     compressed: bool = False
     blocks: np.ndarray | None = None  # block endpoints when compressed
-    iterations: int = 0
+    iterations: int = 0  # rounds
     gap_bound: float = 0.0  # certified distance to the true LP optimum
+    stats: dict = field(default_factory=dict)  # master solves' simplex counters, summed, and rounds
 
     def support_by_job(self, num_jobs: int):
         groups = [[] for _ in range(num_jobs)]
@@ -392,8 +394,10 @@ def _generate(inst: Instance, ends: np.ndarray, compressed: bool = False) -> Cha
 
     best_lb = -np.inf
     center_eta = center_xi = center_mu = None
+    stats = Counter()
     for iterations in range(1, MAX_ROUNDS + 1):
         res, eta, xi = master.solve()
+        stats.update(res.stats)
         if center_eta is None:
             center_eta, center_xi = eta, xi
 
@@ -441,6 +445,7 @@ def _generate(inst: Instance, ends: np.ndarray, compressed: bool = False) -> Cha
         blocks=ends if compressed else None,
         iterations=iterations,
         gap_bound=float(np.ldexp(gap_bound, -shift)),
+        stats=dict(stats, rounds=iterations),
     )
     validate_chain_solution(inst, sol)
     return sol

@@ -26,7 +26,10 @@ overlapping the jobs placed before it, gaps included.  Its n variables and
 every cover row's slack form a basis: each job row holds only its job's
 chosen column, and the cover slacks are unit columns, so the basis is
 nonsingular, and every slack is 0 or 1, so it is primal feasible.  The
-simplex takes it as a warm start and skips phase 1.  Over the full range a
+simplex takes it as a warm start and skips phase 1.  That vertex is highly
+degenerate (the slack of every cover time a job holds is basic at zero), so
+the simplex perturbs the right-hand side at its first pivot that does not
+lower the objective, as it does for any given basis.  Over the full range a
 job can always be placed after every placed one; on a compressed start set
 placement can fail, and the solve then starts cold.  The optimum is the same
 either way, but where it is tied the returned vertex can differ from the one

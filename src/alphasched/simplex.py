@@ -44,16 +44,26 @@ Pivoting uses Dantzig's rule; the ratio test breaks ties toward the largest
 pivot element.  Degenerate bases, such as the chain-LP masters', are handled
 by one mechanism (Wolfe, J. SIAM 11, 1963): once the objective stalls, the
 right-hand side is shifted along each basic column whose value is below
-``FEAS_TOL``, which lifts that value alone.  At the perturbed optimum the
-shift is dropped, and dual simplex pivots repair any basic value left below
-``-FEAS_TOL``.  Optimality is only declared against a fresh factorization,
-and every answer passes the same final certificate: primal residual, no
-positive artificial, duality gap.  Numerical failure raises
-``NumericalError``: no retry, no silently wrong answer.
+``FEAS_TOL``, which lifts that value alone.  How long a stall lasts before
+that depends on how the solve started.  A solve from a given basis perturbs
+at its first pivot that does not lower the objective: such a basis (a list
+schedule, a master after a purge) tends to hold many basic values at zero.
+A cold start or a resume waits for more than ``STALL_SCALE * (3 m + 50)``
+stalled pivots.  At the perturbed optimum the shift is dropped, the basic
+values are recomputed on the factorization at hand, and dual simplex pivots
+repair any basic value left below ``-FEAS_TOL``.  Optimality is only
+declared against a fresh factorization, and every answer passes the same
+final certificate: primal residual, no positive artificial, duality gap.
+Numerical failure raises ``NumericalError``: no retry, no silently wrong
+answer.
+
+Each solution's ``stats`` counts, for that solve, its pivots (all of them,
+as ``iterations``), perturbations, dual repair pivots and refactorizations
+(after the starting basis was factorized).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,8 +74,9 @@ FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 REFACTOR_EVERY = 120
 # The right-hand side is perturbed once the objective has not improved for
-# more than STALL_SCALE * (3 m + 50) pivots in a row (m rows); the lifted
-# basic values grow by PERTURB times a factor in [1, 2).
+# more than STALL_SCALE * (3 m + 50) pivots in a row (m rows), or for one
+# pivot in a solve from a given basis; the lifted basic values grow by
+# PERTURB times a factor in [1, 2).
 STALL_SCALE = 1
 PERTURB = 1e-6
 # Entries per row chunk of a dense rank-one update of the basis inverse.
@@ -78,6 +89,8 @@ MAX_BASIS_INVERSE_BYTES = 2**29
 
 _SENSES = ("<=", "==", ">=")
 _LE, _GE = _SENSES.index("<="), _SENSES.index(">=")
+# The counters of one solve, the keys of LpSolution.stats.
+STATS = ("pivots", "perturbations", "dual_pivots", "refactorizations")
 
 
 class LpError(ValueError):
@@ -251,6 +264,7 @@ class LpSolution:
     iterations: int = 0  # pivots
     basis: Basis | None = None  # optimal basis, to warm-start a related LP
     warm: bool = False  # resumed the LP's last optimum, or started from the given basis
+    stats: dict = field(default_factory=lambda: dict.fromkeys(STATS, 0))  # counters, see STATS
 
 
 def solve_lp(lp: LinearProgram, basis: Basis | None = None) -> LpSolution:
@@ -263,8 +277,10 @@ def solve_lp(lp: LinearProgram, basis: Basis | None = None) -> LpSolution:
     starting basis instead; if it does not fit the LP, is singular or is
     primal infeasible the solve starts cold.  A stall perturbs the
     right-hand side until the optimum, which dual simplex pivots then repair
-    for the LP itself; a numerical failure raises ``NumericalError``, with
-    no retry.  An LP whose bounds were edited in place past the
+    for the LP itself; from a given basis the first pivot that does not
+    lower the objective is a stall, otherwise more than ``STALL_SCALE * (3 m
+    + 50)`` in a row are.  A numerical failure raises ``NumericalError``,
+    with no retry.  An LP whose bounds were edited in place past the
     basis-inverse budget raises ``LpError`` before any solver state exists.
     """
     lp.reserve(0)
@@ -463,11 +479,12 @@ def _solve(lp: LinearProgram, hint: Basis | None) -> LpSolution:
 
     state = live.resume(lp) if live is not None and hint is None else None
     warm = state is not None
+    hinted = False
     if not warm:
         model = _Model()
         model.extend(lp)
         state = _warm_state(model, hint)
-        warm = state is not None
+        warm = hinted = state is not None
     if not warm:
         state = _State(model, model.cold_basis())
         if model.art.any():
@@ -476,13 +493,13 @@ def _solve(lp: LinearProgram, hint: Basis | None) -> LpSolution:
             if status == "unbounded":  # cannot happen: phase-1 objective >= 0
                 raise NumericalError("phase 1 reported unbounded")
             if state.objective(c1) > FEAS_TOL:
-                return LpSolution(status="infeasible", iterations=state.iters)
+                return LpSolution(status="infeasible", iterations=state.iters, stats=state.stats())
             _evict_artificials(state, model.art)
 
     model = state.model
-    status = _iterate(state, model.c, locked=model.art)
+    status = _iterate(state, model.c, locked=model.art, eager=hinted)
     if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=state.iters, warm=warm)
+        return LpSolution(status="unbounded", iterations=state.iters, warm=warm, stats=state.stats())
 
     # _iterate declares optimality only right after a refactorization.
     x_full = np.zeros(model.cols.total)
@@ -512,6 +529,7 @@ def _solve(lp: LinearProgram, hint: Basis | None) -> LpSolution:
         iterations=state.iters,
         basis=model.public_basis(state.basis),
         warm=warm,
+        stats=state.stats(),
     )
 
 
@@ -550,7 +568,8 @@ class _State:
     """Basis, dense basis inverse and basic values of a model, factorized
     at construction.  A cold start begins at a basis of unit columns, which
     refactorizes to the identity.  The basic values solve for ``b``, the
-    model's right-hand side or a perturbed copy of it."""
+    model's right-hand side or a perturbed copy of it.  The counters cover
+    one solve: construction and ``resume`` set them to zero."""
 
     def __init__(self, model: _Model, basis: np.ndarray):
         self.model = model
@@ -558,9 +577,17 @@ class _State:
         self.basis = basis
         self.b = model.b
         self.m = model.cols.m
-        self.iters = 0
         self.binv = None
+        self.zero_counts()
         self.refactor()
+        self.refactors = 0  # the starting basis's factorization is not counted
+
+    def zero_counts(self) -> None:
+        self.iters = self.perturbations = self.dual_pivots = self.refactors = 0
+
+    def stats(self) -> dict:
+        counts = (self.iters, self.perturbations, self.dual_pivots, self.refactors)
+        return dict(zip(STATS, counts))
 
     def resume(self, lp: LinearProgram):
         """This state carried over to what ``lp`` gained since it was
@@ -598,7 +625,8 @@ class _State:
             self.basis = np.concatenate((self.basis, slack))
         self.b, self.xb = model.b, self.binv @ model.b
         # Optimality is declared against a fresh factorization only.
-        self.iters, self.since_refactor = 0, 1
+        self.since_refactor = 1
+        self.zero_counts()
         if not np.isfinite(self.xb).all() or self.xb.min(initial=0.0) < -FEAS_TOL:
             return None
         return self
@@ -643,6 +671,7 @@ class _State:
         self.binv = binv
         self.xb = binv @ self.b
         self.since_refactor = 0
+        self.refactors += 1
 
     def perturb(self) -> None:
         """Lift each basic value below ``FEAS_TOL`` by PERTURB times a
@@ -652,6 +681,7 @@ class _State:
         lift = PERTURB * (1.0 + (0.6180339887 * self.basis[low]) % 1.0)
         self.b = self.b + self.cols.right_multiply(np.bincount(self.basis[low], lift, self.cols.total))
         self.xb[low] += lift
+        self.perturbations += 1
 
     def pivot(self, row: int, col: int, direction: np.ndarray) -> None:
         """Basis change; ``direction`` (binv @ a_col) is consumed."""
@@ -683,20 +713,24 @@ class _State:
             self.refactor()
 
 
-def _iterate(state: _State, c: np.ndarray, locked: np.ndarray) -> str:
+def _iterate(state: _State, c: np.ndarray, locked: np.ndarray, eager: bool = False) -> str:
     """Run simplex iterations to optimality of cost vector ``c``.
 
     Dantzig pricing; the ratio test breaks ties toward the largest pivot
     element, which keeps the basis inverse well conditioned.  A stall
-    perturbs the right-hand side; at the perturbed optimum the perturbation
-    is dropped, and dual simplex pivots take any basic value left below
-    ``-FEAS_TOL`` out of the basis.  Locked columns never enter.  The duals
-    ``y`` get a rank-one update per primal pivot and are recomputed at each
-    refactorization; optimality is confirmed against a fresh factorization.
+    perturbs the right-hand side: with ``eager`` (a solve from a given
+    basis) the first pivot that does not lower the objective, otherwise more
+    than ``STALL_SCALE * (3 m + 50)`` in a row.  At the perturbed optimum,
+    which is declared on a fresh factorization, the perturbation is dropped
+    and the basic values are recomputed on that same factorization; dual
+    simplex pivots then take any basic value left below ``-FEAS_TOL`` out of
+    the basis.  Locked columns never enter.  The duals ``y`` get a rank-one
+    update per primal pivot and are recomputed at each refactorization;
+    optimality is confirmed against a fresh factorization.
     """
     m = state.m
     stall = 0
-    stall_limit = STALL_SCALE * (3 * m + 50)
+    stall_limit = 0 if eager else STALL_SCALE * (3 * m + 50)
     max_iters = 60 * (m + state.cols.total) + 10_000
     last_obj = np.inf
     start_iters = state.iters
@@ -715,8 +749,9 @@ def _iterate(state: _State, c: np.ndarray, locked: np.ndarray) -> str:
                 state.refactor()
                 continue
             if state.b is not state.model.b:
+                # The inverse is fresh: refactor() would recompute it as is.
                 state.b = state.model.b
-                state.refactor()
+                state.xb = state.binv @ state.b
             leave = int(np.argmin(state.xb))
             if state.xb[leave] >= -FEAS_TOL:
                 return "optimal"
@@ -730,6 +765,7 @@ def _iterate(state: _State, c: np.ndarray, locked: np.ndarray) -> str:
             ties = eligible[ratios <= ratios.min() + 1e-9 * (1.0 + ratios.min())]
             enter = int(ties[np.argmin(row[ties])])
             state.pivot(leave, enter, state.direction(enter))
+            state.dual_pivots += 1
             y = None
             continue
         enter = int(candidates[np.argmin(reduced[candidates])])

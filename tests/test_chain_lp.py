@@ -273,6 +273,23 @@ def test_masters_warm_start_across_rounds_and_purges(monkeypatch):
     assert [warm for _, _, _, warm in calls] == [k not in (0, len(exact)) for k in range(len(calls))]
 
 
+def test_stats_sum_the_master_solves(monkeypatch):
+    masters = []
+    solve_lp = chain_lp.solve_lp
+
+    def recording_solve_lp(lp, basis=None):
+        masters.append(solve_lp(lp, basis))
+        return masters[-1]
+
+    monkeypatch.setattr(chain_lp, "solve_lp", recording_solve_lp)
+    monkeypatch.setattr(chain_lp, "PURGE_ABOVE", 40)  # a purged master starts from a given basis
+    sol = solve_chain_lp(random_instance(np.random.default_rng(0), 8, 2, p_max=8, r_max=12))
+    assert len(masters) == sol.iterations
+    summed = {key: sum(res.stats[key] for res in masters) for key in simplex.STATS}
+    assert sol.stats == {**summed, "rounds": sol.iterations}
+    assert sol.stats["pivots"] == sum(res.iterations for res in masters) > 0
+
+
 def test_solution_chains_are_valid():
     rng = np.random.default_rng(9)
     inst = make(rng.integers(1, 5, size=(5, 2)), rng.integers(0, 7, size=5), rng.uniform(1, 5, 5))

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from alphasched import interval_lp, simplex
-from alphasched.instance import FORBIDDEN, Instance, NonPreemptiveSchedule, evaluate_schedule, horizon
+from alphasched.bench import random_instance
+from alphasched.instance import (
+    FORBIDDEN,
+    Instance,
+    NonPreemptiveSchedule,
+    evaluate_schedule,
+    horizon,
+    normalize_weights,
+)
 from alphasched.interval_lp import (
     IntervalLpError,
     StartTimeSet,
@@ -262,6 +270,20 @@ def test_solve_starts_warm_and_matches_cold():
         cold = solve_lp(build_interval_lp(inst, starts).lp)
         assert not cold.warm
         assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+
+
+def test_list_schedule_start_perturbs_its_first_stall():
+    # Long jobs leave many cover slacks basic at zero in the list schedule's
+    # basis.  Waiting 3 m + 50 stalled pivots to perturb took 69 pivots here;
+    # perturbing at the first stall takes 17.
+    inst = random_instance(np.random.default_rng(124), 5, 2, p_max=40, r_max=40)
+    _, res = solve_recorded(inst)
+    assert res.warm
+    assert res.iterations <= 35
+    assert res.stats["perturbations"] >= 1
+    cold = solve_lp(build_interval_lp(normalize_weights(inst)[0]).lp)
+    assert not cold.warm
+    assert res.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
 def test_unplaceable_list_schedule_falls_back_cold():

@@ -225,6 +225,23 @@ def test_lower_bound_shift_on_a_redundant_row_does_not_resume(monkeypatch):
     assert res.x[1:].tolist() == pytest.approx([1.0, 1.0])
 
 
+def test_stats_count_one_solve():
+    # min x0 + x1 + 2 x2  s.t.  x0 + x1 + x2 >= 2,  x0 + x1 <= 3,  x2 <= 4
+    lp = LinearProgram(3, objective=np.array([1.0, 1.0, 2.0]))
+    lp.add_row([0, 1, 2], [1.0, 1.0, 1.0], ">=", 2.0)
+    lp.add_row([0, 1], [1.0, 1.0], "<=", 3.0)
+    lp.add_row([2], [1.0], "<=", 4.0)
+    first = solve_lp(lp)
+    assert set(first.stats) == set(simplex.STATS)
+    assert first.stats["pivots"] == first.iterations > 0
+    # From its optimal basis the LP never pivots: nothing is counted, not
+    # even the factorization of the starting basis.
+    again = solve_lp(lp, first.basis)
+    assert again.warm and again.iterations == 0
+    assert again.stats == dict.fromkeys(simplex.STATS, 0)
+    assert solve_lp(LinearProgram(2)).stats == dict.fromkeys(simplex.STATS, 0)
+
+
 # A chain-LP master of random_instance(default_rng(8010), 8, 2, p_max=40,
 # r_max=40), the 39th of its exact column generation: a degenerate set
 # partitioning LP (224 capacity rows <= 1, 8 job rows >= 1, 877 chains), on
@@ -247,6 +264,7 @@ def test_degenerate_chain_master_solves_and_certifies():
     # About 7,500 pivots; without the perturbation Dantzig's rule stalls
     # for about 88,000.
     assert res.iterations < 20_000
+    assert res.stats["pivots"] == res.iterations and res.stats["perturbations"] >= 1
     # The certificate, from the LP's data alone: primal feasible, dual
     # feasible with the right signs, and no duality gap.
     row, col, val = d["row"].astype(int), d["col"].astype(int), d["val"]

@@ -401,3 +401,19 @@ def test_large_perturbations_repair_to_the_certified_optimum(lp):
     assert res.status == expected.status == "optimal"
     assert res.objective == pytest.approx(expected.objective, abs=TOL * (1 + abs(expected.objective)))
     _check_certificate(lp, res)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lp=chain_masters())
+def test_degenerate_given_basis_perturbs_to_the_certified_optimum(lp):
+    # Job j's column on slots 2j, 2j + 1 and every slot row's slack form a
+    # feasible basis with the slacks of those slots basic at zero: a solve
+    # from it perturbs at its first stalled pivot.
+    slots = sum(sense == "<=" for _, _, sense, _ in lp.rows)
+    jobs = lp.num_rows - slots
+    expected = solve_lp(_copy(lp))
+    hint = Basis(columns=np.arange(jobs), slack_rows=np.arange(slots))
+    res = solve_lp(lp, hint)
+    assert res.warm and res.status == expected.status == "optimal"
+    assert res.objective == pytest.approx(expected.objective, abs=TOL * (1 + abs(expected.objective)))
+    _check_certificate(lp, res)

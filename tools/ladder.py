@@ -1,0 +1,87 @@
+"""Solve the exact chain-LP ladder and write one JSON line per instance.
+
+    python3 tools/ladder.py                  # all 45 instances
+    python3 tools/ladder.py --size 10 3      # the 15 instances of one size
+
+Run from anywhere; the library is imported from this checkout's ``src/``.
+Ladder instance (n, m) s is ``random_instance(default_rng(1000 n + s), n,
+m, p_max=40, r_max=40)``, for (n, m) in (8, 2), (10, 3), (12, 2) and s =
+0..14, solved by ``solve_chain_lp`` (exact, unit blocks).  Each line holds
+n, m, s, the objective as ``float.hex``, the column-generation rounds, the
+gap ratio ``gap_bound / (1 + objective)``, the master solves' pivots,
+perturbations and dual repair pivots, and the solve's seconds; a solve that
+raises holds its error instead.  The exit code is 1 when any instance
+raised or closed with a gap ratio above 1e-6, else 0.
+
+BLAS and OpenMP pools are pinned to one thread before numpy is imported:
+the simplex's pivot path depends on BLAS summation order.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from alphasched.bench import random_instance  # noqa: E402
+from alphasched.chain_lp import ChainLpError, solve_chain_lp  # noqa: E402
+from alphasched.simplex import LpError, NumericalError  # noqa: E402
+
+SIZES = ((8, 2), (10, 3), (12, 2))
+SEEDS = 15
+GAP_RATIO_MAX = 1e-6
+
+
+def solve(n: int, m: int, s: int) -> dict:
+    inst = random_instance(np.random.default_rng(1000 * n + s), n, m, p_max=40, r_max=40)
+    line = {"n": n, "m": m, "s": s}
+    start = time.perf_counter()
+    try:
+        sol = solve_chain_lp(inst)
+    except (ChainLpError, LpError, NumericalError) as exc:  # reported, and the ladder goes on
+        line.update(error=f"{type(exc).__name__}: {exc}", seconds=time.perf_counter() - start)
+        return line
+    seconds = time.perf_counter() - start
+    line.update(
+        objective=sol.objective.hex(),
+        rounds=sol.stats["rounds"],
+        gap_ratio=sol.gap_bound / (1.0 + abs(sol.objective)),
+        pivots=sol.stats["pivots"],
+        perturbations=sol.stats["perturbations"],
+        dual_pivots=sol.stats["dual_pivots"],
+        seconds=seconds,
+    )
+    return line
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--size", nargs=2, type=int, action="append", metavar=("N", "M"),
+        help="solve only the instances with n jobs and m machines (repeatable; default: every size)",
+    )
+    args = parser.parse_args(argv)
+    sizes = [tuple(size) for size in args.size] if args.size else SIZES
+    unknown = [size for size in sizes if size not in SIZES]
+    if unknown:
+        parser.error(f"no ladder size {unknown[0]}; the sizes are {', '.join(map(str, SIZES))}")
+    ok = True
+    for n, m in sizes:
+        for s in range(SEEDS):
+            line = solve(n, m, s)
+            ok &= "error" not in line and line["gap_ratio"] <= GAP_RATIO_MAX
+            print(json.dumps(line), flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
