@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,19 +56,9 @@ def random_instance(
     )
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    instance_id: str
-    lp_interval: float
-    lp_chain: float
-    oracle_np: float | None
-    oracle_p: float | None
-    dist: str
-    mean_ratio: float
-    stderr: float
-
-
-BENCH_HEADER = "instance-id,lp-interval,lp-chain,oracle-np,oracle-p,dist,mean-ratio,stderr"
+BENCH_COLUMNS = [
+    "instance-id", "lp-interval", "lp-chain", "oracle-np", "oracle-p", "dist", "mean-ratio", "stderr",
+]
 
 
 def parse_bench_config(text: str) -> dict:
@@ -95,11 +84,13 @@ def parse_bench_config(text: str) -> dict:
     return cfg
 
 
-def bench_random_suite(cfg: dict) -> list[BenchRow]:
-    """One row per (instance, distribution): LP values, oracle optima when
-    the guards allow, and the Monte Carlo rounding ratio."""
+def bench_random_suite(cfg: dict) -> list[list]:
+    """One row per (instance, distribution), in the order of
+    ``BENCH_COLUMNS``: LP values, oracle optima (None where a guard stops
+    the search), and the Monte Carlo rounding ratio with its standard
+    error."""
     dists: list[tuple[str, OffsetDistribution]] = [(d, from_spec(d)) for d in cfg["dists"]]
-    rows: list[BenchRow] = []
+    rows: list[list] = []
     idx = 0
     for g in cfg["generators"]:
         for _ in range(int(g["count"])):
@@ -128,29 +119,9 @@ def bench_random_suite(cfg: dict) -> list[BenchRow]:
                 est = estimate_ratio(
                     inst, sol, dist, trials=int(cfg["trials"]), seed=int(cfg["seed"]) + idx
                 )
-                rows.append(
-                    BenchRow(
-                        instance_id=inst.name,
-                        lp_interval=sol.objective,
-                        lp_chain=chain.objective,
-                        oracle_np=oracle_np,
-                        oracle_p=oracle_p,
-                        dist=name,
-                        mean_ratio=est.mean_ratio,
-                        stderr=est.std_error,
-                    )
-                )
+                rows.append([
+                    inst.name, sol.objective, chain.objective, oracle_np, oracle_p,
+                    name, est.mean_ratio, est.std_error,
+                ])
             idx += 1
     return rows
-
-
-def bench_rows_to_csv(rows: list[BenchRow]) -> str:
-    lines = [BENCH_HEADER]
-    for r in rows:
-        onp = "" if r.oracle_np is None else f"{r.oracle_np:.10g}"
-        op = "" if r.oracle_p is None else f"{r.oracle_p:.10g}"
-        lines.append(
-            f"{r.instance_id},{r.lp_interval:.10g},{r.lp_chain:.10g},{onp},{op},"
-            f"{r.dist},{r.mean_ratio:.10g},{r.stderr:.10g}"
-        )
-    return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import bench_random_suite, bench_rows_to_csv, parse_bench_config, random_instance
+from .bench import BENCH_COLUMNS, bench_random_suite, parse_bench_config, random_instance
 from .chain_lp import ChainLpError, solve_chain_lp, solve_chain_lp_compressed
 from .distributions import DistributionError, OffsetDistribution, from_spec
 from .instance import (
@@ -52,6 +52,8 @@ FULL_RANGE_DEFAULT = 1000  # compression engages above this horizon
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
@@ -233,32 +235,7 @@ def _cmd_bench(args) -> None:
     cfg = parse_bench_config(Path(args.config).read_text(encoding="utf-8"))
     if args.seed is not None:
         cfg["seed"] = args.seed
-    rows = bench_random_suite(cfg)
-    if args.format == "csv":
-        text = bench_rows_to_csv(rows)
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-    else:
-        table = [
-            [
-                r.instance_id,
-                r.lp_interval,
-                r.lp_chain,
-                r.oracle_np if r.oracle_np is not None else None,
-                r.oracle_p if r.oracle_p is not None else None,
-                r.dist,
-                r.mean_ratio,
-                r.stderr,
-            ]
-            for r in rows
-        ]
-        _emit(
-            args,
-            ["instance-id", "lp-interval", "lp-chain", "oracle-np", "oracle-p", "dist", "mean-ratio", "stderr"],
-            table,
-        )
+    _emit(args, BENCH_COLUMNS, bench_random_suite(cfg))
 
 
 # -- parser ----------------------------------------------------------------

@@ -22,21 +22,23 @@ columns.
 
 After an optimal solve the LP keeps the solver's state: the standard form
 with its column store, the basis, the basis inverse and the basic values.
-The next ``solve_lp(lp)`` resumes from it when the LP has only grown since.
-Appended variables join the column store as nonbasic columns without a
-re-sort, appended rows (and the upper-bound rows of appended variables)
-enter with their slack basic, and the inverse grows by the block formula
-``[[B^-1, 0], [-S^-1 R B^-1, S^-1]]``, with R the new rows' entries on the
-basic columns and S the new slacks' diagonal.  A solve from nothing is the
-same extension of an empty state, followed by the cold two-phase start.
+The next ``solve_lp(lp)`` resumes from it when the LP grew as a
+column-generation master does: rows appended with no entries, then
+variables.  The new variables join the column store as nonbasic columns
+after all others, and the new rows (and the upper-bound rows of new
+variables) enter with their slack basic.  No basic column has an entry in a
+new row, so the inverse grows by the new slacks' diagonal ``1/s``.  A solve
+from nothing is the same extension of an empty state, followed by the cold
+two-phase start.
 
 A solve does not resume, and starts from the given basis or cold instead,
 when a basis is given (``solve_lp(lp, basis)``), when the objective or the
 bounds of existing variables were edited in place (a comparison with the
 copies the state keeps detects it; entries, senses and right-hand sides are
-read-only), when the last optimum keeps an artificial basic on a redundant
-equation row (an appended column may have an entry there), when an
-appended row is an equation (it has no slack to enter with), or when the
+read-only), when an appended entry, zero or not, lies on a variable the
+last solve already had, when the last optimum keeps an artificial basic on
+a redundant equation row (an appended column may have an entry there), when
+an appended row is an equation (it has no slack to enter with), or when the
 extended basis is not primal feasible.  A given basis of the wrong size, a
 singular one or a primal infeasible one falls back to the cold start.
 
@@ -106,10 +108,10 @@ class LinearProgram:
 
     Variables default to ``x >= 0``; ``objective``, ``lower`` and ``upper``
     are per-variable arrays and may be edited in place (``solve_lp`` checks
-    the budget again, as a finite upper bound adds a row).  The constraint
-    entries (row, variable, coefficient) and each row's sense and right-hand
-    side are read-only arrays, in the order they were added; ``rows`` lists
-    them per row as (indices, coefficients, sense, rhs).
+    them and the budget again).  The constraint entries (row, variable,
+    coefficient) and each row's sense and right-hand side are read-only
+    arrays, in the order they were added; ``rows`` lists them per row as
+    (indices, coefficients, sense, rhs).
     """
 
     def __init__(self, num_vars: int, objective=None, lower=None, upper=None):
@@ -120,8 +122,7 @@ class LinearProgram:
         self.objective = _vector(objective, 0.0, n, "objective")
         self.lower = _vector(lower, 0.0, n, "lower bounds")
         self.upper = _vector(upper, np.inf, n, "upper bounds")
-        if not np.isfinite(self.objective).all() or not np.isfinite(self.lower).all():
-            raise LpError("objective and lower bounds must be finite")
+        _check_costs_and_bounds(self.objective, self.lower, self.upper)
         self._row = self._col = _frozen(np.zeros(0, dtype=np.int64))
         self._val = self._rhs = _frozen(np.zeros(0))
         self._sense = _frozen(np.zeros(0, dtype=np.int8))  # index into _SENSES
@@ -188,8 +189,9 @@ class LinearProgram:
         hi = _vector(upper, np.inf, count, "upper bounds")
         if idx.size and (idx.min() < 0 or idx.max() >= self.num_rows):
             raise LpError("column row index out of range")
-        if not np.isfinite(val).all() or not np.isfinite(cost).all() or not np.isfinite(lo).all():
-            raise LpError("column coefficients, costs and lower bounds must be finite")
+        if not np.isfinite(val).all():
+            raise LpError("column coefficients must be finite")
+        _check_costs_and_bounds(cost, lo, hi)
         self.reserve(np.count_nonzero(np.isfinite(hi)))
         first = self.num_vars
         self._append_entries(idx, first + np.repeat(np.arange(count), np.diff(ptr)), val)
@@ -222,6 +224,13 @@ def _vector(values, fill: float, size: int, name: str) -> np.ndarray:
     if out.shape != (size,):
         raise LpError(f"{name} must have shape ({size},)")
     return out
+
+
+def _check_costs_and_bounds(objective, lower, upper) -> None:
+    if not np.isfinite(objective).all() or not np.isfinite(lower).all():
+        raise LpError("objective and lower bounds must be finite")
+    if np.isnan(upper).any():
+        raise LpError("upper bounds must not be NaN")
 
 
 def _compressed(indptr, indices, coeffs, kind: str):
@@ -280,9 +289,13 @@ def solve_lp(lp: LinearProgram, basis: Basis | None = None) -> LpSolution:
     for the LP itself; from a given basis the first pivot that does not
     lower the objective is a stall, otherwise more than ``STALL_SCALE * (3 m
     + 50)`` in a row are.  A numerical failure raises ``NumericalError``,
-    with no retry.  An LP whose bounds were edited in place past the
-    basis-inverse budget raises ``LpError`` before any solver state exists.
+    with no retry.  Costs and bounds edited in place are checked again
+    (shape, finiteness, NaN, the basis-inverse budget): ``LpError`` is
+    raised before any solver state exists.
     """
+    if any(np.shape(a) != (lp.num_vars,) for a in (lp.objective, lp.lower, lp.upper)):
+        raise LpError(f"objective, lower and upper bounds must have shape ({lp.num_vars},)")
+    _check_costs_and_bounds(lp.objective, lp.lower, lp.upper)
     lp.reserve(0)
     return _solve(lp, basis)
 
@@ -300,19 +313,9 @@ class _Columns:
         self._index()
 
     def append(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, m: int, total: int) -> None:
-        """Add entries and grow to ``m`` rows and ``total`` columns.  The
-        entries of existing columns go to the end of their column and those
-        of new columns after all others, sorted stably by column: the store
-        is never re-sorted."""
-        old = cols < self.total
-        if old.any():
-            order = np.argsort(cols[old], kind="stable")
-            at = self.colptr[cols[old][order] + 1]
-            self.rows = np.insert(self.rows, at, rows[old][order])
-            self.vals = np.insert(self.vals, at, vals[old][order])
-            grown = np.cumsum(np.bincount(cols[old], minlength=self.total))
-            self.colptr = self.colptr + np.concatenate(([0], grown))
-            rows, cols, vals = rows[~old], cols[~old], vals[~old]
+        """Grow to ``m`` rows and ``total`` columns, with the entries of the
+        new columns (all ``cols`` are new) after all others, sorted stably
+        by column: the store only appends, and is never re-sorted."""
         order = np.argsort(cols, kind="stable")
         self.rows = np.concatenate((self.rows, rows[order]))
         self.vals = np.concatenate((self.vals, vals[order]))
@@ -382,7 +385,8 @@ class _Model:
         self.c = np.zeros(0)  # phase-2 cost per column
 
     def covers(self, lp: LinearProgram) -> bool:
-        """Whether ``lp`` has only grown since this model was built from it."""
+        """Whether ``lp`` has only grown since this model was built from it,
+        with no appended entry on a variable it had then."""
         n = self.n
         return (
             lp.num_vars >= n
@@ -390,6 +394,7 @@ class _Model:
             and np.array_equal(lp.objective[:n], self.objective)
             and np.array_equal(lp.lower[:n], self.lower)
             and np.array_equal(lp.upper[:n], self.upper)
+            and not (lp._col[self.e :] < n).any()
         )
 
     def extend(self, lp: LinearProgram) -> None:
@@ -591,10 +596,12 @@ class _State:
 
     def resume(self, lp: LinearProgram):
         """This state carried over to what ``lp`` gained since it was
-        solved: the model is extended, each new row enters with its slack
-        basic and the inverse grows by the block formula.  None when the LP
-        changed otherwise, an artificial is still basic, a new row has no
-        slack, or the extended basis is not primal feasible."""
+        solved: the model is extended and each new row enters with its slack
+        basic.  Only new columns have entries in new rows, so the basis is
+        block diagonal and the inverse grows by the slacks' ``1/s``.  None
+        when the LP changed otherwise (``_Model.covers``), an artificial is
+        still basic, a new row has no slack, or the extended basis is not
+        primal feasible."""
         model = self.model
         if not model.covers(lp) or model.art[self.basis].any():
             # A basic artificial sits on a redundant row, where no column had
@@ -608,18 +615,9 @@ class _State:
         if (slack < 0).any():
             return None
         if m > m0:
-            # R: the new rows' entries on the basic columns, by position.
-            cols = model.cols
-            pos = np.full(cols.total, -1, dtype=np.int64)
-            pos[self.basis] = np.arange(m0)
-            at = pos[cols.cols]
-            sel = (cols.rows >= m0) & (at >= 0)
-            R = np.zeros((m - m0, m0))
-            np.add.at(R, (cols.rows[sel] - m0, at[sel]), cols.vals[sel])
-            s = cols.vals[cols.colptr[slack]]
             binv = np.zeros((m, m))
             binv[:m0, :m0] = self.binv
-            binv[m0:, :m0] = -(R @ self.binv) / s[:, None]
+            s = model.cols.vals[model.cols.colptr[slack]]
             binv[np.arange(m0, m), np.arange(m0, m)] = 1.0 / s
             self.binv, self.m = binv, m
             self.basis = np.concatenate((self.basis, slack))

@@ -225,6 +225,55 @@ def test_lower_bound_shift_on_a_redundant_row_does_not_resume(monkeypatch):
     assert res.x[1:].tolist() == pytest.approx([1.0, 1.0])
 
 
+def test_appended_row_on_old_variables_starts_cold():
+    # min -x0 - 2 x1  s.t.  x0 + x1 <= 4, then x0 + x1 <= 10 appended: the
+    # new row has entries on basic variables, so the solve does not resume.
+    lp = LinearProgram(2, objective=[-1.0, -2.0])
+    lp.add_row([0, 1], [1.0, 1.0], "<=", 4.0)
+    first = solve_lp(lp)
+    lp.add_row([0, 1], [1.0, 1.0], "<=", 10.0)
+    res = solve_lp(lp)
+    assert res.status == "optimal" and not res.warm
+    assert res.x.tolist() == first.x.tolist() == [0.0, 4.0]
+    assert res.objective == first.objective == -8.0
+
+
+def test_nan_upper_bound_is_refused_when_added():
+    # NaN is no "no bound": x <= NaN next to x <= 5 would solve to x = 5.
+    with pytest.raises(LpError, match="NaN"):
+        LinearProgram(2, objective=[-1.0, -1.0], upper=[np.nan, 5.0])
+    lp = LinearProgram(1)
+    with pytest.raises(LpError, match="NaN"):
+        lp.add_columns([0, 0], [], [], [-1.0], upper=[np.nan])
+    assert lp.num_vars == 1
+
+
+def _lp_solved_once():
+    lp = LinearProgram(2, objective=[-1.0, -1.0], upper=[3.0, 5.0])
+    lp.add_row([0, 1], [1.0, 1.0], "<=", 6.0)
+    assert solve_lp(lp).objective == -6.0
+    return lp
+
+
+@pytest.mark.parametrize(
+    "name, value", [("objective", np.nan), ("lower", np.nan), ("lower", -np.inf), ("upper", np.nan)]
+)
+def test_solve_refuses_costs_and_bounds_edited_out_of_range(name, value):
+    # The arrays may be edited in place, so the solve checks them again,
+    # also when it would resume.
+    lp = _lp_solved_once()
+    getattr(lp, name)[0] = value
+    with pytest.raises(LpError, match="finite|NaN"):
+        solve_lp(lp)
+
+
+def test_solve_refuses_costs_and_bounds_replaced_by_a_wrong_shape():
+    lp = _lp_solved_once()
+    lp.lower = np.zeros(3)
+    with pytest.raises(LpError, match="shape"):
+        solve_lp(lp)
+
+
 def test_stats_count_one_solve():
     # min x0 + x1 + 2 x2  s.t.  x0 + x1 + x2 >= 2,  x0 + x1 <= 3,  x2 <= 4
     lp = LinearProgram(3, objective=np.array([1.0, 1.0, 2.0]))

@@ -242,26 +242,35 @@ def _assert_same_answer(res, cold, lp):
 
 
 @st.composite
+def appended_columns(draw, lp):
+    """Up to three variables appended to ``lp``, with entries in any of its
+    rows."""
+    coef = st.integers(-3, 3)
+    k = draw(st.integers(0, 3))
+    ptr, idx, val = [0], [], []
+    for _ in range(k):
+        rows = draw(st.lists(st.integers(0, lp.num_rows - 1), unique=True, max_size=lp.num_rows)) if lp.num_rows else []
+        idx += rows
+        val += [float(draw(coef)) for _ in rows]
+        ptr.append(len(idx))
+    lower = np.array(draw(st.lists(st.integers(-2, 1), min_size=k, max_size=k)), dtype=float)
+    widths = draw(st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=k, max_size=k))
+    lp.add_columns(
+        ptr, idx, val, np.array(draw(st.lists(coef, min_size=k, max_size=k)), dtype=float),
+        lower, [np.inf if w is None else lo + w for lo, w in zip(lower, widths)],
+    )
+
+
+@st.composite
 def appended(draw, lp):
     """Columns, then rows, or rows, then columns, appended to ``lp``; returns
-    whether an equation row was among them."""
+    whether an equation row was among them.  A row has an entry, maybe zero,
+    on every variable."""
     coef = st.integers(-3, 3)
     equation = False
 
     def columns():
-        k = draw(st.integers(0, 3))
-        ptr, idx, val = [0], [], []
-        for _ in range(k):
-            rows = draw(st.lists(st.integers(0, lp.num_rows - 1), unique=True, max_size=lp.num_rows)) if lp.num_rows else []
-            idx += rows
-            val += [float(draw(coef)) for _ in rows]
-            ptr.append(len(idx))
-        lower = np.array(draw(st.lists(st.integers(-2, 1), min_size=k, max_size=k)), dtype=float)
-        widths = draw(st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=k, max_size=k))
-        lp.add_columns(
-            ptr, idx, val, np.array(draw(st.lists(coef, min_size=k, max_size=k)), dtype=float),
-            lower, [np.inf if w is None else lo + w for lo, w in zip(lower, widths)],
-        )
+        draw(appended_columns(lp))
 
     def rows():
         nonlocal equation
@@ -274,6 +283,19 @@ def appended(draw, lp):
     for step in (columns, rows) if draw(st.booleans()) else (rows, columns):
         step()
     return equation
+
+
+def _resumed_start(first, lp, n0, R0):
+    """The basis a resume starts from: the old optimal basis plus the slacks
+    of the new rows and of the new variables' upper bounds, numbered as in
+    the grown LP."""
+    R, bounded = lp.num_rows, np.isfinite(lp.upper)
+    old = first.basis.slack_rows
+    slack_rows = np.concatenate((
+        old[old < R0], R + (old[old >= R0] - R0), np.arange(R0, R),
+        R + int(bounded[:n0].sum()) + np.arange(int(bounded[n0:].sum())),
+    ))
+    return Basis(columns=first.basis.columns, slack_rows=slack_rows)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -298,18 +320,33 @@ def test_resume_after_appending_matches_cold_solve(lp, data):
         # blocks a resume: an appended column may have an entry in its row.
         assert not res.warm
         return
-    # The resumed start is the old basis plus the slacks of the new rows
-    # and of the new variables' upper bounds, numbered as in the grown LP.
-    R, bounded = lp.num_rows, np.isfinite(lp.upper)
-    old = first.basis.slack_rows
-    slack_rows = np.concatenate((
-        old[old < R0], R + (old[old >= R0] - R0), np.arange(R0, R),
-        R + int(bounded[:n0].sum()) + np.arange(int(bounded[n0:].sum())),
-    ))
-    start = Basis(columns=first.basis.columns, slack_rows=slack_rows)
-    assert res.warm == (not equation and _hint_is_feasible_basis(lp, start))
-    if lp.num_vars == n0 and R == R0:
+    # An appended row has entries on the old variables, which a resume
+    # does not take: only appended columns may have entries in old rows.
+    grew_rows = lp.num_rows > R0
+    start = _resumed_start(first, lp, n0, R0)
+    assert res.warm == (not equation and not grew_rows and _hint_is_feasible_basis(lp, start))
+    if lp.num_vars == n0 and not grew_rows:
         assert res.warm and res.iterations == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_lps(), st.data())
+def test_resume_after_empty_rows_then_columns_matches_cold_solve(lp, data):
+    # A column-generation round: inequality rows open with no entries, then
+    # new variables get entries in new and old rows.  The solve resumes
+    # whenever the old basis plus the new slacks is primal feasible.
+    first = solve_lp(lp)
+    n0, R0 = lp.num_vars, lp.num_rows
+    m0 = R0 + int(np.isfinite(lp.upper).sum())
+    k = data.draw(st.integers(0, 3))
+    senses = data.draw(st.lists(st.sampled_from(("<=", ">=")), min_size=k, max_size=k))
+    rhs = data.draw(st.lists(st.integers(-2, 5), min_size=k, max_size=k))
+    lp.add_rows(np.zeros(k + 1, dtype=np.int64), [], [], senses, np.array(rhs, dtype=float))
+    data.draw(appended_columns(lp))
+    res = solve_lp(lp)
+    _assert_same_answer(res, solve_lp(_copy(lp)), lp)
+    full = first.status == "optimal" and m0 > 0 and first.basis.columns.size + first.basis.slack_rows.size == m0
+    assert res.warm == (full and _hint_is_feasible_basis(lp, _resumed_start(first, lp, n0, R0)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -2,6 +2,7 @@
 
     python3 tools/ladder.py                  # all 45 instances
     python3 tools/ladder.py --size 10 3      # the 15 instances of one size
+    python3 tools/ladder.py --size 10 3 --expect tools/ladder-10-3.jsonl
 
 Run from anywhere; the library is imported from this checkout's ``src/``.
 Ladder instance (n, m) s is ``random_instance(default_rng(1000 n + s), n,
@@ -11,7 +12,10 @@ n, m, s, the objective as ``float.hex``, the column-generation rounds, the
 gap ratio ``gap_bound / (1 + objective)``, the master solves' pivots,
 perturbations and dual repair pivots, and the solve's seconds; a solve that
 raises holds its error instead.  The exit code is 1 when any instance
-raised or closed with a gap ratio above 1e-6, else 0.
+raised or closed with a gap ratio above 1e-6, or, with ``--expect``, when
+an instance's objective differs from the one the given JSON-lines file holds
+for its (n, m, s) by more than 1e-9 (1 + |objective|) or the file lacks it;
+else 0.  ``tools/ladder-10-3.jsonl`` holds the (10, 3) objectives.
 
 BLAS and OpenMP pools are pinned to one thread before numpy is imported:
 the simplex's pivot path depends on BLAS summation order.
@@ -39,6 +43,7 @@ from alphasched.simplex import LpError, NumericalError  # noqa: E402
 SIZES = ((8, 2), (10, 3), (12, 2))
 SEEDS = 15
 GAP_RATIO_MAX = 1e-6
+OBJECTIVE_RTOL = 1e-9
 
 
 def solve(n: int, m: int, s: int) -> dict:
@@ -69,7 +74,15 @@ def main(argv=None) -> int:
         "--size", nargs=2, type=int, action="append", metavar=("N", "M"),
         help="solve only the instances with n jobs and m machines (repeatable; default: every size)",
     )
+    parser.add_argument(
+        "--expect", type=Path, metavar="PATH",
+        help="JSON lines with n, m, s and objective (float.hex) that each solved instance must match",
+    )
     args = parser.parse_args(argv)
+    expected = None
+    if args.expect:
+        lines = map(json.loads, args.expect.read_text(encoding="utf-8").splitlines())
+        expected = {(d["n"], d["m"], d["s"]): float.fromhex(d["objective"]) for d in lines}
     sizes = [tuple(size) for size in args.size] if args.size else SIZES
     unknown = [size for size in sizes if size not in SIZES]
     if unknown:
@@ -80,6 +93,11 @@ def main(argv=None) -> int:
             line = solve(n, m, s)
             ok &= "error" not in line and line["gap_ratio"] <= GAP_RATIO_MAX
             print(json.dumps(line), flush=True)
+            if expected is not None and "error" not in line:
+                want, got = expected.get((n, m, s)), float.fromhex(line["objective"])
+                if want is None or abs(got - want) > OBJECTIVE_RTOL * (1.0 + abs(want)):
+                    print(f"ladder ({n}, {m}) s = {s}: objective {got!r}, expected {want!r}", file=sys.stderr)
+                    ok = False
     return 0 if ok else 1
 
 
