@@ -17,11 +17,15 @@ The truncated quadratic density has raw mass F(1) slightly above 1
 (about 1.00000125).  Constants are computed from the raw, unnormalized
 density; sampling divides by F(1) so draws are honest probabilities.
 
-Sampling inverts the raw CDF piece by piece: a draw's piece comes from the
-cumulative mass at the breakpoints, pieces of constant density invert in
-closed form, and polynomial pieces take safeguarded Newton steps from a
-precomputed monotone table (the PINV idea of Derflinger, Hoermann and
-Leydold, ACM TOMACS 2010).
+Sampling inverts the raw CDF piece by piece: pieces of constant density
+invert in closed form, and polynomial pieces take safeguarded Newton steps
+from a precomputed monotone table (the PINV idea of Derflinger, Hoermann
+and Leydold, ACM TOMACS 2010).  When one piece holds all the mass, as in
+the three built-in laws, every draw is inverted on it at once; otherwise a
+draw's piece is searched in the cumulative mass at the breakpoints.  The
+Newton steps update a few buffers in place, so the quadratic law's draws
+peak at about 6.5 arrays of their size, and constant pieces invert the
+generator's array itself.
 """
 
 from __future__ import annotations
@@ -74,12 +78,22 @@ class OffsetDistribution:
             raise DistributionError("need at least two breakpoints")
         if abs(breaks[0]) > 1e-15 or abs(breaks[-1] - 1.0) > 1e-15:
             raise DistributionError("breakpoints must start at 0 and end at 1")
-        if (np.diff(breaks) <= 0).any():
+        if not (np.diff(breaks) > 0).all():  # a NaN breakpoint fails this too
             raise DistributionError("breakpoints must be strictly increasing")
-        if len(coeffs) != breaks.size - 1:
+        if not hasattr(coeffs, "__len__") or len(coeffs) != breaks.size - 1:
             raise DistributionError("need one coefficient list per piece")
         self.breakpoints = breaks
-        self.coeffs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
+        self.coeffs = []
+        for k, c in enumerate(coeffs):
+            try:
+                c = np.atleast_1d(np.asarray(c, dtype=float))
+            except (TypeError, ValueError):
+                raise DistributionError(f"piece {k}: coefficients must be numbers") from None
+            if c.ndim != 1 or c.size == 0:
+                raise DistributionError(f"piece {k}: need a non-empty flat list of coefficients")
+            if not np.isfinite(c).all():
+                raise DistributionError(f"piece {k}: coefficients must be finite")
+            self.coeffs.append(c)
         self.name = name
 
         # Piecewise antiderivatives: F (CDF, F(0)=0) and K = int_0^phi F.
@@ -120,6 +134,8 @@ class OffsetDistribution:
         A polynomial piece keeps theta at TABLE_POINTS equally spaced CDF
         levels, solved here from a start interpolated on equally spaced
         theta; draws find their bracket in it by arithmetic, not search.
+        ``_live`` is the one piece of positive mass, or None when there are
+        several: every u in [0, F(1)) falls in that piece.
         """
         self._cum = cum
         self._hi = self.breakpoints[1:]
@@ -141,6 +157,8 @@ class OffsetDistribution:
                 theta = self._newton(k, levels, lows, highs, np.interp(levels, F, t))
                 scale = (TABLE_POINTS - 1) / (cum[k + 1] - cum[k])
                 self._tables[k] = (np.maximum.accumulate(theta), scale)
+        live = np.flatnonzero(cum[1:] > cum[:-1])
+        self._live = int(live[0]) if live.size == 1 else None
 
     # -- constructors ----------------------------------------------------
 
@@ -158,7 +176,7 @@ class OffsetDistribution:
     @classmethod
     def clipped_uniform(cls, lam: float) -> "OffsetDistribution":
         """Uniform density with mass lam clipped off both ends."""
-        if lam < 0 or lam >= 0.5:
+        if not 0.0 <= lam < 0.5:  # NaN fails this too
             raise DistributionError("clip fraction must lie in [0, 0.5)")
         if lam == 0.0:
             return cls.uniform()
@@ -201,35 +219,67 @@ class OffsetDistribution:
         """Inverse-CDF draws using the normalized CDF F/F(1).
 
         Each draw is theta = sup{t : F(t) <= u} for u uniform on [0, F(1)),
-        with F the raw CDF.  The draw's piece is the one whose cumulative
-        mass range holds u, so pieces of zero mass are never chosen.
-        Constant-density pieces invert in closed form; polynomial pieces
-        take bracketed Newton steps, each draw until its step is below 1e-12.
+        with F the raw CDF.  When one piece holds all the mass (uniform,
+        quadratic, clipped) every draw is in it, and it is inverted on the
+        whole array with no piece search.  Otherwise a draw's piece is the
+        one whose cumulative mass range holds u, so pieces of zero mass are
+        never chosen.  Constant-density pieces invert in closed form;
+        polynomial pieces take bracketed Newton steps, each draw until its
+        step is below 1e-12.
         """
         scalar = size is None
-        u = rng.random(1 if scalar else size) * self.raw_mass
-        piece = np.searchsorted(self._cum, u, side="right") - 1
-        np.clip(piece, 0, len(self.coeffs) - 1, out=piece)
+        u = rng.random(1 if scalar else size)
         # Updates run in place: at rounding sizes each temporary is a fresh
         # allocation that is page-faulted in, which costs as much as the math.
+        u *= self.raw_mass
+        k = self._live
+        if k is None:
+            theta = self._sample_pieces(u)
+        elif k in self._tables:
+            flat = u.reshape(-1)
+            theta = self._newton(k, flat, *self._table_start(k, flat)).reshape(u.shape)
+        else:
+            theta = u
+            theta -= self._cum[k]
+            theta *= self._slope[k]
+            theta += self._start[k]
+            np.minimum(theta, self._hi[k], out=theta)
+        return float(theta[0]) if scalar else theta
+
+    def _sample_pieces(self, u: np.ndarray) -> np.ndarray:
+        """``sample``'s inversion when several pieces have mass: each draw's
+        piece is searched, and each polynomial piece inverts its draws."""
+        piece = np.searchsorted(self._cum, u, side="right") - 1
+        np.clip(piece, 0, len(self.coeffs) - 1, out=piece)
         theta = u - self._cum[piece]
         theta *= self._slope[piece]
         theta += self._start[piece]
         np.minimum(theta, self._hi[piece], out=theta)
-        for k, (table, scale) in self._tables.items():
+        for k in self._tables:
             mask = piece == k
             u_k = u[mask]
-            x = u_k - self._cum[k]
-            x *= scale
-            j = np.minimum(x.astype(np.intp), TABLE_POINTS - 2)
-            x -= j
-            lows, highs = table[j], table[j + 1]
-            start = highs - lows
-            start *= x
-            start += lows
-            np.clip(start, lows, highs, out=start)
-            theta[mask] = self._newton(k, u_k, lows, highs, start)
-        return float(theta[0]) if scalar else theta
+            theta[mask] = self._newton(k, u_k, *self._table_start(k, u_k))
+        return theta
+
+    def _table_start(self, k, u):
+        """Bracket and start of Newton's iteration (``_newton``) for the flat
+        draws ``u`` of polynomial piece k, from the piece's table: the
+        bracket is u's cell of the table, the start its linear interpolant.
+        """
+        table, scale = self._tables[k]
+        x = u - self._cum[k]
+        x *= scale
+        j = x.astype(np.intp)
+        np.minimum(j, TABLE_POINTS - 2, out=j)
+        x -= j
+        lows = table[j]
+        j += 1
+        highs = table[j]
+        start = highs - lows
+        start *= x
+        start += lows
+        np.clip(start, lows, highs, out=start)
+        return lows, highs, start
 
     def _newton(self, k, u, lows, highs, t) -> np.ndarray:
         """Solve F(theta) = u on polynomial piece k from the start t inside
@@ -237,27 +287,38 @@ class OffsetDistribution:
         the bracket; a Newton step that leaves it, or meets a vanishing
         density away from the root, is replaced by the bracket's midpoint.
         A draw stops once its own step is below 1e-12, and only the draws
-        still moving take further steps.  ``lows`` and ``highs`` are
-        overwritten, like the temporaries of ``sample``."""
+        still moving take further steps.  ``lows``, ``highs`` and ``t`` are
+        overwritten; the residual, density and mask buffers are allocated
+        once and reused by every step."""
         F_k, f_k = self._F[k], self.coeffs[k]
         out, active = None, None  # the result and the draws still moving, once some stop
+        # The step is computed in resid and the next iterate in dens; the
+        # previous iterate's array is the next step's density buffer.
+        resid, dens = np.empty_like(t), np.empty_like(t)
+        below, bad, cond = (np.empty(t.shape, bool) for _ in range(3))
         for _ in range(NEWTON_CAP):
-            resid = _polyval(F_k, t)
+            _polyval(F_k, t, out=resid)
             resid -= u
-            dens = _polyval(f_k, t)
-            below = resid <= 0.0
+            _polyval(f_k, t, out=dens)
+            np.less_equal(resid, 0.0, out=below)
             np.copyto(lows, t, where=below)
-            np.copyto(highs, t, where=~below)
-            bad = (dens <= 0.0) & (resid != 0.0)
-            np.divide(resid, dens, out=resid, where=dens > 0.0)
+            np.logical_not(below, out=below)
+            np.copyto(highs, t, where=below)
+            np.less_equal(dens, 0.0, out=bad)
+            np.not_equal(resid, 0.0, out=cond)
+            bad &= cond
+            np.greater(dens, 0.0, out=cond)
+            np.divide(resid, dens, out=resid, where=cond)
             step, nxt = resid, dens
             np.subtract(t, step, out=nxt)
-            bad |= nxt < lows
-            bad |= nxt > highs
+            np.less(nxt, lows, out=cond)
+            bad |= cond
+            np.greater(nxt, highs, out=cond)
+            bad |= cond
             if bad.any():
                 nxt[bad] = 0.5 * (lows[bad] + highs[bad])
             np.subtract(nxt, t, out=step)
-            t = nxt
+            t, dens = nxt, t
             np.abs(step, out=step)
             if step.max(initial=0.0) < NEWTON_TOL:
                 break
@@ -269,6 +330,8 @@ class OffsetDistribution:
                     out[active] = t
                 active = active[moving]
                 t, u, lows, highs = t[moving], u[moving], lows[moving], highs[moving]
+                m = t.size
+                resid, dens, below, bad, cond = resid[:m], dens[:m], below[:m], bad[:m], cond[:m]
         if out is None:
             return t
         out[active] = t
@@ -363,9 +426,13 @@ def from_spec(text: str) -> OffsetDistribution:
 # -- small polynomial helpers (ascending coefficients) -------------------
 
 
-def _polyval(coeffs: np.ndarray, x):
-    """Polynomial value by Horner's rule, updating one array in place."""
-    out = np.full(np.shape(x), coeffs[-1])
+def _polyval(coeffs: np.ndarray, x, out=None):
+    """Polynomial value by Horner's rule, updating one array in place (``out``
+    when given, of x's shape)."""
+    if out is None:
+        out = np.full(np.shape(x), coeffs[-1])
+    else:
+        out.fill(coeffs[-1])
     for c in coeffs[-2::-1]:
         out *= x
         out += c

@@ -72,10 +72,10 @@ class IdleDiagnostic:
 # Trials run in blocks whose (trials x jobs) float64 arrays take this many
 # bytes: a block's temporaries stay in cache, and the allocator reuses them
 # from block to block instead of page-faulting fresh ones in on every call.
-# A block holds up to about 15 such arrays at once (the quadratic sampler's
-# Newton steps, or the sequencing).  At 64 KiB that is about 1 MiB, which
-# glibc's heap trims and page-faults back in on every block unless some
-# larger array freed earlier raised its trim threshold.
+# The quadratic sampler peaks at about 6.5 such arrays and the sequencing
+# at about 6 (9 when it chains two release arrays).  64 KiB blocks are
+# slower: np-round ran 1.24-1.37M trials/s with them against 1.41-1.48M at
+# 32 KiB (4 alternating runs each, 2-core machine).
 BLOCK_BYTES = 32 * 1024
 
 
@@ -87,14 +87,20 @@ def _block_trials(n: int) -> int:
 def _draw_categorical(rng: np.random.Generator, cdfs: list, trials: int) -> np.ndarray:
     """Per job j, ``trials`` indices into its support drawn from its
     cumulative masses ``cdfs[j]`` by one ``rng.random(trials)`` call, in job
-    order, searched from the right and clipped to the support.  Column j of
-    the (trials, n) result is job j's, in the smallest unsigned dtype that
-    holds every index."""
+    order.  A draw u picks the number of entries of ``cdfs[j][:-1]`` at or
+    below it, counted by comparison: the index a right-sided search of the
+    whole cdf finds, clipped to the support.  Column j of the (trials, n)
+    result is job j's, in the smallest unsigned dtype that holds every
+    index."""
     dtype = np.min_scalar_type(max(cdf.size for cdf in cdfs) - 1)
     k = np.empty((trials, len(cdfs)), dtype)
+    count = np.empty(trials, dtype)
     for j, cdf in enumerate(cdfs):
-        drawn = np.searchsorted(cdf, rng.random(trials), side="right")
-        np.minimum(drawn, cdf.size - 1, out=k[:, j], casting="unsafe")
+        u = rng.random(trials)
+        count.fill(0)
+        for c in cdf[:-1]:
+            count += u >= c
+        k[:, j] = count
     return k
 
 

@@ -137,6 +137,13 @@ def test_malformed_input_exits_one(tmp_path, capsys):
     bench_scalar_gen = write("gen.json", {"generators": [3]})
     poly_no_coeffs = write("nocoeffs.json", {"breakpoints": [0.0, 1.0]})
     poly_list = write("list-poly.json", [[0.0, 1.0], [[1.0]]])
+    poly_empty = write("empty.json", {"breakpoints": [0, 1], "coeffs": [[]]})
+    poly_nested = write("nested.json", {"breakpoints": [0, 1], "coeffs": [[[1.0]]]})
+    poly_nan = write("nan.json", {"breakpoints": [0, 1], "coeffs": [[float("nan")]]})
+    poly_inf = write("inf.json", {"breakpoints": [0, 0.5, 1], "coeffs": [[2.0], [float("inf")]]})
+    poly_nan_break = write("nan-break.json", {"breakpoints": [0, float("nan"), 1], "coeffs": [[1.0], [1.0]]})
+    poly_scalar = write("scalar.json", {"breakpoints": [0, 1], "coeffs": 5})
+    inst = write_instance(tmp_path)
     for argv, message in [
         (("lowerbound", "--epsilon", "0", "--horizon", "8", "--trials", "5"), "eps must lie in (0, 1]"),
         (("lowerbound", "--epsilon", "-0.5", "--horizon", "8", "--trials", "5"), "eps must lie in (0, 1]"),
@@ -144,6 +151,14 @@ def test_malformed_input_exits_one(tmp_path, capsys):
         (("bench", "--config", bench_scalar_gen), "each bench generator must be a JSON object"),
         (("analyze-dist", "--dist", f"poly:{poly_no_coeffs}"), "'breakpoints' and 'coeffs'"),
         (("analyze-dist", "--dist", f"poly:{poly_list}"), "'breakpoints' and 'coeffs'"),
+        (("analyze-dist", "--dist", f"poly:{poly_empty}"), "non-empty flat list"),
+        (("analyze-dist", "--dist", f"poly:{poly_nested}"), "non-empty flat list"),
+        (("analyze-dist", "--dist", f"poly:{poly_nan}"), "coefficients must be finite"),
+        (("analyze-dist", "--dist", f"poly:{poly_inf}"), "coefficients must be finite"),
+        (("analyze-dist", "--dist", f"poly:{poly_nan_break}"), "strictly increasing"),
+        (("analyze-dist", "--dist", f"poly:{poly_scalar}"), "one coefficient list per piece"),
+        (("round", inst, "--trials", "5", "--dist", f"poly:{poly_empty}"), "non-empty flat list"),
+        (("round", inst, "--trials", "5", "--dist", f"poly:{poly_nan}"), "coefficients must be finite"),
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv

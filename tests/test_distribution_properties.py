@@ -1,5 +1,6 @@
 """Property tests for inverse-CDF sampling on random non-negative
-piecewise-polynomial densities, some pieces of zero density."""
+piecewise-polynomial densities, some pieces of zero density, and the same
+draws as a sampler that searches every draw's piece."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from numpy.polynomial import Polynomial  # noqa: E402
 
-from alphasched.distributions import OffsetDistribution  # noqa: E402
+from alphasched.distributions import (  # noqa: E402
+    NEWTON_CAP,
+    NEWTON_TOL,
+    TABLE_POINTS,
+    OffsetDistribution,
+    _polyval,
+    from_spec,
+)
 
 COEF = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
 
@@ -20,7 +28,7 @@ class FixedUniforms:
         self.values = np.asarray(values, dtype=float)
 
     def random(self, size):
-        return self.values.reshape(size)
+        return self.values.reshape(size).copy()  # a fresh array, as Generator.random returns
 
 
 @st.composite
@@ -65,3 +73,93 @@ def test_sampler_inverts_random_densities(case, seed):
         assert not ((theta > lo) & (theta < hi)).any()
     assert (np.diff(theta) >= 0.0).all()
     assert np.abs(dist.cdf(theta) - u).max() <= 1e-12
+
+
+# -- the sampler that searches every draw's piece, kept as the reference --------
+
+
+def reference_sample(dist, rng, size=None):
+    """``OffsetDistribution.sample`` before single-piece laws skipped the
+    search: each draw's piece is searched, then every polynomial piece's
+    draws are gathered, inverted by ``reference_newton`` and scattered
+    back."""
+    scalar = size is None
+    u = rng.random(1 if scalar else size) * dist.raw_mass
+    piece = np.searchsorted(dist._cum, u, side="right") - 1
+    np.clip(piece, 0, len(dist.coeffs) - 1, out=piece)
+    theta = (u - dist._cum[piece]) * dist._slope[piece] + dist._start[piece]
+    theta = np.minimum(theta, dist._hi[piece])
+    for k, (table, scale) in dist._tables.items():
+        mask = piece == k
+        u_k = u[mask]
+        x = (u_k - dist._cum[k]) * scale
+        j = np.minimum(x.astype(np.intp), TABLE_POINTS - 2)
+        x -= j
+        lows, highs = table[j], table[j + 1]
+        start = np.clip((highs - lows) * x + lows, lows, highs)
+        theta[mask] = reference_newton(dist, k, u_k, lows, highs, start)
+    return float(theta[0]) if scalar else theta
+
+
+def reference_newton(dist, k, u, lows, highs, t):
+    """Bracketed Newton steps on fresh arrays, every draw to the same stop."""
+    F_k, f_k = dist._F[k], dist.coeffs[k]
+    out, active = None, None
+    for _ in range(NEWTON_CAP):
+        resid = _polyval(F_k, t) - u
+        dens = _polyval(f_k, t)
+        below = resid <= 0.0
+        lows, highs = np.where(below, t, lows), np.where(below, highs, t)
+        bad = (dens <= 0.0) & (resid != 0.0)
+        step = np.divide(resid, dens, out=resid.copy(), where=dens > 0.0)
+        nxt = t - step
+        bad |= (nxt < lows) | (nxt > highs)
+        nxt[bad] = 0.5 * (lows[bad] + highs[bad])
+        step = np.abs(nxt - t)
+        t = nxt
+        if step.max(initial=0.0) < NEWTON_TOL:
+            break
+        if step.min() < NEWTON_TOL:
+            moving = step >= NEWTON_TOL
+            if out is None:
+                out, active = t, np.arange(t.size)
+            else:
+                out[active] = t
+            active = active[moving]
+            t, u, lows, highs = t[moving], u[moving], lows[moving], highs[moving]
+    if out is None:
+        return t
+    out[active] = t
+    return out
+
+
+def assert_same_bits(got, want):
+    if isinstance(want, float):
+        assert isinstance(got, float) and got.hex() == want.hex()
+    else:
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(densities(), st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 7, (33, 5)]))
+def test_sampler_matches_search_reference(case, seed, size):
+    # Laws with one piece of mass invert it on the whole array; the others
+    # search.  Either way the draws are the reference's, bit for bit, on
+    # generator draws and on u = 0 and every breakpoint's CDF level.
+    dist, _ = case
+    got = dist.sample(np.random.default_rng(seed), size)
+    assert_same_bits(got, reference_sample(dist, np.random.default_rng(seed), size))
+    levels = dist.cdf(dist.breakpoints) / dist.raw_mass
+    r = np.concatenate([[0.0], levels[levels < 1.0]])
+    assert_same_bits(dist.sample(FixedUniforms(r), r.size), reference_sample(dist, FixedUniforms(r), r.size))
+
+
+@pytest.mark.parametrize("spec", ["uniform", "quadratic", f"clipped:{1.0 / 5100.0!r}", "clipped:0.25"])
+def test_builtin_laws_match_search_reference(spec):
+    dist = from_spec(spec)
+    assert dist._live is not None  # one piece holds all the mass: no search
+    for seed in (0, 1, 20160608):
+        for size in (None, 1, 5, (512, 8), (1638, 5)):
+            got = dist.sample(np.random.default_rng(seed), size)
+            assert_same_bits(got, reference_sample(dist, np.random.default_rng(seed), size))

@@ -126,7 +126,7 @@ class FixedUniforms:
         self.values = np.asarray(values, dtype=float)
 
     def random(self, size):
-        return self.values.reshape(size)
+        return self.values.reshape(size).copy()  # a fresh array, as Generator.random returns
 
 
 RAMP = OffsetDistribution([0.0, 1.0], [[0.0, 2.0]], name="ramp")  # f(t) = 2t vanishes at 0
@@ -240,6 +240,31 @@ def test_invalid_densities_rejected():
         OffsetDistribution([0.0, 0.5], [[1.0]])  # must end at 1
     with pytest.raises(DistributionError):
         OffsetDistribution.clipped_uniform(0.5)
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ([[]], "non-empty flat list"),
+        ([[[1.0]]], "non-empty flat list"),
+        ([[float("nan")]], "finite"),
+        ([[1.0, float("inf")]], "finite"),
+        ([[-float("inf")]], "finite"),
+        ([["one"]], "numbers"),
+    ],
+)
+def test_malformed_coefficients_refused(coeffs, message):
+    with pytest.raises(DistributionError, match=message):
+        OffsetDistribution([0.0, 1.0], coeffs)
+
+
+def test_malformed_pieces_refused():
+    with pytest.raises(DistributionError, match="strictly increasing"):
+        OffsetDistribution([0.0, float("nan"), 1.0], [[1.0], [1.0]])
+    with pytest.raises(DistributionError, match="one coefficient list per piece"):
+        OffsetDistribution([0.0, 1.0], 5.0)
+    with pytest.raises(DistributionError, match="clip fraction"):
+        from_spec("clipped:nan")
 
 
 def test_theta_domain_checked():

@@ -1,17 +1,20 @@
 """Monte Carlo rounding in trial blocks: the same arrays and the same use
 of the random stream as one unblocked batch, at and around the block
-edges, the idle diagnostic against its own per-job loop, the estimators'
-one rounding pass, and a bounded memory peak for the estimators."""
+edges, support picks by comparison against a search, the idle diagnostic
+against its own per-job loop, the estimators' one rounding pass, and a
+bounded memory peak for the estimators and the offset sampler."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_rounding_golden import DISTS, GOLDEN, INST, golden_chain_solution, golden_interval_solution
 
 from alphasched.bench import random_instance
 from alphasched.chain_lp import solve_chain_lp
 from alphasched.chains import chain_eval_many
+from alphasched.distributions import from_spec
 from alphasched.interval_lp import solve_interval_lp
 from alphasched import preemptive, rounding
 from alphasched.preemptive import (
@@ -22,6 +25,7 @@ from alphasched.preemptive import (
 )
 from alphasched.rounding import (
     _block_trials,
+    _draw_categorical,
     _Sampler,
     _sequence,
     busy_densities,
@@ -118,6 +122,52 @@ def test_golden_trial_counts_are_not_block_multiples():
     block = _block_trials(INST.num_jobs)
     for case in GOLDEN["estimate_ratio"] + GOLDEN["estimate_ratio_preemptive"]:
         assert case["trials"] % block != 0 and case["trials"] > block
+
+
+# -- support picks by comparison against the search ---------------------------
+
+
+@st.composite
+def cumulative_masses(draw):
+    """1-64 non-decreasing entries, zero masses (repeated entries) included,
+    normalized and then scaled so that the last entry lies at, just below
+    or just above 1, as an unnormalized ``cumsum`` can."""
+    mass = st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0]) | st.floats(0.0, 1.0)
+    masses = draw(st.lists(mass, min_size=1, max_size=64))
+    if not any(masses):
+        masses[-1] = 1.0
+    cdf = np.cumsum(masses) / sum(masses)
+    return cdf * draw(st.sampled_from([1.0, 1.0 - 2.0**-53, 1.0 - 1e-12, 0.999, 1.0 + 2.0**-52, 1.001]))
+
+
+class QueuedUniforms:
+    """Stands in for a Generator: ``random(n)`` returns the next n values."""
+
+    def __init__(self, values):
+        self.values, self.used = np.asarray(values, dtype=float), 0
+
+    def random(self, n):
+        self.used += n
+        return self.values[self.used - n : self.used].copy()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(cumulative_masses(), min_size=1, max_size=4), st.integers(1, 2000), st.integers(0, 2**32 - 1))
+def test_draw_categorical_counts_like_search(cdfs, trials, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _draw_categorical(rng, cdfs, trials)
+    want = reference_categorical(ref_rng, cdfs, trials)
+    assert got.dtype == np.min_scalar_type(max(cdf.size for cdf in cdfs) - 1)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # Uniforms on and next to every entry, where a strict comparison would
+    # differ from the search.
+    edges = []
+    for cdf in cdfs:
+        near = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)])
+        edges.append(np.resize(near[near < 1.0], trials))
+    got = _draw_categorical(QueuedUniforms(np.concatenate(edges)), cdfs, trials)
+    assert np.array_equal(got, reference_categorical(QueuedUniforms(np.concatenate(edges)), cdfs, trials))
 
 
 # -- block edges against the unblocked reference -------------------------------
@@ -259,3 +309,16 @@ def test_estimate_ratio_preemptive_peak_below_one_and_a_half_arrays(instances):
     array = trials * inst.num_jobs * 8
     peak = traced_peak(lambda: estimate_ratio_preemptive(inst, csol, trials, 1))
     assert peak < 1.5 * array, peak / array
+
+
+@pytest.mark.parametrize("spec, budget", [("quadratic", 7), ("uniform", 2), ("clipped:0.25", 2)])
+def test_sampler_peak_on_a_block(spec, budget):
+    """Offsets for a (1638, 5) block: the one-piece laws hold their uniforms,
+    scaled and inverted in place, and the quadratic law the uniforms, the
+    Newton bracket, iterate, residual and density, and three byte masks
+    (6.4 arrays of the block's float64 size), none of them allocated per
+    Newton step."""
+    dist = from_spec(spec)
+    array = 1638 * 5 * 8
+    peak = traced_peak(lambda: dist.sample(np.random.default_rng(1), (1638, 5)))
+    assert peak <= budget * array, peak / array
