@@ -180,6 +180,11 @@ class OffsetDistribution:
             raise DistributionError("clip fraction must lie in [0, 0.5)")
         if lam == 0.0:
             return cls.uniform()
+        if 1.0 - lam == 1.0:
+            # The top clip rounds away (lam below about 1.1e-16): the law is
+            # the uniform one to double precision, whose rho and alpha it
+            # has up to O(sqrt(lam)).
+            return cls([0.0, 1.0], [[1.0]], name=f"clipped:{lam:g}")
         h = 1.0 / (1.0 - 2.0 * lam)
         return cls([0.0, lam, 1.0 - lam, 1.0], [[0.0], [h], [0.0]], name=f"clipped:{lam:g}")
 

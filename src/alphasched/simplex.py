@@ -14,8 +14,12 @@ standard form: variables shifted to lower bound zero, finite upper bounds as
 extra rows, rows oriented so the right-hand side starts non-negative, and
 slack, surplus and artificial unit columns.  That matrix is held column-wise
 and sparse (numpy ``colptr``, row index and value arrays); only the basis
-inverse is dense (m x m).  Pricing computes ``y . a_j`` over the nonzeros,
-the entering direction is ``binv[:, rows] @ vals``, each pivot applies a
+inverse is dense (m x m).  The store also indexes each column's runs,
+stretches of entries in consecutive rows with one value.  Pricing computes
+``y @ A`` from one prefix sum of y and one term per run, and ``A @ x`` is
+a difference array over the runs, so both cost O(runs + rows): a
+start-time variable's cover rows are one run, however long the job.  The
+entering direction is ``binv[:, rows] @ vals``, each pivot applies a
 rank-one update to the inverse in place and updates the basic values, and
 refactorization inverts only the block of basic columns that are not unit
 columns.
@@ -303,33 +307,70 @@ def solve_lp(lp: LinearProgram, basis: Basis | None = None) -> LpSolution:
 class _Columns:
     """Column-wise sparse matrix that grows: column j holds
     ``vals[colptr[j]:colptr[j+1]]`` in rows ``rows[...]``; ``cols`` repeats
-    each entry's column index."""
+    each entry's column index.
+
+    The products with a vector go by runs: maximal stretches of one
+    column's stored entries that lie in consecutive rows and share one
+    value.  Run r is in column ``run_col[r]`` with value ``run_val[r]``.
+    The first k = ``run_ends.shape[1]`` runs hold two or more entries, rows
+    ``run_ends[0, r] .. run_ends[1, r] - 1``, and add ``v (Y[hi] - Y[lo])``
+    to ``y @ A``, with Y the prefix sums of y; the others are single entries
+    in rows ``one_row[r - k]``, and add ``v y[row]``.  Y sums y over the
+    rows inside longer runs only (``in_run``), so rows outside them, such as
+    the job rows of both LPs, add no round-off to the differences.  A
+    start-time variable's cover rows form one run, so pricing costs
+    O(runs + rows), not O(nonzeros).
+    """
 
     def __init__(self):
-        self.rows = np.zeros(0, dtype=np.int64)
-        self.vals = np.zeros(0)
+        self.rows = self.cols = self.run_col = self.one_row = np.zeros(0, dtype=np.int64)
+        self.vals = self.run_val = np.zeros(0)
+        self.run_ends = np.zeros((2, 0), dtype=np.int64)
+        self.in_run = np.zeros(0)  # 1.0 on rows inside a run of two or more entries
         self.colptr = np.zeros(1, dtype=np.int64)
         self.m = self.total = 0
-        self._index()
 
     def append(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, m: int, total: int) -> None:
         """Grow to ``m`` rows and ``total`` columns, with the entries of the
         new columns (all ``cols`` are new) after all others, sorted stably
-        by column: the store only appends, and is never re-sorted."""
-        order = np.argsort(cols, kind="stable")
+        by column: the store only appends, and is never re-sorted.  No run
+        crosses a column, so only the new entries are split into runs."""
+        # The new entries are read back as views of the store, and each
+        # argument is let go once copied: at the sizes of a large interval
+        # LP, every array of entries is tens of MB.
+        e0, order = self.rows.size, np.argsort(cols, kind="stable")
         self.rows = np.concatenate((self.rows, rows[order]))
+        rows = self.rows[e0:]
         self.vals = np.concatenate((self.vals, vals[order]))
-        counts = np.bincount(cols - self.total, minlength=total - self.total)
-        self.colptr = np.concatenate((self.colptr, self.colptr[-1] + np.cumsum(counts)))
+        vals = self.vals[e0:]
+        self.cols = np.concatenate((self.cols, cols[order]))
+        cols = self.cols[e0:]
+        del order
+        col_end = e0 + np.searchsorted(cols, np.arange(self.total, total), side="right")
+        self.colptr = np.concatenate((self.colptr, col_end))
         self.m, self.total = m, total
-        self._index()
+        self.in_run = np.concatenate((self.in_run, np.zeros(m - self.in_run.size)))
+        if not rows.size:
+            return
 
-    def _index(self) -> None:
-        self.cols = np.repeat(np.arange(self.total), np.diff(self.colptr))
-        # Segment starts for np.add.reduceat, which reads one entry for an
-        # empty column; those columns are zeroed after the sum.
-        self.starts = np.minimum(self.colptr[:-1], self.rows.size - 1)
-        self.empty = np.flatnonzero(self.colptr[:-1] == self.colptr[1:])
+        # Entry e closes a run unless entry e + 1 is in the same column, the
+        # next row, with the same value.
+        joins = np.diff(rows) == 1
+        joins &= cols[1:] == cols[:-1]
+        joins &= vals[1:] == vals[:-1]
+        last = np.concatenate((np.flatnonzero(~joins), [rows.size - 1]))
+        first = np.concatenate(([0], last[:-1] + 1))
+        long = last > first
+        run, one = first[long], first[~long]
+        k = self.run_ends.shape[1]
+        self.run_col = np.concatenate((self.run_col[:k], cols[run], self.run_col[k:], cols[one]))
+        self.run_val = np.concatenate((self.run_val[:k], vals[run], self.run_val[k:], vals[one]))
+        lo, hi = rows[run], rows[last[long]] + 1
+        self.run_ends = np.concatenate((self.run_ends, (lo, hi)), axis=1)
+        self.one_row = np.concatenate((self.one_row, rows[one]))
+        # Rows inside the new runs, by a difference array over the runs.
+        inside = np.bincount(lo, minlength=m + 1) - np.bincount(hi, minlength=m + 1)
+        self.in_run[np.cumsum(inside[:m]) > 0] = 1.0
 
     def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.colptr[j], self.colptr[j + 1]
@@ -337,13 +378,29 @@ class _Columns:
 
     def left_multiply(self, y: np.ndarray) -> np.ndarray:
         """y @ A, one entry per column."""
-        out = np.add.reduceat(y[self.rows] * self.vals, self.starts)
-        out[self.empty] = 0.0
-        return out
+        if not self.run_col.size:
+            return np.zeros(self.total)
+        k = self.run_ends.shape[1]
+        Y = np.zeros(self.m + 1)
+        np.multiply(y, self.in_run, out=Y[1:])
+        np.add.accumulate(Y[1:], out=Y[1:])
+        ends = Y[self.run_ends]
+        terms = np.empty(self.run_col.size)
+        np.subtract(ends[1], ends[0], out=terms[:k])
+        np.take(y, self.one_row, out=terms[k:])
+        terms *= self.run_val
+        return np.bincount(self.run_col, weights=terms, minlength=self.total)
 
     def right_multiply(self, x: np.ndarray) -> np.ndarray:
-        """A @ x, one entry per row."""
-        return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.m)
+        """A @ x, one entry per row: each run adds its value times x to a
+        difference array at lo and takes it off at hi."""
+        k = self.run_ends.shape[1]
+        w = self.run_val * x[self.run_col]
+        steps = np.bincount(self.run_ends[0], weights=w[:k], minlength=self.m + 1)
+        steps -= np.bincount(self.run_ends[1], weights=w[:k], minlength=self.m + 1)
+        out = np.add.accumulate(steps[: self.m], dtype=float)  # bincount of nothing is integer
+        out += np.bincount(self.one_row, weights=w[k:], minlength=self.m)
+        return out
 
     def gather(self, basis: np.ndarray) -> np.ndarray:
         """Dense matrix of the columns in ``basis``, in that order."""

@@ -49,6 +49,18 @@ def test_analyze_dist_uniform_alpha_two(capsys):
     assert cols["attained"] == "0"
 
 
+def test_analyze_dist_clip_below_resolution(capsys):
+    # 1 - 1e-300 rounds to 1, so the top clip has no width: the law is the
+    # uniform one to double precision, and so are its constants.
+    code, out, _ = run(capsys, "analyze-dist", "--dist", "clipped:1e-300")
+    assert code == 0
+    header, row = out.strip().splitlines()
+    cols = dict(zip(header.split(","), row.split(",")))
+    assert cols["dist"] == "clipped:1e-300"
+    assert abs(float(cols["alpha"]) - 2.0) < 1e-9
+    assert cols["attained"] == "0"
+
+
 def test_gen_round_trip(tmp_path, capsys):
     out_path = tmp_path / "gen.inst.json"
     code, _, _ = run(capsys, "gen", "--n", "4", "--m", "2", "--seed", "5", "--out", str(out_path))

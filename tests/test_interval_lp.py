@@ -206,6 +206,22 @@ def test_cover_rows_match_per_variable_loop():
             assert (val == 1.0).all() and sense == "<=" and rhs == 1.0
 
 
+@pytest.mark.parametrize("eps", [None, 0.5], ids=["full", "eps-0.5"])
+def test_standard_form_columns_are_at_most_two_runs(eps):
+    # The simplex prices by runs (consecutive rows, one value); a start-time
+    # variable is its job entry plus one run over the cover rows it spans,
+    # so pricing costs O(variables + rows) whatever the job sizes.
+    for seed, (n, m, p) in enumerate([(6, 2, 40), (8, 3, 12), (5, 2, 6)]):
+        inst = random_instance(np.random.default_rng(500 + seed), n, m, p_max=p, r_max=p)
+        starts = None if eps is None else compress_start_times(inst, eps)
+        lp = build_interval_lp(inst, starts).lp
+        model = simplex._Model()
+        model.extend(lp)
+        runs = np.bincount(model.cols.run_col, minlength=model.cols.total)[model.var_col]
+        assert runs.size == lp.num_vars and runs.min() >= 1 and runs.max() <= 2
+        assert model.cols.run_ends.shape[1] > 0  # some variable spans several cover rows
+
+
 def test_solution_from_triples_validates():
     inst = make([[2], [2]], [0, 0], [1.0, 1.0])
     sol = solution_from_triples(inst, [(0, 0, 0, 1.0), (0, 1, 2, 1.0)])

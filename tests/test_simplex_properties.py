@@ -454,3 +454,97 @@ def test_degenerate_given_basis_perturbs_to_the_certified_optimum(lp):
     assert res.warm and res.status == expected.status == "optimal"
     assert res.objective == pytest.approx(expected.objective, abs=TOL * (1 + abs(expected.objective)))
     _check_certificate(lp, res)
+
+
+@st.composite
+def column_batches(draw):
+    """Batches for a growing column store: per batch the row count it grows
+    to and each new column's (row, value) entries in stored order.  A column
+    is a few stretches of consecutive rows with one value each, which may
+    meet with the same or another value, overlap, or be single entries;
+    some columns are empty."""
+    value = st.sampled_from([-2.0, -1.0, 0.5, 1.0, 3.0]) | st.floats(-4.0, 4.0, allow_nan=False)
+    m, batches = 0, []
+    for _ in range(draw(st.integers(1, 4))):
+        m += draw(st.integers(0, 6))
+        columns = []
+        for _ in range(draw(st.integers(0, 5))):
+            entries = []
+            for _ in range(draw(st.integers(0, 3)) if m else 0):
+                lo = draw(st.integers(0, m - 1))
+                v = draw(value)
+                entries += [(r, v) for r in range(lo, lo + draw(st.integers(1, m - lo)))]
+            columns.append(entries)
+        batches.append((m, columns))
+    return batches
+
+
+_INDEX = ("rows", "vals", "cols", "colptr", "run_col", "run_val", "run_ends", "one_row", "in_run")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(column_batches(), st.randoms(use_true_random=False))
+def test_run_products_match_dense_products(batches, rnd):
+    # Prefix sums carry an error of about eps * sum |y| over the rows inside
+    # runs, not just a column's, so the operands stay in [-1, 1] and the
+    # bound below holds with room to spare.
+    store, entries, total = simplex._Columns(), [[], [], []], 0
+    for m, columns in batches:
+        rows = np.array([r for c in columns for r, _ in c], dtype=np.int64)
+        cols = np.array([total + k for k, c in enumerate(columns) for _ in c], dtype=np.int64)
+        vals = np.array([v for c in columns for _, v in c], dtype=float)
+        if rnd.random() < 0.3:  # any entry order makes a valid store, with fewer runs
+            order = np.array(rnd.sample(range(rows.size), rows.size), dtype=np.int64)
+            rows, cols, vals = rows[order], cols[order], vals[order]
+        total += len(columns)
+        store.append(rows, cols, vals, m, total)
+        for acc, part in zip(entries, (rows, cols, vals)):
+            acc.append(part)
+
+        A = np.zeros((m, total))
+        np.add.at(A, (np.concatenate(entries[0]), np.concatenate(entries[1])), np.concatenate(entries[2]))
+        y = np.array([rnd.uniform(-1.0, 1.0) for _ in range(m)])
+        x = np.array([rnd.uniform(-1.0, 1.0) for _ in range(total)])
+        left, right = store.left_multiply(y), store.right_multiply(x)
+        assert left.shape == (total,) and right.shape == (m,)
+        assert (np.abs(left - y @ A) <= 1e-12 * (1.0 + np.abs(y) @ np.abs(A))).all()
+        assert (np.abs(right - A @ x) <= 1e-12 * (1.0 + np.abs(A) @ np.abs(x))).all()
+
+    # The index grown batch by batch equals one built from all entries at once.
+    whole = simplex._Columns()
+    whole.append(*(np.concatenate(acc) for acc in entries), batches[-1][0], total)
+    for name in _INDEX:
+        assert np.array_equal(getattr(store, name), getattr(whole, name)), name
+
+
+def test_runs_split_at_columns_and_value_changes():
+    store = simplex._Columns()
+    columns = [
+        [(2, 1.0), (3, 1.0), (4, 1.0)],  # one run, rows 2..4
+        [(5, 1.0), (6, 1.0)],  # continues column 0's rows and value: a run of its own
+        [(0, 1.0), (1, 2.0)],  # consecutive rows, different values: two entries
+        [],
+        [(3, -2.0)],
+        [(1, -1.5), (2, -1.5), (3, -1.5), (3, -1.5), (2, -1.5)],  # a run, then two entries
+    ]
+    rows = np.array([r for c in columns for r, _ in c], dtype=np.int64)
+    cols = np.array([k for k, c in enumerate(columns) for _ in c], dtype=np.int64)
+    vals = np.array([v for c in columns for _, v in c])
+    store.append(rows[:5], cols[:5], vals[:5], 7, 2)
+    store.append(rows[5:], cols[5:], vals[5:], 7, len(columns))
+    assert store.run_ends.tolist() == [[2, 5, 1], [5, 7, 4]]
+    assert store.one_row.tolist() == [0, 1, 3, 3, 2]
+    assert store.run_col.tolist() == [0, 1, 5, 2, 2, 4, 5, 5]
+    assert store.run_val.tolist() == [1.0, 1.0, -1.5, 1.0, 2.0, -2.0, -1.5, -1.5]
+    y = np.arange(1.0, 8.0)
+    assert store.left_multiply(y).tolist() == [12.0, 13.0, 5.0, 0.0, -8.0, -24.0]
+    assert store.right_multiply(np.ones(6)).tolist() == [1.0, 0.5, -2.0, -4.0, 1.0, 1.0, 1.0]
+
+
+def test_rows_outside_runs_add_no_round_off():
+    # A large dual on a row no run covers (a job row, say) would swamp the
+    # prefix sums a run's term is the difference of.
+    store = simplex._Columns()
+    store.append(np.array([0, 1, 2, 3]), np.array([0, 1, 1, 1]), np.ones(4), 4, 2)
+    y = np.array([1e17, 0.1, 0.2, 0.3])
+    assert store.left_multiply(y).tolist() == [1e17, y[1:].sum()]
