@@ -15,10 +15,12 @@ One driver serves every timeline, and one exact pricer: each slot carries
 its block's dual, and the cheapest chain completing in block k takes a slot
 there plus the p - 1 slots with the smallest duals in (r_j, ends[k] - 1].
 Slot duals are non-negative and mostly zero, so those p - 1 are the window's
-zeros first and then its smallest positive duals; every job of a machine is
-priced at every block end at once.  A chain enters the master in one form,
-the earliest slots after the release in each of its blocks, so two chains
-with the same slot count per block are one column.
+zeros first and then its smallest positive duals.  One pricer call per
+pricing pass prices every (machine, job) pair at every block end; the found
+chains' completions and slot sets are then worked out together as arrays,
+and only the chains the master does not hold yet are built.  A chain enters
+the master in one form, the earliest slots after the release in each of its
+blocks, so two chains with the same slot count per block are one column.
 
 Column generation stops on one certificate: the Lagrangian pricing bound
 sum_j mu_j - sum_{i,k} len_k xi_{i,k}, from the stability center (the
@@ -29,25 +31,28 @@ the oscillation degenerate masters produce, and then against the raw master
 duals if the smoothed ones give no new chain; when neither does and the gap
 is still open, the solve stops with ``ChainLpError``.  A round that would
 open capacity rows past the simplex's basis-inverse budget is refused by
-``LinearProgram`` with ``LpError``.  The driver solves on the weights times
-the power of two that brings the largest into [1, 2), and scales the answer
-back: that is exact in floating point, and the absolute pricing and simplex
-tolerances then act alike at every scale of the weights.
+``LinearProgram`` with ``LpError``; a horizon whose per-(machine, slot)
+pricing arrays would each be larger than that budget is refused with
+``LpError`` too, before anything of its size is built.  Column generation
+runs on the weights times the power of two that brings the largest into
+[1, 2), and scales the answer back: that is exact in floating point, and the
+absolute pricing and simplex tolerances then act alike at every scale of
+the weights.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain as concat
 
 import numpy as np
 
+from . import simplex
 from .chains import Chain, earliest_chain
 from .instance import Instance, horizon as instance_horizon, normalize_weights
-from .simplex import Basis, LinearProgram, solve_lp
+from .simplex import Basis, LinearProgram, LpError, solve_lp
 
 PRICE_TOL = 1e-7
 MASS_TOL = 1e-6
@@ -78,26 +83,12 @@ class ChainSolution:
         return groups
 
 
-def _earliest_per_block(machine, job, slots, release, ends) -> Chain:
-    """The chain with the same slot count per block as ``slots`` (a list,
-    ascending) that takes each block's earliest slots after the release;
-    ``ends`` is the list of block right ends."""
-    packed, a = [], 0
-    while a < len(slots):
-        k = bisect_left(ends, slots[a])
-        b = bisect_right(slots, ends[k], a)  # slots[a:b] lie in block k
-        first = max(ends[k - 1] if k else 0, release) + 1
-        packed.extend(range(first, first + b - a))
-        a = b
-    return Chain(machine=machine, job=job, slots=packed)
-
-
 PRICE_CELLS = 1 << 22  # (positive dual, job, C) mask cells per batch of jobs; bounds memory
 
 
 def price_chain_multi(
-    machine: int,
-    xi_row: np.ndarray,
+    xi,
+    machines,
     jobs,
     eta,
     weights,
@@ -106,118 +97,182 @@ def price_chain_multi(
     horizon: int,
     buckets: int = 4,
     ends=None,
+    seen=frozenset(),
 ) -> tuple[list, np.ndarray]:
-    """Price every given job on one machine against its block duals.
+    """Price (machine, job) pairs against their machines' block duals.
 
     ``ends`` are the blocks' right ends, strictly increasing up to the
-    horizon, 1..horizon (unit blocks) by default.  xi_row[k] >= 0 is the
-    dual of block k and every slot of the block carries it; ``eta``,
-    ``weights``, ``sizes`` and ``releases`` are per job.  Job j's cheapest
-    chain completing in block k, at C = ends[k], costs w_j C + xi_C - eta_j
-    plus the p_j - 1 smallest slot duals in the window (r_j, C - 1]: the
-    window's zeros, then as many of its smallest positive duals as are still
-    needed.  The positive duals are sorted once, and a (positive dual, job,
-    C) mask of the window members whose rank among the window's positive
-    duals is within that need sums them for every job and C at once.
+    horizon, 1..horizon (unit blocks) by default.  xi[i, k] >= 0 is the dual
+    of machine i's block k and every slot of the block carries it.  Pair q
+    is job ``jobs[q]`` on machine ``machines[q]``; ``eta``, ``weights``,
+    ``sizes`` and ``releases`` are per pair.  Job j's cheapest chain on
+    machine i completing in block k, at C = ends[k], costs w_j C + xi_C -
+    eta_j plus the p_j - 1 smallest slot duals in the window (r_j, C - 1]:
+    the window's zeros, then as many of its smallest positive duals as are
+    still needed.  Each machine's slot duals are sorted once, and a
+    (positive dual, pair, C) mask of the window members whose rank among the
+    window's positive duals is within that need sums them for every pair of
+    the machine and every C at once.
 
     Returns (found, best): ``found`` lists (chain, reduced cost) for the best
     completion in each of ``buckets`` equal ranges of block ends that prices
-    below -1e-7, job by job (diverse columns speed up column generation),
-    ties to rounding going to the earliest end, each chain taking the
-    earliest slots after the release in each of its blocks; ``best[k]`` is
-    the minimum reduced cost of the k-th job, inf when no chain of it fits
-    by the horizon.
+    below -1e-7, pair by pair in the given order and then by bucket (diverse
+    columns speed up column generation), ties to rounding going to the
+    earliest end, each chain taking the earliest slots after the release in
+    each of its blocks; a chain whose (machine, job, slots) key is in
+    ``seen`` is left out.  ``best[q]`` is the minimum reduced cost of pair
+    q, inf when no chain of it fits by the horizon.  The completions and
+    slot sets of all found chains are worked out together, as arrays, and
+    only the chains returned are built.
     """
     H = int(horizon)
     C = np.arange(1, H + 1) if ends is None else np.asarray(ends, dtype=np.int64)
     K = C.size
-    xi = np.asarray(xi_row, dtype=float)[:K]
+    xi = np.asarray(xi, dtype=float)[:, :K]
     if (xi < 0.0).any():
         raise ValueError("slot duals must be non-negative")
-    if K < H:
-        xi = np.repeat(xi, np.diff(C, prepend=0))
+    machines = np.asarray(machines, dtype=np.int64)
     jobs = np.asarray(jobs, dtype=np.int64)
     eta = np.asarray(eta, dtype=float)
     w = np.asarray(weights, dtype=float)
     p = np.asarray(sizes, dtype=np.int64)
     r = np.asarray(releases, dtype=np.int64)
-    zeros = np.concatenate(([0], np.cumsum(xi == 0.0)))  # zero duals in slots 1..t
-    pos = np.flatnonzero(xi > 0.0)
-    pos = pos[np.argsort(xi[pos], kind="stable")]
-    t, v = pos + 1, xi[pos]  # positive duals in increasing order, with their slots
-    # For C > r_j, a positive dual's rank in job j's window is its rank among
-    # those before C less the number of those up to r_j ranked before it.
-    before_c = t[:, None] < C
-    rank_c = np.cumsum(before_c, axis=0, dtype=np.int32)  # int32 halves the mask's memory traffic
+    slot_xi = np.repeat(xi, np.diff(C, prepend=0), axis=1) if K < H else xi
+    zeros = np.zeros((xi.shape[0], H + 1), dtype=np.int64)  # per machine, zero duals in slots 1..t
+    np.cumsum(slot_xi == 0.0, axis=1, out=zeros[:, 1:])
+    # Per machine, the slots by (dual, slot): its zero duals in slot order,
+    # then its npos positive duals in increasing order.
+    order = np.argsort(slot_xi, axis=1, kind="stable")
+    npos = H - zeros[:, H]
     cost = np.empty((jobs.size, K))
-    step = max(1, PRICE_CELLS // max(1, t.size * K))
-    for j0 in range(0, jobs.size, step):
-        g = slice(j0, j0 + step)
-        after_r = t[:, None] > r[g]
-        need = ((p[g] - 1)[:, None] - (zeros[C - 1] - zeros[np.minimum(r[g], H)][:, None])).astype(np.int32)
-        take = after_r[:, :, None] & before_c[:, None, :]
-        take &= rank_c[:, None, :] <= need + np.cumsum(~after_r, axis=0, dtype=np.int32)[:, :, None]
-        cheapest = (v @ take.reshape(t.size, need.size)).reshape(need.shape)
-        cost[g] = w[g, None] * C + cheapest + xi[C - 1] - eta[g, None]
+    for i in np.unique(machines).tolist():
+        pairs = np.flatnonzero(machines == i)
+        pos = order[i, H - npos[i] :]
+        t, v = pos + 1, slot_xi[i, pos]  # positive duals in increasing order, with their slots
+        # For C > r_j, a positive dual's rank in job j's window is its rank
+        # among those before C less the number of those up to r_j ranked
+        # before it.
+        before_c = t[:, None] < C
+        rank_c = np.cumsum(before_c, axis=0, dtype=np.int32)  # int32 halves the mask's memory traffic
+        zeros_c = zeros[i, C - 1]
+        step = max(1, PRICE_CELLS // max(1, t.size * K))
+        for j0 in range(0, pairs.size, step):
+            g = pairs[j0 : j0 + step]
+            after_r = t[:, None] > r[g]
+            need = ((p[g] - 1)[:, None] - (zeros_c - zeros[i, np.minimum(r[g], H)][:, None])).astype(np.int32)
+            take = after_r[:, :, None] & before_c[:, None, :]
+            take &= rank_c[:, None, :] <= need + np.cumsum(~after_r, axis=0, dtype=np.int32)[:, :, None]
+            cheapest = (v @ take.reshape(t.size, need.size)).reshape(need.shape)
+            cost[g] = w[g, None] * C + cheapest + xi[i] - eta[g, None]
     first = r + p
     cost[C < first[:, None]] = np.inf
     best = cost.min(axis=1, initial=np.inf)
 
-    # Bucket b of job j holds the block ends k >= k0_j (the first end C with
-    # room for the job) with (k - k0_j) * buckets // span_j == b.
-    k0 = np.searchsorted(C, first, side="left")
-    fits = np.flatnonzero(k0 < K)
-    span = (K - k0[fits])[:, None]
-    lo = -(-np.arange(buckets) * span // buckets)  # offset of each bucket's first end
-    hi = np.concatenate((lo[:, 1:], span), axis=1)
-    filled = lo < hi
-    begin = fits[:, None] * K + k0[fits, None] + lo
+    # Bucket b of pair q holds the block ends k >= k0_q (the first end C
+    # with room for the job) with (k - k0_q) * buckets // (K - k0_q) == b.
+    k0 = np.searchsorted(C, first, side="left")[:, None]
+    lo = k0 - (-np.arange(buckets) * (K - k0) // buckets)  # each bucket's first end
+    filled = lo < np.concatenate((lo[:, 1:], np.full_like(k0, K)), axis=1)
     bucket_min = np.full(lo.shape, np.inf)
     if filled.any():
-        bucket_min[filled] = np.minimum.reduceat(cost.ravel(), begin[filled])
-    found, block_ends = [], C.tolist()
-    for a, b in zip(*np.nonzero(bucket_min < -PRICE_TOL)):
-        j = fits[a]
-        k = int(k0[j]) + int(lo[a, b])
-        seg = cost[j, k : int(k0[j]) + int(hi[a, b])]
-        c = int(C[k + int(np.argmax(seg <= bucket_min[a, b] + 1e-12 * (1.0 + abs(bucket_min[a, b]))))])
-        # The cheapest chain completing at c: the p - 1 smallest duals in
-        # the window, then the final slot.
-        rj, pj = int(r[j]), int(p[j])
-        slots = (np.sort(np.argsort(xi[rj : c - 1], kind="stable")[: pj - 1]) + rj + 1).tolist() + [c]
-        if K < H:  # unit blocks hold a chain's slots in that form already
-            chain = _earliest_per_block(machine, int(jobs[j]), slots, rj, block_ends)
-        else:
-            chain = Chain(machine=machine, job=int(jobs[j]), slots=slots)
-        found.append((chain, float(bucket_min[a, b])))
+        bucket_min[filled] = np.minimum.reduceat(cost.ravel(), (np.arange(jobs.size)[:, None] * K + lo)[filled])
+    q, b = np.nonzero(bucket_min < -PRICE_TOL)
+    if not q.size:
+        return [], best
+    low = bucket_min[q, b]
+    # A found chain completes at the first end from its bucket's first on
+    # that is within rounding of the bucket's minimum, which lies in the
+    # bucket.
+    hit = (np.arange(K) >= lo[q, b, None]) & (cost[q] <= (low + 1e-12 * (1.0 + np.abs(low)))[:, None])
+    slots = _cheapest_slots(order, zeros, npos, machines[q], r[q], p[q], C[np.argmax(hit, axis=1)])
+    if K < H:  # unit blocks hold a chain's slots in that form already
+        slots = _earliest_per_block(slots, p[q], r[q], C)
+    found = []
+    for key, reduced in zip(_keys(machines[q], jobs[q], p[q], slots), low.tolist()):
+        if key not in seen:
+            found.append((Chain(*key), reduced))
     return found, best
+
+
+def _cheapest_slots(order, zeros, npos, machine, release, size, completion) -> np.ndarray:
+    """The slots of chains that complete at ``completion`` and take the
+    size - 1 smallest slot duals of the window (release, completion - 1] on
+    their machine: the window's zeros first, in slot order, then its
+    smallest positive duals.  Returns them chain after chain, each
+    ascending.  ``order``, ``zeros`` and ``npos`` are the pricer's
+    per-machine slot order, zero-dual counts and positive-dual counts."""
+    H = order.shape[1]
+    count = size.size
+    z0 = zeros[machine, release]
+    nz = np.minimum(size - 1, zeros[machine, completion - 1] - z0)  # zeros taken
+    # The zero duals of a machine's window are consecutive in its order.
+    owner_z = np.repeat(np.arange(count), nz)
+    rank = np.arange(owner_z.size) - np.repeat(np.cumsum(nz) - nz, nz)
+    slot_z = order[machine[owner_z], z0[owner_z] + rank] + 1
+    # The first positive duals in increasing order that lie in the window.
+    top = int(npos.max(initial=0))
+    cand = order[machine, H - top :] + 1
+    take = np.arange(top) >= top - npos[machine, None]
+    take &= (cand > release[:, None]) & (cand < completion[:, None])
+    take &= np.cumsum(take, axis=1) <= (size - 1 - nz)[:, None]
+    owner_p, col = np.nonzero(take)
+    owner = np.concatenate((owner_z, owner_p, np.arange(count)))
+    slot = np.concatenate((slot_z, cand[owner_p, col], completion))
+    return np.sort(owner * (H + 1) + slot) % (H + 1)
+
+
+def _earliest_per_block(slots, size, release, ends) -> np.ndarray:
+    """Chains with the same slot count per block as ``slots`` (chain after
+    chain, each ascending, ``size`` slots each) that take each block's
+    earliest slots after the release; ``ends`` are the block right ends."""
+    owner = np.repeat(np.arange(size.size), size)
+    block = np.searchsorted(ends, slots, side="left")
+    at = np.arange(slots.size)
+    new = np.ones(slots.size, dtype=bool)  # first slot of a chain in a block
+    new[1:] = (owner[1:] != owner[:-1]) | (block[1:] != block[:-1])
+    rank = at - np.maximum.accumulate(np.where(new, at, 0))
+    start = np.concatenate(([0], ends[:-1]))[block]
+    return np.maximum(start, release[owner]) + 1 + rank
+
+
+def _keys(machine, job, size, slots) -> list:
+    """(machine, job, slots) per chain, from chains' slots laid end to end."""
+    flat, bounds = slots.tolist(), np.cumsum(size).tolist()
+    return [
+        (i, j, tuple(flat[b - s : b]))
+        for i, j, s, b in zip(machine.tolist(), job.tolist(), size.tolist(), bounds)
+    ]
 
 
 def _greedy_disjoint_chains(inst: Instance, ends: np.ndarray) -> list[Chain]:
     """A feasible integral chain per job: fastest machine, earliest free
     slots, each then taking its blocks' earliest slots after its release.
-    Guarantees the initial master is feasible."""
-    ends = ends.tolist()
-    horizon = ends[-1]
+    Guarantees the initial master is feasible.  Only the slots taken are
+    stored, so the horizon's length costs nothing."""
+    horizon = int(ends[-1])
     rel = inst.release_matrix()
-    free = [np.ones(horizon + 1, dtype=bool) for _ in range(inst.num_machines)]
-    chains = []
-    order = sorted(range(inst.num_jobs), key=lambda j: (rel[j].min(), j))
-    for j in order:
-        sizes = np.where(inst.allowed_mask()[j], inst.sizes[j], np.iinfo(np.int64).max)
-        i = int(np.argmin(sizes))
-        p = inst.size(j, i)
-        slots = []
-        t = int(rel[j, i]) + 1
-        while len(slots) < p:
+    allowed = inst.allowed_mask()
+    taken = [set() for _ in range(inst.num_machines)]
+    machine, job, release, slots = [], [], [], []
+    for j in sorted(range(inst.num_jobs), key=lambda j: (rel[j].min(), j)):
+        i = int(np.argmin(np.where(allowed[j], inst.sizes[j], np.iinfo(np.int64).max)))
+        p, t = inst.size(j, i), int(rel[j, i])
+        chain = []
+        while len(chain) < p:
+            t += 1
             if t > horizon:
                 raise ChainLpError(f"no room for job {j} by horizon {horizon}")
-            if free[i][t]:
-                free[i][t] = False
-                slots.append(t)
-            t += 1
-        chains.append(_earliest_per_block(i, j, slots, int(rel[j, i]), ends))
-    return chains
+            if t not in taken[i]:
+                chain.append(t)
+        taken[i].update(chain)
+        machine.append(i)
+        job.append(j)
+        release.append(int(rel[j, i]))
+        slots.append(chain)
+    size = np.array([len(chain) for chain in slots], dtype=np.int64)
+    flat = np.fromiter(concat.from_iterable(slots), np.int64, int(size.sum()))
+    packed = _earliest_per_block(flat, size, np.array(release), ends)
+    return [Chain(*key) for key in _keys(np.array(machine), np.array(job), size, packed)]
 
 
 class _Master:
@@ -249,7 +304,7 @@ class _Master:
         self.keys = np.arange(n)
         self.row = np.full(n + self.inst.num_machines * self.ends.size, -1, dtype=np.int64)
         self.row[:n] = self.keys
-        self.basis = None  # optimal basis of the last solve
+        self.solution = None  # of the last solve
         self.hint = None  # (basic columns, keys of rows with nonbasic slack) after a purge
 
     def add(self, chains: list[Chain]) -> None:
@@ -257,18 +312,20 @@ class _Master:
         if not chains:
             return
         n, K = self.inst.num_jobs, self.ends.size
-        job = np.array([c.job for c in chains], dtype=np.int64)
-        machine = np.array([c.machine for c in chains], dtype=np.int64)
-        lengths = np.array([c.length for c in chains], dtype=np.int64)
+        job, machine, lengths = np.array([(c.job, c.machine, c.length) for c in chains], dtype=np.int64).T
         owner = np.repeat(np.arange(len(chains)), lengths)
         slots = np.fromiter(concat.from_iterable(c.slots for c in chains), np.int64, owner.size)
         block = np.searchsorted(self.ends, slots, side="left")
-        # One capacity entry per (chain, block): a chain's blocks ascend.
+        # One capacity entry per (chain, block): a chain's blocks ascend, so
+        # its entries are the runs of equal ``part``.
         key = n + machine[owner] * K + block
-        first = np.flatnonzero((np.diff(key, prepend=-1) != 0) | (np.diff(owner, prepend=-1) != 0))
-        count = np.diff(first, append=key.size)
+        part = owner * self.row.size + key
+        first = np.concatenate(([0], (part[1:] != part[:-1]).nonzero()[0] + 1))
+        count = np.concatenate((first[1:], [key.size])) - first
         key = key[first]
-        opened = np.unique(key[self.row[key] < 0])
+        new = np.zeros(self.row.size, dtype=bool)
+        new[key[self.row[key] < 0]] = True
+        opened = new.nonzero()[0]
         if opened.size:
             self.row[opened] = self.lp.add_rows(
                 np.zeros(opened.size + 1, dtype=np.int64), [], [], ["<="] * opened.size,
@@ -276,15 +333,14 @@ class _Master:
             )
             self.keys = np.concatenate((self.keys, opened))
         # Column k lists its job row, then its capacity rows by block.
-        ptr = np.concatenate(([0], np.cumsum(1 + np.bincount(owner[first], minlength=len(chains)))))
-        on_job = np.zeros(ptr[-1], dtype=bool)
-        on_job[ptr[:-1]] = True
-        rows = np.empty(ptr[-1], dtype=np.int64)
-        coef = np.ones(ptr[-1])
-        rows[on_job] = job
-        rows[~on_job] = self.row[key]
-        coef[~on_job] = count
+        chain = owner[first]
+        at = np.arange(first.size) + chain + 1  # entry of each capacity row
+        head = np.searchsorted(chain, np.arange(len(chains))) + np.arange(len(chains))  # of each job row
+        rows = np.empty(first.size + len(chains), dtype=np.int64)
+        coef = np.ones(rows.size)
+        rows[head], rows[at], coef[at] = job, self.row[key], count
         last = np.cumsum(lengths) - 1
+        ptr = np.concatenate((head, [rows.size]))
         self.lp.add_columns(ptr, rows, coef, self.inst.weights[job] * self.ends[block[last]])
         self.columns.extend(chains)
 
@@ -294,8 +350,9 @@ class _Master:
         starts from the last basis."""
         index = np.cumsum(keep) - 1
         slack = np.zeros(self.keys.size, dtype=bool)
-        slack[self.basis.slack_rows] = True
-        hint = (index[self.basis.columns], self.keys[~slack])
+        basis = self.solution.basis
+        slack[basis.slack_rows] = True
+        hint = (index[basis.columns], self.keys[~slack])
         kept = [c for c, k in zip(self.columns, keep) if k]
         self._reset()
         self.add(kept)
@@ -315,40 +372,45 @@ class _Master:
         res = solve_lp(self.lp, warm)
         if res.status != "optimal":
             raise ChainLpError(f"restricted master is {res.status}")
-        self.basis = res.basis
-        cap = keys >= n
-        eta = np.zeros(n)
-        eta[keys[~cap]] = np.maximum(res.duals[~cap], 0.0)
+        self.solution = res
+        # The job rows come first, in job order.
+        eta = np.maximum(res.duals[:n], 0.0)
         xi = np.zeros((self.inst.num_machines, K))
-        dual = -res.duals[cap]
-        xi[(keys[cap] - n) // K, (keys[cap] - n) % K] = np.where(dual > 1e-12, dual, 0.0)
+        dual = -res.duals[n:]
+        xi.ravel()[keys[n:] - n] = np.where(dual > 1e-12, dual, 0.0)
         return res, eta, xi
 
 
-def _price_all(inst: Instance, ximat: np.ndarray, eta: np.ndarray, ends: np.ndarray, seen: set):
-    """Price every (machine, job) pair against the given block duals, one
-    ``price_chain_multi`` call per machine.
+def _price_all(pairs: tuple, ximat: np.ndarray, eta: np.ndarray, ends: np.ndarray, seen: set):
+    """Price every allowed (machine, job) pair against the given block duals
+    in one ``price_chain_multi`` pass; ``pairs`` holds the pairs' machines,
+    jobs, weights, sizes and releases, job by job (``_pairs``).
 
     Returns (new chains, ordered by job, then machine, then bucket; per-job
-    cheapest chain cost mu_j).  The mu values certify a Lagrangian lower
-    bound sum_j mu_j - sum_{i,k} len_k xi_{i,k} on the LP optimum.
+    cheapest chain cost mu_j), and adds the new chains' keys to ``seen``.
+    The mu values certify a Lagrangian lower bound sum_j mu_j - sum_{i,k}
+    len_k xi_{i,k} on the LP optimum.
     """
-    rel = inst.release_matrix()
-    allowed = inst.allowed_mask()
-    H = int(ends[-1])
-    found = []
-    mu = np.full(inst.num_jobs, np.inf)
-    for i in range(inst.num_machines):
-        jobs = np.flatnonzero(allowed[:, i])
-        chains, best = price_chain_multi(
-            i, ximat[i], jobs, eta[jobs], inst.weights[jobs], inst.sizes[jobs, i], rel[jobs, i], H, ends=ends
-        )
-        mu[jobs] = np.minimum(mu[jobs], best + eta[jobs])
-        found.extend(chain for chain, _ in chains)
-    found.sort(key=lambda chain: chain.job)
-    new_cols = [chain for chain in found if chain not in seen]
-    seen.update(new_cols)
+    machines, jobs, weights, sizes, releases = pairs
+    found, best = price_chain_multi(
+        ximat, machines, jobs, eta[jobs], weights, sizes, releases, int(ends[-1]), ends=ends, seen=seen
+    )
+    mu = np.full(eta.size, np.inf)
+    np.minimum.at(mu, jobs, best + eta[jobs])
+    new_cols = [chain for chain, _ in found]
+    seen.update(map(_key, new_cols))
     return new_cols, mu
+
+
+def _pairs(inst: Instance) -> tuple:
+    """(machines, jobs, weights, sizes, releases) of the allowed (machine,
+    job) pairs, job by job and then by machine."""
+    jobs, machines = np.nonzero(inst.allowed_mask())
+    return machines, jobs, inst.weights[jobs], inst.sizes[jobs, machines], inst.release_matrix()[jobs, machines]
+
+
+def _key(chain: Chain) -> tuple:
+    return chain.machine, chain.job, chain.slots
 
 
 SMOOTHING = 0.8  # weight on the dual stability center while pricing
@@ -357,9 +419,9 @@ PURGE_ABOVE = 900  # master size (columns) that triggers a purge of stale ones
 MAX_ROUNDS = 2000
 
 
-def _generate(inst: Instance, ends: np.ndarray, compressed: bool = False) -> ChainSolution:
+def _generate(inst: Instance, horizon: int, ends: np.ndarray | None = None) -> ChainSolution:
     """Column generation to optimality of the chain LP over the blocks with
-    right ends ``ends``.
+    right ends ``ends`` (compressed), or over unit blocks up to ``horizon``.
 
     Each round solves the master, from the previous round's optimal basis,
     and prices every chain against duals smoothed toward the stability
@@ -373,7 +435,23 @@ def _generate(inst: Instance, ends: np.ndarray, compressed: bool = False) -> Cha
     cheapest chain cost of job j under it.  So every chain prices
     non-negative, and sum(eta) - sum(len xi) is at least
     ``objective - gap_bound``.
+
+    The pricer holds a few arrays of one entry per (machine, slot); a
+    horizon that would make one of them larger than the simplex's
+    basis-inverse budget, ``simplex.MAX_BASIS_INVERSE_BYTES``, is refused
+    with ``LpError``, as the simplex refuses a master over it, before
+    anything of the horizon's size is built.
     """
+    slot_bytes = 8 * inst.num_machines * (horizon + 1)
+    if slot_bytes > simplex.MAX_BASIS_INVERSE_BYTES:
+        raise LpError(
+            f"chain LP too large: horizon {horizon} on {inst.num_machines} machines needs "
+            f"{slot_bytes / 2**20:.0f} MiB per pricing array, over the "
+            f"{simplex.MAX_BASIS_INVERSE_BYTES / 2**20:.0f} MiB limit"
+        )
+    compressed = ends is not None
+    if not compressed:
+        ends = np.arange(1, horizon + 1)
     inst, shift = normalize_weights(inst)
     rel = inst.release_matrix()
     base = _greedy_disjoint_chains(inst, ends)
@@ -389,7 +467,8 @@ def _generate(inst: Instance, ends: np.ndarray, compressed: bool = False) -> Cha
     master = _Master(inst, ends)
     master.add(columns)
     lengths = master.lengths
-    seen = set(columns)
+    seen = set(map(_key, columns))
+    pairs = _pairs(inst)
     born = np.zeros(len(columns), dtype=np.int64)
 
     best_lb = -np.inf
@@ -404,7 +483,7 @@ def _generate(inst: Instance, ends: np.ndarray, compressed: bool = False) -> Cha
         for alpha in (SMOOTHING, 0.0):
             eta_s = alpha * center_eta + (1 - alpha) * eta
             xi_s = alpha * center_xi + (1 - alpha) * xi
-            new_cols, mu = _price_all(inst, xi_s, eta_s, ends, seen)
+            new_cols, mu = _price_all(pairs, xi_s, eta_s, ends, seen)
             lb = float(mu.sum() - (xi_s * lengths).sum())
             if lb > best_lb:
                 best_lb = lb
@@ -425,7 +504,7 @@ def _generate(inst: Instance, ends: np.ndarray, compressed: bool = False) -> Cha
             keep = (res.x > 1e-9) | (born >= iterations - 3)
             keep[: len(base)] = True
             keep[res.basis.columns] = True
-            seen.difference_update(c for c, k in zip(master.columns, keep) if not k)
+            seen.difference_update(_key(c) for c, k in zip(master.columns, keep) if not k)
             master.purge(keep)
             born = born[keep]
         master.add(new_cols)
@@ -454,7 +533,7 @@ def _generate(inst: Instance, ends: np.ndarray, compressed: bool = False) -> Cha
 def solve_chain_lp(inst: Instance) -> ChainSolution:
     """The exact chain LP: column generation over unit blocks, one per slot
     up to the instance horizon."""
-    return _generate(inst, np.arange(1, instance_horizon(inst) + 1))
+    return _generate(inst, instance_horizon(inst))
 
 
 def solve_chain_lp_compressed(inst: Instance, eps: float) -> ChainSolution:
@@ -466,7 +545,8 @@ def solve_chain_lp_compressed(inst: Instance, eps: float) -> ChainSolution:
     ``gap_bound`` and the returned duals are certified as in the exact mode,
     with the Lagrangian bound sum_j mu_j - sum_{i,k} len_k xi_{i,k}.
     """
-    return _generate(inst, build_compressed_timeline(inst, eps).ends, compressed=True)
+    ends = build_compressed_timeline(inst, eps).ends
+    return _generate(inst, int(ends[-1]), ends)
 
 
 def validate_chain_solution(inst: Instance, sol: ChainSolution) -> None:

@@ -22,7 +22,7 @@ class Chain:
     slots: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "slots", tuple(int(t) for t in self.slots))
+        object.__setattr__(self, "slots", tuple(map(int, self.slots)))
 
     @property
     def length(self) -> int:

@@ -26,6 +26,9 @@ columns.
 
 After an optimal solve the LP keeps the solver's state: the standard form
 with its column store, the basis, the basis inverse and the basic values.
+The solution's ``basis``, in the LP's own numbering, is worked out when it
+is first read, from a copy of the basis and the model's arrays as they
+stood at the solve (the model replaces its arrays as it grows).
 The next ``solve_lp(lp)`` resumes from it when the LP grew as a
 column-generation master does: rows appended with no entries, then
 variables.  The new variables join the column store as nonbasic columns
@@ -94,7 +97,7 @@ UPDATE_CHUNK = 8192
 MAX_BASIS_INVERSE_BYTES = 2**29
 
 _SENSES = ("<=", "==", ">=")
-_LE, _GE = _SENSES.index("<="), _SENSES.index(">=")
+_LE, _EQ, _GE = _SENSES.index("<="), _SENSES.index("=="), _SENSES.index(">=")
 # The counters of one solve, the keys of LpSolution.stats.
 STATS = ("pivots", "perturbations", "dual_pivots", "refactorizations")
 
@@ -115,7 +118,7 @@ class LinearProgram:
     them and the budget again).  The constraint entries (row, variable,
     coefficient) and each row's sense and right-hand side are read-only
     arrays, in the order they were added; ``rows`` lists them per row as
-    (indices, coefficients, sense, rhs).
+    (indices, coefficients, sense, rhs), built once per state of the LP.
     """
 
     def __init__(self, num_vars: int, objective=None, lower=None, upper=None):
@@ -130,6 +133,7 @@ class LinearProgram:
         self._row = self._col = _frozen(np.zeros(0, dtype=np.int64))
         self._val = self._rhs = _frozen(np.zeros(0))
         self._sense = _frozen(np.zeros(0, dtype=np.int8))  # index into _SENSES
+        self._rows = None  # ``rows``, until the next append
         self.reserve(0)
         self._live = None  # solver state after the last optimal solve
 
@@ -140,14 +144,19 @@ class LinearProgram:
     @property
     def rows(self) -> list:
         """(indices, coefficients, sense, rhs) per row, entries in the order
-        they were added."""
-        order = np.argsort(self._row, kind="stable")
-        col, val = self._col[order], self._val[order]
-        ends = np.cumsum(np.bincount(self._row, minlength=self.num_rows)).tolist()
-        return [
-            (col[lo:hi], val[lo:hi], _SENSES[s], rhs)
-            for lo, hi, s, rhs in zip([0] + ends, ends, self._sense.tolist(), self._rhs.tolist())
-        ]
+        they were added; the arrays are read-only.  The list is built on the
+        first read after an append and kept until the next."""
+        if self._rows is None:
+            # Row numbers in the smallest unsigned type: numpy's stable sort
+            # of 16-bit integers is a radix sort.
+            order = np.argsort(self._row.astype(np.min_scalar_type(self.num_rows)), kind="stable")
+            col, val = _frozen(self._col[order]), _frozen(self._val[order])
+            ends = np.cumsum(np.bincount(self._row, minlength=self.num_rows)).tolist()
+            self._rows = [
+                (col[lo:hi], val[lo:hi], _SENSES[s], rhs)
+                for lo, hi, s, rhs in zip([0] + ends, ends, self._sense.tolist(), self._rhs.tolist())
+            ]
+        return list(self._rows)
 
     def add_row(self, indices, coeffs, sense: str, rhs: float) -> int:
         """Append a constraint row; returns its index."""
@@ -174,7 +183,7 @@ class LinearProgram:
         if not np.isfinite(val).all() or not np.isfinite(b).all():
             raise LpError("row coefficients and rhs must be finite")
         first = self.num_rows
-        self._append_entries(first + np.repeat(np.arange(count), np.diff(ptr)), idx, val)
+        self._append_entries(first + np.repeat(np.arange(count), ptr[1:] - ptr[:-1]), idx, val)
         codes = np.array([_SENSES.index(s) for s in senses], dtype=np.int8)
         self._sense = _frozen(np.concatenate((self._sense, codes)))
         self._rhs = _frozen(np.concatenate((self._rhs, b)))
@@ -198,7 +207,7 @@ class LinearProgram:
         _check_costs_and_bounds(cost, lo, hi)
         self.reserve(np.count_nonzero(np.isfinite(hi)))
         first = self.num_vars
-        self._append_entries(idx, first + np.repeat(np.arange(count), np.diff(ptr)), val)
+        self._append_entries(idx, first + np.repeat(np.arange(count), ptr[1:] - ptr[:-1]), val)
         self.objective = np.concatenate((self.objective, cost))
         self.lower = np.concatenate((self.lower, lo))
         self.upper = np.concatenate((self.upper, hi))
@@ -218,6 +227,7 @@ class LinearProgram:
             )
 
     def _append_entries(self, rows, cols, vals) -> None:
+        self._rows = None
         self._row = _frozen(np.concatenate((self._row, rows)))
         self._col = _frozen(np.concatenate((self._col, cols)))
         self._val = _frozen(np.concatenate((self._val, vals)))
@@ -275,9 +285,17 @@ class LpSolution:
     objective: float = np.nan
     duals: np.ndarray = None
     iterations: int = 0  # pivots
-    basis: Basis | None = None  # optimal basis, to warm-start a related LP
     warm: bool = False  # resumed the LP's last optimum, or started from the given basis
     stats: dict = field(default_factory=lambda: dict.fromkeys(STATS, 0))  # counters, see STATS
+    _basis: object = field(default=None, repr=False)  # the Basis, or the function that computes it
+
+    @property
+    def basis(self) -> Basis | None:
+        """The optimal basis, to warm-start a related LP; None unless
+        optimal.  Computed when first read, from what the solve held."""
+        if callable(self._basis):
+            self._basis = self._basis()
+        return self._basis
 
 
 def solve_lp(lp: LinearProgram, basis: Basis | None = None) -> LpSolution:
@@ -355,10 +373,10 @@ class _Columns:
 
         # Entry e closes a run unless entry e + 1 is in the same column, the
         # next row, with the same value.
-        joins = np.diff(rows) == 1
+        joins = rows[1:] - rows[:-1] == 1
         joins &= cols[1:] == cols[:-1]
         joins &= vals[1:] == vals[:-1]
-        last = np.concatenate((np.flatnonzero(~joins), [rows.size - 1]))
+        last = np.concatenate(((~joins).nonzero()[0], [rows.size - 1]))
         first = np.concatenate(([0], last[:-1] + 1))
         long = last > first
         run, one = first[long], first[~long]
@@ -387,7 +405,7 @@ class _Columns:
         ends = Y[self.run_ends]
         terms = np.empty(self.run_col.size)
         np.subtract(ends[1], ends[0], out=terms[:k])
-        np.take(y, self.one_row, out=terms[k:])
+        y.take(self.one_row, out=terms[k:])
         terms *= self.run_val
         return np.bincount(self.run_col, weights=terms, minlength=self.total)
 
@@ -403,14 +421,15 @@ class _Columns:
         return out
 
     def gather(self, basis: np.ndarray) -> np.ndarray:
-        """Dense matrix of the columns in ``basis``, in that order."""
-        pos = np.full(self.total, -1, dtype=np.int64)
-        pos[basis] = np.arange(basis.size)
-        at = pos[self.cols]
-        sel = at >= 0
-        B = np.zeros((self.m, basis.size))
-        np.add.at(B, (self.rows[sel], at[sel]), self.vals[sel])
-        return B
+        """Dense matrix of the columns in ``basis``, in that order; entries
+        of one column in one row add up."""
+        lo = self.colptr[basis]
+        count = self.colptr[basis + 1] - lo
+        owner = np.repeat(np.arange(basis.size), count)
+        at = np.arange(owner.size) + np.repeat(lo - np.cumsum(count) + count, count)  # the columns' entries
+        cell = self.rows[at] * basis.size + owner
+        B = np.bincount(cell, weights=self.vals[at], minlength=self.m * basis.size)
+        return B.astype(float, copy=False).reshape(self.m, basis.size)  # bincount of nothing is integer
 
 
 class _Model:
@@ -448,9 +467,9 @@ class _Model:
         return (
             lp.num_vars >= n
             and lp.num_rows >= self.R
-            and np.array_equal(lp.objective[:n], self.objective)
-            and np.array_equal(lp.lower[:n], self.lower)
-            and np.array_equal(lp.upper[:n], self.upper)
+            and (lp.objective[:n] == self.objective).all()
+            and (lp.lower[:n] == self.lower).all()
+            and (lp.upper[:n] == self.upper).all()
             and not (lp._col[self.e :] < n).any()
         )
 
@@ -461,11 +480,11 @@ class _Model:
         columns."""
         n0, R0, e0, m0, t0 = self.n, self.R, self.e, self.cols.m, self.cols.total
         n, R = lp.num_vars, lp.num_rows
-        bounded = n0 + np.flatnonzero(np.isfinite(lp.upper[n0:]))
+        bounded = n0 + np.isfinite(lp.upper[n0:]).nonzero()[0]
         m = m0 + (R - R0) + bounded.size
-        self.lp_row = np.concatenate((self.lp_row, m0 + np.arange(R - R0)))
+        self.lp_row = np.concatenate((self.lp_row, np.arange(m0, m0 + R - R0)))
         # The new entries, then one unit entry per new upper-bound row.
-        row = np.concatenate((self.lp_row[lp._row[e0:]], m - bounded.size + np.arange(bounded.size)))
+        row = np.concatenate((self.lp_row[lp._row[e0:]], np.arange(m - bounded.size, m)))
         var = np.concatenate((lp._col[e0:], bounded))
         val = np.concatenate((lp._val[e0:], np.ones(bounded.size)))
         shift = np.bincount(row, weights=val * lp.lower[var], minlength=m)
@@ -475,22 +494,20 @@ class _Model:
         self.b = np.concatenate((self.b - sign[:m0] * shift[:m0], np.abs(raw)))
         val *= sign[row]
         sense = np.concatenate((lp._sense[R0:], np.full(bounded.size, _LE, dtype=np.int8)))
-        flip = self.flip[m0:]
-        le = np.where(flip, sense == _GE, sense == _LE)
-        ge = np.where(flip, sense == _LE, sense == _GE)
+        le = sense == np.where(self.flip[m0:], _GE, _LE)  # <= after orientation
 
         # Column layout of the extension: structural | slack | artificial.
-        slack_rows = np.flatnonzero(le | ge)
-        art_rows = np.flatnonzero(~le)
+        slack_rows = (sense != _EQ).nonzero()[0]
+        art_rows = (~le).nonzero()[0]
         k_var, k_slack, k_art = n - n0, slack_rows.size, art_rows.size
         total = t0 + k_var + k_slack + k_art
-        self.var_col = np.concatenate((self.var_col, t0 + np.arange(k_var)))
+        self.var_col = np.concatenate((self.var_col, np.arange(t0, t0 + k_var)))
         slack_col = np.full(m - m0, -1, dtype=np.int64)
-        slack_col[slack_rows] = t0 + k_var + np.arange(k_slack)
+        slack_col[slack_rows] = np.arange(t0 + k_var, total - k_art)
         self.slack_col = np.concatenate((self.slack_col, slack_col))
         self.cols.append(
             np.concatenate((row, m0 + slack_rows, m0 + art_rows)),
-            np.concatenate((self.var_col[var], slack_col[slack_rows], total - k_art + np.arange(k_art))),
+            np.concatenate((self.var_col[var], slack_col[slack_rows], np.arange(total - k_art, total))),
             np.concatenate((val, np.where(le[slack_rows], 1.0, -1.0), np.ones(k_art))),
             m,
             total,
@@ -509,22 +526,30 @@ class _Model:
         basis[self.cols.rows[self.cols.colptr[art]]] = art
         return basis
 
-    def public_basis(self, basis: np.ndarray) -> Basis:
-        """``basis`` (column indices) as LP variables and as rows numbered
-        LP rows first, then upper-bound rows in variable order."""
-        total = self.cols.total
-        var = np.full(total, -1, dtype=np.int64)
-        var[self.var_col] = np.arange(self.n)
-        has = np.flatnonzero(self.slack_col >= 0)
-        slack_row = np.full(total, -1, dtype=np.int64)
-        slack_row[self.slack_col[has]] = has
-        basic_var, rows = var[basis], slack_row[basis]
-        rows = rows[rows >= 0]
-        public = np.empty(self.cols.m, dtype=np.int64)
-        public[self.lp_row] = np.arange(self.R)
-        bound = np.flatnonzero(self.row_var >= 0)
-        public[bound] = self.R + np.cumsum(np.isfinite(self.upper))[self.row_var[bound]] - 1
-        return Basis(columns=np.sort(basic_var[basic_var >= 0]), slack_rows=np.sort(public[rows]))
+    def basis_reader(self, basis: np.ndarray):
+        """A function that returns ``basis`` (column indices) as LP
+        variables and as rows numbered LP rows first, then upper-bound rows
+        in variable order, for the model as it stands now.  The model
+        replaces its arrays as it grows and never writes into them, so the
+        ones held here keep their values."""
+        basis, total, m, n, R = basis.copy(), self.cols.total, self.cols.m, self.n, self.R
+        var_col, slack_col, lp_row, row_var, upper = self.var_col, self.slack_col, self.lp_row, self.row_var, self.upper
+
+        def read() -> Basis:
+            var = np.full(total, -1, dtype=np.int64)
+            var[var_col] = np.arange(n)
+            has = np.flatnonzero(slack_col >= 0)
+            slack_row = np.full(total, -1, dtype=np.int64)
+            slack_row[slack_col[has]] = has
+            basic_var, rows = var[basis], slack_row[basis]
+            rows = rows[rows >= 0]
+            public = np.empty(m, dtype=np.int64)
+            public[lp_row] = np.arange(R)
+            bound = np.flatnonzero(row_var >= 0)
+            public[bound] = R + np.cumsum(np.isfinite(upper))[row_var[bound]] - 1
+            return Basis(columns=np.sort(basic_var[basic_var >= 0]), slack_rows=np.sort(public[rows]))
+
+        return read
 
 
 def _solve(lp: LinearProgram, hint: Basis | None) -> LpSolution:
@@ -589,9 +614,9 @@ def _solve(lp: LinearProgram, hint: Basis | None) -> LpSolution:
         objective=primal_obj,
         duals=np.where(model.flip[model.lp_row], -y, y),
         iterations=state.iters,
-        basis=model.public_basis(state.basis),
         warm=warm,
         stats=state.stats(),
+        _basis=model.basis_reader(state.basis),
     )
 
 
@@ -701,7 +726,7 @@ class _State:
         inverse is written into the current one's buffer when it fits."""
         cols, basis, m = self.cols, self.basis, self.m
         lo = cols.colptr[basis]
-        single = np.flatnonzero((cols.colptr[basis + 1] - lo == 1) & (cols.vals[lo] != 0.0))
+        single = ((cols.colptr[basis + 1] - lo == 1) & (cols.vals[lo] != 0.0)).nonzero()[0]
         _, first = np.unique(cols.rows[lo[single]], return_index=True)
         unit_pos = single[first]
         unit_row = cols.rows[lo[unit_pos]]
@@ -721,8 +746,8 @@ class _State:
             binv.fill(0.0)
         binv[unit_pos, unit_row] = 1.0 / scale
         if other_pos.size:
-            binv[np.ix_(other_pos, other_row)] = inner
-            binv[np.ix_(unit_pos, other_row)] = -(B_other[unit_row] @ inner) / scale[:, None]
+            binv[other_pos[:, None], other_row] = inner
+            binv[unit_pos[:, None], other_row] = -(B_other[unit_row] @ inner) / scale[:, None]
         self.binv = binv
         self.xb = binv @ self.b
         self.since_refactor = 0
@@ -751,10 +776,10 @@ class _State:
         direction[row] = 0.0
         # Rank-one update in place, restricted to the nonzero block when it
         # is small (entries outside it would subtract exact zeros).
-        lhs = np.flatnonzero(direction)
-        rhs = np.flatnonzero(binv[row])
+        lhs = direction.nonzero()[0]
+        rhs = binv[row].nonzero()[0]
         if 3 * lhs.size * rhs.size < self.m * self.m:
-            binv[np.ix_(lhs, rhs)] -= np.outer(direction[lhs], binv[row, rhs])
+            binv[lhs[:, None], rhs] -= direction[lhs, None] * binv[row, rhs]
         else:
             # By row chunks, so that no m x m temporary is allocated.
             pivot_row = binv[row].copy()
@@ -789,6 +814,7 @@ def _iterate(state: _State, c: np.ndarray, locked: np.ndarray, eager: bool = Fal
     max_iters = 60 * (m + state.cols.total) + 10_000
     last_obj = np.inf
     start_iters = state.iters
+    locked = locked.nonzero()[0]  # few columns: indices set faster than a mask
 
     y = None
     while True:
@@ -798,7 +824,7 @@ def _iterate(state: _State, c: np.ndarray, locked: np.ndarray, eager: bool = Fal
             y = c[state.basis] @ state.binv
         reduced = c - state.cols.left_multiply(y)
         reduced[locked] = 0.0
-        candidates = np.flatnonzero(reduced < -OPT_TOL)
+        candidates = (reduced < -OPT_TOL).nonzero()[0]
         if candidates.size == 0:
             if state.since_refactor > 0:
                 state.refactor()
@@ -823,17 +849,17 @@ def _iterate(state: _State, c: np.ndarray, locked: np.ndarray, eager: bool = Fal
             state.dual_pivots += 1
             y = None
             continue
-        enter = int(candidates[np.argmin(reduced[candidates])])
+        enter = int(candidates[reduced[candidates].argmin()])
 
         direction = state.direction(enter)
-        positive = np.flatnonzero(direction > PIVOT_TOL)
+        positive = (direction > PIVOT_TOL).nonzero()[0]
         if positive.size == 0:
             return "unbounded"
         xb = np.maximum(state.xb, 0.0)
         ratios = xb[positive] / direction[positive]
         best = ratios.min()
-        ties = positive[np.flatnonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))]
-        leave = int(ties[np.argmax(direction[ties])])
+        ties = positive[(ratios <= best + 1e-9 * (1.0 + abs(best))).nonzero()[0]]
+        leave = int(ties[direction[ties].argmax()])
         state.pivot(leave, enter, direction)
         y += reduced[enter] * state.binv[leave]
 

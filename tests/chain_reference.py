@@ -1,17 +1,29 @@
-"""Test-only references for the chain pricer: every chain of a job, and the
-batched pricer applied to one job."""
+"""Test-only references for the chain pricer: every chain of a job, the
+batched pricer applied to one job, and the per-machine pricer with its
+per-chain materialization loop that the array-wide one replaced."""
 
+from bisect import bisect_left, bisect_right
 from itertools import combinations
 
 import numpy as np
 
-from alphasched.chain_lp import price_chain_multi
+from alphasched.chain_lp import PRICE_CELLS, PRICE_TOL, price_chain_multi
 from alphasched.chains import Chain
 
 
 def enumerate_chains(release: int, size: int, horizon: int):
     """All slot tuples for a job of the given size (test-scale oracle)."""
     return combinations(range(release + 1, horizon + 1), size)
+
+
+def price_machine(machine, xi_row, jobs, eta, weights, sizes, releases, horizon, buckets=4, ends=None):
+    """``price_chain_multi`` for the given jobs, all on one machine with
+    block duals ``xi_row``."""
+    xi = np.zeros((machine + 1, np.size(xi_row)))
+    xi[machine] = xi_row
+    return price_chain_multi(
+        xi, [machine] * len(jobs), jobs, eta, weights, sizes, releases, horizon, buckets, ends
+    )
 
 
 def price_chain(
@@ -28,7 +40,80 @@ def price_chain(
     ``price_chain_multi`` finds it for one job and one bucket.  Returns
     (chain, reduced cost) when it prices below -1e-7, else (None, best
     cost)."""
-    found, best = price_chain_multi(
-        machine, xi_row, [job], [eta_j], [weight], [size], [release], horizon, buckets=1
-    )
+    found, best = price_machine(machine, xi_row, [job], [eta_j], [weight], [size], [release], horizon, buckets=1)
     return (found[0][0] if found else None), float(best[0])
+
+
+def earliest_per_block(machine, job, slots, release, ends) -> Chain:
+    """The chain with the same slot count per block as ``slots`` (a list,
+    ascending) that takes each block's earliest slots after the release;
+    ``ends`` is the list of block right ends."""
+    packed, a = [], 0
+    while a < len(slots):
+        k = bisect_left(ends, slots[a])
+        b = bisect_right(slots, ends[k], a)  # slots[a:b] lie in block k
+        first = max(ends[k - 1] if k else 0, release) + 1
+        packed.extend(range(first, first + b - a))
+        a = b
+    return Chain(machine=machine, job=job, slots=packed)
+
+
+def price_machine_loop(machine, xi_row, jobs, eta, weights, sizes, releases, horizon, buckets=4, ends=None):
+    """The per-machine pricer that ``price_chain_multi`` replaced: the same
+    sums in the same order, then a loop that builds each found chain from a
+    window argsort.  Returns (found, best) for the jobs in the given order."""
+    H = int(horizon)
+    C = np.arange(1, H + 1) if ends is None else np.asarray(ends, dtype=np.int64)
+    K = C.size
+    xi = np.asarray(xi_row, dtype=float)[:K]
+    if K < H:
+        xi = np.repeat(xi, np.diff(C, prepend=0))
+    jobs = np.asarray(jobs, dtype=np.int64)
+    eta = np.asarray(eta, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    p = np.asarray(sizes, dtype=np.int64)
+    r = np.asarray(releases, dtype=np.int64)
+    zeros = np.concatenate(([0], np.cumsum(xi == 0.0)))
+    pos = np.flatnonzero(xi > 0.0)
+    pos = pos[np.argsort(xi[pos], kind="stable")]
+    t, v = pos + 1, xi[pos]
+    before_c = t[:, None] < C
+    rank_c = np.cumsum(before_c, axis=0, dtype=np.int32)
+    cost = np.empty((jobs.size, K))
+    step = max(1, PRICE_CELLS // max(1, t.size * K))
+    for j0 in range(0, jobs.size, step):
+        g = slice(j0, j0 + step)
+        after_r = t[:, None] > r[g]
+        need = ((p[g] - 1)[:, None] - (zeros[C - 1] - zeros[np.minimum(r[g], H)][:, None])).astype(np.int32)
+        take = after_r[:, :, None] & before_c[:, None, :]
+        take &= rank_c[:, None, :] <= need + np.cumsum(~after_r, axis=0, dtype=np.int32)[:, :, None]
+        cheapest = (v @ take.reshape(t.size, need.size)).reshape(need.shape)
+        cost[g] = w[g, None] * C + cheapest + xi[C - 1] - eta[g, None]
+    first = r + p
+    cost[C < first[:, None]] = np.inf
+    best = cost.min(axis=1, initial=np.inf)
+
+    k0 = np.searchsorted(C, first, side="left")
+    fits = np.flatnonzero(k0 < K)
+    span = (K - k0[fits])[:, None]
+    lo = -(-np.arange(buckets) * span // buckets)
+    hi = np.concatenate((lo[:, 1:], span), axis=1)
+    filled = lo < hi
+    begin = fits[:, None] * K + k0[fits, None] + lo
+    bucket_min = np.full(lo.shape, np.inf)
+    if filled.any():
+        bucket_min[filled] = np.minimum.reduceat(cost.ravel(), begin[filled])
+    found, block_ends = [], C.tolist()
+    for a, b in zip(*np.nonzero(bucket_min < -PRICE_TOL)):
+        j = fits[a]
+        k = int(k0[j]) + int(lo[a, b])
+        seg = cost[j, k : int(k0[j]) + int(hi[a, b])]
+        c = int(C[k + int(np.argmax(seg <= bucket_min[a, b] + 1e-12 * (1.0 + abs(bucket_min[a, b]))))])
+        rj, pj = int(r[j]), int(p[j])
+        slots = (np.sort(np.argsort(xi[rj : c - 1], kind="stable")[: pj - 1]) + rj + 1).tolist() + [c]
+        if K < H:
+            chain = earliest_per_block(machine, int(jobs[j]), slots, rj, block_ends)
+        else:
+            chain = Chain(machine=machine, job=int(jobs[j]), slots=slots)
+        found.append((chain, float(bucket_min[a, b])))
+    return found, best

@@ -273,6 +273,27 @@ def test_masters_warm_start_across_rounds_and_purges(monkeypatch):
     assert [warm for _, _, _, warm in calls] == [k not in (0, len(exact)) for k in range(len(calls))]
 
 
+def test_master_bases_read_after_resumes_and_purges(monkeypatch):
+    # A master solution's basis is computed when first read; read after
+    # the whole column generation, through later resumes and purges, it is
+    # the basis the solve ended at.
+    masters = []
+    solve_lp = chain_lp.solve_lp
+
+    def recording_solve_lp(lp, basis=None):
+        res = solve_lp(lp, basis)
+        masters.append((res, lp._live.model.basis_reader(lp._live.basis)(), lp))
+        return res
+
+    monkeypatch.setattr(chain_lp, "solve_lp", recording_solve_lp)
+    monkeypatch.setattr(chain_lp, "PURGE_ABOVE", 40)
+    sol = solve_chain_lp(random_instance(np.random.default_rng(0), 8, 2, p_max=8, r_max=12))
+    assert len(masters) == sol.iterations and len({id(lp) for _, _, lp in masters}) > 1  # purged
+    for res, want, _ in masters:
+        assert res.basis.columns.tolist() == want.columns.tolist()
+        assert res.basis.slack_rows.tolist() == want.slack_rows.tolist()
+
+
 def test_stats_sum_the_master_solves(monkeypatch):
     masters = []
     solve_lp = chain_lp.solve_lp

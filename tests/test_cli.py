@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import alphasched
@@ -264,6 +265,32 @@ def test_far_release_round_exits_one(tmp_path, capsys):
     assert "too large" in err
     code, out, _ = run(capsys, "solve-interval", str(path))
     assert code == 0 and out.splitlines()[1].startswith("objective,")
+
+
+def test_far_release_chain_lp_exits_one(tmp_path, capsys):
+    # A release at 1e12: the pricer's per-(machine, slot) arrays would pass
+    # the basis-inverse budget, exact or compressed (a few dozen blocks),
+    # and both solves are refused before anything of the horizon's size is
+    # allocated.
+    doc = {
+        "machines": 2,
+        "jobs": [
+            {"release": 0, "weight": 1.0, "sizes": [2, 3]},
+            {"release": 10**12, "weight": 2.0, "sizes": [1, 4]},
+        ],
+    }
+    path = tmp_path / "far.inst.json"
+    path.write_text(json.dumps(doc))
+    for extra in ((), ("--epsilon", "0.5")):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "solve-chain", str(path), *extra)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert "too large" in err
+        assert peak < 2**20
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

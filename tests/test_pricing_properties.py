@@ -1,8 +1,9 @@
 """Property tests for the chain pricer: over unit blocks against brute
-force over all chains and against the per-job heap sweep it replaced, and
-over coarser blocks against the per-completion-block loop of the block
-pricer it replaced.  Both references are kept here, as they were in the
-library."""
+force over all chains and against the per-job heap sweep it replaced, over
+coarser blocks against the per-completion-block loop of the block pricer it
+replaced, and over several machines against the per-machine pricer with its
+per-chain loop (``chain_reference``).  The references are kept here, as
+they were in the library."""
 
 import heapq
 import math
@@ -18,7 +19,7 @@ from alphasched.chain_lp import (  # noqa: E402
     CompressedTimeline,
     price_chain_multi,
 )
-from chain_reference import enumerate_chains  # noqa: E402
+from chain_reference import enumerate_chains, price_machine, price_machine_loop  # noqa: E402
 
 
 def heap_sweep(xi_row, eta_j, weight, size, release, horizon, buckets):
@@ -133,7 +134,7 @@ def check_against(ref_buckets, case, found, best):
 @given(pricing_cases(max_horizon=10))
 def test_batched_pricer_matches_brute_force(case):
     xi, jobs, eta, weights, sizes, releases, H, buckets = case
-    found, best = price_chain_multi(3, xi, jobs, eta, weights, sizes, releases, H, buckets)
+    found, best = price_machine(3, xi, jobs, eta, weights, sizes, releases, H, buckets)
     ref = [
         brute_force_buckets(xi, eta[k], weights[k], int(sizes[k]), int(releases[k]), H, buckets)
         for k in range(len(jobs))
@@ -145,7 +146,7 @@ def test_batched_pricer_matches_brute_force(case):
 @given(pricing_cases(max_horizon=300))
 def test_batched_pricer_matches_heap_sweep(case):
     xi, jobs, eta, weights, sizes, releases, H, buckets = case
-    found, best = price_chain_multi(3, xi, jobs, eta, weights, sizes, releases, H, buckets)
+    found, best = price_machine(3, xi, jobs, eta, weights, sizes, releases, H, buckets)
     ref = [
         [cost for cost, _ in heap_sweep(xi, eta[k], weights[k], int(sizes[k]), int(releases[k]), H, buckets)]
         for k in range(len(jobs))
@@ -155,7 +156,7 @@ def test_batched_pricer_matches_heap_sweep(case):
 
 def test_batched_pricer_rejects_negative_duals():
     with pytest.raises(ValueError):
-        price_chain_multi(0, np.array([0.0, -1.0, 0.0]), [0], [5.0], [1.0], [2], [0], 3)
+        price_machine(0, np.array([0.0, -1.0, 0.0]), [0], [5.0], [1.0], [2], [0], 3)
 
 
 def block_loop(xi_blocks, eta_j, weight, size, release, timeline):
@@ -204,7 +205,7 @@ def test_block_pricer_matches_per_block_loop(H, num_ends, grid, density, seed):
     weight = float(rng.integers(1, 33) / 8.0) if grid else float(rng.uniform(0.1, 4.0))
     eta = weight * (release + size) + float(rng.uniform(-2.0, 2.0 * H))
     counts, ref_cost = block_loop(xi, eta, weight, size, release, timeline)
-    found, best = price_chain_multi(1, xi, [2], [eta], [weight], [size], [release], H, buckets=1, ends=ends)
+    found, best = price_machine(1, xi, [2], [eta], [weight], [size], [release], H, buckets=1, ends=ends)
     if counts is None:
         assert math.isinf(best[0]) and not found
         return
@@ -221,3 +222,48 @@ def test_block_pricer_matches_per_block_loop(H, num_ends, grid, density, seed):
     # Each block's slots are its earliest ones after the release.
     first = np.maximum(timeline.starts, release) + 1
     assert chain.slots == tuple(t for k in np.flatnonzero(counts) for t in range(first[k], first[k] + counts[k]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 150),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    st.sampled_from([1, 4]),
+    st.integers(0, 2**32 - 1),
+)
+def test_pricer_matches_per_machine_loop(H, machines, jobs, coarse, grid, density, buckets, seed):
+    """Every machine priced in one call: the same (chain, reduced cost) list,
+    bit for bit and in the same order, as the per-machine pricer with its
+    per-chain loop, pair by pair; chains whose key is in ``seen`` left out."""
+    rng = np.random.default_rng(seed)
+    ends = np.unique(np.append(rng.integers(1, H, rng.integers(1, 12)), H)) if coarse and H > 1 else None
+    K = H if ends is None else ends.size
+    xi = np.stack([sparse_duals(rng, K, density, grid) for _ in range(machines)])
+    pairs = [(j, i) for j in range(jobs) for i in range(machines) if rng.random() < 0.8]
+    rng.shuffle(pairs)
+    sizes = rng.integers(1, min(H, 8) + 1, jobs)
+    releases = rng.integers(0, H + 1, jobs)
+    weights = rng.integers(1, 33, jobs) / 8.0 if grid else rng.uniform(0.1, 4.0, jobs)
+    eta = weights * (releases + sizes) + rng.uniform(-2.0, 0.5 * H, jobs)
+    job = np.array([j for j, _ in pairs], dtype=np.int64)
+    machine = np.array([i for _, i in pairs], dtype=np.int64)
+    per_pair = (eta[job], weights[job], sizes[job], releases[job])
+
+    expected, best = {}, np.empty(len(pairs))
+    for i in range(machines):
+        on = np.flatnonzero(machine == i)
+        found_i, best[on] = price_machine_loop(i, xi[i], job[on], *(a[on] for a in per_pair), H, buckets, ends)
+        for chain, cost in found_i:
+            expected.setdefault((chain.machine, chain.job), []).append((chain, cost))
+    expected = [entry for j, i in pairs for entry in expected.get((i, j), [])]
+
+    found, got_best = price_chain_multi(xi, machine, job, *per_pair, H, buckets, ends)
+    assert found == expected
+    assert np.array_equal(got_best, best)
+    seen = {(c.machine, c.job, c.slots) for c, _ in expected[::2]}
+    found, _ = price_chain_multi(xi, machine, job, *per_pair, H, buckets, ends, seen)
+    assert found == expected[1::2]

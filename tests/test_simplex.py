@@ -408,3 +408,91 @@ def test_complementary_slackness_and_feasibility():
                 assert slack <= 1e-7
                 assert y >= -1e-7
             assert abs(slack * y) <= 1e-6 * scale
+
+
+def test_rows_are_kept_until_the_next_append():
+    # Rows read between interleaved appends match an LP built in one go,
+    # and a read after an append sees it.
+    lp = LinearProgram(2, objective=np.array([1.0, 2.0]))
+    lp.add_rows([0, 2], [0, 1], [1.0, 1.0], [">="], [1.0])
+    first = lp.rows
+    lp.add_columns([0, 1, 1], [0], [3.0], [0.5, 1.0])
+    lp.add_rows([0, 1], [3], [2.0], ["<="], [4.0])
+    read = lp.rows
+    lp.add_columns([0, 2], [0, 1], [1.0, 5.0], [2.0])
+    fresh = LinearProgram(5, objective=np.array([1.0, 2.0, 0.5, 1.0, 2.0]))
+    fresh.add_rows([0, 4, 6], [0, 1, 2, 4, 3, 4], [1.0, 1.0, 3.0, 1.0, 2.0, 5.0], [">=", "<="], [1.0, 4.0])
+    for rows in (lp.rows, lp.rows):
+        assert len(rows) == len(fresh.rows) == 2
+        for got, want in zip(rows, fresh.rows):
+            assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+            assert got[2:] == want[2:]
+            assert not got[0].flags.writeable and not got[1].flags.writeable
+    assert [r[0].tolist() for r in read] == [[0, 1, 2], [3]]
+    assert [r[0].tolist() for r in first] == [[0, 1]]
+    lp.rows.clear()  # the caller's list, not the one kept
+    assert len(lp.rows) == 2
+
+
+def test_rows_read_between_random_appends_match_a_sort_of_all_entries():
+    rng = np.random.default_rng(3)
+    lp = LinearProgram(3)
+    for step in range(60):
+        if rng.random() < 0.4 or lp.num_rows == 0:
+            count = int(rng.integers(1, 4))
+            sizes = rng.integers(0, 3, count)
+            idx = rng.integers(0, lp.num_vars, sizes.sum())
+            lp.add_rows(np.concatenate(([0], np.cumsum(sizes))), idx, rng.normal(size=idx.size),
+                        rng.choice(["<=", "==", ">="], count), rng.normal(size=count))
+        else:
+            count = int(rng.integers(1, 4))
+            sizes = rng.integers(0, 4, count)
+            idx = rng.integers(0, lp.num_rows, sizes.sum())
+            lp.add_columns(np.concatenate(([0], np.cumsum(sizes))), idx, rng.normal(size=idx.size), np.ones(count))
+        if rng.random() < 0.5:
+            order = np.argsort(lp._row, kind="stable")
+            per_row = np.split(order, np.cumsum(np.bincount(lp._row, minlength=lp.num_rows))[:-1])
+            got = lp.rows
+            assert len(got) == lp.num_rows
+            for (idx, coef, sense, rhs), entries, s, b in zip(got, per_row, lp._sense, lp._rhs):
+                assert idx.tolist() == lp._col[entries].tolist() and coef.tolist() == lp._val[entries].tolist()
+                assert (sense, rhs) == (("<=", "==", ">=")[s], b)
+
+
+def test_basis_read_later_equals_the_basis_at_the_solve():
+    # Each solution's basis is computed when first read.  Reading it after
+    # later resumes, which extend the model and pivot the live basis, and
+    # after a solve from a given basis, gives what reading it at once would
+    # have.  The LP grows as a chain master does: columns with a 1 in one
+    # covering row and counts in capacity rows appended empty; some columns
+    # have an upper bound, whose row is numbered after every LP row.
+    rng = np.random.default_rng(11)
+    jobs = 4
+    lp = LinearProgram(0)
+    lp.add_rows(np.zeros(jobs + 1, dtype=np.int64), [], [], [">="] * jobs, np.ones(jobs))
+    solutions, at_once = [], []
+    for round in range(8):
+        if round % 3 == 1:
+            lp.add_rows(np.zeros(3, dtype=np.int64), [], [], ["<="] * 2, [1.0, 2.0])
+        rows, vals = [], []
+        for _ in range(5):
+            cap = rng.choice(np.arange(jobs, lp.num_rows), size=min(2, lp.num_rows - jobs), replace=False)
+            rows.append(np.concatenate(([rng.integers(jobs)], np.sort(cap))))
+            vals.append(np.concatenate(([1.0], rng.integers(1, 3, cap.size).astype(float))))
+        ptr = np.concatenate(([0], np.cumsum([r.size for r in rows])))
+        upper = np.where(rng.random(5) < 0.4, 3.0, np.inf)  # upper-bound rows number after the LP's rows
+        lp.add_columns(ptr, np.concatenate(rows), np.concatenate(vals), rng.uniform(1.0, 5.0, 5), upper=upper)
+        res = solve_lp(lp)
+        if res.status != "optimal":  # a job row no column covers yet
+            continue
+        state = lp._live
+        at_once.append(state.model.basis_reader(state.basis)())
+        solutions.append(res)
+    assert len(solutions) > 4 and sum(res.warm for res in solutions) > 3
+    again = solve_lp(lp, solutions[-1].basis)
+    assert again.status == "optimal" and again.warm
+    for res, want in zip(solutions, at_once):
+        got = res.basis
+        assert got is res.basis  # computed once
+        assert got.columns.tolist() == want.columns.tolist()
+        assert got.slack_rows.tolist() == want.slack_rows.tolist()

@@ -14,8 +14,11 @@ perturbations and dual repair pivots, and the solve's seconds; a solve that
 raises holds its error instead.  The exit code is 1 when any instance
 raised or closed with a gap ratio above 1e-6, or, with ``--expect``, when
 an instance's objective differs from the one the given JSON-lines file holds
-for its (n, m, s) by more than 1e-9 (1 + |objective|) or the file lacks it;
-else 0.  ``tools/ladder-10-3.jsonl`` holds the (10, 3) objectives.
+for its (n, m, s) by more than 1e-9 (1 + |objective|), when its rounds or
+pivots differ at all from the ones that line holds (a line may omit them),
+or when the file lacks the instance; else 0.  ``tools/ladder-10-3.jsonl``
+holds the (10, 3) objectives, rounds and pivots, so a change that keeps the
+objectives but takes another pivot path shows there too.
 
 BLAS and OpenMP pools are pinned to one thread before numpy is imported:
 the simplex's pivot path depends on BLAS summation order.
@@ -44,6 +47,7 @@ SIZES = ((8, 2), (10, 3), (12, 2))
 SEEDS = 15
 GAP_RATIO_MAX = 1e-6
 OBJECTIVE_RTOL = 1e-9
+EXACT = ("rounds", "pivots")  # compared exactly when an expectation line holds them
 
 
 def solve(n: int, m: int, s: int) -> dict:
@@ -68,6 +72,18 @@ def solve(n: int, m: int, s: int) -> dict:
     return line
 
 
+def mismatches(line: dict, want: dict | None) -> list[str]:
+    """How a solved ladder line departs from its expectation line."""
+    if want is None:
+        return ["no expected line"]
+    got, objective = float.fromhex(line["objective"]), float.fromhex(want["objective"])
+    out = []
+    if abs(got - objective) > OBJECTIVE_RTOL * (1.0 + abs(objective)):
+        out.append(f"objective {got!r}, expected {objective!r}")
+    out.extend(f"{key} {line[key]}, expected {want[key]}" for key in EXACT if key in want and line[key] != want[key])
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -76,13 +92,14 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--expect", type=Path, metavar="PATH",
-        help="JSON lines with n, m, s and objective (float.hex) that each solved instance must match",
+        help="JSON lines with n, m, s, objective (float.hex) and optionally rounds and pivots that each "
+        "solved instance must match",
     )
     args = parser.parse_args(argv)
     expected = None
     if args.expect:
         lines = map(json.loads, args.expect.read_text(encoding="utf-8").splitlines())
-        expected = {(d["n"], d["m"], d["s"]): float.fromhex(d["objective"]) for d in lines}
+        expected = {(d["n"], d["m"], d["s"]): d for d in lines}
     sizes = [tuple(size) for size in args.size] if args.size else SIZES
     unknown = [size for size in sizes if size not in SIZES]
     if unknown:
@@ -94,9 +111,8 @@ def main(argv=None) -> int:
             ok &= "error" not in line and line["gap_ratio"] <= GAP_RATIO_MAX
             print(json.dumps(line), flush=True)
             if expected is not None and "error" not in line:
-                want, got = expected.get((n, m, s)), float.fromhex(line["objective"])
-                if want is None or abs(got - want) > OBJECTIVE_RTOL * (1.0 + abs(want)):
-                    print(f"ladder ({n}, {m}) s = {s}: objective {got!r}, expected {want!r}", file=sys.stderr)
+                for problem in mismatches(line, expected.get((n, m, s))):
+                    print(f"ladder ({n}, {m}) s = {s}: {problem}", file=sys.stderr)
                     ok = False
     return 0 if ok else 1
 
