@@ -41,7 +41,10 @@ x rows doubles, with rows = n + machines x cover times.  The builder counts
 the rows first and asks ``LinearProgram.reserve`` for them, which raises
 ``LpError`` when that inverse would exceed its budget, so an oversized LP
 (a release far out makes the full range long) is refused before any array
-of its size is built.
+of its size is built.  Then it enumerates every allowed (job, machine) pair
+and every admissible start at once, in array operations, and lays down the
+entries' rows with one prefix sum.  Those arrays are the ones the LP keeps
+and the simplex's column store shares: a large LP's entries exist once.
 """
 
 from __future__ import annotations
@@ -105,24 +108,15 @@ class FractionalIntervalSolution:
 
     def x(self, inst: Instance) -> np.ndarray:
         """Assignment marginals x[j, i] = sum_s y[i, j, s]."""
-        out = np.zeros((inst.num_jobs, inst.num_machines))
-        np.add.at(out, (self.job, self.machine), self.value)
-        return out
+        n, M = inst.num_jobs, inst.num_machines
+        x = np.bincount(self.job * M + self.machine, weights=self.value, minlength=n * M)
+        return x.astype(float).reshape(n, M)  # a bincount of nothing is integer
 
     def job_lp_cost(self, inst: Instance) -> np.ndarray:
         """Per-job unweighted LP contribution sum_{i,s} y * (s + p)."""
         p = inst.sizes[self.job, self.machine]
-        out = np.zeros(inst.num_jobs)
-        np.add.at(out, self.job, self.value * (self.start + p))
-        return out
-
-    def support_by_job(self, inst: Instance):
-        """Per-job (machines, starts, probs) arrays for categorical sampling."""
-        out = []
-        for j in range(inst.num_jobs):
-            mask = self.job == j
-            out.append((self.machine[mask], self.start[mask], self.value[mask]))
-        return out
+        cost = np.bincount(self.job, weights=self.value * (self.start + p), minlength=inst.num_jobs)
+        return cost.astype(float)  # a bincount of nothing is integer
 
 
 def validate_fractional(
@@ -142,8 +136,7 @@ def validate_fractional(
         raise IntervalLpError("support entry starts before release")
     if (sol.start + p > H).any():
         raise IntervalLpError("support entry runs past the horizon")
-    mass = np.zeros(inst.num_jobs)
-    np.add.at(mass, sol.job, sol.value)
+    mass = np.bincount(sol.job, weights=sol.value, minlength=inst.num_jobs)
     err = np.abs(mass - 1.0).max(initial=0.0)
     if err > ASSIGN_TOL:
         raise IntervalLpError(f"job assignment mass off by {err:.3e}")
@@ -151,20 +144,15 @@ def validate_fractional(
         return
     # Cover at every integer t: the load of machine i at t sums the mass with
     # start < t <= start + p, so it changes only at the event times start + 1
-    # and start + p + 1; a difference array over the events gives it.
-    for i in range(inst.num_machines):
-        mask = sol.machine == i
-        if not mask.any():
-            continue
-        begin, end = sol.start[mask] + 1, sol.start[mask] + p[mask] + 1
-        events, at = np.unique(np.concatenate((begin, end)), return_inverse=True)
-        diff = np.zeros(events.size)
-        np.add.at(diff, at, np.concatenate((sol.value[mask], -sol.value[mask])))
-        load = np.cumsum(diff)
-        worst = load.max(initial=0.0)
-        if worst > 1.0 + COVER_TOL:
-            t = int(events[np.argmax(load)])
-            raise IntervalLpError(f"machine {i} overloaded at t={t}: {worst:.8f}")
+    # and start + p + 1; a difference array per machine over them gives it.
+    events, at = np.unique(np.concatenate((sol.start + 1, sol.start + p + 1)), return_inverse=True)
+    M, cells = inst.num_machines, np.tile(sol.machine, 2) * events.size + at
+    diff = np.bincount(cells, weights=np.concatenate((sol.value, -sol.value)), minlength=M * events.size)
+    load = np.cumsum(diff.reshape(M, events.size), axis=1)
+    worst = load.max(initial=0.0)
+    if worst > 1.0 + COVER_TOL:
+        i, c = np.unravel_index(np.argmax(load), load.shape)
+        raise IntervalLpError(f"machine {i} overloaded at t={int(events[c])}: {worst:.8f}")
 
 
 def solution_from_triples(inst: Instance, triples, horizon: int | None = None) -> FractionalIntervalSolution:
@@ -217,32 +205,31 @@ def build_interval_lp(inst: Instance, starts: StartTimeSet | None = None) -> Int
     cover_times = times[times + 1 <= H] + 1
     lp.add_rows(np.zeros(n + covers + 1, dtype=np.int64), [], [], ["=="] * n + ["<="] * covers, np.ones(n + covers))
 
-    rel = inst.release_matrix()
-    machines, jobs, begins = [], [], []
-    for j in range(n):
-        for i in range(inst.num_machines):
-            if not inst.allowed(j, i):
-                continue
-            p = inst.size(j, i)
-            ss = times[np.searchsorted(times, rel[j, i], side="left") : np.searchsorted(times, H - p, side="right")]
-            machines.append(np.full(ss.size, i, dtype=np.int64))
-            jobs.append(np.full(ss.size, j, dtype=np.int64))
-            begins.append(ss)
-    machine, job, start = (np.concatenate(a) for a in (machines, jobs, begins))
-    missing = np.setdiff1d(np.arange(n), job)
+    # Pair (j, i), in job then machine order, may start at the count times
+    # from times[a] on: from its release up to H - p.
+    jobs, machines = inst.allowed_mask().nonzero()
+    p = inst.sizes[jobs, machines]
+    a = np.searchsorted(times, inst.release_matrix()[jobs, machines], side="left")
+    count = np.maximum(np.searchsorted(times, H - p, side="right") - a, 0)
+    missing = np.flatnonzero(np.bincount(jobs, weights=count, minlength=n) == 0)
     if missing.size:
         raise IntervalLpError(f"job {int(missing[0])} has no admissible start time")
+    machine, job, p = machines.repeat(count), jobs.repeat(count), p.repeat(count)
+    start = times[np.arange(job.size) - (np.cumsum(count) - count - a).repeat(count)]
 
     # Variable k on machine i covers t iff start < t <= start + p: a run of
     # span[k] cover times from lo[k] on, found by binary search.  Its column
-    # lists its job row, then those cover rows in increasing order.
-    p = inst.sizes[job, machine]
+    # lists its job row, then those cover rows in increasing order.  Every
+    # variable covers start + 1, so span >= 1, and the rows of all columns
+    # are one prefix sum of their steps: 1 inside a run.
     lo = np.searchsorted(cover_times, start, side="right")
     span = np.searchsorted(cover_times, start + p, side="right") - lo
     ptr = np.concatenate(([0], np.cumsum(1 + span)))
-    after_job = np.arange(ptr[-1]) - ptr[:-1].repeat(1 + span) - 1
-    rows = (n + machine * C + lo).repeat(1 + span) + after_job
-    rows[ptr[:-1]] = job
+    first = n + machine * C + lo  # each column's first cover row
+    rows = np.ones(ptr[-1], dtype=np.int64)
+    rows[ptr[:-1]] = job - np.concatenate(([0], first[:-1] + span[:-1] - 1))
+    rows[ptr[:-1] + 1] = first - job
+    np.cumsum(rows, out=rows)
     lp.add_columns(ptr, rows, np.ones(rows.size), inst.weights[job] * (start + p))
     return IntervalLpModel(lp=lp, machine=machine, job=job, start=start, horizon=H, cover_times=cover_times)
 
@@ -260,33 +247,28 @@ def list_schedule(inst: Instance, model: IntervalLpModel) -> np.ndarray | None:
     M, C = inst.num_machines, model.cover_times.size
     smallest = np.where(inst.allowed_mask(), inst.sizes, np.iinfo(np.int64).max).min(axis=1)
     order = np.argsort(-(inst.weights / smallest), kind="stable")
-    # Block (j, i) of the variables is model.*[bounds[j*M + i]:bounds[j*M + i + 1]].
-    bounds = np.searchsorted(model.job * M + model.machine, np.arange(inst.num_jobs * M + 1))
+    # Job j's variables are model.*[bounds[j]:bounds[j + 1]], by machine,
+    # then start: the first of the earliest finishes is the choice.
+    bounds = np.searchsorted(model.job, np.arange(inst.num_jobs + 1))
     # Variable k holds the cover times in (start, start + p], indices
     # lo[k]..hi[k]-1.  Every variable holds the cover time start + 1, so two
     # variables on one machine overlap iff they share a cover time.
-    p = inst.sizes[model.job, model.machine]
+    finish = model.start + inst.sizes[model.job, model.machine]
     lo = np.searchsorted(model.cover_times, model.start, side="right")
-    hi = np.searchsorted(model.cover_times, model.start + p, side="right")
-    # taken[i, c]: cover time c of machine i is held by a placed job, and
-    # held[i, c] counts the taken ones below c.
-    taken = np.zeros((M, C), dtype=bool)
+    hi = np.searchsorted(model.cover_times, finish, side="right")
+    # held[i, c]: how many of machine i's cover times below c are held.
     held = np.zeros((M, C + 1), dtype=np.int64)
     chosen = np.empty(inst.num_jobs, dtype=np.int64)
     for j in order:
-        best_finish, best = np.inf, -1
-        for i in range(M):
-            a, b = bounds[j * M + i], bounds[j * M + i + 1]
-            free = np.flatnonzero(held[i, hi[a:b]] == held[i, lo[a:b]])
-            if free.size:
-                k = a + free[0]
-                if model.start[k] + p[k] < best_finish:
-                    best_finish, best = model.start[k] + p[k], k
-        if best < 0:
+        a, b = bounds[j], bounds[j + 1]
+        machine = model.machine[a:b]
+        free = np.flatnonzero(held[machine, hi[a:b]] == held[machine, lo[a:b]])
+        if not free.size:
             return None
-        i = model.machine[best]
-        taken[i, lo[best] : hi[best]] = True
-        held[i, 1:] = np.cumsum(taken[i])
+        best = a + free[np.argmin(finish[a:b][free])]
+        i, c0, c1 = model.machine[best], lo[best], hi[best]
+        held[i, c0 + 1 : c1 + 1] += np.arange(1, c1 - c0 + 1)
+        held[i, c1 + 1 :] += c1 - c0
         chosen[j] = best
     return chosen
 

@@ -13,16 +13,17 @@ basis inverse over ``MAX_BASIS_INVERSE_BYTES``.  The solver works on its
 standard form: variables shifted to lower bound zero, finite upper bounds as
 extra rows, rows oriented so the right-hand side starts non-negative, and
 slack, surplus and artificial unit columns.  That matrix is held column-wise
-and sparse (numpy ``colptr``, row index and value arrays); only the basis
-inverse is dense (m x m).  The store also indexes each column's runs,
+and sparse: the variables' columns in numpy ``colptr``, row index and value
+arrays, the LP's own unless the standard form renumbers, negates or reorders
+their entries, and each unit column as its one row and value.  Only the
+basis inverse is dense (m x m).  The store also indexes each column's runs,
 stretches of entries in consecutive rows with one value.  Pricing computes
-``y @ A`` from one prefix sum of y and one term per run, and ``A @ x`` is
-a difference array over the runs, so both cost O(runs + rows): a
-start-time variable's cover rows are one run, however long the job.  The
-entering direction is ``binv[:, rows] @ vals``, each pivot applies a
-rank-one update to the inverse in place and updates the basic values, and
-refactorization inverts only the block of basic columns that are not unit
-columns.
+``y @ A`` from one prefix sum of y and one term per run, and ``A @ x`` is a
+difference array over the runs, so both cost O(runs + rows): a start-time
+variable's cover rows are one run, however long the job.  The entering
+direction is ``binv[:, rows] @ vals``, each pivot applies a rank-one update
+to the inverse in place and updates the basic values, and refactorization
+inverts only the block of basic columns that are not unit columns.
 
 After an optimal solve the LP keeps the solver's state: the standard form
 with its column store, the basis, the basis inverse and the basic values.
@@ -119,6 +120,8 @@ class LinearProgram:
     coefficient) and each row's sense and right-hand side are read-only
     arrays, in the order they were added; ``rows`` lists them per row as
     (indices, coefficients, sense, rhs), built once per state of the LP.
+    The first entries appended are kept, read-only, as the arrays given: a
+    solve's standard form shares them.
     """
 
     def __init__(self, num_vars: int, objective=None, lower=None, upper=None):
@@ -183,7 +186,7 @@ class LinearProgram:
         if not np.isfinite(val).all() or not np.isfinite(b).all():
             raise LpError("row coefficients and rhs must be finite")
         first = self.num_rows
-        self._append_entries(first + np.repeat(np.arange(count), ptr[1:] - ptr[:-1]), idx, val)
+        self._append_entries(np.repeat(np.arange(first, first + count), ptr[1:] - ptr[:-1]), idx, val)
         codes = np.array([_SENSES.index(s) for s in senses], dtype=np.int8)
         self._sense = _frozen(np.concatenate((self._sense, codes)))
         self._rhs = _frozen(np.concatenate((self._rhs, b)))
@@ -207,7 +210,7 @@ class LinearProgram:
         _check_costs_and_bounds(cost, lo, hi)
         self.reserve(np.count_nonzero(np.isfinite(hi)))
         first = self.num_vars
-        self._append_entries(idx, first + np.repeat(np.arange(count), ptr[1:] - ptr[:-1]), val)
+        self._append_entries(idx, np.repeat(np.arange(first, first + count), ptr[1:] - ptr[:-1]), val)
         self.objective = np.concatenate((self.objective, cost))
         self.lower = np.concatenate((self.lower, lo))
         self.upper = np.concatenate((self.upper, hi))
@@ -226,11 +229,11 @@ class LinearProgram:
                 f"inverse, over the {MAX_BASIS_INVERSE_BYTES / 2**20:.0f} MiB limit"
             )
 
-    def _append_entries(self, rows, cols, vals) -> None:
+    def _append_entries(self, *entries) -> None:
         self._rows = None
-        self._row = _frozen(np.concatenate((self._row, rows)))
-        self._col = _frozen(np.concatenate((self._col, cols)))
-        self._val = _frozen(np.concatenate((self._val, vals)))
+        if self._row.size:  # the first entries are kept as given
+            entries = [np.concatenate(pair) for pair in zip((self._row, self._col, self._val), entries)]
+        self._row, self._col, self._val = map(_frozen, entries)
 
 
 def _vector(values, fill: float, size: int, name: str) -> np.ndarray:
@@ -324,74 +327,81 @@ def solve_lp(lp: LinearProgram, basis: Basis | None = None) -> LpSolution:
 
 class _Columns:
     """Column-wise sparse matrix that grows: column j holds
-    ``vals[colptr[j]:colptr[j+1]]`` in rows ``rows[...]``; ``cols`` repeats
-    each entry's column index.
+    ``vals[colptr[j]:colptr[j+1]]`` in rows ``rows[...]``, or, if that is
+    empty and ``head_row[j] >= 0``, it is a unit column (a slack, surplus or
+    artificial) with its one entry ``head_val[j]`` in row ``head_row[j]``;
+    ``head_*`` hold every column's only entry, row -1 where it has none or
+    several.  A first append's entries in column order are kept as the
+    arrays given: a model shares its LP's.
 
     The products with a vector go by runs: maximal stretches of one
-    column's stored entries that lie in consecutive rows and share one
-    value.  Run r is in column ``run_col[r]`` with value ``run_val[r]``.
-    The first k = ``run_ends.shape[1]`` runs hold two or more entries, rows
-    ``run_ends[0, r] .. run_ends[1, r] - 1``, and add ``v (Y[hi] - Y[lo])``
-    to ``y @ A``, with Y the prefix sums of y; the others are single entries
-    in rows ``one_row[r - k]``, and add ``v y[row]``.  Y sums y over the
-    rows inside longer runs only (``in_run``), so rows outside them, such as
-    the job rows of both LPs, add no round-off to the differences.  A
-    start-time variable's cover rows form one run, so pricing costs
-    O(runs + rows), not O(nonzeros).
+    column's entries that lie in consecutive rows and share one value.  Run
+    r is in column ``run_col[r]`` with value ``run_val[r]``.  The first k =
+    ``run_ends.shape[1]`` runs hold two or more entries, rows ``run_ends[0,
+    r] .. run_ends[1, r] - 1``, and add ``v (Y[hi] - Y[lo])`` to ``y @ A``,
+    with Y the prefix sums of y; the others are single entries in rows
+    ``one_row[r - k]``, and add ``v y[row]``; each append's unit columns are
+    the last of them.  Y sums y over the rows inside longer runs only
+    (``in_run``), so rows outside them, such as the job rows of both LPs,
+    add no round-off to the differences.  A start-time variable's cover rows
+    form one run, so pricing costs O(runs + rows), not O(nonzeros).
     """
 
     def __init__(self):
-        self.rows = self.cols = self.run_col = self.one_row = np.zeros(0, dtype=np.int64)
-        self.vals = self.run_val = np.zeros(0)
+        self.rows = self.run_col = self.one_row = self.head_row = np.zeros(0, dtype=np.int64)
+        self.vals = self.run_val = self.head_val = np.zeros(0)
         self.run_ends = np.zeros((2, 0), dtype=np.int64)
         self.in_run = np.zeros(0)  # 1.0 on rows inside a run of two or more entries
         self.colptr = np.zeros(1, dtype=np.int64)
         self.m = self.total = 0
 
-    def append(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, m: int, total: int) -> None:
-        """Grow to ``m`` rows and ``total`` columns, with the entries of the
-        new columns (all ``cols`` are new) after all others, sorted stably
-        by column: the store only appends, and is never re-sorted.  No run
-        crosses a column, so only the new entries are split into runs."""
-        # The new entries are read back as views of the store, and each
-        # argument is let go once copied: at the sizes of a large interval
-        # LP, every array of entries is tens of MB.
-        e0, order = self.rows.size, np.argsort(cols, kind="stable")
-        self.rows = np.concatenate((self.rows, rows[order]))
-        rows = self.rows[e0:]
-        self.vals = np.concatenate((self.vals, vals[order]))
-        vals = self.vals[e0:]
-        self.cols = np.concatenate((self.cols, cols[order]))
-        cols = self.cols[e0:]
-        del order
-        col_end = e0 + np.searchsorted(cols, np.arange(self.total, total), side="right")
-        self.colptr = np.concatenate((self.colptr, col_end))
+    def append(self, rows, cols, vals, m: int, total: int, unit_rows=(), unit_vals=()) -> None:
+        """Grow to ``m`` rows and ``total`` columns, the new ones holding the
+        entries (every ``cols`` is new; sorted stably by column unless in
+        column order), the last ``len(unit_rows)`` of them unit columns.  No
+        run crosses a column, so only the new entries are split into runs."""
+        unit_rows, unit_vals = np.asarray(unit_rows, dtype=np.int64), np.asarray(unit_vals, dtype=float)
+        units = unit_rows.size
+        if (cols[1:] < cols[:-1]).any():
+            order = np.argsort(cols, kind="stable")
+            rows, cols, vals = rows[order], cols[order], vals[order]
+        e0 = self.rows.size
+        ends = np.searchsorted(cols, np.arange(self.total, total - units), side="right")
+        self.colptr = np.concatenate((self.colptr, e0 + ends, np.full(units, e0 + rows.size)))
+        self.rows = np.concatenate((self.rows, rows)) if e0 else rows
+        self.vals = np.concatenate((self.vals, vals)) if e0 else vals
+        single = (ends - np.concatenate(([0], ends[:-1])) == 1).nonzero()[0]  # new columns of one entry
+        head_row, head_val = np.full(ends.size, -1), np.zeros(ends.size)
+        head_row[single], head_val[single] = rows[ends[single] - 1], vals[ends[single] - 1]
+        self.head_row = np.concatenate((self.head_row, head_row, unit_rows))
+        self.head_val = np.concatenate((self.head_val, head_val, unit_vals))
         self.m, self.total = m, total
         self.in_run = np.concatenate((self.in_run, np.zeros(m - self.in_run.size)))
-        if not rows.size:
-            return
 
         # Entry e closes a run unless entry e + 1 is in the same column, the
-        # next row, with the same value.
-        joins = rows[1:] - rows[:-1] == 1
+        # next row (rows < m < 2**31: int32 differences), with the same value.
+        joins = np.subtract(rows[1:], rows[:-1], dtype=np.int32) == 1
         joins &= cols[1:] == cols[:-1]
         joins &= vals[1:] == vals[:-1]
-        last = np.concatenate(((~joins).nonzero()[0], [rows.size - 1]))
-        first = np.concatenate(([0], last[:-1] + 1))
+        last = np.flatnonzero(np.concatenate((~joins, [True])))[: rows.size]
+        first = np.concatenate(([0], last + 1))[: last.size]
         long = last > first
         run, one = first[long], first[~long]
         k = self.run_ends.shape[1]
-        self.run_col = np.concatenate((self.run_col[:k], cols[run], self.run_col[k:], cols[one]))
-        self.run_val = np.concatenate((self.run_val[:k], vals[run], self.run_val[k:], vals[one]))
+        unit_cols = np.arange(total - units, total)
+        self.run_col = np.concatenate((self.run_col[:k], cols[run], self.run_col[k:], cols[one], unit_cols))
+        self.run_val = np.concatenate((self.run_val[:k], vals[run], self.run_val[k:], vals[one], unit_vals))
         lo, hi = rows[run], rows[last[long]] + 1
         self.run_ends = np.concatenate((self.run_ends, (lo, hi)), axis=1)
-        self.one_row = np.concatenate((self.one_row, rows[one]))
+        self.one_row = np.concatenate((self.one_row, rows[one], unit_rows))
         # Rows inside the new runs, by a difference array over the runs.
         inside = np.bincount(lo, minlength=m + 1) - np.bincount(hi, minlength=m + 1)
         self.in_run[np.cumsum(inside[:m]) > 0] = 1.0
 
     def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.colptr[j], self.colptr[j + 1]
+        if lo == hi and self.head_row[j] >= 0:
+            return self.head_row[j : j + 1], self.head_val[j : j + 1]
         return self.rows[lo:hi], self.vals[lo:hi]
 
     def left_multiply(self, y: np.ndarray) -> np.ndarray:
@@ -427,8 +437,12 @@ class _Columns:
         count = self.colptr[basis + 1] - lo
         owner = np.repeat(np.arange(basis.size), count)
         at = np.arange(owner.size) + np.repeat(lo - np.cumsum(count) + count, count)  # the columns' entries
-        cell = self.rows[at] * basis.size + owner
-        B = np.bincount(cell, weights=self.vals[at], minlength=self.m * basis.size)
+        cell, weights = self.rows[at] * basis.size + owner, self.vals[at]
+        unit = ((count == 0) & (self.head_row[basis] >= 0)).nonzero()[0]
+        if unit.size:  # they hold no stored entry
+            cell = np.concatenate((cell, self.head_row[basis[unit]] * basis.size + unit))
+            weights = np.concatenate((weights, self.head_val[basis[unit]]))
+        B = np.bincount(cell, weights=weights, minlength=self.m * basis.size)
         return B.astype(float, copy=False).reshape(self.m, basis.size)  # bincount of nothing is integer
 
 
@@ -483,16 +497,19 @@ class _Model:
         bounded = n0 + np.isfinite(lp.upper[n0:]).nonzero()[0]
         m = m0 + (R - R0) + bounded.size
         self.lp_row = np.concatenate((self.lp_row, np.arange(m0, m0 + R - R0)))
-        # The new entries, then one unit entry per new upper-bound row.
-        row = np.concatenate((self.lp_row[lp._row[e0:]], np.arange(m - bounded.size, m)))
-        var = np.concatenate((lp._col[e0:], bounded))
-        val = np.concatenate((lp._val[e0:], np.ones(bounded.size)))
-        shift = np.bincount(row, weights=val * lp.lower[var], minlength=m)
+        # The new entries (on new variables only, see ``covers``), copied only
+        # where upper-bound rows renumber the LP rows after them or add theirs.
+        row, var, val = lp._row[e0:], lp._col[e0:], lp._val[e0:]
+        if m0 > R0 or bounded.size:
+            row = np.concatenate((self.lp_row[row], np.arange(m - bounded.size, m)))
+            var = np.concatenate((var, bounded))
+            val = np.concatenate((val, np.ones(bounded.size)))
+        shift = np.bincount(row, weights=val * lp.lower[var], minlength=m) if lp.lower[n0:].any() else np.zeros(m)
         raw = np.concatenate((lp._rhs[R0:], lp.upper[bounded])) - shift[m0:]
         self.flip = np.concatenate((self.flip, raw < 0))
         sign = np.where(self.flip, -1.0, 1.0)
         self.b = np.concatenate((self.b - sign[:m0] * shift[:m0], np.abs(raw)))
-        val *= sign[row]
+        val = val * sign[row] if self.flip.any() else val
         sense = np.concatenate((lp._sense[R0:], np.full(bounded.size, _LE, dtype=np.int8)))
         le = sense == np.where(self.flip[m0:], _GE, _LE)  # <= after orientation
 
@@ -505,13 +522,9 @@ class _Model:
         slack_col = np.full(m - m0, -1, dtype=np.int64)
         slack_col[slack_rows] = np.arange(t0 + k_var, total - k_art)
         self.slack_col = np.concatenate((self.slack_col, slack_col))
-        self.cols.append(
-            np.concatenate((row, m0 + slack_rows, m0 + art_rows)),
-            np.concatenate((self.var_col[var], slack_col[slack_rows], np.arange(total - k_art, total))),
-            np.concatenate((val, np.where(le[slack_rows], 1.0, -1.0), np.ones(k_art))),
-            m,
-            total,
-        )
+        unit_vals = np.concatenate((np.where(le[slack_rows], 1.0, -1.0), np.ones(k_art)))
+        col = var if t0 == n0 else var + (t0 - n0)  # the new variables' columns follow t0
+        self.cols.append(row, col, val, m, total, np.concatenate((m0 + slack_rows, m0 + art_rows)), unit_vals)
         self.row_var = np.concatenate((self.row_var, np.full(R - R0, -1), bounded))
         self.art = np.concatenate((self.art, np.zeros(k_var + k_slack, dtype=bool), np.ones(k_art, dtype=bool)))
         self.c = np.concatenate((self.c, lp.objective[n0:], np.zeros(k_slack + k_art)))
@@ -523,7 +536,7 @@ class _Model:
         columns of value +1, so the inverse is the identity."""
         basis = self.slack_col.copy()
         art = np.flatnonzero(self.art)
-        basis[self.cols.rows[self.cols.colptr[art]]] = art
+        basis[self.cols.head_row[art]] = art
         return basis
 
     def basis_reader(self, basis: np.ndarray):
@@ -699,8 +712,7 @@ class _State:
         if m > m0:
             binv = np.zeros((m, m))
             binv[:m0, :m0] = self.binv
-            s = model.cols.vals[model.cols.colptr[slack]]
-            binv[np.arange(m0, m), np.arange(m0, m)] = 1.0 / s
+            binv[np.arange(m0, m), np.arange(m0, m)] = 1.0 / model.cols.head_val[slack]
             self.binv, self.m = binv, m
             self.basis = np.concatenate((self.basis, slack))
         self.b, self.xb = model.b, self.binv @ model.b
@@ -725,12 +737,11 @@ class _State:
         the other columns on the other rows needs a dense inverse.  The
         inverse is written into the current one's buffer when it fits."""
         cols, basis, m = self.cols, self.basis, self.m
-        lo = cols.colptr[basis]
-        single = ((cols.colptr[basis + 1] - lo == 1) & (cols.vals[lo] != 0.0)).nonzero()[0]
-        _, first = np.unique(cols.rows[lo[single]], return_index=True)
+        row, val = cols.head_row[basis], cols.head_val[basis]
+        single = ((row >= 0) & (val != 0.0)).nonzero()[0]
+        _, first = np.unique(row[single], return_index=True)
         unit_pos = single[first]
-        unit_row = cols.rows[lo[unit_pos]]
-        scale = cols.vals[lo[unit_pos]]
+        unit_row, scale = row[unit_pos], val[unit_pos]
         other_pos = np.flatnonzero(np.bincount(unit_pos, minlength=m) == 0)
         other_row = np.flatnonzero(np.bincount(unit_row, minlength=m) == 0)
         if other_pos.size:

@@ -14,6 +14,7 @@ from alphasched.instance import (
     NonPreemptiveSchedule,
     evaluate_schedule,
     horizon,
+    lp_horizon,
     normalize_weights,
 )
 from alphasched.interval_lp import (
@@ -204,6 +205,75 @@ def test_cover_rows_match_per_variable_loop():
         for (idx, val, sense, rhs), want in zip(cover, expected):
             assert idx.tolist() == want
             assert (val == 1.0).all() and sense == "<=" and rhs == 1.0
+
+
+def build_by_pair_loop(inst, starts=None):
+    """The LP as the builder made it before it was vectorized: a Python loop
+    over the allowed (job, machine) pairs, each column's rows expanded one
+    entry per cover row.  Returns (lp, machine, job, start)."""
+    n = inst.num_jobs
+    if starts is None:
+        H = C = lp_horizon(inst)
+    else:
+        H, C = starts.horizon, np.count_nonzero(starts.times + 1 <= starts.horizon)
+    covers = inst.num_machines * C
+    lp = simplex.LinearProgram(num_vars=0)
+    times = np.arange(H, dtype=np.int64) if starts is None else starts.times
+    cover_times = times[times + 1 <= H] + 1
+    lp.add_rows(np.zeros(n + covers + 1, dtype=np.int64), [], [], ["=="] * n + ["<="] * covers, np.ones(n + covers))
+    rel = inst.release_matrix()
+    machines, jobs, begins = [], [], []
+    for j in range(n):
+        for i in range(inst.num_machines):
+            if not inst.allowed(j, i):
+                continue
+            p = inst.size(j, i)
+            ss = times[np.searchsorted(times, rel[j, i], side="left") : np.searchsorted(times, H - p, side="right")]
+            machines.append(np.full(ss.size, i, dtype=np.int64))
+            jobs.append(np.full(ss.size, j, dtype=np.int64))
+            begins.append(ss)
+    machine, job, start = (np.concatenate(a) for a in (machines, jobs, begins))
+    missing = np.setdiff1d(np.arange(n), job)
+    if missing.size:
+        raise IntervalLpError(f"job {int(missing[0])} has no admissible start time")
+    p = inst.sizes[job, machine]
+    lo = np.searchsorted(cover_times, start, side="right")
+    span = np.searchsorted(cover_times, start + p, side="right") - lo
+    ptr = np.concatenate(([0], np.cumsum(1 + span)))
+    after_job = np.arange(ptr[-1]) - ptr[:-1].repeat(1 + span) - 1
+    rows = (n + machine * C + lo).repeat(1 + span) + after_job
+    rows[ptr[:-1]] = job
+    lp.add_columns(ptr, rows, np.ones(rows.size), inst.weights[job] * (start + p))
+    return lp, machine, job, start
+
+
+def test_builder_matches_the_pair_loop():
+    rng = np.random.default_rng(47)
+    for trial in range(16):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        sizes = rng.integers(1, 9, size=(n, m))
+        if trial % 3 == 0:
+            sizes[rng.random((n, m)) < 0.3] = FORBIDDEN
+            sizes[np.arange(n), rng.integers(0, m, size=n)] = rng.integers(1, 9, size=n)
+        releases = rng.integers(0, 12, size=(n, m) if trial % 4 >= 2 else n)
+        inst = make(sizes, releases, rng.uniform(1, 5, n))
+        starts = compress_start_times(inst, 0.5 if trial % 5 else 0.2) if trial % 2 else None
+        model = build_interval_lp(inst, starts)
+        lp, machine, job, start = build_by_pair_loop(inst, starts)
+        for got, want in ((model.machine, machine), (model.job, job), (model.start, start)):
+            assert got.tolist() == want.tolist()
+        assert model.lp.objective.tolist() == lp.objective.tolist()
+        assert model.lp.num_rows == lp.num_rows and model.lp.num_vars == lp.num_vars
+        for (idx, val, sense, rhs), (idx0, val0, sense0, rhs0) in zip(model.lp.rows, lp.rows):
+            assert idx.tolist() == idx0.tolist() and val.tolist() == val0.tolist()
+            assert (sense, rhs) == (sense0, rhs0)
+    # A job none of whose starts fits is refused, by either builder; on
+    # machine 1 its release is past the last start that fits.
+    inst = make([[3, 4], [2, 2]], [[2, 4], [0, 0]], [1.0, 1.0])
+    starts = StartTimeSet(times=np.array([0, 1, 3]), epsilon=0.5, delta=0.25, horizon=5)
+    for build in (build_interval_lp, build_by_pair_loop):
+        with pytest.raises(IntervalLpError, match="job 0 has no admissible start"):
+            build(inst, starts)
 
 
 @pytest.mark.parametrize("eps", [None, 0.5], ids=["full", "eps-0.5"])

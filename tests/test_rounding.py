@@ -58,6 +58,21 @@ def test_sequence_kernel_matches_per_trial_reference():
             assert np.array_equal(completion, sequence_reference(machine, key, size, rel))
 
 
+def test_sequence_writes_into_non_contiguous_out():
+    # A flat view of an array that is not C-contiguous is a copy, so writing
+    # through it would lose the completions.
+    rng = np.random.default_rng(23)
+    machine = rng.integers(0, 3, (30, 7))
+    key = rng.integers(0, 8, (30, 7)) / 2.0
+    size = rng.integers(1, 5, (30, 7)).astype(float)
+    release = rng.integers(0, 4, (30, 7)).astype(float)
+    out = (np.empty((7, 30)).T, np.empty((30, 14))[:, ::2])
+    got = _sequence(machine, key, size, release, release + key, out=out)
+    assert got is out and not any(o.flags.c_contiguous for o in out)
+    for completion, rel in zip(out, (release, release + key)):
+        assert np.array_equal(completion, sequence_reference(machine, key, size, rel))
+
+
 def test_single_job_deterministic():
     inst = make([[3]], [0], [1.0])
     sol = solve_interval_lp(inst)

@@ -479,7 +479,7 @@ def column_batches(draw):
     return batches
 
 
-_INDEX = ("rows", "vals", "cols", "colptr", "run_col", "run_val", "run_ends", "one_row", "in_run")
+_INDEX = ("rows", "vals", "colptr", "head_row", "head_val", "run_col", "run_val", "run_ends", "one_row", "in_run")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
