@@ -1,29 +1,30 @@
 """Sparse two-phase revised simplex with dual values, warm starts and resumes.
 
-Solves ``min c.x  s.t.  rows, lb <= x <= ub`` and returns primal and dual
-optima together with the optimal basis.  The implementation is deliberately
+Solves ``min c.x  s.t.  rows, x >= 0`` and returns primal and dual optima
+together with the optimal basis.  The implementation is deliberately
 self-contained: dual values per row are needed downstream for column
 generation, and the library depends on numpy alone.
 
 A ``LinearProgram`` holds its constraint entries natively as flat numpy
 arrays and only grows: ``add_rows`` appends rows, ``add_columns`` appends
-variables with their entries in existing rows.  It refuses, with ``LpError``
-and before it appends anything, growth whose standard form would need a
+variables with their entries in existing rows.  Every variable is
+non-negative and has no other bound; a bound is a row.  It refuses, with
+``LpError`` and before it appends anything, growth whose rows would need a
 basis inverse over ``MAX_BASIS_INVERSE_BYTES``.  The solver works on its
-standard form: variables shifted to lower bound zero, finite upper bounds as
-extra rows, rows oriented so the right-hand side starts non-negative, and
-slack, surplus and artificial unit columns.  That matrix is held column-wise
-and sparse: the variables' columns in numpy ``colptr``, row index and value
-arrays, the LP's own unless the standard form renumbers, negates or reorders
-their entries, and each unit column as its one row and value.  Only the
-basis inverse is dense (m x m).  The store also indexes each column's runs,
-stretches of entries in consecutive rows with one value.  Pricing computes
-``y @ A`` from one prefix sum of y and one term per run, and ``A @ x`` is a
-difference array over the runs, so both cost O(runs + rows): a start-time
-variable's cover rows are one run, however long the job.  The entering
-direction is ``binv[:, rows] @ vals``, each pivot applies a rank-one update
-to the inverse in place and updates the basic values, and refactorization
-inverts only the block of basic columns that are not unit columns.
+standard form: rows oriented so the right-hand side starts non-negative,
+and slack, surplus and artificial unit columns.  That matrix is held
+column-wise and sparse: the variables' columns in numpy ``colptr``, row
+index and value arrays, the LP's own unless the orientation negates or
+sorting reorders their entries, and each unit column as its one row and
+value.  Only the basis inverse is dense (m x m).  The store also indexes
+each column's runs, stretches of entries in consecutive rows with one
+value.  Pricing computes ``y @ A`` from one prefix sum of y and one term per
+run, and ``A @ x`` is a difference array over the runs, so both cost
+O(runs + rows): a start-time variable's cover rows are one run, however
+long the job.  The entering direction is ``binv[:, rows] @ vals``, each
+pivot applies a rank-one update to the inverse in place and updates the
+basic values, and refactorization inverts only the block of basic columns
+that are not unit columns.
 
 After an optimal solve the LP keeps the solver's state: the standard form
 with its column store, the basis, the basis inverse and the basic values.
@@ -33,16 +34,15 @@ stood at the solve (the model replaces its arrays as it grows).
 The next ``solve_lp(lp)`` resumes from it when the LP grew as a
 column-generation master does: rows appended with no entries, then
 variables.  The new variables join the column store as nonbasic columns
-after all others, and the new rows (and the upper-bound rows of new
-variables) enter with their slack basic.  No basic column has an entry in a
-new row, so the inverse grows by the new slacks' diagonal ``1/s``.  A solve
-from nothing is the same extension of an empty state, followed by the cold
-two-phase start.
+after all others, and the new rows enter with their slack basic.  No basic
+column has an entry in a new row, so the inverse grows by the new slacks'
+diagonal ``1/s``.  A solve from nothing is the same extension of an empty
+state, followed by the cold two-phase start.
 
 A solve does not resume, and starts from the given basis or cold instead,
-when a basis is given (``solve_lp(lp, basis)``), when the objective or the
-bounds of existing variables were edited in place (a comparison with the
-copies the state keeps detects it; entries, senses and right-hand sides are
+when a basis is given (``solve_lp(lp, basis)``), when the objective of
+existing variables was edited in place (a comparison with the copy the
+state keeps detects it; entries, senses and right-hand sides are
 read-only), when an appended entry, zero or not, lies on a variable the
 last solve already had, when the last optimum keeps an artificial basic on
 a redundant equation row (an appended column may have an entry there), when
@@ -99,6 +99,7 @@ MAX_BASIS_INVERSE_BYTES = 2**29
 
 _SENSES = ("<=", "==", ">=")
 _LE, _EQ, _GE = _SENSES.index("<="), _SENSES.index("=="), _SENSES.index(">=")
+_CODES = {s: k for k, s in enumerate(_SENSES)}
 # The counters of one solve, the keys of LpSolution.stats.
 STATS = ("pivots", "perturbations", "dual_pivots", "refactorizations")
 
@@ -114,35 +115,38 @@ class NumericalError(RuntimeError):
 class LinearProgram:
     """Sparse LP in minimization form that grows by appending.
 
-    Variables default to ``x >= 0``; ``objective``, ``lower`` and ``upper``
-    are per-variable arrays and may be edited in place (``solve_lp`` checks
-    them and the budget again).  The constraint entries (row, variable,
-    coefficient) and each row's sense and right-hand side are read-only
-    arrays, in the order they were added; ``rows`` lists them per row as
-    (indices, coefficients, sense, rhs), built once per state of the LP.
+    Every variable is ``x >= 0`` with no other bound.  ``objective`` holds
+    one cost per variable and may be edited in place (``solve_lp`` checks it
+    again).  The constraint entries (row, variable, coefficient) and each
+    row's sense and right-hand side are read-only arrays, in the order they
+    were added; ``rows`` lists them per row as (indices, coefficients,
+    sense, rhs), built once per state of the LP.
     The first entries appended are kept, read-only, as the arrays given: a
     solve's standard form shares them.
     """
 
-    def __init__(self, num_vars: int, objective=None, lower=None, upper=None):
+    def __init__(self, num_vars: int, objective=None):
         n = int(num_vars)
         if n < 0:
             raise LpError("the number of variables must be non-negative")
         self.num_vars = n
-        self.objective = _vector(objective, 0.0, n, "objective")
-        self.lower = _vector(lower, 0.0, n, "lower bounds")
-        self.upper = _vector(upper, np.inf, n, "upper bounds")
-        _check_costs_and_bounds(self.objective, self.lower, self.upper)
+        self.objective = _costs(np.zeros(n) if objective is None else objective, n)
         self._row = self._col = _frozen(np.zeros(0, dtype=np.int64))
         self._val = self._rhs = _frozen(np.zeros(0))
         self._sense = _frozen(np.zeros(0, dtype=np.int8))  # index into _SENSES
         self._rows = None  # ``rows``, until the next append
-        self.reserve(0)
         self._live = None  # solver state after the last optimal solve
 
     @property
     def num_rows(self) -> int:
         return self._rhs.size
+
+    @property
+    def upper(self) -> np.ndarray:
+        """+inf per variable, read-only: no variable has an upper bound.
+        Kept because the benchmark's tracer (``perfbench/spans.py``) reads
+        it to count standard-form rows."""
+        return _frozen(np.full(self.num_vars, np.inf))
 
     @property
     def rows(self) -> list:
@@ -180,49 +184,43 @@ class LinearProgram:
             raise LpError("row pointers, senses and right-hand sides must describe the same rows")
         if idx.size and (idx.min() < 0 or idx.max() >= self.num_vars):
             raise LpError("row index out of range")
-        unknown = [s for s in senses if s not in _SENSES]
-        if unknown:
-            raise LpError(f"unknown sense {unknown[0]!r}")
+        try:  # one dict lookup per sense, all in C
+            codes = np.fromiter(map(_CODES.__getitem__, senses), np.int8, count)
+        except (KeyError, TypeError):
+            unknown = next(s for s in senses if s not in _SENSES)
+            raise LpError(f"unknown sense {unknown!r}") from None
         if not np.isfinite(val).all() or not np.isfinite(b).all():
             raise LpError("row coefficients and rhs must be finite")
         first = self.num_rows
         self._append_entries(np.repeat(np.arange(first, first + count), ptr[1:] - ptr[:-1]), idx, val)
-        codes = np.array([_SENSES.index(s) for s in senses], dtype=np.int8)
         self._sense = _frozen(np.concatenate((self._sense, codes)))
         self._rhs = _frozen(np.concatenate((self._rhs, b)))
         return range(first, self.num_rows)
 
-    def add_columns(self, indptr, rows, coeffs, objective, lower=None, upper=None) -> range:
-        """Append variables in compressed form: variable k has the
-        coefficients ``coeffs[indptr[k]:indptr[k + 1]]`` in the existing
-        rows ``rows[...]``, cost ``objective[k]`` and bounds ``lower[k] <=
-        x <= upper[k]`` (by default 0 and inf).  Either every variable is
-        appended or, on malformed input, none; returns their indices."""
+    def add_columns(self, indptr, rows, coeffs, objective) -> range:
+        """Append variables ``x >= 0`` in compressed form: variable k has
+        the coefficients ``coeffs[indptr[k]:indptr[k + 1]]`` in the existing
+        rows ``rows[...]`` and cost ``objective[k]``.  Either every variable
+        is appended or, on malformed input, none; returns their indices."""
         idx, val, ptr = _compressed(indptr, rows, coeffs, "column")
         count = ptr.size - 1
-        cost = _vector(objective, 0.0, count, "objective")
-        lo = _vector(lower, 0.0, count, "lower bounds")
-        hi = _vector(upper, np.inf, count, "upper bounds")
+        cost = _costs(objective, count)
         if idx.size and (idx.min() < 0 or idx.max() >= self.num_rows):
             raise LpError("column row index out of range")
         if not np.isfinite(val).all():
             raise LpError("column coefficients must be finite")
-        _check_costs_and_bounds(cost, lo, hi)
-        self.reserve(np.count_nonzero(np.isfinite(hi)))
         first = self.num_vars
         self._append_entries(idx, np.repeat(np.arange(first, first + count), ptr[1:] - ptr[:-1]), val)
         self.objective = np.concatenate((self.objective, cost))
-        self.lower = np.concatenate((self.lower, lo))
-        self.upper = np.concatenate((self.upper, hi))
         self.num_vars += count
         return range(first, self.num_vars)
 
     def reserve(self, rows: int) -> None:
-        """Raise LpError unless ``rows`` more standard-form rows keep the
-        dense basis inverse within ``MAX_BASIS_INVERSE_BYTES`` (inclusive).
-        Appends check this themselves; a builder calls it first to refuse an
+        """Raise LpError unless ``rows`` more rows keep the dense basis
+        inverse within ``MAX_BASIS_INVERSE_BYTES`` (inclusive).  Appends
+        check this themselves; a builder calls it first to refuse an
         oversized model before it allocates the model's arrays."""
-        m = self.num_rows + int(np.count_nonzero(np.isfinite(self.upper))) + int(rows)
+        m = self.num_rows + int(rows)
         if 8 * m * m > MAX_BASIS_INVERSE_BYTES:
             raise LpError(
                 f"linear program too large: {m} rows need a {8 * m * m / 2**20:.0f} MiB basis "
@@ -236,18 +234,14 @@ class LinearProgram:
         self._row, self._col, self._val = map(_frozen, entries)
 
 
-def _vector(values, fill: float, size: int, name: str) -> np.ndarray:
-    out = np.full(size, fill) if values is None else np.asarray(values, dtype=float)
+def _costs(values, size: int) -> np.ndarray:
+    """``values`` as float costs, checked: ``size`` of them, all finite."""
+    out = np.asarray(values, dtype=float)
     if out.shape != (size,):
-        raise LpError(f"{name} must have shape ({size},)")
+        raise LpError(f"objective must have shape ({size},)")
+    if not np.isfinite(out).all():
+        raise LpError("objective must be finite")
     return out
-
-
-def _check_costs_and_bounds(objective, lower, upper) -> None:
-    if not np.isfinite(objective).all() or not np.isfinite(lower).all():
-        raise LpError("objective and lower bounds must be finite")
-    if np.isnan(upper).any():
-        raise LpError("upper bounds must not be NaN")
 
 
 def _compressed(indptr, indices, coeffs, kind: str):
@@ -272,10 +266,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Basis:
     """A simplex basis: the basic structural variables and the rows whose
-    slack (or surplus) variable is basic.  Rows number ``lp.rows`` first,
-    then one row per finite upper bound, in variable order.  An optimal
-    basis that keeps an artificial variable on a redundant row is a row
-    short, and does not warm-start."""
+    slack (or surplus) variable is basic, numbered as in ``lp.rows``.  An
+    optimal basis that keeps an artificial variable on a redundant row is a
+    row short, and does not warm-start."""
 
     columns: np.ndarray
     slack_rows: np.ndarray
@@ -287,7 +280,7 @@ class LpSolution:
     x: np.ndarray = None
     objective: float = np.nan
     duals: np.ndarray = None
-    iterations: int = 0  # pivots
+    iterations: int = 0  # pivots, as stats["pivots"]; the benchmark's tracer reads it
     warm: bool = False  # resumed the LP's last optimum, or started from the given basis
     stats: dict = field(default_factory=lambda: dict.fromkeys(STATS, 0))  # counters, see STATS
     _basis: object = field(default=None, repr=False)  # the Basis, or the function that computes it
@@ -314,14 +307,11 @@ def solve_lp(lp: LinearProgram, basis: Basis | None = None) -> LpSolution:
     for the LP itself; from a given basis the first pivot that does not
     lower the objective is a stall, otherwise more than ``STALL_SCALE * (3 m
     + 50)`` in a row are.  A numerical failure raises ``NumericalError``,
-    with no retry.  Costs and bounds edited in place are checked again
-    (shape, finiteness, NaN, the basis-inverse budget): ``LpError`` is
-    raised before any solver state exists.
+    with no retry.  The objective, which may be edited in place, is checked
+    again (shape, finiteness): ``LpError`` is raised before any solver
+    state exists.
     """
-    if any(np.shape(a) != (lp.num_vars,) for a in (lp.objective, lp.lower, lp.upper)):
-        raise LpError(f"objective, lower and upper bounds must have shape ({lp.num_vars},)")
-    _check_costs_and_bounds(lp.objective, lp.lower, lp.upper)
-    lp.reserve(0)
+    _costs(lp.objective, lp.num_vars)
     return _solve(lp, basis)
 
 
@@ -449,26 +439,21 @@ class _Columns:
 class _Model:
     """The standard form of the part of an LP it was built from.
 
-    Variables are shifted to lower bound zero and finite upper bounds become
-    extra <= rows; each row is oriented so that its right-hand side starts
-    non-negative, and gets a slack (+1) or surplus (-1) column when it is an
-    inequality and an artificial column when it is not <= after
-    orientation.  Rows and columns are numbered in the order they were
-    added, so extending the model by what was appended to the LP leaves
-    every existing index in place.  Built from nothing the rows are the
-    LP's rows, then the upper-bound rows in variable order, and the columns
-    are structural | slack | artificial.
+    Its rows are the LP's rows, each oriented so that its right-hand side
+    starts non-negative; a row gets a slack (+1) or surplus (-1) column when
+    it is an inequality and an artificial column when it is not <= after
+    orientation.  Columns are numbered in the order they were added, so
+    extending the model by what was appended to the LP leaves every existing
+    index in place.  Built from nothing the columns are structural | slack |
+    artificial.
     """
 
     def __init__(self):
-        self.n = self.R = self.e = 0  # LP variables, rows and entries covered
-        # Copies of what the LP had at the last extension, to detect edits.
-        self.objective = self.lower = self.upper = np.zeros(0)
+        self.n = self.e = 0  # LP variables and entries covered
+        self.objective = np.zeros(0)  # a copy of the LP's at the last extension, to detect edits
         self.cols = _Columns()
-        self.b = np.zeros(0)  # oriented, shifted right-hand side per row
+        self.b = np.zeros(0)  # oriented right-hand side per row
         self.flip = np.zeros(0, dtype=bool)  # row negated by the orientation
-        self.lp_row = np.zeros(0, dtype=np.int64)  # row of each LP row
-        self.row_var = np.zeros(0, dtype=np.int64)  # variable of an upper-bound row, else -1
         self.slack_col = np.zeros(0, dtype=np.int64)  # per row, -1 for none
         self.var_col = np.zeros(0, dtype=np.int64)  # column of each variable
         self.art = np.zeros(0, dtype=bool)  # artificial columns
@@ -480,37 +465,24 @@ class _Model:
         n = self.n
         return (
             lp.num_vars >= n
-            and lp.num_rows >= self.R
+            and lp.num_rows >= self.cols.m
             and (lp.objective[:n] == self.objective).all()
-            and (lp.lower[:n] == self.lower).all()
-            and (lp.upper[:n] == self.upper).all()
             and not (lp._col[self.e :] < n).any()
         )
 
     def extend(self, lp: LinearProgram) -> None:
         """Add what ``lp`` gained since the last extension: its new
-        variables as structural columns, its new rows and its new
-        variables' upper bounds as rows, and their slack and artificial
-        columns."""
-        n0, R0, e0, m0, t0 = self.n, self.R, self.e, self.cols.m, self.cols.total
-        n, R = lp.num_vars, lp.num_rows
-        bounded = n0 + np.isfinite(lp.upper[n0:]).nonzero()[0]
-        m = m0 + (R - R0) + bounded.size
-        self.lp_row = np.concatenate((self.lp_row, np.arange(m0, m0 + R - R0)))
-        # The new entries (on new variables only, see ``covers``), copied only
-        # where upper-bound rows renumber the LP rows after them or add theirs.
+        variables as structural columns, its new rows, and their slack and
+        artificial columns."""
+        n0, e0, m0, t0 = self.n, self.e, self.cols.m, self.cols.total
+        n, m = lp.num_vars, lp.num_rows
+        # The new entries, on new variables only (see ``covers``).
         row, var, val = lp._row[e0:], lp._col[e0:], lp._val[e0:]
-        if m0 > R0 or bounded.size:
-            row = np.concatenate((self.lp_row[row], np.arange(m - bounded.size, m)))
-            var = np.concatenate((var, bounded))
-            val = np.concatenate((val, np.ones(bounded.size)))
-        shift = np.bincount(row, weights=val * lp.lower[var], minlength=m) if lp.lower[n0:].any() else np.zeros(m)
-        raw = np.concatenate((lp._rhs[R0:], lp.upper[bounded])) - shift[m0:]
-        self.flip = np.concatenate((self.flip, raw < 0))
-        sign = np.where(self.flip, -1.0, 1.0)
-        self.b = np.concatenate((self.b - sign[:m0] * shift[:m0], np.abs(raw)))
-        val = val * sign[row] if self.flip.any() else val
-        sense = np.concatenate((lp._sense[R0:], np.full(bounded.size, _LE, dtype=np.int8)))
+        rhs = lp._rhs[m0:]
+        self.flip = np.concatenate((self.flip, rhs < 0))
+        self.b = np.concatenate((self.b, np.abs(rhs)))
+        val = val * np.where(self.flip, -1.0, 1.0)[row] if self.flip.any() else val
+        sense = lp._sense[m0:]
         le = sense == np.where(self.flip[m0:], _GE, _LE)  # <= after orientation
 
         # Column layout of the extension: structural | slack | artificial.
@@ -525,11 +497,10 @@ class _Model:
         unit_vals = np.concatenate((np.where(le[slack_rows], 1.0, -1.0), np.ones(k_art)))
         col = var if t0 == n0 else var + (t0 - n0)  # the new variables' columns follow t0
         self.cols.append(row, col, val, m, total, np.concatenate((m0 + slack_rows, m0 + art_rows)), unit_vals)
-        self.row_var = np.concatenate((self.row_var, np.full(R - R0, -1), bounded))
         self.art = np.concatenate((self.art, np.zeros(k_var + k_slack, dtype=bool), np.ones(k_art, dtype=bool)))
         self.c = np.concatenate((self.c, lp.objective[n0:], np.zeros(k_slack + k_art)))
-        self.n, self.R, self.e = n, R, lp._row.size
-        self.objective, self.lower, self.upper = lp.objective.copy(), lp.lower.copy(), lp.upper.copy()
+        self.n, self.e = n, lp._row.size
+        self.objective = lp.objective.copy()
 
     def cold_basis(self) -> np.ndarray:
         """Each row's artificial, or its slack where it has none: unit
@@ -541,12 +512,10 @@ class _Model:
 
     def basis_reader(self, basis: np.ndarray):
         """A function that returns ``basis`` (column indices) as LP
-        variables and as rows numbered LP rows first, then upper-bound rows
-        in variable order, for the model as it stands now.  The model
+        variables and LP rows, for the model as it stands now.  The model
         replaces its arrays as it grows and never writes into them, so the
         ones held here keep their values."""
-        basis, total, m, n, R = basis.copy(), self.cols.total, self.cols.m, self.n, self.R
-        var_col, slack_col, lp_row, row_var, upper = self.var_col, self.slack_col, self.lp_row, self.row_var, self.upper
+        basis, total, n, var_col, slack_col = basis.copy(), self.cols.total, self.n, self.var_col, self.slack_col
 
         def read() -> Basis:
             var = np.full(total, -1, dtype=np.int64)
@@ -555,28 +524,13 @@ class _Model:
             slack_row = np.full(total, -1, dtype=np.int64)
             slack_row[slack_col[has]] = has
             basic_var, rows = var[basis], slack_row[basis]
-            rows = rows[rows >= 0]
-            public = np.empty(m, dtype=np.int64)
-            public[lp_row] = np.arange(R)
-            bound = np.flatnonzero(row_var >= 0)
-            public[bound] = R + np.cumsum(np.isfinite(upper))[row_var[bound]] - 1
-            return Basis(columns=np.sort(basic_var[basic_var >= 0]), slack_rows=np.sort(public[rows]))
+            return Basis(columns=np.sort(basic_var[basic_var >= 0]), slack_rows=np.sort(rows[rows >= 0]))
 
         return read
 
 
 def _solve(lp: LinearProgram, hint: Basis | None) -> LpSolution:
     live, lp._live = lp._live, None
-    if (lp.upper - lp.lower < -FEAS_TOL).any():
-        return LpSolution(status="infeasible")
-    if lp.num_rows == 0 and not np.isfinite(lp.upper).any():
-        # Only bounds: optimum at lower bound (or unbounded if a negative
-        # cost variable has no upper bound, which would have made a row).
-        if (lp.objective < -OPT_TOL).any():
-            return LpSolution(status="unbounded")
-        x = lp.lower.copy()
-        return LpSolution(status="optimal", x=x, objective=float(lp.objective @ x), duals=np.zeros(0))
-
     state = live.resume(lp) if live is not None and hint is None else None
     warm = state is not None
     hinted = False
@@ -606,26 +560,25 @@ def _solve(lp: LinearProgram, hint: Basis | None) -> LpSolution:
     x_full[state.basis] = state.xb
     if x_full[model.art].max(initial=0.0) > FEAS_TOL:
         raise NumericalError("artificial variable positive at optimum")
-    x = x_full[model.var_col] + model.lower
+    x = x_full[model.var_col]
 
     resid = model.cols.right_multiply(x_full) - model.b
     if np.abs(resid).max(initial=0.0) > 1e2 * FEAS_TOL:
         raise NumericalError(f"feasibility residual {np.abs(resid).max():.3e}")
 
     y = model.c[state.basis] @ state.binv
-    dual_obj = float(y @ model.b) + float(model.objective @ model.lower)
+    dual_obj = float(y @ model.b)
     primal_obj = float(model.objective @ x)
     gap = abs(primal_obj - dual_obj)
     if gap > 1e-6 * (1.0 + abs(primal_obj)):
         raise NumericalError(f"duality gap {gap:.3e} at objective {primal_obj:.6g}")
 
-    y = y[model.lp_row]
     lp._live = state
     return LpSolution(
         status="optimal",
         x=x,
         objective=primal_obj,
-        duals=np.where(model.flip[model.lp_row], -y, y),
+        duals=np.where(model.flip, -y, y),
         iterations=state.iters,
         warm=warm,
         stats=state.stats(),
@@ -655,11 +608,11 @@ def _warm_state(model: _Model, hint: Basis | None):
         state = _State(model, basis)
     except NumericalError:
         return None
-    if not np.isfinite(state.xb).all() or state.xb.min() < -FEAS_TOL:
+    if not np.isfinite(state.xb).all() or state.xb.min(initial=0.0) < -FEAS_TOL:
         return None
     x_full = np.zeros(model.cols.total)
     x_full[basis] = state.xb
-    if np.abs(model.cols.right_multiply(x_full) - model.b).max() > FEAS_TOL:
+    if np.abs(model.cols.right_multiply(x_full) - model.b).max(initial=0.0) > FEAS_TOL:
         return None
     return state
 
@@ -844,9 +797,9 @@ def _iterate(state: _State, c: np.ndarray, locked: np.ndarray, eager: bool = Fal
                 # The inverse is fresh: refactor() would recompute it as is.
                 state.b = state.model.b
                 state.xb = state.binv @ state.b
-            leave = int(np.argmin(state.xb))
-            if state.xb[leave] >= -FEAS_TOL:
+            if state.xb.min(initial=0.0) >= -FEAS_TOL:
                 return "optimal"
+            leave = int(np.argmin(state.xb))
             # Dual ratio test on the leaving row, ties toward the largest pivot.
             row = state.cols.left_multiply(state.binv[leave])
             row[locked] = 0.0

@@ -61,47 +61,32 @@ def test_dimension_errors():
         lp.add_columns([0, 1], [0], [1.0], [1.0, 2.0])
 
 
-def test_size_budget_counts_rows_and_finite_upper_bounds(monkeypatch):
-    # Standard-form rows: the LP's rows plus one per finite upper bound.
+def test_size_budget_counts_rows(monkeypatch):
+    # The basis inverse is rows x rows; variables add no row.
     monkeypatch.setattr(simplex, "MAX_BASIS_INVERSE_BYTES", 8 * 3 * 3)
-    lp = LinearProgram(1, upper=[1.0])
-    lp.add_rows([0, 1, 2], [0, 0], [1.0, 1.0], ["<=", ">="], [2.0, 0.0])
-    with pytest.raises(LpError, match="too large: 4 rows"):
-        lp.add_columns([0, 0], [], [], [1.0], upper=[5.0])
+    lp = LinearProgram(1)
+    lp.add_rows([0, 1, 2, 3], [0, 0, 0], [1.0, 1.0, 1.0], ["<=", ">=", "<="], [2.0, 0.0, 1.0])
     with pytest.raises(LpError, match="too large: 4 rows"):
         lp.add_row([0], [1.0], "<=", 1.0)
-    assert (lp.num_vars, lp.num_rows) == (1, 2)  # nothing was appended
-    lp.add_columns([0, 1, 2], [0, 1], [1.0, 1.0], [1.0, 1.0])  # unbounded: no row
-    assert solve_lp(lp).status == "optimal"
+    with pytest.raises(LpError, match="too large: 5 rows"):
+        lp.add_rows([0, 0, 0], [], [], ["<=", "<="], [1.0, 1.0])
     with pytest.raises(LpError, match="too large: 4 rows"):
-        LinearProgram(4, upper=np.ones(4))
-
-
-def test_size_budget_holds_for_bounds_edited_in_place(monkeypatch):
-    # Finite upper bounds set in place add standard-form rows that no append
-    # saw; the solve refuses them, also when it would resume.
-    monkeypatch.setattr(simplex, "MAX_BASIS_INVERSE_BYTES", 8 * 3 * 3)
-    lp = LinearProgram(4)
-    lp.upper[:] = 1.0
-    with pytest.raises(LpError, match="too large: 4 rows"):
-        solve_lp(lp)
-    lp = LinearProgram(3, objective=[1.0, 2.0, 3.0])
-    lp.add_row([0, 1, 2], [1.0, 1.0, 1.0], ">=", 1.5)
-    assert solve_lp(lp).objective == pytest.approx(1.5)
-    lp.upper[:] = 1.0
-    with pytest.raises(LpError, match="too large: 4 rows"):
-        solve_lp(lp)
-    lp.upper[2] = np.inf
-    assert solve_lp(lp).objective == pytest.approx(2.0)
+        lp.reserve(1)
+    assert (lp.num_vars, lp.num_rows) == (1, 3)  # nothing was appended
+    lp.add_columns([0, 1, 2], [0, 1], [1.0, 1.0], [1.0, 1.0])
+    assert lp.num_vars == 3 and solve_lp(lp).status == "optimal"
 
 
 def test_variable_bounds():
-    lp = LinearProgram(1, objective=np.array([1.0]), lower=np.array([2.0]))
+    # x >= 0 is every variable's only bound; an upper bound is a row.
+    lp = LinearProgram(2, objective=np.array([1.0, 0.0]))
     res = solve_lp(lp)
-    assert res.status == "optimal" and res.x[0] == pytest.approx(2.0)
-    lp = LinearProgram(1, objective=np.array([-1.0]), upper=np.array([7.0]))
+    assert res.status == "optimal" and res.x.tolist() == [0.0, 0.0]
+    lp = LinearProgram(1, objective=np.array([-1.0]))
+    lp.add_row([0], [1.0], "<=", 7.0)
     res = solve_lp(lp)
-    assert res.objective == pytest.approx(-7.0)
+    assert res.objective == pytest.approx(-7.0) and res.duals.tolist() == pytest.approx([-1.0])
+    assert lp.upper.tolist() == [np.inf] and not lp.upper.flags.writeable
 
 
 MALFORMED_ROWS = [
@@ -156,19 +141,19 @@ def test_add_rows_block_shape_checks_and_equivalence():
 
 
 def test_add_columns_builds_the_same_lp_as_add_rows():
-    by_rows = LinearProgram(3, objective=np.array([1.0, 2.0, -1.0]), upper=np.array([np.inf, np.inf, 2.0]))
-    by_rows.add_rows([0, 2, 5], [0, 2, 0, 1, 2], [1.0, 1.0, 2.0, 1.0, -1.0], [">=", "<="], [1.0, 6.0])
+    by_rows = LinearProgram(3, objective=np.array([1.0, 2.0, -1.0]))
+    by_rows.add_rows([0, 2, 5, 6], [0, 2, 0, 1, 2, 2], [1.0, 1.0, 2.0, 1.0, -1.0, 1.0], [">=", "<=", "<="],
+                     [1.0, 6.0, 2.0])
     by_cols = LinearProgram(0)
-    assert by_cols.add_rows([0, 0, 0], [], [], [">=", "<="], [1.0, 6.0]) == range(2)
-    assert by_cols.add_columns([0, 2, 3, 5], [0, 1, 1, 0, 1], [1.0, 2.0, 1.0, 1.0, -1.0], [1.0, 2.0, -1.0],
-                               upper=[np.inf, np.inf, 2.0]) == range(3)
+    assert by_cols.add_rows([0, 0, 0, 0], [], [], [">=", "<=", "<="], [1.0, 6.0, 2.0]) == range(3)
+    assert by_cols.add_columns([0, 2, 3, 6], [0, 1, 1, 0, 1, 2], [1.0, 2.0, 1.0, 1.0, -1.0, 1.0],
+                               [1.0, 2.0, -1.0]) == range(3)
     for got, want in zip(by_cols.rows, by_rows.rows):
         assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
         assert got[2:] == want[2:]
-    assert by_cols.lower.tolist() == by_rows.lower.tolist() and by_cols.upper.tolist() == by_rows.upper.tolist()
     assert solve_lp(by_cols).objective == pytest.approx(solve_lp(by_rows).objective)
     for bad in [
-        ([0, 1], [2], [1.0], [1.0]),  # row out of range
+        ([0, 1], [3], [1.0], [1.0]),  # row out of range
         ([0, 2], [0], [1.0], [1.0]),  # pointers do not end at the entry count
         ([0, 1], [0], [np.nan], [1.0]),  # non-finite coefficient
         ([0, 1], [0], [1.0], [1.0, 2.0]),  # a cost too many
@@ -176,8 +161,6 @@ def test_add_columns_builds_the_same_lp_as_add_rows():
     ]:
         with pytest.raises(LpError):
             by_cols.add_columns(*bad)
-    with pytest.raises(LpError):
-        by_cols.add_columns([0, 1], [0], [1.0], [1.0], lower=[-np.inf])
     assert by_cols.num_vars == 3 and by_cols.objective.size == 3 and len(by_cols.rows[0][0]) == 2
 
 
@@ -204,27 +187,6 @@ def test_appended_column_on_a_redundant_row_does_not_resume():
     assert res.x[1] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_lower_bound_shift_on_a_redundant_row_does_not_resume(monkeypatch):
-    # -x1 + x2 == 0 with x1 >= 1: the shift would set the basic artificial
-    # to 1, which only the final certificate catches.  The solve must start
-    # cold at once, in its one and only pass, not fail and recover.
-    lp = _lp_with_redundant_equation()
-    lp.add_columns([0, 1, 2], [1, 1], [-1.0, 1.0], [1.0, 1.0], lower=[1.0, 0.0])
-    hints = []
-    solve = simplex._solve
-
-    def recording(lp, hint):
-        hints.append(hint)
-        return solve(lp, hint)
-
-    monkeypatch.setattr(simplex, "_solve", recording)
-    res = solve_lp(lp)
-    assert hints == [None]
-    assert res.status == "optimal" and not res.warm
-    assert res.objective == pytest.approx(2.0)
-    assert res.x[1:].tolist() == pytest.approx([1.0, 1.0])
-
-
 def test_appended_row_on_old_variables_starts_cold():
     # min -x0 - 2 x1  s.t.  x0 + x1 <= 4, then x0 + x1 <= 10 appended: the
     # new row has entries on basic variables, so the solve does not resume.
@@ -238,40 +200,52 @@ def test_appended_row_on_old_variables_starts_cold():
     assert res.objective == first.objective == -8.0
 
 
-def test_nan_upper_bound_is_refused_when_added():
-    # NaN is no "no bound": x <= NaN next to x <= 5 would solve to x = 5.
-    with pytest.raises(LpError, match="NaN"):
-        LinearProgram(2, objective=[-1.0, -1.0], upper=[np.nan, 5.0])
-    lp = LinearProgram(1)
-    with pytest.raises(LpError, match="NaN"):
-        lp.add_columns([0, 0], [], [], [-1.0], upper=[np.nan])
-    assert lp.num_vars == 1
-
-
 def _lp_solved_once():
-    lp = LinearProgram(2, objective=[-1.0, -1.0], upper=[3.0, 5.0])
-    lp.add_row([0, 1], [1.0, 1.0], "<=", 6.0)
+    lp = LinearProgram(2, objective=[-1.0, -1.0])
+    lp.add_rows([0, 1, 2, 4], [0, 1, 0, 1], [1.0, 1.0, 1.0, 1.0], ["<=", "<=", "<="], [3.0, 5.0, 6.0])
     assert solve_lp(lp).objective == -6.0
     return lp
 
 
-@pytest.mark.parametrize(
-    "name, value", [("objective", np.nan), ("lower", np.nan), ("lower", -np.inf), ("upper", np.nan)]
-)
-def test_solve_refuses_costs_and_bounds_edited_out_of_range(name, value):
-    # The arrays may be edited in place, so the solve checks them again,
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_solve_refuses_costs_edited_out_of_range(value):
+    # The objective may be edited in place, so the solve checks it again,
     # also when it would resume.
     lp = _lp_solved_once()
-    getattr(lp, name)[0] = value
-    with pytest.raises(LpError, match="finite|NaN"):
+    lp.objective[0] = value
+    with pytest.raises(LpError, match="finite"):
         solve_lp(lp)
 
 
-def test_solve_refuses_costs_and_bounds_replaced_by_a_wrong_shape():
+def test_solve_refuses_costs_replaced_by_a_wrong_shape():
     lp = _lp_solved_once()
-    lp.lower = np.zeros(3)
+    lp.objective = np.zeros(3)
     with pytest.raises(LpError, match="shape"):
         solve_lp(lp)
+
+
+def test_lp_without_rows_takes_the_one_solve_path():
+    # Positive costs: x = 0, with no dual and an empty basis.
+    lp = LinearProgram(3, objective=[1.0, 0.5, 2.0])
+    res = solve_lp(lp)
+    assert res.status == "optimal" and res.x.tolist() == [0.0, 0.0, 0.0] and res.objective == 0.0
+    assert res.duals.shape == (0,)
+    assert res.basis.columns.size == 0 and res.basis.slack_rows.size == 0
+    assert solve_lp(lp, res.basis).warm
+    # A negative cost is unbounded.
+    assert solve_lp(LinearProgram(2, objective=[1.0, -1.0])).status == "unbounded"
+    # Rows and then columns appended to the solved LP: the solve resumes
+    # and agrees with a fresh solve of the same LP.
+    lp.add_rows([0, 0, 0], [], [], ["<=", "<="], [2.0, 3.0])
+    lp.add_columns([0, 2, 3], [0, 1, 0], [1.0, 1.0, 1.0], [-1.0, 1.0])
+    res = solve_lp(lp)
+    fresh = LinearProgram(5, objective=lp.objective.copy())
+    fresh.add_rows([0, 2, 3], [3, 4, 3], [1.0, 1.0, 1.0], ["<=", "<="], [2.0, 3.0])
+    cold = solve_lp(fresh)
+    assert res.warm and not cold.warm
+    assert res.status == cold.status == "optimal" and res.objective == cold.objective == -2.0
+    assert res.x.tolist() == cold.x.tolist() == [0.0, 0.0, 0.0, 2.0, 0.0]
+    assert res.duals.tolist() == cold.duals.tolist()
 
 
 def test_stats_count_one_solve():
@@ -306,7 +280,9 @@ def test_degenerate_chain_master_solves_and_certifies():
     lp.add_rows(np.zeros(d["rhs"].size + 1, dtype=int), [], [], [simplex._SENSES[k] for k in d["sense"]], d["rhs"])
     order = np.argsort(d["col"], kind="stable")
     ptr = np.concatenate(([0], np.cumsum(np.bincount(d["col"], minlength=d["objective"].size))))
-    lp.add_columns(ptr, d["row"][order], d["val"][order], d["objective"], d["lower"], d["upper"])
+    # The fixture stores bounds, which are those of x >= 0.
+    assert (d["lower"] == 0.0).all() and np.isposinf(d["upper"]).all()
+    lp.add_columns(ptr, d["row"][order], d["val"][order], d["objective"])
     res = solve_lp(lp)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(DEGENERATE_MASTER_OPTIMUM, rel=1e-9)
@@ -465,7 +441,7 @@ def test_basis_read_later_equals_the_basis_at_the_solve():
     # after a solve from a given basis, gives what reading it at once would
     # have.  The LP grows as a chain master does: columns with a 1 in one
     # covering row and counts in capacity rows appended empty; some columns
-    # have an upper bound, whose row is numbered after every LP row.
+    # have an upper bound, a one-entry <= row appended empty before them.
     rng = np.random.default_rng(11)
     jobs = 4
     lp = LinearProgram(0)
@@ -479,9 +455,12 @@ def test_basis_read_later_equals_the_basis_at_the_solve():
             cap = rng.choice(np.arange(jobs, lp.num_rows), size=min(2, lp.num_rows - jobs), replace=False)
             rows.append(np.concatenate(([rng.integers(jobs)], np.sort(cap))))
             vals.append(np.concatenate(([1.0], rng.integers(1, 3, cap.size).astype(float))))
+        bounded = np.flatnonzero(rng.random(5) < 0.4)
+        for k, row in zip(bounded, lp.add_rows(np.zeros(bounded.size + 1, dtype=np.int64), [], [], ["<="] * bounded.size,
+                                               np.full(bounded.size, 3.0))):
+            rows[k], vals[k] = np.append(rows[k], row), np.append(vals[k], 1.0)
         ptr = np.concatenate(([0], np.cumsum([r.size for r in rows])))
-        upper = np.where(rng.random(5) < 0.4, 3.0, np.inf)  # upper-bound rows number after the LP's rows
-        lp.add_columns(ptr, np.concatenate(rows), np.concatenate(vals), rng.uniform(1.0, 5.0, 5), upper=upper)
+        lp.add_columns(ptr, np.concatenate(rows), np.concatenate(vals), rng.uniform(1.0, 5.0, 5))
         res = solve_lp(lp)
         if res.status != "optimal":  # a job row no column covers yet
             continue

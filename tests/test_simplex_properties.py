@@ -1,5 +1,5 @@
-"""Property tests for solve_lp on random small LPs with mixed senses and
-bounds, checked against an exhaustive vertex oracle, and for warm starts."""
+"""Property tests for solve_lp on random small LPs with mixed senses,
+checked against an exhaustive vertex oracle, and for warm starts."""
 
 from itertools import combinations
 
@@ -22,22 +22,22 @@ def small_lps(draw):
     k = draw(st.integers(0, 4))
     coef = st.integers(-3, 3)
     c = np.array(draw(st.lists(coef, min_size=n, max_size=n)), dtype=float)
-    lower = np.array(draw(st.lists(st.integers(-2, 1), min_size=n, max_size=n)), dtype=float)
-    widths = draw(st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=n, max_size=n))
-    upper = np.array([np.inf if w is None else lo + w for lo, w in zip(lower, widths)])
-    lp = LinearProgram(n, objective=c, lower=lower, upper=upper)
+    boxes = draw(st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=n, max_size=n))
+    lp = LinearProgram(n, objective=c)
     for _ in range(k):
         a = draw(st.lists(coef, min_size=n, max_size=n))
         sense = draw(st.sampled_from(("<=", "==", ">=")))
         lp.add_row(np.arange(n), np.array(a, dtype=float), sense, float(draw(st.integers(-5, 5))))
+    for j, box in enumerate(boxes):  # x_j <= box as a row of one entry: a unit column
+        if box is not None:
+            lp.add_row([j], [1.0], "<=", float(box))
     return lp
 
 
 def _vertex_min(lp, box):
-    """min c.x over the LP with x <= lower + box added where the upper
-    bound is infinite, by enumerating basic points; None when empty."""
+    """min c.x over the LP with 0 <= x <= box added, by enumerating basic
+    points; None when empty."""
     n = lp.num_vars
-    upper = np.where(np.isfinite(lp.upper), lp.upper, lp.lower + box)
     G, h = [], []  # G x <= h
     for idx, val, sense, rhs in lp.rows:
         a = np.zeros(n)
@@ -47,7 +47,7 @@ def _vertex_min(lp, box):
         if sense in (">=", "=="):
             G.append(-a), h.append(-rhs)
     G = np.vstack(G + [-np.eye(n), np.eye(n)])
-    h = np.concatenate([h, -lp.lower, upper])
+    h = np.concatenate([h, np.zeros(n), np.full(n, box)])
     best = None
     for combo in combinations(range(G.shape[0]), n):
         M = G[list(combo)]
@@ -92,14 +92,10 @@ def _check_certificate(lp, res):
             assert act[k] >= rhs[k] - TOL and y[k] >= -TOL
         else:
             assert abs(act[k] - rhs[k]) <= TOL
-    assert (x >= lp.lower - TOL).all() and (x <= lp.upper + TOL).all()
-    # Reduced costs: non-negative except where an upper bound holds x.
-    d = lp.objective - A.T @ y
-    below = x < lp.upper - TOL
-    assert (d[below] >= -TOL).all()
-    dual = float(y @ rhs) + float(np.maximum(d, 0) @ lp.lower)
-    dual += float(np.minimum(d, 0)[np.isfinite(lp.upper)] @ lp.upper[np.isfinite(lp.upper)])
-    assert abs(res.objective - dual) <= TOL * scale
+    assert (x >= -TOL).all()
+    # Reduced costs are non-negative, and the duals reach the objective.
+    assert (lp.objective - A.T @ y >= -TOL).all()
+    assert abs(res.objective - float(y @ rhs)) <= TOL * scale
     assert abs(res.objective - float(lp.objective @ x)) <= TOL * scale
 
 
@@ -107,18 +103,13 @@ def _hint_is_feasible_basis(lp, hint):
     """Independent check: the hinted columns form a nonsingular basis whose
     basic solution is non-negative."""
     A = _row_matrix(lp)
-    ub_vars = np.flatnonzero(np.isfinite(lp.upper))
-    m = len(lp.rows) + ub_vars.size
-    full = np.zeros((m, lp.num_vars))
-    full[: len(lp.rows)] = A
-    full[len(lp.rows) + np.arange(ub_vars.size), ub_vars] = 1.0
-    senses = [s for _, _, s, _ in lp.rows] + ["<="] * ub_vars.size
-    rhs = np.array([r for _, _, _, r in lp.rows] + list(lp.upper[ub_vars]))
-    b = rhs - full @ lp.lower
+    m = len(lp.rows)
+    senses = [s for _, _, s, _ in lp.rows]
+    b = np.array([r for _, _, _, r in lp.rows])
     if any(senses[r] == "==" for r in hint.slack_rows):
         return False
     B = np.zeros((m, m))
-    B[:, : hint.columns.size] = full[:, hint.columns]
+    B[:, : hint.columns.size] = A[:, hint.columns]
     for k, r in enumerate(hint.slack_rows):
         B[r, hint.columns.size + k] = 1.0 if senses[r] == "<=" else -1.0
     if np.linalg.matrix_rank(B) < m:
@@ -137,9 +128,7 @@ def test_solve_lp_matches_oracle_and_certifies(lp, rnd):
     assert res.objective == pytest.approx(value, abs=TOL * (1 + abs(value)))
     _check_certificate(lp, res)
 
-    n, m = lp.num_vars, len(lp.rows) + int(np.isfinite(lp.upper).sum())
-    if m == 0:
-        return  # bounds only: solved without a basis
+    n, m = lp.num_vars, len(lp.rows)
     # Re-solving from the optimal basis pivots no more.  A redundant row
     # whose artificial stays basic leaves the basis a row short, which
     # starts cold.
@@ -228,7 +217,7 @@ def test_warm_start_after_adding_a_column_and_a_row():
 
 def _copy(lp):
     """The same LP, built afresh: it carries no solver state."""
-    fresh = LinearProgram(lp.num_vars, objective=lp.objective.copy(), lower=lp.lower.copy(), upper=lp.upper.copy())
+    fresh = LinearProgram(lp.num_vars, objective=lp.objective.copy())
     for idx, val, sense, rhs in lp.rows:
         fresh.add_row(idx, val, sense, rhs)
     return fresh
@@ -253,12 +242,7 @@ def appended_columns(draw, lp):
         idx += rows
         val += [float(draw(coef)) for _ in rows]
         ptr.append(len(idx))
-    lower = np.array(draw(st.lists(st.integers(-2, 1), min_size=k, max_size=k)), dtype=float)
-    widths = draw(st.lists(st.one_of(st.none(), st.integers(0, 5)), min_size=k, max_size=k))
-    lp.add_columns(
-        ptr, idx, val, np.array(draw(st.lists(coef, min_size=k, max_size=k)), dtype=float),
-        lower, [np.inf if w is None else lo + w for lo, w in zip(lower, widths)],
-    )
+    lp.add_columns(ptr, idx, val, np.array(draw(st.lists(coef, min_size=k, max_size=k)), dtype=float))
 
 
 @st.composite
@@ -285,16 +269,10 @@ def appended(draw, lp):
     return equation
 
 
-def _resumed_start(first, lp, n0, R0):
+def _resumed_start(first, lp, R0):
     """The basis a resume starts from: the old optimal basis plus the slacks
-    of the new rows and of the new variables' upper bounds, numbered as in
-    the grown LP."""
-    R, bounded = lp.num_rows, np.isfinite(lp.upper)
-    old = first.basis.slack_rows
-    slack_rows = np.concatenate((
-        old[old < R0], R + (old[old >= R0] - R0), np.arange(R0, R),
-        R + int(bounded[:n0].sum()) + np.arange(int(bounded[n0:].sum())),
-    ))
+    of the new rows."""
+    slack_rows = np.concatenate((first.basis.slack_rows, np.arange(R0, lp.num_rows)))
     return Basis(columns=first.basis.columns, slack_rows=slack_rows)
 
 
@@ -303,19 +281,17 @@ def _resumed_start(first, lp, n0, R0):
 def test_resume_after_appending_matches_cold_solve(lp, data):
     first = solve_lp(lp)
     n0, R0 = lp.num_vars, lp.num_rows
-    m0 = R0 + int(np.isfinite(lp.upper).sum())
     equation = data.draw(appended(lp))
     res = solve_lp(lp)
     _assert_same_answer(res, solve_lp(_copy(lp)), lp)
-    m = lp.num_rows + int(np.isfinite(lp.upper).sum())
-    if res.status == "optimal" and m and res.basis.columns.size + res.basis.slack_rows.size == m:
+    if res.status == "optimal" and res.basis.columns.size + res.basis.slack_rows.size == lp.num_rows:
         # The returned basis names the resumed optimum in the grown LP's terms.
         again = solve_lp(_copy(lp), res.basis)
         assert again.warm and again.iterations == 0
-    if first.status != "optimal" or m0 == 0:
+    if first.status != "optimal":
         assert not res.warm  # nothing to resume from
         return
-    if first.basis.columns.size + first.basis.slack_rows.size < m0:
+    if first.basis.columns.size + first.basis.slack_rows.size < R0:
         # An artificial stays basic, which no Basis can name and which
         # blocks a resume: an appended column may have an entry in its row.
         assert not res.warm
@@ -323,7 +299,7 @@ def test_resume_after_appending_matches_cold_solve(lp, data):
     # An appended row has entries on the old variables, which a resume
     # does not take: only appended columns may have entries in old rows.
     grew_rows = lp.num_rows > R0
-    start = _resumed_start(first, lp, n0, R0)
+    start = _resumed_start(first, lp, R0)
     assert res.warm == (not equation and not grew_rows and _hint_is_feasible_basis(lp, start))
     if lp.num_vars == n0 and not grew_rows:
         assert res.warm and res.iterations == 0
@@ -336,8 +312,7 @@ def test_resume_after_empty_rows_then_columns_matches_cold_solve(lp, data):
     # new variables get entries in new and old rows.  The solve resumes
     # whenever the old basis plus the new slacks is primal feasible.
     first = solve_lp(lp)
-    n0, R0 = lp.num_vars, lp.num_rows
-    m0 = R0 + int(np.isfinite(lp.upper).sum())
+    R0 = lp.num_rows
     k = data.draw(st.integers(0, 3))
     senses = data.draw(st.lists(st.sampled_from(("<=", ">=")), min_size=k, max_size=k))
     rhs = data.draw(st.lists(st.integers(-2, 5), min_size=k, max_size=k))
@@ -345,8 +320,8 @@ def test_resume_after_empty_rows_then_columns_matches_cold_solve(lp, data):
     data.draw(appended_columns(lp))
     res = solve_lp(lp)
     _assert_same_answer(res, solve_lp(_copy(lp)), lp)
-    full = first.status == "optimal" and m0 > 0 and first.basis.columns.size + first.basis.slack_rows.size == m0
-    assert res.warm == (full and _hint_is_feasible_basis(lp, _resumed_start(first, lp, n0, R0)))
+    full = first.status == "optimal" and first.basis.columns.size + first.basis.slack_rows.size == R0
+    assert res.warm == (full and _hint_is_feasible_basis(lp, _resumed_start(first, lp, R0)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -354,13 +329,7 @@ def test_resume_after_empty_rows_then_columns_matches_cold_solve(lp, data):
 def test_in_place_edits_between_solves_give_the_cold_answer(lp, data):
     solve_lp(lp)
     j = data.draw(st.integers(0, lp.num_vars - 1))
-    what = data.draw(st.sampled_from(("objective", "lower", "upper")))
-    if what == "objective":
-        lp.objective[j] += data.draw(st.sampled_from((-2.0, -1.0, 1.0, 2.0)))
-    elif what == "lower":
-        lp.lower[j] -= 1.0
-    else:
-        lp.upper[j] = np.inf if np.isfinite(lp.upper[j]) else lp.lower[j] + 1.0
+    lp.objective[j] += data.draw(st.sampled_from((-2.0, -1.0, 1.0, 2.0)))
     res = solve_lp(lp)
     assert not res.warm
     _assert_same_answer(res, solve_lp(_copy(lp)), lp)
