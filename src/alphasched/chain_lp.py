@@ -16,11 +16,13 @@ its block's dual, and the cheapest chain completing in block k takes a slot
 there plus the p - 1 slots with the smallest duals in (r_j, ends[k] - 1].
 Slot duals are non-negative and mostly zero, so those p - 1 are the window's
 zeros first and then its smallest positive duals.  One pricer call per
-pricing pass prices every (machine, job) pair at every block end; the found
-chains' completions and slot sets are then worked out together as arrays,
-and only the chains the master does not hold yet are built.  A chain enters
-the master in one form, the earliest slots after the release in each of its
-blocks, so two chains with the same slot count per block are one column.
+pricing pass prices every (machine, job) pair at every block end and finds a
+chain at every valley of a pair's cost over its block ends, so a round adds
+many diverse columns; the found chains' completions and slot sets are then
+worked out together as arrays, and only the chains the master does not hold
+yet are built.  A chain enters the master in one form, the earliest slots
+after the release in each of its blocks, so two chains with the same slot
+count per block are one column.
 
 Column generation stops on one certificate: the Lagrangian pricing bound
 sum_j mu_j - sum_{i,k} len_k xi_{i,k}, from the stability center (the
@@ -95,7 +97,6 @@ def price_chain_multi(
     sizes,
     releases,
     horizon: int,
-    buckets: int = 4,
     ends=None,
     seen=frozenset(),
 ) -> tuple[list, np.ndarray]:
@@ -114,16 +115,18 @@ def price_chain_multi(
     window's positive duals is within that need sums them for every pair of
     the machine and every C at once.
 
-    Returns (found, best): ``found`` lists (chain, reduced cost) for the best
-    completion in each of ``buckets`` equal ranges of block ends that prices
-    below -1e-7, pair by pair in the given order and then by bucket (diverse
-    columns speed up column generation), ties to rounding going to the
-    earliest end, each chain taking the earliest slots after the release in
-    each of its blocks; a chain whose (machine, job, slots) key is in
-    ``seen`` is left out.  ``best[q]`` is the minimum reduced cost of pair
-    q, inf when no chain of it fits by the horizon.  The completions and
-    slot sets of all found chains are worked out together, as arrays, and
-    only the chains returned are built.
+    Returns (found, best): ``found`` lists (chain, reduced cost) for every
+    valley of each pair's cost over its block ends, pair by pair in the
+    given order and then by completion (many diverse columns per round
+    speed up column generation).  End k is a valley when its cost is below
+    -1e-7, strictly below end k - 1's (inf before the first end with room
+    for the job) and at most end k + 1's, so a plateau goes to its earliest
+    end.  Each chain takes the earliest slots after the release in each of
+    its blocks; a chain whose (machine, job, slots) key is in ``seen`` is
+    left out.  ``best[q]`` is the minimum reduced cost of pair q, inf when
+    no chain of it fits by the horizon.  The completions and slot sets of
+    all found chains are worked out together, as arrays, and only the
+    chains returned are built.
     """
     H = int(horizon)
     C = np.arange(1, H + 1) if ends is None else np.asarray(ends, dtype=np.int64)
@@ -168,27 +171,18 @@ def price_chain_multi(
     cost[C < first[:, None]] = np.inf
     best = cost.min(axis=1, initial=np.inf)
 
-    # Bucket b of pair q holds the block ends k >= k0_q (the first end C
-    # with room for the job) with (k - k0_q) * buckets // (K - k0_q) == b.
-    k0 = np.searchsorted(C, first, side="left")[:, None]
-    lo = k0 - (-np.arange(buckets) * (K - k0) // buckets)  # each bucket's first end
-    filled = lo < np.concatenate((lo[:, 1:], np.full_like(k0, K)), axis=1)
-    bucket_min = np.full(lo.shape, np.inf)
-    if filled.any():
-        bucket_min[filled] = np.minimum.reduceat(cost.ravel(), (np.arange(jobs.size)[:, None] * K + lo)[filled])
-    q, b = np.nonzero(bucket_min < -PRICE_TOL)
+    # The valleys; ends before the first with room cost inf.
+    valley = cost < -PRICE_TOL
+    valley[:, 1:] &= cost[:, 1:] < cost[:, :-1]
+    valley[:, :-1] &= cost[:, :-1] <= cost[:, 1:]
+    q, k = np.nonzero(valley)
     if not q.size:
         return [], best
-    low = bucket_min[q, b]
-    # A found chain completes at the first end from its bucket's first on
-    # that is within rounding of the bucket's minimum, which lies in the
-    # bucket.
-    hit = (np.arange(K) >= lo[q, b, None]) & (cost[q] <= (low + 1e-12 * (1.0 + np.abs(low)))[:, None])
-    slots = _cheapest_slots(order, zeros, npos, machines[q], r[q], p[q], C[np.argmax(hit, axis=1)])
+    slots = _cheapest_slots(order, zeros, npos, machines[q], r[q], p[q], C[k])
     if K < H:  # unit blocks hold a chain's slots in that form already
         slots = _earliest_per_block(slots, p[q], r[q], C)
     found = []
-    for key, reduced in zip(_keys(machines[q], jobs[q], p[q], slots), low.tolist()):
+    for key, reduced in zip(_keys(machines[q], jobs[q], p[q], slots), cost[q, k].tolist()):
         if key not in seen:
             found.append((Chain(*key), reduced))
     return found, best
@@ -386,7 +380,7 @@ def _price_all(pairs: tuple, ximat: np.ndarray, eta: np.ndarray, ends: np.ndarra
     in one ``price_chain_multi`` pass; ``pairs`` holds the pairs' machines,
     jobs, weights, sizes and releases, job by job (``_pairs``).
 
-    Returns (new chains, ordered by job, then machine, then bucket; per-job
+    Returns (new chains, ordered by job, then machine, then completion; per-job
     cheapest chain cost mu_j), and adds the new chains' keys to ``seen``.
     The mu values certify a Lagrangian lower bound sum_j mu_j - sum_{i,k}
     len_k xi_{i,k} on the LP optimum.

@@ -2,6 +2,7 @@
 batched pricer applied to one job, and the per-machine pricer with its
 per-chain materialization loop that the array-wide one replaced."""
 
+import math
 from bisect import bisect_left, bisect_right
 from itertools import combinations
 
@@ -16,14 +17,12 @@ def enumerate_chains(release: int, size: int, horizon: int):
     return combinations(range(release + 1, horizon + 1), size)
 
 
-def price_machine(machine, xi_row, jobs, eta, weights, sizes, releases, horizon, buckets=4, ends=None):
+def price_machine(machine, xi_row, jobs, eta, weights, sizes, releases, horizon, ends=None):
     """``price_chain_multi`` for the given jobs, all on one machine with
     block duals ``xi_row``."""
     xi = np.zeros((machine + 1, np.size(xi_row)))
     xi[machine] = xi_row
-    return price_chain_multi(
-        xi, [machine] * len(jobs), jobs, eta, weights, sizes, releases, horizon, buckets, ends
-    )
+    return price_chain_multi(xi, [machine] * len(jobs), jobs, eta, weights, sizes, releases, horizon, ends)
 
 
 def price_chain(
@@ -36,12 +35,15 @@ def price_chain(
     release: int,
     horizon: int,
 ) -> tuple[Chain | None, float]:
-    """Cheapest chain by reduced cost w * C + sum(xi over slots) - eta, as
-    ``price_chain_multi`` finds it for one job and one bucket.  Returns
-    (chain, reduced cost) when it prices below -1e-7, else (None, best
-    cost)."""
-    found, best = price_machine(machine, xi_row, [job], [eta_j], [weight], [size], [release], horizon, buckets=1)
-    return (found[0][0] if found else None), float(best[0])
+    """Cheapest chain by reduced cost w * C + sum(xi over slots) - eta: the
+    cheapest of the chains ``price_chain_multi`` finds for one job, the
+    earliest on a tie (the earliest global minimum is always a valley).
+    Returns (chain, reduced cost) when it prices below -1e-7, else (None,
+    best cost)."""
+    found, best = price_machine(machine, xi_row, [job], [eta_j], [weight], [size], [release], horizon)
+    if not found:
+        return None, float(best[0])
+    return min(found, key=lambda entry: entry[1])[0], float(best[0])
 
 
 def earliest_per_block(machine, job, slots, release, ends) -> Chain:
@@ -58,10 +60,12 @@ def earliest_per_block(machine, job, slots, release, ends) -> Chain:
     return Chain(machine=machine, job=job, slots=packed)
 
 
-def price_machine_loop(machine, xi_row, jobs, eta, weights, sizes, releases, horizon, buckets=4, ends=None):
+def price_machine_loop(machine, xi_row, jobs, eta, weights, sizes, releases, horizon, ends=None):
     """The per-machine pricer that ``price_chain_multi`` replaced: the same
-    sums in the same order, then a loop that builds each found chain from a
-    window argsort.  Returns (found, best) for the jobs in the given order."""
+    sums in the same order, then a loop over each job's block ends that
+    builds a chain at every valley of its cost (below -1e-7, strictly below
+    the previous end's, at most the next end's) from a window argsort.
+    Returns (found, best) for the jobs in the given order."""
     H = int(horizon)
     C = np.arange(1, H + 1) if ends is None else np.asarray(ends, dtype=np.int64)
     K = C.size
@@ -93,27 +97,19 @@ def price_machine_loop(machine, xi_row, jobs, eta, weights, sizes, releases, hor
     cost[C < first[:, None]] = np.inf
     best = cost.min(axis=1, initial=np.inf)
 
-    k0 = np.searchsorted(C, first, side="left")
-    fits = np.flatnonzero(k0 < K)
-    span = (K - k0[fits])[:, None]
-    lo = -(-np.arange(buckets) * span // buckets)
-    hi = np.concatenate((lo[:, 1:], span), axis=1)
-    filled = lo < hi
-    begin = fits[:, None] * K + k0[fits, None] + lo
-    bucket_min = np.full(lo.shape, np.inf)
-    if filled.any():
-        bucket_min[filled] = np.minimum.reduceat(cost.ravel(), begin[filled])
     found, block_ends = [], C.tolist()
-    for a, b in zip(*np.nonzero(bucket_min < -PRICE_TOL)):
-        j = fits[a]
-        k = int(k0[j]) + int(lo[a, b])
-        seg = cost[j, k : int(k0[j]) + int(hi[a, b])]
-        c = int(C[k + int(np.argmax(seg <= bucket_min[a, b] + 1e-12 * (1.0 + abs(bucket_min[a, b]))))])
-        rj, pj = int(r[j]), int(p[j])
-        slots = (np.sort(np.argsort(xi[rj : c - 1], kind="stable")[: pj - 1]) + rj + 1).tolist() + [c]
-        if K < H:
-            chain = earliest_per_block(machine, int(jobs[j]), slots, rj, block_ends)
-        else:
-            chain = Chain(machine=machine, job=int(jobs[j]), slots=slots)
-        found.append((chain, float(bucket_min[a, b])))
+    for j in range(jobs.size):
+        row = cost[j].tolist()
+        for k, c in enumerate(block_ends):
+            prev = row[k - 1] if k else math.inf
+            after = row[k + 1] if k + 1 < K else math.inf
+            if not (row[k] < -PRICE_TOL and row[k] < prev and row[k] <= after):
+                continue
+            rj, pj = int(r[j]), int(p[j])
+            slots = (np.sort(np.argsort(xi[rj : c - 1], kind="stable")[: pj - 1]) + rj + 1).tolist() + [c]
+            if K < H:
+                chain = earliest_per_block(machine, int(jobs[j]), slots, rj, block_ends)
+            else:
+                chain = Chain(machine=machine, job=int(jobs[j]), slots=slots)
+            found.append((chain, row[k]))
     return found, best

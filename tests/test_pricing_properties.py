@@ -1,9 +1,11 @@
-"""Property tests for the chain pricer: over unit blocks against brute
-force over all chains and against the per-job heap sweep it replaced, over
-coarser blocks against the per-completion-block loop of the block pricer it
-replaced, and over several machines against the per-machine pricer with its
-per-chain loop (``chain_reference``).  The references are kept here, as
-they were in the library."""
+"""Property tests for the chain pricer.  A pair's cost curve (its
+cheapest chain's reduced cost per completion) comes from brute force over
+all chains and from the per-job heap sweep over unit blocks, and from the
+per-completion-block loop of the block pricer over coarser blocks; the
+chains found must complete exactly at its valleys, with its costs and
+slots.  Over several machines the pricer matches the per-machine pricer
+with its per-chain loop (``chain_reference``) bit for bit.  The curve
+references are kept here, as they were in the library."""
 
 import heapq
 import math
@@ -22,19 +24,19 @@ from alphasched.chain_lp import (  # noqa: E402
 from chain_reference import enumerate_chains, price_machine, price_machine_loop  # noqa: E402
 
 
-def heap_sweep(xi_row, eta_j, weight, size, release, horizon, buckets):
-    """Per completion bucket, (min reduced cost, first C reaching it): a
-    sweep over C holding the p - 1 smallest window duals in a max-heap of
-    the selected ones and a min-heap of the rest."""
+def heap_sweep(xi_row, eta_j, weight, size, release, horizon):
+    """Per completion C = 1..horizon, the min reduced cost of a chain
+    completing at C (inf before release + size): a sweep over C holding the
+    p - 1 smallest window duals in a max-heap of the selected ones and a
+    min-heap of the rest."""
     p = size
     first_c = release + p
+    curve = [math.inf] * horizon
     if first_c > horizon:
-        return [(math.inf, -1)] * buckets
-    span = horizon - first_c + 1
+        return curve
     selected: list = []
     reserve: list = []
     sel_sum = 0.0
-    best = [(math.inf, -1)] * buckets
     for t in range(release + 1, first_c):
         heapq.heappush(selected, -xi_row[t - 1])
         sel_sum += xi_row[t - 1]
@@ -50,25 +52,38 @@ def heap_sweep(xi_row, eta_j, weight, size, release, horizon, buckets):
                 heapq.heappush(reserve, worst)
             else:
                 heapq.heappush(reserve, v)
-        cost = weight * C + sel_sum + xi_row[C - 1] - eta_j
-        b = (C - first_c) * buckets // span
-        if cost < best[b][0] - 1e-15:
-            best[b] = (cost, C)
-    return best
+        curve[C - 1] = weight * C + sel_sum + xi_row[C - 1] - eta_j
+    return curve
 
 
-def brute_force_buckets(xi_row, eta_j, weight, size, release, horizon, buckets):
-    """Per completion bucket, the min reduced cost over every chain."""
-    first_c = release + size
-    best = [math.inf] * buckets
-    if first_c > horizon:
-        return best
-    span = horizon - first_c + 1
+def brute_force_curve(xi_row, eta_j, weight, size, release, horizon):
+    """Per completion C = 1..horizon, the min reduced cost over every chain
+    completing at C."""
+    curve = [math.inf] * horizon
     for slots in enumerate_chains(release, size, horizon):
-        b = (slots[-1] - first_c) * buckets // span
         cost = weight * slots[-1] + sum(xi_row[t - 1] for t in slots) - eta_j
-        best[b] = min(best[b], cost)
-    return best
+        curve[slots[-1] - 1] = min(curve[slots[-1] - 1], cost)
+    return curve
+
+
+def valleys(curve, tol):
+    """(valleys, unclear) of a cost curve over block ends, as 0-based ends.
+    End k is a valley when its cost is below -1e-7, strictly below end
+    k - 1's (inf before the first end) and at most end k + 1's (inf after
+    the last).  An end is unclear when one of those comparisons is within
+    ``tol`` > 0 relative (or its cost within 1e-9 of -1e-7), so rounding
+    may decide it; it is left out of ``valleys``.  With ``tol`` 0 the sums
+    are exact and ties are decided as ties."""
+    ext = [math.inf, *curve, math.inf]
+    found, unclear = set(), set()
+    for k, cost in enumerate(curve):
+        prev, after = ext[k], ext[k + 2]
+        near = tol > 0.0 and any(abs(cost - x) <= tol * (1.0 + abs(x)) for x in (prev, after))
+        if near or abs(cost + PRICE_TOL) < 1e-9:
+            unclear.add(k)
+        elif cost < -PRICE_TOL and cost < prev and cost <= after:
+            found.add(k)
+    return found, unclear
 
 
 def close(a, b):
@@ -91,52 +106,50 @@ def pricing_cases(draw, max_horizon):
     sizes = rng.integers(1, min(H, 8) + 1, n)
     releases = rng.integers(0, H + 1, n)  # release + size may pass the horizon
     weights = rng.integers(1, 33, n) / 8.0 if grid else rng.uniform(0.1, 4.0, n)
-    # eta around the cheapest completion's cost, so some buckets price
+    # eta around the cheapest completion's cost, so some completions price
     # below zero and some do not
     eta = weights * (releases + sizes) + rng.uniform(-2.0, 0.5 * H, n)
     if grid:
         eta = np.round(eta * 8.0) / 8.0
-    buckets = draw(st.sampled_from([1, 4]))
     jobs = rng.permutation(10)[:n]
-    return xi, jobs, eta, weights, sizes, releases, H, buckets
+    return xi, jobs, eta, weights, sizes, releases, H, grid
 
 
-def check_against(ref_buckets, case, found, best):
-    """``ref_buckets[k]`` lists job k's per-bucket minimum costs."""
-    xi, jobs, eta, weights, sizes, releases, H, buckets = case
-    order = [list(jobs).index(c.job) for c, _ in found]
-    assert order == sorted(order)  # job by job
+def check_against(curves, case, found, best):
+    """``curves[k]`` lists job k's min reduced cost per completion; the
+    chains found complete exactly at its valleys.  On the grid every sum is
+    exact, so plateaus are ties and each goes to its earliest end."""
+    xi, jobs, eta, weights, sizes, releases, H, grid = case
+    order = [(list(jobs).index(c.job), c.completion) for c, _ in found]
+    assert order == sorted(set(order))  # job by job, then by completion, one chain per end
     for k, job in enumerate(jobs):
-        mins = ref_buckets[k]
-        if math.isinf(min(mins)):
+        curve = curves[k]
+        if math.isinf(min(curve)):
             assert math.isinf(best[k])
         else:
-            assert close(best[k], min(mins))
-        first_c = releases[k] + sizes[k]
-        got = {}
+            assert close(best[k], min(curve))
+        got = set()
         for chain, cost in found:
             if chain.job != job:
                 continue
             chain.validate(int(releases[k]), H, int(sizes[k]))
             assert chain.machine == 3
-            b = (chain.completion - first_c) * buckets // (H - first_c + 1)
-            assert b not in got
-            got[b] = cost
-            assert close(cost, mins[b])
+            end = chain.completion - 1
+            got.add(end)
+            assert close(cost, curve[end])
             rc = weights[k] * chain.completion + sum(xi[t - 1] for t in chain.slots) - eta[k]
-            assert close(rc, mins[b])
-        expected = {b for b, m in enumerate(mins) if m < -PRICE_TOL}
-        unclear = {b for b, m in enumerate(mins) if abs(m + PRICE_TOL) < 1e-9}
-        assert set(got) - unclear == expected - unclear
+            assert close(rc, curve[end])
+        expected, unclear = valleys(curve, 0.0 if grid else 1e-12)
+        assert got - unclear == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(pricing_cases(max_horizon=10))
 def test_batched_pricer_matches_brute_force(case):
-    xi, jobs, eta, weights, sizes, releases, H, buckets = case
-    found, best = price_machine(3, xi, jobs, eta, weights, sizes, releases, H, buckets)
+    xi, jobs, eta, weights, sizes, releases, H, _ = case
+    found, best = price_machine(3, xi, jobs, eta, weights, sizes, releases, H)
     ref = [
-        brute_force_buckets(xi, eta[k], weights[k], int(sizes[k]), int(releases[k]), H, buckets)
+        brute_force_curve(xi, eta[k], weights[k], int(sizes[k]), int(releases[k]), H)
         for k in range(len(jobs))
     ]
     check_against(ref, case, found, best)
@@ -145,12 +158,9 @@ def test_batched_pricer_matches_brute_force(case):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(pricing_cases(max_horizon=300))
 def test_batched_pricer_matches_heap_sweep(case):
-    xi, jobs, eta, weights, sizes, releases, H, buckets = case
-    found, best = price_machine(3, xi, jobs, eta, weights, sizes, releases, H, buckets)
-    ref = [
-        [cost for cost, _ in heap_sweep(xi, eta[k], weights[k], int(sizes[k]), int(releases[k]), H, buckets)]
-        for k in range(len(jobs))
-    ]
+    xi, jobs, eta, weights, sizes, releases, H, _ = case
+    found, best = price_machine(3, xi, jobs, eta, weights, sizes, releases, H)
+    ref = [heap_sweep(xi, eta[k], weights[k], int(sizes[k]), int(releases[k]), H) for k in range(len(jobs))]
     check_against(ref, case, found, best)
 
 
@@ -161,13 +171,15 @@ def test_batched_pricer_rejects_negative_duals():
 
 def block_loop(xi_blocks, eta_j, weight, size, release, timeline):
     """Per completion block k*, one slot there plus the p - 1 cheapest
-    remaining slots in blocks up to k*, by an argsort per k*.  Returns
-    (per-block slot counts or None, cost)."""
+    remaining slots in blocks up to k*, by an argsort per k*.  Returns, per
+    k*, (per-block slot counts, cost), or (None, inf) when the job does not
+    fit by the end of k*."""
     ends, starts = timeline.ends, timeline.starts
     avail = np.maximum(ends - np.maximum(starts, release), 0).astype(np.int64)
-    best = (math.inf, None)
+    curve = []
     for kstar in range(len(ends)):
         if avail[kstar] < 1 or int(avail[: kstar + 1].sum()) < size:
+            curve.append((None, math.inf))
             continue
         order = np.argsort(xi_blocks[: kstar + 1], kind="stable")
         need = size - 1
@@ -182,9 +194,8 @@ def block_loop(xi_blocks, eta_j, weight, size, release, timeline):
                 counts[k] += take
                 need -= take
                 cost += take * xi_blocks[k]
-        if cost < best[0] - 1e-15:
-            best = (cost, counts)
-    return best[1], best[0]
+        curve.append((counts, cost))
+    return curve
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -204,24 +215,31 @@ def test_block_pricer_matches_per_block_loop(H, num_ends, grid, density, seed):
     size = int(rng.integers(1, min(H - release, 12) + 1))
     weight = float(rng.integers(1, 33) / 8.0) if grid else float(rng.uniform(0.1, 4.0))
     eta = weight * (release + size) + float(rng.uniform(-2.0, 2.0 * H))
-    counts, ref_cost = block_loop(xi, eta, weight, size, release, timeline)
-    found, best = price_machine(1, xi, [2], [eta], [weight], [size], [release], H, buckets=1, ends=ends)
-    if counts is None:
+    if grid:
+        eta = round(eta * 8.0) / 8.0
+    curve = block_loop(xi, eta, weight, size, release, timeline)
+    costs = [cost for _, cost in curve]
+    found, best = price_machine(1, xi, [2], [eta], [weight], [size], [release], H, ends=ends)
+    if math.isinf(min(costs)):
         assert math.isinf(best[0]) and not found
         return
-    assert close(best[0], ref_cost)
-    if ref_cost >= -PRICE_TOL:
-        assert not found
-        return
-    [(chain, cost)] = found
-    assert close(cost, ref_cost)
-    got = np.bincount(np.searchsorted(ends, chain.slots, side="left"), minlength=ends.size)
-    assert got.tolist() == counts.tolist()
-    chain.validate(release, H, size)
-    assert (chain.machine, chain.job) == (1, 2)
-    # Each block's slots are its earliest ones after the release.
+    assert close(best[0], min(costs))
+    expected, unclear = valleys(costs, 0.0 if grid else 1e-12)
+    got = set()
     first = np.maximum(timeline.starts, release) + 1
-    assert chain.slots == tuple(t for k in np.flatnonzero(counts) for t in range(first[k], first[k] + counts[k]))
+    for chain, cost in found:
+        k = int(np.searchsorted(ends, chain.completion, side="left"))
+        assert all(k > g for g in got)  # by completion, one chain per block
+        got.add(k)
+        counts = curve[k][0]
+        assert close(cost, costs[k])
+        per_block = np.bincount(np.searchsorted(ends, chain.slots, side="left"), minlength=ends.size)
+        assert per_block.tolist() == counts.tolist()
+        chain.validate(release, H, size)
+        assert (chain.machine, chain.job) == (1, 2)
+        # Each block's slots are its earliest ones after the release.
+        assert chain.slots == tuple(t for b in np.flatnonzero(counts) for t in range(first[b], first[b] + counts[b]))
+    assert got - unclear == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -232,10 +250,9 @@ def test_block_pricer_matches_per_block_loop(H, num_ends, grid, density, seed):
     st.booleans(),
     st.booleans(),
     st.sampled_from([0.0, 0.05, 0.3, 1.0]),
-    st.sampled_from([1, 4]),
     st.integers(0, 2**32 - 1),
 )
-def test_pricer_matches_per_machine_loop(H, machines, jobs, coarse, grid, density, buckets, seed):
+def test_pricer_matches_per_machine_loop(H, machines, jobs, coarse, grid, density, seed):
     """Every machine priced in one call: the same (chain, reduced cost) list,
     bit for bit and in the same order, as the per-machine pricer with its
     per-chain loop, pair by pair; chains whose key is in ``seen`` left out."""
@@ -256,14 +273,14 @@ def test_pricer_matches_per_machine_loop(H, machines, jobs, coarse, grid, densit
     expected, best = {}, np.empty(len(pairs))
     for i in range(machines):
         on = np.flatnonzero(machine == i)
-        found_i, best[on] = price_machine_loop(i, xi[i], job[on], *(a[on] for a in per_pair), H, buckets, ends)
+        found_i, best[on] = price_machine_loop(i, xi[i], job[on], *(a[on] for a in per_pair), H, ends)
         for chain, cost in found_i:
             expected.setdefault((chain.machine, chain.job), []).append((chain, cost))
     expected = [entry for j, i in pairs for entry in expected.get((i, j), [])]
 
-    found, got_best = price_chain_multi(xi, machine, job, *per_pair, H, buckets, ends)
+    found, got_best = price_chain_multi(xi, machine, job, *per_pair, H, ends)
     assert found == expected
     assert np.array_equal(got_best, best)
     seen = {(c.machine, c.job, c.slots) for c, _ in expected[::2]}
-    found, _ = price_chain_multi(xi, machine, job, *per_pair, H, buckets, ends, seen)
+    found, _ = price_chain_multi(xi, machine, job, *per_pair, H, ends, seen)
     assert found == expected[1::2]
