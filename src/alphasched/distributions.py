@@ -17,15 +17,18 @@ The truncated quadratic density has raw mass F(1) slightly above 1
 (about 1.00000125).  Constants are computed from the raw, unnormalized
 density; sampling divides by F(1) so draws are honest probabilities.
 
-Sampling inverts the raw CDF piece by piece: pieces of constant density
-invert in closed form, and polynomial pieces take safeguarded Newton steps
-from a precomputed monotone table (the PINV idea of Derflinger, Hoermann
-and Leydold, ACM TOMACS 2010).  When one piece holds all the mass, as in
-the three built-in laws, every draw is inverted on it at once; otherwise a
+Sampling inverts the raw CDF piece by piece.  Pieces of constant density
+invert in closed form.  A quadratic-density piece whose cubic CDF increases
+on the whole real line, by a margin that rounding cannot produce, inverts
+by Cardano's formula for its one real root when a bound on the formula's
+cancellation is at most NEWTON_TOL; the truncated quadratic law's piece
+does.  Other polynomial pieces take safeguarded Newton steps from a
+precomputed monotone table (the PINV idea of Derflinger, Hoermann and
+Leydold, ACM TOMACS 2010).  When one piece holds all the mass, as in the
+three built-in laws, every draw is inverted on it at once; otherwise a
 draw's piece is searched in the cumulative mass at the breakpoints.  The
-Newton steps update a few buffers in place, so the quadratic law's draws
-peak at about 6.5 arrays of their size, and constant pieces invert the
-generator's array itself.
+closed forms update the generator's array in place, the cubic one with one
+more array of its size; the Newton steps peak at about 6.5 arrays.
 """
 
 from __future__ import annotations
@@ -131,16 +134,20 @@ class OffsetDistribution:
         For a constant density h that is the exact inverse (start at the
         piece's left end, slope 1/h); a piece of zero mass is only reached
         at u >= F(1), where sup{t : F(t) <= u} is its right end (slope 0).
-        A polynomial piece keeps theta at TABLE_POINTS equally spaced CDF
-        levels, solved here from a start interpolated on equally spaced
-        theta; draws find their bracket in it by arithmetic, not search.
-        ``_live`` is the one piece of positive mass, or None when there are
-        several: every u in [0, F(1)) falls in that piece.
+        A quadratic-density piece that passes ``_cubic_constants`` keeps
+        the constants of Cardano's formula in ``_cubics`` and builds no
+        table.  Any other polynomial piece keeps theta at TABLE_POINTS
+        equally spaced CDF levels, solved here from a start interpolated on
+        equally spaced theta; draws find their Newton bracket in it by
+        arithmetic, not search.  ``_live`` is the one piece of positive
+        mass, or None when there are several: every u in [0, F(1)) falls in
+        that piece.
         """
         self._cum = cum
         self._hi = self.breakpoints[1:]
         self._start = self.breakpoints[:-1].copy()
         self._slope = np.zeros(len(self.coeffs))
+        self._cubics = {}
         self._tables = {}
         for k, c in enumerate(self.coeffs):
             lo, hi = self.breakpoints[k], self.breakpoints[k + 1]
@@ -149,6 +156,8 @@ class OffsetDistribution:
                 self._start[k] = hi
             elif c.size == 1:
                 self._slope[k] = 1.0 / c[0]
+            elif c.size == 3 and (cubic := self._cubic_constants(k)) is not None:
+                self._cubics[k] = cubic
             else:
                 t = np.linspace(lo, hi, TABLE_POINTS)
                 F = np.maximum.accumulate(_polyval(self._F[k], t))
@@ -159,6 +168,39 @@ class OffsetDistribution:
                 self._tables[k] = (np.maximum.accumulate(theta), scale)
         live = np.flatnonzero(cum[1:] > cum[:-1])
         self._live = int(live[0]) if live.size == 1 else None
+
+    def _cubic_constants(self, k):
+        """Cardano's formula for piece k, whose raw CDF is the cubic
+        a3 t^3 + a2 t^2 + a1 t + a0, or None where it is not used.
+
+        With b = a2/a3 and c = a1/a3, t = x - b/3 turns F(t) = u into
+        x^3 + p x + q = 0, p = c - b^2/3, q = 2b^3/27 - bc/3 + (a0 - u)/a3.
+        For a3 > 0 and p > 0 the cubic increases on the whole line, and its
+        one real root is x = A - p/(3A) with
+        A = -cbrt(q/2 + copysign(sqrt(q^2/4 + p^3/27), q)).  The formula
+        cancels in A - p/(3A) and in x - b/3, so it is used only where eps
+        times the sizes that cancel is at most NEWTON_TOL: |A| at its
+        largest over the piece (at an end), sqrt(p/3), which bounds
+        |p/(3A)|, and |b|/3.  p itself must exceed the rounding error of
+        c - b^2/3: where the density vanishes inside the piece, p is 0 and
+        rounds to a residue of either sign.  The constants returned are
+        those of ``_invert_cubic``: q/2 = u * scale + shift, p^3/27, p/3
+        and b/3.
+        """
+        a0, a1, a2, a3 = self._F[k][:4]  # entries past the cubic are zero
+        eps = np.finfo(float).eps
+        with np.errstate(all="ignore"):  # extreme coefficients fail the tests below as inf or nan
+            b, c = a2 / a3, a1 / a3
+            p = c - b * b / 3.0
+            cube = p**3 / 27.0  # > 0 also keeps A away from 0
+            if not (a3 > 0.0 and p > 4.0 * eps * (abs(c) + b * b / 3.0) and cube > 0.0):
+                return None
+            q0 = 2.0 * b**3 / 27.0 - b * c / 3.0
+            q = q0 + (a0 - self._cum[k : k + 2]) / a3
+            A = np.cbrt(np.abs(q) / 2.0 + np.sqrt(q * q / 4.0 + cube)).max()
+            if not eps * (A + math.sqrt(p / 3.0) + abs(b) / 3.0) <= NEWTON_TOL:
+                return None
+        return -0.5 / a3, (q0 + a0 / a3) / 2.0, cube, p / 3.0, b / 3.0
 
     # -- constructors ----------------------------------------------------
 
@@ -228,9 +270,12 @@ class OffsetDistribution:
         quadratic, clipped) every draw is in it, and it is inverted on the
         whole array with no piece search.  Otherwise a draw's piece is the
         one whose cumulative mass range holds u, so pieces of zero mass are
-        never chosen.  Constant-density pieces invert in closed form;
+        never chosen.  Constant-density pieces invert in closed form, and so
+        do the quadratic-density pieces that ``_cubic_constants`` admits (the
+        truncated quadratic law's), by one cube root per draw.  Other
         polynomial pieces take bracketed Newton steps, each draw until its
-        step is below 1e-12.
+        step is below 1e-12.  Both paths apply the same rule per piece, so
+        they give the same bits.
         """
         scalar = size is None
         u = rng.random(1 if scalar else size)
@@ -240,6 +285,8 @@ class OffsetDistribution:
         k = self._live
         if k is None:
             theta = self._sample_pieces(u)
+        elif k in self._cubics:
+            theta = self._invert_cubic(k, u)
         elif k in self._tables:
             flat = u.reshape(-1)
             theta = self._newton(k, flat, *self._table_start(k, flat)).reshape(u.shape)
@@ -260,11 +307,33 @@ class OffsetDistribution:
         theta *= self._slope[piece]
         theta += self._start[piece]
         np.minimum(theta, self._hi[piece], out=theta)
+        for k in self._cubics:
+            mask = piece == k
+            theta[mask] = self._invert_cubic(k, u[mask])
         for k in self._tables:
             mask = piece == k
             u_k = u[mask]
             theta[mask] = self._newton(k, u_k, *self._table_start(k, u_k))
         return theta
+
+    def _invert_cubic(self, k, u):
+        """theta = A - p/(3A) - b/3 for the draws ``u`` of piece k (see
+        ``_cubic_constants``), clipped into the piece.  ``u`` is overwritten
+        with q/2 and then with -A; the result is the one other array."""
+        scale, shift, cube, p3, b3 = self._cubics[k]
+        half_q = u
+        half_q *= scale
+        half_q += shift
+        theta = np.multiply(half_q, half_q)
+        theta += cube
+        np.sqrt(theta, out=theta)
+        np.copysign(theta, half_q, out=theta)
+        half_q += theta
+        minus_a = np.cbrt(half_q, out=half_q)
+        np.divide(p3, minus_a, out=theta)
+        theta -= minus_a
+        theta -= b3
+        return np.clip(theta, self.breakpoints[k], self._hi[k], out=theta)
 
     def _table_start(self, k, u):
         """Bracket and start of Newton's iteration (``_newton``) for the flat
@@ -356,7 +425,9 @@ class OffsetDistribution:
 
         rho is a supremum: per polynomial piece the maximizer is either a
         piece endpoint or a real root of d(rho)/d(phi); the limit phi -> 0+
-        contributes f(0).  A 1e5-point grid cross-checks the result.
+        contributes f(0).  A 1e5-point grid cross-checks the result; it
+        holds the breakpoints too, since the maximizer is often one (the
+        clipped laws' is 1 - lam).
         """
         beta = 0.0
         for k, c in enumerate(self.coeffs):
@@ -366,16 +437,7 @@ class OffsetDistribution:
 
         best_phi, best_rho = 0.0, -np.inf
         for k in range(len(self.coeffs)):
-            lo, hi = self.breakpoints[k], self.breakpoints[k + 1]
-            L = len(self._K[k])
-            G = _pad_to(self._F[k], L) - ONE_MINUS_INV_E * self._K[k]
-            # H(phi) = G'(phi) * phi - G(phi) has coefficients (j - 1) * G_j.
-            H = G * (np.arange(L) - 1.0)
-            cands = [hi] if lo <= 0 else [lo, hi]
-            # Interior stationary points only; the phi -> 0 limit is handled
-            # separately, so a root at a piece's lower edge is not a candidate.
-            cands.extend(_real_roots_in(H, lo, hi))
-            for phi in cands:
+            for phi in self._rho_candidates(k):
                 if phi <= 0:
                     continue
                 val = float(self.rho_of(phi))
@@ -388,7 +450,7 @@ class OffsetDistribution:
         phi_star = best_phi if attained else 0.0
 
         grid = np.concatenate(
-            [np.geomspace(1e-12, 1e-3, 2001), np.linspace(1e-3, 1.0, 100_000)]
+            [np.geomspace(1e-12, 1e-3, 2001), np.linspace(1e-3, 1.0, 100_000), self.breakpoints[1:]]
         )
         grid_rho = float(self.rho_of(grid).max())
         if abs(grid_rho - rho) > GRID_AGREE_TOL:
@@ -406,6 +468,20 @@ class OffsetDistribution:
             attained=bool(attained),
             raw_mass=self.raw_mass,
         )
+
+    def _rho_candidates(self, k) -> list[float]:
+        """Where rho may peak on piece k: its ends (not phi = 0) and the
+        real roots of d(rho)/d(phi) inside it."""
+        lo, hi = self.breakpoints[k], self.breakpoints[k + 1]
+        L = len(self._K[k])
+        G = _pad_to(self._F[k], L) - ONE_MINUS_INV_E * self._K[k]
+        # H(phi) = G'(phi) * phi - G(phi) has coefficients (j - 1) * G_j.
+        H = G * (np.arange(L) - 1.0)
+        cands = [hi] if lo <= 0 else [lo, hi]
+        # Interior stationary points only; the phi -> 0 limit is handled
+        # separately, so a root at a piece's lower edge is not a candidate.
+        cands.extend(_real_roots_in(H, lo, hi))
+        return cands
 
     def __repr__(self):
         return f"OffsetDistribution({self.name})"

@@ -72,10 +72,11 @@ class IdleDiagnostic:
 # Trials run in blocks whose (trials x jobs) float64 arrays take this many
 # bytes: a block's temporaries stay in cache, and the allocator reuses them
 # from block to block instead of page-faulting fresh ones in on every call.
-# The quadratic sampler peaks at about 6.5 such arrays and the sequencing
-# at about 6 (9 when it chains two release arrays).  64 KiB blocks are
-# slower: np-round ran 1.24-1.37M trials/s with them against 1.41-1.48M at
-# 32 KiB (4 alternating runs each, 2-core machine).
+# The quadratic sampler peaks at about 2 such arrays (tracemalloc: the
+# generator's and one more) and the sequencing at about 6 (9 when it chains
+# two release arrays).  64 KiB blocks were slower with the earlier Newton
+# sampler: np-round ran 1.24-1.37M trials/s with them against 1.41-1.48M
+# at 32 KiB (4 alternating runs each, 2-core machine).
 BLOCK_BYTES = 32 * 1024
 
 

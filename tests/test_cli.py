@@ -50,6 +50,16 @@ def test_analyze_dist_uniform_alpha_two(capsys):
     assert cols["attained"] == "0"
 
 
+def test_analyze_dist_clip_peaking_on_a_breakpoint(capsys):
+    # rho peaks at phi = 1 - lam, a breakpoint, which the cross-check's grid
+    # must hold for the closed form to pass it.
+    code, out, _ = run(capsys, "analyze-dist", "--dist", "clipped:0.25")
+    assert code == 0
+    header, row = out.strip().splitlines()
+    cols = dict(zip(header.split(","), row.split(",")))
+    assert float(cols["phi_star"]) == 0.75
+
+
 def test_analyze_dist_clip_below_resolution(capsys):
     # 1 - 1e-300 rounds to 1, so the top clip has no width: the law is the
     # uniform one to double precision, and so are its constants.

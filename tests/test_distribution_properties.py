@@ -81,14 +81,22 @@ def test_sampler_inverts_random_densities(case, seed):
 def reference_sample(dist, rng, size=None):
     """``OffsetDistribution.sample`` before single-piece laws skipped the
     search: each draw's piece is searched, then every polynomial piece's
-    draws are gathered, inverted by ``reference_newton`` and scattered
-    back."""
+    draws are gathered, inverted on fresh arrays and scattered back: by
+    Cardano's formula on the pieces that keep its constants, which must
+    have a cubic CDF with p > 0, else by ``reference_newton``."""
     scalar = size is None
     u = rng.random(1 if scalar else size) * dist.raw_mass
     piece = np.searchsorted(dist._cum, u, side="right") - 1
     np.clip(piece, 0, len(dist.coeffs) - 1, out=piece)
     theta = (u - dist._cum[piece]) * dist._slope[piece] + dist._start[piece]
     theta = np.minimum(theta, dist._hi[piece])
+    for k, (scale, shift, cube, p3, b3) in dist._cubics.items():
+        a0, a1, a2, a3 = dist._F[k][:4]
+        assert a3 > 0.0 and a1 / a3 - (a2 / a3) ** 2 / 3.0 > 0.0  # increasing on the whole line
+        mask = piece == k
+        half_q = u[mask] * scale + shift
+        minus_a = np.cbrt(half_q + np.copysign(np.sqrt(half_q * half_q + cube), half_q))
+        theta[mask] = np.clip(p3 / minus_a - minus_a - b3, dist.breakpoints[k], dist.breakpoints[k + 1])
     for k, (table, scale) in dist._tables.items():
         mask = piece == k
         u_k = u[mask]

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -181,6 +183,90 @@ def test_sampler_stays_in_support_at_top_of_range():
     assert quadratic.max() <= D
 
 
+def exact_cdf(poly, t):
+    """The cubic ``poly`` (ascending float coefficients) at t, in rationals."""
+    t = Fraction(t)
+    return sum(Fraction(float(a)) * t**j for j, a in enumerate(poly))
+
+
+def test_quadratic_law_inverts_in_closed_form():
+    d = OffsetDistribution.truncated_quadratic()
+    assert list(d._cubics) == [0] and not d._tables  # no table, no Newton steps
+
+
+@pytest.mark.parametrize(
+    "coeffs, closed",
+    [
+        ([0.0, 0.0, 3.0], False),  # F = t^3: p = 0, the density vanishes at 0
+        ([3.0, -12.0, 12.0], False),  # F = 4 (t - 1/2)^3 + 1/2: p = 0 inside the piece
+        ([0.0, 2.0], False),  # a linear density: F is quadratic
+        ([1.5, -3.0, 3.0], True),  # F = t^3 - 1.5 t^2 + 1.5 t: p = 3/4
+        ([1.5, -3.0, 3.0, 0.0], True),  # the same with a zero cubic term
+    ],
+)
+def test_closed_form_needs_a_cubic_increasing_everywhere(coeffs, closed):
+    d = OffsetDistribution([0.0, 1.0], [coeffs])
+    assert (0 in d._cubics) == closed and (0 in d._tables) != closed
+    r = np.linspace(0.0, 1.0, 1001)[:-1]
+    theta = d.sample(FixedUniforms(r), r.size)
+    assert np.abs(d.cdf(theta) - r * d.raw_mass).max() <= 1e-12
+
+
+@pytest.mark.parametrize("r", [0.2, 0.35])
+def test_closed_form_refuses_p_that_rounds_positive(r):
+    # c (t - r)^2 of mass 1 vanishes at r, so the exact p is 0; in floats
+    # these two come out about 1e-17 above it and must still keep Newton.
+    c = 3.0 / ((1.0 - r) ** 3 + r**3)
+    d = OffsetDistribution([0.0, 1.0], [[c * r * r, -2.0 * c * r, c]])
+    a0, a1, a2, a3 = d._F[0]
+    assert a1 / a3 - (a2 / a3) ** 2 / 3.0 > 0.0
+    assert 0 not in d._cubics and 0 in d._tables
+    u = np.linspace(0.0, 1.0, 1001)[:-1]
+    theta = d.sample(FixedUniforms(u), u.size)
+    assert np.abs(d.cdf(theta) - u * d.raw_mass).max() <= 1e-12
+
+
+def test_cubic_draws_bracket_the_exact_root():
+    # Each draw is within 2e-15 of the exact root of the piece's cubic:
+    # F(theta - 2e-15) < u < F(theta + 2e-15) in exact rational arithmetic,
+    # on 2,000 generator draws and at u = 0, 1e-300 and the top of the range.
+    d = OffsetDistribution.truncated_quadratic()
+    r = np.concatenate(
+        [np.random.default_rng(24).random(2000), [0.0, 1e-300 / d.raw_mass, 1.0 - 2.0**-53]]
+    )
+    theta = d.sample(FixedUniforms(r), r.size)
+    u = r * d.raw_mass
+    assert u[-2] == pytest.approx(1e-300, rel=1e-15) and u[-1] == (1.0 - 2.0**-53) * d.raw_mass
+    width = Fraction(2, 10**15)
+    for t, target in zip(theta.tolist(), u.tolist()):
+        assert exact_cdf(d._F[0], Fraction(t) - width) < Fraction(target) < exact_cdf(d._F[0], Fraction(t) + width)
+
+
+def test_cubic_draws_are_monotone_in_u():
+    d = OffsetDistribution.truncated_quadratic()
+    rng = np.random.default_rng(7)
+    # Sorted draws, and runs of consecutive doubles from a few starts.
+    runs = [s + np.arange(2000) * np.spacing(s) for s in (1e-9, 0.25, 0.5, 1.0 - 2.0**-42)]
+    r = np.sort(np.concatenate([rng.random(20_000), [0.0, 1.0 - 2.0**-53], *runs]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        theta = d.sample(FixedUniforms(r), r.size)
+    assert not np.isnan(theta).any()
+    assert (np.diff(theta) >= 0.0).all()
+    assert theta[0] == 0.0 and theta[-1] <= D
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+def test_nearly_constant_quadratic_densities_invert_accurately(eps):
+    # 1 + eps t^2, scaled to mass 1.  Cardano's formula loses about eps^-1/2
+    # ulps to cancellation here (8e-12 at eps = 1e-9), so the pieces whose
+    # error bound exceeds 1e-12 keep Newton's steps.
+    d = OffsetDistribution([0.0, 1.0], [[1.0 / (1.0 + eps / 3.0), 0.0, eps / (1.0 + eps / 3.0)]])
+    r = np.random.default_rng(5).random(4000)
+    theta = d.sample(FixedUniforms(r), r.size)
+    assert np.abs(d.cdf(theta) - r * d.raw_mass).max() <= 1e-12
+
+
 def test_quadratic_stats_match_hand_formulas():
     f1, beta, phi_star, rho = closed_form_quadratic_constants()
     s = OffsetDistribution.truncated_quadratic().stats()
@@ -229,6 +315,31 @@ def test_clipped_alpha_tends_to_two():
     assert alphas[0] < alphas[1] < alphas[2]
     assert alphas[2] == pytest.approx(2.0, abs=1e-9)
     assert alphas[1] > 2.0 - 0.02
+
+
+def test_clipped_stats_pass_their_cross_check():
+    # From lam = 0.21 on, rho peaks on the breakpoint 1 - lam, which the
+    # cross-check's grid holds, so every clip fraction's closed form agrees
+    # with it.
+    for i in range(1, 50):
+        lam = i / 100
+        s = OffsetDistribution.clipped_uniform(lam).stats()
+        assert s.attained
+        if lam >= 0.21:
+            assert s.phi_star == 1.0 - lam
+
+
+def test_cross_check_catches_a_closed_form_without_breakpoints(monkeypatch):
+    candidates = OffsetDistribution._rho_candidates
+
+    def interior_only(self, k):
+        lo, hi = self.breakpoints[k], self.breakpoints[k + 1]
+        return [phi for phi in candidates(self, k) if lo < phi < hi]
+
+    d = OffsetDistribution.clipped_uniform(0.25)
+    monkeypatch.setattr(OffsetDistribution, "_rho_candidates", interior_only, raising=True)
+    with pytest.raises(DistributionError, match="disagrees with grid"):
+        d.stats()
 
 
 def test_invalid_densities_rejected():

@@ -20,6 +20,13 @@ or when the file lacks the instance; else 0.  ``tools/ladder-10-3.jsonl``
 holds the (10, 3) objectives, rounds and pivots, so a change that keeps the
 objectives but takes another pivot path shows there too.
 
+    python3 tools/ladder.py --summary ladder.jsonl
+
+reads such JSON lines instead of solving and prints their summary: the
+instances and errors; the total rounds, pivots, perturbations and seconds;
+the seconds and rounds per size; the five slowest instances; and the
+largest gap ratio.  A field that a line lacks counts as 0 there.
+
 BLAS and OpenMP pools are pinned to one thread before numpy is imported:
 the simplex's pivot path depends on BLAS summation order.
 """
@@ -84,6 +91,35 @@ def mismatches(line: dict, want: dict | None) -> list[str]:
     return out
 
 
+def summary(lines: list[dict]) -> list[str]:
+    """The summary of solved ladder lines, one printed line per entry."""
+
+    def name(d):
+        return f"({d['n']}, {d['m']}) s = {d['s']}"
+
+    def total(group, key):
+        return sum(d.get(key, 0) for d in group)
+
+    errors = [d for d in lines if "error" in d]
+    out = [f"instances {len(lines)}, errors {len(errors)}"]
+    out.extend(f"  {name(d)}: {d['error']}" for d in errors)
+    out.append(
+        f"total: {total(lines, 'rounds'):,} rounds, {total(lines, 'pivots'):,} pivots, "
+        f"{total(lines, 'perturbations'):,} perturbations, {total(lines, 'seconds'):.1f} s"
+    )
+    for n, m in dict.fromkeys((d["n"], d["m"]) for d in lines):
+        group = [d for d in lines if (d["n"], d["m"]) == (n, m)]
+        out.append(f"  ({n}, {m}): {total(group, 'seconds'):.1f} s, {total(group, 'rounds'):,} rounds")
+    out.append("slowest:")
+    for d in sorted(lines, key=lambda d: d.get("seconds", 0), reverse=True)[:5]:
+        out.append(f"  {name(d)}: {d.get('seconds', 0):.2f} s, {d.get('rounds', 0):,} rounds, {d.get('pivots', 0):,} pivots")
+    gaps = [d for d in lines if "gap_ratio" in d]
+    if gaps:
+        worst = max(gaps, key=lambda d: d["gap_ratio"])
+        out.append(f"largest gap ratio: {worst['gap_ratio']:.2g} at {name(worst)}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
@@ -95,7 +131,17 @@ def main(argv=None) -> int:
         help="JSON lines with n, m, s, objective (float.hex) and optionally rounds and pivots that each "
         "solved instance must match",
     )
+    parser.add_argument(
+        "--summary", type=Path, metavar="PATH",
+        help="print the summary of the ladder JSON lines in PATH instead of solving",
+    )
     args = parser.parse_args(argv)
+    if args.summary:
+        if args.size or args.expect:
+            parser.error("--summary reads its lines from PATH; it takes no --size or --expect")
+        lines = args.summary.read_text(encoding="utf-8").splitlines()
+        print("\n".join(summary([json.loads(line) for line in lines if line.strip()])))
+        return 0
     expected = None
     if args.expect:
         lines = map(json.loads, args.expect.read_text(encoding="utf-8").splitlines())
