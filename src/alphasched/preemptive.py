@@ -14,7 +14,7 @@ estimator and the CLI all call it.  With ``full=False`` it keeps only the
 trials' fractional-start and integral objectives, which is all
 ``estimate_ratio_preemptive`` and the CLI report.  Trials run in blocks
 through ``rounding._run_trials``, and the machines are sequenced by
-``rounding._sequence``.
+``rounding._sequence``, its per-trial arrays passed as entry tables.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .chain_lp import ChainLpError, ChainSolution
 from .chains import chain_eval_many
 from .distributions import OffsetDistribution
 from .instance import Instance, NonPreemptiveSchedule
-from .rounding import _block_trials, _ratio_stats, _run_trials, _sequence
+from .rounding import _block_trials, _ratio_stats, _run_trials, _sequence_trials
 
 DEFAULT_CLIP = 1.0 / 5100.0
 
@@ -47,9 +47,12 @@ class PreemptiveRatioEstimate:
 
 
 class _ChainSampler:
-    """Per-job categorical over solution chains.  Job j's chains are flat
-    entries offset[j]: of ``machines``, ``sizes`` and the rows of ``slots``,
-    which holds every chain's slots padded to the longest chain."""
+    """Per-job categorical over solution chains.  Job j's chains are a run
+    of flat entries of ``machines``, ``sizes`` and the rows of ``slots``,
+    which holds every chain's slots padded to the longest chain, and
+    ``cdfs[j]`` their cumulative masses.  ``span`` exceeds every slot, so
+    machine * span + tau puts each machine's pseudo-releases after those
+    of every lower machine."""
 
     def __init__(self, inst: Instance, sol: ChainSolution):
         self.cdfs, chains = [], []
@@ -61,12 +64,12 @@ class _ChainSampler:
                 raise ChainLpError(f"job {j} chain mass {mass:.8f} below 1")
             self.cdfs.append(np.cumsum(np.array([z for _, z in group]) / mass))
             chains.extend(c for c, _ in group)
-        self.offset = np.cumsum([0] + [cdf.size for cdf in self.cdfs[:-1]])
         self.machines = np.array([c.machine for c in chains], dtype=np.int64)
         self.sizes = np.array([c.length for c in chains], dtype=float)
         self.slots = np.zeros((len(chains), max(c.length for c in chains)), dtype=np.int64)
         for k, c in enumerate(chains):
             self.slots[k, : c.length] = c.slots
+        self.span = float(self.slots.max() + 1)
 
 
 def simulate_preemptive_rounding(
@@ -86,17 +89,17 @@ def simulate_preemptive_rounding(
     # Without full, every block's completions go to the same two arrays.
     work = None if full else np.empty((2, _block_trials(inst.num_jobs), inst.num_jobs))
 
-    def step(k, theta, frac, integral, *draws):
-        k += sampler.offset
-        machine, size = sampler.machines[k], sampler.sizes[k]
-        tau = chain_eval_many(sampler.slots, k, theta * size)
+    def step(e, theta, frac, integral, *draws):
+        machine, size = sampler.machines[e], sampler.sizes[e]
+        tau = chain_eval_many(sampler.slots, e, theta * size)
+        args = (machine * sampler.span + tau, machine, size, tau + size, np.ceil(tau) + size)
         if not full:
-            completions = work[:, : k.shape[0]]
-            _sequence(machine, tau, size, tau, np.ceil(tau), out=completions)
+            completions = work[:, : e.shape[0]]
+            _sequence_trials(*args, out=completions)
             for completion, objective in zip(completions, (frac, integral)):
                 np.matmul(completion, inst.weights, out=objective)
             return
-        _sequence(machine, tau, size, tau, np.ceil(tau), out=(frac, integral))
+        _sequence_trials(*args, out=(frac, integral))
         for kept, block in zip(draws, (machine, tau)):
             kept[...] = block
 

@@ -20,12 +20,14 @@ converted completions, which is all ``estimate_ratio`` reports.
 Trials run in blocks (``_run_trials``, shared with the chain LP rounding of
 ``preemptive`` and with ``idle_diagnostic``): each block's (block trials,
 jobs) arrays take 32 KiB, so they stay in cache and the allocator reuses
-them instead of page-faulting fresh ones in.  Only the support indices are
+them instead of page-faulting fresh ones in.  Only the support entries are
 drawn for every trial up front, job by job, in the smallest unsigned dtype
-that holds them.  The random stream is that of one unblocked batch, so a
-seeded result does not depend on the block length (up to pseudo-releases
-within a rounding error of each other, see ``_sequence``).  Every machine's
-jobs are sequenced by ``_sequence``.
+that holds them.  The random stream is that of one unblocked batch, and a
+seeded result does not depend on the block length: what sequencing needs
+per support entry (``_Sampler``), the sort key's base and scale included,
+is built once per solution, so no key depends on the block it falls in.
+Every machine's jobs are sequenced by ``_sequence``, one kernel for every
+caller.
 """
 
 from __future__ import annotations
@@ -73,10 +75,12 @@ class IdleDiagnostic:
 # bytes: a block's temporaries stay in cache, and the allocator reuses them
 # from block to block instead of page-faulting fresh ones in on every call.
 # The quadratic sampler peaks at about 2 such arrays (tracemalloc: the
-# generator's and one more) and the sequencing at about 6 (9 when it chains
-# two release arrays).  64 KiB blocks were slower with the earlier Newton
-# sampler: np-round ran 1.24-1.37M trials/s with them against 1.41-1.48M
-# at 32 KiB (4 alternating runs each, 2-core machine).
+# generator's and one more) and the sequencing at about 4, with one finish
+# table or two.  16 and 64 KiB blocks were slower: a pass of the np-round
+# corpus's 40 estimates (5,000 trials each, best of 7) took a median 0.085
+# and 0.077 s against 0.071 s at 32 KiB, which won 7 of 8 alternating
+# rounds against each; at 64 KiB every pass page-faulted 5,372 times, at
+# 32 KiB none (2-core machine, one BLAS thread).
 BLOCK_BYTES = 32 * 1024
 
 
@@ -86,22 +90,25 @@ def _block_trials(n: int) -> int:
 
 
 def _draw_categorical(rng: np.random.Generator, cdfs: list, trials: int) -> np.ndarray:
-    """Per job j, ``trials`` indices into its support drawn from its
-    cumulative masses ``cdfs[j]`` by one ``rng.random(trials)`` call, in job
-    order.  A draw u picks the number of entries of ``cdfs[j][:-1]`` at or
-    below it, counted by comparison: the index a right-sided search of the
-    whole cdf finds, clipped to the support.  Column j of the (trials, n)
-    result is job j's, in the smallest unsigned dtype that holds every
-    index."""
-    dtype = np.min_scalar_type(max(cdf.size for cdf in cdfs) - 1)
+    """Per job j, ``trials`` flat support entries drawn from its cumulative
+    masses ``cdfs[j]`` by one ``rng.random(trials)`` call, in job order.
+    Job j's entries are numbered after those of the jobs before it, in the
+    order of its cdf.  A draw u picks the number of entries of
+    ``cdfs[j][:-1]`` at or below it, counted by comparison: the index a
+    right-sided search of the whole cdf finds, clipped to the support.
+    Column j of the (trials, n) result is job j's, in the smallest unsigned
+    dtype that holds every entry."""
+    dtype = np.min_scalar_type(sum(cdf.size for cdf in cdfs) - 1)
     k = np.empty((trials, len(cdfs)), dtype)
     count = np.empty(trials, dtype)
+    first = 0
     for j, cdf in enumerate(cdfs):
         u = rng.random(trials)
-        count.fill(0)
+        count.fill(first)
         for c in cdf[:-1]:
             count += u >= c
         k[:, j] = count
+        first += cdf.size
     return k
 
 
@@ -110,23 +117,23 @@ def _run_trials(
 ) -> list:
     """The Monte Carlo loop of both rounding paths.
 
-    Every job's support indices are drawn first (``_draw_categorical``), the
+    Every job's support entries are drawn first (``_draw_categorical``), the
     same stream as one ``rng.random((n, trials))`` call.  The trials then
     run in blocks of ``_block_trials(n)``; each block draws its (block, n)
     offsets with ``dist.sample``, so the blocks consume the offset stream in
     trial order, as one (trials, n) draw would.  Returns one array of shape
-    (trials, *shape) per (dtype, shape) entry of ``arrays``; ``step(k,
-    theta, *outs)`` gets a block's int64 support indices, its offsets and
-    its rows of those arrays, which it fills."""
+    (trials, *shape) per (dtype, shape) entry of ``arrays``; ``step(e,
+    theta, *outs)`` gets a block's int64 flat support entries, its offsets
+    (its own to overwrite) and its rows of those arrays, which it fills."""
     if trials < 1:
         raise ValueError("need at least one trial")
     outs = [np.empty((trials, *shape), dtype) for dtype, shape in arrays]
-    indices = _draw_categorical(rng, cdfs, trials)
+    entries = _draw_categorical(rng, cdfs, trials)
     block = _block_trials(len(cdfs))
     for lo in range(0, trials, block):
         rows = slice(lo, min(lo + block, trials))
-        k = indices[rows].astype(np.int64)
-        step(k, dist.sample(rng, k.shape), *(out[rows] for out in outs))
+        e = entries[rows].astype(np.int64)
+        step(e, dist.sample(rng, e.shape), *(out[rows] for out in outs))
     return outs
 
 
@@ -138,63 +145,75 @@ def _ratio_stats(objectives: np.ndarray, lp_objective: float):
 
 
 class _Sampler:
-    """Categorical (machine, start) sampler per job from the y support, with
-    each support entry's size and release on its machine."""
+    """Categorical (machine, start) sampler per job from the y support, and
+    per support entry what sequencing needs, built once per solution.
+
+    Job j's support is a run of flat entries, in the solution's order, and
+    ``cdfs[j]`` its cumulative masses.  Per entry: its machine, start, size
+    and release on that machine, the finish offset release + size, and the
+    sort base machine * span + start.  ``span`` exceeds every start + size,
+    so the key base + theta * size of a pseudo-release puts each machine's
+    entries after those of every lower machine."""
 
     def __init__(self, inst: Instance, sol: FractionalIntervalSolution):
         # Rounding needs per-job mass 1 and structural sanity; it does not
         # require the cover rows to hold.
         validate_fractional(inst, sol, check_cover=False)
-        # Job j's support is entries offset[j]: of the flat arrays, in the
-        # solution's order.
         order = np.argsort(sol.job, kind="stable")
-        counts = np.bincount(sol.job, minlength=inst.num_jobs)
-        self.offset = np.cumsum(counts) - counts
-        self.cdfs = [cdf / cdf[-1] for cdf in map(np.cumsum, np.split(sol.value[order], self.offset[1:]))]
+        ends = np.cumsum(np.bincount(sol.job, minlength=inst.num_jobs))
+        self.cdfs = [cdf / cdf[-1] for cdf in map(np.cumsum, np.split(sol.value[order], ends[:-1]))]
         jobs, self.machines = sol.job[order], sol.machine[order].astype(np.int64)
         self.starts = sol.start[order].astype(np.int64)
         self.sizes = inst.sizes[jobs, self.machines].astype(float)
         self.releases = inst.release_matrix()[jobs, self.machines].astype(float)
-
-    def entries(self, k: np.ndarray):
-        """Machines, starts, sizes and releases of the per-job support
-        indices ``k`` (converted to flat entries in place)."""
-        k += self.offset
-        return self.machines[k], self.starts[k], self.sizes[k], self.releases[k]
+        self.finish = self.releases + self.sizes
+        self.span = float((self.starts + self.sizes).max(initial=0.0) + 1.0)
+        self.base = self.machines * self.span + self.starts
 
 
-def _sequence(machine, key, size, *releases, out=None):
-    """Per machine, order jobs by key (ties by job index) and chain starts
-    as max(release, predecessor completion), once per release array.  All
-    arrays are (trials, n); the order is sorted and gathered once, and one
-    (trials, n) float array of completion times is returned per release,
-    written into the arrays of ``out`` when given.  The sort key is
-    machine * span + key with span above the batch's key range, so keys on
-    one machine within its rounding error tie."""
-    trials, n = machine.shape
-    span = float(key.max(initial=0.0) - min(0.0, float(key.min(initial=0.0))) + 1.0)
-    order = np.argsort(machine * span + key, axis=1, kind="stable")
+def _sequence(key, entries, machines, sizes, *finishes, out=None):
+    """Per machine, order jobs by key (ties by job index) and chain each
+    job's finish as max(release, predecessor completion) + size, once per
+    finish table.
+
+    ``key`` and ``entries`` are (trials, n); ``entries`` index the 1-D
+    tables ``machines``, ``sizes`` and each of ``finishes`` (release +
+    size), None standing for each job's own flat position.  The key must
+    keep machines apart, each machine's keys below the next one's (machine
+    * span + pseudo-release).  The order is sorted and its entries gathered
+    once, and one (trials, n) float array of completion times is returned
+    per finish table, written into the arrays of ``out`` when given."""
+    trials, n = key.shape
     # Flat positions of the jobs in sorted order, laid out (n, trials) so
     # that each step of the recurrence below reads contiguous rows.
-    pos = np.ascontiguousarray((order + np.arange(0, trials * n, n)[:, None]).T)
-    mach_sorted = np.take(machine, pos)
-    size_sorted = np.take(size, pos)
+    pos = np.argsort(key, axis=1, kind="stable")
+    pos += np.arange(0, trials * n, n)[:, None]
+    pos = np.ascontiguousarray(pos.T)
+    sorted_entries = pos if entries is None else np.take(entries, pos)
     # Job k completes at max(r + p, C + gated), C its predecessor's, gated p
     # where it follows that job on its machine and -inf where it starts the
     # machine: bit for bit max(r, C) + p or r + p, as rounding is monotone.
-    gated = np.where(mach_sorted[1:] == mach_sorted[:-1], size_sorted[1:], -np.inf)
+    gated = np.take(sizes, sorted_entries[1:])
+    machine = np.take(machines, sorted_entries)
+    gated[machine[1:] != machine[:-1]] = -np.inf
+    del machine
     chained = np.empty(trials)
     if out is None:
-        out = [np.empty((trials, n)) for _ in releases]
-    for release, completion in zip(releases, out):
-        fin = np.take(release, pos)
-        fin += size_sorted
+        out = [np.empty((trials, n)) for _ in finishes]
+    for finish, completion in zip(finishes, out):
+        fin = np.take(finish, sorted_entries)
         for k in range(1, n):
             np.add(fin[k - 1], gated[k - 1], out=chained)
             np.maximum(fin[k], chained, out=fin[k])
         # A flat view where there is one: faster than np.put or .flat.
         (completion.reshape(-1) if completion.flags.c_contiguous else completion.flat)[pos] = fin
     return out
+
+
+def _sequence_trials(key, machine, size, *finishes, out=None):
+    """``_sequence`` of per-trial (trials, n) arrays, passed flattened as
+    the entry tables: each job's entry is its own flat position."""
+    return _sequence(key, None, *(t.reshape(-1) for t in (machine, size, *finishes)), out=out)
 
 
 def simulate_rounding(
@@ -211,13 +230,20 @@ def simulate_rounding(
     the converted completions are kept, and None stands for the rest."""
     sampler = _Sampler(inst, sol)
 
-    def step(k, theta, conv, pseudo=None, *draws):
-        machine, start, size, release = sampler.entries(k)
-        tau = start + theta * size
+    def step(e, theta, conv, pseudo=None, *draws):
+        size = sampler.sizes[e]
         if not full:
-            _sequence(machine, tau, size, release, out=(conv,))
+            # The key in place of the offsets: base + theta * size.
+            np.multiply(theta, size, out=theta)
+            theta += sampler.base[e]
+            _sequence(theta, e, sampler.machines, sampler.sizes, sampler.finish, out=(conv,))
             return
-        _sequence(machine, tau, size, release, np.maximum(tau, release), out=(conv, pseudo))
+        work = theta * size
+        machine, start, release = sampler.machines[e], sampler.starts[e], sampler.releases[e]
+        tau = start + work
+        pseudo_finish = np.maximum(tau, release) + size
+        key = sampler.base[e] + work
+        _sequence_trials(key, machine, size, sampler.finish[e], pseudo_finish, out=(conv, pseudo))
         for kept, block in zip(draws, (machine, start, theta, tau)):
             kept[...] = block
 
@@ -333,17 +359,20 @@ def idle_diagnostic(
     sampler = _Sampler(inst, sol)
     idle = np.zeros(grid.size, dtype=np.int64)
 
-    def step(k, theta):
-        mach, start, size, _ = sampler.entries(k)
-        tau_all = start + theta * size
+    # The forced tau may lie past every support entry's start + size.
+    span = max(sampler.span, tau + 1.0)
+
+    def step(e, theta):
+        mach, size = sampler.machines[e], sampler.sizes[e]
+        tau_all = sampler.starts[e] + theta * size
         # Force the conditioned job; its own processing cannot touch (0, tau].
         mach[:, job], tau_all[:, job], size[:, job] = machine, tau, inst.size(job, machine)
         # The pseudo schedule: every job released at its tau.
-        (fin,) = _sequence(mach, tau_all, size, tau_all)
+        (fin,) = _sequence_trials(mach * span + tau_all, mach, size, tau_all + size)
         others = mach == machine
         others[:, job] = False  # completion - size may round below tau
         busy = others[:, :, None] & ((fin - size)[:, :, None] < grid) & (grid <= fin[:, :, None])
-        idle[...] += k.shape[0] - busy.any(axis=1).sum(axis=0)
+        idle[...] += e.shape[0] - busy.any(axis=1).sum(axis=0)
 
     _run_trials(np.random.default_rng(seed), sampler.cdfs, dist, trials, step)
     idle_hat = idle / trials

@@ -738,18 +738,22 @@ class _State:
         binv = self.binv
         binv[row] /= piv
         direction[row] = 0.0
-        # Rank-one update in place, restricted to the nonzero block when it
-        # is small (entries outside it would subtract exact zeros).
-        lhs = direction.nonzero()[0]
-        rhs = binv[row].nonzero()[0]
-        if 3 * lhs.size * rhs.size < self.m * self.m:
-            binv[lhs[:, None], rhs] -= direction[lhs, None] * binv[row, rhs]
+        # Rank-one update in place.  In one call when the whole inverse fits
+        # one chunk; otherwise restricted to the nonzero block when it is
+        # small (entries outside it would subtract exact zeros), or by row
+        # chunks, so that no m x m temporary is allocated.
+        if self.m * self.m <= UPDATE_CHUNK:
+            binv -= np.multiply.outer(direction, binv[row])
         else:
-            # By row chunks, so that no m x m temporary is allocated.
-            pivot_row = binv[row].copy()
-            step = max(1, UPDATE_CHUNK // self.m)
-            for top in range(0, self.m, step):
-                binv[top : top + step] -= np.multiply.outer(direction[top : top + step], pivot_row)
+            lhs = direction.nonzero()[0]
+            rhs = binv[row].nonzero()[0]
+            if 3 * lhs.size * rhs.size < self.m * self.m:
+                binv[lhs[:, None], rhs] -= direction[lhs, None] * binv[row, rhs]
+            else:
+                pivot_row = binv[row].copy()
+                step = max(1, UPDATE_CHUNK // self.m)
+                for top in range(0, self.m, step):
+                    binv[top : top + step] -= np.multiply.outer(direction[top : top + step], pivot_row)
         self.basis[row] = col
         self.iters += 1
         self.since_refactor += 1

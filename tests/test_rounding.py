@@ -8,6 +8,7 @@ from alphasched.instance import Instance, evaluate_schedule
 from alphasched.interval_lp import solution_from_triples, solve_interval_lp
 from alphasched.rounding import (
     _sequence,
+    _sequence_trials,
     busy_densities,
     estimate_ratio,
     idle_diagnostic,
@@ -44,6 +45,14 @@ def sequence_reference(machine, key, size, release):
     return completion
 
 
+def sequence_flat(machine, key, size, *releases, out=None):
+    """The kernel on per-trial arrays, keyed by machine * span + key with
+    span above the keys' range."""
+    span = float(np.ptp(key) + 1.0)
+    finishes = [release + size for release in releases]
+    return _sequence_trials(machine * span + (key - key.min()), machine, size, *finishes, out=out)
+
+
 def test_sequence_kernel_matches_per_trial_reference():
     rng = np.random.default_rng(17)
     for trials, n, m in [(1, 1, 1), (40, 6, 3), (25, 9, 2), (30, 5, 4), (20, 7, 1)]:
@@ -52,10 +61,23 @@ def test_sequence_kernel_matches_per_trial_reference():
         size = rng.integers(1, 5, (trials, n)).astype(float)
         release = rng.integers(0, 4, (trials, n)).astype(float)
         releases = (release, np.maximum(key, release), np.ceil(key + rng.random((trials, n))))
-        got = _sequence(machine, key, size, *releases)
+        got = sequence_flat(machine, key, size, *releases)
         assert len(got) == len(releases)
         for completion, rel in zip(got, releases):
             assert np.array_equal(completion, sequence_reference(machine, key, size, rel))
+
+
+def test_sequence_kernel_reads_entry_tables():
+    # Trials share a support of 12 entries (machine, size, release); each
+    # trial picks one entry per job, repeats across trials included.
+    rng = np.random.default_rng(29)
+    machines, sizes = rng.integers(0, 3, 12), rng.integers(1, 5, 12).astype(float)
+    releases = rng.integers(0, 4, 12).astype(float)
+    entries = rng.integers(0, 12, (50, 6))
+    key = rng.integers(0, 6, (50, 6)) / 2.0
+    (got,) = _sequence(machines[entries] * 10.0 + key, entries, machines, sizes, releases + sizes)
+    want = sequence_reference(machines[entries], key, sizes[entries], releases[entries])
+    assert np.array_equal(got, want)
 
 
 def test_sequence_writes_into_non_contiguous_out():
@@ -67,7 +89,7 @@ def test_sequence_writes_into_non_contiguous_out():
     size = rng.integers(1, 5, (30, 7)).astype(float)
     release = rng.integers(0, 4, (30, 7)).astype(float)
     out = (np.empty((7, 30)).T, np.empty((30, 14))[:, ::2])
-    got = _sequence(machine, key, size, release, release + key, out=out)
+    got = sequence_flat(machine, key, size, release, release + key, out=out)
     assert got is out and not any(o.flags.c_contiguous for o in out)
     for completion, rel in zip(out, (release, release + key)):
         assert np.array_equal(completion, sequence_reference(machine, key, size, rel))

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_rounding import sequence_reference
 from test_rounding_golden import DISTS, GOLDEN, INST, golden_chain_solution, golden_interval_solution
 
 from alphasched.bench import random_instance
@@ -27,7 +28,6 @@ from alphasched.rounding import (
     _block_trials,
     _draw_categorical,
     _Sampler,
-    _sequence,
     busy_densities,
     estimate_ratio,
     idle_diagnostic,
@@ -46,10 +46,16 @@ def reference_categorical(rng, cdfs, trials):
     return np.minimum(k, [cdf.size - 1 for cdf in cdfs], out=k)
 
 
+def first_entries(cdfs):
+    """Job j's first flat support entry: the sizes of the supports before it."""
+    return np.cumsum([0] + [cdf.size for cdf in cdfs[:-1]])
+
+
 def reference_simulate_rounding(inst, sol, dist, rng, trials):
-    """``simulate_rounding`` with every (trials, n) array at once."""
+    """``simulate_rounding`` with every (trials, n) array at once, each
+    trial sequenced on its own (``sequence_reference``)."""
     sampler = _Sampler(inst, sol)
-    k = reference_categorical(rng, sampler.cdfs, trials) + sampler.offset
+    k = reference_categorical(rng, sampler.cdfs, trials) + first_entries(sampler.cdfs)
     machine, start = sampler.machines[k], sampler.starts[k]
     n = inst.num_jobs
     theta = dist.sample(rng, (trials, n))
@@ -57,7 +63,8 @@ def reference_simulate_rounding(inst, sol, dist, rng, trials):
     size = inst.sizes[np.arange(n)[None, :], machine].astype(float)
     release = rel_all[np.arange(n)[None, :], machine].astype(float)
     tau = start + theta * size
-    completion_conv, completion_pseudo = _sequence(machine, tau, size, release, np.maximum(tau, release))
+    completion_conv = sequence_reference(machine, tau, size, release)
+    completion_pseudo = sequence_reference(machine, tau, size, np.maximum(tau, release))
     return completion_conv, completion_pseudo, (machine, start, theta, tau)
 
 
@@ -73,20 +80,22 @@ def reference_slot_matrices(inst, sol):
 
 
 def reference_simulate_preemptive_rounding(inst, sol, dist, rng, trials):
-    """``simulate_preemptive_rounding`` with every (trials, n) array at once
-    and one ``chain_eval_many`` call per job."""
+    """``simulate_preemptive_rounding`` with every (trials, n) array at once,
+    one ``chain_eval_many`` call per job and each trial sequenced on its
+    own (``sequence_reference``)."""
     sampler = _ChainSampler(inst, sol)
     slot_matrices = reference_slot_matrices(inst, sol)
     chain_idx = reference_categorical(rng, sampler.cdfs, trials)
-    k = chain_idx + sampler.offset
-    machine, size = sampler.machines[k], sampler.sizes[k].astype(np.int64)
+    k = chain_idx + first_entries(sampler.cdfs)
+    machine, size = sampler.machines[k], sampler.sizes[k]
     n = inst.num_jobs
     theta = dist.sample(rng, (trials, n))
     tau = np.empty((trials, n))
     for j in range(n):
         work = theta[:, j] * size[:, j]
         tau[:, j] = chain_eval_many(slot_matrices[j], chain_idx[:, j], work)
-    completion_frac, completion_int = _sequence(machine, tau, size.astype(float), tau, np.ceil(tau))
+    completion_frac = sequence_reference(machine, tau, size, tau)
+    completion_int = sequence_reference(machine, tau, size, np.ceil(tau))
     return completion_frac, completion_int, (machine, tau)
 
 
@@ -96,8 +105,8 @@ def reference_idle_hat(inst, sol, dist, job, machine, tau, trials, seed, grid_po
     grid = tau * (np.arange(1, grid_points + 1) / grid_points)
     rng = np.random.default_rng(seed)
     sampler = _Sampler(inst, sol)
-    k = reference_categorical(rng, sampler.cdfs, trials)
-    mach, start, size, _ = sampler.entries(k)
+    k = reference_categorical(rng, sampler.cdfs, trials) + first_entries(sampler.cdfs)
+    mach, start, size = sampler.machines[k], sampler.starts[k], sampler.sizes[k]
     theta = dist.sample(rng, k.shape)
     tau_all = start + theta * size
     mach[:, job] = machine
@@ -156,8 +165,8 @@ class QueuedUniforms:
 def test_draw_categorical_counts_like_search(cdfs, trials, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = _draw_categorical(rng, cdfs, trials)
-    want = reference_categorical(ref_rng, cdfs, trials)
-    assert got.dtype == np.min_scalar_type(max(cdf.size for cdf in cdfs) - 1)
+    want = reference_categorical(ref_rng, cdfs, trials) + first_entries(cdfs)
+    assert got.dtype == np.min_scalar_type(sum(cdf.size for cdf in cdfs) - 1)
     assert got.shape == want.shape and np.array_equal(got, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     # Uniforms on and next to every entry, where a strict comparison would
@@ -167,7 +176,8 @@ def test_draw_categorical_counts_like_search(cdfs, trials, seed):
         near = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0)])
         edges.append(np.resize(near[near < 1.0], trials))
     got = _draw_categorical(QueuedUniforms(np.concatenate(edges)), cdfs, trials)
-    assert np.array_equal(got, reference_categorical(QueuedUniforms(np.concatenate(edges)), cdfs, trials))
+    want = reference_categorical(QueuedUniforms(np.concatenate(edges)), cdfs, trials) + first_entries(cdfs)
+    assert np.array_equal(got, want)
 
 
 # -- block edges against the unblocked reference -------------------------------
@@ -233,6 +243,67 @@ def test_idle_diagnostic_matches_per_job_loop(instances):
                 assert np.array_equal(diag.idle_sigma, np.sqrt(want * (1.0 - want) / trials))
                 assert np.array_equal(diag.g, g) and np.array_equal(diag.h, h)
                 assert diag.trials == trials
+
+
+# -- block length ---------------------------------------------------------------
+
+
+BLOCK_SIZES = (64, 4096, 1 << 20)  # 1 trial per block up to every trial in one
+
+
+@st.composite
+def solved_instances(draw):
+    """Up to 10 jobs on up to 3 machines, some pairs forbidden, with their
+    interval LP solution."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n, m = draw(st.integers(1, 10)), draw(st.integers(1, 3))
+    inst = random_instance(np.random.default_rng(seed), n, m, forbid_prob=draw(st.floats(0.0, 0.3)))
+    return inst, solve_interval_lp(inst)
+
+
+def at_block_sizes(fn):
+    """``fn()`` once per block size in ``BLOCK_SIZES``."""
+    results = []
+    for size in BLOCK_SIZES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rounding, "BLOCK_BYTES", size)
+            results.append(fn())
+    return results
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(solved_instances(), st.sampled_from(sorted(DISTS)), st.integers(1, 600), st.integers(0, 2**32 - 1))
+def test_seeded_results_do_not_depend_on_the_block_length(solved, dist, trials, seed):
+    """Keys are machine * span + pseudo-release with one span per solution,
+    so even near-ties sort alike whatever the block length."""
+    inst, sol = solved
+    dist = DISTS[dist]
+    estimates = at_block_sizes(lambda: estimate_ratio(inst, sol, dist, trials, seed))
+    fulls = at_block_sizes(lambda: simulate_rounding(inst, sol, dist, np.random.default_rng(seed), trials))
+    for est in estimates[1:]:
+        for field in ("mean_ratio", "std_error", "mean_objective"):
+            assert float(getattr(est, field)).hex() == float(getattr(estimates[0], field)).hex()
+        assert np.array_equal(est.per_job_mean_completion, estimates[0].per_job_mean_completion)
+        assert np.array_equal(est.per_job_sem_completion, estimates[0].per_job_sem_completion)
+    for full in fulls[1:]:
+        assert_same_arrays(full, fulls[0])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(solved_instances(), st.sampled_from(sorted(DISTS)), st.integers(1, 1500), st.integers(0, 2**32 - 1))
+def test_converted_completions_agree_with_and_without_full(solved, dist, trials, seed):
+    inst, sol = solved
+    conv, _, _ = simulate_rounding(inst, sol, DISTS[dist], np.random.default_rng(seed), trials, full=False)
+    want, _, _ = simulate_rounding(inst, sol, DISTS[dist], np.random.default_rng(seed), trials)
+    assert conv.dtype == want.dtype and np.array_equal(conv, want)
+
+
+def test_preemptive_results_do_not_depend_on_the_block_length(instances):
+    dist = default_offset_distribution()
+    for inst, _, sol in instances:
+        fulls = at_block_sizes(lambda: simulate_preemptive_rounding(inst, sol, dist, np.random.default_rng(5), 700))
+        for full in fulls[1:]:
+            assert_same_arrays(full, fulls[0])
 
 
 # -- one rounding pass ------------------------------------------------------------
