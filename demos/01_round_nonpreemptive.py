@@ -5,7 +5,7 @@ Rounding the start-time LP into non-preemptive schedules
 Build a small contended instance, solve the fractional start-time LP, and
 round it with offsets drawn from two distributions.  The truncated quadratic
 density certifies a 1.8786 factor over the LP; the uniform density only a
-factor 2.  The exact optimum (from the exhaustive oracle) shows how much
+factor 2.  The exact optimum (from the subset-DP oracle) shows how much
 slack is left at desk scale.
 """
 

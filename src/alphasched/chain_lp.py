@@ -450,11 +450,10 @@ def _generate(inst: Instance, horizon: int, ends: np.ndarray | None = None) -> C
     rel = inst.release_matrix()
     base = _greedy_disjoint_chains(inst, ends)
     columns = list(base)
-    if inst.num_jobs * inst.num_machines <= 200:
-        for j in range(inst.num_jobs):
-            for i in range(inst.num_machines):
-                if inst.allowed(j, i):
-                    columns.append(earliest_chain(i, j, int(rel[j, i]), inst.size(j, i)))
+    for j in range(inst.num_jobs):
+        for i in range(inst.num_machines):
+            if inst.allowed(j, i):
+                columns.append(earliest_chain(i, j, int(rel[j, i]), inst.size(j, i)))
     # A repeated column would make a warm-start basis that names it singular;
     # the base chains stay first.
     columns = list(dict.fromkeys(columns))

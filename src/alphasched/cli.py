@@ -29,7 +29,7 @@ from .instance import (
 )
 from .interval_lp import IntervalLpError, solve_interval_lp
 from .lowerbound import run_lb_experiment
-from .oracle import GuardExceeded, brute_force_nonpreemptive, brute_force_preemptive
+from .oracle import DEFAULT_GUARD, GuardExceeded, brute_force_nonpreemptive, brute_force_preemptive
 from .preemptive import simulate_preemptive_rounding
 from .rounding import simulate_rounding
 from .simplex import LpError, NumericalError
@@ -296,10 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.set_defaults(func=_cmd_round_preemptive)
 
-    p = add_parser("oracle", help="exact optimum by exhaustive search")
+    p = add_parser("oracle", help="exact optimum by subset dynamic programming")
     p.add_argument("instance")
     p.add_argument("--mode", choices=("np", "p"), required=True)
-    p.add_argument("--guard", type=int, default=10_000_000)
+    p.add_argument(
+        "--guard", type=int, default=DEFAULT_GUARD,
+        help="refuse when the DP needs more cells: 2^n per slot of each machine's horizon, plus 3^n",
+    )
     p.set_defaults(func=_cmd_oracle)
 
     p = add_parser("analyze-dist", help="offset distribution constants")

@@ -1,184 +1,151 @@
-"""Exact optima for tiny instances by exhaustive search.
+"""Exact optima for small instances by subset dynamic programming.
 
-Assignments of jobs to machines are covered by a subset partition DP; for a
-fixed machine and job set the single-machine problem is solved exactly:
+Each machine i gets one table over the job subsets S, which gives the best
+single-machine cost of every S (Held & Karp, J. SIAM 10, 1962; Lawler &
+Moore, Mgmt. Sci. 16, 1969).  The horizon T_i = max r_ij + sum p_ij over the
+jobs allowed on i bounds every completion of a left-shifted schedule.
 
-  * non-preemptive: enumerate processing orders; for a fixed order, packing
-    each job at max(release, predecessor completion) is optimal.
-  * preemptive (no migration): enumerate priority orders; running, at every
-    moment, the released unfinished job of highest priority is optimal for
-    that order, and every schedule's completion order appears among the
-    priority orders, so the minimum over orders is the exact optimum.
+  * non-preemptive: g(S, t), the least cost of S with every job done by t,
+    is min(g(S, t-1), min over j in S with t - p_ij >= r_ij of
+    g(S-j, t-p_ij) + w_j t).
+  * preemptive (no migration): some priority order is optimal (run, at every
+    moment, the released unfinished job that comes first in an optimal
+    schedule's completion order).  The busy slots of a job set are the same
+    under every work-conserving order, so the job last in priority, j, fills
+    the first p_ij idle slots after r_ij of S-j's busy set, whatever the
+    order within S-j, and f(S) = min over j in S of f(S-j) + w_j C_j(S-j).
 
-Both are guarded; these oracles exist to certify desk-scale claims, not to
-scale.
+A min-plus pass per machine over every pair (S, U ⊆ S) then splits the jobs
+among the machines.  The guard counts the cells, 2^n per time slot of each
+machine's horizon plus the 3^n subset pairs, and refuses before any table is
+allocated; these oracles certify desk-scale claims, they do not scale.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-from math import factorial
-
 import numpy as np
 
-from .chains import Chain
 from .instance import Instance, NonPreemptiveSchedule, PreemptiveSchedule
 
 DEFAULT_GUARD = 10_000_000
 
 
 class GuardExceeded(RuntimeError):
-    """Instance too large for exhaustive search."""
+    """Instance too large for the exact oracles."""
 
 
-def _guard(inst: Instance, guard: int, factor: int, kind: str, unit: str) -> None:
-    """Raise GuardExceeded when m^n n! times ``factor`` exceeds ``guard``."""
-    work = inst.num_machines**inst.num_jobs * factorial(inst.num_jobs) * factor
-    if work > guard:
-        raise GuardExceeded(f"{kind} oracle guard: {work:.3g} {unit} > {guard:.3g}")
+def _machines(inst: Instance, guard: int):
+    """[(horizon, [(job, size, release, weight) allowed on it])] per machine,
+    after the guard."""
+    n, rel = inst.num_jobs, inst.release_matrix()
+    out = []
+    for i in range(inst.num_machines):
+        jobs = [(j, int(inst.sizes[j, i]), int(rel[j, i]), float(inst.weights[j]))
+                for j in range(n) if inst.allowed(j, i)]
+        out.append((max((r for _, _, r, _ in jobs), default=0) + sum(p for _, p, _, _ in jobs), jobs))
+    cells = 2**n * sum(horizon + 1 for horizon, _ in out) + 3**n
+    if cells > guard:
+        raise GuardExceeded(f"oracle guard: {cells:.3g} DP cells > {guard:.3g}")
+    return out
 
 
-def _best_order_nonpreemptive(inst: Instance, machine: int, jobs: tuple):
-    """(cost, starts dict) for the best processing order of ``jobs``."""
-    rel = inst.release_matrix()
-    best = (np.inf, None)
-    for perm in permutations(jobs):
-        fin = 0
-        cost = 0.0
-        starts = {}
-        for j in perm:
-            s = max(int(rel[j, machine]), fin)
-            fin = s + inst.size(j, machine)
-            starts[j] = s
-            cost += inst.weights[j] * fin
-        if cost < best[0] - 1e-12:
-            best = (cost, starts)
-    return best
+def _half(a: np.ndarray, j: int, bit: int) -> np.ndarray:
+    """View of the entries of ``a`` (last axis over subsets) whose subset
+    has job j (bit 1) or lacks it (bit 0)."""
+    return a.reshape(*a.shape[:-1], -1, 2, 1 << j)[..., bit, :]
 
 
-def _priority_greedy(inst: Instance, machine: int, priority: tuple):
-    """Preemptive single-machine schedule: at any time run the released
-    unfinished job earliest in ``priority``.  Returns (cost, intervals)."""
-    rel = inst.release_matrix()
-    remaining = {j: inst.size(j, machine) for j in priority}
-    releases = sorted({int(rel[j, machine]) for j in priority})
-    intervals: dict[int, list] = {j: [] for j in priority}
-    cost = 0.0
-    t = 0
-    done = 0
-    while done < len(priority):
-        runnable = [j for j in priority if remaining[j] > 0 and rel[j, machine] <= t]
-        if not runnable:
-            t = min(r for r in releases if r > t)
-            continue
-        j = runnable[0]
-        next_rel = min((r for r in releases if r > t), default=None)
-        chunk = remaining[j] if next_rel is None else min(remaining[j], next_rel - t)
-        intervals[j].append((t, t + chunk))
-        remaining[j] -= chunk
-        t += chunk
-        if remaining[j] == 0:
-            cost += inst.weights[j] * t
-            done += 1
-    return cost, intervals
-
-
-def _best_order_preemptive(inst: Instance, machine: int, jobs: tuple):
-    best = (np.inf, None)
-    for perm in permutations(jobs):
-        cost, intervals = _priority_greedy(inst, machine, perm)
-        if cost < best[0] - 1e-12:
-            best = (cost, intervals)
-    return best
-
-
-def _partition_dp(inst: Instance, subset_cost):
-    """min over job partitions across machines of the summed subset costs;
-    returns (objective, chosen subset per machine)."""
-    n, m = inst.num_jobs, inst.num_machines
-    full = (1 << n) - 1
-    allowed = inst.allowed_mask()
-    machine_ok = [int(sum(1 << j for j in range(n) if allowed[j, i])) for i in range(m)]
-
-    prev = {0: 0.0}
-    choice_tables = []
-    for i in range(m):
-        cur: dict[int, float] = {}
-        choices: dict[int, int] = {}
-        for mask, base in prev.items():
-            rest = full & ~mask
-            sub = rest & machine_ok[i]
-            # All submasks of sub, including 0.
-            s = sub
-            while True:
-                cost = subset_cost(i, s)
-                if cost is not None:
-                    total = base + cost
-                    key = mask | s
-                    if total < cur.get(key, np.inf) - 1e-12:
-                        cur[key] = total
-                        choices[key] = (mask, s)
-                if s == 0:
-                    break
-                s = (s - 1) & sub
-        prev = cur
-        choice_tables.append(choices)
-    if full not in prev:
-        raise GuardExceeded("no feasible assignment found")  # cannot happen: valid instances
-    assignment = [0] * m
-    mask = full
-    for i in reversed(range(m)):
-        came_from, sub = choice_tables[i][mask]
-        assignment[i] = sub
-        mask = came_from
-    return prev[full], assignment
-
-
-def _bits(mask: int, n: int) -> tuple:
-    return tuple(j for j in range(n) if mask >> j & 1)
-
-
-def _search(inst: Instance, best_order):
-    """Optimal objective over job partitions, with each machine's subset
-    solved by ``best_order(inst, machine, jobs) -> (cost, plan)``; returns
-    (objective, [(machine, plan)] for the machines that get jobs)."""
-    n = inst.num_jobs
-    memo: dict = {}
-
-    def subset_cost(i: int, mask: int):
-        key = (i, mask)
-        if key not in memo:
-            memo[key] = best_order(inst, i, _bits(mask, n))
-        return memo[key][0] if mask else 0.0
-
-    objective, assignment = _partition_dp(inst, subset_cost)
-    return float(objective), [(i, memo[(i, mask)][1]) for i, mask in enumerate(assignment) if mask]
+def _partition(n: int, costs: list):
+    """min over partitions of the jobs into one subset per machine of the
+    summed ``costs[i][subset]``; returns (objective, subset per machine)."""
+    sup = sub = np.zeros(1, dtype=np.int32)
+    for j in range(n):
+        sup = np.concatenate((sup, sup | 1 << j, sup | 1 << j))
+        sub = np.concatenate((sub, sub, sub | 1 << j))
+    best = [np.full(1 << n, np.inf)]
+    best[0][0] = 0.0
+    for cost in costs:
+        best.append(np.full(1 << n, np.inf))
+        np.minimum.at(best[-1], sup, best[-2][sup ^ sub] + cost[sub])
+    subsets, s = [], (1 << n) - 1
+    for i in reversed(range(len(costs))):
+        here = sub[sup == s]
+        u = int(here[np.flatnonzero(best[i][s ^ here] + costs[i][here] == best[i + 1][s])[0]])
+        subsets.append(u)
+        s ^= u
+    return float(best[-1][-1]), subsets[::-1]
 
 
 def brute_force_nonpreemptive(inst: Instance, guard: int = DEFAULT_GUARD):
     """(optimal objective, optimal NonPreemptiveSchedule)."""
-    _guard(inst, guard, 1, "non-preemptive", "orderings")
-    objective, plans = _search(inst, _best_order_nonpreemptive)
-    machine = np.zeros(inst.num_jobs, dtype=np.int64)
-    start = np.zeros(inst.num_jobs, dtype=np.int64)
-    for i, starts in plans:
-        for j, s in starts.items():
-            machine[j] = i
-            start[j] = s
+    n = inst.num_jobs
+    machines = _machines(inst, guard)
+    tables = []
+    for horizon, jobs in machines:
+        g = np.full((horizon + 1, 1 << n), np.inf)
+        g[:, 0] = 0.0
+        for t in range(1, horizon + 1):
+            g[t] = g[t - 1]
+            for j, p, r, w in jobs:
+                if t - p >= r:
+                    done = _half(g[t], j, 1)
+                    np.minimum(done, _half(g[t - p], j, 0) + w * t, out=done)
+        tables.append(g)
+    objective, subsets = _partition(n, [g[-1] for g in tables])
+    machine = np.zeros(n, dtype=np.int64)
+    start = np.zeros(n, dtype=np.int64)
+    for i, ((t, jobs), g, s) in enumerate(zip(machines, tables, subsets)):
+        while s:  # the job finishing last ends at the first t that costs g(s, horizon)
+            while g[t - 1, s] == g[t, s]:
+                t -= 1
+            j, p = next((j, p) for j, p, r, w in jobs
+                        if s >> j & 1 and t - p >= r and g[t - p, s ^ 1 << j] + w * t == g[t, s])
+            machine[j], start[j] = i, t - p
+            s, t = s ^ 1 << j, t - p
     return objective, NonPreemptiveSchedule(machine=machine, start=start)
 
 
 def brute_force_preemptive(inst: Instance, guard: int = DEFAULT_GUARD):
     """(optimal objective, optimal PreemptiveSchedule), migration disallowed."""
-    _guard(inst, guard, inst.num_jobs, "preemptive", "search states")
-    objective, plans = _search(inst, _best_order_preemptive)
-    machine = np.zeros(inst.num_jobs, dtype=np.int64)
-    chains: list = [None] * inst.num_jobs
-    for i, intervals in plans:
-        for j, ivs in intervals.items():
+    n = inst.num_jobs
+    machines = _machines(inst, guard)
+    size = np.zeros(1 << n, dtype=np.int64)
+    for j in range(n):
+        _half(size, j, 1)[...] += 1
+    layers = [np.flatnonzero(size == k) for k in range(1, n + 1)]  # the sets by size
+
+    def fill(busy, p, r):
+        """(completion, slots) of a job run after the sets whose busy slots
+        (slot t at column t - 1) are the rows of ``busy``."""
+        idle = ~busy[:, r:]
+        count = np.cumsum(idle, axis=1)
+        slots = np.zeros_like(busy)
+        slots[:, r:] = idle & (count <= p)
+        return r + 1 + np.argmax(count >= p, axis=1), slots
+
+    busy_tables, costs = [], []
+    for horizon, jobs in machines:
+        busy = np.zeros((1 << n, horizon), dtype=bool)
+        for j, p, r, _ in jobs:  # a set's busy slots are those of its lower jobs and its top job's
+            lower = busy[: 1 << j]
+            busy[1 << j : 2 << j] = lower | fill(lower, p, r)[1]
+        f = np.full(1 << n, np.inf)
+        f[0] = 0.0
+        added = [(j, w * fill(busy, p, r)[0]) for j, p, r, w in jobs]  # cost of j after each set
+        for layer in layers:
+            for j, cost in added:
+                with_j = layer[layer >> j & 1 == 1]
+                rest = with_j ^ 1 << j
+                f[with_j] = np.minimum(f[with_j], f[rest] + cost[rest])
+        busy_tables.append((busy, added))
+        costs.append(f)
+    objective, subsets = _partition(n, costs)
+    machine = np.zeros(n, dtype=np.int64)
+    chains: list = [()] * n
+    for i, ((busy, added), f, s) in enumerate(zip(busy_tables, costs, subsets)):
+        while s:  # peel off the job last in priority
+            j = next(j for j, cost in added if s >> j & 1 and f[s ^ 1 << j] + cost[s ^ 1 << j] == f[s])
             machine[j] = i
-            slots = []
-            for lo, hi in ivs:
-                slots.extend(range(lo + 1, hi + 1))
-            chains[j] = Chain(machine=i, job=j, slots=tuple(sorted(slots)))
-    return objective, PreemptiveSchedule(machine=machine, chains=tuple(c.slots for c in chains))
+            chains[j] = tuple(int(t) + 1 for t in np.flatnonzero(busy[s] & ~busy[s ^ 1 << j]))
+            s ^= 1 << j
+    return objective, PreemptiveSchedule(machine=machine, chains=chains)

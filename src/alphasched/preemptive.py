@@ -72,6 +72,17 @@ class _ChainSampler:
         self.span = float(self.slots.max() + 1)
 
 
+def _objectives(completion: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
+    """Weighted objectives of (trials, n) completions, summed over the jobs
+    left to right for each trial: unlike a matrix product, whose summation
+    order may change with the number of rows, each trial's value does not
+    depend on the trials that share its block."""
+    out = np.multiply(completion[:, 0], weights[0], out=out)
+    for k in range(1, completion.shape[1]):
+        out += completion[:, k] * weights[k]
+    return out
+
+
 def simulate_preemptive_rounding(
     inst: Instance,
     sol: ChainSolution,
@@ -97,7 +108,7 @@ def simulate_preemptive_rounding(
             completions = work[:, : e.shape[0]]
             _sequence_trials(*args, out=completions)
             for completion, objective in zip(completions, (frac, integral)):
-                np.matmul(completion, inst.weights, out=objective)
+                _objectives(completion, inst.weights, out=objective)
             return
         _sequence_trials(*args, out=(frac, integral))
         for kept, block in zip(draws, (machine, tau)):
@@ -125,7 +136,7 @@ def round_preemptive_once(
     starts = np.rint(integral[0] - sizes).astype(np.int64)
     sched = NonPreemptiveSchedule(machine=machine[0], start=starts)
     w = inst.weights
-    return sched, float(frac[0] @ w), float(integral[0] @ w), tau[0]
+    return sched, float(_objectives(frac, w)[0]), float(_objectives(integral, w)[0]), tau[0]
 
 
 def estimate_ratio_preemptive(

@@ -233,9 +233,11 @@ def test_bench_seed_flag_overrides_config(tmp_path, capsys):
 
 
 def test_oracle_guard_exit_code(tmp_path, capsys):
+    # 15 jobs: the 3^15 subset pairs of the machine partition alone exceed
+    # the default guard.
     doc = {
         "machines": 3,
-        "jobs": [{"release": 0, "weight": 1.0, "sizes": [1, 1, 1]} for _ in range(9)],
+        "jobs": [{"release": 0, "weight": 1.0, "sizes": [1, 1, 1]} for _ in range(15)],
     }
     path = tmp_path / "big.inst.json"
     path.write_text(json.dumps(doc))

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from alphasched.instance import Instance, evaluate_schedule
+from alphasched.bench import random_instance
+from alphasched.instance import FORBIDDEN, Instance, evaluate_schedule
 from alphasched.interval_lp import solve_interval_lp
 from alphasched.chain_lp import solve_chain_lp
 from alphasched.oracle import (
@@ -9,6 +12,7 @@ from alphasched.oracle import (
     brute_force_nonpreemptive,
     brute_force_preemptive,
 )
+from oracle_reference import reference_nonpreemptive, reference_preemptive
 
 
 def make(sizes, releases, weights):
@@ -98,7 +102,9 @@ def test_lp_values_bound_the_optima():
 
 
 def test_guard_trips():
-    inst = make(np.ones((9, 3), dtype=int), np.zeros(9, dtype=int), np.ones(9))
+    # 15 jobs: the 3^15 subset pairs of the machine partition alone exceed
+    # the default guard.
+    inst = make(np.ones((15, 3), dtype=int), np.zeros(15, dtype=int), np.ones(15))
     with pytest.raises(GuardExceeded):
         brute_force_nonpreemptive(inst)
     with pytest.raises(GuardExceeded):
@@ -106,6 +112,63 @@ def test_guard_trips():
     # generous explicit guard lets the small search run
     obj, _ = brute_force_nonpreemptive(make([[1]], [0], [1.0]), guard=10)
     assert obj == 1.0
+
+
+@pytest.mark.parametrize("oracle", [brute_force_nonpreemptive, brute_force_preemptive])
+def test_guard_refuses_before_allocating(oracle):
+    # 1,024 subsets times a horizon near 40 on each of 3 machines: about
+    # 1 MB of tables, where the refusal allocates next to nothing.
+    inst = make(np.full((10, 3), 4), np.zeros(10, dtype=int), np.ones(10))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded, match="guard"):
+            oracle(inst, guard=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_twelve_jobs_on_three_machines_within_the_default_guard():
+    inst = random_instance(np.random.default_rng(0), 12, 3)
+    o_np, s_np = brute_force_nonpreemptive(inst)
+    o_p, s_p = brute_force_preemptive(inst)
+    assert evaluate_schedule(inst, s_np).objective == pytest.approx(o_np, rel=1e-12)
+    assert evaluate_schedule(inst, s_p).objective == pytest.approx(o_p, rel=1e-12)
+    assert o_p <= o_np
+
+
+def random_oracle_instance(seed):
+    """Seeded instance for the reference comparison: up to 7 jobs on 1-3
+    machines, sizes 1-5 with about a quarter of the pairs forbidden,
+    per-job or per-machine releases 0-7, and weights 0-5, a fifth of
+    them zero."""
+    rng = np.random.default_rng(seed)
+    n = 7 if seed % 50 == 49 else 1 + seed % 6
+    m = int(rng.integers(1, 4))
+    sizes = rng.integers(1, 6, size=(n, m))
+    sizes[rng.random((n, m)) < 0.25] = FORBIDDEN
+    for j in np.flatnonzero((sizes == FORBIDDEN).all(axis=1)):
+        sizes[j, rng.integers(m)] = rng.integers(1, 6)
+    releases = rng.integers(0, 8, size=(n, m) if rng.random() < 0.5 else n)
+    weights = rng.uniform(0.0, 5.0, n) * (rng.random(n) >= 0.2)
+    return make(sizes, releases, weights)
+
+
+@pytest.mark.parametrize("block", range(5))
+def test_dp_oracles_match_the_reference(block):
+    """100 seeded instances per block, 500 in all; n = 7 on every 50th."""
+    for seed in range(100 * block, 100 * block + 100):
+        inst = random_oracle_instance(seed)
+        for dp, reference in (
+            (brute_force_nonpreemptive, reference_nonpreemptive),
+            (brute_force_preemptive, reference_preemptive),
+        ):
+            obj, sched = dp(inst)
+            want, _ = reference(inst)
+            assert obj == pytest.approx(want, rel=1e-12, abs=1e-12), (seed, dp.__name__)
+            got = evaluate_schedule(inst, sched).objective
+            assert got == pytest.approx(obj, rel=1e-12, abs=1e-12), (seed, dp.__name__)
 
 
 def _slot_dfs_preemptive(inst):

@@ -304,6 +304,14 @@ def test_preemptive_results_do_not_depend_on_the_block_length(instances):
         fulls = at_block_sizes(lambda: simulate_preemptive_rounding(inst, sol, dist, np.random.default_rng(5), 700))
         for full in fulls[1:]:
             assert_same_arrays(full, fulls[0])
+        # The objectives alone, down to one trial per block at 64 bytes.
+        reduced = at_block_sizes(
+            lambda: simulate_preemptive_rounding(inst, sol, dist, np.random.default_rng(5), 700, full=False)
+        )
+        for got in reduced[1:]:
+            for a, b in zip(got[:2], reduced[0][:2]):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b)
 
 
 # -- one rounding pass ------------------------------------------------------------

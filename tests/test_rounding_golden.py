@@ -11,6 +11,7 @@ CLI subcommands solve their LP themselves.  Floats are stored with
 """
 
 import json
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -75,4 +76,8 @@ def test_estimate_ratio_preemptive_matches_golden(case):
 def test_cli_rounding_csv_matches_golden(case, capsys):
     args = [str(DATA / GOLDEN["instance"]) if a == "{instance}" else a for a in case["args"]]
     assert main(args) == 0
-    assert capsys.readouterr().out == (DATA / case["csv"]).read_text()
+    got, want = capsys.readouterr().out, (DATA / case["csv"]).read_text()
+    if got != want:  # name the first differing line, not a diff of the whole file
+        lines = zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+        k, (a, b) = next((k, pair) for k, pair in enumerate(lines, 1) if pair[0] != pair[1])
+        pytest.fail(f"{case['csv']} line {k}: got {a!r}, want {b!r}")
