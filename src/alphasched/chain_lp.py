@@ -291,8 +291,8 @@ class _Master:
     def _reset(self) -> None:
         n = self.inst.num_jobs
         self.columns: list[Chain] = []
-        self.lp = LinearProgram(num_vars=0)
-        self.lp.add_rows(np.zeros(n + 1, dtype=np.int64), [], [], [">="] * n, np.ones(n))
+        self.lp = LinearProgram()
+        self.lp.add_rows([">="] * n, np.ones(n))
         # Row key of job j is j, of (machine i, block k) num_jobs + i * K + k;
         # ``keys`` holds each LP row's key and ``row`` each key's LP row.
         self.keys = np.arange(n)
@@ -321,10 +321,7 @@ class _Master:
         new[key[self.row[key] < 0]] = True
         opened = new.nonzero()[0]
         if opened.size:
-            self.row[opened] = self.lp.add_rows(
-                np.zeros(opened.size + 1, dtype=np.int64), [], [], ["<="] * opened.size,
-                self.lengths[(opened - n) % K],
-            )
+            self.row[opened] = self.lp.add_rows(["<="] * opened.size, self.lengths[(opened - n) % K])
             self.keys = np.concatenate((self.keys, opened))
         # Column k lists its job row, then its capacity rows by block.
         chain = owner[first]

@@ -20,13 +20,7 @@ import numpy as np
 from .bench import BENCH_COLUMNS, bench_random_suite, parse_bench_config, random_instance
 from .chain_lp import ChainLpError, solve_chain_lp, solve_chain_lp_compressed
 from .distributions import DistributionError, OffsetDistribution, from_spec
-from .instance import (
-    Instance,
-    InstanceError,
-    ScheduleError,
-    instance_to_json,
-    load_instance,
-)
+from .instance import InstanceError, ScheduleError, instance_to_json, load_instance
 from .interval_lp import IntervalLpError, solve_interval_lp
 from .lowerbound import run_lb_experiment
 from .oracle import DEFAULT_GUARD, GuardExceeded, brute_force_nonpreemptive, brute_force_preemptive
@@ -73,10 +67,6 @@ def _emit(args, columns: list[str], rows: list[list]) -> None:
         sys.stdout.write(text)
 
 
-def _load(path: str) -> Instance:
-    return load_instance(path)
-
-
 # -- subcommand implementations ------------------------------------------
 
 
@@ -101,7 +91,7 @@ def _cmd_gen(args) -> None:
 
 
 def _cmd_solve_interval(args) -> None:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     eps = args.epsilon
     if eps is None and not args.full and instance_horizon(inst) > FULL_RANGE_DEFAULT:
         eps = 0.5
@@ -116,7 +106,7 @@ def _cmd_solve_interval(args) -> None:
 
 
 def _cmd_solve_chain(args) -> None:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     if args.epsilon is not None:
         sol = solve_chain_lp_compressed(inst, args.epsilon)
     else:
@@ -128,7 +118,7 @@ def _cmd_solve_chain(args) -> None:
 
 
 def _cmd_round(args) -> None:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     dist = from_spec(args.dist)
     sol = solve_interval_lp(inst)
     rng = np.random.default_rng(args.seed)
@@ -151,7 +141,7 @@ def _cmd_round(args) -> None:
 
 
 def _cmd_round_preemptive(args) -> None:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     dist = from_spec(args.dist) if args.dist else OffsetDistribution.clipped_uniform(args.clip)
     sol = solve_chain_lp(inst)
     rng = np.random.default_rng(args.seed)
@@ -165,7 +155,7 @@ def _cmd_round_preemptive(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     if args.mode == "np":
         objective, sched = brute_force_nonpreemptive(inst, guard=args.guard)
         rows = [["objective", _fmt(objective), ""]]

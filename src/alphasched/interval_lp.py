@@ -35,16 +35,18 @@ placement can fail, and the solve then starts cold.  The optimum is the same
 either way, but where it is tied the returned vertex can differ from the one
 a cold start reaches.
 
-The LP is built as the chain LP's master is: its rows first, empty, and then
-every variable as one column.  The simplex holds a dense basis inverse, rows
-x rows doubles, with rows = n + machines x cover times.  The builder counts
-the rows first and asks ``LinearProgram.reserve`` for them, which raises
-``LpError`` when that inverse would exceed its budget, so an oversized LP
-(a release far out makes the full range long) is refused before any array
-of its size is built.  Then it enumerates every allowed (job, machine) pair
-and every admissible start at once, in array operations, and lays down the
-entries' rows with one prefix sum.  Those arrays are the ones the LP keeps
-and the simplex's column store shares: a large LP's entries exist once.
+The LP is built as the chain LP's master is, and as ``LinearProgram``
+takes it: its rows first, with no entries, and then every variable as one
+column.  The simplex holds a dense basis inverse, rows x rows doubles, with
+rows = n + machines x cover times.  The builder counts the rows first and
+asks ``LinearProgram.reserve`` for them, which raises ``LpError`` when that
+inverse would exceed its budget, so an oversized LP (a release far out
+makes the full range long) is refused before any array of its size is
+built.  Then it enumerates every allowed (job, machine) pair and every
+admissible start at once, in array operations, and lays down the entries'
+rows with one prefix sum.  Those arrays are the LP's column store and the
+simplex's, uncopied: a large LP's entries exist once, with no per-entry
+variable index.
 """
 
 from __future__ import annotations
@@ -199,11 +201,11 @@ def build_interval_lp(inst: Instance, starts: StartTimeSet | None = None) -> Int
     else:
         H, C = starts.horizon, np.count_nonzero(starts.times + 1 <= starts.horizon)
     covers = inst.num_machines * C
-    lp = LinearProgram(num_vars=0)
+    lp = LinearProgram()
     lp.reserve(n + covers)  # before any array of the LP's size exists
     times = np.arange(H, dtype=np.int64) if starts is None else starts.times
     cover_times = times[times + 1 <= H] + 1
-    lp.add_rows(np.zeros(n + covers + 1, dtype=np.int64), [], [], ["=="] * n + ["<="] * covers, np.ones(n + covers))
+    lp.add_rows(["=="] * n + ["<="] * covers, np.ones(n + covers))
 
     # Pair (j, i), in job then machine order, may start at the count times
     # from times[a] on: from its release up to H - p.

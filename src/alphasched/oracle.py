@@ -84,20 +84,29 @@ def brute_force_nonpreemptive(inst: Instance, guard: int = DEFAULT_GUARD):
     for horizon, jobs in machines:
         g = np.full((horizon + 1, 1 << n), np.inf)
         g[:, 0] = 0.0
-        for t in range(1, horizon + 1):
-            g[t] = g[t - 1]
+        # Rows t0 .. t0 + p_min - 1 only read rows before t0: each job's
+        # candidates fill the chunk at once, then a running minimum from
+        # row t0 - 1 on gives g.
+        step = min((p for _, p, _, _ in jobs), default=1)
+        times = np.arange(horizon + 1.0)[:, None, None]
+        for t0 in range(1, horizon + 1, step):
+            t1 = min(t0 + step, horizon + 1)
+            chunk = g[t0:t1]
             for j, p, r, w in jobs:
-                if t - p >= r:
-                    done = _half(g[t], j, 1)
-                    np.minimum(done, _half(g[t - p], j, 0) + w * t, out=done)
+                lo = max(t0, r + p)  # the first t with t - p >= r
+                if lo < t1:
+                    done = _half(g[lo:t1], j, 1)
+                    np.minimum(done, _half(g[lo - p : t1 - p], j, 0) + w * times[lo:t1], out=done)
+            np.minimum(chunk[0], g[t0 - 1], out=chunk[0])
+            if t1 - t0 > 1:
+                np.minimum.accumulate(chunk, axis=0, out=chunk)
         tables.append(g)
     objective, subsets = _partition(n, [g[-1] for g in tables])
     machine = np.zeros(n, dtype=np.int64)
     start = np.zeros(n, dtype=np.int64)
     for i, ((t, jobs), g, s) in enumerate(zip(machines, tables, subsets)):
         while s:  # the job finishing last ends at the first t that costs g(s, horizon)
-            while g[t - 1, s] == g[t, s]:
-                t -= 1
+            t = int(np.argmax(g[: t + 1, s] == g[t, s]))  # g(s, .) never rises
             j, p = next((j, p) for j, p, r, w in jobs
                         if s >> j & 1 and t - p >= r and g[t - p, s ^ 1 << j] + w * t == g[t, s])
             machine[j], start[j] = i, t - p

@@ -5,50 +5,48 @@ together with the optimal basis.  The implementation is deliberately
 self-contained: dual values per row are needed downstream for column
 generation, and the library depends on numpy alone.
 
-A ``LinearProgram`` holds its constraint entries natively as flat numpy
-arrays and only grows: ``add_rows`` appends rows, ``add_columns`` appends
-variables with their entries in existing rows.  Every variable is
-non-negative and has no other bound; a bound is a row.  It refuses, with
-``LpError`` and before it appends anything, growth whose rows would need a
-basis inverse over ``MAX_BASIS_INVERSE_BYTES``.  The solver works on its
-standard form: rows oriented so the right-hand side starts non-negative,
-and slack, surplus and artificial unit columns.  That matrix is held
-column-wise and sparse: the variables' columns in numpy ``colptr``, row
-index and value arrays, the LP's own unless the orientation negates or
-sorting reorders their entries, and each unit column as its one row and
-value.  Only the basis inverse is dense (m x m).  The store also indexes
-each column's runs, stretches of entries in consecutive rows with one
-value.  Pricing computes ``y @ A`` from one prefix sum of y and one term per
-run, and ``A @ x`` is a difference array over the runs, so both cost
-O(runs + rows): a start-time variable's cover rows are one run, however
-long the job.  The entering direction is ``binv[:, rows] @ vals``, each
-pivot applies a rank-one update to the inverse in place and updates the
-basic values, and refactorization inverts only the block of basic columns
-that are not unit columns.
+A ``LinearProgram`` only grows, and it is held column-wise, the way the
+simplex reads it: ``add_rows`` appends rows, each a sense and a right-hand
+side with no entries, and ``add_columns`` appends variables, each a cost
+and its entries in existing rows.  Every variable is non-negative and has
+no other bound; a bound is a row.  It refuses, with ``LpError`` and before
+it appends anything, growth whose rows would need a basis inverse over
+``MAX_BASIS_INVERSE_BYTES``.  The solver works on its standard form: the
+LP's rows as they are, and slack, surplus and artificial unit columns.  A
+slack is +1 in a ``<=`` row and a surplus -1 in a ``>=`` row; a row gets an
+artificial, with the sign of its right-hand side, unless its slack alone is
+feasible at x = 0.  That matrix is held column-wise and sparse: the
+variables' columns in the LP's own ``colptr``, row index and value arrays,
+and each unit column as its one row and value.  Only the basis inverse is
+dense (m x m).  The store also indexes each column's runs, stretches of
+entries in consecutive rows with one value.  Pricing computes ``y @ A``
+from one prefix sum of y and one term per run, and ``A @ x`` is a
+difference array over the runs, so both cost O(runs + rows): a start-time
+variable's cover rows are one run, however long the job.  The entering
+direction is ``binv[:, rows] @ vals``, each pivot applies a rank-one update
+to the inverse in place and updates the basic values, and refactorization
+inverts only the block of basic columns that are not unit columns.
 
 After an optimal solve the LP keeps the solver's state: the standard form
 with its column store, the basis, the basis inverse and the basic values.
 The solution's ``basis``, in the LP's own numbering, is worked out when it
 is first read, from a copy of the basis and the model's arrays as they
 stood at the solve (the model replaces its arrays as it grows).
-The next ``solve_lp(lp)`` resumes from it when the LP grew as a
-column-generation master does: rows appended with no entries, then
-variables.  The new variables join the column store as nonbasic columns
-after all others, and the new rows enter with their slack basic.  No basic
-column has an entry in a new row, so the inverse grows by the new slacks'
-diagonal ``1/s``.  A solve from nothing is the same extension of an empty
-state, followed by the cold two-phase start.
+The next ``solve_lp(lp)`` resumes from it: whatever the LP gained since,
+rows with no entries and variables, is what a column-generation master
+appends.  The new variables join the column store as nonbasic columns after
+all others, and the new rows enter with their slack basic.  No basic column
+has an entry in a new row, so the inverse grows by the new slacks' diagonal
+``1/s``.  A solve from nothing is the same extension of an empty state,
+followed by the cold two-phase start.
 
 A solve does not resume, and starts from the given basis or cold instead,
-when a basis is given (``solve_lp(lp, basis)``), when the objective of
-existing variables was edited in place (a comparison with the copy the
-state keeps detects it; entries, senses and right-hand sides are
-read-only), when an appended entry, zero or not, lies on a variable the
-last solve already had, when the last optimum keeps an artificial basic on
-a redundant equation row (an appended column may have an entry there), when
-an appended row is an equation (it has no slack to enter with), or when the
-extended basis is not primal feasible.  A given basis of the wrong size, a
-singular one or a primal infeasible one falls back to the cold start.
+when a basis is given (``solve_lp(lp, basis)``), when the last optimum
+keeps an artificial basic on a redundant equation row (an appended column
+may have an entry there), when an appended row is an equation (it has no
+slack to enter with), or when the extended basis is not primal feasible.  A
+given basis of the wrong size, a singular one or a primal infeasible one
+falls back to the cold start.
 
 Pivoting uses Dantzig's rule; the ratio test breaks ties toward the largest
 pivot element.  Degenerate bases, such as the chain-LP masters', are handled
@@ -115,31 +113,35 @@ class NumericalError(RuntimeError):
 class LinearProgram:
     """Sparse LP in minimization form that grows by appending.
 
-    Every variable is ``x >= 0`` with no other bound.  ``objective`` holds
-    one cost per variable and may be edited in place (``solve_lp`` checks it
-    again).  The constraint entries (row, variable, coefficient) and each
-    row's sense and right-hand side are read-only arrays, in the order they
-    were added; ``rows`` lists them per row as (indices, coefficients,
-    sense, rhs), built once per state of the LP.
-    The first entries appended are kept, read-only, as the arrays given: a
-    solve's standard form shares them.
+    Rows are appended with a sense and a right-hand side and no entries,
+    variables with a cost and their entries in existing rows.  Every
+    variable is ``x >= 0`` with no other bound.  The LP is held by columns:
+    variable k has the coefficients ``_val[_ptr[k]:_ptr[k + 1]]`` in the
+    rows ``_row[...]``.  Those arrays, the senses, the right-hand sides and
+    ``objective`` are read-only and only replaced by longer ones; the first
+    entries appended are kept as the arrays given, and a solve's standard
+    form shares them.
     """
 
-    def __init__(self, num_vars: int, objective=None):
-        n = int(num_vars)
-        if n < 0:
-            raise LpError("the number of variables must be non-negative")
-        self.num_vars = n
-        self.objective = _costs(np.zeros(n) if objective is None else objective, n)
-        self._row = self._col = _frozen(np.zeros(0, dtype=np.int64))
-        self._val = self._rhs = _frozen(np.zeros(0))
+    def __init__(self):
+        self._ptr = _frozen(np.zeros(1, dtype=np.int64))
+        self._row = _frozen(np.zeros(0, dtype=np.int64))
+        self._val = self._cost = self._rhs = _frozen(np.zeros(0))
         self._sense = _frozen(np.zeros(0, dtype=np.int8))  # index into _SENSES
-        self._rows = None  # ``rows``, until the next append
         self._live = None  # solver state after the last optimal solve
+
+    @property
+    def num_vars(self) -> int:
+        return self._ptr.size - 1
 
     @property
     def num_rows(self) -> int:
         return self._rhs.size
+
+    @property
+    def objective(self) -> np.ndarray:
+        """One cost per variable, read-only."""
+        return self._cost
 
     @property
     def upper(self) -> np.ndarray:
@@ -150,49 +152,36 @@ class LinearProgram:
 
     @property
     def rows(self) -> list:
-        """(indices, coefficients, sense, rhs) per row, entries in the order
-        they were added; the arrays are read-only.  The list is built on the
-        first read after an append and kept until the next."""
-        if self._rows is None:
-            # Row numbers in the smallest unsigned type: numpy's stable sort
-            # of 16-bit integers is a radix sort.
-            order = np.argsort(self._row.astype(np.min_scalar_type(self.num_rows)), kind="stable")
-            col, val = _frozen(self._col[order]), _frozen(self._val[order])
-            ends = np.cumsum(np.bincount(self._row, minlength=self.num_rows)).tolist()
-            self._rows = [
-                (col[lo:hi], val[lo:hi], _SENSES[s], rhs)
-                for lo, hi, s, rhs in zip([0] + ends, ends, self._sense.tolist(), self._rhs.tolist())
-            ]
-        return list(self._rows)
+        """(indices, coefficients, sense, rhs) per row, entries by variable;
+        the arrays are read-only.  Built from the columns on every read."""
+        # Row numbers in the smallest unsigned type: numpy's stable sort of
+        # 16-bit integers is a radix sort.
+        order = np.argsort(self._row.astype(np.min_scalar_type(self.num_rows)), kind="stable")
+        var = np.repeat(np.arange(self.num_vars), np.diff(self._ptr))
+        col, val = _frozen(var[order]), _frozen(self._val[order])
+        ends = np.cumsum(np.bincount(self._row, minlength=self.num_rows)).tolist()
+        return [
+            (col[lo:hi], val[lo:hi], _SENSES[s], rhs)
+            for lo, hi, s, rhs in zip([0] + ends, ends, self._sense.tolist(), self._rhs.tolist())
+        ]
 
-    def add_row(self, indices, coeffs, sense: str, rhs: float) -> int:
-        """Append a constraint row; returns its index."""
-        return self.add_rows((0, np.size(indices)), indices, coeffs, (sense,), (rhs,))[0]
-
-    def add_rows(self, indptr, indices, coeffs, senses, rhs) -> range:
-        """Append a block of rows in compressed form: row k holds
-        ``indices[indptr[k]:indptr[k + 1]]`` with the matching ``coeffs``,
-        sense ``senses[k]`` and right-hand side ``rhs[k]``.  Either the
-        whole block is appended or, on malformed input, none of it; returns
-        the new rows' indices."""
-        idx, val, ptr = _compressed(indptr, indices, coeffs, "row")
-        count = ptr.size - 1
-        self.reserve(count)
+    def add_rows(self, senses, rhs) -> range:
+        """Append rows with no entries: row k has sense ``senses[k]`` and
+        right-hand side ``rhs[k]``.  Either every row is appended or, on
+        malformed input, none; returns their indices."""
         b = np.asarray(rhs, dtype=float)
         senses = list(senses)
-        if len(senses) != count or b.shape != (count,):
-            raise LpError("row pointers, senses and right-hand sides must describe the same rows")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.num_vars):
-            raise LpError("row index out of range")
+        if b.shape != (len(senses),):
+            raise LpError("senses and right-hand sides must describe the same rows")
+        self.reserve(b.size)
         try:  # one dict lookup per sense, all in C
-            codes = np.fromiter(map(_CODES.__getitem__, senses), np.int8, count)
+            codes = np.fromiter(map(_CODES.__getitem__, senses), np.int8, b.size)
         except (KeyError, TypeError):
             unknown = next(s for s in senses if s not in _SENSES)
             raise LpError(f"unknown sense {unknown!r}") from None
-        if not np.isfinite(val).all() or not np.isfinite(b).all():
-            raise LpError("row coefficients and rhs must be finite")
+        if not np.isfinite(b).all():
+            raise LpError("right-hand sides must be finite")
         first = self.num_rows
-        self._append_entries(np.repeat(np.arange(first, first + count), ptr[1:] - ptr[:-1]), idx, val)
         self._sense = _frozen(np.concatenate((self._sense, codes)))
         self._rhs = _frozen(np.concatenate((self._rhs, b)))
         return range(first, self.num_rows)
@@ -202,17 +191,28 @@ class LinearProgram:
         the coefficients ``coeffs[indptr[k]:indptr[k + 1]]`` in the existing
         rows ``rows[...]`` and cost ``objective[k]``.  Either every variable
         is appended or, on malformed input, none; returns their indices."""
-        idx, val, ptr = _compressed(indptr, rows, coeffs, "column")
-        count = ptr.size - 1
-        cost = _costs(objective, count)
+        idx = np.asarray(rows, dtype=np.int64)
+        val = np.asarray(coeffs, dtype=float)
+        if idx.shape != val.shape or idx.ndim != 1:
+            raise LpError("column rows and coefficients must be 1-d and aligned")
+        ptr = np.asarray(indptr, dtype=np.int64)
+        if ptr.ndim != 1 or ptr.size < 1:
+            raise LpError("column pointers must be a non-empty 1-d array")
+        if ptr[0] != 0 or ptr[-1] != idx.size or (ptr[1:] < ptr[:-1]).any():
+            raise LpError("column pointers must rise from 0 to the number of entries")
+        cost = np.asarray(objective, dtype=float)
+        if cost.shape != (ptr.size - 1,):
+            raise LpError(f"objective must have shape ({ptr.size - 1},)")
         if idx.size and (idx.min() < 0 or idx.max() >= self.num_rows):
             raise LpError("column row index out of range")
-        if not np.isfinite(val).all():
-            raise LpError("column coefficients must be finite")
-        first = self.num_vars
-        self._append_entries(idx, np.repeat(np.arange(first, first + count), ptr[1:] - ptr[:-1]), val)
-        self.objective = np.concatenate((self.objective, cost))
-        self.num_vars += count
+        if not np.isfinite(val).all() or not np.isfinite(cost).all():
+            raise LpError("column coefficients and costs must be finite")
+        first, e = self.num_vars, self._row.size
+        if e:  # the first entries are kept as given
+            idx, val = np.concatenate((self._row, idx)), np.concatenate((self._val, val))
+        self._row, self._val = _frozen(idx), _frozen(val)
+        self._ptr = _frozen(np.concatenate((self._ptr, ptr[1:] + e)))
+        self._cost = _frozen(np.concatenate((self._cost, cost)))
         return range(first, self.num_vars)
 
     def reserve(self, rows: int) -> None:
@@ -226,36 +226,6 @@ class LinearProgram:
                 f"linear program too large: {m} rows need a {8 * m * m / 2**20:.0f} MiB basis "
                 f"inverse, over the {MAX_BASIS_INVERSE_BYTES / 2**20:.0f} MiB limit"
             )
-
-    def _append_entries(self, *entries) -> None:
-        self._rows = None
-        if self._row.size:  # the first entries are kept as given
-            entries = [np.concatenate(pair) for pair in zip((self._row, self._col, self._val), entries)]
-        self._row, self._col, self._val = map(_frozen, entries)
-
-
-def _costs(values, size: int) -> np.ndarray:
-    """``values`` as float costs, checked: ``size`` of them, all finite."""
-    out = np.asarray(values, dtype=float)
-    if out.shape != (size,):
-        raise LpError(f"objective must have shape ({size},)")
-    if not np.isfinite(out).all():
-        raise LpError("objective must be finite")
-    return out
-
-
-def _compressed(indptr, indices, coeffs, kind: str):
-    """Checked (indices, coefficients, pointers) of a compressed block."""
-    idx = np.asarray(indices, dtype=np.int64)
-    val = np.asarray(coeffs, dtype=float)
-    if idx.shape != val.shape or idx.ndim != 1:
-        raise LpError(f"{kind} indices and coefficients must be 1-d and aligned")
-    ptr = np.asarray(indptr, dtype=np.int64)
-    if ptr.ndim != 1 or ptr.size < 1:
-        raise LpError(f"{kind} pointers must be a non-empty 1-d array")
-    if ptr[0] != 0 or ptr[-1] != idx.size or (ptr[1:] < ptr[:-1]).any():
-        raise LpError(f"{kind} pointers must rise from 0 to the number of entries")
-    return idx, val, ptr
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -299,20 +269,70 @@ def solve_lp(lp: LinearProgram, basis: Basis | None = None) -> LpSolution:
     original row (>= rows have non-negative duals, <= rows non-positive)
     and the optimal basis.
 
-    Without ``basis`` the solve resumes from the LP's last optimum when the
-    LP has only grown since, and otherwise starts cold.  ``basis`` names a
-    starting basis instead; if it does not fit the LP, is singular or is
+    Without ``basis`` the solve resumes from the LP's last optimum, and
+    starts cold when it cannot (see the module docstring).  ``basis`` names
+    a starting basis instead; if it does not fit the LP, is singular or is
     primal infeasible the solve starts cold.  A stall perturbs the
     right-hand side until the optimum, which dual simplex pivots then repair
     for the LP itself; from a given basis the first pivot that does not
     lower the objective is a stall, otherwise more than ``STALL_SCALE * (3 m
     + 50)`` in a row are.  A numerical failure raises ``NumericalError``,
-    with no retry.  The objective, which may be edited in place, is checked
-    again (shape, finiteness): ``LpError`` is raised before any solver
-    state exists.
+    with no retry.
     """
-    _costs(lp.objective, lp.num_vars)
-    return _solve(lp, basis)
+    live, lp._live = lp._live, None
+    state = live.resume(lp) if live is not None and basis is None else None
+    warm = state is not None
+    hinted = False
+    if not warm:
+        model = _Model()
+        model.extend(lp)
+        state = _warm_state(model, basis)
+        warm = hinted = state is not None
+    if not warm:
+        state = _State(model, model.cold_basis())
+        if model.art.any():
+            c1 = model.art.astype(float)
+            status = _iterate(state, c1, locked=np.zeros(model.cols.total, dtype=bool))
+            if status == "unbounded":  # cannot happen: phase-1 objective >= 0
+                raise NumericalError("phase 1 reported unbounded")
+            if state.objective(c1) > FEAS_TOL:
+                return LpSolution(status="infeasible", iterations=state.iters, stats=state.stats())
+            _evict_artificials(state, model.art)
+
+    model = state.model
+    status = _iterate(state, model.c, locked=model.art, eager=hinted)
+    if status == "unbounded":
+        return LpSolution(status="unbounded", iterations=state.iters, warm=warm, stats=state.stats())
+
+    # _iterate declares optimality only right after a refactorization.
+    x_full = np.zeros(model.cols.total)
+    x_full[state.basis] = state.xb
+    if x_full[model.art].max(initial=0.0) > FEAS_TOL:
+        raise NumericalError("artificial variable positive at optimum")
+    x = x_full[model.var_col]
+
+    resid = model.cols.right_multiply(x_full) - model.b
+    if np.abs(resid).max(initial=0.0) > 1e2 * FEAS_TOL:
+        raise NumericalError(f"feasibility residual {np.abs(resid).max():.3e}")
+
+    y = model.c[state.basis] @ state.binv
+    dual_obj = float(y @ model.b)
+    primal_obj = float(lp.objective @ x)
+    gap = abs(primal_obj - dual_obj)
+    if gap > 1e-6 * (1.0 + abs(primal_obj)):
+        raise NumericalError(f"duality gap {gap:.3e} at objective {primal_obj:.6g}")
+
+    lp._live = state
+    return LpSolution(
+        status="optimal",
+        x=x,
+        objective=primal_obj,
+        duals=y,
+        iterations=state.iters,
+        warm=warm,
+        stats=state.stats(),
+        _basis=model.basis_reader(state.basis),
+    )
 
 
 class _Columns:
@@ -321,8 +341,8 @@ class _Columns:
     empty and ``head_row[j] >= 0``, it is a unit column (a slack, surplus or
     artificial) with its one entry ``head_val[j]`` in row ``head_row[j]``;
     ``head_*`` hold every column's only entry, row -1 where it has none or
-    several.  A first append's entries in column order are kept as the
-    arrays given: a model shares its LP's.
+    several.  ``rows`` and ``vals`` are the arrays the last append was
+    given, never copied: a model's are its LP's.
 
     The products with a vector go by runs: maximal stretches of one
     column's entries that lie in consecutive rows and share one value.  Run
@@ -345,24 +365,23 @@ class _Columns:
         self.colptr = np.zeros(1, dtype=np.int64)
         self.m = self.total = 0
 
-    def append(self, rows, cols, vals, m: int, total: int, unit_rows=(), unit_vals=()) -> None:
-        """Grow to ``m`` rows and ``total`` columns, the new ones holding the
-        entries (every ``cols`` is new; sorted stably by column unless in
-        column order), the last ``len(unit_rows)`` of them unit columns.  No
-        run crosses a column, so only the new entries are split into runs."""
+    def append(self, colptr, rows, vals, m: int, unit_rows=(), unit_vals=()) -> None:
+        """Grow to ``m`` rows by ``colptr.size - 1`` columns, column k with
+        the entries ``colptr[k]:colptr[k + 1]`` of ``rows`` and ``vals``,
+        and then ``len(unit_rows)`` unit columns.  ``rows`` and ``vals``
+        hold this store's entries (``colptr[0]`` of them) and then the new
+        columns' (up to ``colptr[-1]``, their end), and replace its arrays.
+        No run crosses a column, so only the new entries are split into
+        runs."""
         unit_rows, unit_vals = np.asarray(unit_rows, dtype=np.int64), np.asarray(unit_vals, dtype=float)
-        units = unit_rows.size
-        if (cols[1:] < cols[:-1]).any():
-            order = np.argsort(cols, kind="stable")
-            rows, cols, vals = rows[order], cols[order], vals[order]
-        e0 = self.rows.size
-        ends = np.searchsorted(cols, np.arange(self.total, total - units), side="right")
-        self.colptr = np.concatenate((self.colptr, e0 + ends, np.full(units, e0 + rows.size)))
-        self.rows = np.concatenate((self.rows, rows)) if e0 else rows
-        self.vals = np.concatenate((self.vals, vals)) if e0 else vals
-        single = (ends - np.concatenate(([0], ends[:-1])) == 1).nonzero()[0]  # new columns of one entry
-        head_row, head_val = np.full(ends.size, -1), np.zeros(ends.size)
-        head_row[single], head_val[single] = rows[ends[single] - 1], vals[ends[single] - 1]
+        t0, e0, units = self.total, self.rows.size, unit_rows.size
+        self.rows, self.vals = rows, vals
+        rows, vals, ends = rows[e0:], vals[e0:], colptr - e0  # the new entries
+        total = t0 + ends.size - 1 + units
+        self.colptr = np.concatenate((self.colptr, colptr[1:], np.full(units, colptr[-1])))
+        single = (np.diff(ends) == 1).nonzero()[0]  # new columns of one entry
+        head_row, head_val = np.full(ends.size - 1, -1), np.zeros(ends.size - 1)
+        head_row[single], head_val[single] = rows[ends[single]], vals[ends[single]]
         self.head_row = np.concatenate((self.head_row, head_row, unit_rows))
         self.head_val = np.concatenate((self.head_val, head_val, unit_vals))
         self.m, self.total = m, total
@@ -371,15 +390,17 @@ class _Columns:
         # Entry e closes a run unless entry e + 1 is in the same column, the
         # next row (rows < m < 2**31: int32 differences), with the same value.
         joins = np.subtract(rows[1:], rows[:-1], dtype=np.int32) == 1
-        joins &= cols[1:] == cols[:-1]
         joins &= vals[1:] == vals[:-1]
+        starts = ends[1:-1]  # of the new columns after the first
+        joins[starts[(starts > 0) & (starts < rows.size)] - 1] = False
         last = np.flatnonzero(np.concatenate((~joins, [True])))[: rows.size]
         first = np.concatenate(([0], last + 1))[: last.size]
         long = last > first
         run, one = first[long], first[~long]
         k = self.run_ends.shape[1]
+        run_col = t0 + np.searchsorted(ends, first, side="right") - 1  # each run's column
         unit_cols = np.arange(total - units, total)
-        self.run_col = np.concatenate((self.run_col[:k], cols[run], self.run_col[k:], cols[one], unit_cols))
+        self.run_col = np.concatenate((self.run_col[:k], run_col[long], self.run_col[k:], run_col[~long], unit_cols))
         self.run_val = np.concatenate((self.run_val[:k], vals[run], self.run_val[k:], vals[one], unit_vals))
         lo, hi = rows[run], rows[last[long]] + 1
         self.run_ends = np.concatenate((self.run_ends, (lo, hi)), axis=1)
@@ -439,72 +460,54 @@ class _Columns:
 class _Model:
     """The standard form of the part of an LP it was built from.
 
-    Its rows are the LP's rows, each oriented so that its right-hand side
-    starts non-negative; a row gets a slack (+1) or surplus (-1) column when
-    it is an inequality and an artificial column when it is not <= after
-    orientation.  Columns are numbered in the order they were added, so
-    extending the model by what was appended to the LP leaves every existing
-    index in place.  Built from nothing the columns are structural | slack |
-    artificial.
+    Its rows are the LP's rows.  An inequality row gets a slack (+1, ``<=``)
+    or surplus (-1, ``>=``) column; a row gets an artificial column, +1 or
+    -1 as the sign of its right-hand side, unless that slack alone is
+    feasible at x = 0.  Columns are numbered in the order they were added,
+    so extending the model by what was appended to the LP leaves every
+    existing index in place.  Built from nothing the columns are structural
+    | slack | artificial.
     """
 
     def __init__(self):
-        self.n = self.e = 0  # LP variables and entries covered
-        self.objective = np.zeros(0)  # a copy of the LP's at the last extension, to detect edits
+        self.n = 0  # LP variables covered
         self.cols = _Columns()
-        self.b = np.zeros(0)  # oriented right-hand side per row
-        self.flip = np.zeros(0, dtype=bool)  # row negated by the orientation
+        self.b = np.zeros(0)  # right-hand side per row, the LP's own array
         self.slack_col = np.zeros(0, dtype=np.int64)  # per row, -1 for none
         self.var_col = np.zeros(0, dtype=np.int64)  # column of each variable
         self.art = np.zeros(0, dtype=bool)  # artificial columns
         self.c = np.zeros(0)  # phase-2 cost per column
 
-    def covers(self, lp: LinearProgram) -> bool:
-        """Whether ``lp`` has only grown since this model was built from it,
-        with no appended entry on a variable it had then."""
-        n = self.n
-        return (
-            lp.num_vars >= n
-            and lp.num_rows >= self.cols.m
-            and (lp.objective[:n] == self.objective).all()
-            and not (lp._col[self.e :] < n).any()
-        )
-
     def extend(self, lp: LinearProgram) -> None:
         """Add what ``lp`` gained since the last extension: its new
         variables as structural columns, its new rows, and their slack and
         artificial columns."""
-        n0, e0, m0, t0 = self.n, self.e, self.cols.m, self.cols.total
+        n0, m0, t0 = self.n, self.cols.m, self.cols.total
         n, m = lp.num_vars, lp.num_rows
-        # The new entries, on new variables only (see ``covers``).
-        row, var, val = lp._row[e0:], lp._col[e0:], lp._val[e0:]
-        rhs = lp._rhs[m0:]
-        self.flip = np.concatenate((self.flip, rhs < 0))
-        self.b = np.concatenate((self.b, np.abs(rhs)))
-        val = val * np.where(self.flip, -1.0, 1.0)[row] if self.flip.any() else val
-        sense = lp._sense[m0:]
-        le = sense == np.where(self.flip[m0:], _GE, _LE)  # <= after orientation
+        rhs, sense = lp._rhs[m0:], lp._sense[m0:]
+        self.b = lp._rhs
+        feasible = np.where(sense == _LE, rhs >= 0, (sense == _GE) & (rhs <= 0))  # the slack alone, at x = 0
 
         # Column layout of the extension: structural | slack | artificial.
         slack_rows = (sense != _EQ).nonzero()[0]
-        art_rows = (~le).nonzero()[0]
+        art_rows = (~feasible).nonzero()[0]
         k_var, k_slack, k_art = n - n0, slack_rows.size, art_rows.size
         total = t0 + k_var + k_slack + k_art
         self.var_col = np.concatenate((self.var_col, np.arange(t0, t0 + k_var)))
         slack_col = np.full(m - m0, -1, dtype=np.int64)
         slack_col[slack_rows] = np.arange(t0 + k_var, total - k_art)
         self.slack_col = np.concatenate((self.slack_col, slack_col))
-        unit_vals = np.concatenate((np.where(le[slack_rows], 1.0, -1.0), np.ones(k_art)))
-        col = var if t0 == n0 else var + (t0 - n0)  # the new variables' columns follow t0
-        self.cols.append(row, col, val, m, total, np.concatenate((m0 + slack_rows, m0 + art_rows)), unit_vals)
+        unit_vals = np.concatenate((np.where(sense[slack_rows] == _LE, 1.0, -1.0),
+                                    np.where(rhs[art_rows] < 0, -1.0, 1.0)))
+        self.cols.append(lp._ptr[n0:], lp._row, lp._val, m, np.concatenate((m0 + slack_rows, m0 + art_rows)), unit_vals)
         self.art = np.concatenate((self.art, np.zeros(k_var + k_slack, dtype=bool), np.ones(k_art, dtype=bool)))
         self.c = np.concatenate((self.c, lp.objective[n0:], np.zeros(k_slack + k_art)))
-        self.n, self.e = n, lp._row.size
-        self.objective = lp.objective.copy()
+        self.n = n
 
     def cold_basis(self) -> np.ndarray:
         """Each row's artificial, or its slack where it has none: unit
-        columns of value +1, so the inverse is the identity."""
+        columns of value +1 or -1, each basic at the absolute value of its
+        row's right-hand side."""
         basis = self.slack_col.copy()
         art = np.flatnonzero(self.art)
         basis[self.cols.head_row[art]] = art
@@ -527,63 +530,6 @@ class _Model:
             return Basis(columns=np.sort(basic_var[basic_var >= 0]), slack_rows=np.sort(rows[rows >= 0]))
 
         return read
-
-
-def _solve(lp: LinearProgram, hint: Basis | None) -> LpSolution:
-    live, lp._live = lp._live, None
-    state = live.resume(lp) if live is not None and hint is None else None
-    warm = state is not None
-    hinted = False
-    if not warm:
-        model = _Model()
-        model.extend(lp)
-        state = _warm_state(model, hint)
-        warm = hinted = state is not None
-    if not warm:
-        state = _State(model, model.cold_basis())
-        if model.art.any():
-            c1 = model.art.astype(float)
-            status = _iterate(state, c1, locked=np.zeros(model.cols.total, dtype=bool))
-            if status == "unbounded":  # cannot happen: phase-1 objective >= 0
-                raise NumericalError("phase 1 reported unbounded")
-            if state.objective(c1) > FEAS_TOL:
-                return LpSolution(status="infeasible", iterations=state.iters, stats=state.stats())
-            _evict_artificials(state, model.art)
-
-    model = state.model
-    status = _iterate(state, model.c, locked=model.art, eager=hinted)
-    if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=state.iters, warm=warm, stats=state.stats())
-
-    # _iterate declares optimality only right after a refactorization.
-    x_full = np.zeros(model.cols.total)
-    x_full[state.basis] = state.xb
-    if x_full[model.art].max(initial=0.0) > FEAS_TOL:
-        raise NumericalError("artificial variable positive at optimum")
-    x = x_full[model.var_col]
-
-    resid = model.cols.right_multiply(x_full) - model.b
-    if np.abs(resid).max(initial=0.0) > 1e2 * FEAS_TOL:
-        raise NumericalError(f"feasibility residual {np.abs(resid).max():.3e}")
-
-    y = model.c[state.basis] @ state.binv
-    dual_obj = float(y @ model.b)
-    primal_obj = float(model.objective @ x)
-    gap = abs(primal_obj - dual_obj)
-    if gap > 1e-6 * (1.0 + abs(primal_obj)):
-        raise NumericalError(f"duality gap {gap:.3e} at objective {primal_obj:.6g}")
-
-    lp._live = state
-    return LpSolution(
-        status="optimal",
-        x=x,
-        objective=primal_obj,
-        duals=np.where(model.flip, -y, y),
-        iterations=state.iters,
-        warm=warm,
-        stats=state.stats(),
-        _basis=model.basis_reader(state.basis),
-    )
 
 
 def _warm_state(model: _Model, hint: Basis | None):
@@ -647,11 +593,10 @@ class _State:
         solved: the model is extended and each new row enters with its slack
         basic.  Only new columns have entries in new rows, so the basis is
         block diagonal and the inverse grows by the slacks' ``1/s``.  None
-        when the LP changed otherwise (``_Model.covers``), an artificial is
-        still basic, a new row has no slack, or the extended basis is not
-        primal feasible."""
+        when an artificial is still basic, a new row has no slack, or the
+        extended basis is not primal feasible."""
         model = self.model
-        if not model.covers(lp) or model.art[self.basis].any():
+        if model.art[self.basis].any():
             # A basic artificial sits on a redundant row, where no column had
             # an entry; an appended column may have one, and phase 2 (which
             # never prices artificials) would not keep the row satisfied.

@@ -1,0 +1,22 @@
+"""Test helper: a ``LinearProgram`` stated by rows, as tests write LPs."""
+
+import numpy as np
+
+from alphasched.simplex import LinearProgram
+
+
+def lp_from_rows(objective, rows=()) -> LinearProgram:
+    """The LP ``min objective . x`` over ``rows``, each (variable indices,
+    coefficients, sense, rhs).  The rows are appended empty and the
+    variables then as the rows' transpose: each variable's column lists its
+    entries in row order."""
+    rows = list(rows)
+    lp = LinearProgram()
+    lp.add_rows([sense for _, _, sense, _ in rows], [rhs for _, _, _, rhs in rows])
+    var = np.concatenate([np.asarray(idx, dtype=np.int64) for idx, _, _, _ in rows] + [np.zeros(0, dtype=np.int64)])
+    val = np.concatenate([np.asarray(coef, dtype=float) for _, coef, _, _ in rows] + [np.zeros(0)])
+    row = np.repeat(np.arange(len(rows)), np.array([np.size(idx) for idx, _, _, _ in rows], dtype=np.int64))
+    order = np.argsort(var, kind="stable")
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(var, minlength=np.size(objective)))))
+    lp.add_columns(ptr, row[order], val[order], objective)
+    return lp

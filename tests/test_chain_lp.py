@@ -19,8 +19,9 @@ from alphasched.chains import Chain, earliest_chain
 from alphasched.instance import Instance, horizon, load_instance
 from alphasched.interval_lp import solve_interval_lp
 from alphasched.oracle import brute_force_preemptive
-from alphasched.simplex import LinearProgram, LpError, solve_lp
+from alphasched.simplex import LpError, solve_lp
 from chain_reference import enumerate_chains, price_chain
+from lp_rows import lp_from_rows
 
 
 def make(sizes, releases, weights):
@@ -403,9 +404,8 @@ def test_incremental_master_matches_fresh_build(monkeypatch):
             assert idx.tolist() == sorted(rows[key])
             assert sense == (">=" if key[0] == "job" else "<=") and b == want_rhs[key]
         assert lp.objective.tolist() == costs
-        fresh = LinearProgram(num_vars=len(costs), objective=np.array(costs))
-        for key, b in zip(rows, rhs):
-            fresh.add_row(list(rows[key]), list(rows[key].values()), ">=" if key[0] == "job" else "<=", b)
+        fresh = lp_from_rows(costs, [(list(rows[key]), list(rows[key].values()), ">=" if key[0] == "job" else "<=", b)
+                                     for key, b in zip(rows, rhs)])
         res = solve(master)
         assert res[0].objective == pytest.approx(solve_lp(fresh).objective, rel=1e-9, abs=1e-9)
         checked.append(len(master.columns))

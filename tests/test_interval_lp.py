@@ -217,10 +217,10 @@ def build_by_pair_loop(inst, starts=None):
     else:
         H, C = starts.horizon, np.count_nonzero(starts.times + 1 <= starts.horizon)
     covers = inst.num_machines * C
-    lp = simplex.LinearProgram(num_vars=0)
+    lp = simplex.LinearProgram()
     times = np.arange(H, dtype=np.int64) if starts is None else starts.times
     cover_times = times[times + 1 <= H] + 1
-    lp.add_rows(np.zeros(n + covers + 1, dtype=np.int64), [], [], ["=="] * n + ["<="] * covers, np.ones(n + covers))
+    lp.add_rows(["=="] * n + ["<="] * covers, np.ones(n + covers))
     rel = inst.release_matrix()
     machines, jobs, begins = [], [], []
     for j in range(n):

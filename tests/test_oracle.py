@@ -171,6 +171,25 @@ def test_dp_oracles_match_the_reference(block):
             assert got == pytest.approx(obj, rel=1e-12, abs=1e-12), (seed, dp.__name__)
 
 
+def test_long_jobs_match_the_reference():
+    # Sizes in the thousands: the non-preemptive table fills chunks of
+    # 1,500 and 1,600 rows (each machine's shortest size), and releases
+    # fall inside the chunks.
+    inst = make(
+        [[1500, 2200], [1800, FORBIDDEN], [2500, 1600], [3100, 2900]],
+        [[700, 0], [2100, 2100], [0, 3300], [1200, 800]],
+        [1.0, 3.0, 2.0, 0.5],
+    )
+    for dp, reference in (
+        (brute_force_nonpreemptive, reference_nonpreemptive),
+        (brute_force_preemptive, reference_preemptive),
+    ):
+        obj, sched = dp(inst)
+        want, _ = reference(inst)
+        assert obj == pytest.approx(want, rel=1e-12, abs=1e-12), dp.__name__
+        assert evaluate_schedule(inst, sched).objective == pytest.approx(obj, rel=1e-12), dp.__name__
+
+
 def _slot_dfs_preemptive(inst):
     """Independent preemptive oracle: depth-first over unit slots, each slot
     assigned to any released unfinished job or left idle."""
