@@ -44,15 +44,15 @@ inverse would exceed its budget, so an oversized LP (a release far out
 makes the full range long) is refused before any array of its size is
 built.  Then it enumerates every allowed (job, machine) pair and every
 admissible start at once, in array operations, and lays down the entries'
-rows with one prefix sum.  Those arrays are the LP's column store and the
-simplex's, uncopied: a large LP's entries exist once, with no per-entry
-variable index.
+rows with one prefix sum.  It makes those arrays read-only and hands them
+over: they are the LP's column store and the simplex's, uncopied, so a
+large LP's entries exist once, with no per-entry variable index.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,6 +107,7 @@ class FractionalIntervalSolution:
     value: np.ndarray  # (k,) y mass
     objective: float
     horizon: int
+    stats: dict = field(default_factory=dict)  # the solve's simplex counters, LpSolution.stats
 
     def x(self, inst: Instance) -> np.ndarray:
         """Assignment marginals x[j, i] = sum_s y[i, j, s]."""
@@ -232,7 +233,9 @@ def build_interval_lp(inst: Instance, starts: StartTimeSet | None = None) -> Int
     rows[ptr[:-1]] = job - np.concatenate(([0], first[:-1] + span[:-1] - 1))
     rows[ptr[:-1] + 1] = first - job
     np.cumsum(rows, out=rows)
-    lp.add_columns(ptr, rows, np.ones(rows.size), inst.weights[job] * (start + p))
+    values = np.ones(rows.size)
+    rows.flags.writeable = values.flags.writeable = False  # so the LP keeps them uncopied
+    lp.add_columns(ptr, rows, values, inst.weights[job] * (start + p))
     return IntervalLpModel(lp=lp, machine=machine, job=job, start=start, horizon=H, cover_times=cover_times)
 
 
@@ -302,6 +305,7 @@ def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalInt
         value=res.x[keep],
         objective=float(np.ldexp(res.objective, -shift)),
         horizon=model.horizon,
+        stats=res.stats,
     )
     validate_fractional(inst, sol)
     return sol

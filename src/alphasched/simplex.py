@@ -119,8 +119,8 @@ class LinearProgram:
     variable k has the coefficients ``_val[_ptr[k]:_ptr[k + 1]]`` in the
     rows ``_row[...]``.  Those arrays, the senses, the right-hand sides and
     ``objective`` are read-only and only replaced by longer ones; the first
-    entries appended are kept as the arrays given, and a solve's standard
-    form shares them.
+    entries appended are kept as the arrays given when those are read-only,
+    and a solve's standard form shares them.
     """
 
     def __init__(self):
@@ -190,7 +190,10 @@ class LinearProgram:
         """Append variables ``x >= 0`` in compressed form: variable k has
         the coefficients ``coeffs[indptr[k]:indptr[k + 1]]`` in the existing
         rows ``rows[...]`` and cost ``objective[k]``.  Either every variable
-        is appended or, on malformed input, none; returns their indices."""
+        is appended or, on malformed input, none; returns their indices.
+        The first entries appended are kept uncopied when ``rows`` and
+        ``coeffs`` are read-only arrays of the LP's dtypes, and copied
+        otherwise, so the caller's own arrays never become read-only."""
         idx = np.asarray(rows, dtype=np.int64)
         val = np.asarray(coeffs, dtype=float)
         if idx.shape != val.shape or idx.ndim != 1:
@@ -208,8 +211,10 @@ class LinearProgram:
         if not np.isfinite(val).all() or not np.isfinite(cost).all():
             raise LpError("column coefficients and costs must be finite")
         first, e = self.num_vars, self._row.size
-        if e:  # the first entries are kept as given
+        if e:
             idx, val = np.concatenate((self._row, idx)), np.concatenate((self._val, val))
+        else:  # the first entries are kept as given only if the caller cannot write them
+            idx, val = (a.copy() if a.flags.writeable else a for a in (idx, val))
         self._row, self._val = _frozen(idx), _frozen(val)
         self._ptr = _frozen(np.concatenate((self._ptr, ptr[1:] + e)))
         self._cost = _frozen(np.concatenate((self._cost, cost)))

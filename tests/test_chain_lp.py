@@ -16,8 +16,8 @@ from alphasched.chain_lp import (
     validate_chain_solution,
 )
 from alphasched.chains import Chain, earliest_chain
-from alphasched.instance import Instance, horizon, load_instance
-from alphasched.interval_lp import solve_interval_lp
+from alphasched.instance import Instance, horizon, load_instance, normalize_weights
+from alphasched.interval_lp import IntervalLpError, solve_interval_lp
 from alphasched.oracle import brute_force_preemptive
 from alphasched.simplex import LpError, solve_lp
 from chain_reference import enumerate_chains, price_chain
@@ -305,11 +305,22 @@ def test_stats_sum_the_master_solves(monkeypatch):
 
     monkeypatch.setattr(chain_lp, "solve_lp", recording_solve_lp)
     monkeypatch.setattr(chain_lp, "PURGE_ABOVE", 40)  # a purged master starts from a given basis
-    sol = solve_chain_lp(random_instance(np.random.default_rng(0), 8, 2, p_max=8, r_max=12))
+    inst = random_instance(np.random.default_rng(0), 8, 2, p_max=8, r_max=12)
+    sol = solve_chain_lp(inst)
     assert len(masters) == sol.iterations
     summed = {key: sum(res.stats[key] for res in masters) for key in simplex.STATS}
-    assert sol.stats == {**summed, "rounds": sol.iterations}
+    # The seed counters: the start-time LP's chains that neither the greedy
+    # base nor the earliest chains hold, and that LP's own pivots, which
+    # ``pivots`` leaves out.
+    start = solve_interval_lp(inst)
+    rel = inst.release_matrix()
+    held = set(chain_lp._greedy_disjoint_chains(inst, np.arange(1, horizon(inst) + 1)))
+    held.update(earliest_chain(i, j, int(rel[j, i]), inst.size(j, i)) for j, i in zip(*inst.allowed_mask().nonzero()))
+    seeded = {earliest_chain(i, j, s, inst.size(j, i)) for i, j, s in zip(start.machine, start.job, start.start)}
+    seed = {"seed_columns": len(seeded - held), "seed_pivots": start.stats["pivots"]}
+    assert sol.stats == {**summed, "rounds": sol.iterations, **seed}
     assert sol.stats["pivots"] == sum(res.iterations for res in masters) > 0
+    assert min(seed.values()) > 0
 
 
 def test_solution_chains_are_valid():
@@ -478,3 +489,65 @@ def test_master_size_guard(monkeypatch):
     monkeypatch.setattr(simplex, "MAX_BASIS_INVERSE_BYTES", 8 * inst.num_jobs**2)
     with pytest.raises(LpError, match="too large"):
         solve_chain_lp_compressed(inst, 0.5)
+
+
+def _master_objectives(monkeypatch, inst):
+    """Record each master solve's objective, on the instance's own weights."""
+    objectives, shift = [], normalize_weights(inst)[1]
+    solve = chain_lp._Master.solve
+
+    def recording_solve(master):
+        res = solve(master)
+        objectives.append(float(np.ldexp(res[0].objective, -shift)))
+        return res
+
+    monkeypatch.setattr(chain_lp._Master, "solve", recording_solve)
+    return objectives
+
+
+def test_seeded_master_opens_at_or_below_the_start_time_lp(monkeypatch):
+    # frac-0039's start-time LP optimum is fractional, and the chain LP's
+    # lies 2% below it.  The start-time LP's support, as contiguous chains,
+    # is a feasible solution of the first master, so column generation
+    # opens at or below that LP's objective.
+    inst = load_instance(CORPUS.parent / "np-round" / "frac-0039.inst.json")
+    start = solve_interval_lp(inst)
+    assert ((start.value > 1e-6) & (start.value < 1.0 - 1e-6)).any()
+    masters = _master_objectives(monkeypatch, inst)
+    sol = solve_chain_lp(inst)
+    assert masters[0] <= start.objective * (1.0 + 1e-12)
+    assert sol.stats["seed_columns"] > 0 and sol.stats["seed_pivots"] == start.stats["pivots"] > 0
+
+
+def test_refused_start_time_lp_skips_the_seed(monkeypatch):
+    # Refused for its size, the start-time LP seeds nothing: the master
+    # starts from the greedy and earliest chains alone, well above that
+    # LP's objective, and column generation reaches the same optimum.
+    inst = load_instance(CORPUS / "chain-0015.inst.json")
+    seeded, start = solve_chain_lp(inst), solve_interval_lp(inst)
+
+    def refused(inst):
+        raise LpError("linear program too large")
+
+    monkeypatch.setattr(chain_lp, "solve_interval_lp", refused)
+    masters = _master_objectives(monkeypatch, inst)
+    sol = solve_chain_lp(inst)
+    assert sol.objective == pytest.approx(seeded.objective, rel=1e-9, abs=0.0)
+    assert sol.stats["seed_columns"] == sol.stats["seed_pivots"] == 0
+    assert masters[0] > 1.1 * start.objective and sol.iterations > seeded.iterations
+
+    # Any other failure of the start-time LP is the solve's.
+    def failed(inst):
+        raise IntervalLpError("interval LP is infeasible")
+
+    monkeypatch.setattr(chain_lp, "solve_interval_lp", failed)
+    with pytest.raises(IntervalLpError):
+        solve_chain_lp(inst)
+
+
+def test_compressed_solves_take_no_seed():
+    # The compressed master starts from the greedy and earliest chains, as
+    # it did before the exact mode's seed: the same rounds and pivots.
+    sol = solve_chain_lp_compressed(load_instance(CORPUS / "chain-0002.inst.json"), 0.2)
+    assert sol.stats["seed_columns"] == sol.stats["seed_pivots"] == 0
+    assert (sol.stats["rounds"], sol.stats["pivots"]) == (23, 225)

@@ -10,22 +10,24 @@ m, p_max=40, r_max=40)``, for (n, m) in (8, 2), (10, 3), (12, 2) and s =
 0..14, solved by ``solve_chain_lp`` (exact, unit blocks).  Each line holds
 n, m, s, the objective as ``float.hex``, the column-generation rounds, the
 gap ratio ``gap_bound / (1 + objective)``, the master solves' pivots,
-perturbations and dual repair pivots, and the solve's seconds; a solve that
-raises holds its error instead.  The exit code is 1 when any instance
-raised or closed with a gap ratio above 1e-6, or, with ``--expect``, when
-an instance's objective differs from the one the given JSON-lines file holds
-for its (n, m, s) by more than 1e-9 (1 + |objective|), when its rounds or
-pivots differ at all from the ones that line holds (a line may omit them),
-or when the file lacks the instance; else 0.  ``tools/ladder-10-3.jsonl``
-holds the (10, 3) objectives, rounds and pivots, so a change that keeps the
-objectives but takes another pivot path shows there too.
+perturbations and dual repair pivots, the start-time LP chains that seeded
+the first master and that LP's pivots (``seed_columns``, ``seed_pivots``,
+not in ``pivots``), and the solve's seconds; a solve that raises holds its
+error instead.  The exit code is 1 when any instance raised or closed with
+a gap ratio above 1e-6, or, with ``--expect``, when an instance's objective
+differs from the one the given JSON-lines file holds for its (n, m, s) by
+more than 1e-9 (1 + |objective|), when its rounds or pivots differ at all
+from the ones that line holds (a line may omit them), or when the file
+lacks the instance; else 0.  ``tools/ladder-10-3.jsonl`` holds the (10, 3)
+objectives, rounds and pivots, so a change that keeps the objectives but
+takes another pivot path shows there too.
 
     python3 tools/ladder.py --summary ladder.jsonl
 
 reads such JSON lines instead of solving and prints their summary: the
-instances and errors; the total rounds, pivots, perturbations and seconds;
-the seconds and rounds per size; the five slowest instances; and the
-largest gap ratio.  A field that a line lacks counts as 0 there.
+instances and errors; the total rounds, pivots, perturbations, seed pivots
+and seconds; the seconds and rounds per size; the five slowest instances;
+and the largest gap ratio.  A field that a line lacks counts as 0 there.
 
 BLAS and OpenMP pools are pinned to one thread before numpy is imported:
 the simplex's pivot path depends on BLAS summation order.
@@ -74,6 +76,8 @@ def solve(n: int, m: int, s: int) -> dict:
         pivots=sol.stats["pivots"],
         perturbations=sol.stats["perturbations"],
         dual_pivots=sol.stats["dual_pivots"],
+        seed_columns=sol.stats["seed_columns"],
+        seed_pivots=sol.stats["seed_pivots"],
         seconds=seconds,
     )
     return line
@@ -105,7 +109,8 @@ def summary(lines: list[dict]) -> list[str]:
     out.extend(f"  {name(d)}: {d['error']}" for d in errors)
     out.append(
         f"total: {total(lines, 'rounds'):,} rounds, {total(lines, 'pivots'):,} pivots, "
-        f"{total(lines, 'perturbations'):,} perturbations, {total(lines, 'seconds'):.1f} s"
+        f"{total(lines, 'perturbations'):,} perturbations, {total(lines, 'seed_pivots'):,} seed pivots, "
+        f"{total(lines, 'seconds'):.1f} s"
     )
     for n, m in dict.fromkeys((d["n"], d["m"]) for d in lines):
         group = [d for d in lines if (d["n"], d["m"]) == (n, m)]
