@@ -21,19 +21,42 @@ factor above the full one.  Both properties are re-verified post hoc.
 
 The solve starts from a list schedule instead of the simplex's two-phase
 cold start.  Jobs go in Smith's-rule order (w_j / min_i p_ij, largest
-first), and each takes the variable that finishes it earliest without
-overlapping the jobs placed before it, gaps included.  Its n variables and
-every cover row's slack form a basis: each job row holds only its job's
-chosen column, and the cover slacks are unit columns, so the basis is
-nonsingular, and every slack is 0 or 1, so it is primal feasible.  The
+first), and each takes the admissible start that finishes it earliest
+without overlapping the jobs placed before it, gaps included.  The schedule
+is made from the instance and the start set alone, before any LP exists.
+Over the full range a job can always be placed after every placed one; on a
+compressed start set placement can fail, and the solve then builds the
+whole LP and starts cold.
+
+The LP is built only up to T0, the list schedule's makespan: the starts that
+finish by T0 and the cover rows of the times up to it.  The schedule's n
+variables and every cover row's slack form a basis: each job row holds only
+its job's chosen column, and the cover slacks are unit columns, so the basis
+is nonsingular, and every slack is 0 or 1, so it is primal feasible.  The
 simplex takes it as a warm start and skips phase 1.  That vertex is highly
 degenerate (the slack of every cover time a job holds is basic at zero), so
 the simplex perturbs the right-hand side at its first pivot that does not
-lower the objective, as it does for any given basis.  Over the full range a
-job can always be placed after every placed one; on a compressed start set
-placement can fail, and the solve then starts cold.  The optimum is the same
-either way, but where it is tied the returned vertex can differ from the one
-a cold start reaches.
+lower the objective, as it does for any given basis.
+
+Then every start of the full range (``lp_horizon``, or the whole compressed
+start set) is priced against the duals, with a cover dual of 0 at every time
+past the LP's horizon.  With lambda = -y >= 0 on the cover rows and Lambda_i
+its prefix sum on machine i, the Lagrangian bound
+
+    sum_j min over (i, s) of [w_j (s + p) + Lambda_i(s + p) - Lambda_i(s)] - sum lambda
+
+is a lower bound on the full LP, and a start's reduced cost is its term less
+its job row's dual.  If no start prices below the simplex's ``OPT_TOL``, the
+duals, with 0 on the rows the LP lacks, are feasible for the full LP and
+meet the restricted optimum, so by LP duality that optimum is the full
+LP's; ``gap_bound`` is the objective less the bound.  Otherwise the LP grows
+to the latest finish of a start that prices below: the cover rows of the
+times up to it, then every start that finishes by it.  No old variable has
+an entry in a new row, so the simplex resumes from its optimum with the new
+rows' slacks basic, and the pricing repeats.  Past the horizon a start's
+term only grows with s, so each pair is priced up to its first start at or
+after the horizon.  Where the optimum is tied, the returned vertex can
+differ from the one a solve of the whole LP, warm or cold, reaches.
 
 The LP is built as the chain LP's master is, and as ``LinearProgram``
 takes it: its rows first, with no entries, and then every variable as one
@@ -41,7 +64,7 @@ column.  The simplex holds a dense basis inverse, rows x rows doubles, with
 rows = n + machines x cover times.  The builder counts the rows first and
 asks ``LinearProgram.reserve`` for them, which raises ``LpError`` when that
 inverse would exceed its budget, so an oversized LP (a release far out
-makes the full range long) is refused before any array of its size is
+makes the list schedule long) is refused before any array of its size is
 built.  Then it enumerates every allowed (job, machine) pair and every
 admissible start at once, in array operations, and lays down the entries'
 rows with one prefix sum.  It makes those arrays read-only and hands them
@@ -57,7 +80,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import Instance, InstanceError, horizon as instance_horizon, lp_horizon, normalize_weights
-from .simplex import Basis, LinearProgram, solve_lp
+from .simplex import OPT_TOL, STATS, Basis, LinearProgram, solve_lp
 
 COVER_TOL = 1e-6
 ASSIGN_TOL = 1e-6
@@ -107,6 +130,7 @@ class FractionalIntervalSolution:
     value: np.ndarray  # (k,) y mass
     objective: float
     horizon: int
+    gap_bound: float = 0.0  # objective less the Lagrangian bound of the LP's duals, over the full range
     stats: dict = field(default_factory=dict)  # the solve's simplex counters, LpSolution.stats
 
     def x(self, inst: Instance) -> np.ndarray:
@@ -181,13 +205,18 @@ class IntervalLpModel:
     machine: np.ndarray
     job: np.ndarray
     start: np.ndarray
-    horizon: int
-    cover_times: np.ndarray  # times t with a cover row
+    horizon: int  # every variable finishes by it
+    cover_times: np.ndarray  # times t with a cover row, increasing
+    cover_rows: np.ndarray  # (machines, cover times): the LP row of each
 
 
-def build_interval_lp(inst: Instance, starts: StartTimeSet | None = None) -> IntervalLpModel:
+def build_interval_lp(
+    inst: Instance, starts: StartTimeSet | None = None, horizon: int | None = None
+) -> IntervalLpModel:
     """Assemble the LP over a start set: the compressed one given, or by
-    default the full range, starts 0..T-1 with horizon T = ``lp_horizon``.
+    default the full range, starts 0..T-1 with T = ``lp_horizon``.  With
+    ``horizon`` the LP holds only the starts that finish by it, and the
+    cover rows of the times up to it.
 
     Variables exist only for starts in the set and cover rows only for times
     t with t - 1 in the set.  The job rows and cover rows are added first,
@@ -196,107 +225,210 @@ def build_interval_lp(inst: Instance, starts: StartTimeSet | None = None) -> Int
     job row and the cover rows it spans; variables run by job, then machine,
     then start.
     """
-    n = inst.num_jobs
-    if starts is None:
-        H = C = lp_horizon(inst)
-    else:
-        H, C = starts.horizon, np.count_nonzero(starts.times + 1 <= starts.horizon)
-    covers = inst.num_machines * C
-    lp = LinearProgram()
-    lp.reserve(n + covers)  # before any array of the LP's size exists
-    times = np.arange(H, dtype=np.int64) if starts is None else starts.times
-    cover_times = times[times + 1 <= H] + 1
-    lp.add_rows(["=="] * n + ["<="] * covers, np.ones(n + covers))
+    M, none = inst.num_machines, np.zeros(0, dtype=np.int64)
+    model = IntervalLpModel(LinearProgram(), none, none, none, 0, none, np.zeros((M, 0), dtype=np.int64))
+    _extend(inst, starts, model, _full_horizon(inst, starts) if horizon is None else horizon)
+    return model
 
-    # Pair (j, i), in job then machine order, may start at the count times
-    # from times[a] on: from its release up to H - p.
+
+def _full_horizon(inst: Instance, starts: StartTimeSet | None) -> int:
+    return lp_horizon(inst) if starts is None else starts.horizon
+
+
+def _pairs(inst: Instance):
+    """The allowed (job, machine) pairs, by job, then machine: their jobs,
+    machines, sizes and releases."""
     jobs, machines = inst.allowed_mask().nonzero()
-    p = inst.sizes[jobs, machines]
-    a = np.searchsorted(times, inst.release_matrix()[jobs, machines], side="left")
-    count = np.maximum(np.searchsorted(times, H - p, side="right") - a, 0)
-    missing = np.flatnonzero(np.bincount(jobs, weights=count, minlength=n) == 0)
-    if missing.size:
-        raise IntervalLpError(f"job {int(missing[0])} has no admissible start time")
-    machine, job, p = machines.repeat(count), jobs.repeat(count), p.repeat(count)
-    start = times[np.arange(job.size) - (np.cumsum(count) - count - a).repeat(count)]
+    return jobs, machines, inst.sizes[jobs, machines], inst.release_matrix()[jobs, machines]
+
+
+def _admissible(starts: StartTimeSet | None, jobs, machines, first, last):
+    """(machine, job, start) of every start of pair (jobs[k], machines[k])
+    from first[k] to last[k], inclusive: every integer, or the start set's
+    times.  They run in the pairs' order, then by start."""
+    if starts is None:
+        a, count = first, np.maximum(last - first + 1, 0)
+    else:
+        a = np.searchsorted(starts.times, first, side="left")
+        count = np.maximum(np.searchsorted(starts.times, last, side="right") - a, 0)
+    at = np.arange(count.sum()) - (np.cumsum(count) - count - a).repeat(count)
+    return machines.repeat(count), jobs.repeat(count), at if starts is None else starts.times[at]
+
+
+def _extend(inst: Instance, starts: StartTimeSet | None, model: IntervalLpModel, horizon: int) -> None:
+    """Grow the model from its horizon to ``horizon``: the cover rows of the
+    times in between, then every start that finishes in between.  Built
+    from nothing, the job rows come first.  The old variables finish by the
+    old horizon, so they have no entry in the new rows."""
+    n, M, old, lp = inst.num_jobs, inst.num_machines, model.horizon, model.lp
+    if starts is None:
+        count = horizon - old
+    else:
+        times = starts.times[(starts.times + 1 > old) & (starts.times + 1 <= horizon)]
+        count = times.size
+    job_rows = 0 if old else n
+    lp.reserve(job_rows + M * count)  # before any array of the LP's size exists
+    if starts is None:
+        times = np.arange(old, horizon)
+    senses = ["=="] * job_rows + ["<="] * (M * count)
+    new_rows = lp.add_rows(senses, np.ones(len(senses))).start + job_rows + np.arange(M * count)
+    model.cover_times = np.concatenate((model.cover_times, times + 1))
+    model.cover_rows = np.hstack((model.cover_rows, new_rows.reshape(M, count)))
+
+    # Pair (j, i) finishes in (old, horizon] from the start max(r, old - p +
+    # 1) to horizon - p.
+    jobs, machines, p, release = _pairs(inst)
+    machine, job, start = _admissible(starts, jobs, machines, np.maximum(release, old - p + 1), horizon - p)
+    if not old:
+        missing = np.flatnonzero(np.bincount(job, minlength=n) == 0)
+        if missing.size:
+            raise IntervalLpError(f"job {int(missing[0])} has no admissible start time")
+    p = inst.sizes[job, machine]
 
     # Variable k on machine i covers t iff start < t <= start + p: a run of
     # span[k] cover times from lo[k] on, found by binary search.  Its column
     # lists its job row, then those cover rows in increasing order.  Every
     # variable covers start + 1, so span >= 1, and the rows of all columns
-    # are one prefix sum of their steps: 1 inside a run.
-    lo = np.searchsorted(cover_times, start, side="right")
-    span = np.searchsorted(cover_times, start + p, side="right") - lo
+    # are one prefix sum of their steps: 1 inside a run.  The rows count as
+    # if the cover rows ran by machine, then time; once the model has grown
+    # they do not, and ``cover_rows`` maps them.
+    C = model.cover_times.size
+    lo = np.searchsorted(model.cover_times, start, side="right")
+    span = np.searchsorted(model.cover_times, start + p, side="right") - lo
     ptr = np.concatenate(([0], np.cumsum(1 + span)))
     first = n + machine * C + lo  # each column's first cover row
     rows = np.ones(ptr[-1], dtype=np.int64)
     rows[ptr[:-1]] = job - np.concatenate(([0], first[:-1] + span[:-1] - 1))
     rows[ptr[:-1] + 1] = first - job
     np.cumsum(rows, out=rows)
+    if old:
+        rows = np.concatenate((np.arange(n), model.cover_rows.ravel()))[rows]
     values = np.ones(rows.size)
     rows.flags.writeable = values.flags.writeable = False  # so the LP keeps them uncopied
     lp.add_columns(ptr, rows, values, inst.weights[job] * (start + p))
-    return IntervalLpModel(lp=lp, machine=machine, job=job, start=start, horizon=H, cover_times=cover_times)
+    model.machine = np.concatenate((model.machine, machine))
+    model.job = np.concatenate((model.job, job))
+    model.start = np.concatenate((model.start, start))
+    model.horizon = horizon
 
 
-def list_schedule(inst: Instance, model: IntervalLpModel) -> np.ndarray | None:
-    """A non-preemptive schedule made of the model's variables: the chosen
-    variable per job, or None when some job has no free admissible start
-    (possible on a compressed start set only).
+def list_schedule(inst: Instance, starts: StartTimeSet | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+    """A non-preemptive schedule over a start set (by default the full
+    range): (machine, start) per job, or None when some job has no free
+    admissible start (possible on a compressed start set only).
 
     Jobs go in Smith's-rule order, by w_j / min_i p_ij, largest first and
     ties by index.  Each takes, over its allowed machines, the admissible
     start that finishes it earliest without overlapping a job placed before
-    it; ties go to the lower machine.
+    it, by the horizon of the start set; ties go to the lower machine.
     """
-    M, C = inst.num_machines, model.cover_times.size
-    smallest = np.where(inst.allowed_mask(), inst.sizes, np.iinfo(np.int64).max).min(axis=1)
+    n, M = inst.num_jobs, inst.num_machines
+    allowed, sizes, release = inst.allowed_mask(), inst.sizes, inst.release_matrix()
+    smallest = np.where(allowed, sizes, np.iinfo(np.int64).max).min(axis=1)
     order = np.argsort(-(inst.weights / smallest), kind="stable")
-    # Job j's variables are model.*[bounds[j]:bounds[j + 1]], by machine,
-    # then start: the first of the earliest finishes is the choice.
-    bounds = np.searchsorted(model.job, np.arange(inst.num_jobs + 1))
-    # Variable k holds the cover times in (start, start + p], indices
-    # lo[k]..hi[k]-1.  Every variable holds the cover time start + 1, so two
-    # variables on one machine overlap iff they share a cover time.
-    finish = model.start + inst.sizes[model.job, model.machine]
-    lo = np.searchsorted(model.cover_times, model.start, side="right")
-    hi = np.searchsorted(model.cover_times, finish, side="right")
-    # held[i, c]: how many of machine i's cover times below c are held.
-    held = np.zeros((M, C + 1), dtype=np.int64)
-    chosen = np.empty(inst.num_jobs, dtype=np.int64)
-    for j in order:
-        a, b = bounds[j], bounds[j + 1]
-        machine = model.machine[a:b]
-        free = np.flatnonzero(held[machine, hi[a:b]] == held[machine, lo[a:b]])
+    # The free gaps [gap_lo, gap_hi) of the machines, one per machine at
+    # first; placing a job splits one in two.  In a gap the earliest
+    # admissible start finishes the job earliest, and on one machine no two
+    # gaps give the same finish.
+    gap_machine = np.concatenate((np.arange(M), np.zeros(n, dtype=np.int64)))
+    gap_lo = np.zeros(M + n, dtype=np.int64)
+    gap_hi = np.full(M + n, _full_horizon(inst, starts), dtype=np.int64)
+    machine, start = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for k, j in enumerate(order, M):
+        on = gap_machine[:k]
+        s = np.maximum(gap_lo[:k], release[j, on])
+        fits = allowed[j, on]
+        if starts is not None:
+            at = np.searchsorted(starts.times, s)
+            fits &= at < starts.times.size
+            s = starts.times[np.minimum(at, starts.times.size - 1)]
+        finish = s + sizes[j, on]
+        free = np.flatnonzero(fits & (finish <= gap_hi[:k]))
         if not free.size:
             return None
-        best = a + free[np.argmin(finish[a:b][free])]
-        i, c0, c1 = model.machine[best], lo[best], hi[best]
-        held[i, c0 + 1 : c1 + 1] += np.arange(1, c1 - c0 + 1)
-        held[i, c1 + 1 :] += c1 - c0
-        chosen[j] = best
-    return chosen
+        free = free[finish[free] == finish[free].min()]
+        g = free[np.argmin(on[free])]
+        machine[j], start[j] = on[g], s[g]
+        gap_machine[k], gap_lo[k], gap_hi[k] = on[g], finish[g], gap_hi[g]
+        gap_hi[g] = s[g]
+    return machine, start
+
+
+def _variables_at(model: IntervalLpModel, starts: StartTimeSet | None, machine, start) -> np.ndarray:
+    """Job j's variable at (machine[j], start[j]), per job, in a model as
+    built (by job, then machine, then start): the first of its pair's, plus
+    the starts in the set between that one's and start[j]."""
+    M = model.cover_rows.shape[0]
+    first = np.searchsorted(model.job * M + model.machine, np.arange(machine.size) * M + machine)
+    rank = (lambda t: t) if starts is None else (lambda t: np.searchsorted(starts.times, t))
+    return first + rank(start) - rank(model.start[first])
+
+
+def _price(inst: Instance, starts: StartTimeSet | None, model: IntervalLpModel, duals: np.ndarray):
+    """The Lagrangian bound of the model's cover duals over the full range
+    (see the module docstring), and the latest finish of a start outside
+    the model whose reduced cost is below -``OPT_TOL``, or the model's
+    horizon if none's is.  Past the horizon a start's term only grows with
+    s, so each pair is priced up to its first start at or after it."""
+    n, T = inst.num_jobs, model.horizon
+    H = _full_horizon(inst, starts)
+    lam = np.maximum(-duals[model.cover_rows], 0.0)
+    Lam = np.zeros((lam.shape[0], lam.shape[1] + 1))
+    np.cumsum(lam, axis=1, out=Lam[:, 1:])
+    jobs, machines, p, release = _pairs(inst)
+    past = np.maximum(release, T)  # the first admissible start at or after the horizon
+    if starts is not None:
+        at = np.searchsorted(starts.times, past)
+        past = np.where(at < starts.times.size, starts.times[np.minimum(at, starts.times.size - 1)], H)
+    machine, job, start = _admissible(starts, jobs, machines, release, np.minimum(past, H - p))
+    finish = start + inst.sizes[job, machine]
+    hi = np.searchsorted(model.cover_times, finish, side="right")
+    lo = np.searchsorted(model.cover_times, start, side="right")
+    term = inst.weights[job] * finish + (Lam[machine, hi] - Lam[machine, lo])
+    outside = (finish > T) & (term - duals[job] < -OPT_TOL)
+    bound = float(np.minimum.reduceat(term, np.searchsorted(job, np.arange(n))).sum() - lam.sum())
+    return bound, int(finish[outside].max(initial=T))
 
 
 def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalIntervalSolution:
     """Solve the relaxation; eps=None solves over the full time range,
-    otherwise over the compressed start set for that eps.  The simplex
-    starts from the basis of ``list_schedule``, or cold when it finds none.
+    otherwise over the compressed start set for that eps.
+
+    The LP is built up to the makespan of ``list_schedule`` and solved from
+    that schedule's basis; while a start of the full range outside it
+    prices below -``OPT_TOL`` (``_price``), it grows and the simplex
+    resumes (see the module docstring).  Without a list schedule the whole
+    LP is built and solved cold.  ``gap_bound`` is the objective less the
+    final duals' Lagrangian bound over the full range.
 
     The returned solution is validated against the full per-integer-time
     cover check regardless of mode.  The LP is solved on the weights of
-    ``normalize_weights`` and its objective scaled back.
+    ``normalize_weights`` and its objective scaled back; ``stats`` sums the
+    simplex counters of its solves.
     """
     starts = None if eps is None else compress_start_times(inst, eps)
     scaled, shift = normalize_weights(inst)
-    model = build_interval_lp(scaled, starts)
-    chosen = list_schedule(scaled, model)
-    hint = None
-    if chosen is not None:
+    schedule = list_schedule(scaled, starts)
+    if schedule is None:
+        model, hint = build_interval_lp(scaled, starts), None
+    else:
+        machine, start = schedule
+        finish = start + inst.sizes[np.arange(inst.num_jobs), machine]
+        model = build_interval_lp(scaled, starts, int(finish.max()))
+        chosen = _variables_at(model, starts, machine, start)
         hint = Basis(columns=chosen, slack_rows=np.arange(inst.num_jobs, model.lp.num_rows))
-    res = solve_lp(model.lp, hint)
-    if res.status != "optimal":
-        raise IntervalLpError(f"interval LP is {res.status}")
+    stats = dict.fromkeys(STATS, 0)
+    while True:
+        res = solve_lp(model.lp, hint)
+        if res.status != "optimal":
+            raise IntervalLpError(f"interval LP is {res.status}")
+        for key, count in res.stats.items():
+            stats[key] += count
+        bound, reach = _price(scaled, starts, model, res.duals)
+        if reach == model.horizon:
+            break
+        _extend(scaled, starts, model, reach)
+        hint = None
     keep = res.x > 1e-11
     sol = FractionalIntervalSolution(
         machine=model.machine[keep],
@@ -304,8 +436,9 @@ def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalInt
         start=model.start[keep],
         value=res.x[keep],
         objective=float(np.ldexp(res.objective, -shift)),
-        horizon=model.horizon,
-        stats=res.stats,
+        horizon=_full_horizon(inst, starts),
+        gap_bound=float(np.ldexp(max(res.objective - bound, 0.0), -shift)),
+        stats=stats,
     )
     validate_fractional(inst, sol)
     return sol

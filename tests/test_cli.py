@@ -247,11 +247,11 @@ def test_oracle_guard_exit_code(tmp_path, capsys):
 
 
 def test_oversized_interval_lp_exit_code(tmp_path, capsys):
-    # 20 machines at LP horizon 679: the full LP has 13,583 rows, and its
-    # basis inverse would need 1.4 GiB.
+    # 20 machines whose list schedule ends at 440: even the LP built to that
+    # makespan has 8,803 rows, and its basis inverse would need 591 MiB.
     doc = {
         "machines": 20,
-        "jobs": [{"release": 0, "weight": 1.0, "sizes": [170] * 20} for _ in range(3)],
+        "jobs": [{"release": r, "weight": 1.0, "sizes": [80] * 20} for r in (0, 0, 360)],
     }
     path = tmp_path / "wide.inst.json"
     path.write_text(json.dumps(doc))

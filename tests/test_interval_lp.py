@@ -303,7 +303,7 @@ def test_solution_from_triples_validates():
 
 
 def solve_recorded(inst, eps=None):
-    """solve_interval_lp, and the LpSolution of its simplex call."""
+    """solve_interval_lp, and the LpSolution of each of its simplex calls."""
     seen = []
 
     def spy(lp, basis=None):
@@ -312,21 +312,20 @@ def solve_recorded(inst, eps=None):
 
     with mock.patch.object(interval_lp, "solve_lp", spy):
         sol = solve_interval_lp(inst, eps)
-    assert len(seen) == 1
-    return sol, seen[0]
+    return sol, seen
 
 
-def scheduled(inst, model):
+def scheduled(inst, starts=None):
     """The list schedule as (machine, start) per job."""
-    chosen = list_schedule(inst, model)
-    return model.machine[chosen].tolist(), model.start[chosen].tolist()
+    machine, start = list_schedule(inst, starts)
+    return machine.tolist(), start.tolist()
 
 
 def test_list_schedule_smith_order_back_to_back():
     # w/p: job 0 has 1/2, job 1 has 3/3, so job 1 goes first, at 0, and job
     # 0 follows it without a gap.
     inst = make([[2], [3]], [0, 0], [1.0, 3.0])
-    assert scheduled(inst, build_interval_lp(inst)) == ([0, 0], [3, 0])
+    assert scheduled(inst) == ([0, 0], [3, 0])
 
 
 def test_list_schedule_fills_gaps_and_picks_earliest_finish():
@@ -335,7 +334,7 @@ def test_list_schedule_fills_gaps_and_picks_earliest_finish():
     # 1, at 6: on machine 0 the gap [2, 4) is one slot too short for p = 3,
     # and the next free start is 5.
     inst = make([[1, 9], [2, 9], [3, 6]], [4, 0, 0], [4.0, 1.0, 0.5])
-    machine, start = scheduled(inst, build_interval_lp(inst))
+    machine, start = scheduled(inst)
     assert machine == [0, 0, 1] and start == [4, 0, 0]
     cost = evaluate_schedule(inst, NonPreemptiveSchedule(machine=np.array(machine), start=np.array(start)))
     assert cost.completion.tolist() == [5, 2, 6]
@@ -343,14 +342,14 @@ def test_list_schedule_fills_gaps_and_picks_earliest_finish():
 
 def test_list_schedule_ties_go_to_the_lower_machine():
     inst = make([[2, 2], [2, 2]], [0, 0], [1.0, 1.0])
-    assert scheduled(inst, build_interval_lp(inst)) == ([0, 1], [0, 0])
+    assert scheduled(inst) == ([0, 1], [0, 0])
 
 
 def test_solve_starts_warm_and_matches_cold():
     rng = np.random.default_rng(5)
     inst = make(rng.integers(1, 6, size=(6, 2)), rng.integers(0, 8, size=6), rng.uniform(1, 5, 6))
     for eps in (None, 0.5):
-        sol, res = solve_recorded(inst, eps)
+        sol, [res] = solve_recorded(inst, eps)
         assert res.warm
         starts = None if eps is None else compress_start_times(inst, eps)
         cold = solve_lp(build_interval_lp(inst, starts).lp)
@@ -363,7 +362,7 @@ def test_list_schedule_start_perturbs_its_first_stall():
     # basis.  Waiting 3 m + 50 stalled pivots to perturb took 69 pivots here;
     # perturbing at the first stall takes 17.
     inst = random_instance(np.random.default_rng(124), 5, 2, p_max=40, r_max=40)
-    _, res = solve_recorded(inst)
+    _, [res] = solve_recorded(inst)
     assert res.warm
     assert res.iterations <= 35
     assert res.stats["perturbations"] >= 1
@@ -372,26 +371,44 @@ def test_list_schedule_start_perturbs_its_first_stall():
     assert res.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
+def test_a_solve_that_grows_resumes_and_certifies():
+    # One machine; the list schedule runs jobs 2, 1 and 0 back to back and
+    # ends at 14, below the full range's 16.  Against the duals of the LP
+    # built to 14 a start that finishes later prices below -OPT_TOL, so the
+    # LP grows, and the simplex resumes from its optimum.
+    inst = make([[6], [4], [4]], [2, 2, 0], [1.06611054, 4.25308096, 4.65102231])
+    assert scheduled(inst) == ([0, 0, 0], [8, 4, 0]) and lp_horizon(inst) == 16
+    for eps in (None, 0.5):
+        starts = None if eps is None else compress_start_times(inst, eps)
+        sol, calls = solve_recorded(inst, eps)
+        assert len(calls) == 2 and all(res.warm for res in calls)
+        assert sol.horizon == (16 if eps is None else starts.horizon)
+        assert sol.stats["pivots"] == sum(res.stats["pivots"] for res in calls)
+        direct = solve_lp(build_by_pair_loop(inst, starts)[0])
+        assert sol.objective == pytest.approx(direct.objective, rel=1e-12)
+        assert 0.0 <= sol.gap_bound <= 1e-12 * sol.objective
+
+
 def test_unplaceable_list_schedule_falls_back_cold():
     # Starts {0, 2}, horizon 3.  Job 1 (w/p = 1) takes start 0; job 0 (p = 2)
     # then has only start 0 left, which overlaps, so there is no list
     # schedule.  The LP is feasible: job 0 at 0, job 1 at 2.
     inst = make([[2], [1]], [0, 0], [1.0, 1.0])
     starts = StartTimeSet(times=np.array([0, 2]), epsilon=0.5, delta=0.125, horizon=3)
-    model = build_interval_lp(inst, starts)
-    assert list_schedule(inst, model) is None
+    assert list_schedule(inst, starts) is None
     with mock.patch.object(interval_lp, "compress_start_times", lambda inst, eps: starts):
-        sol, res = solve_recorded(inst, 0.5)
+        sol, [res] = solve_recorded(inst, 0.5)
     assert not res.warm
     cold = solve_lp(build_interval_lp(inst, starts).lp)
     assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
     assert sorted(zip(sol.job.tolist(), sol.start.tolist())) == [(0, 0), (1, 2)]
 
 
-def oversized(machines=20, jobs=3, size=170):
-    # lp_horizon = jobs * size + size - 1 = 679: 3 + 20 x 679 = 13,583 rows,
-    # a 1.4 GiB basis inverse.
-    return make(np.full((jobs, machines), size), [0] * jobs, [1.0] * jobs)
+def oversized():
+    # lp_horizon = 360 + 3 x 80 + 80 - 1 = 679: 3 + 20 x 679 = 13,583 rows,
+    # a 1.4 GiB basis inverse.  The list schedule ends at 360 + 80 = 440,
+    # so the LP built to it has 8,803 rows, a 591 MiB inverse.
+    return make(np.full((3, 20), 80), [0, 0, 360], [1.0] * 3)
 
 
 def far_release():
@@ -417,8 +434,9 @@ def test_solver_shares_the_builders_entry_arrays(monkeypatch):
 
 
 def test_size_guard_refuses_before_allocating():
-    # The full LP is refused from its row count alone, before any array of
-    # its size is built.
+    # The full LP, and the LP built to the list schedule's makespan that
+    # solve_interval_lp starts from, are refused from their row counts
+    # alone, before any array of their size is built.
     for inst, rows in ((oversized(), 13583), (far_release(), 2000000000029)):
         tracemalloc.start()
         try:

@@ -1,9 +1,10 @@
 """Property tests for the interval LP's list-schedule start: on random
 instances the list schedule is a valid schedule, the LP optimum lies at or
-below its cost, and the solve starts warm from it and reaches the optimum of
-a cold solve.  The list schedule also makes the same choices as a reference
-that keeps each machine's busy windows as sorted intervals.  The full-range
-LP at ``lp_horizon`` has the optimum of the LP at the instance's horizon."""
+below its cost, and the solve starts warm from it (and resumes as it grows)
+and reaches the optimum of a cold solve.  The list schedule also makes the
+same choices as a reference that walks the model's variables and keeps each
+machine's busy windows as sorted intervals.  The full-range LP at
+``lp_horizon`` has the optimum of the LP at the instance's horizon."""
 
 import numpy as np
 import pytest
@@ -21,13 +22,14 @@ from alphasched.instance import (  # noqa: E402
 )
 from alphasched.interval_lp import (  # noqa: E402
     StartTimeSet,
+    _variables_at,
     build_interval_lp,
     compress_start_times,
     list_schedule,
 )
 from alphasched.simplex import Basis, solve_lp  # noqa: E402
 
-from test_interval_lp import solve_recorded  # noqa: E402
+from test_interval_lp import build_by_pair_loop, solve_recorded  # noqa: E402
 
 
 @st.composite
@@ -75,12 +77,15 @@ def busy_window_list_schedule(inst, model):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(instances(), st.sampled_from((None, 0.2, 0.5)))
 def test_list_schedule_matches_busy_window_reference(inst, eps):
-    model = build_interval_lp(inst, None if eps is None else compress_start_times(inst, eps))
-    chosen, reference = list_schedule(inst, model), busy_window_list_schedule(inst, model)
+    starts = None if eps is None else compress_start_times(inst, eps)
+    model = build_interval_lp(inst, starts)
+    schedule, reference = list_schedule(inst, starts), busy_window_list_schedule(inst, model)
     if reference is None:
-        assert chosen is None
+        assert schedule is None
     else:
-        assert chosen is not None and chosen.tolist() == reference.tolist()
+        assert schedule is not None
+        assert schedule[0].tolist() == model.machine[reference].tolist()
+        assert schedule[1].tolist() == model.start[reference].tolist()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -88,14 +93,19 @@ def test_list_schedule_matches_busy_window_reference(inst, eps):
 def test_list_schedule_start_is_warm_and_optimal(inst, eps):
     starts = None if eps is None else compress_start_times(inst, eps)
     model = build_interval_lp(inst, starts)
-    chosen = list_schedule(inst, model)
-    assert chosen is not None
-    schedule = NonPreemptiveSchedule(machine=model.machine[chosen], start=model.start[chosen])
-    cost = evaluate_schedule(inst, schedule).objective
+    schedule = list_schedule(inst, starts)
+    assert schedule is not None
+    chosen = _variables_at(model, starts, *schedule)
+    assert model.machine[chosen].tolist() == schedule[0].tolist()
+    assert model.start[chosen].tolist() == schedule[1].tolist()
+    assert model.job[chosen].tolist() == list(range(inst.num_jobs))
+    cost = evaluate_schedule(inst, NonPreemptiveSchedule(*schedule)).objective
     assert model.lp.objective[chosen].sum() == pytest.approx(cost, rel=1e-12)
 
-    sol, res = solve_recorded(inst, eps)
-    assert res.warm
+    # The first solve starts from the list schedule; a solve that grows the
+    # LP resumes from the last optimum.
+    sol, calls = solve_recorded(inst, eps)
+    assert all(res.warm for res in calls)
     assert sol.objective <= cost * (1 + 1e-12)
     cold = solve_lp(build_interval_lp(inst, starts).lp)
     assert cold.status == "optimal" and not cold.warm
@@ -113,10 +123,10 @@ def release_instances(draw):
     return inst
 
 
-def solve_model(inst, model):
-    """The model's LP solved from its list schedule, as ``solve_interval_lp``
-    starts it."""
-    chosen = list_schedule(inst, model)
+def solve_model(inst, model, starts=None):
+    """The model's LP over the whole start set, solved from its list
+    schedule."""
+    chosen = _variables_at(model, starts, *list_schedule(inst, starts))
     res = solve_lp(model.lp, Basis(columns=chosen, slack_rows=np.arange(inst.num_jobs, model.lp.num_rows)))
     assert res.status == "optimal"
     return res
@@ -126,7 +136,30 @@ def solve_model(inst, model):
 @given(release_instances())
 def test_lp_horizon_keeps_the_optimum_of_the_full_horizon(inst):
     H = horizon(inst)
-    full = build_interval_lp(inst, StartTimeSet(times=np.arange(H), epsilon=0.0, delta=0.0, horizon=H))
+    every = StartTimeSet(times=np.arange(H), epsilon=0.0, delta=0.0, horizon=H)
+    full = build_interval_lp(inst, every)
     tight = build_interval_lp(inst)
     assert tight.horizon == lp_horizon(inst) <= H
-    assert solve_model(inst, tight).objective == pytest.approx(solve_model(inst, full).objective, rel=1e-12)
+    assert solve_model(inst, tight).objective == pytest.approx(solve_model(inst, full, every).objective, rel=1e-12)
+
+
+def test_solve_matches_a_direct_solve_of_the_whole_range():
+    # solve_interval_lp builds the LP up to its list schedule's makespan and
+    # grows it while a start past that prices below OPT_TOL.  Its answer is
+    # the optimum of the whole range, built by the test's own pair loop and
+    # solved cold, and its Lagrangian bound closes.  Some examples grow.
+    grown = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(release_instances(), st.sampled_from((None, 0.5)))
+    def check(inst, eps):
+        sol, calls = solve_recorded(inst, eps)
+        grown.append(len(calls) > 1)
+        lp, *_ = build_by_pair_loop(inst, None if eps is None else compress_start_times(inst, eps))
+        direct = solve_lp(lp)
+        assert direct.status == "optimal"
+        assert sol.objective == pytest.approx(direct.objective, rel=1e-9)
+        assert 0.0 <= sol.gap_bound <= 1e-9 * (1.0 + sol.objective)
+
+    check()
+    assert any(grown)
