@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -296,11 +297,12 @@ def test_master_bases_read_after_resumes_and_purges(monkeypatch):
 
 
 def test_stats_sum_the_master_solves(monkeypatch):
-    masters = []
+    masters, lps = [], []
     solve_lp = chain_lp.solve_lp
 
     def recording_solve_lp(lp, basis=None):
         masters.append(solve_lp(lp, basis))
+        lps.append(lp)
         return masters[-1]
 
     monkeypatch.setattr(chain_lp, "solve_lp", recording_solve_lp)
@@ -318,7 +320,11 @@ def test_stats_sum_the_master_solves(monkeypatch):
     held.update(earliest_chain(i, j, int(rel[j, i]), inst.size(j, i)) for j, i in zip(*inst.allowed_mask().nonzero()))
     seeded = {earliest_chain(i, j, s, inst.size(j, i)) for i, j, s in zip(start.machine, start.job, start.start)}
     seed = {"seed_columns": len(seeded - held), "seed_pivots": start.stats["pivots"]}
-    assert sol.stats == {**summed, "rounds": sol.iterations, **seed}
+    # The last master's shift columns are its zero-cost columns (a chain
+    # costs w_j C > 0); its chains already meet every slot's capacity, so
+    # the recovery moves nothing.
+    last = {"shift_columns": int((lps[-1].objective == 0.0).sum()), "recovery_moves": 0}
+    assert sol.stats == {**summed, "rounds": sol.iterations, **seed, **last}
     assert sol.stats["pivots"] == sum(res.iterations for res in masters) > 0
     assert min(seed.values()) > 0
 
@@ -378,10 +384,23 @@ def test_chain_dataclass_guards():
         Chain(machine=0, job=0, slots=(1, 2)).validate(1, 10, 2)
 
 
+def _shift_pairs(inst, ends, blocks):
+    """The consecutive blocks (i, k), (i, k + 1) that both appear in
+    ``blocks``, a set of (machine, block), where block k starts at or after
+    the latest release of a job allowed on machine i."""
+    rel = inst.release_matrix()
+    latest = [max(int(rel[j, i]) for j in range(inst.num_jobs) if inst.allowed(j, i)) for i in range(inst.num_machines)]
+    start = np.concatenate(([0], ends[:-1]))
+    return sorted((i, k) for i, k in blocks if (i, k + 1) in blocks and start[k] >= latest[i])
+
+
 def _fresh_master(inst, ends, columns):
     """The master built from nothing: job rows, then one capacity row per
     (machine, block) in key order, as {key: {column: coefficient}}, with
-    each row's right-hand side and each column's cost."""
+    each row's right-hand side and each column's cost.  The chains are
+    columns 0, 1, ..., and the shift columns of ``_shift_pairs`` follow,
+    +1 in the earlier block's row and -1 in the later one's; the pairs are
+    returned too."""
     rows = {("job", j): {} for j in range(inst.num_jobs)}
     capacity = {}
     for k, c in enumerate(columns):
@@ -390,11 +409,14 @@ def _fresh_master(inst, ends, columns):
             key = (c.machine, int(np.searchsorted(ends, t, side="left")))
             capacity.setdefault(key, {})
             capacity[key][k] = capacity[key].get(k, 0.0) + 1.0
+    pairs = _shift_pairs(inst, ends, set(capacity))
+    for k, (i, b) in enumerate(pairs, start=len(columns)):
+        capacity[i, b][k], capacity[i, b + 1][k] = 1.0, -1.0
     rows.update(sorted(capacity.items()))
     lengths = np.diff(ends, prepend=0)
     rhs = [1.0 if key[0] == "job" else float(lengths[key[1]]) for key in rows]
     costs = [inst.weights[c.job] * ends[np.searchsorted(ends, c.completion, side="left")] for c in columns]
-    return rows, rhs, costs
+    return rows, rhs, costs + [0.0] * len(pairs), pairs
 
 
 def test_incremental_master_matches_fresh_build(monkeypatch):
@@ -404,7 +426,17 @@ def test_incremental_master_matches_fresh_build(monkeypatch):
     def checking_solve(master):
         lp, keys = master.lp, master.keys
         n, K = master.inst.num_jobs, master.ends.size
-        rows, rhs, costs = _fresh_master(master.inst, master.ends, master.columns)
+        rows, rhs, costs, pairs = _fresh_master(master.inst, master.ends, master.columns)
+        # The live LP numbers the chains and the shift columns as they were
+        # appended; the shift columns are keyed by their later row.
+        shifts = [divmod(int(k - n), K) for k in master.shift_key]
+        assert sorted((i, b - 1) for i, b in shifts) == pairs
+        col = np.empty(len(costs), dtype=np.int64)
+        col[: len(master.columns)] = master.chain_col
+        col[[len(master.columns) + pairs.index((i, b - 1)) for i, b in shifts]] = master.shift_col
+        assert sorted(col.tolist()) == list(range(lp.num_vars))
+        rows = {key: {int(col[k]): v for k, v in row.items()} for key, row in rows.items()}
+        costs = np.array(costs)[np.argsort(col)].tolist()
         want_rhs = dict(zip(rows, rhs))
         decoded = [("job", int(k)) if k < n else (int(k - n) // K, int(k - n) % K) for k in keys]
         # The live LP appends rows as columns open them: the same rows as a
@@ -419,7 +451,7 @@ def test_incremental_master_matches_fresh_build(monkeypatch):
                                      for key, b in zip(rows, rhs)])
         res = solve(master)
         assert res[0].objective == pytest.approx(solve_lp(fresh).objective, rel=1e-9, abs=1e-9)
-        checked.append(len(master.columns))
+        checked.append((len(master.columns), len(pairs)))
         return res
 
     monkeypatch.setattr(chain_lp._Master, "solve", checking_solve)
@@ -427,12 +459,29 @@ def test_incremental_master_matches_fresh_build(monkeypatch):
     inst = random_instance(np.random.default_rng(0), 8, 2, p_max=8, r_max=12)
     sol = solve_chain_lp(inst)
     assert len(checked) == sol.iterations > 3
-    assert any(b < a for a, b in zip(checked, checked[1:])), "no purge happened"
+    assert any(b < a for (a, _), (b, _) in zip(checked, checked[1:])), "no purge happened"
+    assert checked[-1][1] == sol.stats["shift_columns"] > 0
     comp = solve_chain_lp_compressed(inst, 0.5)
     assert len(checked) == sol.iterations + comp.iterations
+    assert checked[-1][1] == comp.stats["shift_columns"] > 0
 
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "chain-cg"
+LADDER_BEFORE_SHIFTS = Path(__file__).resolve().parents[1] / "BENCH_pr29-ladder.jsonl"
+
+
+def test_recovery_repairs_an_overloaded_final_master():
+    # The ladder's (8, 2) s = 14.  Its final master's chains meet only the
+    # prefix capacities that the shift columns leave, and overload a slot;
+    # the recovery pass moves slots into earlier free ones.  The objective
+    # is the one the ladder recorded before the master had shift columns.
+    inst = random_instance(np.random.default_rng(8014), 8, 2, p_max=40, r_max=40)
+    lines = map(json.loads, LADDER_BEFORE_SHIFTS.read_text(encoding="utf-8").splitlines())
+    want = next(float.fromhex(d["objective"]) for d in lines if (d["n"], d["m"], d["s"]) == (8, 2, 14))
+    sol = solve_chain_lp(inst)
+    assert sol.objective == pytest.approx(want, rel=1e-9, abs=0.0)
+    validate_chain_solution(inst, sol)
+    assert sol.stats["recovery_moves"] > 0
 
 
 def _block_counts(chain, ends):
@@ -449,6 +498,9 @@ def test_master_columns_differ_in_block_counts(monkeypatch):
     def checking_solve(master):
         counts = [_block_counts(c, master.ends) for c in master.columns]
         assert len(counts) == len(set(counts))
+        # The LP's other columns are the shift columns, which no chain is.
+        assert master.lp.num_vars == len(counts) + master.shift_col.size
+        assert (master.lp.objective[master.chain_col] > 0).all() and not master.lp.objective[master.shift_col].any()
         masters.append(len(counts))
         return solve(master)
 
@@ -458,7 +510,7 @@ def test_master_columns_differ_in_block_counts(monkeypatch):
         assert len(masters) == sol.iterations
         masters.clear()
     sol = solve_chain_lp_compressed(load_instance(CORPUS / "chain-0002.inst.json"), 0.2)
-    assert len(masters) == sol.iterations and masters[-1] > 100
+    assert len(masters) == sol.iterations and masters[-1] > 60
 
 
 def _largest_master(monkeypatch, inst):
@@ -546,8 +598,9 @@ def test_refused_start_time_lp_skips_the_seed(monkeypatch):
 
 
 def test_compressed_solves_take_no_seed():
-    # The compressed master starts from the greedy and earliest chains, as
-    # it did before the exact mode's seed: the same rounds and pivots.
+    # The compressed master starts from the greedy and earliest chains
+    # alone, and its pivot path is pinned: 28 rounds and 141 pivots with the
+    # shift columns (23 and 225 without them).
     sol = solve_chain_lp_compressed(load_instance(CORPUS / "chain-0002.inst.json"), 0.2)
     assert sol.stats["seed_columns"] == sol.stats["seed_pivots"] == 0
-    assert (sol.stats["rounds"], sol.stats["pivots"]) == (23, 225)
+    assert (sol.stats["rounds"], sol.stats["pivots"]) == (28, 141)

@@ -12,8 +12,9 @@ n, m, s, the objective as ``float.hex``, the column-generation rounds, the
 gap ratio ``gap_bound / (1 + objective)``, the master solves' pivots,
 perturbations and dual repair pivots, the start-time LP chains that seeded
 the first master and that LP's pivots (``seed_columns``, ``seed_pivots``,
-not in ``pivots``), and the solve's seconds; a solve that raises holds its
-error instead.  The exit code is 1 when any instance raised or closed with
+not in ``pivots``), the last master's shift columns and the slot moves of
+the recovery pass (``shift_columns``, ``recovery_moves``), and the solve's
+seconds; a solve that raises holds its error instead.  The exit code is 1 when any instance raised or closed with
 a gap ratio above 1e-6, or, with ``--expect``, when an instance's objective
 differs from the one the given JSON-lines file holds for its (n, m, s) by
 more than 1e-9 (1 + |objective|), when its rounds or pivots differ at all
@@ -25,8 +26,8 @@ takes another pivot path shows there too.
     python3 tools/ladder.py --summary ladder.jsonl
 
 reads such JSON lines instead of solving and prints their summary: the
-instances and errors; the total rounds, pivots, perturbations, seed pivots
-and seconds; the seconds and rounds per size; the five slowest instances;
+instances and errors; the total rounds, pivots, perturbations, seed pivots,
+shift columns, recovery moves and seconds; the seconds and rounds per size; the five slowest instances;
 and the largest gap ratio.  A field that a line lacks counts as 0 there.
 
 BLAS and OpenMP pools are pinned to one thread before numpy is imported:
@@ -78,6 +79,8 @@ def solve(n: int, m: int, s: int) -> dict:
         dual_pivots=sol.stats["dual_pivots"],
         seed_columns=sol.stats["seed_columns"],
         seed_pivots=sol.stats["seed_pivots"],
+        shift_columns=sol.stats["shift_columns"],
+        recovery_moves=sol.stats["recovery_moves"],
         seconds=seconds,
     )
     return line
@@ -110,6 +113,7 @@ def summary(lines: list[dict]) -> list[str]:
     out.append(
         f"total: {total(lines, 'rounds'):,} rounds, {total(lines, 'pivots'):,} pivots, "
         f"{total(lines, 'perturbations'):,} perturbations, {total(lines, 'seed_pivots'):,} seed pivots, "
+        f"{total(lines, 'shift_columns'):,} shift columns, {total(lines, 'recovery_moves'):,} recovery moves, "
         f"{total(lines, 'seconds'):.1f} s"
     )
     for n, m in dict.fromkeys((d["n"], d["m"]) for d in lines):
