@@ -92,7 +92,7 @@ from . import simplex
 from .chains import Chain, earliest_chain
 from .instance import Instance, horizon as instance_horizon, normalize_weights
 from .interval_lp import solve_interval_lp
-from .simplex import Basis, LinearProgram, LpError, solve_lp
+from .simplex import LinearProgram, LpError, solve_lp
 
 PRICE_TOL = 1e-7
 MASS_TOL = 1e-6
@@ -114,7 +114,7 @@ class ChainSolution:
     blocks: np.ndarray | None = None  # block endpoints when compressed
     iterations: int = 0  # rounds
     gap_bound: float = 0.0  # certified distance to the true LP optimum
-    stats: dict = field(default_factory=dict)  # master solves' simplex counters, summed; rounds; seed_columns, seed_pivots; shift_columns, recovery_moves
+    stats: dict = field(default_factory=dict)  # master solves' simplex counters, summed; rounds; seed_columns, seed_pivots; columns, shift_columns, recovery_moves
 
     def support_by_job(self, num_jobs: int):
         groups = [[] for _ in range(num_jobs)]
@@ -319,12 +319,10 @@ class _Master:
     +1 in row (i, k) and -1 in row (i, k + 1).  A round appends its new
     capacity rows, empty, then its new chain columns and the shift columns
     of the pairs those rows complete, so the next ``solve_lp`` resumes from
-    the previous optimum with the new rows' slacks basic.  A purge rebuilds
-    the LP from the kept chains, with the shift columns of their rows, and
-    warm-starts it from the previous basis, matched by chain index, shift
-    pair and row key.  ``columns`` holds the chains only; ``chain_col`` is
-    each one's LP column and ``shift_col`` the LP column of each shift,
-    whose upper row key is in ``shift_key``.
+    the previous optimum with the new rows' slacks basic.  No column ever
+    leaves.  ``columns`` holds the chains only; ``chain_col`` is each one's
+    LP column and ``shift_col`` the LP column of each shift, whose upper row
+    key is in ``shift_key``.
     """
 
     def __init__(self, inst: Instance, ends: np.ndarray):
@@ -335,10 +333,7 @@ class _Master:
         # release of a job allowed there: shift columns begin at it.
         latest = np.where(inst.allowed_mask(), inst.release_matrix(), 0).max(axis=0)
         self.first_shift = np.searchsorted(self.ends - self.lengths, latest)
-        self._reset()
-
-    def _reset(self) -> None:
-        n = self.inst.num_jobs
+        n = inst.num_jobs
         self.columns: list[Chain] = []
         self.chain_col = self.shift_col = self.shift_key = np.zeros(0, dtype=np.int64)
         self.lp = LinearProgram()
@@ -346,11 +341,8 @@ class _Master:
         # Row key of job j is j, of (machine i, block k) num_jobs + i * K + k;
         # ``keys`` holds each LP row's key and ``row`` each key's LP row.
         self.keys = np.arange(n)
-        self.row = np.full(n + self.inst.num_machines * self.ends.size, -1, dtype=np.int64)
+        self.row = np.full(n + inst.num_machines * self.ends.size, -1, dtype=np.int64)
         self.row[:n] = self.keys
-        self.solution = None  # of the last solve
-        self.x = None  # each chain's value in it
-        self.hint = None  # (basic chains, basic shifts' keys, keys of rows with nonbasic slack) after a purge
 
     def add(self, chains: list[Chain]) -> None:
         """Append chain columns, first the capacity rows they open, and then
@@ -406,47 +398,20 @@ class _Master:
             self.shift_col = np.concatenate((self.shift_col, added))
             self.shift_key = np.concatenate((self.shift_key, upper))
 
-    def basic_chains(self) -> np.ndarray:
-        """The indices of the chains basic in the last solve."""
-        return np.flatnonzero(np.isin(self.chain_col, self.solution.basis.columns))
-
-    def purge(self, keep: np.ndarray) -> None:
-        """Rebuild the LP from the chains in the mask ``keep``, which holds
-        every basic one; rows left without chain entries go, and with them
-        their shift columns.  The next solve starts from the last basis."""
-        index = np.cumsum(keep) - 1
-        slack = np.zeros(self.keys.size, dtype=bool)
-        basis = self.solution.basis
-        slack[basis.slack_rows] = True
-        shifts = self.shift_key[np.isin(self.shift_col, basis.columns)]
-        hint = (index[self.basic_chains()], shifts, self.keys[~slack])
-        kept = [c for c, k in zip(self.columns, keep) if k]
-        self._reset()
-        self.add(kept)
-        self.hint = hint
-
     def solve(self):
         """Solve the master; returns (solution, eta, xi) with eta the job
         duals clipped at zero and xi[i, k] the negated dual of the capacity
         row of (machine i, block k), zero where there is none or where it is
-        at most 1e-12 (the non-negative form pricing takes).  ``x`` then
-        holds each chain's value."""
+        at most 1e-12 (the non-negative form pricing takes)."""
         n, K = self.inst.num_jobs, self.ends.size
-        keys, warm = self.keys, None
-        if self.hint is not None:
-            chains, shifts, tight = self.hint
-            columns = np.concatenate((self.chain_col[chains], self.shift_col[np.isin(self.shift_key, shifts)]))
-            warm = Basis(columns=columns, slack_rows=np.flatnonzero(~np.isin(keys, tight)))
-            self.hint = None
-        res = solve_lp(self.lp, warm)
+        res = solve_lp(self.lp)
         if res.status != "optimal":
             raise ChainLpError(f"restricted master is {res.status}")
-        self.solution, self.x = res, res.x[self.chain_col]
         # The job rows come first, in job order.
         eta = np.maximum(res.duals[:n], 0.0)
         xi = np.zeros((self.inst.num_machines, K))
         dual = -res.duals[n:]
-        xi.ravel()[keys[n:] - n] = np.where(dual > 1e-12, dual, 0.0)
+        xi.ravel()[self.keys[n:] - n] = np.where(dual > 1e-12, dual, 0.0)
         return res, eta, xi
 
 
@@ -484,7 +449,6 @@ def _key(chain: Chain) -> tuple:
 
 SMOOTHING = 0.8  # weight on the dual stability center while pricing
 GAP_REL_TOL = 1e-6
-PURGE_ABOVE = 900  # master size (columns) that triggers a purge of stale ones
 MAX_ROUNDS = 2000
 
 
@@ -497,17 +461,19 @@ def _generate(inst: Instance, horizon: int, ends: np.ndarray | None = None, seed
     ``stats["seed_columns"]`` counts the seed chains that were not already
     among the others.
 
-    Each round solves the master, from the previous round's optimal basis,
-    and prices every chain against duals smoothed toward the stability
-    center, then, if that yields no new chain, against the raw master duals.
-    A pricing pass whose Lagrangian bound sum_j mu_j - sum len_k xi beats the
-    best so far moves the center to its duals.  The run stops when the
-    master objective is within 1e-6 relative of the best bound, and raises
-    ``ChainLpError`` when the raw pass adds no chain while the gap is open.
+    Each round solves the master, which keeps every chain it was given, from
+    the previous round's optimal basis, and prices every chain against duals
+    smoothed toward the stability center, then, if that yields no new chain,
+    against the raw master duals.  A pricing pass whose Lagrangian bound
+    sum_j mu_j - sum len_k xi beats the best so far moves the center to its
+    duals.  The run stops when the master objective is within 1e-6 relative
+    of the best bound, and raises ``ChainLpError`` when the raw pass adds no
+    chain while the gap is open.
 
     The recovery pass (``_recover``) then makes the master's chains meet
     every block's capacity, and the objective is their cost.
-    ``stats["shift_columns"]`` counts the last master's shift columns and
+    ``stats["columns"]`` counts the last master's chains,
+    ``stats["shift_columns"]`` its shift columns and
     ``stats["recovery_moves"]`` the recovery's slot moves.  The returned
     duals are the stability center's: its xi, and eta_j the cheapest chain
     cost of job j under it.  So every chain prices non-negative, and
@@ -531,14 +497,12 @@ def _generate(inst: Instance, horizon: int, ends: np.ndarray | None = None, seed
         ends = np.arange(1, horizon + 1)
     inst, shift = normalize_weights(inst)
     rel = inst.release_matrix()
-    base = _greedy_disjoint_chains(inst, ends)
-    columns = list(base)
+    columns = _greedy_disjoint_chains(inst, ends)
     for j in range(inst.num_jobs):
         for i in range(inst.num_machines):
             if inst.allowed(j, i):
                 columns.append(earliest_chain(i, j, int(rel[j, i]), inst.size(j, i)))
-    # A repeated column would make a warm-start basis that names it singular;
-    # the base chains stay first.
+    # Each chain enters once, the greedy ones first.
     unseeded = dict.fromkeys(columns)
     columns = list(dict.fromkeys(concat(unseeded, seed)))
     master = _Master(inst, ends)
@@ -546,7 +510,6 @@ def _generate(inst: Instance, horizon: int, ends: np.ndarray | None = None, seed
     lengths = master.lengths
     seen = set(map(_key, columns))
     pairs = _pairs(inst)
-    born = np.zeros(len(columns), dtype=np.int64)
 
     best_lb = -np.inf
     center_eta = center_xi = center_mu = None
@@ -574,22 +537,11 @@ def _generate(inst: Instance, horizon: int, ends: np.ndarray | None = None, seed
             raise ChainLpError(f"gap certificate {gap:.2e} still open, and pricing found no new chain")
         if closed:
             break
-
-        if len(master.columns) > PURGE_ABOVE:
-            # Purge stale zero columns; the feasibility base and the basis
-            # that warm-starts the next master always stay.
-            keep = (master.x > 1e-9) | (born >= iterations - 3)
-            keep[: len(base)] = True
-            keep[master.basic_chains()] = True
-            seen.difference_update(_key(c) for c, k in zip(master.columns, keep) if not k)
-            master.purge(keep)
-            born = born[keep]
         master.add(new_cols)
-        born = np.concatenate((born, np.full(len(new_cols), iterations)))
     else:
         raise ChainLpError(f"column generation did not converge in {MAX_ROUNDS} rounds")
 
-    support = [(c, float(z)) for c, z in zip(master.columns, master.x) if z > 1e-9]
+    support = [(c, float(z)) for c, z in zip(master.columns, res.x[master.chain_col]) if z > 1e-9]
     support, moves = _recover(inst, support, ends, master.first_shift)
     objective = sum(z * inst.weights[c.job] * ends[np.searchsorted(ends, c.completion)] for c, z in support)
     gap_bound = max(objective - best_lb, 0.0)
@@ -604,7 +556,13 @@ def _generate(inst: Instance, horizon: int, ends: np.ndarray | None = None, seed
         blocks=ends if compressed else None,
         iterations=iterations,
         gap_bound=float(np.ldexp(gap_bound, -shift)),
-        stats=dict(stats, rounds=iterations, shift_columns=master.shift_col.size, recovery_moves=moves),
+        stats=dict(
+            stats,
+            rounds=iterations,
+            columns=len(master.columns),
+            shift_columns=master.shift_col.size,
+            recovery_moves=moves,
+        ),
     )
     validate_chain_solution(inst, sol)
     return sol

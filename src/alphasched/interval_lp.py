@@ -36,7 +36,7 @@ is nonsingular, and every slack is 0 or 1, so it is primal feasible.  The
 simplex takes it as a warm start and skips phase 1.  That vertex is highly
 degenerate (the slack of every cover time a job holds is basic at zero), so
 the simplex perturbs the right-hand side at its first pivot that does not
-lower the objective, as it does for any given basis.
+lower the objective, as every solve does.
 
 Then every start of the full range (``lp_horizon``, or the whole compressed
 start set) is priced against the duals, with a cover dual of 0 at every time

@@ -50,20 +50,16 @@ falls back to the cold start.
 
 Pivoting uses Dantzig's rule; the ratio test breaks ties toward the largest
 pivot element.  Degenerate bases, such as the chain-LP masters', are handled
-by one mechanism (Wolfe, J. SIAM 11, 1963): once the objective stalls, the
-right-hand side is shifted along each basic column whose value is below
-``FEAS_TOL``, which lifts that value alone.  How long a stall lasts before
-that depends on how the solve started.  A solve from a given basis perturbs
-at its first pivot that does not lower the objective: such a basis (a list
-schedule, a master after a purge) tends to hold many basic values at zero.
-A cold start or a resume waits for more than ``STALL_SCALE * (3 m + 50)``
-stalled pivots.  At the perturbed optimum the shift is dropped, the basic
-values are recomputed on the factorization at hand, and dual simplex pivots
-repair any basic value left below ``-FEAS_TOL``.  Optimality is only
-declared against a fresh factorization, and every answer passes the same
-final certificate: primal residual, no positive artificial, duality gap.
-Numerical failure raises ``NumericalError``: no retry, no silently wrong
-answer.
+by one mechanism (Wolfe, J. SIAM 11, 1963): at every pivot that does not
+lower the objective, in a cold start, a resume or a solve from a given basis
+alike, the right-hand side is shifted along each basic column whose value is
+below ``FEAS_TOL``, which lifts that value alone.  At the perturbed optimum
+the shift is dropped, the basic values are recomputed on the factorization
+at hand, and dual simplex pivots repair any basic value left below
+``-FEAS_TOL``.  Optimality is only declared against a fresh factorization,
+and every answer passes the same final certificate: primal residual, no
+positive artificial, duality gap.  Numerical failure raises
+``NumericalError``: no retry, no silently wrong answer.
 
 Each solution's ``stats`` counts, for that solve, its pivots (all of them,
 as ``iterations``), perturbations, dual repair pivots and refactorizations
@@ -81,11 +77,8 @@ PIVOT_TOL = 1e-7
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 REFACTOR_EVERY = 120
-# The right-hand side is perturbed once the objective has not improved for
-# more than STALL_SCALE * (3 m + 50) pivots in a row (m rows), or for one
-# pivot in a solve from a given basis; the lifted basic values grow by
-# PERTURB times a factor in [1, 2).
-STALL_SCALE = 1
+# The right-hand side is perturbed at each pivot that does not lower the
+# objective; the lifted basic values grow by PERTURB times a factor in [1, 2).
 PERTURB = 1e-6
 # Entries per row chunk of a dense rank-one update of the basis inverse.
 UPDATE_CHUNK = 8192
@@ -277,22 +270,20 @@ def solve_lp(lp: LinearProgram, basis: Basis | None = None) -> LpSolution:
     Without ``basis`` the solve resumes from the LP's last optimum, and
     starts cold when it cannot (see the module docstring).  ``basis`` names
     a starting basis instead; if it does not fit the LP, is singular or is
-    primal infeasible the solve starts cold.  A stall perturbs the
-    right-hand side until the optimum, which dual simplex pivots then repair
-    for the LP itself; from a given basis the first pivot that does not
-    lower the objective is a stall, otherwise more than ``STALL_SCALE * (3 m
-    + 50)`` in a row are.  A numerical failure raises ``NumericalError``,
-    with no retry.
+    primal infeasible the solve starts cold.  However the solve starts,
+    each pivot that does not lower the objective perturbs the right-hand
+    side until the optimum, which dual simplex pivots then repair for the
+    LP itself.  A numerical failure raises ``NumericalError``, with no
+    retry.
     """
     live, lp._live = lp._live, None
     state = live.resume(lp) if live is not None and basis is None else None
     warm = state is not None
-    hinted = False
     if not warm:
         model = _Model()
         model.extend(lp)
         state = _warm_state(model, basis)
-        warm = hinted = state is not None
+        warm = state is not None
     if not warm:
         state = _State(model, model.cold_basis())
         if model.art.any():
@@ -305,7 +296,7 @@ def solve_lp(lp: LinearProgram, basis: Basis | None = None) -> LpSolution:
             _evict_artificials(state, model.art)
 
     model = state.model
-    status = _iterate(state, model.c, locked=model.art, eager=hinted)
+    status = _iterate(state, model.c, locked=model.art)
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=state.iters, warm=warm, stats=state.stats())
 
@@ -711,25 +702,20 @@ class _State:
             self.refactor()
 
 
-def _iterate(state: _State, c: np.ndarray, locked: np.ndarray, eager: bool = False) -> str:
+def _iterate(state: _State, c: np.ndarray, locked: np.ndarray) -> str:
     """Run simplex iterations to optimality of cost vector ``c``.
 
     Dantzig pricing; the ratio test breaks ties toward the largest pivot
-    element, which keeps the basis inverse well conditioned.  A stall
-    perturbs the right-hand side: with ``eager`` (a solve from a given
-    basis) the first pivot that does not lower the objective, otherwise more
-    than ``STALL_SCALE * (3 m + 50)`` in a row.  At the perturbed optimum,
-    which is declared on a fresh factorization, the perturbation is dropped
-    and the basic values are recomputed on that same factorization; dual
-    simplex pivots then take any basic value left below ``-FEAS_TOL`` out of
-    the basis.  Locked columns never enter.  The duals ``y`` get a rank-one
-    update per primal pivot and are recomputed at each refactorization;
-    optimality is confirmed against a fresh factorization.
+    element, which keeps the basis inverse well conditioned.  Each pivot
+    that does not lower the objective perturbs the right-hand side.  At the
+    perturbed optimum, which is declared on a fresh factorization, the
+    perturbation is dropped and the basic values are recomputed on that same
+    factorization; dual simplex pivots then take any basic value left below
+    ``-FEAS_TOL`` out of the basis.  Locked columns never enter.  The duals
+    ``y`` get a rank-one update per primal pivot and are recomputed at each
+    refactorization; optimality is confirmed against a fresh factorization.
     """
-    m = state.m
-    stall = 0
-    stall_limit = 0 if eager else STALL_SCALE * (3 * m + 50)
-    max_iters = 60 * (m + state.cols.total) + 10_000
+    max_iters = 60 * (state.m + state.cols.total) + 10_000
     last_obj = np.inf
     start_iters = state.iters
     locked = locked.nonzero()[0]  # few columns: indices set faster than a mask
@@ -783,12 +769,10 @@ def _iterate(state: _State, c: np.ndarray, locked: np.ndarray, eager: bool = Fal
 
         obj = state.objective(c)
         if obj < last_obj - 1e-12:
-            last_obj, stall = obj, 0
+            last_obj = obj
         else:
-            stall += 1
-            if stall > stall_limit:
-                state.perturb()
-                last_obj, stall = state.objective(c), 0
+            state.perturb()
+            last_obj = state.objective(c)
 
 
 def _evict_artificials(state: _State, art_mask: np.ndarray) -> None:

@@ -241,44 +241,35 @@ def test_compressed_gap_bound_from_final_pricing():
     assert bound <= sol.objective + scale
 
 
-def test_masters_warm_start_across_rounds_and_purges(monkeypatch):
-    calls, purges = [], []
+def test_masters_resume_across_rounds(monkeypatch):
+    calls = []
     solve_lp = chain_lp.solve_lp
-    purge = chain_lp._Master.purge
 
     def recording_solve_lp(lp, basis=None):
         res = solve_lp(lp, basis)
         calls.append((lp, lp.num_vars, basis is not None, res.warm))
         return res
 
-    def recording_purge(master, keep):
-        purges.append(len(calls))  # the next master is rebuilt
-        purge(master, keep)
-
     monkeypatch.setattr(chain_lp, "solve_lp", recording_solve_lp)
-    monkeypatch.setattr(chain_lp._Master, "purge", recording_purge)
-    monkeypatch.setattr(chain_lp, "PURGE_ABOVE", 40)  # purge on a small instance
     inst = random_instance(np.random.default_rng(0), 8, 2, p_max=8, r_max=12)
     sol = solve_chain_lp(inst)
     exact = calls[:]
     comp = solve_chain_lp_compressed(inst, 0.5)
     assert len(exact) == sol.iterations > 3 and len(calls) == sol.iterations + comp.iterations
-    sizes = [size for _, size, _, _ in exact]
-    assert any(b < a for a, b in zip(sizes, sizes[1:])), "no purge happened"
-    # Each solve keeps one live master LP, which only a purge rebuilds.
-    # Every master but each solve's first starts warm: it resumes the
-    # previous optimum, or after a purge is given the previous basis.
-    rebuilt = [k in purges for k in range(len(calls))]
-    new_lp = [k in (0, len(exact)) or rebuilt[k] for k in range(len(calls))]
-    assert [lp is not calls[k - 1][0] for k, (lp, _, _, _) in enumerate(calls)] == new_lp
-    assert [given for _, _, given, _ in calls] == rebuilt
-    assert [warm for _, _, _, warm in calls] == [k not in (0, len(exact)) for k in range(len(calls))]
+    # Each solve keeps one live master LP, which only grows, and is given
+    # no basis.  Every master but each solve's first resumes the previous
+    # optimum.
+    first = [k in (0, len(exact)) for k in range(len(calls))]
+    assert [lp is not calls[k - 1][0] for k, (lp, _, _, _) in enumerate(calls)] == first
+    assert all(b >= a for (_, a, _, _), (_, b, _, _), new in zip(calls, calls[1:], first[1:]) if not new)
+    assert not any(given for _, _, given, _ in calls)
+    assert [warm for _, _, _, warm in calls] == [not new for new in first]
 
 
-def test_master_bases_read_after_resumes_and_purges(monkeypatch):
+def test_master_bases_read_after_later_resumes(monkeypatch):
     # A master solution's basis is computed when first read; read after
-    # the whole column generation, through later resumes and purges, it is
-    # the basis the solve ended at.
+    # the whole column generation, through later resumes, it is the basis
+    # the solve ended at.
     masters = []
     solve_lp = chain_lp.solve_lp
 
@@ -288,9 +279,8 @@ def test_master_bases_read_after_resumes_and_purges(monkeypatch):
         return res
 
     monkeypatch.setattr(chain_lp, "solve_lp", recording_solve_lp)
-    monkeypatch.setattr(chain_lp, "PURGE_ABOVE", 40)
     sol = solve_chain_lp(random_instance(np.random.default_rng(0), 8, 2, p_max=8, r_max=12))
-    assert len(masters) == sol.iterations and len({id(lp) for _, _, lp in masters}) > 1  # purged
+    assert len(masters) == sol.iterations > 3 and len({id(lp) for _, _, lp in masters}) == 1
     for res, want, _ in masters:
         assert res.basis.columns.tolist() == want.columns.tolist()
         assert res.basis.slack_rows.tolist() == want.slack_rows.tolist()
@@ -306,7 +296,6 @@ def test_stats_sum_the_master_solves(monkeypatch):
         return masters[-1]
 
     monkeypatch.setattr(chain_lp, "solve_lp", recording_solve_lp)
-    monkeypatch.setattr(chain_lp, "PURGE_ABOVE", 40)  # a purged master starts from a given basis
     inst = random_instance(np.random.default_rng(0), 8, 2, p_max=8, r_max=12)
     sol = solve_chain_lp(inst)
     assert len(masters) == sol.iterations
@@ -321,9 +310,10 @@ def test_stats_sum_the_master_solves(monkeypatch):
     seeded = {earliest_chain(i, j, s, inst.size(j, i)) for i, j, s in zip(start.machine, start.job, start.start)}
     seed = {"seed_columns": len(seeded - held), "seed_pivots": start.stats["pivots"]}
     # The last master's shift columns are its zero-cost columns (a chain
-    # costs w_j C > 0); its chains already meet every slot's capacity, so
-    # the recovery moves nothing.
-    last = {"shift_columns": int((lps[-1].objective == 0.0).sum()), "recovery_moves": 0}
+    # costs w_j C > 0) and its chains the others; its chains already meet
+    # every slot's capacity, so the recovery moves nothing.
+    shifts = int((lps[-1].objective == 0.0).sum())
+    last = {"columns": lps[-1].num_vars - shifts, "shift_columns": shifts, "recovery_moves": 0}
     assert sol.stats == {**summed, "rounds": sol.iterations, **seed, **last}
     assert sol.stats["pivots"] == sum(res.iterations for res in masters) > 0
     assert min(seed.values()) > 0
@@ -455,15 +445,13 @@ def test_incremental_master_matches_fresh_build(monkeypatch):
         return res
 
     monkeypatch.setattr(chain_lp._Master, "solve", checking_solve)
-    monkeypatch.setattr(chain_lp, "PURGE_ABOVE", 40)  # purge on a small instance
     inst = random_instance(np.random.default_rng(0), 8, 2, p_max=8, r_max=12)
     sol = solve_chain_lp(inst)
     assert len(checked) == sol.iterations > 3
-    assert any(b < a for (a, _), (b, _) in zip(checked, checked[1:])), "no purge happened"
-    assert checked[-1][1] == sol.stats["shift_columns"] > 0
+    assert checked[-1] == (sol.stats["columns"], sol.stats["shift_columns"]) and min(checked[-1]) > 0
     comp = solve_chain_lp_compressed(inst, 0.5)
     assert len(checked) == sol.iterations + comp.iterations
-    assert checked[-1][1] == comp.stats["shift_columns"] > 0
+    assert checked[-1] == (comp.stats["columns"], comp.stats["shift_columns"]) and min(checked[-1]) > 0
 
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "chain-cg"
@@ -599,8 +587,25 @@ def test_refused_start_time_lp_skips_the_seed(monkeypatch):
 
 def test_compressed_solves_take_no_seed():
     # The compressed master starts from the greedy and earliest chains
-    # alone, and its pivot path is pinned: 28 rounds and 141 pivots with the
-    # shift columns (23 and 225 without them).
+    # alone, and its pivot path is pinned: 24 rounds and 155 pivots.
     sol = solve_chain_lp_compressed(load_instance(CORPUS / "chain-0002.inst.json"), 0.2)
     assert sol.stats["seed_columns"] == sol.stats["seed_pivots"] == 0
-    assert (sol.stats["rounds"], sol.stats["pivots"]) == (28, 141)
+    assert (sol.stats["rounds"], sol.stats["pivots"]) == (24, 155)
+
+
+def test_resumed_masters_perturb_at_their_first_stall(monkeypatch):
+    # A degenerate ladder instance, (8, 2) s = 10.  Its masters after the
+    # first resume the previous optimum, and a resume perturbs as any solve
+    # does, at its first pivot that does not lower the objective.  When
+    # resumes waited for 3 m + 50 such pivots, this solve never perturbed.
+    masters = []
+    solve_lp = chain_lp.solve_lp
+
+    def recording_solve_lp(lp, basis=None):
+        masters.append(solve_lp(lp, basis))
+        return masters[-1]
+
+    monkeypatch.setattr(chain_lp, "solve_lp", recording_solve_lp)
+    sol = solve_chain_lp(random_instance(np.random.default_rng(8010), 8, 2, p_max=40, r_max=40))
+    assert sol.stats["perturbations"] > 0
+    assert sum(res.stats["perturbations"] for res in masters if res.warm) > 0

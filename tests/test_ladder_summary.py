@@ -9,12 +9,12 @@ LADDER = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
 
 LINES = [
     {"n": 8, "m": 2, "s": 0, "objective": "0x1p+8", "rounds": 12, "gap_ratio": 2e-8, "pivots": 340,
-     "perturbations": 1, "dual_pivots": 0, "seed_columns": 4, "seed_pivots": 20, "shift_columns": 70, "recovery_moves": 3, "seconds": 1.5},
+     "perturbations": 1, "dual_pivots": 0, "seed_columns": 4, "seed_pivots": 20, "columns": 310, "shift_columns": 70, "recovery_moves": 3, "seconds": 1.5},
     {"n": 8, "m": 2, "s": 1, "error": "NumericalError: singular basis during refactorization", "seconds": 0.25},
     {"n": 10, "m": 3, "s": 0, "objective": "0x1p+9", "rounds": 1200, "gap_ratio": 4e-7, "pivots": 15000,
-     "perturbations": 3, "dual_pivots": 2, "seed_columns": 0, "seed_pivots": 0, "shift_columns": 120, "recovery_moves": 0, "seconds": 4.0},
+     "perturbations": 3, "dual_pivots": 2, "seed_columns": 0, "seed_pivots": 0, "columns": 1250, "shift_columns": 120, "recovery_moves": 0, "seconds": 4.0},
     {"n": 10, "m": 3, "s": 1, "objective": "0x1p+9", "rounds": 30, "gap_ratio": 0.0, "pivots": 500,
-     "perturbations": 0, "dual_pivots": 0, "seed_columns": 6, "seed_pivots": 35, "shift_columns": 95, "recovery_moves": 11, "seconds": 0.5},
+     "perturbations": 0, "dual_pivots": 0, "seed_columns": 6, "seed_pivots": 35, "columns": 95, "shift_columns": 95, "recovery_moves": 11, "seconds": 0.5},
 ]
 
 
@@ -39,6 +39,7 @@ def test_summary_of_ladder_lines(tmp_path):
         "  (8, 2) s = 0: 1.50 s, 12 rounds, 340 pivots",
         "  (10, 3) s = 1: 0.50 s, 30 rounds, 500 pivots",
         "  (8, 2) s = 1: 0.25 s, 0 rounds, 0 pivots",
+        "largest master: 1,250 chains at (10, 3) s = 0",
         "largest gap ratio: 4e-07 at (10, 3) s = 0",
     ]
 

@@ -334,16 +334,13 @@ def set_partitioning_lps(draw):
     return lp_from_rows(np.array(cost, dtype=float), rows)
 
 
-@pytest.mark.parametrize("stall_scale", [1, 0], ids=["as-is", "perturb-at-once"])
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(lp=set_partitioning_lps())
-def test_degenerate_set_partitioning_matches_oracle(stall_scale, lp):
-    # With STALL_SCALE 0 the first pivot without progress perturbs the
-    # right-hand side, so the perturbed optimum and its dual repair run on
-    # LPs whose optimum is known.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplex, "STALL_SCALE", stall_scale)
-        res = solve_lp(lp)
+def test_degenerate_set_partitioning_matches_oracle(lp):
+    # The first pivot without progress perturbs the right-hand side, so the
+    # perturbed optimum and its dual repair run on LPs whose optimum is
+    # known.
+    res = solve_lp(lp)
     value = _vertex_min(lp, BOX)  # costs >= 1 and x >= 0: never unbounded
     if value is None:
         assert res.status == "infeasible"
@@ -382,7 +379,6 @@ def test_large_perturbations_repair_to_the_certified_optimum(lp):
     # Every LP is feasible and bounded; the certificate proves optimality.
     expected = solve_lp(_copy(lp))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplex, "STALL_SCALE", 0)
         mp.setattr(simplex, "PERTURB", 0.3)
         res = solve_lp(lp)
     assert res.status == expected.status == "optimal"

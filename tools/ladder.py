@@ -12,12 +12,13 @@ n, m, s, the objective as ``float.hex``, the column-generation rounds, the
 gap ratio ``gap_bound / (1 + objective)``, the master solves' pivots,
 perturbations and dual repair pivots, the start-time LP chains that seeded
 the first master and that LP's pivots (``seed_columns``, ``seed_pivots``,
-not in ``pivots``), the last master's shift columns and the slot moves of
-the recovery pass (``shift_columns``, ``recovery_moves``), and the solve's
-seconds; a solve that raises holds its error instead.  The exit code is 1 when any instance raised or closed with
-a gap ratio above 1e-6, or, with ``--expect``, when an instance's objective
-differs from the one the given JSON-lines file holds for its (n, m, s) by
-more than 1e-9 (1 + |objective|), when its rounds or pivots differ at all
+not in ``pivots``), the last master's chains (``columns``) and shift
+columns (``shift_columns``), the slot moves of the recovery pass
+(``recovery_moves``), and the solve's seconds; a solve that raises holds
+its error instead.  The exit code is 1 when any instance raised or closed
+with a gap ratio above 1e-6, or, with ``--expect``, when an instance's
+objective differs from the one the given JSON-lines file holds for its (n,
+m, s) by more than 1e-9 (1 + |objective|), when its rounds or pivots differ at all
 from the ones that line holds (a line may omit them), or when the file
 lacks the instance; else 0.  ``tools/ladder-10-3.jsonl`` holds the (10, 3)
 objectives, rounds and pivots, so a change that keeps the objectives but
@@ -27,8 +28,9 @@ takes another pivot path shows there too.
 
 reads such JSON lines instead of solving and prints their summary: the
 instances and errors; the total rounds, pivots, perturbations, seed pivots,
-shift columns, recovery moves and seconds; the seconds and rounds per size; the five slowest instances;
-and the largest gap ratio.  A field that a line lacks counts as 0 there.
+shift columns, recovery moves and seconds; the seconds and rounds per size;
+the five slowest instances; the largest master, in chains; and the largest
+gap ratio.  A field that a line lacks counts as 0 there.
 
 BLAS and OpenMP pools are pinned to one thread before numpy is imported:
 the simplex's pivot path depends on BLAS summation order.
@@ -79,6 +81,7 @@ def solve(n: int, m: int, s: int) -> dict:
         dual_pivots=sol.stats["dual_pivots"],
         seed_columns=sol.stats["seed_columns"],
         seed_pivots=sol.stats["seed_pivots"],
+        columns=sol.stats["columns"],
         shift_columns=sol.stats["shift_columns"],
         recovery_moves=sol.stats["recovery_moves"],
         seconds=seconds,
@@ -122,6 +125,10 @@ def summary(lines: list[dict]) -> list[str]:
     out.append("slowest:")
     for d in sorted(lines, key=lambda d: d.get("seconds", 0), reverse=True)[:5]:
         out.append(f"  {name(d)}: {d.get('seconds', 0):.2f} s, {d.get('rounds', 0):,} rounds, {d.get('pivots', 0):,} pivots")
+    masters = [d for d in lines if "columns" in d]
+    if masters:
+        largest = max(masters, key=lambda d: d["columns"])
+        out.append(f"largest master: {largest['columns']:,} chains at {name(largest)}")
     gaps = [d for d in lines if "gap_ratio" in d]
     if gaps:
         worst = max(gaps, key=lambda d: d["gap_ratio"])
