@@ -50,12 +50,11 @@ from .rounding import (
     round_once,
     simulate_rounding,
 )
-from .simplex import Basis, LinearProgram, LpError, LpSolution, NumericalError, solve_lp
+from .simplex import LinearProgram, LpError, LpSolution, NumericalError, solve_lp
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Basis",
     "FORBIDDEN",
     "Chain",
     "ChainLpError",

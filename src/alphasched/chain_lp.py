@@ -91,7 +91,7 @@ import numpy as np
 from . import simplex
 from .chains import Chain, earliest_chain
 from .instance import Instance, horizon as instance_horizon, normalize_weights
-from .interval_lp import solve_interval_lp
+from .interval_lp import _pairs, solve_interval_lp
 from .simplex import LinearProgram, LpError, solve_lp
 
 PRICE_TOL = 1e-7
@@ -418,7 +418,7 @@ class _Master:
 def _price_all(pairs: tuple, ximat: np.ndarray, eta: np.ndarray, ends: np.ndarray, seen: set):
     """Price every allowed (machine, job) pair against the given block duals
     in one ``price_chain_multi`` pass; ``pairs`` holds the pairs' machines,
-    jobs, weights, sizes and releases, job by job (``_pairs``).
+    jobs, weights, sizes and releases, job by job and then by machine.
 
     Returns (new chains, ordered by job, then machine, then completion; per-job
     cheapest chain cost mu_j), and adds the new chains' keys to ``seen``.
@@ -434,13 +434,6 @@ def _price_all(pairs: tuple, ximat: np.ndarray, eta: np.ndarray, ends: np.ndarra
     new_cols = [chain for chain, _ in found]
     seen.update(map(_key, new_cols))
     return new_cols, mu
-
-
-def _pairs(inst: Instance) -> tuple:
-    """(machines, jobs, weights, sizes, releases) of the allowed (machine,
-    job) pairs, job by job and then by machine."""
-    jobs, machines = np.nonzero(inst.allowed_mask())
-    return machines, jobs, inst.weights[jobs], inst.sizes[jobs, machines], inst.release_matrix()[jobs, machines]
 
 
 def _key(chain: Chain) -> tuple:
@@ -509,7 +502,8 @@ def _generate(inst: Instance, horizon: int, ends: np.ndarray | None = None, seed
     master.add(columns)
     lengths = master.lengths
     seen = set(map(_key, columns))
-    pairs = _pairs(inst)
+    jobs, machines, sizes, releases = _pairs(inst)
+    pairs = machines, jobs, inst.weights[jobs], sizes, releases
 
     best_lb = -np.inf
     center_eta = center_xi = center_mu = None

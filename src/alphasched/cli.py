@@ -97,7 +97,7 @@ def _cmd_solve_interval(args) -> None:
         eps = 0.5
     sol = solve_interval_lp(inst, eps=None if args.full else eps)
     order = np.lexsort((sol.start, sol.job, sol.machine))
-    rows = [["objective", _fmt(sol.objective), "", ""]]
+    rows = [["objective", _fmt(sol.objective), "", ""], ["gap_bound", _fmt(sol.gap_bound), "", ""]]
     rows.extend(
         [int(sol.machine[k]), int(sol.job[k]), int(sol.start[k]), float(sol.value[k])]
         for k in order
@@ -111,7 +111,7 @@ def _cmd_solve_chain(args) -> None:
         sol = solve_chain_lp_compressed(inst, args.epsilon)
     else:
         sol = solve_chain_lp(inst)
-    rows = [["objective", _fmt(sol.objective), "", ""]]
+    rows = [["objective", _fmt(sol.objective), "", ""], ["gap_bound", _fmt(sol.gap_bound), "", ""]]
     for chain, z in sorted(sol.chains, key=lambda cz: (cz[0].machine, cz[0].job, cz[0].slots)):
         rows.append([chain.machine, chain.job, float(z), " ".join(map(str, chain.slots))])
     _emit(args, ["machine", "job", "z", "slots"], rows)

@@ -30,13 +30,13 @@ whole LP and starts cold.
 
 The LP is built only up to T0, the list schedule's makespan: the starts that
 finish by T0 and the cover rows of the times up to it.  The schedule's n
-variables and every cover row's slack form a basis: each job row holds only
-its job's chosen column, and the cover slacks are unit columns, so the basis
-is nonsingular, and every slack is 0 or 1, so it is primal feasible.  The
-simplex takes it as a warm start and skips phase 1.  That vertex is highly
-degenerate (the slack of every cover time a job holds is basic at zero), so
-the simplex perturbs the right-hand side at its first pivot that does not
-lower the objective, as every solve does.
+variables are the simplex's start, and with every cover row's slack they
+form a basis: each job row holds only its job's chosen column, and the
+cover slacks are unit columns, so the basis is nonsingular, and every slack
+is 0 or 1, so it is primal feasible, and phase 1 is skipped.  That vertex
+is highly degenerate (the slack of every cover time a job holds is basic at
+zero), so the simplex perturbs the right-hand side at its first pivot that
+does not lower the objective, as every solve does.
 
 Then every start of the full range (``lp_horizon``, or the whole compressed
 start set) is priced against the duals, with a cover dual of 0 at every time
@@ -80,7 +80,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import Instance, InstanceError, horizon as instance_horizon, lp_horizon, normalize_weights
-from .simplex import OPT_TOL, STATS, Basis, LinearProgram, solve_lp
+from .simplex import OPT_TOL, STATS, LinearProgram, solve_lp
 
 COVER_TOL = 1e-6
 ASSIGN_TOL = 1e-6
@@ -395,7 +395,7 @@ def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalInt
     otherwise over the compressed start set for that eps.
 
     The LP is built up to the makespan of ``list_schedule`` and solved from
-    that schedule's basis; while a start of the full range outside it
+    that schedule's variables; while a start of the full range outside it
     prices below -``OPT_TOL`` (``_price``), it grows and the simplex
     resumes (see the module docstring).  Without a list schedule the whole
     LP is built and solved cold.  ``gap_bound`` is the objective less the
@@ -410,16 +410,15 @@ def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalInt
     scaled, shift = normalize_weights(inst)
     schedule = list_schedule(scaled, starts)
     if schedule is None:
-        model, hint = build_interval_lp(scaled, starts), None
+        model, basic = build_interval_lp(scaled, starts), None
     else:
         machine, start = schedule
         finish = start + inst.sizes[np.arange(inst.num_jobs), machine]
         model = build_interval_lp(scaled, starts, int(finish.max()))
-        chosen = _variables_at(model, starts, machine, start)
-        hint = Basis(columns=chosen, slack_rows=np.arange(inst.num_jobs, model.lp.num_rows))
+        basic = _variables_at(model, starts, machine, start)
     stats = dict.fromkeys(STATS, 0)
     while True:
-        res = solve_lp(model.lp, hint)
+        res = solve_lp(model.lp, basic)
         if res.status != "optimal":
             raise IntervalLpError(f"interval LP is {res.status}")
         for key, count in res.stats.items():
@@ -428,7 +427,7 @@ def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalInt
         if reach == model.horizon:
             break
         _extend(scaled, starts, model, reach)
-        hint = None
+        basic = None
     keep = res.x > 1e-11
     sol = FractionalIntervalSolution(
         machine=model.machine[keep],

@@ -1,9 +1,9 @@
 """Sparse two-phase revised simplex with dual values, warm starts and resumes.
 
-Solves ``min c.x  s.t.  rows, x >= 0`` and returns primal and dual optima
-together with the optimal basis.  The implementation is deliberately
-self-contained: dual values per row are needed downstream for column
-generation, and the library depends on numpy alone.
+Solves ``min c.x  s.t.  rows, x >= 0`` and returns its primal and dual
+optima.  The implementation is deliberately self-contained: dual values per
+row are needed downstream for column generation, and the library depends on
+numpy alone.
 
 A ``LinearProgram`` only grows, and it is held column-wise, the way the
 simplex reads it: ``add_rows`` appends rows, each a sense and a right-hand
@@ -29,9 +29,6 @@ inverts only the block of basic columns that are not unit columns.
 
 After an optimal solve the LP keeps the solver's state: the standard form
 with its column store, the basis, the basis inverse and the basic values.
-The solution's ``basis``, in the LP's own numbering, is worked out when it
-is first read, from a copy of the basis and the model's arrays as they
-stood at the solve (the model replaces its arrays as it grows).
 The next ``solve_lp(lp)`` resumes from it: whatever the LP gained since,
 rows with no entries and variables, is what a column-generation master
 appends.  The new variables join the column store as nonbasic columns after
@@ -40,25 +37,30 @@ has an entry in a new row, so the inverse grows by the new slacks' diagonal
 ``1/s``.  A solve from nothing is the same extension of an empty state,
 followed by the cold two-phase start.
 
-A solve does not resume, and starts from the given basis or cold instead,
-when a basis is given (``solve_lp(lp, basis)``), when the last optimum
+A solve does not resume, and starts cold instead, when the last optimum
 keeps an artificial basic on a redundant equation row (an appended column
 may have an entry there), when an appended row is an equation (it has no
-slack to enter with), or when the extended basis is not primal feasible.  A
-given basis of the wrong size, a singular one or a primal infeasible one
-falls back to the cold start.
+slack to enter with), or when the extended basis is not primal feasible.
+
+``solve_lp(lp, start)`` starts from the caller's basic variables instead,
+one per equation row: the basis is those variables, in the order given,
+followed by the slack of every inequality row, in row order, so phase 1 is
+skipped.  A start that does not name such a basis raises: ``LpError`` when
+a variable is missing or repeated or the count is not the number of
+equation rows, ``NumericalError`` when the basis is singular, and
+``LpError`` when it is not primal feasible.
 
 Pivoting uses Dantzig's rule; the ratio test breaks ties toward the largest
 pivot element.  Degenerate bases, such as the chain-LP masters', are handled
 by one mechanism (Wolfe, J. SIAM 11, 1963): at every pivot that does not
-lower the objective, in a cold start, a resume or a solve from a given basis
-alike, the right-hand side is shifted along each basic column whose value is
-below ``FEAS_TOL``, which lifts that value alone.  At the perturbed optimum
-the shift is dropped, the basic values are recomputed on the factorization
-at hand, and dual simplex pivots repair any basic value left below
-``-FEAS_TOL``.  Optimality is only declared against a fresh factorization,
-and every answer passes the same final certificate: primal residual, no
-positive artificial, duality gap.  Numerical failure raises
+lower the objective, in a cold start, a resume or a solve from the caller's
+start alike, the right-hand side is shifted along each basic column whose
+value is below ``FEAS_TOL``, which lifts that value alone.  At the perturbed
+optimum the shift is dropped, the basic values are recomputed on the
+factorization at hand, and dual simplex pivots repair any basic value left
+below ``-FEAS_TOL``.  Optimality is only declared against a fresh
+factorization, and every answer passes the same final certificate: primal
+residual, no positive artificial, duality gap.  Numerical failure raises
 ``NumericalError``: no retry, no silently wrong answer.
 
 Each solution's ``stats`` counts, for that solve, its pivots (all of them,
@@ -96,7 +98,8 @@ STATS = ("pivots", "perturbations", "dual_pivots", "refactorizations")
 
 
 class LpError(ValueError):
-    """Malformed linear program (dimension mismatch, bad sense, non-finite)."""
+    """Malformed linear program (dimension mismatch, bad sense, non-finite)
+    or a start that is not a primal feasible basis of it."""
 
 
 class NumericalError(RuntimeError):
@@ -231,17 +234,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Basis:
-    """A simplex basis: the basic structural variables and the rows whose
-    slack (or surplus) variable is basic, numbered as in ``lp.rows``.  An
-    optimal basis that keeps an artificial variable on a redundant row is a
-    row short, and does not warm-start."""
-
-    columns: np.ndarray
-    slack_rows: np.ndarray
-
-
 @dataclass
 class LpSolution:
     status: str  # optimal | infeasible | unbounded
@@ -249,44 +241,35 @@ class LpSolution:
     objective: float = np.nan
     duals: np.ndarray = None
     iterations: int = 0  # pivots, as stats["pivots"]; the benchmark's tracer reads it
-    warm: bool = False  # resumed the LP's last optimum, or started from the given basis
+    warm: bool = False  # resumed the LP's last optimum, or started from the caller's start
     stats: dict = field(default_factory=lambda: dict.fromkeys(STATS, 0))  # counters, see STATS
-    _basis: object = field(default=None, repr=False)  # the Basis, or the function that computes it
-
-    @property
-    def basis(self) -> Basis | None:
-        """The optimal basis, to warm-start a related LP; None unless
-        optimal.  Computed when first read, from what the solve held."""
-        if callable(self._basis):
-            self._basis = self._basis()
-        return self._basis
 
 
-def solve_lp(lp: LinearProgram, basis: Basis | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram, start: np.ndarray | None = None) -> LpSolution:
     """Solve the LP; on ``optimal`` the solution carries a dual value per
-    original row (>= rows have non-negative duals, <= rows non-positive)
-    and the optimal basis.
+    original row (>= rows have non-negative duals, <= rows non-positive).
 
-    Without ``basis`` the solve resumes from the LP's last optimum, and
-    starts cold when it cannot (see the module docstring).  ``basis`` names
-    a starting basis instead; if it does not fit the LP, is singular or is
-    primal infeasible the solve starts cold.  However the solve starts,
-    each pivot that does not lower the objective perturbs the right-hand
-    side until the optimum, which dual simplex pivots then repair for the
-    LP itself.  A numerical failure raises ``NumericalError``, with no
-    retry.
+    Without ``start`` the solve resumes from the LP's last optimum, and
+    starts cold when it cannot (see the module docstring).  ``start``, an
+    array of LP variables, one per equation row, names the starting basis
+    instead: those variables and every inequality row's slack.  A start
+    that is not a primal feasible basis raises ``LpError`` (or
+    ``NumericalError`` when singular); it never falls back to a cold
+    start.  However the solve starts, each pivot that does not lower the
+    objective perturbs the right-hand side until the optimum, which dual
+    simplex pivots then repair for the LP itself.  A numerical failure
+    raises ``NumericalError``, with no retry.
     """
     live, lp._live = lp._live, None
-    state = live.resume(lp) if live is not None and basis is None else None
-    warm = state is not None
-    if not warm:
+    state = live.resume(lp) if live is not None and start is None else None
+    warm = state is not None or start is not None
+    if state is None:
         model = _Model()
         model.extend(lp)
-        state = _warm_state(model, basis)
-        warm = state is not None
-    if not warm:
-        state = _State(model, model.cold_basis())
-        if model.art.any():
+        state = _State(model, model.cold_basis() if start is None else model.start_basis(start))
+        if start is not None and not (np.isfinite(state.xb).all() and state.xb.min(initial=0.0) >= -FEAS_TOL):
+            raise LpError("the start is not a primal feasible basis")
+        if model.art[state.basis].any():
             c1 = model.art.astype(float)
             status = _iterate(state, c1, locked=np.zeros(model.cols.total, dtype=bool))
             if status == "unbounded":  # cannot happen: phase-1 objective >= 0
@@ -327,7 +310,6 @@ def solve_lp(lp: LinearProgram, basis: Basis | None = None) -> LpSolution:
         iterations=state.iters,
         warm=warm,
         stats=state.stats(),
-        _basis=model.basis_reader(state.basis),
     )
 
 
@@ -509,54 +491,18 @@ class _Model:
         basis[self.cols.head_row[art]] = art
         return basis
 
-    def basis_reader(self, basis: np.ndarray):
-        """A function that returns ``basis`` (column indices) as LP
-        variables and LP rows, for the model as it stands now.  The model
-        replaces its arrays as it grows and never writes into them, so the
-        ones held here keep their values."""
-        basis, total, n, var_col, slack_col = basis.copy(), self.cols.total, self.n, self.var_col, self.slack_col
-
-        def read() -> Basis:
-            var = np.full(total, -1, dtype=np.int64)
-            var[var_col] = np.arange(n)
-            has = np.flatnonzero(slack_col >= 0)
-            slack_row = np.full(total, -1, dtype=np.int64)
-            slack_row[slack_col[has]] = has
-            basic_var, rows = var[basis], slack_row[basis]
-            return Basis(columns=np.sort(basic_var[basic_var >= 0]), slack_rows=np.sort(rows[rows >= 0]))
-
-        return read
-
-
-def _warm_state(model: _Model, hint: Basis | None):
-    """Simplex state at the hinted basis, or None when the hint is not a
-    primal feasible basis of the model, which is built from nothing (so its
-    rows and columns are numbered as in ``Basis``)."""
-    if hint is None:
-        return None
-    m, n = model.cols.m, model.n
-    columns = np.asarray(hint.columns, dtype=np.int64).reshape(-1)
-    rows = np.asarray(hint.slack_rows, dtype=np.int64).reshape(-1)
-    if columns.size + rows.size != m:
-        return None
-    if columns.size and (columns.min() < 0 or columns.max() >= n):
-        return None
-    if rows.size and (rows.min() < 0 or rows.max() >= m or (model.slack_col[rows] < 0).any()):
-        return None
-    basis = np.concatenate([model.var_col[columns], model.slack_col[rows]])
-    if np.unique(basis).size != m:
-        return None
-    try:
-        state = _State(model, basis)
-    except NumericalError:
-        return None
-    if not np.isfinite(state.xb).all() or state.xb.min(initial=0.0) < -FEAS_TOL:
-        return None
-    x_full = np.zeros(model.cols.total)
-    x_full[basis] = state.xb
-    if np.abs(model.cols.right_multiply(x_full) - model.b).max(initial=0.0) > FEAS_TOL:
-        return None
-    return state
+    def start_basis(self, start) -> np.ndarray:
+        """The columns of the LP variables ``start``, in that order, and
+        then every inequality row's slack, in row order; ``LpError`` unless
+        ``start`` names distinct variables, one per equation row.  The
+        model is built from nothing, so variable k is column k."""
+        start = np.asarray(start, dtype=np.int64).reshape(-1)
+        slacks = self.slack_col[self.slack_col >= 0]
+        if start.size + slacks.size != self.cols.m:
+            raise LpError(f"a start names one variable per equation row, {self.cols.m - slacks.size}, not {start.size}")
+        if start.size and (start.min() < 0 or start.max() >= self.n or np.unique(start).size < start.size):
+            raise LpError("a start names distinct variables of the LP")
+        return np.concatenate((self.var_col[start], slacks))
 
 
 class _State:

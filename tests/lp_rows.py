@@ -1,4 +1,5 @@
-"""Test helper: a ``LinearProgram`` stated by rows, as tests write LPs."""
+"""Test helpers: a ``LinearProgram`` stated by rows, as tests write LPs,
+and the basis of its last optimal solve."""
 
 import numpy as np
 
@@ -20,3 +21,19 @@ def lp_from_rows(objective, rows=()) -> LinearProgram:
     ptr = np.concatenate(([0], np.cumsum(np.bincount(var, minlength=np.size(objective)))))
     lp.add_columns(ptr, row[order], val[order], objective)
     return lp
+
+
+def live_basis(lp) -> tuple[np.ndarray, np.ndarray]:
+    """The basis of ``lp``'s last optimal solve, from the solver state the
+    LP keeps until its next solve: the basic variables and the rows whose
+    slack or surplus is basic, each sorted.  A basis that keeps an
+    artificial basic on a redundant row names a row fewer than the LP has."""
+    state = lp._live
+    model, total = state.model, state.cols.total
+    var = np.full(total, -1, dtype=np.int64)
+    var[model.var_col] = np.arange(model.n)
+    has = np.flatnonzero(model.slack_col >= 0)
+    slack_row = np.full(total, -1, dtype=np.int64)
+    slack_row[model.slack_col[has]] = has
+    basic_var, rows = var[state.basis], slack_row[state.basis]
+    return np.sort(basic_var[basic_var >= 0]), np.sort(rows[rows >= 0])

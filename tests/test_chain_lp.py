@@ -245,9 +245,9 @@ def test_masters_resume_across_rounds(monkeypatch):
     calls = []
     solve_lp = chain_lp.solve_lp
 
-    def recording_solve_lp(lp, basis=None):
-        res = solve_lp(lp, basis)
-        calls.append((lp, lp.num_vars, basis is not None, res.warm))
+    def recording_solve_lp(lp, start=None):
+        res = solve_lp(lp, start)
+        calls.append((lp, lp.num_vars, start is not None, res.warm))
         return res
 
     monkeypatch.setattr(chain_lp, "solve_lp", recording_solve_lp)
@@ -257,7 +257,7 @@ def test_masters_resume_across_rounds(monkeypatch):
     comp = solve_chain_lp_compressed(inst, 0.5)
     assert len(exact) == sol.iterations > 3 and len(calls) == sol.iterations + comp.iterations
     # Each solve keeps one live master LP, which only grows, and is given
-    # no basis.  Every master but each solve's first resumes the previous
+    # no start.  Every master but each solve's first resumes the previous
     # optimum.
     first = [k in (0, len(exact)) for k in range(len(calls))]
     assert [lp is not calls[k - 1][0] for k, (lp, _, _, _) in enumerate(calls)] == first
@@ -266,32 +266,12 @@ def test_masters_resume_across_rounds(monkeypatch):
     assert [warm for _, _, _, warm in calls] == [not new for new in first]
 
 
-def test_master_bases_read_after_later_resumes(monkeypatch):
-    # A master solution's basis is computed when first read; read after
-    # the whole column generation, through later resumes, it is the basis
-    # the solve ended at.
-    masters = []
-    solve_lp = chain_lp.solve_lp
-
-    def recording_solve_lp(lp, basis=None):
-        res = solve_lp(lp, basis)
-        masters.append((res, lp._live.model.basis_reader(lp._live.basis)(), lp))
-        return res
-
-    monkeypatch.setattr(chain_lp, "solve_lp", recording_solve_lp)
-    sol = solve_chain_lp(random_instance(np.random.default_rng(0), 8, 2, p_max=8, r_max=12))
-    assert len(masters) == sol.iterations > 3 and len({id(lp) for _, _, lp in masters}) == 1
-    for res, want, _ in masters:
-        assert res.basis.columns.tolist() == want.columns.tolist()
-        assert res.basis.slack_rows.tolist() == want.slack_rows.tolist()
-
-
 def test_stats_sum_the_master_solves(monkeypatch):
     masters, lps = [], []
     solve_lp = chain_lp.solve_lp
 
-    def recording_solve_lp(lp, basis=None):
-        masters.append(solve_lp(lp, basis))
+    def recording_solve_lp(lp, start=None):
+        masters.append(solve_lp(lp, start))
         lps.append(lp)
         return masters[-1]
 
@@ -601,8 +581,8 @@ def test_resumed_masters_perturb_at_their_first_stall(monkeypatch):
     masters = []
     solve_lp = chain_lp.solve_lp
 
-    def recording_solve_lp(lp, basis=None):
-        masters.append(solve_lp(lp, basis))
+    def recording_solve_lp(lp, start=None):
+        masters.append(solve_lp(lp, start))
         return masters[-1]
 
     monkeypatch.setattr(chain_lp, "solve_lp", recording_solve_lp)

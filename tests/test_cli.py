@@ -115,15 +115,23 @@ def test_round_preemptive_deterministic(tmp_path, capsys):
 
 
 def test_solve_interval_and_chain_reports(tmp_path, capsys):
+    # Each report opens with the objective and then its certified gap_bound,
+    # in CSV and JSON alike.
     inst = write_instance(tmp_path)
-    code, out, _ = run(capsys, "solve-interval", inst)
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "machine,job,start,y"
-    assert lines[1].startswith("objective,")
-    code, out, _ = run(capsys, "solve-chain", inst)
-    assert code == 0
-    assert out.splitlines()[0] == "machine,job,z,slots"
+    for command, header in (("solve-interval", "machine,job,start,y"), ("solve-chain", "machine,job,z,slots")):
+        code, out, _ = run(capsys, command, inst)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == header
+        assert lines[1].startswith("objective,")
+        label, gap, *rest = lines[2].split(",")
+        assert label == "gap_bound" and 0.0 <= float(gap) <= 1e-6 * (1 + float(lines[1].split(",")[1]))
+        assert rest == ["", ""]
+        code, out, _ = run(capsys, command, inst, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows[0][0] == "objective" and rows[1][0] == "gap_bound"
+        assert float(rows[1][1]) == float(gap)
 
 
 def test_lowerbound_subcommand(capsys):

@@ -306,8 +306,8 @@ def solve_recorded(inst, eps=None):
     """solve_interval_lp, and the LpSolution of each of its simplex calls."""
     seen = []
 
-    def spy(lp, basis=None):
-        seen.append(solve_lp(lp, basis))
+    def spy(lp, start=None):
+        seen.append(solve_lp(lp, start))
         return seen[-1]
 
     with mock.patch.object(interval_lp, "solve_lp", spy):

@@ -63,8 +63,8 @@ def solve_case(inst, eps):
     """The pinned record of one solve: objective, support and pivots."""
     seen = []
 
-    def spy(lp, basis=None):
-        seen.append(solve_lp(lp, basis))
+    def spy(lp, start=None):
+        seen.append(solve_lp(lp, start))
         return seen[-1]
 
     with mock.patch.object(interval_lp, "solve_lp", spy):

@@ -27,7 +27,7 @@ from alphasched.interval_lp import (  # noqa: E402
     compress_start_times,
     list_schedule,
 )
-from alphasched.simplex import Basis, solve_lp  # noqa: E402
+from alphasched.simplex import solve_lp  # noqa: E402
 
 from test_interval_lp import build_by_pair_loop, solve_recorded  # noqa: E402
 
@@ -126,8 +126,7 @@ def release_instances(draw):
 def solve_model(inst, model, starts=None):
     """The model's LP over the whole start set, solved from its list
     schedule."""
-    chosen = _variables_at(model, starts, *list_schedule(inst, starts))
-    res = solve_lp(model.lp, Basis(columns=chosen, slack_rows=np.arange(inst.num_jobs, model.lp.num_rows)))
+    res = solve_lp(model.lp, _variables_at(model, starts, *list_schedule(inst, starts)))
     assert res.status == "optimal"
     return res
 

@@ -6,7 +6,7 @@ import pytest
 
 from alphasched import simplex
 from alphasched.simplex import LinearProgram, LpError, solve_lp
-from lp_rows import lp_from_rows
+from lp_rows import live_basis, lp_from_rows
 
 
 def test_min_x_geq_one():
@@ -197,7 +197,8 @@ def _lp_with_redundant_equation():
     lp = lp_from_rows(np.zeros(1), [([0], [1.0], ">=", 0.0), ([], [], "==", 0.0)])
     first = solve_lp(lp)
     assert first.status == "optimal" and first.objective == 0.0
-    assert first.basis.columns.size + first.basis.slack_rows.size == 1  # a row short
+    columns, slack_rows = live_basis(lp)
+    assert columns.size + slack_rows.size == 1  # a row short
     return lp
 
 
@@ -245,13 +246,14 @@ def test_add_columns_leaves_the_callers_arrays_writable():
 
 
 def test_lp_without_rows_takes_the_one_solve_path():
-    # Positive costs: x = 0, with no dual and an empty basis.
+    # Positive costs: x = 0, with no dual and an empty basis, which the
+    # empty start names.
     lp = lp_from_rows([1.0, 0.5, 2.0])
+    assert solve_lp(lp, []).warm
     res = solve_lp(lp)
     assert res.status == "optimal" and res.x.tolist() == [0.0, 0.0, 0.0] and res.objective == 0.0
     assert res.duals.shape == (0,)
-    assert res.basis.columns.size == 0 and res.basis.slack_rows.size == 0
-    assert solve_lp(lp, res.basis).warm
+    assert all(part.size == 0 for part in live_basis(lp))
     # A negative cost is unbounded.
     assert solve_lp(lp_from_rows([1.0, -1.0])).status == "unbounded"
     # Rows and then columns appended to the solved LP: the solve resumes
@@ -268,18 +270,18 @@ def test_lp_without_rows_takes_the_one_solve_path():
 
 
 def test_stats_count_one_solve():
-    # min x0 + x1 + 2 x2  s.t.  x0 + x1 + x2 >= 2,  x0 + x1 <= 3,  x2 <= 4
+    # min x0 + x1 + 2 x2  s.t.  x0 + x1 + x2 == 2,  x0 + x1 <= 3,  x2 <= 4
     lp = lp_from_rows([1.0, 1.0, 2.0], [
-        ([0, 1, 2], [1.0, 1.0, 1.0], ">=", 2.0),
+        ([0, 1, 2], [1.0, 1.0, 1.0], "==", 2.0),
         ([0, 1], [1.0, 1.0], "<=", 3.0),
         ([2], [1.0], "<=", 4.0),
     ])
     first = solve_lp(lp)
     assert set(first.stats) == set(simplex.STATS)
     assert first.stats["pivots"] == first.iterations > 0
-    # From its optimal basis the LP never pivots: nothing is counted, not
-    # even the factorization of the starting basis.
-    again = solve_lp(lp, first.basis)
+    # From an optimal start (x0 = 2, both slacks basic) the LP never pivots:
+    # nothing is counted, not even the factorization of the starting basis.
+    again = solve_lp(lp, [0])
     assert again.warm and again.iterations == 0
     assert again.stats == dict.fromkeys(simplex.STATS, 0)
     assert solve_lp(lp_from_rows(np.zeros(2))).stats == dict.fromkeys(simplex.STATS, 0)
@@ -428,44 +430,3 @@ def test_rows_read_between_random_appends_match_a_sort_of_all_entries():
                 assert list(zip(idx.tolist(), coef.tolist())) == want
                 assert (sense, rhs) == (("<=", "==", ">=")[lp._sense[r]], lp._rhs[r])
                 assert not idx.flags.writeable and not coef.flags.writeable
-
-
-def test_basis_read_later_equals_the_basis_at_the_solve():
-    # Each solution's basis is computed when first read.  Reading it after
-    # later resumes, which extend the model and pivot the live basis, and
-    # after a solve from a given basis, gives what reading it at once would
-    # have.  The LP grows as a chain master does: columns with a 1 in one
-    # covering row and counts in capacity rows appended empty; some columns
-    # have an upper bound, a one-entry <= row appended empty before them.
-    rng = np.random.default_rng(11)
-    jobs = 4
-    lp = LinearProgram()
-    lp.add_rows([">="] * jobs, np.ones(jobs))
-    solutions, at_once = [], []
-    for round in range(8):
-        if round % 3 == 1:
-            lp.add_rows(["<="] * 2, [1.0, 2.0])
-        rows, vals = [], []
-        for _ in range(5):
-            cap = rng.choice(np.arange(jobs, lp.num_rows), size=min(2, lp.num_rows - jobs), replace=False)
-            rows.append(np.concatenate(([rng.integers(jobs)], np.sort(cap))))
-            vals.append(np.concatenate(([1.0], rng.integers(1, 3, cap.size).astype(float))))
-        bounded = np.flatnonzero(rng.random(5) < 0.4)
-        for k, row in zip(bounded, lp.add_rows(["<="] * bounded.size, np.full(bounded.size, 3.0))):
-            rows[k], vals[k] = np.append(rows[k], row), np.append(vals[k], 1.0)
-        ptr = np.concatenate(([0], np.cumsum([r.size for r in rows])))
-        lp.add_columns(ptr, np.concatenate(rows), np.concatenate(vals), rng.uniform(1.0, 5.0, 5))
-        res = solve_lp(lp)
-        if res.status != "optimal":  # a job row no column covers yet
-            continue
-        state = lp._live
-        at_once.append(state.model.basis_reader(state.basis)())
-        solutions.append(res)
-    assert len(solutions) > 4 and sum(res.warm for res in solutions) > 3
-    again = solve_lp(lp, solutions[-1].basis)
-    assert again.status == "optimal" and again.warm
-    for res, want in zip(solutions, at_once):
-        got = res.basis
-        assert got is res.basis  # computed once
-        assert got.columns.tolist() == want.columns.tolist()
-        assert got.slack_rows.tolist() == want.slack_rows.tolist()

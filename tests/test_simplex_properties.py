@@ -1,5 +1,5 @@
 """Property tests for solve_lp on random small LPs with mixed senses,
-checked against an exhaustive vertex oracle, and for warm starts."""
+checked against an exhaustive vertex oracle, and for starts and resumes."""
 
 from itertools import combinations
 
@@ -10,8 +10,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from alphasched import simplex  # noqa: E402
-from alphasched.simplex import Basis, LinearProgram, solve_lp  # noqa: E402
-from lp_rows import lp_from_rows  # noqa: E402
+from alphasched.simplex import LinearProgram, LpError, NumericalError, solve_lp  # noqa: E402
+from lp_rows import live_basis, lp_from_rows  # noqa: E402
 
 TOL = 1e-6
 BOX = 1e5  # far beyond any vertex of the generated LPs (integer data <= 5)
@@ -99,19 +99,24 @@ def _check_certificate(lp, res):
     assert abs(res.objective - float(lp.objective @ x)) <= TOL * scale
 
 
-def _hint_is_feasible_basis(lp, hint):
-    """Independent check: the hinted columns form a nonsingular basis whose
-    basic solution is non-negative."""
+def _inequality_rows(lp):
+    return np.array([k for k, (_, _, sense, _) in enumerate(lp.rows) if sense != "=="], dtype=np.int64)
+
+
+def _hint_is_feasible_basis(lp, columns, slack_rows):
+    """Independent check: the variables ``columns`` and the slacks of the
+    rows ``slack_rows`` form a nonsingular basis whose basic solution is
+    non-negative."""
     A = _row_matrix(lp)
     m = len(lp.rows)
     senses = [s for _, _, s, _ in lp.rows]
     b = np.array([r for _, _, _, r in lp.rows])
-    if any(senses[r] == "==" for r in hint.slack_rows):
+    if any(senses[r] == "==" for r in slack_rows):
         return False
     B = np.zeros((m, m))
-    B[:, : hint.columns.size] = A[:, hint.columns]
-    for k, r in enumerate(hint.slack_rows):
-        B[r, hint.columns.size + k] = 1.0 if senses[r] == "<=" else -1.0
+    B[:, : columns.size] = A[:, columns]
+    for k, r in enumerate(slack_rows):
+        B[r, columns.size + k] = 1.0 if senses[r] == "<=" else -1.0
     if np.linalg.matrix_rank(B) < m:
         return False
     return bool((np.linalg.solve(B, b) >= -1e-7).all())
@@ -128,28 +133,21 @@ def test_solve_lp_matches_oracle_and_certifies(lp, rnd):
     assert res.objective == pytest.approx(value, abs=TOL * (1 + abs(value)))
     _check_certificate(lp, res)
 
-    n, m = lp.num_vars, len(lp.rows)
-    # Re-solving from the optimal basis pivots no more.  A redundant row
-    # whose artificial stays basic leaves the basis a row short, which
-    # starts cold.
-    again = solve_lp(lp, res.basis)
-    full = res.basis.columns.size + res.basis.slack_rows.size == m
-    assert again.warm == full
-    if full:
-        assert again.iterations == 0
-    assert again.objective == pytest.approx(res.objective, abs=TOL * (1 + abs(value)))
-    _check_certificate(lp, again)
-
-    # Any other basis of the right size starts warm only if it is a
-    # nonsingular, primal feasible basis; either way the optimum is the same.
-    picks = sorted(rnd.sample(range(n + m), m))
-    hint = Basis(
-        columns=np.array([j for j in picks if j < n], dtype=np.int64),
-        slack_rows=np.array([j - n for j in picks if j >= n], dtype=np.int64),
-    )
-    other = solve_lp(lp, hint)
-    assert other.warm == _hint_is_feasible_basis(lp, hint)
-    assert other.objective == pytest.approx(res.objective, abs=TOL * (1 + abs(value)))
+    # A start of one variable per equation row, with every inequality
+    # row's slack, solves warm to the same optimum if it is a nonsingular,
+    # primal feasible basis, and raises otherwise.
+    slacks = _inequality_rows(lp)
+    equations = len(lp.rows) - slacks.size
+    if equations > lp.num_vars:
+        return
+    start = np.array(rnd.sample(range(lp.num_vars), equations), dtype=np.int64)
+    if not _hint_is_feasible_basis(lp, start, slacks):
+        with pytest.raises((LpError, NumericalError)):
+            solve_lp(lp, start)
+        return
+    other = solve_lp(lp, start)
+    assert other.warm and other.status == "optimal"
+    assert other.objective == pytest.approx(value, abs=TOL * (1 + abs(value)))
     _check_certificate(lp, other)
 
 
@@ -162,57 +160,50 @@ def _two_column_lp():
     ])
 
 
-def test_singular_basis_falls_back_cold():
-    lp = _two_column_lp()
-    cold = solve_lp(lp)
-    # x0 and x1 have identical columns: a basis holding both is singular.
-    res = solve_lp(lp, Basis(columns=np.array([0, 1]), slack_rows=np.array([2])))
-    assert not res.warm and res.status == "optimal"
-    assert res.objective == pytest.approx(cold.objective)
-
-
-def test_infeasible_basis_falls_back_cold():
-    lp = _two_column_lp()
-    cold = solve_lp(lp)
-    # Basic x0, x2 and row 1's slack: row 2 forces x2 = 4, so row 0 needs
-    # x0 = -2.
-    hint = Basis(columns=np.array([0, 2]), slack_rows=np.array([1]))
-    res = solve_lp(lp, hint)
-    assert not res.warm
-    assert res.objective == pytest.approx(cold.objective)
-
-
-def test_wrong_size_and_equality_slack_fall_back_cold():
-    lp = _two_column_lp()
-    cold = solve_lp(lp)
-    for hint in (
-        Basis(columns=np.array([0]), slack_rows=np.array([2])),
-        Basis(columns=np.array([0, 5]), slack_rows=np.array([2])),
-        Basis(columns=np.array([0, 0]), slack_rows=np.array([2])),
-    ):
-        res = solve_lp(lp, hint)
-        assert not res.warm and res.objective == pytest.approx(cold.objective)
-    eq = lp_from_rows([1.0, 2.0], [([0, 1], [1.0, 1.0], "==", 1.0)])
-    res = solve_lp(eq, Basis(columns=np.array([], dtype=np.int64), slack_rows=np.array([0])))
-    assert not res.warm and res.objective == pytest.approx(1.0)
-
-
-def test_warm_start_after_adding_a_column_and_a_row():
-    # Column generation in miniature: the old optimum plus the new row's
-    # slack is a feasible basis of the grown LP.
-    lp = _two_column_lp()
-    first = solve_lp(lp)
-    grown = lp_from_rows([1.0, 1.0, 2.0, 0.5], [
-        ([0, 1, 2, 3], [1.0, 1.0, 1.0, 1.0], ">=", 2.0),
-        ([0, 1], [1.0, 1.0], "<=", 3.0),
-        ([2], [1.0], "<=", 4.0),
-        ([3], [1.0], "<=", 1.5),
+def _two_equation_lp():
+    # min x0 + x1 + 2 x2  s.t.  x0 + x1 + x2 == 2,  x1 + x2 == 1,  x0 <= 3
+    return lp_from_rows([1.0, 1.0, 2.0], [
+        ([0, 1, 2], [1.0, 1.0, 1.0], "==", 2.0),
+        ([1, 2], [1.0, 1.0], "==", 1.0),
+        ([0], [1.0], "<=", 3.0),
     ])
-    hint = Basis(columns=first.basis.columns, slack_rows=np.append(first.basis.slack_rows, 3))
-    res = solve_lp(grown, hint)
-    assert res.warm and res.status == "optimal"
-    assert res.objective == pytest.approx(solve_lp(grown).objective)
-    assert res.objective == pytest.approx(1.5 * 0.5 + 0.5 * 1.0)
+
+
+def test_singular_start_raises():
+    # x1 and x2 have the same entries in both equation rows, and row 2's
+    # slack is basic: a basis holding both is singular.
+    lp = _two_equation_lp()
+    with pytest.raises(NumericalError, match="singular"):
+        solve_lp(lp, [1, 2])
+    # x0 and x1 with row 2's slack: x1 = 1, x0 = 1 and the slack 2.
+    res = solve_lp(lp, [0, 1])
+    assert res.warm and res.status == "optimal" and res.objective == pytest.approx(2.0)
+
+
+def test_infeasible_start_raises():
+    # min x0 + x1 + 2 x2  s.t.  x0 + x1 + x2 == 2,  x1 + x2 == 1,  x2 <= 0.5.
+    # Basic x0 and x2, with row 2's slack: row 1 forces x2 = 1, so the
+    # slack is -0.5.  The LP itself is feasible, at x0 = x1 = 1.
+    lp = lp_from_rows([1.0, 1.0, 2.0], [
+        ([0, 1, 2], [1.0, 1.0, 1.0], "==", 2.0),
+        ([1, 2], [1.0, 1.0], "==", 1.0),
+        ([2], [1.0], "<=", 0.5),
+    ])
+    with pytest.raises(LpError, match="primal feasible"):
+        solve_lp(lp, [0, 2])
+    assert solve_lp(lp, [0, 1]).objective == solve_lp(_copy(lp)).objective == 2.0
+
+
+def test_malformed_start_raises():
+    lp = _two_equation_lp()
+    for start in ([0], [0, 1, 2], [0, 3], [-1, 0], [0, 0]):
+        with pytest.raises(LpError, match="start names"):
+            solve_lp(lp, start)
+    # An LP with no equation row takes only the empty start.
+    ineq = lp_from_rows([1.0, 2.0], [([0, 1], [1.0, 1.0], "<=", 1.0)])
+    with pytest.raises(LpError, match="start names"):
+        solve_lp(ineq, [0])
+    assert solve_lp(ineq, []).warm
 
 
 def _copy(lp):
@@ -264,36 +255,39 @@ def appended(draw, lp):
     return equation
 
 
-def _resumed_start(first, lp, R0):
-    """The basis a resume starts from: the old optimal basis plus the slacks
-    of the new rows."""
-    slack_rows = np.concatenate((first.basis.slack_rows, np.arange(R0, lp.num_rows)))
-    return Basis(columns=first.basis.columns, slack_rows=slack_rows)
+def _resumed_start(basis, lp, R0):
+    """The basis a resume starts from, as (variables, slack rows): the old
+    optimal basis plus the slacks of the new rows."""
+    columns, slack_rows = basis
+    return columns, np.concatenate((slack_rows, np.arange(R0, lp.num_rows)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(small_lps(), st.data())
 def test_resume_after_appending_matches_cold_solve(lp, data):
     first = solve_lp(lp)
+    basis = live_basis(lp) if first.status == "optimal" else None
     n0, R0 = lp.num_vars, lp.num_rows
     equation = data.draw(appended(lp))
     res = solve_lp(lp)
     _assert_same_answer(res, solve_lp(_copy(lp)), lp)
-    if res.status == "optimal" and res.basis.columns.size + res.basis.slack_rows.size == lp.num_rows:
-        # The returned basis names the resumed optimum in the grown LP's terms.
-        again = solve_lp(_copy(lp), res.basis)
-        assert again.warm and again.iterations == 0
+    if res.status == "optimal":
+        columns, slack_rows = live_basis(lp)
+        if columns.size + slack_rows.size == lp.num_rows and slack_rows.tolist() == _inequality_rows(lp).tolist():
+            # No artificial and every slack is basic: the resumed optimum's
+            # variables are a start of the grown LP, at its optimum.
+            again = solve_lp(_copy(lp), columns)
+            assert again.warm and again.iterations == 0
     if first.status != "optimal":
         assert not res.warm  # nothing to resume from
         return
-    if first.basis.columns.size + first.basis.slack_rows.size < R0:
-        # An artificial stays basic, which no Basis can name and which
-        # blocks a resume: an appended column may have an entry in its row.
+    if basis[0].size + basis[1].size < R0:
+        # An artificial stays basic, which blocks a resume: an appended
+        # column may have an entry in its row.
         assert not res.warm
         return
     # An appended equation has no slack to enter the basis with.
-    start = _resumed_start(first, lp, R0)
-    assert res.warm == (not equation and _hint_is_feasible_basis(lp, start))
+    assert res.warm == (not equation and _hint_is_feasible_basis(lp, *_resumed_start(basis, lp, R0)))
     if lp.num_vars == n0 and lp.num_rows == R0:
         assert res.warm and res.iterations == 0
 
@@ -305,6 +299,7 @@ def test_resume_after_empty_rows_then_columns_matches_cold_solve(lp, data):
     # new variables get entries in new and old rows.  The solve resumes
     # whenever the old basis plus the new slacks is primal feasible.
     first = solve_lp(lp)
+    basis = live_basis(lp) if first.status == "optimal" else None
     R0 = lp.num_rows
     k = data.draw(st.integers(0, 3))
     senses = data.draw(st.lists(st.sampled_from(("<=", ">=")), min_size=k, max_size=k))
@@ -313,8 +308,8 @@ def test_resume_after_empty_rows_then_columns_matches_cold_solve(lp, data):
     data.draw(appended_columns(lp))
     res = solve_lp(lp)
     _assert_same_answer(res, solve_lp(_copy(lp)), lp)
-    full = first.status == "optimal" and first.basis.columns.size + first.basis.slack_rows.size == R0
-    assert res.warm == (full and _hint_is_feasible_basis(lp, _resumed_start(first, lp, R0)))
+    full = basis is not None and basis[0].size + basis[1].size == R0
+    assert res.warm == (full and _hint_is_feasible_basis(lp, *_resumed_start(basis, lp, R0)))
 
 
 @st.composite
@@ -351,10 +346,11 @@ def test_degenerate_set_partitioning_matches_oracle(lp):
 
 
 @st.composite
-def chain_masters(draw):
+def chain_masters(draw, job_senses=("==", ">=")):
     """Chain-LP masters in miniature: a column puts one job on a run of
-    slots; slot rows are <= 1, job rows >= 1 or == 1.  Job j's column on
-    slots 2j, 2j + 1 keeps every LP feasible."""
+    slots; slot rows are <= 1, job rows >= 1 or == 1 (a sense of
+    ``job_senses``).  Job j's column on slots 2j, 2j + 1 keeps every LP
+    feasible."""
     jobs = draw(st.integers(2, 4))
     slots = draw(st.integers(2 * jobs, 2 * jobs + 6))
     weight = draw(st.lists(st.integers(1, 3), min_size=jobs, max_size=jobs))
@@ -363,7 +359,7 @@ def chain_masters(draw):
     runs = [(j, s, min(n, slots - s)) for j, s, n in runs]
     columns = list(dict.fromkeys([(j, 2 * j, 2) for j in range(jobs)] + runs))
     lp = LinearProgram()
-    job_sense = draw(st.sampled_from(("==", ">=")))
+    job_sense = draw(st.sampled_from(job_senses))
     lp.add_rows(["<="] * slots + [job_sense] * jobs, np.ones(slots + jobs))
     rows = [[*range(s, s + n), slots + j] for j, s, n in columns]
     lp.add_columns(np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows), np.ones(sum(map(len, rows))),
@@ -387,16 +383,14 @@ def test_large_perturbations_repair_to_the_certified_optimum(lp):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(lp=chain_masters())
+@given(lp=chain_masters(job_senses=("==",)))
 def test_degenerate_given_basis_perturbs_to_the_certified_optimum(lp):
-    # Job j's column on slots 2j, 2j + 1 and every slot row's slack form a
-    # feasible basis with the slacks of those slots basic at zero: a solve
+    # Job j's column on slots 2j, 2j + 1, with every slot row's slack, is a
+    # feasible start with the slacks of those slots basic at zero: a solve
     # from it perturbs at its first stalled pivot.
-    slots = sum(sense == "<=" for _, _, sense, _ in lp.rows)
-    jobs = lp.num_rows - slots
+    jobs = sum(sense == "==" for _, _, sense, _ in lp.rows)
     expected = solve_lp(_copy(lp))
-    hint = Basis(columns=np.arange(jobs), slack_rows=np.arange(slots))
-    res = solve_lp(lp, hint)
+    res = solve_lp(lp, np.arange(jobs))
     assert res.warm and res.status == expected.status == "optimal"
     assert res.objective == pytest.approx(expected.objective, abs=TOL * (1 + abs(expected.objective)))
     _check_certificate(lp, res)
