@@ -8,7 +8,7 @@ from .chain_lp import (
     solve_chain_lp,
     solve_chain_lp_compressed,
 )
-from .chains import Chain, earliest_chain
+from .chains import Chain
 from .distributions import DistributionStats, OffsetDistribution
 from .instance import (
     FORBIDDEN,

@@ -11,15 +11,17 @@ its last block.  The master is one live LP across rounds: a round appends
 its new rows and columns, and the solve resumes from the previous round's
 optimum.
 
-The first master holds a greedy disjoint chain per job, which makes it
-feasible, and the earliest chain of every allowed (machine, job) pair.  The
-exact LP's also holds the optimal support of the start-time LP over its
-full range, each entry (i, j, s) as the contiguous chain s + 1, ..., s + p_ij.
-Those chains alone are a feasible master solution at that LP's objective:
-they start at or after their releases and end by ``lp_horizon``, at most
-the horizon; each job's mass is 1; the LP's cover rows load every slot at
-most 1; and each costs what its entry does.  So column generation opens at
-or below that objective, instead of spending its first rounds in
+The first master's chains come from one builder: the chain s + 1, ..., s +
+p_ij of each (machine i, job j, start s) triple, equal chains once.  The
+start-time LP's list schedule (``list_schedule``) gives the first n: it is
+non-preemptive and ends by ``lp_horizon``, so they make the master
+feasible.  Then come the earliest chain of every allowed pair and, in the
+exact LP, the optimal support of the start-time LP over its full range.
+That support alone is a feasible master solution at that LP's objective:
+its chains start at or after their releases and end by ``lp_horizon``, at
+most the horizon; each job's mass is 1; the LP's cover rows load every slot
+at most 1; and each costs what its entry does.  So column generation opens
+at or below that objective, instead of spending its first rounds in
 degenerate masters whose objective does not move.  The seed is skipped
 when the start-time LP is refused for its size, as the chain master may
 still fit.  The compressed LP takes no seed: on the chain-cg corpus a seed
@@ -89,9 +91,9 @@ from itertools import chain as concat
 import numpy as np
 
 from . import simplex
-from .chains import Chain, earliest_chain
+from .chains import Chain
 from .instance import Instance, horizon as instance_horizon, normalize_weights
-from .interval_lp import _pairs, solve_interval_lp
+from .interval_lp import _pairs, list_schedule, solve_interval_lp
 from .simplex import LinearProgram, LpError, solve_lp
 
 PRICE_TOL = 1e-7
@@ -276,35 +278,14 @@ def _keys(machine, job, size, slots) -> list:
     ]
 
 
-def _greedy_disjoint_chains(inst: Instance, ends: np.ndarray) -> list[Chain]:
-    """A feasible integral chain per job: fastest machine, earliest free
-    slots, each then taking its blocks' earliest slots after its release.
-    Guarantees the initial master is feasible.  Only the slots taken are
-    stored, so the horizon's length costs nothing."""
-    horizon = int(ends[-1])
-    rel = inst.release_matrix()
-    allowed = inst.allowed_mask()
-    taken = [set() for _ in range(inst.num_machines)]
-    machine, job, release, slots = [], [], [], []
-    for j in sorted(range(inst.num_jobs), key=lambda j: (rel[j].min(), j)):
-        i = int(np.argmin(np.where(allowed[j], inst.sizes[j], np.iinfo(np.int64).max)))
-        p, t = inst.size(j, i), int(rel[j, i])
-        chain = []
-        while len(chain) < p:
-            t += 1
-            if t > horizon:
-                raise ChainLpError(f"no room for job {j} by horizon {horizon}")
-            if t not in taken[i]:
-                chain.append(t)
-        taken[i].update(chain)
-        machine.append(i)
-        job.append(j)
-        release.append(int(rel[j, i]))
-        slots.append(chain)
-    size = np.array([len(chain) for chain in slots], dtype=np.int64)
-    flat = np.fromiter(concat.from_iterable(slots), np.int64, int(size.sum()))
-    packed = _earliest_per_block(flat, size, np.array(release), ends)
-    return [Chain(*key) for key in _keys(np.array(machine), np.array(job), size, packed)]
+def _contiguous_chains(inst: Instance, ends: np.ndarray, machine, job, start) -> list[Chain]:
+    """The chain s + 1, ..., s + p_ij of each triple (machine i, job j,
+    start s), in the earliest-slots-per-block form of the blocks with right
+    ends ``ends``, one per triple and in their order."""
+    size = inst.sizes[job, machine]
+    at = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    slots = _earliest_per_block(np.repeat(start, size) + 1 + at, size, inst.release_matrix()[job, machine], ends)
+    return [Chain(*key) for key in _keys(machine, job, size, slots)]
 
 
 class _Master:
@@ -449,10 +430,10 @@ def _generate(inst: Instance, horizon: int, ends: np.ndarray | None = None, seed
     """Column generation to optimality of the chain LP over the blocks with
     right ends ``ends`` (compressed), or over unit blocks up to ``horizon``.
 
-    The first master holds the greedy disjoint chains, the earliest chain of
-    every allowed (machine, job) pair and the ``seed`` chains, each once;
-    ``stats["seed_columns"]`` counts the seed chains that were not already
-    among the others.
+    The first master holds the chains (``_contiguous_chains``) of the list
+    schedule, of every allowed pair at its release and of the ``seed``'s
+    (machines, jobs, starts), in that order and each once; ``seed_columns``
+    counts the seed chains that were not already among the others.
 
     Each round solves the master, which keeps every chain it was given, from
     the previous round's optimal basis, and prices every chain against duals
@@ -489,20 +470,19 @@ def _generate(inst: Instance, horizon: int, ends: np.ndarray | None = None, seed
     if not compressed:
         ends = np.arange(1, horizon + 1)
     inst, shift = normalize_weights(inst)
-    rel = inst.release_matrix()
-    columns = _greedy_disjoint_chains(inst, ends)
-    for j in range(inst.num_jobs):
-        for i in range(inst.num_machines):
-            if inst.allowed(j, i):
-                columns.append(earliest_chain(i, j, int(rel[j, i]), inst.size(j, i)))
-    # Each chain enters once, the greedy ones first.
-    unseeded = dict.fromkeys(columns)
-    columns = list(dict.fromkeys(concat(unseeded, seed)))
+    n = inst.num_jobs
+    jobs, machines, sizes, releases = _pairs(inst)
+    scheduled, start = list_schedule(inst)
+    seed = np.asarray(seed, dtype=np.int64).reshape(3, -1)
+    opening = np.hstack(([scheduled, np.arange(n), start], [machines, jobs, releases], seed))
+    chains = _contiguous_chains(inst, ends, *opening)
+    # Each chain enters once, the first kept.
+    unseeded = dict.fromkeys(chains[: n + jobs.size])
+    columns = list(dict.fromkeys(chains))
     master = _Master(inst, ends)
     master.add(columns)
     lengths = master.lengths
     seen = set(map(_key, columns))
-    jobs, machines, sizes, releases = _pairs(inst)
     pairs = machines, jobs, inst.weights[jobs], sizes, releases
 
     best_lb = -np.inf
@@ -627,9 +607,10 @@ def solve_chain_lp(inst: Instance) -> ChainSolution:
     """The exact chain LP: column generation over unit blocks, one per slot
     up to the instance horizon.
 
-    The first master also holds the optimal support of the start-time LP
-    over its full range (``solve_interval_lp(inst)``), each entry (i, j, s)
-    as the contiguous chain s + 1, ..., s + p_ij.  Those chains alone are a
+    Beside the list schedule's and the earliest chains (see ``_generate``),
+    the first master holds the optimal support of the start-time LP over
+    its full range (``solve_interval_lp(inst)``), each entry (i, j, s) as
+    the contiguous chain s + 1, ..., s + p_ij.  Those chains alone are a
     feasible master solution at that LP's objective (see the module
     docstring), so column generation opens at or below it.  The seed is
     skipped when the start-time LP is refused for its size (``LpError``):
@@ -644,9 +625,7 @@ def solve_chain_lp(inst: Instance) -> ChainSolution:
         start = solve_interval_lp(inst)
     except LpError:
         return _generate(inst, H)
-    p = inst.sizes[start.job, start.machine]
-    seed = map(earliest_chain, start.machine.tolist(), start.job.tolist(), start.start.tolist(), p.tolist())
-    sol = _generate(inst, H, seed=seed)
+    sol = _generate(inst, H, seed=(start.machine, start.job, start.start))
     sol.stats["seed_pivots"] = start.stats["pivots"]
     return sol
 

@@ -66,10 +66,6 @@ class Chain:
             raise ValueError(f"slot {self.slots[-1]} exceeds horizon {horizon}")
 
 
-def earliest_chain(machine: int, job: int, release: int, size: int) -> Chain:
-    return Chain(machine=machine, job=job, slots=tuple(range(release + 1, release + size + 1)))
-
-
 def chain_eval_many(slot_matrix: np.ndarray, chain_idx: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Vectorized A(v) over a padded slot matrix (rows are chains)."""
     k = np.ceil(work - 1e-12).astype(np.int64)

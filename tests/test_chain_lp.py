@@ -16,9 +16,9 @@ from alphasched.chain_lp import (
     solve_chain_lp_compressed,
     validate_chain_solution,
 )
-from alphasched.chains import Chain, earliest_chain
+from alphasched.chains import Chain
 from alphasched.instance import Instance, horizon, load_instance, normalize_weights
-from alphasched.interval_lp import IntervalLpError, solve_interval_lp
+from alphasched.interval_lp import IntervalLpError, _pairs, list_schedule, solve_interval_lp
 from alphasched.oracle import brute_force_preemptive
 from alphasched.simplex import LpError, solve_lp
 from chain_reference import enumerate_chains, price_chain
@@ -280,14 +280,19 @@ def test_stats_sum_the_master_solves(monkeypatch):
     sol = solve_chain_lp(inst)
     assert len(masters) == sol.iterations
     summed = {key: sum(res.stats[key] for res in masters) for key in simplex.STATS}
-    # The seed counters: the start-time LP's chains that neither the greedy
-    # base nor the earliest chains hold, and that LP's own pivots, which
-    # ``pivots`` leaves out.
+    # The seed counters: the start-time LP's chains that neither the list
+    # schedule nor the earliest chains hold, and that LP's own pivots, which
+    # ``pivots`` leaves out.  In unit blocks every such chain is contiguous.
     start = solve_interval_lp(inst)
-    rel = inst.release_matrix()
-    held = set(chain_lp._greedy_disjoint_chains(inst, np.arange(1, horizon(inst) + 1)))
-    held.update(earliest_chain(i, j, int(rel[j, i]), inst.size(j, i)) for j, i in zip(*inst.allowed_mask().nonzero()))
-    seeded = {earliest_chain(i, j, s, inst.size(j, i)) for i, j, s in zip(start.machine, start.job, start.start)}
+
+    def contiguous(i, j, s):
+        return Chain(i, j, range(s + 1, s + inst.size(j, i) + 1))
+
+    machine, first = list_schedule(inst)
+    held = set(map(contiguous, machine, range(inst.num_jobs), first))
+    jobs, machines, _, releases = _pairs(inst)
+    held.update(map(contiguous, machines, jobs, releases))
+    seeded = set(map(contiguous, start.machine, start.job, start.start))
     seed = {"seed_columns": len(seeded - held), "seed_pivots": start.stats["pivots"]}
     # The last master's shift columns are its zero-cost columns (a chain
     # costs w_j C > 0) and its chains the others; its chains already meet
@@ -345,7 +350,7 @@ def test_compressed_objective_sandwich():
 
 
 def test_chain_dataclass_guards():
-    c = earliest_chain(0, 0, release=2, size=3)
+    c = Chain(0, 0, range(2 + 1, 2 + 3 + 1))  # release 2, size 3
     assert c.slots == (3, 4, 5)
     c.validate(release=2, horizon=10, size=3)
     with pytest.raises(ValueError):
@@ -439,13 +444,13 @@ LADDER_BEFORE_SHIFTS = Path(__file__).resolve().parents[1] / "BENCH_pr29-ladder.
 
 
 def test_recovery_repairs_an_overloaded_final_master():
-    # The ladder's (8, 2) s = 14.  Its final master's chains meet only the
+    # The ladder's (8, 2) s = 11.  Its final master's chains meet only the
     # prefix capacities that the shift columns leave, and overload a slot;
     # the recovery pass moves slots into earlier free ones.  The objective
     # is the one the ladder recorded before the master had shift columns.
-    inst = random_instance(np.random.default_rng(8014), 8, 2, p_max=40, r_max=40)
+    inst = random_instance(np.random.default_rng(8011), 8, 2, p_max=40, r_max=40)
     lines = map(json.loads, LADDER_BEFORE_SHIFTS.read_text(encoding="utf-8").splitlines())
-    want = next(float.fromhex(d["objective"]) for d in lines if (d["n"], d["m"], d["s"]) == (8, 2, 14))
+    want = next(float.fromhex(d["objective"]) for d in lines if (d["n"], d["m"], d["s"]) == (8, 2, 11))
     sol = solve_chain_lp(inst)
     assert sol.objective == pytest.approx(want, rel=1e-9, abs=0.0)
     validate_chain_solution(inst, sol)
@@ -457,9 +462,9 @@ def _block_counts(chain, ends):
 
 
 def test_master_columns_differ_in_block_counts(monkeypatch):
-    # The greedy base chains take the earliest free slots; every column
-    # enters in the earliest-slots-per-block form, so a priced chain with
-    # the same slot counts per block is never a second column.
+    # Every column, the list schedule's included, enters in the
+    # earliest-slots-per-block form, so a priced chain with the same slot
+    # counts per block is never a second column.
     masters = []
     solve = chain_lp._Master.solve
 
@@ -478,7 +483,40 @@ def test_master_columns_differ_in_block_counts(monkeypatch):
         assert len(masters) == sol.iterations
         masters.clear()
     sol = solve_chain_lp_compressed(load_instance(CORPUS / "chain-0002.inst.json"), 0.2)
-    assert len(masters) == sol.iterations and masters[-1] > 60
+    assert len(masters) == sol.iterations and masters[-1] > 40
+
+
+def test_first_master_opens_with_the_list_schedule(monkeypatch):
+    # The first master's first n chains are the list schedule's, job by job:
+    # job j's slots s_j + 1, ..., s_j + p on its machine, each block's share
+    # moved to the block's earliest slots after the release.  They load no
+    # block past its length, so the first master is feasible.
+    inst = load_instance(CORPUS / "chain-0002.inst.json")
+    n, rel = inst.num_jobs, inst.release_matrix()
+    machine, start = list_schedule(inst)
+    added = []
+    add = chain_lp._Master.add
+
+    def recording_add(master, chains):
+        added.append((master.ends, chains))
+        add(master, chains)
+
+    monkeypatch.setattr(chain_lp._Master, "add", recording_add)
+    for solve in (solve_chain_lp, lambda inst: solve_chain_lp_compressed(inst, 0.2)):
+        added.clear()
+        solve(inst)
+        ends, chains = added[0]
+        lengths = np.diff(ends, prepend=0)
+        assert [(c.machine, c.job) for c in chains[:n]] == list(zip(machine.tolist(), range(n)))
+        load = np.zeros((inst.num_machines, ends.size), dtype=np.int64)
+        for c, s in zip(chains[:n], start.tolist()):
+            slots = np.arange(s + 1, s + inst.size(c.job, c.machine) + 1)
+            count = np.bincount(np.searchsorted(ends, slots), minlength=ends.size)
+            first = np.maximum(ends - lengths, rel[c.job, c.machine]) + 1
+            assert c.slots == tuple(t for k in np.flatnonzero(count) for t in range(first[k], first[k] + count[k]))
+            load[c.machine] += count
+        assert (load <= lengths).all()
+    assert ends.size < ends[-1]  # the compressed solve's blocks are not all unit ones
 
 
 def _largest_master(monkeypatch, inst):
@@ -541,8 +579,9 @@ def test_seeded_master_opens_at_or_below_the_start_time_lp(monkeypatch):
 
 def test_refused_start_time_lp_skips_the_seed(monkeypatch):
     # Refused for its size, the start-time LP seeds nothing: the master
-    # starts from the greedy and earliest chains alone, well above that
-    # LP's objective, and column generation reaches the same optimum.
+    # starts from the list schedule's and the earliest chains alone, well
+    # above that LP's objective, and column generation reaches the same
+    # optimum.
     inst = load_instance(CORPUS / "chain-0015.inst.json")
     seeded, start = solve_chain_lp(inst), solve_interval_lp(inst)
 
@@ -566,11 +605,12 @@ def test_refused_start_time_lp_skips_the_seed(monkeypatch):
 
 
 def test_compressed_solves_take_no_seed():
-    # The compressed master starts from the greedy and earliest chains
-    # alone, and its pivot path is pinned: 24 rounds and 155 pivots.
+    # The compressed master starts from the list schedule's and the
+    # earliest chains alone, and its pivot path is pinned: 15 rounds and 81
+    # pivots.
     sol = solve_chain_lp_compressed(load_instance(CORPUS / "chain-0002.inst.json"), 0.2)
     assert sol.stats["seed_columns"] == sol.stats["seed_pivots"] == 0
-    assert (sol.stats["rounds"], sol.stats["pivots"]) == (24, 155)
+    assert (sol.stats["rounds"], sol.stats["pivots"]) == (15, 81)
 
 
 def test_resumed_masters_perturb_at_their_first_stall(monkeypatch):
