@@ -9,24 +9,24 @@ block) whose right-hand side is the block's length.  A chain uses each block
 for as many slots as it has there and is charged w_j times the right end of
 its last block.  The master is one live LP across rounds: a round appends
 its new rows and columns, and the solve resumes from the previous round's
-optimum.
+optimum.  The master alone decides which chains are new: given a chain it
+holds, or a second copy, it drops it.
 
 The first master's chains come from one builder: the chain s + 1, ..., s +
-p_ij of each (machine i, job j, start s) triple, equal chains once.  The
-start-time LP's list schedule (``list_schedule``) gives the first n: it is
-non-preemptive and ends by ``lp_horizon``, so they make the master
-feasible.  Then come the earliest chain of every allowed pair and, in the
-exact LP, the optimal support of the start-time LP over its full range.
-That support alone is a feasible master solution at that LP's objective:
-its chains start at or after their releases and end by ``lp_horizon``, at
-most the horizon; each job's mass is 1; the LP's cover rows load every slot
-at most 1; and each costs what its entry does.  So column generation opens
-at or below that objective, instead of spending its first rounds in
-degenerate masters whose objective does not move.  The seed is skipped
-when the start-time LP is refused for its size, as the chain master may
-still fit.  The compressed LP takes no seed: on the chain-cg corpus a seed
-(each chain in its blocks' earliest slots) took its solves from 97 rounds
-to 106, and about 10% longer.
+p_ij of each (machine i, job j, start s) triple.  The start-time LP's list
+schedule (``list_schedule``) gives the first n: it is non-preemptive and
+ends by ``lp_horizon``, so they make the master feasible.  Then come the
+earliest chain of every allowed pair and, in the exact LP, the optimal
+support of the start-time LP over its full range.  That support alone is
+a feasible master solution at that LP's objective: its chains start at or
+after their releases and end by ``lp_horizon``, at most the horizon; each
+job's mass is 1; the LP's cover rows load every slot at most 1; and each
+costs what its entry does.  So column generation opens at or below that
+objective, instead of spending its first rounds in degenerate masters whose
+objective does not move.  The seed is skipped when the start-time LP is
+refused for its size, as the chain master may still fit.  The compressed LP
+takes no seed: on the chain-cg corpus a seed (each chain in its blocks'
+earliest slots) took its solves from 97 rounds to 106, and about 10% longer.
 
 One driver serves every timeline, and one exact pricer: each slot carries
 its block's dual, and the cheapest chain completing in block k takes a slot
@@ -36,10 +36,9 @@ zeros first and then its smallest positive duals.  One pricer call per
 pricing pass prices every (machine, job) pair at every block end and finds a
 chain at every valley of a pair's cost over its block ends, so a round adds
 many diverse columns; the found chains' completions and slot sets are then
-worked out together as arrays, and only the chains the master does not hold
-yet are built.  A chain enters the master in one form, the earliest slots
-after the release in each of its blocks, so two chains with the same slot
-count per block are one column.
+worked out together as arrays.  A chain enters the master in one form, the
+earliest slots after the release in each of its blocks, so two chains with
+the same slot count per block are one column.
 
 The master also holds zero-cost shift columns, dual-optimal inequalities
 in the sense of Ben Amor, Desrosiers and Valerio de Carvalho (Oper. Res.
@@ -86,7 +85,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain as concat
+from itertools import chain as concat, compress
 
 import numpy as np
 
@@ -114,9 +113,13 @@ class ChainSolution:
     horizon: int
     compressed: bool = False
     blocks: np.ndarray | None = None  # block endpoints when compressed
-    iterations: int = 0  # rounds
     gap_bound: float = 0.0  # certified distance to the true LP optimum
     stats: dict = field(default_factory=dict)  # master solves' simplex counters, summed; rounds; seed_columns, seed_pivots; columns, shift_columns, recovery_moves
+
+    @property
+    def iterations(self) -> int:
+        """The column-generation rounds, ``stats["rounds"]``; 0 without it."""
+        return self.stats.get("rounds", 0)
 
     def support_by_job(self, num_jobs: int):
         groups = [[] for _ in range(num_jobs)]
@@ -136,14 +139,12 @@ def price_chain_multi(
     weights,
     sizes,
     releases,
-    horizon: int,
-    ends=None,
-    seen=frozenset(),
+    ends,
 ) -> tuple[list, np.ndarray]:
     """Price (machine, job) pairs against their machines' block duals.
 
-    ``ends`` are the blocks' right ends, strictly increasing up to the
-    horizon, 1..horizon (unit blocks) by default.  xi[i, k] >= 0 is the dual
+    ``ends`` are the blocks' right ends, strictly increasing; the last is
+    the horizon, and unit blocks are 1..horizon.  xi[i, k] >= 0 is the dual
     of machine i's block k and every slot of the block carries it.  Pair q
     is job ``jobs[q]`` on machine ``machines[q]``; ``eta``, ``weights``,
     ``sizes`` and ``releases`` are per pair.  Job j's cheapest chain on
@@ -162,15 +163,12 @@ def price_chain_multi(
     -1e-7, strictly below end k - 1's (inf before the first end with room
     for the job) and at most end k + 1's, so a plateau goes to its earliest
     end.  Each chain takes the earliest slots after the release in each of
-    its blocks; a chain whose (machine, job, slots) key is in ``seen`` is
-    left out.  ``best[q]`` is the minimum reduced cost of pair q, inf when
+    its blocks.  ``best[q]`` is the minimum reduced cost of pair q, inf when
     no chain of it fits by the horizon.  The completions and slot sets of
-    all found chains are worked out together, as arrays, and only the
-    chains returned are built.
+    all found chains are worked out together, as arrays.
     """
-    H = int(horizon)
-    C = np.arange(1, H + 1) if ends is None else np.asarray(ends, dtype=np.int64)
-    K = C.size
+    C = np.asarray(ends, dtype=np.int64)
+    H, K = int(C[-1]), C.size
     xi = np.asarray(xi, dtype=float)[:, :K]
     if (xi < 0.0).any():
         raise ValueError("slot duals must be non-negative")
@@ -221,11 +219,7 @@ def price_chain_multi(
     slots = _cheapest_slots(order, zeros, npos, machines[q], r[q], p[q], C[k])
     if K < H:  # unit blocks hold a chain's slots in that form already
         slots = _earliest_per_block(slots, p[q], r[q], C)
-    found = []
-    for key, reduced in zip(_keys(machines[q], jobs[q], p[q], slots), cost[q, k].tolist()):
-        if key not in seen:
-            found.append((Chain(*key), reduced))
-    return found, best
+    return list(zip(_chains(machines[q], jobs[q], p[q], slots), cost[q, k].tolist())), best
 
 
 def _cheapest_slots(order, zeros, npos, machine, release, size, completion) -> np.ndarray:
@@ -269,11 +263,11 @@ def _earliest_per_block(slots, size, release, ends) -> np.ndarray:
     return np.maximum(start, release[owner]) + 1 + rank
 
 
-def _keys(machine, job, size, slots) -> list:
-    """(machine, job, slots) per chain, from chains' slots laid end to end."""
+def _chains(machine, job, size, slots) -> list[Chain]:
+    """One chain per (machine, job, size), from chains' slots laid end to end."""
     flat, bounds = slots.tolist(), np.cumsum(size).tolist()
     return [
-        (i, j, tuple(flat[b - s : b]))
+        Chain(i, j, tuple(flat[b - s : b]))
         for i, j, s, b in zip(machine.tolist(), job.tolist(), size.tolist(), bounds)
     ]
 
@@ -285,7 +279,7 @@ def _contiguous_chains(inst: Instance, ends: np.ndarray, machine, job, start) ->
     size = inst.sizes[job, machine]
     at = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
     slots = _earliest_per_block(np.repeat(start, size) + 1 + at, size, inst.release_matrix()[job, machine], ends)
-    return [Chain(*key) for key in _keys(machine, job, size, slots)]
+    return _chains(machine, job, size, slots)
 
 
 class _Master:
@@ -301,9 +295,9 @@ class _Master:
     capacity rows, empty, then its new chain columns and the shift columns
     of the pairs those rows complete, so the next ``solve_lp`` resumes from
     the previous optimum with the new rows' slacks basic.  No column ever
-    leaves.  ``columns`` holds the chains only; ``chain_col`` is each one's
-    LP column and ``shift_col`` the LP column of each shift, whose upper row
-    key is in ``shift_key``.
+    leaves, and each chain enters once: ``columns`` is the chain set, in
+    the order the chains entered, ``chain_col`` each one's LP column and
+    ``shift_col`` the LP column of each shift.
     """
 
     def __init__(self, inst: Instance, ends: np.ndarray):
@@ -315,8 +309,8 @@ class _Master:
         latest = np.where(inst.allowed_mask(), inst.release_matrix(), 0).max(axis=0)
         self.first_shift = np.searchsorted(self.ends - self.lengths, latest)
         n = inst.num_jobs
-        self.columns: list[Chain] = []
-        self.chain_col = self.shift_col = self.shift_key = np.zeros(0, dtype=np.int64)
+        self.columns: dict[Chain, None] = {}
+        self.chain_col = self.shift_col = np.zeros(0, dtype=np.int64)
         self.lp = LinearProgram()
         self.lp.add_rows([">="] * n, np.ones(n))
         # Row key of job j is j, of (machine i, block k) num_jobs + i * K + k;
@@ -325,11 +319,18 @@ class _Master:
         self.row = np.full(n + inst.num_machines * self.ends.size, -1, dtype=np.int64)
         self.row[:n] = self.keys
 
-    def add(self, chains: list[Chain]) -> None:
-        """Append chain columns, first the capacity rows they open, and then
-        the shift columns of the pairs those rows complete."""
+    def add(self, chains: list[Chain]) -> list[bool]:
+        """Append the chains the master does not hold yet as columns, each
+        once and in the given order, first the capacity rows they open, and
+        then the shift columns of the pairs those rows complete.  Returns,
+        per chain given, whether it was appended."""
+        appended = []
+        for chain in chains:
+            appended.append(chain not in self.columns)
+            self.columns.setdefault(chain)
+        chains = list(compress(chains, appended))
         if not chains:
-            return
+            return appended
         n, K = self.inst.num_jobs, self.ends.size
         job, machine, lengths = np.array([(c.job, c.machine, c.length) for c in chains], dtype=np.int64).T
         owner = np.repeat(np.arange(len(chains)), lengths)
@@ -359,8 +360,8 @@ class _Master:
         ptr = np.concatenate((head, [rows.size]))
         added = self.lp.add_columns(ptr, rows, coef, self.inst.weights[job] * self.ends[block[last]])
         self.chain_col = np.concatenate((self.chain_col, added))
-        self.columns.extend(chains)
         self._add_shifts(opened)
+        return appended
 
     def _add_shifts(self, opened: np.ndarray) -> None:
         """Append the shift columns of the pairs of capacity rows that the
@@ -377,7 +378,6 @@ class _Master:
             coef = np.tile([1.0, -1.0], upper.size)
             added = self.lp.add_columns(np.arange(0, rows.size + 1, 2), rows, coef, np.zeros(upper.size))
             self.shift_col = np.concatenate((self.shift_col, added))
-            self.shift_key = np.concatenate((self.shift_key, upper))
 
     def solve(self):
         """Solve the master; returns (solution, eta, xi) with eta the job
@@ -396,31 +396,6 @@ class _Master:
         return res, eta, xi
 
 
-def _price_all(pairs: tuple, ximat: np.ndarray, eta: np.ndarray, ends: np.ndarray, seen: set):
-    """Price every allowed (machine, job) pair against the given block duals
-    in one ``price_chain_multi`` pass; ``pairs`` holds the pairs' machines,
-    jobs, weights, sizes and releases, job by job and then by machine.
-
-    Returns (new chains, ordered by job, then machine, then completion; per-job
-    cheapest chain cost mu_j), and adds the new chains' keys to ``seen``.
-    The mu values certify a Lagrangian lower bound sum_j mu_j - sum_{i,k}
-    len_k xi_{i,k} on the LP optimum.
-    """
-    machines, jobs, weights, sizes, releases = pairs
-    found, best = price_chain_multi(
-        ximat, machines, jobs, eta[jobs], weights, sizes, releases, int(ends[-1]), ends=ends, seen=seen
-    )
-    mu = np.full(eta.size, np.inf)
-    np.minimum.at(mu, jobs, best + eta[jobs])
-    new_cols = [chain for chain, _ in found]
-    seen.update(map(_key, new_cols))
-    return new_cols, mu
-
-
-def _key(chain: Chain) -> tuple:
-    return chain.machine, chain.job, chain.slots
-
-
 SMOOTHING = 0.8  # weight on the dual stability center while pricing
 GAP_REL_TOL = 1e-6
 MAX_ROUNDS = 2000
@@ -432,17 +407,18 @@ def _generate(inst: Instance, horizon: int, ends: np.ndarray | None = None, seed
 
     The first master holds the chains (``_contiguous_chains``) of the list
     schedule, of every allowed pair at its release and of the ``seed``'s
-    (machines, jobs, starts), in that order and each once; ``seed_columns``
-    counts the seed chains that were not already among the others.
+    (machines, jobs, starts), in that order; the master keeps the first of
+    equal chains, and ``seed_columns`` counts the seed chains it appended.
 
-    Each round solves the master, which keeps every chain it was given, from
-    the previous round's optimal basis, and prices every chain against duals
-    smoothed toward the stability center, then, if that yields no new chain,
-    against the raw master duals.  A pricing pass whose Lagrangian bound
-    sum_j mu_j - sum len_k xi beats the best so far moves the center to its
-    duals.  The run stops when the master objective is within 1e-6 relative
-    of the best bound, and raises ``ChainLpError`` when the raw pass adds no
-    chain while the gap is open.
+    Each round solves the master from the previous round's optimal basis
+    and prices every (machine, job) pair in one ``price_chain_multi`` pass
+    against duals smoothed toward the stability center, then, if the master
+    appends none of the chains found, against the raw master duals.  The
+    pass's per-job cheapest chain costs mu_j give the Lagrangian bound
+    sum_j mu_j - sum len_k xi on the LP optimum; a bound that beats the best
+    so far moves the center to the pass's duals.  The run stops when the
+    master objective is within 1e-6 relative of the best bound, and raises
+    ``ChainLpError`` when the raw pass adds no chain while the gap is open.
 
     The recovery pass (``_recover``) then makes the master's chains meet
     every block's capacity, and the objective is their cost.
@@ -475,19 +451,13 @@ def _generate(inst: Instance, horizon: int, ends: np.ndarray | None = None, seed
     scheduled, start = list_schedule(inst)
     seed = np.asarray(seed, dtype=np.int64).reshape(3, -1)
     opening = np.hstack(([scheduled, np.arange(n), start], [machines, jobs, releases], seed))
-    chains = _contiguous_chains(inst, ends, *opening)
-    # Each chain enters once, the first kept.
-    unseeded = dict.fromkeys(chains[: n + jobs.size])
-    columns = list(dict.fromkeys(chains))
     master = _Master(inst, ends)
-    master.add(columns)
-    lengths = master.lengths
-    seen = set(map(_key, columns))
-    pairs = machines, jobs, inst.weights[jobs], sizes, releases
+    appended = master.add(_contiguous_chains(inst, ends, *opening))
+    lengths, weights = master.lengths, inst.weights[jobs]
 
     best_lb = -np.inf
     center_eta = center_xi = center_mu = None
-    stats = Counter(seed_columns=len(columns) - len(unseeded), seed_pivots=0)
+    stats = Counter(seed_columns=sum(appended[n + jobs.size :]), seed_pivots=0)
     for iterations in range(1, MAX_ROUNDS + 1):
         res, eta, xi = master.solve()
         stats.update(res.stats)
@@ -497,21 +467,22 @@ def _generate(inst: Instance, horizon: int, ends: np.ndarray | None = None, seed
         for alpha in (SMOOTHING, 0.0):
             eta_s = alpha * center_eta + (1 - alpha) * eta
             xi_s = alpha * center_xi + (1 - alpha) * xi
-            new_cols, mu = _price_all(pairs, xi_s, eta_s, ends, seen)
+            found, best = price_chain_multi(xi_s, machines, jobs, eta_s[jobs], weights, sizes, releases, ends)
+            mu = np.full(n, np.inf)
+            np.minimum.at(mu, jobs, best + eta_s[jobs])
             lb = float(mu.sum() - (xi_s * lengths).sum())
             if lb > best_lb:
                 best_lb = lb
                 center_eta, center_xi, center_mu = eta_s, xi_s, mu
             gap_bound = max(res.objective - best_lb, 0.0)
             closed = gap_bound <= GAP_REL_TOL * (1.0 + abs(res.objective))
-            if closed or new_cols:
+            if closed or any(master.add([chain for chain, _ in found])):
                 break
         else:
             gap = np.ldexp(gap_bound, -shift)
             raise ChainLpError(f"gap certificate {gap:.2e} still open, and pricing found no new chain")
         if closed:
             break
-        master.add(new_cols)
     else:
         raise ChainLpError(f"column generation did not converge in {MAX_ROUNDS} rounds")
 
@@ -528,7 +499,6 @@ def _generate(inst: Instance, horizon: int, ends: np.ndarray | None = None, seed
         horizon=int(ends[-1]),
         compressed=compressed,
         blocks=ends if compressed else None,
-        iterations=iterations,
         gap_bound=float(np.ldexp(gap_bound, -shift)),
         stats=dict(
             stats,

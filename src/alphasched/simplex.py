@@ -240,9 +240,13 @@ class LpSolution:
     x: np.ndarray = None
     objective: float = np.nan
     duals: np.ndarray = None
-    iterations: int = 0  # pivots, as stats["pivots"]; the benchmark's tracer reads it
     warm: bool = False  # resumed the LP's last optimum, or started from the caller's start
     stats: dict = field(default_factory=lambda: dict.fromkeys(STATS, 0))  # counters, see STATS
+
+    @property
+    def iterations(self) -> int:
+        """The pivots, ``stats["pivots"]``; the benchmark's tracer reads it."""
+        return self.stats["pivots"]
 
 
 def solve_lp(lp: LinearProgram, start: np.ndarray | None = None) -> LpSolution:
@@ -275,13 +279,13 @@ def solve_lp(lp: LinearProgram, start: np.ndarray | None = None) -> LpSolution:
             if status == "unbounded":  # cannot happen: phase-1 objective >= 0
                 raise NumericalError("phase 1 reported unbounded")
             if state.objective(c1) > FEAS_TOL:
-                return LpSolution(status="infeasible", iterations=state.iters, stats=state.stats())
+                return LpSolution(status="infeasible", stats=state.stats())
             _evict_artificials(state, model.art)
 
     model = state.model
     status = _iterate(state, model.c, locked=model.art)
     if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=state.iters, warm=warm, stats=state.stats())
+        return LpSolution(status="unbounded", warm=warm, stats=state.stats())
 
     # _iterate declares optimality only right after a refactorization.
     x_full = np.zeros(model.cols.total)
@@ -307,7 +311,6 @@ def solve_lp(lp: LinearProgram, start: np.ndarray | None = None) -> LpSolution:
         x=x,
         objective=primal_obj,
         duals=y,
-        iterations=state.iters,
         warm=warm,
         stats=state.stats(),
     )
@@ -421,17 +424,13 @@ class _Columns:
 
     def gather(self, basis: np.ndarray) -> np.ndarray:
         """Dense matrix of the columns in ``basis``, in that order; entries
-        of one column in one row add up."""
+        of one column in one row add up.  Unit columns, which ``refactor``
+        claims itself in a nonsingular basis, come out zero."""
         lo = self.colptr[basis]
         count = self.colptr[basis + 1] - lo
         owner = np.repeat(np.arange(basis.size), count)
         at = np.arange(owner.size) + np.repeat(lo - np.cumsum(count) + count, count)  # the columns' entries
-        cell, weights = self.rows[at] * basis.size + owner, self.vals[at]
-        unit = ((count == 0) & (self.head_row[basis] >= 0)).nonzero()[0]
-        if unit.size:  # they hold no stored entry
-            cell = np.concatenate((cell, self.head_row[basis[unit]] * basis.size + unit))
-            weights = np.concatenate((weights, self.head_val[basis[unit]]))
-        B = np.bincount(cell, weights=weights, minlength=self.m * basis.size)
+        B = np.bincount(self.rows[at] * basis.size + owner, weights=self.vals[at], minlength=self.m * basis.size)
         return B.astype(float, copy=False).reshape(self.m, basis.size)  # bincount of nothing is integer
 
 

@@ -19,10 +19,12 @@ def enumerate_chains(release: int, size: int, horizon: int):
 
 def price_machine(machine, xi_row, jobs, eta, weights, sizes, releases, horizon, ends=None):
     """``price_chain_multi`` for the given jobs, all on one machine with
-    block duals ``xi_row``."""
+    block duals ``xi_row``; the blocks end at ``ends``, the last of which is
+    ``horizon``, or are unit blocks up to ``horizon``."""
     xi = np.zeros((machine + 1, np.size(xi_row)))
     xi[machine] = xi_row
-    return price_chain_multi(xi, [machine] * len(jobs), jobs, eta, weights, sizes, releases, horizon, ends)
+    ends = np.arange(1, horizon + 1) if ends is None else ends
+    return price_chain_multi(xi, [machine] * len(jobs), jobs, eta, weights, sizes, releases, ends)
 
 
 def price_chain(

@@ -402,18 +402,21 @@ def test_incremental_master_matches_fresh_build(monkeypatch):
         lp, keys = master.lp, master.keys
         n, K = master.inst.num_jobs, master.ends.size
         rows, rhs, costs, pairs = _fresh_master(master.inst, master.ends, master.columns)
+        decoded = [("job", int(k)) if k < n else (int(k - n) // K, int(k - n) % K) for k in keys]
         # The live LP numbers the chains and the shift columns as they were
-        # appended; the shift columns are keyed by their later row.
-        shifts = [divmod(int(k - n), K) for k in master.shift_key]
-        assert sorted((i, b - 1) for i, b in shifts) == pairs
+        # appended; a shift column's pair is the row of its +1 entry.
+        shift = set(master.shift_col.tolist())
+        earlier = {k: key for (idx, val, _, _), key in zip(lp.rows, decoded)
+                   for k, v in zip(idx.tolist(), val.tolist()) if k in shift and v == 1.0}
+        shifts = [earlier[k] for k in master.shift_col.tolist()]
+        assert sorted(shifts) == pairs
         col = np.empty(len(costs), dtype=np.int64)
         col[: len(master.columns)] = master.chain_col
-        col[[len(master.columns) + pairs.index((i, b - 1)) for i, b in shifts]] = master.shift_col
+        col[[len(master.columns) + pairs.index(pair) for pair in shifts]] = master.shift_col
         assert sorted(col.tolist()) == list(range(lp.num_vars))
         rows = {key: {int(col[k]): v for k, v in row.items()} for key, row in rows.items()}
         costs = np.array(costs)[np.argsort(col)].tolist()
         want_rhs = dict(zip(rows, rhs))
-        decoded = [("job", int(k)) if k < n else (int(k - n) // K, int(k - n) % K) for k in keys]
         # The live LP appends rows as columns open them: the same rows as a
         # fresh build, possibly in another order.
         assert len(decoded) == len(set(decoded)) == lp.num_rows and set(decoded) == set(rows)
@@ -486,6 +489,32 @@ def test_master_columns_differ_in_block_counts(monkeypatch):
     assert len(masters) == sol.iterations and masters[-1] > 40
 
 
+def test_master_appends_each_new_chain_once():
+    # Job 0 has size 2 and release 0 on the one machine; job 1 is released
+    # at 10, so no shift column opens before slot 11.  Duals 10 at slots 3
+    # and 6 put the pricer's valleys at completions 2, 4 and 7.  The master
+    # holds the first and the last chain found; given them again, with a
+    # new chain twice and the middle one twice, it appends the new ones
+    # once each, in order, and says which it appended.
+    inst = make([[2], [2]], [0, 10], [1.0, 1.0])
+    ends = np.arange(1, 21)
+    master = chain_lp._Master(inst, ends)
+    xi = np.zeros((1, ends.size))
+    xi[0, [2, 5]] = 10.0
+    found, _ = chain_lp.price_chain_multi(xi, [0], [0], [100.0], [1.0], [2], [0], ends)
+    first, middle, last = (chain for chain, _ in found)
+    assert [c.slots for c in (first, middle, last)] == [(1, 2), (1, 4), (1, 7)]
+    assert master.add([first, last]) == [True, True]
+    num_vars = master.lp.num_vars
+    other = Chain(0, 0, (4, 5))
+    assert master.add([middle, last, other, middle, other, first]) == [True, False, True, False, False, False]
+    assert list(master.columns) == [first, last, middle, other]
+    assert master.lp.num_vars == num_vars + 2 and not master.shift_col.size
+    assert master.chain_col.tolist() == [0, 1, 2, 3]
+    assert master.lp.objective.tolist() == [2.0, 7.0, 4.0, 5.0]
+    assert master.add([last, first]) == [False, False] and master.lp.num_vars == num_vars + 2
+
+
 def test_first_master_opens_with_the_list_schedule(monkeypatch):
     # The first master's first n chains are the list schedule's, job by job:
     # job j's slots s_j + 1, ..., s_j + p on its machine, each block's share
@@ -499,7 +528,7 @@ def test_first_master_opens_with_the_list_schedule(monkeypatch):
 
     def recording_add(master, chains):
         added.append((master.ends, chains))
-        add(master, chains)
+        return add(master, chains)
 
     monkeypatch.setattr(chain_lp._Master, "add", recording_add)
     for solve in (solve_chain_lp, lambda inst: solve_chain_lp_compressed(inst, 0.2)):

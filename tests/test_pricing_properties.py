@@ -255,10 +255,10 @@ def test_block_pricer_matches_per_block_loop(H, num_ends, grid, density, seed):
 def test_pricer_matches_per_machine_loop(H, machines, jobs, coarse, grid, density, seed):
     """Every machine priced in one call: the same (chain, reduced cost) list,
     bit for bit and in the same order, as the per-machine pricer with its
-    per-chain loop, pair by pair; chains whose key is in ``seen`` left out."""
+    per-chain loop, pair by pair."""
     rng = np.random.default_rng(seed)
-    ends = np.unique(np.append(rng.integers(1, H, rng.integers(1, 12)), H)) if coarse and H > 1 else None
-    K = H if ends is None else ends.size
+    ends = np.unique(np.append(rng.integers(1, H, rng.integers(1, 12)), H)) if coarse and H > 1 else np.arange(1, H + 1)
+    K = ends.size
     xi = np.stack([sparse_duals(rng, K, density, grid) for _ in range(machines)])
     pairs = [(j, i) for j in range(jobs) for i in range(machines) if rng.random() < 0.8]
     rng.shuffle(pairs)
@@ -278,9 +278,6 @@ def test_pricer_matches_per_machine_loop(H, machines, jobs, coarse, grid, densit
             expected.setdefault((chain.machine, chain.job), []).append((chain, cost))
     expected = [entry for j, i in pairs for entry in expected.get((i, j), [])]
 
-    found, got_best = price_chain_multi(xi, machine, job, *per_pair, H, ends)
+    found, got_best = price_chain_multi(xi, machine, job, *per_pair, ends)
     assert found == expected
     assert np.array_equal(got_best, best)
-    seen = {(c.machine, c.job, c.slots) for c, _ in expected[::2]}
-    found, _ = price_chain_multi(xi, machine, job, *per_pair, H, ends, seen)
-    assert found == expected[1::2]

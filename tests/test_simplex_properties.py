@@ -178,6 +178,11 @@ def test_singular_start_raises():
     # x0 and x1 with row 2's slack: x1 = 1, x0 = 1 and the slack 2.
     res = solve_lp(lp, [0, 1])
     assert res.warm and res.status == "optimal" and res.objective == pytest.approx(2.0)
+    # x0 == 1 and x0 + x1 <= 2: the start x1 holds row 1 with that row's
+    # slack and leaves row 0 to no basic column.
+    lp = lp_from_rows([1.0, 1.0], [([0], [1.0], "==", 1.0), ([0, 1], [1.0, 1.0], "<=", 2.0)])
+    with pytest.raises(NumericalError, match="singular"):
+        solve_lp(lp, [1])
 
 
 def test_infeasible_start_raises():

@@ -20,10 +20,11 @@ with a gap ratio above 1e-6, or, with ``--expect``, when an instance's
 objective differs from the one the given JSON-lines file holds for its (n,
 m, s) by more than 1e-9 (1 + |objective|), when its rounds or pivots differ at all
 from the ones that line holds (a line may omit them), or when the file
-lacks the instance; else 0.  ``tools/ladder-10-3.jsonl`` and
-``tools/ladder-8-2.jsonl`` hold the (10, 3) and (8, 2) objectives, rounds
-and pivots, so a change that keeps the objectives but takes another pivot
-path shows there too.
+lacks the instance; else 0.  ``tools/ladder-10-3.jsonl``,
+``tools/ladder-8-2.jsonl`` and ``tools/ladder-12-2.jsonl`` hold the (10,
+3), (8, 2) and (12, 2) objectives, rounds and pivots, so a change that
+keeps the objectives but takes another pivot path shows there too; CI
+checks all three sizes, so every ladder path is pinned.
 
     python3 tools/ladder.py --summary ladder.jsonl
 
