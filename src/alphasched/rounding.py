@@ -280,9 +280,12 @@ def estimate_ratio(
     conv, _, _ = simulate_rounding(inst, sol, dist, np.random.default_rng(seed), trials, full=False)
     objectives = conv @ inst.weights
     mean, sem = _ratio_stats(objectives, sol.objective)
-    # conv.mean(axis=0) and conv.std(axis=0, ddof=1), the same operations,
-    # with the deviations taken in place on the array this function owns.
-    per_job_mean = np.add.reduce(conv, axis=0) / trials
+    # conv.mean(axis=0) and conv.std(axis=0, ddof=1) to the bit, with the
+    # deviations taken in place on the array this function owns.  The
+    # converted completions are integers, so while a job's column sums to
+    # less than 2**53 every partial sum is exact, and the one product gives
+    # the mean in any summation order.  The deviations' sum keeps its order.
+    per_job_mean = (np.ones(trials) @ conv) / trials
     per_job_sem = np.zeros(inst.num_jobs)
     if trials > 1:
         conv -= per_job_mean

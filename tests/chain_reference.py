@@ -1,6 +1,7 @@
 """Test-only references for the chain pricer: every chain of a job, the
 batched pricer applied to one job, and the per-machine pricer with its
-per-chain materialization loop that the array-wide one replaced."""
+per-chain materialization loop that the array-wide one replaced, which also
+works out each job's cheapest chain on its own."""
 
 import math
 from bisect import bisect_left, bisect_right
@@ -42,7 +43,7 @@ def price_chain(
     earliest on a tie (the earliest global minimum is always a valley).
     Returns (chain, reduced cost) when it prices below -1e-7, else (None,
     best cost)."""
-    found, best = price_machine(machine, xi_row, [job], [eta_j], [weight], [size], [release], horizon)
+    found, best, _ = price_machine(machine, xi_row, [job], [eta_j], [weight], [size], [release], horizon)
     if not found:
         return None, float(best[0])
     return min(found, key=lambda entry: entry[1])[0], float(best[0])
@@ -67,7 +68,10 @@ def price_machine_loop(machine, xi_row, jobs, eta, weights, sizes, releases, hor
     sums in the same order, then a loop over each job's block ends that
     builds a chain at every valley of its cost (below -1e-7, strictly below
     the previous end's, at most the next end's) from a window argsort.
-    Returns (found, best) for the jobs in the given order."""
+    Returns (found, best, counts) for the jobs in the given order:
+    ``counts[j]`` is the slot count per block of job j's cheapest chain, the
+    one at the earliest end of least cost, from the same window argsort;
+    zero when no chain of the job fits by the horizon."""
     H = int(horizon)
     C = np.arange(1, H + 1) if ends is None else np.asarray(ends, dtype=np.int64)
     K = C.size
@@ -99,7 +103,12 @@ def price_machine_loop(machine, xi_row, jobs, eta, weights, sizes, releases, hor
     cost[C < first[:, None]] = np.inf
     best = cost.min(axis=1, initial=np.inf)
 
+    def cheapest(j, c):
+        rj, pj = int(r[j]), int(p[j])
+        return (np.sort(np.argsort(xi[rj : c - 1], kind="stable")[: pj - 1]) + rj + 1).tolist() + [c]
+
     found, block_ends = [], C.tolist()
+    counts = np.zeros((jobs.size, K), dtype=np.int64)
     for j in range(jobs.size):
         row = cost[j].tolist()
         for k, c in enumerate(block_ends):
@@ -107,11 +116,13 @@ def price_machine_loop(machine, xi_row, jobs, eta, weights, sizes, releases, hor
             after = row[k + 1] if k + 1 < K else math.inf
             if not (row[k] < -PRICE_TOL and row[k] < prev and row[k] <= after):
                 continue
-            rj, pj = int(r[j]), int(p[j])
-            slots = (np.sort(np.argsort(xi[rj : c - 1], kind="stable")[: pj - 1]) + rj + 1).tolist() + [c]
+            slots = cheapest(j, c)
             if K < H:
-                chain = earliest_per_block(machine, int(jobs[j]), slots, rj, block_ends)
+                chain = earliest_per_block(machine, int(jobs[j]), slots, int(r[j]), block_ends)
             else:
                 chain = Chain(machine=machine, job=int(jobs[j]), slots=slots)
             found.append((chain, row[k]))
-    return found, best
+        if min(row) < math.inf:
+            for t in cheapest(j, block_ends[row.index(min(row))]):
+                counts[j, bisect_left(block_ends, t)] += 1
+    return found, best, counts

@@ -501,7 +501,7 @@ def test_master_appends_each_new_chain_once():
     master = chain_lp._Master(inst, ends)
     xi = np.zeros((1, ends.size))
     xi[0, [2, 5]] = 10.0
-    found, _ = chain_lp.price_chain_multi(xi, [0], [0], [100.0], [1.0], [2], [0], ends)
+    found, _, _ = chain_lp.price_chain_multi(xi, [0], [0], [100.0], [1.0], [2], [0], ends)
     first, middle, last = (chain for chain, _ in found)
     assert [c.slots for c in (first, middle, last)] == [(1, 2), (1, 4), (1, 7)]
     assert master.add([first, last]) == [True, True]
@@ -566,8 +566,13 @@ def test_master_size_guard(monkeypatch):
     inst = _instance_9005()
     sol, rows = _largest_master(monkeypatch, inst)
     # The limit is inclusive: the largest master's inverse fits exactly.
+    # The start-time LP has more rows than that master and is refused at
+    # this budget, so this solve runs unseeded, on another pivot path to
+    # the same optimum.
     monkeypatch.setattr(simplex, "MAX_BASIS_INVERSE_BYTES", 8 * rows * rows)
-    assert solve_chain_lp(inst).objective == sol.objective
+    unseeded = solve_chain_lp(inst)
+    assert unseeded.stats["seed_columns"] == 0
+    assert unseeded.objective == pytest.approx(sol.objective, rel=1e-9, abs=0.0)
     monkeypatch.setattr(simplex, "MAX_BASIS_INVERSE_BYTES", 8 * rows * rows - 1)
     with pytest.raises(LpError, match=f"too large: {rows} rows"):
         solve_chain_lp(inst)
@@ -635,11 +640,11 @@ def test_refused_start_time_lp_skips_the_seed(monkeypatch):
 
 def test_compressed_solves_take_no_seed():
     # The compressed master starts from the list schedule's and the
-    # earliest chains alone, and its pivot path is pinned: 15 rounds and 81
+    # earliest chains alone, and its pivot path is pinned: 14 rounds and 77
     # pivots.
     sol = solve_chain_lp_compressed(load_instance(CORPUS / "chain-0002.inst.json"), 0.2)
     assert sol.stats["seed_columns"] == sol.stats["seed_pivots"] == 0
-    assert (sol.stats["rounds"], sol.stats["pivots"]) == (15, 81)
+    assert (sol.stats["rounds"], sol.stats["pivots"]) == (14, 77)
 
 
 def test_resumed_masters_perturb_at_their_first_stall(monkeypatch):
@@ -658,3 +663,77 @@ def test_resumed_masters_perturb_at_their_first_stall(monkeypatch):
     sol = solve_chain_lp(random_instance(np.random.default_rng(8010), 8, 2, p_max=40, r_max=40))
     assert sol.stats["perturbations"] > 0
     assert sum(res.stats["perturbations"] for res in masters if res.warm) > 0
+
+
+def _smoothing_by_round(monkeypatch, inst, solve):
+    """Solve ``inst`` with spies on the master solves and the pricer, and
+    replay the run: the stability center moves to a pass's duals when its
+    Lagrangian bound beats the best so far, and alpha starts at 0.5 and
+    after each round's first pass falls by 0.1 (not below 0) when the
+    pricer's subgradient load - lengths points from that pass's duals
+    toward the raw ones, else rises by a tenth of 1 - alpha (at most 0.99).
+    Each pass must price at the duals the replay predicts: the round's
+    alpha for its first pass, the raw duals for a second.  Returns [alpha,
+    pricing passes] per round."""
+    events = []
+    solve_master, price = chain_lp._Master.solve, chain_lp.price_chain_multi
+
+    def recording_solve(master):
+        res = solve_master(master)
+        events.append((res[1], res[2], master.lengths))
+        return res
+
+    def recording_price(xi, machines, jobs, eta, *rest):
+        found, best, load = price(xi, machines, jobs, eta, *rest)
+        events.append((xi, np.asarray(jobs), np.asarray(eta), best, load))
+        return found, best, load
+
+    monkeypatch.setattr(chain_lp._Master, "solve", recording_solve)
+    monkeypatch.setattr(chain_lp, "price_chain_multi", recording_price)
+    solve(inst)
+    monkeypatch.undo()
+
+    rounds, alpha, best_lb, center = [], 0.5, -np.inf, None
+    for event in events:
+        if len(event) == 3:
+            eta, xi, lengths = event
+            center = center or (eta, xi)
+            rounds.append([alpha, 0])
+            continue
+        xi_s, jobs, eta_pairs, best, load = event
+        a = rounds[-1][0] if rounds[-1][1] == 0 else 0.0
+        eta_s = a * center[0] + (1 - a) * eta
+        assert np.array_equal(xi_s, a * center[1] + (1 - a) * xi)
+        assert np.array_equal(eta_pairs, eta_s[jobs])
+        if rounds[-1][1] == 0:
+            if ((load - lengths) * (xi - xi_s)).sum() > 0.0:
+                alpha = max(alpha - 0.1, 0.0)
+            else:
+                alpha = min(alpha + 0.1 * (1.0 - alpha), 0.99)
+        mu = np.full(inst.num_jobs, np.inf)
+        np.minimum.at(mu, jobs, best + eta_pairs)
+        lb = mu.sum() - (xi_s * lengths).sum()
+        if lb > best_lb:
+            best_lb, center = lb, (eta_s, xi_s)
+        rounds[-1][1] += 1
+    return rounds
+
+
+def test_smoothing_weight_adapts_every_round(monkeypatch):
+    # The corpus's chain-0002, and the ladder's (8, 2) s = 3, whose alpha
+    # falls to 0 in round 8 of 9: that round prices once, at the raw master
+    # duals.  Both at eps 0.2.
+    corpus, ladder = (
+        _smoothing_by_round(monkeypatch, inst, lambda inst: solve_chain_lp_compressed(inst, 0.2))
+        for inst in (
+            load_instance(CORPUS / "chain-0002.inst.json"),
+            random_instance(np.random.default_rng(8003), 8, 2, p_max=40, r_max=40),
+        )
+    )
+    for rounds in (corpus, ladder):
+        alpha = np.array([a for a, _ in rounds])
+        assert alpha[0] == 0.5 and ((alpha >= 0.0) & (alpha <= 0.99)).all()
+        assert (np.diff(alpha) > 0.0).any() and (np.diff(alpha) < 0.0).any()
+        assert all(calls == 1 if a == 0.0 else calls in (1, 2) for a, calls in rounds)
+    assert (len(corpus), len(ladder)) == (14, 9)
+    assert [k for k, (a, _) in enumerate(ladder) if a == 0.0] == [7]

@@ -4,8 +4,10 @@ all chains and from the per-job heap sweep over unit blocks, and from the
 per-completion-block loop of the block pricer over coarser blocks; the
 chains found must complete exactly at its valleys, with its costs and
 slots.  Over several machines the pricer matches the per-machine pricer
-with its per-chain loop (``chain_reference``) bit for bit.  The curve
-references are kept here, as they were in the library."""
+with its per-chain loop (``chain_reference``) bit for bit.  Its load, the
+slots per block of each job's cheapest chain, matches the one that loop
+works out job by job.  The curve references are kept here, as they were in
+the library."""
 
 import heapq
 import math
@@ -115,6 +117,16 @@ def pricing_cases(draw, max_horizon):
     return xi, jobs, eta, weights, sizes, releases, H, grid
 
 
+def check_load(load, case, ends=None):
+    """On machine 3, ``load`` is the per-block sum of the slot counts of
+    each job's cheapest chain, as the per-machine loop picks it; the other
+    machines carry none."""
+    xi, jobs, eta, weights, sizes, releases, H, _ = case
+    _, _, counts = price_machine_loop(3, xi, jobs, eta, weights, sizes, releases, H, ends)
+    assert load.shape == (4, counts.shape[1])
+    assert np.array_equal(load[3], counts.sum(axis=0)) and not load[:3].any()
+
+
 def check_against(curves, case, found, best):
     """``curves[k]`` lists job k's min reduced cost per completion; the
     chains found complete exactly at its valleys.  On the grid every sum is
@@ -147,21 +159,23 @@ def check_against(curves, case, found, best):
 @given(pricing_cases(max_horizon=10))
 def test_batched_pricer_matches_brute_force(case):
     xi, jobs, eta, weights, sizes, releases, H, _ = case
-    found, best = price_machine(3, xi, jobs, eta, weights, sizes, releases, H)
+    found, best, load = price_machine(3, xi, jobs, eta, weights, sizes, releases, H)
     ref = [
         brute_force_curve(xi, eta[k], weights[k], int(sizes[k]), int(releases[k]), H)
         for k in range(len(jobs))
     ]
     check_against(ref, case, found, best)
+    check_load(load, case)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(pricing_cases(max_horizon=300))
 def test_batched_pricer_matches_heap_sweep(case):
     xi, jobs, eta, weights, sizes, releases, H, _ = case
-    found, best = price_machine(3, xi, jobs, eta, weights, sizes, releases, H)
+    found, best, load = price_machine(3, xi, jobs, eta, weights, sizes, releases, H)
     ref = [heap_sweep(xi, eta[k], weights[k], int(sizes[k]), int(releases[k]), H) for k in range(len(jobs))]
     check_against(ref, case, found, best)
+    check_load(load, case)
 
 
 def test_batched_pricer_rejects_negative_duals():
@@ -219,9 +233,11 @@ def test_block_pricer_matches_per_block_loop(H, num_ends, grid, density, seed):
         eta = round(eta * 8.0) / 8.0
     curve = block_loop(xi, eta, weight, size, release, timeline)
     costs = [cost for _, cost in curve]
-    found, best = price_machine(1, xi, [2], [eta], [weight], [size], [release], H, ends=ends)
+    found, best, load = price_machine(1, xi, [2], [eta], [weight], [size], [release], H, ends=ends)
+    _, _, counts = price_machine_loop(1, xi, [2], [eta], [weight], [size], [release], H, ends)
+    assert np.array_equal(load[1], counts[0]) and not load[0].any()
     if math.isinf(min(costs)):
-        assert math.isinf(best[0]) and not found
+        assert math.isinf(best[0]) and not found and not load.any()
         return
     assert close(best[0], min(costs))
     expected, unclear = valleys(costs, 0.0 if grid else 1e-12)
@@ -255,7 +271,9 @@ def test_block_pricer_matches_per_block_loop(H, num_ends, grid, density, seed):
 def test_pricer_matches_per_machine_loop(H, machines, jobs, coarse, grid, density, seed):
     """Every machine priced in one call: the same (chain, reduced cost) list,
     bit for bit and in the same order, as the per-machine pricer with its
-    per-chain loop, pair by pair."""
+    per-chain loop, pair by pair.  Its load holds each job's cheapest chain
+    as that loop finds it on the first pair, in the given order, of the
+    job's least cost."""
     rng = np.random.default_rng(seed)
     ends = np.unique(np.append(rng.integers(1, H, rng.integers(1, 12)), H)) if coarse and H > 1 else np.arange(1, H + 1)
     K = ends.size
@@ -271,13 +289,21 @@ def test_pricer_matches_per_machine_loop(H, machines, jobs, coarse, grid, densit
     per_pair = (eta[job], weights[job], sizes[job], releases[job])
 
     expected, best = {}, np.empty(len(pairs))
+    counts = np.zeros((len(pairs), K), dtype=np.int64)
     for i in range(machines):
         on = np.flatnonzero(machine == i)
-        found_i, best[on] = price_machine_loop(i, xi[i], job[on], *(a[on] for a in per_pair), H, ends)
+        found_i, best[on], counts[on] = price_machine_loop(i, xi[i], job[on], *(a[on] for a in per_pair), H, ends)
         for chain, cost in found_i:
             expected.setdefault((chain.machine, chain.job), []).append((chain, cost))
     expected = [entry for j, i in pairs for entry in expected.get((i, j), [])]
+    load = np.zeros((machines, K), dtype=np.int64)
+    for j in range(jobs):
+        on = [q for q in range(len(pairs)) if job[q] == j and best[q] < math.inf]
+        if on:
+            q = min(on, key=lambda q: best[q])  # the first of equal ones
+            load[machine[q]] += counts[q]
 
-    found, got_best = price_chain_multi(xi, machine, job, *per_pair, ends)
+    found, got_best, got_load = price_chain_multi(xi, machine, job, *per_pair, ends)
     assert found == expected
     assert np.array_equal(got_best, best)
+    assert np.array_equal(got_load, load)
