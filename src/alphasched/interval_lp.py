@@ -49,11 +49,11 @@ is a lower bound on the full LP, and a start's reduced cost is its term less
 its job row's dual.  If no start prices below the simplex's ``OPT_TOL``, the
 duals, with 0 on the rows the LP lacks, are feasible for the full LP and
 meet the restricted optimum, so by LP duality that optimum is the full
-LP's; ``gap_bound`` is the objective less the bound.  Otherwise the LP grows
-to the latest finish of a start that prices below: the cover rows of the
-times up to it, then every start that finishes by it.  No old variable has
-an entry in a new row, so the simplex resumes from its optimum with the new
-rows' slacks basic, and the pricing repeats.  Past the horizon a start's
+LP's; ``gap_bound`` is the objective less the bound.  Otherwise the LP is
+built again up to the latest finish of a start that prices below, solved
+from the list schedule's variables as the first was, and the pricing
+repeats.  Such a solve repeats the first one's pivots; few solves grow, and
+a fresh build keeps one way to lay out the LP.  Past the horizon a start's
 term only grows with s, so each pair is priced up to its first start at or
 after the horizon.  Where the optimum is tied, the returned vertex can
 differ from the one a solve of the whole LP, warm or cold, reaches.
@@ -199,7 +199,7 @@ def solution_from_triples(inst: Instance, triples, horizon: int | None = None) -
     return sol
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntervalLpModel:
     lp: LinearProgram
     machine: np.ndarray
@@ -207,7 +207,6 @@ class IntervalLpModel:
     start: np.ndarray
     horizon: int  # every variable finishes by it
     cover_times: np.ndarray  # times t with a cover row, increasing
-    cover_rows: np.ndarray  # (machines, cover times): the LP row of each
 
 
 def build_interval_lp(
@@ -219,16 +218,47 @@ def build_interval_lp(
     cover rows of the times up to it.
 
     Variables exist only for starts in the set and cover rows only for times
-    t with t - 1 in the set.  The job rows and cover rows are added first,
-    empty, so that ``LinearProgram`` refuses an oversized LP (``LpError``)
-    before any variable exists.  Then each variable is one column, in its
-    job row and the cover rows it spans; variables run by job, then machine,
-    then start.
+    t with t - 1 in the set.  The n job rows come first, then the cover
+    rows, by machine and then time: machine i's c-th cover time is row n +
+    i C + c, with C cover times.  They are added empty, so that
+    ``LinearProgram`` refuses an oversized LP (``LpError``) before any
+    variable exists.  Then each variable is one column, in its job row and
+    the cover rows it spans; variables run by job, then machine, then start.
     """
-    M, none = inst.num_machines, np.zeros(0, dtype=np.int64)
-    model = IntervalLpModel(LinearProgram(), none, none, none, 0, none, np.zeros((M, 0), dtype=np.int64))
-    _extend(inst, starts, model, _full_horizon(inst, starts) if horizon is None else horizon)
-    return model
+    n, M = inst.num_jobs, inst.num_machines
+    horizon = _full_horizon(inst, starts) if horizon is None else horizon
+    # A cover row at t + 1 for each start t in the set before the horizon.
+    C = horizon if starts is None else int(np.searchsorted(starts.times, horizon))
+    lp = LinearProgram()
+    lp.reserve(n + M * C)  # before any array of the LP's size exists
+    senses = ["=="] * n + ["<="] * (M * C)
+    lp.add_rows(senses, np.ones(len(senses)))
+    cover_times = (np.arange(horizon) if starts is None else starts.times[:C]) + 1
+
+    jobs, machines, p, release = _pairs(inst)
+    machine, job, start = _admissible(starts, jobs, machines, release, horizon - p)
+    missing = np.flatnonzero(np.bincount(job, minlength=n) == 0)
+    if missing.size:
+        raise IntervalLpError(f"job {int(missing[0])} has no admissible start time")
+    p = inst.sizes[job, machine]
+
+    # Variable k on machine i covers t iff start < t <= start + p: a run of
+    # span[k] cover times from lo[k] on, found by binary search.  Its column
+    # lists its job row, then those cover rows in increasing order.  Every
+    # variable covers start + 1, so span >= 1, and the rows of all columns
+    # are one prefix sum of their steps: 1 inside a run.
+    lo = np.searchsorted(cover_times, start, side="right")
+    span = np.searchsorted(cover_times, start + p, side="right") - lo
+    ptr = np.concatenate(([0], np.cumsum(1 + span)))
+    first = n + machine * C + lo  # each column's first cover row
+    rows = np.ones(ptr[-1], dtype=np.int64)
+    rows[ptr[:-1]] = job - np.concatenate(([0], first[:-1] + span[:-1] - 1))
+    rows[ptr[:-1] + 1] = first - job
+    np.cumsum(rows, out=rows)
+    values = np.ones(rows.size)
+    rows.flags.writeable = values.flags.writeable = False  # so the LP keeps them uncopied
+    lp.add_columns(ptr, rows, values, inst.weights[job] * (start + p))
+    return IntervalLpModel(lp, machine, job, start, horizon, cover_times)
 
 
 def _full_horizon(inst: Instance, starts: StartTimeSet | None) -> int:
@@ -253,63 +283,6 @@ def _admissible(starts: StartTimeSet | None, jobs, machines, first, last):
         count = np.maximum(np.searchsorted(starts.times, last, side="right") - a, 0)
     at = np.arange(count.sum()) - (np.cumsum(count) - count - a).repeat(count)
     return machines.repeat(count), jobs.repeat(count), at if starts is None else starts.times[at]
-
-
-def _extend(inst: Instance, starts: StartTimeSet | None, model: IntervalLpModel, horizon: int) -> None:
-    """Grow the model from its horizon to ``horizon``: the cover rows of the
-    times in between, then every start that finishes in between.  Built
-    from nothing, the job rows come first.  The old variables finish by the
-    old horizon, so they have no entry in the new rows."""
-    n, M, old, lp = inst.num_jobs, inst.num_machines, model.horizon, model.lp
-    if starts is None:
-        count = horizon - old
-    else:
-        times = starts.times[(starts.times + 1 > old) & (starts.times + 1 <= horizon)]
-        count = times.size
-    job_rows = 0 if old else n
-    lp.reserve(job_rows + M * count)  # before any array of the LP's size exists
-    if starts is None:
-        times = np.arange(old, horizon)
-    senses = ["=="] * job_rows + ["<="] * (M * count)
-    new_rows = lp.add_rows(senses, np.ones(len(senses))).start + job_rows + np.arange(M * count)
-    model.cover_times = np.concatenate((model.cover_times, times + 1))
-    model.cover_rows = np.hstack((model.cover_rows, new_rows.reshape(M, count)))
-
-    # Pair (j, i) finishes in (old, horizon] from the start max(r, old - p +
-    # 1) to horizon - p.
-    jobs, machines, p, release = _pairs(inst)
-    machine, job, start = _admissible(starts, jobs, machines, np.maximum(release, old - p + 1), horizon - p)
-    if not old:
-        missing = np.flatnonzero(np.bincount(job, minlength=n) == 0)
-        if missing.size:
-            raise IntervalLpError(f"job {int(missing[0])} has no admissible start time")
-    p = inst.sizes[job, machine]
-
-    # Variable k on machine i covers t iff start < t <= start + p: a run of
-    # span[k] cover times from lo[k] on, found by binary search.  Its column
-    # lists its job row, then those cover rows in increasing order.  Every
-    # variable covers start + 1, so span >= 1, and the rows of all columns
-    # are one prefix sum of their steps: 1 inside a run.  The rows count as
-    # if the cover rows ran by machine, then time; once the model has grown
-    # they do not, and ``cover_rows`` maps them.
-    C = model.cover_times.size
-    lo = np.searchsorted(model.cover_times, start, side="right")
-    span = np.searchsorted(model.cover_times, start + p, side="right") - lo
-    ptr = np.concatenate(([0], np.cumsum(1 + span)))
-    first = n + machine * C + lo  # each column's first cover row
-    rows = np.ones(ptr[-1], dtype=np.int64)
-    rows[ptr[:-1]] = job - np.concatenate(([0], first[:-1] + span[:-1] - 1))
-    rows[ptr[:-1] + 1] = first - job
-    np.cumsum(rows, out=rows)
-    if old:
-        rows = np.concatenate((np.arange(n), model.cover_rows.ravel()))[rows]
-    values = np.ones(rows.size)
-    rows.flags.writeable = values.flags.writeable = False  # so the LP keeps them uncopied
-    lp.add_columns(ptr, rows, values, inst.weights[job] * (start + p))
-    model.machine = np.concatenate((model.machine, machine))
-    model.job = np.concatenate((model.job, job))
-    model.start = np.concatenate((model.start, start))
-    model.horizon = horizon
 
 
 def list_schedule(inst: Instance, starts: StartTimeSet | None = None) -> tuple[np.ndarray, np.ndarray] | None:
@@ -357,8 +330,9 @@ def list_schedule(inst: Instance, starts: StartTimeSet | None = None) -> tuple[n
 def _variables_at(model: IntervalLpModel, starts: StartTimeSet | None, machine, start) -> np.ndarray:
     """Job j's variable at (machine[j], start[j]), per job, in a model as
     built (by job, then machine, then start): the first of its pair's, plus
-    the starts in the set between that one's and start[j]."""
-    M = model.cover_rows.shape[0]
+    the starts in the set between that one's and start[j].  Keys job M +
+    machine run in that order for any M above every machine index."""
+    M = int(model.machine.max()) + 1
     first = np.searchsorted(model.job * M + model.machine, np.arange(machine.size) * M + machine)
     rank = (lambda t: t) if starts is None else (lambda t: np.searchsorted(starts.times, t))
     return first + rank(start) - rank(model.start[first])
@@ -368,11 +342,13 @@ def _price(inst: Instance, starts: StartTimeSet | None, model: IntervalLpModel, 
     """The Lagrangian bound of the model's cover duals over the full range
     (see the module docstring), and the latest finish of a start outside
     the model whose reduced cost is below -``OPT_TOL``, or the model's
-    horizon if none's is.  Past the horizon a start's term only grows with
-    s, so each pair is priced up to its first start at or after it."""
+    horizon if none's is.  The cover duals are read in the builder's row
+    layout, by machine and then time.  Past the horizon a start's term only
+    grows with s, so each pair is priced up to its first start at or after
+    it."""
     n, T = inst.num_jobs, model.horizon
     H = _full_horizon(inst, starts)
-    lam = np.maximum(-duals[model.cover_rows], 0.0)
+    lam = np.maximum(-duals[n:].reshape(inst.num_machines, model.cover_times.size), 0.0)
     Lam = np.zeros((lam.shape[0], lam.shape[1] + 1))
     np.cumsum(lam, axis=1, out=Lam[:, 1:])
     jobs, machines, p, release = _pairs(inst)
@@ -396,8 +372,9 @@ def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalInt
 
     The LP is built up to the makespan of ``list_schedule`` and solved from
     that schedule's variables; while a start of the full range outside it
-    prices below -``OPT_TOL`` (``_price``), it grows and the simplex
-    resumes (see the module docstring).  Without a list schedule the whole
+    prices below -``OPT_TOL`` (``_price``), the LP is built again up to the
+    latest finish of such a start and solved from the schedule's variables
+    once more (see the module docstring).  Without a list schedule the whole
     LP is built and solved cold.  ``gap_bound`` is the objective less the
     final duals' Lagrangian bound over the full range.
 
@@ -409,16 +386,14 @@ def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalInt
     starts = None if eps is None else compress_start_times(inst, eps)
     scaled, shift = normalize_weights(inst)
     schedule = list_schedule(scaled, starts)
-    if schedule is None:
-        model, basic = build_interval_lp(scaled, starts), None
-    else:
+    reach = None  # without a list schedule, the whole LP
+    if schedule is not None:
         machine, start = schedule
-        finish = start + inst.sizes[np.arange(inst.num_jobs), machine]
-        model = build_interval_lp(scaled, starts, int(finish.max()))
-        basic = _variables_at(model, starts, machine, start)
+        reach = int((start + inst.sizes[np.arange(inst.num_jobs), machine]).max())
     stats = dict.fromkeys(STATS, 0)
     while True:
-        res = solve_lp(model.lp, basic)
+        model = build_interval_lp(scaled, starts, reach)
+        res = solve_lp(model.lp, None if schedule is None else _variables_at(model, starts, *schedule))
         if res.status != "optimal":
             raise IntervalLpError(f"interval LP is {res.status}")
         for key, count in res.stats.items():
@@ -426,8 +401,6 @@ def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalInt
         bound, reach = _price(scaled, starts, model, res.duals)
         if reach == model.horizon:
             break
-        _extend(scaled, starts, model, reach)
-        basic = None
     keep = res.x > 1e-11
     sol = FractionalIntervalSolution(
         machine=model.machine[keep],

@@ -302,17 +302,24 @@ def test_solution_from_triples_validates():
         solution_from_triples(inst, [(0, 0, 0, 0.5), (0, 1, 2, 1.0)])
 
 
-def solve_recorded(inst, eps=None):
-    """solve_interval_lp, and the LpSolution of each of its simplex calls."""
+def solve_recorded_lps(inst, eps=None):
+    """solve_interval_lp, and the (LinearProgram, LpSolution) of each of
+    its simplex calls."""
     seen = []
 
     def spy(lp, start=None):
-        seen.append(solve_lp(lp, start))
-        return seen[-1]
+        seen.append((lp, solve_lp(lp, start)))
+        return seen[-1][1]
 
     with mock.patch.object(interval_lp, "solve_lp", spy):
         sol = solve_interval_lp(inst, eps)
     return sol, seen
+
+
+def solve_recorded(inst, eps=None):
+    """solve_interval_lp, and the LpSolution of each of its simplex calls."""
+    sol, seen = solve_recorded_lps(inst, eps)
+    return sol, [res for _, res in seen]
 
 
 def scheduled(inst, starts=None):
@@ -371,22 +378,45 @@ def test_list_schedule_start_perturbs_its_first_stall():
     assert res.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
-def test_a_solve_that_grows_resumes_and_certifies():
+def test_a_solve_that_grows_is_built_again_and_certifies():
     # One machine; the list schedule runs jobs 2, 1 and 0 back to back and
     # ends at 14, below the full range's 16.  Against the duals of the LP
     # built to 14 a start that finishes later prices below -OPT_TOL, so the
-    # LP grows, and the simplex resumes from its optimum.
+    # LP is built again to that finish and solved from the list schedule.
     inst = make([[6], [4], [4]], [2, 2, 0], [1.06611054, 4.25308096, 4.65102231])
     assert scheduled(inst) == ([0, 0, 0], [8, 4, 0]) and lp_horizon(inst) == 16
     for eps in (None, 0.5):
         starts = None if eps is None else compress_start_times(inst, eps)
-        sol, calls = solve_recorded(inst, eps)
+        sol, seen = solve_recorded_lps(inst, eps)
+        calls = [res for _, res in seen]
         assert len(calls) == 2 and all(res.warm for res in calls)
+        assert seen[0][0] is not seen[1][0]
         assert sol.horizon == (16 if eps is None else starts.horizon)
         assert sol.stats["pivots"] == sum(res.stats["pivots"] for res in calls)
         direct = solve_lp(build_by_pair_loop(inst, starts)[0])
         assert sol.objective == pytest.approx(direct.objective, rel=1e-12)
         assert 0.0 <= sol.gap_bound <= 1e-12 * sol.objective
+
+
+def test_a_grown_lp_is_the_builders_lp_to_its_reach():
+    # The ladder's (8, 2) s = 1: the list schedule ends at 73, and a start
+    # that finishes at 74 prices below -OPT_TOL.  The LP solved last is the
+    # one the builder lays down to its horizon, row for row: job rows, then
+    # cover rows by machine and then time, with no rows or columns appended
+    # to an earlier LP.  Two machines, so appended cover rows would be out
+    # of that order.
+    inst = random_instance(np.random.default_rng(8001), 8, 2, p_max=40, r_max=40)
+    _, seen = solve_recorded_lps(inst)
+    got = seen[-1][0]
+    horizon = (got.num_rows - 8) // 2
+    want = build_interval_lp(normalize_weights(inst)[0], None, horizon).lp
+    assert got.objective.tolist() == want.objective.tolist()
+    got_rows, want_rows = got.rows, want.rows
+    assert len(got_rows) == len(want_rows)
+    for (idx, val, sense, rhs), (want_idx, want_val, want_sense, want_rhs) in zip(got_rows, want_rows):
+        assert idx.tolist() == want_idx.tolist() and val.tolist() == want_val.tolist()
+        assert (sense, rhs) == (want_sense, want_rhs)
+    assert seen[0][0].num_rows == 8 + 2 * 73 and horizon >= 74
 
 
 def test_unplaceable_list_schedule_falls_back_cold():

@@ -1,9 +1,10 @@
 """Property tests for the interval LP's list-schedule start: on random
 instances the list schedule is a valid schedule, the LP optimum lies at or
-below its cost, and the solve starts warm from it (and resumes as it grows)
-and reaches the optimum of a cold solve.  The list schedule also makes the
-same choices as a reference that walks the model's variables and keeps each
-machine's busy windows as sorted intervals.  The full-range LP at
+below its cost, and the solve starts warm from it (again from it in each
+LP built once more as the solve grows) and reaches the optimum of a cold
+solve.  The list schedule also makes the same choices as a reference that
+walks the model's variables and keeps each machine's busy windows as
+sorted intervals.  The full-range LP at
 ``lp_horizon`` has the optimum of the LP at the instance's horizon."""
 
 import numpy as np
@@ -102,8 +103,8 @@ def test_list_schedule_start_is_warm_and_optimal(inst, eps):
     cost = evaluate_schedule(inst, NonPreemptiveSchedule(*schedule)).objective
     assert model.lp.objective[chosen].sum() == pytest.approx(cost, rel=1e-12)
 
-    # The first solve starts from the list schedule; a solve that grows the
-    # LP resumes from the last optimum.
+    # Every solve starts from the list schedule: the first LP's, and each
+    # LP built again to a longer horizon when the solve grows.
     sol, calls = solve_recorded(inst, eps)
     assert all(res.warm for res in calls)
     assert sol.objective <= cost * (1 + 1e-12)
@@ -144,9 +145,10 @@ def test_lp_horizon_keeps_the_optimum_of_the_full_horizon(inst):
 
 def test_solve_matches_a_direct_solve_of_the_whole_range():
     # solve_interval_lp builds the LP up to its list schedule's makespan and
-    # grows it while a start past that prices below OPT_TOL.  Its answer is
-    # the optimum of the whole range, built by the test's own pair loop and
-    # solved cold, and its Lagrangian bound closes.  Some examples grow.
+    # builds it again to a longer horizon while a start past that prices
+    # below OPT_TOL.  Its answer is the optimum of the whole range, built by
+    # the test's own pair loop and solved cold, and its Lagrangian bound
+    # closes.  Some examples grow.
     grown = []
 
     @settings(max_examples=150, deadline=None, derandomize=True)

@@ -1,6 +1,7 @@
 """``tools/ladder.py --summary`` on a small file of ladder JSON lines."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,21 @@ def test_summary_of_ladder_lines(tmp_path):
 def test_summary_solves_nothing(tmp_path):
     done = run("--summary", str(tmp_path / "ladder.jsonl"), "--size", "10", "3")
     assert done.returncode == 2 and "takes no --size" in done.stderr
+
+
+def test_summary_into_a_closed_pipe_ends_quietly(tmp_path):
+    # As in `--summary FILE | head -1` once head has exited: every write to
+    # stdout fails with a broken pipe.
+    path = tmp_path / "ladder.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in LINES), encoding="utf-8")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, str(LADDER), "--summary", str(path)],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr, done.stderr

@@ -34,6 +34,9 @@ shift columns, recovery moves and seconds; the seconds and rounds per size;
 the five slowest instances; the largest master, in chains; and the largest
 gap ratio.  A field that a line lacks counts as 0 there.
 
+When the reader closes stdout early (``| head``), the script stops
+without a traceback and exits 1, in both modes.
+
 BLAS and OpenMP pools are pinned to one thread before numpy is imported:
 the simplex's pivot path depends on BLAS summation order.
 """
@@ -182,4 +185,13 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: not every line reached it, so exit 1,
+        # without a traceback.  Point stdout at /dev/null, so that the flush
+        # at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
