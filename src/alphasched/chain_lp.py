@@ -34,12 +34,14 @@ its block's dual, and the cheapest chain completing in block k takes a slot
 there plus the p - 1 slots with the smallest duals in (r_j, ends[k] - 1].
 Slot duals are non-negative and mostly zero, so those p - 1 are the window's
 zeros first and then its smallest positive duals.  One pricer call per
-pricing pass prices every (machine, job) pair at every block end and finds a
-chain at every valley of a pair's cost over its block ends, so a round adds
-many diverse columns; the found chains' completions and slot sets are then
-worked out together as arrays.  A chain enters the master in one form, the
-earliest slots after the release in each of its blocks, so two chains with
-the same slot count per block are one column.
+pricing pass prices every (machine, job) pair at every block end of the live
+timeline (past each machine's last positive dual and a pair's release plus
+size, its cost does not fall) and finds a chain at every valley of a pair's
+cost over its block ends, so a round adds many diverse columns; the found
+chains' completions and slot sets are then worked out together as arrays.  A
+chain enters the master in one form, the earliest slots after the release
+in each of its blocks, so two chains with the same slot count per block are
+one column.
 
 The master also holds zero-cost shift columns, dual-optimal inequalities
 in the sense of Ben Amor, Desrosiers and Valerio de Carvalho (Oper. Res.
@@ -181,18 +183,30 @@ def price_chain_multi(
     subgradient in xi of the Lagrangian bound these duals give.  The
     completions and slot sets of all found and cheapest chains are worked
     out together, as arrays.
+
+    Only the live timeline is priced.  Past E_i, the end of machine i's last
+    block with a positive dual (0 without one), a pair's chain completing at
+    C >= max(E_i, r) + p finds p - 1 zero slots in its window and a zero
+    dual at C, so it costs w C - eta, which does not fall as C grows.  Every
+    end past the first at or after the largest such bound over the pairs is
+    therefore neither a valley nor below that end's cost, and the ends are
+    cut there.
     """
     C = np.asarray(ends, dtype=np.int64)
-    H, K = int(C[-1]), C.size
-    xi = np.asarray(xi, dtype=float)[:, :K]
+    xi = np.asarray(xi, dtype=float)[:, : C.size]
     if (xi < 0.0).any():
         raise ValueError("slot duals must be non-negative")
+    shape = xi.shape
     machines = np.asarray(machines, dtype=np.int64)
     jobs = np.asarray(jobs, dtype=np.int64)
     eta = np.asarray(eta, dtype=float)
     w = np.asarray(weights, dtype=float)
     p = np.asarray(sizes, dtype=np.int64)
     r = np.asarray(releases, dtype=np.int64)
+    live = np.where(xi > 0.0, C, 0).max(axis=1)  # E_i
+    cut = np.searchsorted(C, (np.maximum(live[machines], r) + p).max(initial=0))
+    C, xi = C[: cut + 1], xi[:, : cut + 1]
+    H, K = int(C[-1]), C.size
     slot_xi = np.repeat(xi, np.diff(C, prepend=0), axis=1) if K < H else xi
     zeros = np.zeros((xi.shape[0], H + 1), dtype=np.int64)  # per machine, zero duals in slots 1..t
     np.cumsum(slot_xi == 0.0, axis=1, out=zeros[:, 1:])
@@ -238,7 +252,8 @@ def price_chain_multi(
     slots = _cheapest_slots(order, zeros, npos, machines[pick], r[pick], p[pick], C[end])
     split = int(p[q].sum())  # the valleys' slots, then the cheapest chains'
     block = np.searchsorted(C, slots[split:])
-    load = np.bincount(np.repeat(machines[cheap], p[cheap]) * K + block, minlength=xi.size).reshape(xi.shape)
+    load = np.bincount(np.repeat(machines[cheap], p[cheap]) * shape[1] + block, minlength=shape[0] * shape[1])
+    load = load.reshape(shape)
     slots = slots[:split]
     if K < H:  # unit blocks hold a chain's slots in that form already
         slots = _earliest_per_block(slots, p[q], r[q], C)

@@ -23,10 +23,12 @@ The solve starts from a list schedule instead of the simplex's two-phase
 cold start.  Jobs go in Smith's-rule order (w_j / min_i p_ij, largest
 first), and each takes the admissible start that finishes it earliest
 without overlapping the jobs placed before it, gaps included.  The schedule
-is made from the instance and the start set alone, before any LP exists.
-Over the full range a job can always be placed after every placed one; on a
-compressed start set placement can fail, and the solve then builds the
-whole LP and starts cold.
+is made from the instance and the start set alone, before any LP exists, in
+one loop over Python ints.  Over the full range a job can always be placed
+after every placed one, and no horizon is read: each machine's last finish
+stays at most r_max + the sum of the placed jobs' max_i p_ij, which is at
+most T.  On a compressed start set placement can fail, and the solve then
+builds the whole LP and starts cold.
 
 The LP is built only up to T0, the list schedule's makespan: the starts that
 finish by T0 and the cover rows of the times up to it.  The schedule's n
@@ -38,10 +40,10 @@ is highly degenerate (the slack of every cover time a job holds is basic at
 zero), so the simplex perturbs the right-hand side at its first pivot that
 does not lower the objective, as every solve does.
 
-Then every start of the full range (``lp_horizon``, or the whole compressed
-start set) is priced against the duals, with a cover dual of 0 at every time
-past the LP's horizon.  With lambda = -y >= 0 on the cover rows and Lambda_i
-its prefix sum on machine i, the Lagrangian bound
+Then every start of the full range (up to T, worked out once per solve, or
+the whole compressed start set) is priced against the duals, with a cover
+dual of 0 at every time past the LP's horizon.  With lambda = -y >= 0 on the
+cover rows and Lambda_i its prefix sum on machine i, the Lagrangian bound
 
     sum_j min over (i, s) of [w_j (s + p) + Lambda_i(s + p) - Lambda_i(s)] - sum lambda
 
@@ -75,6 +77,7 @@ large LP's entries exist once, with no per-entry variable index.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,7 +229,8 @@ def build_interval_lp(
     the cover rows it spans; variables run by job, then machine, then start.
     """
     n, M = inst.num_jobs, inst.num_machines
-    horizon = _full_horizon(inst, starts) if horizon is None else horizon
+    if horizon is None:
+        horizon = lp_horizon(inst) if starts is None else starts.horizon
     # A cover row at t + 1 for each start t in the set before the horizon.
     C = horizon if starts is None else int(np.searchsorted(starts.times, horizon))
     lp = LinearProgram()
@@ -261,10 +265,6 @@ def build_interval_lp(
     return IntervalLpModel(lp, machine, job, start, horizon, cover_times)
 
 
-def _full_horizon(inst: Instance, starts: StartTimeSet | None) -> int:
-    return lp_horizon(inst) if starts is None else starts.horizon
-
-
 def _pairs(inst: Instance):
     """The allowed (job, machine) pairs, by job, then machine: their jobs,
     machines, sizes and releases."""
@@ -293,38 +293,52 @@ def list_schedule(inst: Instance, starts: StartTimeSet | None = None) -> tuple[n
     Jobs go in Smith's-rule order, by w_j / min_i p_ij, largest first and
     ties by index.  Each takes, over its allowed machines, the admissible
     start that finishes it earliest without overlapping a job placed before
-    it, by the horizon of the start set; ties go to the lower machine.
+    it, by the horizon of a compressed start set; ties go to the lower
+    machine.  Over the full range no horizon is read: by induction over the
+    placed jobs, each machine's last finish is at most r_max + the sum of
+    their max_i p_ij (the next job fits after any allowed machine's last
+    finish), which is at most ``lp_horizon``, so every job finishes by it.
+
+    The schedule is one loop over Python ints.  Each machine's free gaps
+    [lo, hi) are kept in time order, one open gap at first; placing a job
+    splits its gap in two, and empty gaps are dropped.  In a gap the
+    earliest admissible start finishes the job earliest, so each machine's
+    first gap that fits gives its earliest finish, and a machine's scan
+    stops at a gap that cannot finish before the best finish so far.
     """
     n, M = inst.num_jobs, inst.num_machines
     allowed, sizes, release = inst.allowed_mask(), inst.sizes, inst.release_matrix()
     smallest = np.where(allowed, sizes, np.iinfo(np.int64).max).min(axis=1)
-    order = np.argsort(-(inst.weights / smallest), kind="stable")
-    # The free gaps [gap_lo, gap_hi) of the machines, one per machine at
-    # first; placing a job splits one in two.  In a gap the earliest
-    # admissible start finishes the job earliest, and on one machine no two
-    # gaps give the same finish.
-    gap_machine = np.concatenate((np.arange(M), np.zeros(n, dtype=np.int64)))
-    gap_lo = np.zeros(M + n, dtype=np.int64)
-    gap_hi = np.full(M + n, _full_horizon(inst, starts), dtype=np.int64)
-    machine, start = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    for k, j in enumerate(order, M):
-        on = gap_machine[:k]
-        s = np.maximum(gap_lo[:k], release[j, on])
-        fits = allowed[j, on]
-        if starts is not None:
-            at = np.searchsorted(starts.times, s)
-            fits &= at < starts.times.size
-            s = starts.times[np.minimum(at, starts.times.size - 1)]
-        finish = s + sizes[j, on]
-        free = np.flatnonzero(fits & (finish <= gap_hi[:k]))
-        if not free.size:
+    order = np.argsort(-(inst.weights / smallest), kind="stable").tolist()
+    allowed, sizes, release = allowed.tolist(), sizes.tolist(), release.tolist()
+    times = None if starts is None else starts.times.tolist()
+    gaps = [[(0, math.inf if starts is None else starts.horizon)] for _ in range(M)]
+    machine, start = [0] * n, [0] * n
+    for j in order:
+        best = math.inf
+        for i, ok, p, r in zip(range(M), allowed[j], sizes[j], release[j]):
+            if not ok:
+                continue
+            for g, (lo, hi) in enumerate(gaps[i]):
+                s = max(lo, r)
+                if s + p >= best:  # so does every later gap's; ties go to the lower machine
+                    break
+                if times is not None:
+                    at = bisect_left(times, s)
+                    if at == len(times):
+                        break
+                    s = times[at]
+                if s + p <= hi:
+                    if s + p < best:
+                        best, placed = s + p, (i, g, s)
+                    break
+        if best == math.inf:
             return None
-        free = free[finish[free] == finish[free].min()]
-        g = free[np.argmin(on[free])]
-        machine[j], start[j] = on[g], s[g]
-        gap_machine[k], gap_lo[k], gap_hi[k] = on[g], finish[g], gap_hi[g]
-        gap_hi[g] = s[g]
-    return machine, start
+        i, g, s = placed
+        lo, hi = gaps[i][g]
+        gaps[i][g : g + 1] = [gap for gap in ((lo, s), (best, hi)) if gap[0] < gap[1]]
+        machine[j], start[j] = i, s
+    return np.array(machine, dtype=np.int64), np.array(start, dtype=np.int64)
 
 
 def _variables_at(model: IntervalLpModel, starts: StartTimeSet | None, machine, start) -> np.ndarray:
@@ -338,16 +352,15 @@ def _variables_at(model: IntervalLpModel, starts: StartTimeSet | None, machine, 
     return first + rank(start) - rank(model.start[first])
 
 
-def _price(inst: Instance, starts: StartTimeSet | None, model: IntervalLpModel, duals: np.ndarray):
-    """The Lagrangian bound of the model's cover duals over the full range
-    (see the module docstring), and the latest finish of a start outside
-    the model whose reduced cost is below -``OPT_TOL``, or the model's
-    horizon if none's is.  The cover duals are read in the builder's row
-    layout, by machine and then time.  Past the horizon a start's term only
-    grows with s, so each pair is priced up to its first start at or after
-    it."""
-    n, T = inst.num_jobs, model.horizon
-    H = _full_horizon(inst, starts)
+def _price(inst: Instance, starts: StartTimeSet | None, model: IntervalLpModel, duals: np.ndarray, horizon: int):
+    """The Lagrangian bound of the model's cover duals over the full range,
+    whose starts finish by ``horizon`` (see the module docstring), and the
+    latest finish of a start outside the model whose reduced cost is below
+    -``OPT_TOL``, or the model's horizon if none's is.  The cover duals are
+    read in the builder's row layout, by machine and then time.  Past the
+    model's horizon a start's term only grows with s, so each pair is priced
+    up to its first start at or after it."""
+    n, T, H = inst.num_jobs, model.horizon, horizon
     lam = np.maximum(-duals[n:].reshape(inst.num_machines, model.cover_times.size), 0.0)
     Lam = np.zeros((lam.shape[0], lam.shape[1] + 1))
     np.cumsum(lam, axis=1, out=Lam[:, 1:])
@@ -376,7 +389,8 @@ def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalInt
     latest finish of such a start and solved from the schedule's variables
     once more (see the module docstring).  Without a list schedule the whole
     LP is built and solved cold.  ``gap_bound`` is the objective less the
-    final duals' Lagrangian bound over the full range.
+    final duals' Lagrangian bound over the full range, whose horizon
+    (``lp_horizon``, or the compressed start set's) is worked out once.
 
     The returned solution is validated against the full per-integer-time
     cover check regardless of mode.  The LP is solved on the weights of
@@ -384,9 +398,10 @@ def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalInt
     simplex counters of its solves.
     """
     starts = None if eps is None else compress_start_times(inst, eps)
+    H = lp_horizon(inst) if starts is None else starts.horizon
     scaled, shift = normalize_weights(inst)
     schedule = list_schedule(scaled, starts)
-    reach = None  # without a list schedule, the whole LP
+    reach = H  # without a list schedule, the whole LP
     if schedule is not None:
         machine, start = schedule
         reach = int((start + inst.sizes[np.arange(inst.num_jobs), machine]).max())
@@ -398,7 +413,7 @@ def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalInt
             raise IntervalLpError(f"interval LP is {res.status}")
         for key, count in res.stats.items():
             stats[key] += count
-        bound, reach = _price(scaled, starts, model, res.duals)
+        bound, reach = _price(scaled, starts, model, res.duals, H)
         if reach == model.horizon:
             break
     keep = res.x > 1e-11
@@ -408,7 +423,7 @@ def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalInt
         start=model.start[keep],
         value=res.x[keep],
         objective=float(np.ldexp(res.objective, -shift)),
-        horizon=_full_horizon(inst, starts),
+        horizon=H,
         gap_bound=float(np.ldexp(max(res.objective - bound, 0.0), -shift)),
         stats=stats,
     )

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from alphasched.bench import random_instance  # noqa: E402
 from alphasched.instance import (  # noqa: E402
+    FORBIDDEN,
     Instance,
     NonPreemptiveSchedule,
     evaluate_schedule,
@@ -30,6 +31,7 @@ from alphasched.interval_lp import (  # noqa: E402
 )
 from alphasched.simplex import solve_lp  # noqa: E402
 
+from list_schedule_reference import array_list_schedule  # noqa: E402
 from test_interval_lp import build_by_pair_loop, solve_recorded  # noqa: E402
 
 
@@ -87,6 +89,66 @@ def test_list_schedule_matches_busy_window_reference(inst, eps):
         assert schedule is not None
         assert schedule[0].tolist() == model.machine[reference].tolist()
         assert schedule[1].tolist() == model.start[reference].tolist()
+
+
+@st.composite
+def schedule_cases(draw):
+    """An instance with forbidden pairs, per-machine releases and zero
+    weights, each half the time, and a start set: the full range, a
+    compressed one, or random times up to a random horizon below
+    ``lp_horizon``, where placement often fails."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    p_max, r_max = draw(st.sampled_from((1, 3, 10, 40))), draw(st.sampled_from((0, 5, 40)))
+    sizes = rng.integers(1, p_max + 1, (n, m))
+    if draw(st.booleans()):
+        forbid = rng.random((n, m)) < 0.4
+        forbid[np.arange(n), rng.integers(0, m, n)] = False
+        sizes[forbid] = FORBIDDEN
+    releases = rng.integers(0, r_max + 1, (n, m) if draw(st.booleans()) else n)
+    weights = rng.uniform(0.0, 5.0, n)
+    if draw(st.booleans()):
+        weights[rng.random(n) < 0.5] = 0.0
+    inst = Instance(m, n, sizes, releases, weights)
+    kind = draw(st.sampled_from(("full", "compressed", "random")))
+    if kind == "full":
+        return inst, None
+    if kind == "compressed":
+        return inst, compress_start_times(inst, draw(st.sampled_from((0.1, 0.5))))
+    H = int(rng.integers(1, lp_horizon(inst) + 1))
+    times = np.union1d([0], np.flatnonzero(rng.random(H + 1) < 0.5))
+    return inst, StartTimeSet(times=times, epsilon=0.5, delta=0.1, horizon=H)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(schedule_cases())
+def test_list_schedule_matches_the_array_reference(case):
+    """The scalar loop makes the array loop's choices: (machine, start) per
+    job, or None on both."""
+    inst, starts = case
+    schedule, reference = list_schedule(inst, starts), array_list_schedule(inst, starts)
+    if reference is None:
+        assert schedule is None
+    else:
+        assert schedule is not None
+        assert schedule[0].dtype == schedule[1].dtype == np.int64
+        assert schedule[0].tolist() == reference[0].tolist()
+        assert schedule[1].tolist() == reference[1].tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(schedule_cases())
+def test_full_range_list_schedule_ends_by_lp_horizon(case):
+    """Over the full range the list schedule reads no horizon: every job
+    finishes by r_max + sum_j max_i p_ij, at most ``lp_horizon``."""
+    inst = case[0]
+    machine, start = list_schedule(inst)
+    evaluate_schedule(inst, NonPreemptiveSchedule(machine, start))
+    allowed = inst.allowed_mask()
+    r_max = int(inst.release_matrix()[allowed].max())
+    finish = int((start + inst.sizes[np.arange(inst.num_jobs), machine]).max())
+    assert finish <= r_max + int(np.where(allowed, inst.sizes, 0).max(axis=1).sum())
+    assert finish <= lp_horizon(inst)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

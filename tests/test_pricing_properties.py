@@ -258,30 +258,18 @@ def test_block_pricer_matches_per_block_loop(H, num_ends, grid, density, seed):
     assert got - unclear == expected
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    st.integers(1, 150),
-    st.integers(1, 3),
-    st.integers(1, 6),
-    st.booleans(),
-    st.booleans(),
-    st.sampled_from([0.0, 0.05, 0.3, 1.0]),
-    st.integers(0, 2**32 - 1),
-)
-def test_pricer_matches_per_machine_loop(H, machines, jobs, coarse, grid, density, seed):
+def check_against_per_machine_loop(xi, ends, pairs, jobs, rng, grid, release_max=None):
     """Every machine priced in one call: the same (chain, reduced cost) list,
     bit for bit and in the same order, as the per-machine pricer with its
-    per-chain loop, pair by pair.  Its load holds each job's cheapest chain
-    as that loop finds it on the first pair, in the given order, of the
-    job's least cost."""
-    rng = np.random.default_rng(seed)
-    ends = np.unique(np.append(rng.integers(1, H, rng.integers(1, 12)), H)) if coarse and H > 1 else np.arange(1, H + 1)
-    K = ends.size
-    xi = np.stack([sparse_duals(rng, K, density, grid) for _ in range(machines)])
-    pairs = [(j, i) for j in range(jobs) for i in range(machines) if rng.random() < 0.8]
-    rng.shuffle(pairs)
+    per-chain loop over every block end, pair by pair.  Its load holds each
+    job's cheapest chain as that loop finds it on the first pair, in the
+    given order, of the job's least cost.  ``pairs`` lists (job, machine)
+    over ``jobs`` jobs, whose sizes, releases (up to ``release_max``, by
+    default the horizon), weights and etas are drawn from ``rng``."""
+    machines, K = xi.shape
+    H = int(ends[-1])
     sizes = rng.integers(1, min(H, 8) + 1, jobs)
-    releases = rng.integers(0, H + 1, jobs)
+    releases = rng.integers(0, (H if release_max is None else release_max) + 1, jobs)
     weights = rng.integers(1, 33, jobs) / 8.0 if grid else rng.uniform(0.1, 4.0, jobs)
     eta = weights * (releases + sizes) + rng.uniform(-2.0, 0.5 * H, jobs)
     job = np.array([j for j, _ in pairs], dtype=np.int64)
@@ -307,3 +295,57 @@ def test_pricer_matches_per_machine_loop(H, machines, jobs, coarse, grid, densit
     assert found == expected
     assert np.array_equal(got_best, best)
     assert np.array_equal(got_load, load)
+
+
+def random_ends(rng, H, coarse):
+    return np.unique(np.append(rng.integers(1, H, rng.integers(1, 12)), H)) if coarse and H > 1 else np.arange(1, H + 1)
+
+
+def random_pairs(rng, machines, jobs):
+    pairs = [(j, i) for j in range(jobs) for i in range(machines) if rng.random() < 0.8]
+    rng.shuffle(pairs)
+    return pairs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 150),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_pricer_matches_per_machine_loop(H, machines, jobs, coarse, grid, density, seed):
+    rng = np.random.default_rng(seed)
+    ends = random_ends(rng, H, coarse)
+    xi = np.stack([sparse_duals(rng, ends.size, density, grid) for _ in range(machines)])
+    check_against_per_machine_loop(xi, ends, random_pairs(rng, machines, jobs), jobs, rng, grid)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 150),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_pricer_cut_past_the_last_positive_dual_matches_the_whole_timeline(
+    H, machines, jobs, coarse, grid, density, seed
+):
+    """Duals that vanish past a random block of each machine (every dual
+    when the block is the first, or the density 0), so the pricer prices
+    only a prefix of the block ends: it still finds what the per-machine
+    loop finds over the whole timeline.  Releases are drawn up to a random
+    time, so many lie past a machine's last positive dual, and every chain
+    of many cases can complete well before the horizon."""
+    rng = np.random.default_rng(seed)
+    ends = random_ends(rng, H, coarse)
+    xi = np.stack([sparse_duals(rng, ends.size, density, grid) for _ in range(machines)])
+    xi[np.arange(ends.size) >= rng.integers(0, ends.size + 1, (machines, 1))] = 0.0
+    pairs = random_pairs(rng, machines, jobs)
+    check_against_per_machine_loop(xi, ends, pairs, jobs, rng, grid, int(rng.integers(0, H + 1)))
