@@ -701,12 +701,8 @@ class CompressedTimeline:
     epsilon: float
 
     @property
-    def starts(self) -> np.ndarray:
-        return np.concatenate(([0], self.ends[:-1]))
-
-    @property
     def lengths(self) -> np.ndarray:
-        return self.ends - self.starts
+        return np.diff(self.ends, prepend=0)
 
 
 def build_compressed_timeline(inst: Instance, eps: float) -> CompressedTimeline:

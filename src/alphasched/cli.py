@@ -95,7 +95,7 @@ def _cmd_solve_interval(args) -> None:
     eps = args.epsilon
     if eps is None and not args.full and instance_horizon(inst) > FULL_RANGE_DEFAULT:
         eps = 0.5
-    sol = solve_interval_lp(inst, eps=None if args.full else eps)
+    sol = solve_interval_lp(inst, eps)
     order = np.lexsort((sol.start, sol.job, sol.machine))
     rows = [["objective", _fmt(sol.objective), "", ""], ["gap_bound", _fmt(sol.gap_bound), "", ""]]
     rows.extend(
@@ -263,8 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("solve-interval", help="solve the start-time LP")
     p.add_argument("instance")
-    p.add_argument("--epsilon", type=float, default=None, help="compress start times")
-    p.add_argument("--full", action="store_true", help="force the full time range")
+    range_ = p.add_mutually_exclusive_group()
+    range_.add_argument("--epsilon", type=float, default=None, help="compress start times")
+    range_.add_argument("--full", action="store_true", help="force the full time range")
     p.set_defaults(func=_cmd_solve_interval)
 
     p = add_parser("solve-chain", help="solve the chain LP by column generation")

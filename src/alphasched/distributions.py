@@ -237,8 +237,6 @@ class OffsetDistribution:
         if theta.size and (theta.min() < -1e-12 or theta.max() > 1.0 + 1e-12):
             raise DistributionError("theta out of [0, 1]")
         theta = np.clip(theta, 0.0, 1.0)
-        if len(polys) == 1:
-            return _polyval(polys[0], theta)
         # Piece k holds theta in [breakpoints[k], breakpoints[k + 1]), the
         # last piece also theta = 1.
         idx = np.searchsorted(self.breakpoints[1:-1], theta, side="right")
@@ -274,47 +272,47 @@ class OffsetDistribution:
         do the quadratic-density pieces that ``_cubic_constants`` admits (the
         truncated quadratic law's), by one cube root per draw.  Other
         polynomial pieces take bracketed Newton steps, each draw until its
-        step is below 1e-12.  Both paths apply the same rule per piece, so
-        they give the same bits.
+        step is below 1e-12.  ``_invert`` holds that rule per piece, and
+        both paths apply it, so they give the same bits.
         """
         scalar = size is None
         u = rng.random(1 if scalar else size)
         # Updates run in place: at rounding sizes each temporary is a fresh
         # allocation that is page-faulted in, which costs as much as the math.
         u *= self.raw_mass
-        k = self._live
-        if k is None:
-            theta = self._sample_pieces(u)
-        elif k in self._cubics:
-            theta = self._invert_cubic(k, u)
-        elif k in self._tables:
-            flat = u.reshape(-1)
-            theta = self._newton(k, flat, *self._table_start(k, flat)).reshape(u.shape)
-        else:
-            theta = u
-            theta -= self._cum[k]
-            theta *= self._slope[k]
-            theta += self._start[k]
-            np.minimum(theta, self._hi[k], out=theta)
+        theta = self._sample_pieces(u) if self._live is None else self._invert(self._live, u)
         return float(theta[0]) if scalar else theta
 
     def _sample_pieces(self, u: np.ndarray) -> np.ndarray:
         """``sample``'s inversion when several pieces have mass: each draw's
-        piece is searched, and each polynomial piece inverts its draws."""
+        piece is searched, every draw takes its piece's constant-density
+        step at once, and the draws of each other piece are inverted again
+        by ``_invert``."""
         piece = np.searchsorted(self._cum, u, side="right") - 1
         np.clip(piece, 0, len(self.coeffs) - 1, out=piece)
         theta = u - self._cum[piece]
         theta *= self._slope[piece]
         theta += self._start[piece]
         np.minimum(theta, self._hi[piece], out=theta)
-        for k in self._cubics:
+        for k in (*self._cubics, *self._tables):
             mask = piece == k
-            theta[mask] = self._invert_cubic(k, u[mask])
-        for k in self._tables:
-            mask = piece == k
-            u_k = u[mask]
-            theta[mask] = self._newton(k, u_k, *self._table_start(k, u_k))
+            theta[mask] = self._invert(k, u[mask])
         return theta
+
+    def _invert(self, k, u):
+        """theta for the draws ``u`` of piece k, by the piece's rule: Cardano's
+        formula, Newton's iteration from its table, or the constant
+        density's closed form.  ``u`` may be overwritten."""
+        if k in self._cubics:
+            return self._invert_cubic(k, u)
+        if k in self._tables:
+            flat = u.reshape(-1)
+            return self._newton(k, flat, *self._table_start(k, flat)).reshape(u.shape)
+        theta = u
+        theta -= self._cum[k]
+        theta *= self._slope[k]
+        theta += self._start[k]
+        return np.minimum(theta, self._hi[k], out=theta)
 
     def _invert_cubic(self, k, u):
         """theta = A - p/(3A) - b/3 for the draws ``u`` of piece k (see

@@ -14,11 +14,11 @@ and returns the objective together with per-job completion times.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -85,15 +85,6 @@ class Instance:
     @property
     def per_machine_releases(self) -> bool:
         return self.releases.ndim == 2
-
-    def release(self, job: int, machine: int | None = None) -> int:
-        """Release time of ``job``; machine-dependent when the instance has
-        per-machine releases (machine then required)."""
-        if self.releases.ndim == 1:
-            return int(self.releases[job])
-        if machine is None:
-            raise InstanceError("per-machine releases: machine index required")
-        return int(self.releases[job, machine])
 
     def release_matrix(self) -> np.ndarray:
         """Releases expanded to shape (n, m)."""
@@ -293,10 +284,16 @@ def normalize_weights(inst: Instance) -> tuple[Instance, int]:
     largest weight into [1, 2), or k = 0 when every weight is zero.  A power
     of two scales exactly in floating point, so an LP solved on the result
     and scaled back by 2**-k is the LP of ``inst``, solved with tolerances
-    that do not depend on the scale of the weights."""
+    that do not depend on the scale of the weights.  The result shares
+    ``inst``'s other fields and is not validated again: a validated
+    instance's weights times 2**k stay finite and non-negative."""
     top = float(inst.weights.max())
     k = 1 - math.frexp(top)[1] if top > 0.0 else 0
-    return replace(inst, weights=np.ldexp(inst.weights, k)), k
+    weights = np.ldexp(inst.weights, k)
+    weights.setflags(write=False)
+    scaled = copy.copy(inst)
+    object.__setattr__(scaled, "weights", weights)
+    return scaled, k
 
 
 def evaluate_schedule(inst: Instance, sched) -> ScheduleCost:
@@ -375,16 +372,3 @@ def _evaluate_preemptive(inst: Instance, sched: PreemptiveSchedule) -> ScheduleC
     objective = float(inst.weights @ completion)
     return ScheduleCost(objective=objective, completion=completion)
 
-
-def relabel(inst: Instance, perm: Sequence[int]) -> Instance:
-    """Instance with jobs re-indexed by ``perm`` (job k of the result is job
-    perm[k] of the input)."""
-    perm = np.asarray(perm, dtype=np.int64)
-    return Instance(
-        num_machines=inst.num_machines,
-        num_jobs=inst.num_jobs,
-        sizes=inst.sizes[perm],
-        releases=inst.releases[perm],
-        weights=inst.weights[perm],
-        name=inst.name,
-    )

@@ -69,9 +69,9 @@ inverse would exceed its budget, so an oversized LP (a release far out
 makes the list schedule long) is refused before any array of its size is
 built.  Then it enumerates every allowed (job, machine) pair and every
 admissible start at once, in array operations, and lays down the entries'
-rows with one prefix sum.  It makes those arrays read-only and hands them
-over: they are the LP's column store and the simplex's, uncopied, so a
-large LP's entries exist once, with no per-entry variable index.
+rows with one prefix sum.  ``add_columns`` copies them into the LP's
+column store, which the simplex's standard form shares, so the LP holds its
+entries once, with no per-entry variable index.
 """
 
 from __future__ import annotations
@@ -259,9 +259,7 @@ def build_interval_lp(
     rows[ptr[:-1]] = job - np.concatenate(([0], first[:-1] + span[:-1] - 1))
     rows[ptr[:-1] + 1] = first - job
     np.cumsum(rows, out=rows)
-    values = np.ones(rows.size)
-    rows.flags.writeable = values.flags.writeable = False  # so the LP keeps them uncopied
-    lp.add_columns(ptr, rows, values, inst.weights[job] * (start + p))
+    lp.add_columns(ptr, rows, np.ones(rows.size), inst.weights[job] * (start + p))
     return IntervalLpModel(lp, machine, job, start, horizon, cover_times)
 
 

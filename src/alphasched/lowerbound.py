@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance
-from .interval_lp import FractionalIntervalSolution, solution_from_triples
+from .interval_lp import solution_from_triples
 
 
 @dataclass(frozen=True)
@@ -94,19 +94,6 @@ def build_lb_instance(eps: float, T: int, strict: bool = False):
             triples.append((i, k + t, t, eps))
     sol = solution_from_triples(inst, triples)
     return inst, sol
-
-
-def integral_component(inst: Instance, eps: float, which: int) -> FractionalIntervalSolution:
-    """The which-th integral plan of the convex combination: all unit jobs on
-    machine ``which``, big job ``which`` on the spare machine."""
-    k = int(round(1.0 / eps))
-    T = inst.num_jobs - k
-    triples = []
-    for i in range(k):
-        triples.append((k if i == which else i, i, 0, 1.0))
-    for t in range(T):
-        triples.append((which, k + t, t, 1.0))
-    return solution_from_triples(inst, triples)
 
 
 def _best_insertion_cost(ts: np.ndarray, wv: np.ndarray, big_weight: float, T: int) -> float:

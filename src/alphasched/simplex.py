@@ -8,24 +8,25 @@ numpy alone.
 A ``LinearProgram`` only grows, and it is held column-wise, the way the
 simplex reads it: ``add_rows`` appends rows, each a sense and a right-hand
 side with no entries, and ``add_columns`` appends variables, each a cost
-and its entries in existing rows.  Every variable is non-negative and has
-no other bound; a bound is a row.  It refuses, with ``LpError`` and before
-it appends anything, growth whose rows would need a basis inverse over
-``MAX_BASIS_INVERSE_BYTES``.  The solver works on its standard form: the
-LP's rows as they are, and slack, surplus and artificial unit columns.  A
-slack is +1 in a ``<=`` row and a surplus -1 in a ``>=`` row; a row gets an
-artificial, with the sign of its right-hand side, unless its slack alone is
-feasible at x = 0.  That matrix is held column-wise and sparse: the
-variables' columns in the LP's own ``colptr``, row index and value arrays,
-and each unit column as its one row and value.  Only the basis inverse is
-dense (m x m).  The store also indexes each column's runs, stretches of
-entries in consecutive rows with one value.  Pricing computes ``y @ A``
-from one prefix sum of y and one term per run, and ``A @ x`` is a
-difference array over the runs, so both cost O(runs + rows): a start-time
-variable's cover rows are one run, however long the job.  The entering
-direction is ``binv[:, rows] @ vals``, each pivot applies a rank-one update
-to the inverse in place and updates the basic values, and refactorization
-inverts only the block of basic columns that are not unit columns.
+and its entries in existing rows, copied from the caller's arrays.  Every
+variable is non-negative and has no other bound; a bound is a row.  It
+refuses, with ``LpError`` and before it appends anything, growth whose rows
+would need a basis inverse over ``MAX_BASIS_INVERSE_BYTES``.  The solver
+works on its standard form: the LP's rows as they are, and slack, surplus
+and artificial unit columns.  A slack is +1 in a ``<=`` row and a surplus
+-1 in a ``>=`` row; a row gets an artificial, with the sign of its
+right-hand side, unless its slack alone is feasible at x = 0.  That matrix
+is held column-wise and sparse: the variables' columns in the LP's own
+``colptr``, row index and value arrays, shared and not copied again, and
+each unit column as its one row and value.  Only the basis inverse is dense
+(m x m).  The store also indexes each column's runs, stretches of entries
+in consecutive rows with one value.  Pricing computes ``y @ A`` from one
+prefix sum of y and one term per run, and ``A @ x`` is a difference array
+over the runs, so both cost O(runs + rows): a start-time variable's cover
+rows are one run, however long the job.  The entering direction is
+``binv[:, rows] @ vals``, each pivot applies a rank-one update to the
+inverse in place and updates the basic values, and refactorization inverts
+only the block of basic columns that are not unit columns.
 
 After an optimal solve the LP keeps the solver's state: the standard form
 with its column store, the basis, the basis inverse and the basic values.
@@ -114,9 +115,8 @@ class LinearProgram:
     variable is ``x >= 0`` with no other bound.  The LP is held by columns:
     variable k has the coefficients ``_val[_ptr[k]:_ptr[k + 1]]`` in the
     rows ``_row[...]``.  Those arrays, the senses, the right-hand sides and
-    ``objective`` are read-only and only replaced by longer ones; the first
-    entries appended are kept as the arrays given when those are read-only,
-    and a solve's standard form shares them.
+    ``objective`` are read-only copies, only replaced by longer ones, and a
+    solve's standard form shares them.
     """
 
     def __init__(self):
@@ -187,9 +187,7 @@ class LinearProgram:
         the coefficients ``coeffs[indptr[k]:indptr[k + 1]]`` in the existing
         rows ``rows[...]`` and cost ``objective[k]``.  Either every variable
         is appended or, on malformed input, none; returns their indices.
-        The first entries appended are kept uncopied when ``rows`` and
-        ``coeffs`` are read-only arrays of the LP's dtypes, and copied
-        otherwise, so the caller's own arrays never become read-only."""
+        Every append copies, so the caller's arrays stay the caller's."""
         idx = np.asarray(rows, dtype=np.int64)
         val = np.asarray(coeffs, dtype=float)
         if idx.shape != val.shape or idx.ndim != 1:
@@ -207,11 +205,8 @@ class LinearProgram:
         if not np.isfinite(val).all() or not np.isfinite(cost).all():
             raise LpError("column coefficients and costs must be finite")
         first, e = self.num_vars, self._row.size
-        if e:
-            idx, val = np.concatenate((self._row, idx)), np.concatenate((self._val, val))
-        else:  # the first entries are kept as given only if the caller cannot write them
-            idx, val = (a.copy() if a.flags.writeable else a for a in (idx, val))
-        self._row, self._val = _frozen(idx), _frozen(val)
+        self._row = _frozen(np.concatenate((self._row, idx)))
+        self._val = _frozen(np.concatenate((self._val, val)))
         self._ptr = _frozen(np.concatenate((self._ptr, ptr[1:] + e)))
         self._cost = _frozen(np.concatenate((self._cost, cost)))
         return range(first, self.num_vars)

@@ -318,6 +318,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(capsys, "round", "--trials", "3")[0] == 2  # missing instance
     assert main([]) == 2
     assert run(capsys, "--threads", "2", "analyze-dist", "--dist", "uniform")[0] == 2  # removed flag
+    # --full and --epsilon contradict each other: a usage error, not a silent choice.
+    code, out, err = run(capsys, "solve-interval", write_instance(tmp_path), "--full", "--epsilon", "0.5")
+    assert code == 2 and out == "" and "not allowed with" in err
 
 
 def test_missing_instance_file_exit_one(capsys):

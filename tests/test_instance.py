@@ -15,7 +15,6 @@ from alphasched.instance import (
     instance_to_json,
     lp_horizon,
     parse_instance,
-    relabel,
 )
 
 
@@ -33,7 +32,7 @@ def make(sizes, releases, weights, m=None):
 def test_parse_minimal():
     inst = parse_instance('{"machines": 1, "jobs": [{"release": 0, "weight": 1, "sizes": [3]}]}')
     assert inst.num_machines == 1 and inst.num_jobs == 1
-    assert inst.size(0, 0) == 3 and inst.release(0) == 0
+    assert inst.size(0, 0) == 3 and inst.releases.tolist() == [0]
 
 
 def test_parse_forbidden_sentinel():
@@ -69,7 +68,7 @@ def test_parse_per_machine_releases():
         '{"machines": 2, "jobs": [{"release": [1, 4], "weight": 1, "sizes": [2, 2]}]}'
     )
     assert inst.per_machine_releases
-    assert inst.release(0, 0) == 1 and inst.release(0, 1) == 4
+    assert inst.release_matrix().tolist() == [[1, 4]]
 
 
 def test_json_round_trip():
@@ -200,7 +199,7 @@ def test_evaluate_permutation_invariant():
     start = np.array([0, 0, 10, 20])
     base = evaluate_schedule(inst, NonPreemptiveSchedule(machine=machine, start=start))
     perm = [2, 0, 3, 1]
-    shuffled = relabel(inst, perm)
+    shuffled = make(inst.sizes[perm], inst.releases[perm], inst.weights[perm])  # job k is job perm[k]
     cost = evaluate_schedule(
         shuffled, NonPreemptiveSchedule(machine=machine[perm], start=start[perm])
     )

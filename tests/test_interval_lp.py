@@ -446,23 +446,6 @@ def far_release():
     return make([[2, 3], [1, 4], [3, 3]], [0, 10**12, 5], [1.0, 2.0, 1.5])
 
 
-def test_solver_shares_the_builders_entry_arrays(monkeypatch):
-    # build_interval_lp hands its entry arrays over read-only, so the LP
-    # and the simplex's column store hold them uncopied.
-    given = []
-    add_columns = simplex.LinearProgram.add_columns
-
-    def recording_add_columns(lp, indptr, rows, coeffs, objective):
-        given.append((rows, coeffs))
-        return add_columns(lp, indptr, rows, coeffs, objective)
-
-    monkeypatch.setattr(simplex.LinearProgram, "add_columns", recording_add_columns)
-    model = build_interval_lp(random_instance(np.random.default_rng(3), 5, 2, p_max=6, r_max=6))
-    assert solve_lp(model.lp).status == "optimal"
-    [(rows, values)], cols = given, model.lp._live.cols
-    assert np.shares_memory(rows, cols.rows) and np.shares_memory(values, cols.vals)
-
-
 def test_size_guard_refuses_before_allocating():
     # The full LP, and the LP built to the list schedule's makespan that
     # solve_interval_lp starts from, are refused from their row counts

@@ -4,13 +4,22 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from alphasched.interval_lp import validate_fractional
+from alphasched.interval_lp import solution_from_triples, validate_fractional
 from alphasched.lowerbound import (
     _best_insertion_cost,
     build_lb_instance,
-    integral_component,
     run_lb_experiment,
 )
+
+
+def integral_component(inst, eps, which):
+    """The which-th integral plan of the convex combination: all unit jobs on
+    machine ``which``, big job ``which`` on the spare machine."""
+    k = int(round(1.0 / eps))
+    T = inst.num_jobs - k
+    triples = [(k if i == which else i, i, 0, 1.0) for i in range(k)]
+    triples += [(which, k + t, t, 1.0) for t in range(T)]
+    return solution_from_triples(inst, triples)
 
 
 def test_build_small_family():

@@ -188,7 +188,8 @@ def block_loop(xi_blocks, eta_j, weight, size, release, timeline):
     remaining slots in blocks up to k*, by an argsort per k*.  Returns, per
     k*, (per-block slot counts, cost), or (None, inf) when the job does not
     fit by the end of k*."""
-    ends, starts = timeline.ends, timeline.starts
+    ends = timeline.ends
+    starts = ends - timeline.lengths
     avail = np.maximum(ends - np.maximum(starts, release), 0).astype(np.int64)
     curve = []
     for kstar in range(len(ends)):
@@ -242,7 +243,7 @@ def test_block_pricer_matches_per_block_loop(H, num_ends, grid, density, seed):
     assert close(best[0], min(costs))
     expected, unclear = valleys(costs, 0.0 if grid else 1e-12)
     got = set()
-    first = np.maximum(timeline.starts, release) + 1
+    first = np.maximum(timeline.ends - timeline.lengths, release) + 1
     for chain, cost in found:
         k = int(np.searchsorted(ends, chain.completion, side="left"))
         assert all(k > g for g in got)  # by completion, one chain per block

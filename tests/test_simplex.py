@@ -228,21 +228,21 @@ def test_column_store_holds_the_lps_own_entry_arrays():
     assert res.objective == -12.0  # x2 = x3 = 2 fill row 0
 
 
-def test_add_columns_leaves_the_callers_arrays_writable():
-    # The LP keeps its first entries uncopied only when the caller made them
-    # read-only; arrays the caller may still write are copied.
-    lp = LinearProgram()
-    lp.add_rows([">="], [1.0])
-    v = np.array([2.0])
-    lp.add_columns([0, 1], np.array([0]), v, [1.0])
-    v[0] = 3.0
-    assert lp.rows[0][1].tolist() == [2.0] and solve_lp(lp).objective == 0.5
-    rows, vals = np.array([0]), np.array([4.0])
-    rows.flags.writeable = vals.flags.writeable = False
-    lp = LinearProgram()
-    lp.add_rows([">="], [1.0])
-    lp.add_columns([0, 1], rows, vals, [1.0])
-    assert lp._row is rows and lp._val is vals
+def test_add_columns_copies():
+    # Every append copies: read-only and writable caller arrays both stay
+    # the caller's, and the LP's own arrays are read-only.
+    for writeable in (True, False):
+        rows, vals = np.array([0]), np.array([2.0])
+        rows.flags.writeable = vals.flags.writeable = writeable
+        lp = LinearProgram()
+        lp.add_rows([">="], [1.0])
+        lp.add_columns([0, 1], rows, vals, [1.0])
+        assert rows.flags.writeable == vals.flags.writeable == writeable
+        assert not np.shares_memory(rows, lp._row) and not np.shares_memory(vals, lp._val)
+        assert not lp._row.flags.writeable and not lp._val.flags.writeable
+        if writeable:
+            vals[0] = 3.0
+        assert lp.rows[0][1].tolist() == [2.0] and solve_lp(lp).objective == 0.5
 
 
 def test_lp_without_rows_takes_the_one_solve_path():
