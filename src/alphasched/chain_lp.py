@@ -9,15 +9,19 @@ block) whose right-hand side is the block's length.  A chain uses each block
 for as many slots as it has there and is charged w_j times the right end of
 its last block.  The master is one live LP across rounds: a round appends
 its new rows and columns, and the solve resumes from the previous round's
-optimum.  The master alone decides which chains are new: given a chain it
-holds, or a second copy, it drops it.
+optimum.  The first solve starts from the list schedule's chains: each
+job's chain at 1 and every capacity row's slack at its block's spare room
+is a feasible basis, so no master solve runs a phase 1.  The master alone
+decides which chains are new: given a chain it holds, or a second copy, it
+drops it.
 
 The first master's chains come from one builder: the chain s + 1, ..., s +
 p_ij of each (machine i, job j, start s) triple.  The start-time LP's list
 schedule (``list_schedule``) gives the first n: it is non-preemptive and
-ends by ``lp_horizon``, so they make the master feasible.  Then come the
-earliest chain of every allowed pair and, in the exact LP, the optimal
-support of the start-time LP over its full range.  That support alone is
+ends by ``lp_horizon``, so they load no block past its length, and with
+the capacity rows' slacks they are the first master's starting basis.
+Then come the earliest chain of every allowed pair and, in the exact LP,
+the optimal support of the start-time LP over its full range.  That support alone is
 a feasible master solution at that LP's objective: its chains start at or
 after their releases and end by ``lp_horizon``, at most the horizon; each
 job's mass is 1; the LP's cover rows load every slot at most 1; and each
@@ -25,9 +29,10 @@ costs what its entry does.  So column generation opens at or below that
 objective, instead of spending its first rounds in degenerate masters whose
 objective does not move.  The seed is skipped when the start-time LP is
 refused for its size, as the chain master may still fit.  The compressed LP
-takes no seed: on the chain-cg corpus at eps 0.2 a seed (each chain in its
-blocks' earliest slots) takes its solves from 60 rounds to 65 and from 530
-master pivots to 586, before the seed LP's own.
+takes no seed: on the chain-cg corpus at eps 0.2, when the first master
+still ran a phase 1, a seed (each chain in its blocks' earliest slots) took
+its solves from 60 rounds to 65 and from 530 master pivots to 586, before
+the seed LP's own.
 
 One driver serves every timeline, and one exact pricer: each slot carries
 its block's dual, and the cheapest chain completing in block k takes a slot
@@ -63,9 +68,9 @@ each chain keeping its blocks' earliest slots.  s lies after every release
 on the machine, and no completion moves later.  The solution's objective is
 the recovered chains' own cost.  So degenerate masters return duals on a
 face that still holds an optimal dual, which pricing refutes less often: on
-the chain-cg corpus the exact solves take 43 rounds and 427 pivots with
-them against 99 and 1,778 without, and at eps 0.2 60 rounds and 530 pivots
-against 71 and 907.
+the chain-cg corpus the exact solves take 43 rounds and 407 pivots with
+them against 99 and 1,758 without, and at eps 0.2 51 rounds and 436 pivots
+against 82 and 695.
 
 Column generation stops on one certificate: the Lagrangian pricing bound
 sum_j mu_j - sum_{i,k} len_k xi_{i,k}, from the stability center (the
@@ -80,7 +85,7 @@ Pessoa, Sadykov, Uchoa and Vanderbeck (INFORMS J. Comput. 30, 2018): the
 pricer also returns the slots per block of each job's cheapest chain, whose
 excess over the block lengths is a subgradient of the bound at the smoothed
 duals, and alpha falls when it points toward the raw duals and rises
-otherwise.  On the chain-cg corpus that took 103 rounds against 117 with a
+otherwise.  On the chain-cg corpus that took 94 rounds against 111 with a
 fixed alpha of 0.8 (Wentges, Int. Trans. Oper. Res. 4, 1997).  A round that
 would open capacity rows past the simplex's basis-inverse budget is refused
 by ``LinearProgram`` with ``LpError``; a horizon whose per-(machine, slot)
@@ -405,6 +410,8 @@ class _Master:
         """Append the shift columns of the pairs of capacity rows that the
         rows with keys ``opened`` complete.  A pair is new when one of its
         rows just opened; it is keyed by its later row."""
+        if not opened.size:
+            return
         n, K = self.inst.num_jobs, self.ends.size
         upper = np.union1d(opened, opened + 1)
         upper = upper[upper < self.row.size]
@@ -417,13 +424,16 @@ class _Master:
             added = self.lp.add_columns(np.arange(0, rows.size + 1, 2), rows, coef, np.zeros(upper.size))
             self.shift_col = np.concatenate((self.shift_col, added))
 
-    def solve(self):
+    def solve(self, start=None):
         """Solve the master; returns (solution, eta, xi) with eta the job
         duals clipped at zero and xi[i, k] the negated dual of the capacity
         row of (machine i, block k), zero where there is none or where it is
-        at most 1e-12 (the non-negative form pricing takes)."""
+        at most 1e-12 (the non-negative form pricing takes).  Without
+        ``start`` the solve resumes from the last optimum; ``start``, one
+        chain column per job, in job order, names the starting basis: those
+        chains and every capacity row's slack (see ``solve_lp``)."""
         n, K = self.inst.num_jobs, self.ends.size
-        res = solve_lp(self.lp)
+        res = solve_lp(self.lp, start)
         if res.status != "optimal":
             raise ChainLpError(f"restricted master is {res.status}")
         # The job rows come first, in job order.
@@ -446,22 +456,24 @@ def _generate(inst: Instance, horizon: int, ends: np.ndarray | None = None, seed
     schedule, of every allowed pair at its release and of the ``seed``'s
     (machines, jobs, starts), in that order; the master keeps the first of
     equal chains, and ``seed_columns`` counts the seed chains it appended.
+    Its solve starts from the list schedule's chains, ``chain_col[:n]``, one
+    per job, with every capacity row's slack basic.
 
-    Each round solves the master from the previous round's optimal basis
-    and prices every (machine, job) pair in one ``price_chain_multi`` pass
-    against duals smoothed toward the stability center, alpha times the
-    center plus 1 - alpha times the master's duals, then, if the master
-    appends none of the chains found, against the raw master duals; at
-    alpha 0 the two are one pass.  alpha starts at 0.5.  After each round's
-    first pass it falls by 0.1, not below 0, when that pass's subgradient
-    ``load - lengths`` has a positive inner product with the raw xi less
-    the smoothed one, and otherwise rises by a tenth of 1 - alpha, to at
-    most 0.99.  The pass's per-job cheapest chain costs mu_j give the
-    Lagrangian bound sum_j mu_j - sum len_k xi on the LP optimum; a bound
-    that beats the best so far moves the center to the pass's duals.  The
-    run stops when the master objective is within 1e-6 relative of the best
-    bound, and raises ``ChainLpError`` when the raw pass adds no chain while
-    the gap is open.
+    Each later round solves the master from the previous round's optimal
+    basis.  Each round prices every (machine, job) pair in one
+    ``price_chain_multi`` pass against duals smoothed toward the stability
+    center, alpha times the center plus 1 - alpha times the master's duals,
+    then, if the master appends none of the chains found, against the raw
+    master duals; at alpha 0 the two are one pass.  alpha starts at 0.5.
+    After each round's first pass it falls by 0.1, not below 0, when that
+    pass's subgradient ``load - lengths`` has a positive inner product with
+    the raw xi less the smoothed one, and otherwise rises by a tenth of 1 -
+    alpha, to at most 0.99.  The pass's per-job cheapest chain costs mu_j
+    give the Lagrangian bound sum_j mu_j - sum len_k xi on the LP optimum;
+    a bound that beats the best so far moves the center to the pass's
+    duals.  The run stops when the master objective is within 1e-6 relative
+    of the best bound, and raises ``ChainLpError`` when the raw pass adds
+    no chain while the gap is open.
 
     The recovery pass (``_recover``) then makes the master's chains meet
     every block's capacity, and the objective is their cost.
@@ -502,7 +514,7 @@ def _generate(inst: Instance, horizon: int, ends: np.ndarray | None = None, seed
     center_eta = center_xi = center_mu = None
     stats = Counter(seed_columns=sum(appended[n + jobs.size :]), seed_pivots=0)
     for iterations in range(1, MAX_ROUNDS + 1):
-        res, eta, xi = master.solve()
+        res, eta, xi = master.solve(master.chain_col[:n] if iterations == 1 else None)
         stats.update(res.stats)
         if center_eta is None:
             center_eta, center_xi = eta, xi

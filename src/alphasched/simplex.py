@@ -44,12 +44,14 @@ may have an entry there), when an appended row is an equation (it has no
 slack to enter with), or when the extended basis is not primal feasible.
 
 ``solve_lp(lp, start)`` starts from the caller's basic variables instead,
-one per equation row: the basis is those variables, in the order given,
-followed by the slack of every inequality row, in row order, so phase 1 is
-skipped.  A start that does not name such a basis raises: ``LpError`` when
-a variable is missing or repeated or the count is not the number of
-equation rows, ``NumericalError`` when the basis is singular, and
-``LpError`` when it is not primal feasible.
+one per row that a cold start gives an artificial: every equation row, and
+every inequality row whose slack alone is infeasible at x = 0.  The basis
+is those variables, in the order given, followed by the slack or surplus
+of every other row, in row order, so phase 1 is skipped.  A start that
+does not name such a basis raises: ``LpError`` when a variable is missing
+or repeated or the count is not the number of those rows,
+``NumericalError`` when the basis is singular, and ``LpError`` when it is
+not primal feasible.
 
 Pivoting uses Dantzig's rule; the ratio test breaks ties toward the largest
 pivot element.  Degenerate bases, such as the chain-LP masters', are handled
@@ -250,8 +252,10 @@ def solve_lp(lp: LinearProgram, start: np.ndarray | None = None) -> LpSolution:
 
     Without ``start`` the solve resumes from the LP's last optimum, and
     starts cold when it cannot (see the module docstring).  ``start``, an
-    array of LP variables, one per equation row, names the starting basis
-    instead: those variables and every inequality row's slack.  A start
+    array of LP variables, one per row that a cold start gives an
+    artificial (every equation row, and every inequality row whose slack
+    alone is infeasible at x = 0), names the starting basis instead: those
+    variables and every other row's slack or surplus.  A start
     that is not a primal feasible basis raises ``LpError`` (or
     ``NumericalError`` when singular); it never falls back to a cold
     start.  However the solve starts, each pivot that does not lower the
@@ -487,13 +491,19 @@ class _Model:
 
     def start_basis(self, start) -> np.ndarray:
         """The columns of the LP variables ``start``, in that order, and
-        then every inequality row's slack, in row order; ``LpError`` unless
-        ``start`` names distinct variables, one per equation row.  The
-        model is built from nothing, so variable k is column k."""
+        then the slack or surplus of every row without an artificial, in
+        row order; ``LpError`` unless ``start`` names distinct variables,
+        one per row with an artificial: every equation row has one, as it
+        has no slack.  The model is built from nothing, so
+        variable k is column k."""
         start = np.asarray(start, dtype=np.int64).reshape(-1)
-        slacks = self.slack_col[self.slack_col >= 0]
+        own = np.ones(self.cols.m, dtype=bool)  # rows that keep their slack or surplus basic
+        own[self.cols.head_row[self.art]] = False
+        slacks = self.slack_col[own]
         if start.size + slacks.size != self.cols.m:
-            raise LpError(f"a start names one variable per equation row, {self.cols.m - slacks.size}, not {start.size}")
+            raise LpError(
+                f"a start names one variable per row with an artificial, {self.cols.m - slacks.size}, not {start.size}"
+            )
         if start.size and (start.min() < 0 or start.max() >= self.n or np.unique(start).size < start.size):
             raise LpError("a start names distinct variables of the LP")
         return np.concatenate((self.var_col[start], slacks))

@@ -256,14 +256,14 @@ def test_masters_resume_across_rounds(monkeypatch):
     exact = calls[:]
     comp = solve_chain_lp_compressed(inst, 0.5)
     assert len(exact) == sol.iterations > 3 and len(calls) == sol.iterations + comp.iterations
-    # Each solve keeps one live master LP, which only grows, and is given
-    # no start.  Every master but each solve's first resumes the previous
-    # optimum.
+    # Each solve keeps one live master LP, which only grows.  Each solve's
+    # first master is given a start and the later ones none: they resume
+    # the previous optimum.  So every master solve is warm.
     first = [k in (0, len(exact)) for k in range(len(calls))]
     assert [lp is not calls[k - 1][0] for k, (lp, _, _, _) in enumerate(calls)] == first
     assert all(b >= a for (_, a, _, _), (_, b, _, _), new in zip(calls, calls[1:], first[1:]) if not new)
-    assert not any(given for _, _, given, _ in calls)
-    assert [warm for _, _, _, warm in calls] == [not new for new in first]
+    assert [given for _, _, given, _ in calls] == first
+    assert all(warm for _, _, _, warm in calls)
 
 
 def test_stats_sum_the_master_solves(monkeypatch):
@@ -398,7 +398,7 @@ def test_incremental_master_matches_fresh_build(monkeypatch):
     checked = []
     solve = chain_lp._Master.solve
 
-    def checking_solve(master):
+    def checking_solve(master, start=None):
         lp, keys = master.lp, master.keys
         n, K = master.inst.num_jobs, master.ends.size
         rows, rhs, costs, pairs = _fresh_master(master.inst, master.ends, master.columns)
@@ -427,7 +427,7 @@ def test_incremental_master_matches_fresh_build(monkeypatch):
         assert lp.objective.tolist() == costs
         fresh = lp_from_rows(costs, [(list(rows[key]), list(rows[key].values()), ">=" if key[0] == "job" else "<=", b)
                                      for key, b in zip(rows, rhs)])
-        res = solve(master)
+        res = solve(master, start)
         assert res[0].objective == pytest.approx(solve_lp(fresh).objective, rel=1e-9, abs=1e-9)
         checked.append((len(master.columns), len(pairs)))
         return res
@@ -471,14 +471,14 @@ def test_master_columns_differ_in_block_counts(monkeypatch):
     masters = []
     solve = chain_lp._Master.solve
 
-    def checking_solve(master):
+    def checking_solve(master, start=None):
         counts = [_block_counts(c, master.ends) for c in master.columns]
         assert len(counts) == len(set(counts))
         # The LP's other columns are the shift columns, which no chain is.
         assert master.lp.num_vars == len(counts) + master.shift_col.size
         assert (master.lp.objective[master.chain_col] > 0).all() and not master.lp.objective[master.shift_col].any()
         masters.append(len(counts))
-        return solve(master)
+        return solve(master, start)
 
     monkeypatch.setattr(chain_lp._Master, "solve", checking_solve)
     for seed in (9006, 9007):
@@ -519,21 +519,29 @@ def test_first_master_opens_with_the_list_schedule(monkeypatch):
     # The first master's first n chains are the list schedule's, job by job:
     # job j's slots s_j + 1, ..., s_j + p on its machine, each block's share
     # moved to the block's earliest slots after the release.  They load no
-    # block past its length, so the first master is feasible.
+    # block past its length, so with every capacity row's slack they are a
+    # feasible basis, which the first master solve starts from: no phase 1.
+    # Later masters are given no start and resume.
     inst = load_instance(CORPUS / "chain-0002.inst.json")
     n, rel = inst.num_jobs, inst.release_matrix()
     machine, start = list_schedule(inst)
-    added = []
-    add = chain_lp._Master.add
+    added, solves = [], []
+    add, solve_lp = chain_lp._Master.add, chain_lp.solve_lp
 
     def recording_add(master, chains):
         added.append((master.ends, chains))
         return add(master, chains)
 
+    def recording_solve_lp(lp, start=None):
+        solves.append((start, solve_lp(lp, start)))
+        return solves[-1][1]
+
     monkeypatch.setattr(chain_lp._Master, "add", recording_add)
+    monkeypatch.setattr(chain_lp, "solve_lp", recording_solve_lp)
     for solve in (solve_chain_lp, lambda inst: solve_chain_lp_compressed(inst, 0.2)):
         added.clear()
-        solve(inst)
+        solves.clear()
+        sol = solve(inst)
         ends, chains = added[0]
         lengths = np.diff(ends, prepend=0)
         assert [(c.machine, c.job) for c in chains[:n]] == list(zip(machine.tolist(), range(n)))
@@ -545,6 +553,10 @@ def test_first_master_opens_with_the_list_schedule(monkeypatch):
             assert c.slots == tuple(t for k in np.flatnonzero(count) for t in range(first[k], first[k] + count[k]))
             load[c.machine] += count
         assert (load <= lengths).all()
+        # The opening appends its chains first, so they are columns 0..n-1.
+        assert len(solves) == sol.iterations > 1
+        assert solves[0][0].tolist() == list(range(n)) and solves[0][1].warm
+        assert all(given is None and res.warm for given, res in solves[1:])
     assert ends.size < ends[-1]  # the compressed solve's blocks are not all unit ones
 
 
@@ -552,9 +564,9 @@ def _largest_master(monkeypatch, inst):
     rows = []
     solve = chain_lp._Master.solve
 
-    def recording_solve(master):
+    def recording_solve(master, start=None):
         rows.append(master.lp.num_rows)
-        return solve(master)
+        return solve(master, start)
 
     monkeypatch.setattr(chain_lp._Master, "solve", recording_solve)
     sol = solve_chain_lp(inst)
@@ -588,8 +600,8 @@ def _master_objectives(monkeypatch, inst):
     objectives, shift = [], normalize_weights(inst)[1]
     solve = chain_lp._Master.solve
 
-    def recording_solve(master):
-        res = solve(master)
+    def recording_solve(master, start=None):
+        res = solve(master, start)
         objectives.append(float(np.ldexp(res[0].objective, -shift)))
         return res
 
@@ -640,11 +652,11 @@ def test_refused_start_time_lp_skips_the_seed(monkeypatch):
 
 def test_compressed_solves_take_no_seed():
     # The compressed master starts from the list schedule's and the
-    # earliest chains alone, and its pivot path is pinned: 14 rounds and 77
+    # earliest chains alone, and its pivot path is pinned: 14 rounds and 81
     # pivots.
     sol = solve_chain_lp_compressed(load_instance(CORPUS / "chain-0002.inst.json"), 0.2)
     assert sol.stats["seed_columns"] == sol.stats["seed_pivots"] == 0
-    assert (sol.stats["rounds"], sol.stats["pivots"]) == (14, 77)
+    assert (sol.stats["rounds"], sol.stats["pivots"]) == (14, 81)
 
 
 def test_resumed_masters_perturb_at_their_first_stall(monkeypatch):
@@ -678,8 +690,8 @@ def _smoothing_by_round(monkeypatch, inst, solve):
     events = []
     solve_master, price = chain_lp._Master.solve, chain_lp.price_chain_multi
 
-    def recording_solve(master):
-        res = solve_master(master)
+    def recording_solve(master, start=None):
+        res = solve_master(master, start)
         events.append((res[1], res[2], master.lengths))
         return res
 
@@ -720,20 +732,21 @@ def _smoothing_by_round(monkeypatch, inst, solve):
 
 
 def test_smoothing_weight_adapts_every_round(monkeypatch):
-    # The corpus's chain-0002, and the ladder's (8, 2) s = 3, whose alpha
-    # falls to 0 in round 8 of 9: that round prices once, at the raw master
-    # duals.  Both at eps 0.2.
-    corpus, ladder = (
+    # The corpus's chain-0002 and the ladder's (8, 2) s = 3 and s = 7, all
+    # at eps 0.2.  In s = 7 alpha falls to 0 in round 11 of 12: that round
+    # prices once, at the raw master duals.
+    corpus, ladder, falls = (
         _smoothing_by_round(monkeypatch, inst, lambda inst: solve_chain_lp_compressed(inst, 0.2))
         for inst in (
             load_instance(CORPUS / "chain-0002.inst.json"),
             random_instance(np.random.default_rng(8003), 8, 2, p_max=40, r_max=40),
+            random_instance(np.random.default_rng(8007), 8, 2, p_max=40, r_max=40),
         )
     )
-    for rounds in (corpus, ladder):
+    for rounds in (corpus, ladder, falls):
         alpha = np.array([a for a, _ in rounds])
         assert alpha[0] == 0.5 and ((alpha >= 0.0) & (alpha <= 0.99)).all()
         assert (np.diff(alpha) > 0.0).any() and (np.diff(alpha) < 0.0).any()
         assert all(calls == 1 if a == 0.0 else calls in (1, 2) for a, calls in rounds)
-    assert (len(corpus), len(ladder)) == (14, 9)
-    assert [k for k, (a, _) in enumerate(ladder) if a == 0.0] == [7]
+    assert (len(corpus), len(ladder), len(falls)) == (14, 7, 12)
+    assert [k for k, (a, _) in enumerate(falls) if a == 0.0] == [10]

@@ -66,3 +66,11 @@ def test_summary_into_a_closed_pipe_ends_quietly(tmp_path):
         os.close(write)
     assert done.returncode == 1
     assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr, done.stderr
+
+
+def test_epsilon_outside_the_unit_interval_is_a_usage_error(tmp_path):
+    for eps in ("0", "1.5"):
+        done = run("--size", "10", "3", "--epsilon", eps)
+        assert done.returncode == 2 and "--epsilon must lie in (0, 1]" in done.stderr and not done.stdout
+    done = run("--summary", str(tmp_path / "ladder.jsonl"), "--epsilon", "0.2")
+    assert done.returncode == 2 and "--epsilon" in done.stderr

@@ -287,6 +287,30 @@ def test_stats_count_one_solve():
     assert solve_lp(lp_from_rows(np.zeros(2))).stats == dict.fromkeys(simplex.STATS, 0)
 
 
+def test_start_covers_a_covering_row():
+    # min x0 + x1 + 2 x2  s.t.  x0 + x1 + x2 >= 2,  x0 + x1 <= 3,  x2 <= 4.
+    # Row 0's surplus alone is infeasible at x = 0, so a cold start gives it
+    # an artificial, and a start names a variable for it: x0 = 2, with the
+    # slacks of rows 1 and 2 basic, is optimal and takes no pivot.
+    lp = lp_from_rows([1.0, 1.0, 2.0], [
+        ([0, 1, 2], [1.0, 1.0, 1.0], ">=", 2.0),
+        ([0, 1], [1.0, 1.0], "<=", 3.0),
+        ([2], [1.0], "<=", 4.0),
+    ])
+    res = solve_lp(lp, [0])
+    assert res.warm and res.status == "optimal" and res.iterations == 0
+    assert res.objective == 2.0 and res.x.tolist() == [2.0, 0.0, 0.0]
+    basic, slack_rows = live_basis(lp)
+    assert basic.tolist() == [0] and slack_rows.tolist() == [1, 2]
+    # The LP has no equation row, but a start sized by equation rows alone
+    # names no variable for row 0.
+    with pytest.raises(LpError, match="start names"):
+        solve_lp(lp, [])
+    # x2 = 2 is a feasible start too, and the solve pivots to x0 or x1.
+    res = solve_lp(lp, [2])
+    assert res.warm and res.iterations > 0 and res.objective == 2.0
+
+
 # A chain-LP master of random_instance(default_rng(8010), 8, 2, p_max=40,
 # r_max=40), the 39th of its exact column generation: a degenerate set
 # partitioning LP (224 capacity rows <= 1, 8 job rows >= 1, 877 chains), on

@@ -99,8 +99,11 @@ def _check_certificate(lp, res):
     assert abs(res.objective - float(lp.objective @ x)) <= TOL * scale
 
 
-def _inequality_rows(lp):
-    return np.array([k for k, (_, _, sense, _) in enumerate(lp.rows) if sense != "=="], dtype=np.int64)
+def _own_slack_rows(lp):
+    """The rows whose slack or surplus alone is feasible at x = 0: the
+    inequality rows a cold start gives no artificial."""
+    own = [sense == "<=" and rhs >= 0 or sense == ">=" and rhs <= 0 for _, _, sense, rhs in lp.rows]
+    return np.flatnonzero(own)
 
 
 def _hint_is_feasible_basis(lp, columns, slack_rows):
@@ -133,14 +136,15 @@ def test_solve_lp_matches_oracle_and_certifies(lp, rnd):
     assert res.objective == pytest.approx(value, abs=TOL * (1 + abs(value)))
     _check_certificate(lp, res)
 
-    # A start of one variable per equation row, with every inequality
-    # row's slack, solves warm to the same optimum if it is a nonsingular,
-    # primal feasible basis, and raises otherwise.
-    slacks = _inequality_rows(lp)
-    equations = len(lp.rows) - slacks.size
-    if equations > lp.num_vars:
+    # A start of one variable per row that a cold start gives an
+    # artificial, with every other row's slack or surplus, solves warm to
+    # the same optimum if it is a nonsingular, primal feasible basis, and
+    # raises otherwise.
+    slacks = _own_slack_rows(lp)
+    covered = len(lp.rows) - slacks.size
+    if covered > lp.num_vars:
         return
-    start = np.array(rnd.sample(range(lp.num_vars), equations), dtype=np.int64)
+    start = np.array(rnd.sample(range(lp.num_vars), covered), dtype=np.int64)
     if not _hint_is_feasible_basis(lp, start, slacks):
         with pytest.raises((LpError, NumericalError)):
             solve_lp(lp, start)
@@ -278,9 +282,10 @@ def test_resume_after_appending_matches_cold_solve(lp, data):
     _assert_same_answer(res, solve_lp(_copy(lp)), lp)
     if res.status == "optimal":
         columns, slack_rows = live_basis(lp)
-        if columns.size + slack_rows.size == lp.num_rows and slack_rows.tolist() == _inequality_rows(lp).tolist():
-            # No artificial and every slack is basic: the resumed optimum's
-            # variables are a start of the grown LP, at its optimum.
+        if columns.size + slack_rows.size == lp.num_rows and slack_rows.tolist() == _own_slack_rows(lp).tolist():
+            # No artificial, and the slack of every row without one is
+            # basic: the resumed optimum's variables are a start of the
+            # grown LP, at its optimum.
             again = solve_lp(_copy(lp), columns)
             assert again.warm and again.iterations == 0
     if first.status != "optimal":

@@ -1,13 +1,17 @@
-"""Solve the exact chain-LP ladder and write one JSON line per instance.
+"""Solve the chain-LP ladder and write one JSON line per instance.
 
     python3 tools/ladder.py                  # all 45 instances
     python3 tools/ladder.py --size 10 3      # the 15 instances of one size
     python3 tools/ladder.py --size 10 3 --expect tools/ladder-10-3.jsonl
+    python3 tools/ladder.py --size 12 2 --epsilon 0.2 \
+        --expect tools/ladder-12-2-eps0.2.jsonl
 
 Run from anywhere; the library is imported from this checkout's ``src/``.
 Ladder instance (n, m) s is ``random_instance(default_rng(1000 n + s), n,
 m, p_max=40, r_max=40)``, for (n, m) in (8, 2), (10, 3), (12, 2) and s =
-0..14, solved by ``solve_chain_lp`` (exact, unit blocks).  Each line holds
+0..14, solved by ``solve_chain_lp`` (exact, unit blocks), or with
+``--epsilon EPS`` by ``solve_chain_lp_compressed(inst, EPS)`` on the
+block-compressed timeline, whose master takes no seed.  Each line holds
 n, m, s, the objective as ``float.hex``, the column-generation rounds, the
 gap ratio ``gap_bound / (1 + objective)``, the master solves' pivots,
 perturbations and dual repair pivots, the start-time LP chains that seeded
@@ -24,7 +28,9 @@ lacks the instance; else 0.  ``tools/ladder-10-3.jsonl``,
 ``tools/ladder-8-2.jsonl`` and ``tools/ladder-12-2.jsonl`` hold the (10,
 3), (8, 2) and (12, 2) objectives, rounds and pivots, so a change that
 keeps the objectives but takes another pivot path shows there too; CI
-checks all three sizes, so every ladder path is pinned.
+checks all three sizes, so every exact ladder path is pinned.
+``tools/ladder-12-2-eps0.2.jsonl`` holds the (12, 2) ones at eps 0.2,
+which CI checks too, so the compressed path is pinned as well.
 
     python3 tools/ladder.py --summary ladder.jsonl
 
@@ -57,7 +63,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from alphasched.bench import random_instance  # noqa: E402
-from alphasched.chain_lp import ChainLpError, solve_chain_lp  # noqa: E402
+from alphasched.chain_lp import ChainLpError, solve_chain_lp, solve_chain_lp_compressed  # noqa: E402
 from alphasched.simplex import LpError, NumericalError  # noqa: E402
 
 SIZES = ((8, 2), (10, 3), (12, 2))
@@ -67,12 +73,13 @@ OBJECTIVE_RTOL = 1e-9
 EXACT = ("rounds", "pivots")  # compared exactly when an expectation line holds them
 
 
-def solve(n: int, m: int, s: int) -> dict:
+def solve(n: int, m: int, s: int, eps: float | None = None) -> dict:
+    """The ladder line of instance (n, m) s, exact or at ``eps``."""
     inst = random_instance(np.random.default_rng(1000 * n + s), n, m, p_max=40, r_max=40)
     line = {"n": n, "m": m, "s": s}
     start = time.perf_counter()
     try:
-        sol = solve_chain_lp(inst)
+        sol = solve_chain_lp(inst) if eps is None else solve_chain_lp_compressed(inst, eps)
     except (ChainLpError, LpError, NumericalError) as exc:  # reported, and the ladder goes on
         line.update(error=f"{type(exc).__name__}: {exc}", seconds=time.perf_counter() - start)
         return line
@@ -153,16 +160,22 @@ def main(argv=None) -> int:
         "solved instance must match",
     )
     parser.add_argument(
+        "--epsilon", type=float, metavar="EPS",
+        help="solve the compressed chain LP at EPS, in (0, 1], instead of the exact one",
+    )
+    parser.add_argument(
         "--summary", type=Path, metavar="PATH",
         help="print the summary of the ladder JSON lines in PATH instead of solving",
     )
     args = parser.parse_args(argv)
     if args.summary:
-        if args.size or args.expect:
-            parser.error("--summary reads its lines from PATH; it takes no --size or --expect")
+        if args.size or args.expect or args.epsilon is not None:
+            parser.error("--summary reads its lines from PATH; it takes no --size, --expect or --epsilon")
         lines = args.summary.read_text(encoding="utf-8").splitlines()
         print("\n".join(summary([json.loads(line) for line in lines if line.strip()])))
         return 0
+    if args.epsilon is not None and not 0.0 < args.epsilon <= 1.0:
+        parser.error(f"--epsilon must lie in (0, 1], got {args.epsilon}")
     expected = None
     if args.expect:
         lines = map(json.loads, args.expect.read_text(encoding="utf-8").splitlines())
@@ -174,7 +187,7 @@ def main(argv=None) -> int:
     ok = True
     for n, m in sizes:
         for s in range(SEEDS):
-            line = solve(n, m, s)
+            line = solve(n, m, s, args.epsilon)
             ok &= "error" not in line and line["gap_ratio"] <= GAP_RATIO_MAX
             print(json.dumps(line), flush=True)
             if expected is not None and "error" not in line:
