@@ -8,7 +8,7 @@ import numpy as np
 
 from .chain_lp import solve_chain_lp
 from .distributions import OffsetDistribution, from_spec
-from .instance import FORBIDDEN, Instance
+from .instance import FORBIDDEN, Instance, refuse_oversized
 from .interval_lp import solve_interval_lp
 from .oracle import GuardExceeded, brute_force_nonpreemptive, brute_force_preemptive
 from .rounding import estimate_ratio
@@ -28,9 +28,12 @@ def random_instance(
     [1, w_max]; each (job, machine) pair is forbidden with ``forbid_prob``
     (a job's row is redrawn while fully forbidden).  Raises ValueError on
     settings no instance meets: fewer than one job or machine, p_max below
-    1, r_max below 0, or forbid_prob outside [0, 1)."""
+    1, r_max below 0, or forbid_prob outside [0, 1); and, before it
+    allocates, an instance whose tables would keep over
+    ``MAX_KEPT_BYTES``."""
     if num_jobs < 1 or num_machines < 1:
         raise ValueError("need at least one job and one machine")
+    refuse_oversized(8 * num_jobs * (num_machines + 2), f"{num_jobs} jobs on {num_machines} machines")
     if p_max < 1 or r_max < 0:
         raise ValueError("need p_max >= 1 and r_max >= 0")
     if not 0.0 <= forbid_prob < 1.0:

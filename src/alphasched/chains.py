@@ -67,8 +67,20 @@ class Chain:
 
 
 def chain_eval_many(slot_matrix: np.ndarray, chain_idx: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Vectorized A(v) over a padded slot matrix (rows are chains)."""
-    k = np.ceil(work - 1e-12).astype(np.int64)
-    np.clip(k, 1, slot_matrix.shape[1], out=k)
-    slots = slot_matrix[chain_idx, k - 1]
-    return slots + work - k
+    """A(v) of each work value v on its chain, ``Chain.at`` to the bit.
+
+    ``slot_matrix`` holds one chain per row, its slots padded to the width
+    L of the longest, and ``chain_idx`` names each value's row.  As in
+    ``Chain.at``, k = ceil(v - 1e-12) clipped to [1, L] is the slot v ends
+    in; it is formed in floating point and clipped in place, and slot k is
+    read by one take on the flat row-major table, at chain * L + k - 1.
+    The result is float(slot) + v - k, summed in that order."""
+    width = slot_matrix.shape[1]
+    k = np.ceil(work - 1e-12)
+    np.clip(k, 1, width, out=k)
+    index = np.multiply(chain_idx, width, dtype=np.int64)
+    index += k.astype(np.int64)
+    index -= 1
+    out = np.add(np.ravel(slot_matrix).take(index), work)
+    out -= k
+    return out

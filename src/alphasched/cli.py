@@ -20,7 +20,7 @@ import numpy as np
 from .bench import BENCH_COLUMNS, bench_random_suite, parse_bench_config, random_instance
 from .chain_lp import ChainLpError, solve_chain_lp, solve_chain_lp_compressed
 from .distributions import DistributionError, OffsetDistribution, from_spec
-from .instance import InstanceError, ScheduleError, instance_to_json, load_instance
+from .instance import InstanceError, ScheduleError, instance_to_json, load_instance, refuse_oversized
 from .interval_lp import IntervalLpError, solve_interval_lp
 from .lowerbound import run_lb_experiment
 from .oracle import DEFAULT_GUARD, GuardExceeded, brute_force_nonpreemptive, brute_force_preemptive
@@ -43,6 +43,13 @@ _ERRORS = (
 )
 
 FULL_RANGE_DEFAULT = 1000  # compression engages above this horizon
+
+# What a report keeps per value it writes, at most: the value's object in its
+# row and its share of the text.  tracemalloc read about 100 bytes per CSV
+# value and 200 per JSON value for the rounding reports, and about 100 per
+# size and 1,000 per job for a generated instance, whose job counts as 4
+# values besides its sizes.
+REPORT_VALUE_BYTES = 256
 
 
 def _fmt(x) -> str:
@@ -67,10 +74,18 @@ def _emit(args, columns: list[str], rows: list[list]) -> None:
         sys.stdout.write(text)
 
 
+def _refuse_report(rows: int, values: int, floats: int, what: str) -> None:
+    """Refuse, before any work, a report of ``rows`` rows of ``values``
+    values each, written from ``floats`` float64 values per row, when they
+    would keep over ``MAX_KEPT_BYTES`` in all."""
+    refuse_oversized(rows * (REPORT_VALUE_BYTES * values + 8 * floats), what)
+
+
 # -- subcommand implementations ------------------------------------------
 
 
 def _cmd_gen(args) -> None:
+    _refuse_report(args.n, args.m + 4, args.m + 2, f"an instance of {args.n} jobs on {args.m} machines")
     rng = np.random.default_rng(args.seed)
     inst = random_instance(
         rng,
@@ -120,13 +135,15 @@ def _cmd_solve_chain(args) -> None:
 def _cmd_round(args) -> None:
     inst = load_instance(args.instance)
     dist = from_spec(args.dist)
+    columns = ["trial", "objective", "ratio"]
+    if args.per_job:
+        columns += [f"c{j}" for j in range(inst.num_jobs)]
+    # The rows, and the completions and objectives they are written from.
+    _refuse_report(args.trials, len(columns), inst.num_jobs + 1, f"a report of {args.trials} trials")
     sol = solve_interval_lp(inst)
     rng = np.random.default_rng(args.seed)
     conv, _, _ = simulate_rounding(inst, sol, dist, rng, args.trials, full=False)
     objectives = conv @ inst.weights
-    columns = ["trial", "objective", "ratio"]
-    if args.per_job:
-        columns += [f"c{j}" for j in range(inst.num_jobs)]
     rows = []
     for t in range(args.trials):
         row = [t, float(objectives[t]), float(objectives[t] / sol.objective)]
@@ -143,6 +160,8 @@ def _cmd_round(args) -> None:
 def _cmd_round_preemptive(args) -> None:
     inst = load_instance(args.instance)
     dist = from_spec(args.dist) if args.dist else OffsetDistribution.clipped_uniform(args.clip)
+    # The rows, and the two objectives they are written from.
+    _refuse_report(args.trials, 4, 2, f"a report of {args.trials} trials")
     sol = solve_chain_lp(inst)
     rng = np.random.default_rng(args.seed)
     obj, obj_int, _ = simulate_preemptive_rounding(inst, sol, dist, rng, args.trials, full=False)
@@ -282,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("round-preemptive", help="Monte Carlo rounding of the chain LP")
     p.add_argument("instance")
-    p.add_argument("--lambda", dest="clip", type=float, default=1.0 / 5100.0)
-    p.add_argument("--dist", default=None, help="override the clipped-uniform offset law")
+    law = p.add_mutually_exclusive_group()
+    law.add_argument("--lambda", dest="clip", type=float, default=1.0 / 5100.0, help="clip of the clipped-uniform law")
+    law.add_argument("--dist", default=None, help="another offset law in place of the clipped-uniform one")
     p.add_argument("--trials", type=int, required=True)
     p.set_defaults(func=_cmd_round_preemptive)
 

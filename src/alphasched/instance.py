@@ -24,6 +24,22 @@ import numpy as np
 
 FORBIDDEN = -1
 
+# Largest table one call may keep of values that grow with a count it is
+# given: a rounding's per-trial arrays and report rows, or a generated
+# instance and its file text.  1 GiB; a call over it raises ValueError
+# before it allocates the table (``refuse_oversized``).
+MAX_KEPT_BYTES = 2**30
+
+
+def refuse_oversized(nbytes: int, what: str) -> None:
+    """Raise ValueError, naming ``what`` and its size, when ``nbytes`` is
+    over ``MAX_KEPT_BYTES``."""
+    if nbytes > MAX_KEPT_BYTES:
+        raise ValueError(
+            f"too large: {what} would keep {nbytes / 2**20:.0f} MiB, "
+            f"over the {MAX_KEPT_BYTES / 2**20:.0f} MiB limit"
+        )
+
 
 class InstanceError(ValueError):
     """Malformed instance data (bad schema, bad sizes, impossible job)."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance
+from .instance import Instance, refuse_oversized
 from .interval_lp import solution_from_triples
 
 
@@ -126,6 +126,7 @@ def run_lb_experiment(eps: float, T: int, trials: int, seed: int) -> LowerBoundR
     k, T = _machines_and_horizon(eps, T)
     if trials < 1:
         raise ValueError("need at least one trial")
+    refuse_oversized(16 * trials, f"{trials} trials")  # main and extra below
     rng = np.random.default_rng(seed)
     w_big = eps / math.e
     t_idx = np.arange(1, T + 1)

@@ -15,6 +15,13 @@ trials' fractional-start and integral objectives, which is all
 ``estimate_ratio_preemptive`` and the CLI report.  Trials run in blocks
 through ``rounding._run_trials``, and the machines are sequenced by
 ``rounding._sequence``, its per-trial arrays passed as entry tables.
+
+Per block, v = theta * p is formed in place of the block's offsets, and
+``chains.chain_eval_many`` reads each A(v) by one take on the flat slot
+table of the solution's chains.  Without ``full``, the block's fractional
+and integral completions are sequenced into one stacked (2, block, n)
+buffer, and ``_objectives`` reduces both in one pass over the jobs into
+one (2, block) buffer; both buffers are made once per call.
 """
 
 from __future__ import annotations
@@ -72,14 +79,16 @@ class _ChainSampler:
         self.span = float(self.slots.max() + 1)
 
 
-def _objectives(completion: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
-    """Weighted objectives of (trials, n) completions, summed over the jobs
-    left to right for each trial: unlike a matrix product, whose summation
-    order may change with the number of rows, each trial's value does not
-    depend on the trials that share its block."""
-    out = np.multiply(completion[:, 0], weights[0], out=out)
-    for k in range(1, completion.shape[1]):
-        out += completion[:, k] * weights[k]
+def _objectives(completions: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
+    """Weighted objectives of (..., trials, n) completions, such as the
+    stacked (2, trials, n) fractional and integral tables, reduced in one
+    pass over the jobs: each trial is summed left to right.  Unlike a
+    matrix product, whose summation order may change with the number of
+    rows, each trial's value then does not depend on the trials that share
+    its block."""
+    out = np.multiply(completions[..., 0], weights[0], out=out)
+    for k in range(1, completions.shape[-1]):
+        out += completions[..., k] * weights[k]
     return out
 
 
@@ -97,22 +106,25 @@ def simulate_preemptive_rounding(
     to its trials' weighted objectives: the result is (fractional-start
     objectives, integral objectives, None), one value per trial."""
     sampler = _ChainSampler(inst, sol)
-    # Without full, every block's completions go to the same two arrays.
-    work = None if full else np.empty((2, _block_trials(inst.num_jobs), inst.num_jobs))
+    if not full:
+        # Every block's two completion tables, and their objectives, go to
+        # the same two buffers.
+        block = _block_trials(inst.num_jobs)
+        tables, objectives = np.empty((2, block, inst.num_jobs)), np.empty((2, block))
 
     def step(e, theta, frac, integral, *draws):
         machine, size = sampler.machines[e], sampler.sizes[e]
-        tau = chain_eval_many(sampler.slots, e, theta * size)
+        # v = theta * p, formed in place of the offsets, which the block owns.
+        tau = chain_eval_many(sampler.slots, e, np.multiply(theta, size, out=theta))
         args = (machine * sampler.span + tau, machine, size, tau + size, np.ceil(tau) + size)
-        if not full:
-            completions = work[:, : e.shape[0]]
-            _sequence_trials(*args, out=completions)
-            for completion, objective in zip(completions, (frac, integral)):
-                _objectives(completion, inst.weights, out=objective)
+        if full:
+            _sequence_trials(*args, out=(frac, integral))
+            for kept, drawn in zip(draws, (machine, tau)):
+                kept[...] = drawn
             return
-        _sequence_trials(*args, out=(frac, integral))
-        for kept, block in zip(draws, (machine, tau)):
-            kept[...] = block
+        rows = e.shape[0]
+        _sequence_trials(*args, out=tables[:, :rows])
+        frac[...], integral[...] = _objectives(tables[:, :rows], inst.weights, out=objectives[:, :rows])
 
     shape = (inst.num_jobs,) if full else ()
     dtypes = (float, float, np.int64, float) if full else (float, float)
@@ -135,8 +147,8 @@ def round_preemptive_once(
     sizes = inst.sizes[np.arange(inst.num_jobs), machine[0]]
     starts = np.rint(integral[0] - sizes).astype(np.int64)
     sched = NonPreemptiveSchedule(machine=machine[0], start=starts)
-    w = inst.weights
-    return sched, float(_objectives(frac, w)[0]), float(_objectives(integral, w)[0]), tau[0]
+    objective, integral_objective = _objectives(np.stack((frac, integral)), inst.weights)[:, 0]
+    return sched, float(objective), float(integral_objective), tau[0]
 
 
 def estimate_ratio_preemptive(

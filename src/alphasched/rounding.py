@@ -32,12 +32,13 @@ caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import OffsetDistribution
-from .instance import Instance, NonPreemptiveSchedule
+from .instance import Instance, NonPreemptiveSchedule, refuse_oversized
 from .interval_lp import FractionalIntervalSolution, validate_fractional
 
 
@@ -89,6 +90,11 @@ def _block_trials(n: int) -> int:
     return max(1, BLOCK_BYTES // (8 * max(n, 1)))
 
 
+def _entry_dtype(cdfs: list) -> np.dtype:
+    """The smallest unsigned dtype that holds every flat support entry."""
+    return np.min_scalar_type(sum(cdf.size for cdf in cdfs) - 1)
+
+
 def _draw_categorical(rng: np.random.Generator, cdfs: list, trials: int) -> np.ndarray:
     """Per job j, ``trials`` flat support entries drawn from its cumulative
     masses ``cdfs[j]`` by one ``rng.random(trials)`` call, in job order.
@@ -98,7 +104,7 @@ def _draw_categorical(rng: np.random.Generator, cdfs: list, trials: int) -> np.n
     right-sided search of the whole cdf finds, clipped to the support.
     Column j of the (trials, n) result is job j's, in the smallest unsigned
     dtype that holds every entry."""
-    dtype = np.min_scalar_type(sum(cdf.size for cdf in cdfs) - 1)
+    dtype = _entry_dtype(cdfs)
     k = np.empty((trials, len(cdfs)), dtype)
     count = np.empty(trials, dtype)
     first = 0
@@ -124,9 +130,16 @@ def _run_trials(
     trial order, as one (trials, n) draw would.  Returns one array of shape
     (trials, *shape) per (dtype, shape) entry of ``arrays``; ``step(e,
     theta, *outs)`` gets a block's int64 flat support entries, its offsets
-    (its own to overwrite) and its rows of those arrays, which it fills."""
+    (its own to overwrite) and its rows of those arrays, which it fills.
+
+    Those arrays and the support entries are what the loop keeps per
+    trial; over ``MAX_KEPT_BYTES`` in all, it raises ValueError before it
+    allocates them."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    per_trial = _entry_dtype(cdfs).itemsize * len(cdfs)
+    per_trial += sum(np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in arrays)
+    refuse_oversized(trials * per_trial, f"{trials} trials")
     outs = [np.empty((trials, *shape), dtype) for dtype, shape in arrays]
     entries = _draw_categorical(rng, cdfs, trials)
     block = _block_trials(len(cdfs))

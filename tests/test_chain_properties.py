@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from alphasched.chains import Chain, chain_eval_many  # noqa: E402
 
@@ -22,17 +22,37 @@ def works(length):
     return st.floats(min_value=0.0, max_value=float(length), exclude_min=True)
 
 
+@st.composite
+def lookups(draw):
+    """Up to 4 chains, and up to 8 (chain, work) pairs on them."""
+    group = draw(st.lists(chains(), min_size=1, max_size=4))
+    idx = draw(st.lists(st.integers(0, len(group) - 1), min_size=1, max_size=8))
+    return group, idx, [draw(works(group[i].length)) for i in idx]
+
+
+def chain(*slots):
+    return Chain(machine=0, job=0, slots=slots)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(chains(), min_size=1, max_size=4), st.data())
-def test_chain_eval_many_matches_at(group, data):
+@given(lookups())
+# Work at an integer, where A(v) is the slot's right end.
+@example(([chain(3, 5, 9)], [0, 0, 0], [1.0, 2.0, 3.0]))
+# Within 1e-12 above and below an integer, which count as the integer.
+@example(([chain(3, 5, 9)], [0] * 6, [1 + 5e-13, 1 + 1e-12, 2 - 5e-13, 2 - 1e-12, 2 + 5e-13, 3 - 5e-13]))
+# In (0, 1e-12], which lies in the first slot.
+@example(([chain(3, 5, 9)], [0, 0, 0], [5e-324, 1e-13, 1e-12]))
+# Chains shorter than the padded width: their ends, and near them, never
+# read the padding.
+@example(([chain(4), chain(3, 5, 9), chain(1, 7)], [0, 0, 2, 2, 2, 1], [1.0, 1 - 5e-13, 2.0, 2 - 5e-13, 1e-12, 3.0]))
+def test_chain_eval_many_matches_at(case):
+    group, idx, work = case
     # The padded slot matrix is laid out as the preemptive sampler builds it.
     width = max(c.length for c in group)
     slot_matrix = np.zeros((len(group), width), dtype=np.int64)
     for k, c in enumerate(group):
         slot_matrix[k, : c.length] = c.slots
-    idx = np.array(data.draw(st.lists(st.integers(0, len(group) - 1), min_size=1, max_size=8)))
-    work = np.array([data.draw(works(group[i].length)) for i in idx])
-    got = chain_eval_many(slot_matrix, idx, work)
+    got = chain_eval_many(slot_matrix, np.array(idx), np.array(work))
     assert got.tolist() == [group[i].at(v) for i, v in zip(idx, work)]
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -218,6 +219,56 @@ def test_impossible_generator_settings_exit_one(tmp_path):
         assert message in proc.stderr and "Traceback" not in proc.stderr, argv
 
 
+def test_oversized_inputs_exit_one_in_a_capped_process(tmp_path):
+    """Each subcommand that takes a count refuses an oversized one before it
+    allocates: exit 1, one error line and no traceback.  The child's
+    address space is capped at 512 MiB, below what any of these inputs
+    would allocate unguarded (rounding 10^8 trials, say, asks for GiBs at
+    once), so a missing guard fails here as a MemoryError traceback and
+    never draws on the machine's memory.  analyze-dist takes no count."""
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    small = write_instance(tmp_path)
+    wide = write("wide.inst.json", {
+        "machines": 20, "jobs": [{"release": r, "weight": 1.0, "sizes": [80] * 20} for r in (0, 0, 360)],
+    })
+    far = write("far.inst.json", {
+        "machines": 2, "jobs": [{"release": r, "weight": 1.0, "sizes": [2, 3]} for r in (0, 10**12)],
+    })
+    many = write("many.inst.json", {
+        "machines": 3, "jobs": [{"release": 0, "weight": 1.0, "sizes": [1, 1, 1]} for _ in range(15)],
+    })
+    config = write("bench.json", {"trials": 5, "generators": [{"n": 5_000_000, "m": 50}]})
+    cap = 512 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(
+        os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(Path(alphasched.__file__).resolve().parents[1])
+    )
+    for argv in [
+        ("gen", "--n", "5000000", "--m", "50"),
+        ("solve-interval", wide, "--full"),
+        ("solve-chain", far),
+        ("round", small, "--trials", "100000000"),
+        ("round-preemptive", small, "--trials", "100000000"),
+        ("oracle", many, "--mode", "np"),
+        ("lowerbound", "--epsilon", "0.5", "--horizon", "8", "--trials", "10000000000"),
+        ("bench", "--config", config),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "alphasched.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit,
+        )
+        assert proc.returncode == 1 and proc.stdout == "", (argv, proc.stderr)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("alphasched: error: "), (argv, proc.stderr)
+
+
 def test_bench_seed_flag_overrides_config(tmp_path, capsys):
     def config(name, **seed):
         doc = {"trials": 50, "dists": ["uniform"], "generators": [{"count": 2, "n": 3, "m": 2}], **seed}
@@ -320,6 +371,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(capsys, "--threads", "2", "analyze-dist", "--dist", "uniform")[0] == 2  # removed flag
     # --full and --epsilon contradict each other: a usage error, not a silent choice.
     code, out, err = run(capsys, "solve-interval", write_instance(tmp_path), "--full", "--epsilon", "0.5")
+    assert code == 2 and out == "" and "not allowed with" in err
+    # So do --dist and --lambda: the law --dist names has no clip to take.
+    argv = ("round-preemptive", write_instance(tmp_path), "--dist", "uniform", "--lambda", "0.1", "--trials", "3")
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "not allowed with" in err
 
 

@@ -314,6 +314,23 @@ def test_preemptive_results_do_not_depend_on_the_block_length(instances):
                 assert np.array_equal(a, b)
 
 
+def test_preemptive_objectives_agree_with_and_without_full(instances):
+    """Each block's objectives, reduced from its stacked completion tables,
+    are ``_objectives`` of the completions ``full=True`` returns, to the
+    bit, at and around the block edges."""
+    dist = default_offset_distribution()
+    for inst, _, sol in instances:
+        for trials in block_edge_trials(inst.num_jobs):
+            frac, integral, draws = simulate_preemptive_rounding(
+                inst, sol, dist, np.random.default_rng(trials), trials, full=False
+            )
+            want = simulate_preemptive_rounding(inst, sol, dist, np.random.default_rng(trials), trials)
+            assert draws is None
+            for got, completion in zip((frac, integral), want[:2]):
+                assert got.shape == (trials,)
+                assert np.array_equal(got, preemptive._objectives(completion, inst.weights))
+
+
 # -- one rounding pass ------------------------------------------------------------
 
 
