@@ -222,10 +222,11 @@ def test_impossible_generator_settings_exit_one(tmp_path):
 def test_oversized_inputs_exit_one_in_a_capped_process(tmp_path):
     """Each subcommand that takes a count refuses an oversized one before it
     allocates: exit 1, one error line and no traceback.  The child's
-    address space is capped at 512 MiB, below what any of these inputs
-    would allocate unguarded (rounding 10^8 trials, say, asks for GiBs at
-    once), so a missing guard fails here as a MemoryError traceback and
-    never draws on the machine's memory.  analyze-dist takes no count."""
+    address space is capped at 512 MiB: a missing guard on an input that
+    allocates past that (rounding 10^8 trials asks for GiBs at once) fails
+    here as a MemoryError traceback and never draws on the machine's
+    memory, and one that runs long hits the timeout.  analyze-dist takes
+    no count."""
     def write(name, doc):
         path = tmp_path / name
         path.write_text(json.dumps(doc))
