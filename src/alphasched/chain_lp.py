@@ -431,7 +431,11 @@ class _Master:
         at most 1e-12 (the non-negative form pricing takes).  Without
         ``start`` the solve resumes from the last optimum; ``start``, one
         chain column per job, in job order, names the starting basis: those
-        chains and every capacity row's slack (see ``solve_lp``)."""
+        chains and every capacity row's slack (see ``solve_lp``).  A resume
+        has no restart path, as it cannot fail: the master appends only
+        ``<=`` rows with right-hand sides >= 0, so each new row enters with
+        its slack feasible, and the old basic values do not change.  One
+        that failed would raise ``LpError``."""
         n, K = self.inst.num_jobs, self.ends.size
         res = solve_lp(self.lp, start)
         if res.status != "optimal":

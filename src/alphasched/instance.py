@@ -240,16 +240,12 @@ def load_instance(path: str | Path) -> Instance:
 
 
 def instance_to_json(inst: Instance) -> str:
-    """Serialize back to the instance schema (canonical ``.inst.json``)."""
-    jobs = []
-    for j in range(inst.num_jobs):
-        row = [None if inst.sizes[j, i] == FORBIDDEN else int(inst.sizes[j, i]) for i in range(inst.num_machines)]
-        rel = (
-            [int(x) for x in inst.releases[j]]
-            if inst.per_machine_releases
-            else int(inst.releases[j])
-        )
-        jobs.append({"release": rel, "weight": float(inst.weights[j]), "sizes": row})
+    """Serialize back to the instance schema (canonical ``.inst.json``).
+    The arrays are read through ``tolist``, as Python ints and floats."""
+    jobs = [
+        {"release": r, "weight": w, "sizes": [None if p == FORBIDDEN else p for p in row]}
+        for r, w, row in zip(inst.releases.tolist(), inst.weights.tolist(), inst.sizes.tolist())
+    ]
     doc = {"name": inst.name, "machines": inst.num_machines, "jobs": jobs}
     doc.update(inst.meta)
     return json.dumps(doc, indent=2, sort_keys=False)

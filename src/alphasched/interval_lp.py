@@ -19,26 +19,26 @@ two retained times, so the mass at a skipped time equals the mass at the
 preceding retained one), and the compressed optimum is at most a (1 + eps)
 factor above the full one.  Both properties are re-verified post hoc.
 
-The solve starts from a list schedule instead of the simplex's two-phase
-cold start.  Jobs go in Smith's-rule order (w_j / min_i p_ij, largest
-first), and each takes the admissible start that finishes it earliest
-without overlapping the jobs placed before it, gaps included.  The schedule
-is made from the instance and the start set alone, before any LP exists, in
-one loop over Python ints.  Over the full range a job can always be placed
-after every placed one, and no horizon is read: each machine's last finish
-stays at most r_max + the sum of the placed jobs' max_i p_ij, which is at
-most T.  On a compressed start set placement can fail, and the solve then
-builds the whole LP and starts cold.
+The solve starts from a list schedule.  Jobs go in Smith's-rule order
+(w_j / min_i p_ij, largest first), and each takes the admissible start
+that finishes it earliest without overlapping the jobs placed before it,
+gaps included.  The schedule is made from the instance and the start set
+alone, before any LP exists, in one loop over Python ints.  It exists over
+the full range and over every compressed start set, as ``list_schedule``
+proves: each machine's last finish stays at most r_max + the sum of the
+placed jobs' max_i p_ij over the full range, and at most (1 + delta) to
+the number of placed jobs times that on a compressed set, which ends by
+its horizon.
 
 The LP is built only up to T0, the list schedule's makespan: the starts that
 finish by T0 and the cover rows of the times up to it.  The schedule's n
 variables are the simplex's start, and with every cover row's slack they
 form a basis: each job row holds only its job's chosen column, and the
 cover slacks are unit columns, so the basis is nonsingular, and every slack
-is 0 or 1, so it is primal feasible, and phase 1 is skipped.  That vertex
-is highly degenerate (the slack of every cover time a job holds is basic at
-zero), so the simplex perturbs the right-hand side at its first pivot that
-does not lower the objective, as every solve does.
+is 0 or 1, so it is primal feasible.  That vertex is highly degenerate (the
+slack of every cover time a job holds is basic at zero), so the simplex
+perturbs the right-hand side at its first pivot that does not lower the
+objective, as every solve does.
 
 Then every start of the full range (up to T, worked out once per solve, or
 the whole compressed start set) is priced against the duals, with a cover
@@ -58,7 +58,7 @@ repeats.  Such a solve repeats the first one's pivots; few solves grow, and
 a fresh build keeps one way to lay out the LP.  Past the horizon a start's
 term only grows with s, so each pair is priced up to its first start at or
 after the horizon.  Where the optimum is tied, the returned vertex can
-differ from the one a solve of the whole LP, warm or cold, reaches.
+differ from the one a solve of the whole LP reaches.
 
 The LP is built as the chain LP's master is, and as ``LinearProgram``
 takes it: its rows first, with no entries, and then every variable as one
@@ -286,16 +286,34 @@ def _admissible(starts: StartTimeSet | None, jobs, machines, first, last):
 def list_schedule(inst: Instance, starts: StartTimeSet | None = None) -> tuple[np.ndarray, np.ndarray] | None:
     """A non-preemptive schedule over a start set (by default the full
     range): (machine, start) per job, or None when some job has no free
-    admissible start (possible on a compressed start set only).
+    admissible start by the set's horizon, which an arbitrary start set
+    can make happen.
 
     Jobs go in Smith's-rule order, by w_j / min_i p_ij, largest first and
     ties by index.  Each takes, over its allowed machines, the admissible
     start that finishes it earliest without overlapping a job placed before
     it, by the horizon of a compressed start set; ties go to the lower
-    machine.  Over the full range no horizon is read: by induction over the
-    placed jobs, each machine's last finish is at most r_max + the sum of
-    their max_i p_ij (the next job fits after any allowed machine's last
-    finish), which is at most ``lp_horizon``, so every job finishes by it.
+    machine.
+
+    That placement never fails over the full range or a set of
+    ``compress_start_times(inst, eps)``.  Let S_k be r_max + the sum of
+    max_i p_ij over the first k jobs placed and F_k their latest finish.
+    The next job can start on any allowed machine i at the first
+    admissible time at or after t = max(i's last finish, r_ij) <=
+    max(F_k, r_max).  Over the full range that is t, no horizon is read,
+    and F_k <= S_k <= ``lp_horizon`` by induction.  A compressed set, with
+    delta = eps / (2n) and T = ``lp_horizon``, holds every integer up to
+    ceil(1/delta) and ceil((1 + delta)^k / delta) for each k until
+    (1 + delta)^k / delta reaches (1 + eps) T, up to its horizon
+    ceil((1 + eps) T).  Past ceil(1/delta), t rounds up to such a time:
+    for the least k with (1 + delta)^k / delta > t - 1, k >= 1 and
+    (1 + delta)^(k-1) / delta <= t - 1, so the time is below
+    (1 + delta)^k / delta + 1 <= (1 + delta)(t - 1) + 1 < (1 + delta) t.
+    By induction F_k <= (1 + delta)^k S_k, and the times rounded to are in
+    the set: (1 + delta)^n <= e^(eps/2) <= 1 + eps for eps <= 1/2, and
+    S_n <= T (every allowed pair's size counts in ``horizon``), so
+    F_n <= (1 + eps) T.  The argument is in exact arithmetic; a property
+    test checks it on the set's floating-point times.
 
     The schedule is one loop over Python ints.  Each machine's free gaps
     [lo, hi) are kept in time order, one open gap at first; placing a job
@@ -385,10 +403,10 @@ def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalInt
     that schedule's variables; while a start of the full range outside it
     prices below -``OPT_TOL`` (``_price``), the LP is built again up to the
     latest finish of such a start and solved from the schedule's variables
-    once more (see the module docstring).  Without a list schedule the whole
-    LP is built and solved cold.  ``gap_bound`` is the objective less the
-    final duals' Lagrangian bound over the full range, whose horizon
-    (``lp_horizon``, or the compressed start set's) is worked out once.
+    once more (see the module docstring).  ``gap_bound`` is the objective
+    less the final duals' Lagrangian bound over the full range, whose
+    horizon (``lp_horizon``, or the compressed start set's) is worked out
+    once.
 
     The returned solution is validated against the full per-integer-time
     cover check regardless of mode.  The LP is solved on the weights of
@@ -398,15 +416,12 @@ def solve_interval_lp(inst: Instance, eps: float | None = None) -> FractionalInt
     starts = None if eps is None else compress_start_times(inst, eps)
     H = lp_horizon(inst) if starts is None else starts.horizon
     scaled, shift = normalize_weights(inst)
-    schedule = list_schedule(scaled, starts)
-    reach = H  # without a list schedule, the whole LP
-    if schedule is not None:
-        machine, start = schedule
-        reach = int((start + inst.sizes[np.arange(inst.num_jobs), machine]).max())
+    machine, start = list_schedule(scaled, starts)  # exists on these start sets, see its docstring
+    reach = int((start + inst.sizes[np.arange(inst.num_jobs), machine]).max())
     stats = dict.fromkeys(STATS, 0)
     while True:
         model = build_interval_lp(scaled, starts, reach)
-        res = solve_lp(model.lp, None if schedule is None else _variables_at(model, starts, *schedule))
+        res = solve_lp(model.lp, _variables_at(model, starts, machine, start))
         if res.status != "optimal":
             raise IntervalLpError(f"interval LP is {res.status}")
         for key, count in res.stats.items():

@@ -1,4 +1,4 @@
-"""Sparse two-phase revised simplex with dual values, warm starts and resumes.
+"""Sparse revised simplex with dual values, from a given basis or a resume.
 
 Solves ``min c.x  s.t.  rows, x >= 0`` and returns its primal and dual
 optima.  The implementation is deliberately self-contained: dual values per
@@ -12,21 +12,31 @@ and its entries in existing rows, copied from the caller's arrays.  Every
 variable is non-negative and has no other bound; a bound is a row.  It
 refuses, with ``LpError`` and before it appends anything, growth whose rows
 would need a basis inverse over ``MAX_BASIS_INVERSE_BYTES``.  The solver
-works on its standard form: the LP's rows as they are, and slack, surplus
-and artificial unit columns.  A slack is +1 in a ``<=`` row and a surplus
--1 in a ``>=`` row; a row gets an artificial, with the sign of its
-right-hand side, unless its slack alone is feasible at x = 0.  That matrix
-is held column-wise and sparse: the variables' columns in the LP's own
-``colptr``, row index and value arrays, shared and not copied again, and
-each unit column as its one row and value.  Only the basis inverse is dense
-(m x m).  The store also indexes each column's runs, stretches of entries
-in consecutive rows with one value.  Pricing computes ``y @ A`` from one
-prefix sum of y and one term per run, and ``A @ x`` is a difference array
-over the runs, so both cost O(runs + rows): a start-time variable's cover
-rows are one run, however long the job.  The entering direction is
-``binv[:, rows] @ vals``, each pivot applies a rank-one update to the
-inverse in place and updates the basic values, and refactorization inverts
-only the block of basic columns that are not unit columns.
+works on its standard form: the LP's rows as they are, and slack and
+surplus unit columns, +1 in a ``<=`` row and -1 in a ``>=`` row.  That
+matrix is held column-wise and sparse: the variables' columns in the LP's
+own ``colptr``, row index and value arrays, shared and not copied again,
+and each unit column as its one row and value.  Only the basis inverse is
+dense (m x m).  The store also indexes each column's runs, stretches of
+entries in consecutive rows with one value.  Pricing computes ``y @ A``
+from one prefix sum of y and one term per run, and ``A @ x`` is a
+difference array over the runs, so both cost O(runs + rows): a start-time
+variable's cover rows are one run, however long the job.  The entering
+direction is ``binv[:, rows] @ vals``, each pivot applies a rank-one update
+to the inverse in place and updates the basic values, and refactorization
+inverts only the block of basic columns that are not unit columns.
+
+Every solve starts from a basis its caller names, or resumes one; there is
+no phase 1.  A row takes a start when its slack alone is infeasible at
+x = 0: every equation row, a ``<=`` row with a negative right-hand side
+and a ``>=`` row with a positive one.  ``solve_lp(lp, start)`` starts from
+the variables ``start``, one per row that takes a start, in the order
+given, followed by the slack or surplus of every other row, in row order;
+``start = []`` is the all-slack basis.  A start that does not name a
+primal feasible basis raises: ``LpError`` when a variable is missing or
+repeated or the count is not the number of those rows, ``NumericalError``
+when the basis is singular, and ``LpError`` when it is not primal
+feasible.
 
 After an optimal solve the LP keeps the solver's state: the standard form
 with its column store, the basis, the basis inverse and the basic values.
@@ -35,36 +45,21 @@ rows with no entries and variables, is what a column-generation master
 appends.  The new variables join the column store as nonbasic columns after
 all others, and the new rows enter with their slack basic.  No basic column
 has an entry in a new row, so the inverse grows by the new slacks' diagonal
-``1/s``.  A solve from nothing is the same extension of an empty state,
-followed by the cold two-phase start.
-
-A solve does not resume, and starts cold instead, when the last optimum
-keeps an artificial basic on a redundant equation row (an appended column
-may have an entry there), when an appended row is an equation (it has no
-slack to enter with), or when the extended basis is not primal feasible.
-
-``solve_lp(lp, start)`` starts from the caller's basic variables instead,
-one per row that a cold start gives an artificial: every equation row, and
-every inequality row whose slack alone is infeasible at x = 0.  The basis
-is those variables, in the order given, followed by the slack or surplus
-of every other row, in row order, so phase 1 is skipped.  A start that
-does not name such a basis raises: ``LpError`` when a variable is missing
-or repeated or the count is not the number of those rows,
-``NumericalError`` when the basis is singular, and ``LpError`` when it is
-not primal feasible.
+``1/s``.  A resume raises ``LpError`` when an appended row takes a start or
+the extended basis is not primal feasible.  ``solve_lp(lp)`` with no state
+to resume is ``solve_lp(lp, [])``.
 
 Pivoting uses Dantzig's rule; the ratio test breaks ties toward the largest
 pivot element.  Degenerate bases, such as the chain-LP masters', are handled
 by one mechanism (Wolfe, J. SIAM 11, 1963): at every pivot that does not
-lower the objective, in a cold start, a resume or a solve from the caller's
-start alike, the right-hand side is shifted along each basic column whose
-value is below ``FEAS_TOL``, which lifts that value alone.  At the perturbed
-optimum the shift is dropped, the basic values are recomputed on the
-factorization at hand, and dual simplex pivots repair any basic value left
-below ``-FEAS_TOL``.  Optimality is only declared against a fresh
+lower the objective the right-hand side is shifted along each basic column
+whose value is below ``FEAS_TOL``, which lifts that value alone.  At the
+perturbed optimum the shift is dropped, the basic values are recomputed on
+the factorization at hand, and dual simplex pivots repair any basic value
+left below ``-FEAS_TOL``.  Optimality is only declared against a fresh
 factorization, and every answer passes the same final certificate: primal
-residual, no positive artificial, duality gap.  Numerical failure raises
-``NumericalError``: no retry, no silently wrong answer.
+residual and duality gap.  Numerical failure raises ``NumericalError``: no
+retry, no silently wrong answer.
 
 Each solution's ``stats`` counts, for that solve, its pivots (all of them,
 as ``iterations``), perturbations, dual repair pivots and refactorizations
@@ -102,7 +97,7 @@ STATS = ("pivots", "perturbations", "dual_pivots", "refactorizations")
 
 class LpError(ValueError):
     """Malformed linear program (dimension mismatch, bad sense, non-finite)
-    or a start that is not a primal feasible basis of it."""
+    or a start or resume that is not a primal feasible basis of it."""
 
 
 class NumericalError(RuntimeError):
@@ -233,11 +228,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded
+    status: str  # optimal | unbounded
     x: np.ndarray = None
     objective: float = np.nan
     duals: np.ndarray = None
-    warm: bool = False  # resumed the LP's last optimum, or started from the caller's start
     stats: dict = field(default_factory=lambda: dict.fromkeys(STATS, 0))  # counters, see STATS
 
     @property
@@ -250,47 +244,32 @@ def solve_lp(lp: LinearProgram, start: np.ndarray | None = None) -> LpSolution:
     """Solve the LP; on ``optimal`` the solution carries a dual value per
     original row (>= rows have non-negative duals, <= rows non-positive).
 
-    Without ``start`` the solve resumes from the LP's last optimum, and
-    starts cold when it cannot (see the module docstring).  ``start``, an
-    array of LP variables, one per row that a cold start gives an
-    artificial (every equation row, and every inequality row whose slack
-    alone is infeasible at x = 0), names the starting basis instead: those
-    variables and every other row's slack or surplus.  A start
-    that is not a primal feasible basis raises ``LpError`` (or
-    ``NumericalError`` when singular); it never falls back to a cold
-    start.  However the solve starts, each pivot that does not lower the
-    objective perturbs the right-hand side until the optimum, which dual
-    simplex pivots then repair for the LP itself.  A numerical failure
-    raises ``NumericalError``, with no retry.
+    ``start``, one LP variable per row that takes a start, names the
+    starting basis; without it the solve resumes the LP's last optimum, or,
+    with none, starts from ``[]``, the all-slack basis (see the module
+    docstring for both, and for what raises).  However the solve starts,
+    each pivot that does not lower the objective perturbs the right-hand
+    side until the optimum, which dual simplex pivots then repair for the
+    LP itself.  A numerical failure raises ``NumericalError``, with no
+    retry.
     """
     live, lp._live = lp._live, None
-    state = live.resume(lp) if live is not None and start is None else None
-    warm = state is not None or start is not None
-    if state is None:
+    if live is not None and start is None:
+        state = live.resume(lp)
+    else:
         model = _Model()
         model.extend(lp)
-        state = _State(model, model.cold_basis() if start is None else model.start_basis(start))
-        if start is not None and not (np.isfinite(state.xb).all() and state.xb.min(initial=0.0) >= -FEAS_TOL):
-            raise LpError("the start is not a primal feasible basis")
-        if model.art[state.basis].any():
-            c1 = model.art.astype(float)
-            status = _iterate(state, c1, locked=np.zeros(model.cols.total, dtype=bool))
-            if status == "unbounded":  # cannot happen: phase-1 objective >= 0
-                raise NumericalError("phase 1 reported unbounded")
-            if state.objective(c1) > FEAS_TOL:
-                return LpSolution(status="infeasible", stats=state.stats())
-            _evict_artificials(state, model.art)
+        state = _State(model, model.start_basis([] if start is None else start))
+    if not (np.isfinite(state.xb).all() and state.xb.min(initial=0.0) >= -FEAS_TOL):
+        raise LpError("the starting basis is not primal feasible")
 
     model = state.model
-    status = _iterate(state, model.c, locked=model.art)
-    if status == "unbounded":
-        return LpSolution(status="unbounded", warm=warm, stats=state.stats())
+    if _iterate(state, model.c) == "unbounded":
+        return LpSolution(status="unbounded", stats=state.stats())
 
     # _iterate declares optimality only right after a refactorization.
     x_full = np.zeros(model.cols.total)
     x_full[state.basis] = state.xb
-    if x_full[model.art].max(initial=0.0) > FEAS_TOL:
-        raise NumericalError("artificial variable positive at optimum")
     x = x_full[model.var_col]
 
     resid = model.cols.right_multiply(x_full) - model.b
@@ -310,7 +289,6 @@ def solve_lp(lp: LinearProgram, start: np.ndarray | None = None) -> LpSolution:
         x=x,
         objective=primal_obj,
         duals=y,
-        warm=warm,
         stats=state.stats(),
     )
 
@@ -318,8 +296,8 @@ def solve_lp(lp: LinearProgram, start: np.ndarray | None = None) -> LpSolution:
 class _Columns:
     """Column-wise sparse matrix that grows: column j holds
     ``vals[colptr[j]:colptr[j+1]]`` in rows ``rows[...]``, or, if that is
-    empty and ``head_row[j] >= 0``, it is a unit column (a slack, surplus or
-    artificial) with its one entry ``head_val[j]`` in row ``head_row[j]``;
+    empty and ``head_row[j] >= 0``, it is a unit column (a slack or
+    surplus) with its one entry ``head_val[j]`` in row ``head_row[j]``;
     ``head_*`` hold every column's only entry, row -1 where it has none or
     several.  ``rows`` and ``vals`` are the arrays the last append was
     given, never copied: a model's are its LP's.
@@ -437,12 +415,16 @@ class _Model:
     """The standard form of the part of an LP it was built from.
 
     Its rows are the LP's rows.  An inequality row gets a slack (+1, ``<=``)
-    or surplus (-1, ``>=``) column; a row gets an artificial column, +1 or
-    -1 as the sign of its right-hand side, unless that slack alone is
-    feasible at x = 0.  Columns are numbered in the order they were added,
-    so extending the model by what was appended to the LP leaves every
-    existing index in place.  Built from nothing the columns are structural
-    | slack | artificial.
+    or surplus (-1, ``>=``) column, and a row takes a start
+    (``needs_start``) when that slack alone is infeasible at x = 0.
+    Columns are numbered in the order they were added, so extending the
+    model by what was appended to the LP leaves every existing index in
+    place.  Each extension's columns are structural | slack.
+
+    ``seed`` is each column's lift seed, which ``_State.perturb`` reads: its
+    index plus the count of rows that took a start in earlier extensions,
+    the index it had when each such row had an artificial column at the end
+    of its extension, so the pivots stay those of that numbering.
     """
 
     def __init__(self):
@@ -450,59 +432,46 @@ class _Model:
         self.cols = _Columns()
         self.b = np.zeros(0)  # right-hand side per row, the LP's own array
         self.slack_col = np.zeros(0, dtype=np.int64)  # per row, -1 for none
+        self.needs_start = np.zeros(0, dtype=bool)  # per row
         self.var_col = np.zeros(0, dtype=np.int64)  # column of each variable
-        self.art = np.zeros(0, dtype=bool)  # artificial columns
-        self.c = np.zeros(0)  # phase-2 cost per column
+        self.seed = np.zeros(0, dtype=np.int64)  # lift seed per column
+        self.c = np.zeros(0)  # cost per column
 
     def extend(self, lp: LinearProgram) -> None:
         """Add what ``lp`` gained since the last extension: its new
-        variables as structural columns, its new rows, and their slack and
-        artificial columns."""
+        variables as structural columns, its new rows, and their slack
+        columns."""
         n0, m0, t0 = self.n, self.cols.m, self.cols.total
         n, m = lp.num_vars, lp.num_rows
         rhs, sense = lp._rhs[m0:], lp._sense[m0:]
         self.b = lp._rhs
         feasible = np.where(sense == _LE, rhs >= 0, (sense == _GE) & (rhs <= 0))  # the slack alone, at x = 0
 
-        # Column layout of the extension: structural | slack | artificial.
         slack_rows = (sense != _EQ).nonzero()[0]
-        art_rows = (~feasible).nonzero()[0]
-        k_var, k_slack, k_art = n - n0, slack_rows.size, art_rows.size
-        total = t0 + k_var + k_slack + k_art
+        k_var = n - n0
+        total = t0 + k_var + slack_rows.size
         self.var_col = np.concatenate((self.var_col, np.arange(t0, t0 + k_var)))
         slack_col = np.full(m - m0, -1, dtype=np.int64)
-        slack_col[slack_rows] = np.arange(t0 + k_var, total - k_art)
+        slack_col[slack_rows] = np.arange(t0 + k_var, total)
         self.slack_col = np.concatenate((self.slack_col, slack_col))
-        unit_vals = np.concatenate((np.where(sense[slack_rows] == _LE, 1.0, -1.0),
-                                    np.where(rhs[art_rows] < 0, -1.0, 1.0)))
-        self.cols.append(lp._ptr[n0:], lp._row, lp._val, m, np.concatenate((m0 + slack_rows, m0 + art_rows)), unit_vals)
-        self.art = np.concatenate((self.art, np.zeros(k_var + k_slack, dtype=bool), np.ones(k_art, dtype=bool)))
-        self.c = np.concatenate((self.c, lp.objective[n0:], np.zeros(k_slack + k_art)))
+        unit_vals = np.where(sense[slack_rows] == _LE, 1.0, -1.0)
+        self.cols.append(lp._ptr[n0:], lp._row, lp._val, m, m0 + slack_rows, unit_vals)
+        self.seed = np.concatenate((self.seed, np.arange(t0, total) + np.count_nonzero(self.needs_start)))
+        self.needs_start = np.concatenate((self.needs_start, ~feasible))
+        self.c = np.concatenate((self.c, lp.objective[n0:], np.zeros(slack_rows.size)))
         self.n = n
-
-    def cold_basis(self) -> np.ndarray:
-        """Each row's artificial, or its slack where it has none: unit
-        columns of value +1 or -1, each basic at the absolute value of its
-        row's right-hand side."""
-        basis = self.slack_col.copy()
-        art = np.flatnonzero(self.art)
-        basis[self.cols.head_row[art]] = art
-        return basis
 
     def start_basis(self, start) -> np.ndarray:
         """The columns of the LP variables ``start``, in that order, and
-        then the slack or surplus of every row without an artificial, in
-        row order; ``LpError`` unless ``start`` names distinct variables,
-        one per row with an artificial: every equation row has one, as it
-        has no slack.  The model is built from nothing, so
+        then the slack or surplus of every row that takes no start, in row
+        order; ``LpError`` unless ``start`` names distinct variables, one
+        per row that takes a start.  The model is built from nothing, so
         variable k is column k."""
         start = np.asarray(start, dtype=np.int64).reshape(-1)
-        own = np.ones(self.cols.m, dtype=bool)  # rows that keep their slack or surplus basic
-        own[self.cols.head_row[self.art]] = False
-        slacks = self.slack_col[own]
+        slacks = self.slack_col[~self.needs_start]
         if start.size + slacks.size != self.cols.m:
             raise LpError(
-                f"a start names one variable per row with an artificial, {self.cols.m - slacks.size}, not {start.size}"
+                f"a start names one variable per row that takes a start, {self.cols.m - slacks.size}, not {start.size}"
             )
         if start.size and (start.min() < 0 or start.max() >= self.n or np.unique(start).size < start.size):
             raise LpError("a start names distinct variables of the LP")
@@ -511,10 +480,9 @@ class _Model:
 
 class _State:
     """Basis, dense basis inverse and basic values of a model, factorized
-    at construction.  A cold start begins at a basis of unit columns, which
-    refactorizes to the identity.  The basic values solve for ``b``, the
-    model's right-hand side or a perturbed copy of it.  The counters cover
-    one solve: construction and ``resume`` set them to zero."""
+    at construction.  The basic values solve for ``b``, the model's
+    right-hand side or a perturbed copy of it.  The counters cover one
+    solve: construction and ``resume`` set them to zero."""
 
     def __init__(self, model: _Model, basis: np.ndarray):
         self.model = model
@@ -534,26 +502,21 @@ class _State:
         counts = (self.iters, self.perturbations, self.dual_pivots, self.refactors)
         return dict(zip(STATS, counts))
 
-    def resume(self, lp: LinearProgram):
+    def resume(self, lp: LinearProgram) -> _State:
         """This state carried over to what ``lp`` gained since it was
         solved: the model is extended and each new row enters with its slack
         basic.  Only new columns have entries in new rows, so the basis is
-        block diagonal and the inverse grows by the slacks' ``1/s``.  None
-        when an artificial is still basic, a new row has no slack, or the
-        extended basis is not primal feasible."""
+        block diagonal and the inverse grows by the slacks' ``1/s``.
+        ``LpError`` when a new row takes a start; the caller checks that the
+        basic values are feasible."""
         model = self.model
-        if model.art[self.basis].any():
-            # A basic artificial sits on a redundant row, where no column had
-            # an entry; an appended column may have one, and phase 2 (which
-            # never prices artificials) would not keep the row satisfied.
-            return None
         m0 = self.m
         model.extend(lp)
         m = model.cols.m
-        slack = model.slack_col[m0:]
-        if (slack < 0).any():
-            return None
+        if model.needs_start[m0:].any():
+            raise LpError("a resume needs every appended row's slack feasible at x = 0")
         if m > m0:
+            slack = model.slack_col[m0:]
             binv = np.zeros((m, m))
             binv[:m0, :m0] = self.binv
             binv[np.arange(m0, m), np.arange(m0, m)] = 1.0 / model.cols.head_val[slack]
@@ -563,8 +526,6 @@ class _State:
         # Optimality is declared against a fresh factorization only.
         self.since_refactor = 1
         self.zero_counts()
-        if not np.isfinite(self.xb).all() or self.xb.min(initial=0.0) < -FEAS_TOL:
-            return None
         return self
 
     def objective(self, c: np.ndarray) -> float:
@@ -576,7 +537,7 @@ class _State:
 
     def refactor(self) -> None:
         """Invert the basis by blocks.  Basic columns with a single nonzero
-        (slacks, artificials, one-row variables) in distinct rows make the
+        (slacks, surpluses, one-row variables) in distinct rows make the
         basis block triangular up to permutation, so only the square block of
         the other columns on the other rows needs a dense inverse.  The
         inverse is written into the current one's buffer when it fits."""
@@ -610,10 +571,10 @@ class _State:
 
     def perturb(self) -> None:
         """Lift each basic value below ``FEAS_TOL`` by PERTURB times a
-        factor in [1, 2) read off its column index, through ``b`` along that
-        basic column: the other basic values do not move."""
+        factor in [1, 2) read off its column's lift seed, through ``b``
+        along that basic column: the other basic values do not move."""
         low = self.xb < FEAS_TOL
-        lift = PERTURB * (1.0 + (0.6180339887 * self.basis[low]) % 1.0)
+        lift = PERTURB * (1.0 + (0.6180339887 * self.model.seed[self.basis[low]]) % 1.0)
         self.b = self.b + self.cols.right_multiply(np.bincount(self.basis[low], lift, self.cols.total))
         self.xb[low] += lift
         self.perturbations += 1
@@ -652,7 +613,7 @@ class _State:
             self.refactor()
 
 
-def _iterate(state: _State, c: np.ndarray, locked: np.ndarray) -> str:
+def _iterate(state: _State, c: np.ndarray) -> str:
     """Run simplex iterations to optimality of cost vector ``c``.
 
     Dantzig pricing; the ratio test breaks ties toward the largest pivot
@@ -661,14 +622,13 @@ def _iterate(state: _State, c: np.ndarray, locked: np.ndarray) -> str:
     perturbed optimum, which is declared on a fresh factorization, the
     perturbation is dropped and the basic values are recomputed on that same
     factorization; dual simplex pivots then take any basic value left below
-    ``-FEAS_TOL`` out of the basis.  Locked columns never enter.  The duals
+    ``-FEAS_TOL`` out of the basis.  The duals
     ``y`` get a rank-one update per primal pivot and are recomputed at each
     refactorization; optimality is confirmed against a fresh factorization.
     """
     max_iters = 60 * (state.m + state.cols.total) + 10_000
     last_obj = np.inf
     start_iters = state.iters
-    locked = locked.nonzero()[0]  # few columns: indices set faster than a mask
 
     y = None
     while True:
@@ -677,7 +637,6 @@ def _iterate(state: _State, c: np.ndarray, locked: np.ndarray) -> str:
         if y is None or state.since_refactor == 0:
             y = c[state.basis] @ state.binv
         reduced = c - state.cols.left_multiply(y)
-        reduced[locked] = 0.0
         candidates = (reduced < -OPT_TOL).nonzero()[0]
         if candidates.size == 0:
             if state.since_refactor > 0:
@@ -692,7 +651,6 @@ def _iterate(state: _State, c: np.ndarray, locked: np.ndarray) -> str:
             leave = int(np.argmin(state.xb))
             # Dual ratio test on the leaving row, ties toward the largest pivot.
             row = state.cols.left_multiply(state.binv[leave])
-            row[locked] = 0.0
             eligible = np.flatnonzero(row < -PIVOT_TOL)
             if eligible.size == 0:
                 raise NumericalError("no column repairs a negative basic value")
@@ -723,20 +681,4 @@ def _iterate(state: _State, c: np.ndarray, locked: np.ndarray) -> str:
         else:
             state.perturb()
             last_obj = state.objective(c)
-
-
-def _evict_artificials(state: _State, art_mask: np.ndarray) -> None:
-    """Pivot basic artificials out where possible; redundant rows keep a
-    zero-level artificial which stays locked for phase 2."""
-    for row in range(state.m):
-        col = state.basis[row]
-        if not art_mask[col]:
-            continue
-        entries = state.cols.left_multiply(state.binv[row])
-        entries[art_mask] = 0.0
-        nz = np.flatnonzero(np.abs(entries) > 1e3 * PIVOT_TOL)
-        nz = nz[nz != col]
-        if nz.size:
-            enter = int(nz[0])
-            state.pivot(row, enter, state.direction(enter))
 

@@ -247,7 +247,7 @@ def test_masters_resume_across_rounds(monkeypatch):
 
     def recording_solve_lp(lp, start=None):
         res = solve_lp(lp, start)
-        calls.append((lp, lp.num_vars, start is not None, res.warm))
+        calls.append((lp, lp.num_vars, start is not None))
         return res
 
     monkeypatch.setattr(chain_lp, "solve_lp", recording_solve_lp)
@@ -258,12 +258,11 @@ def test_masters_resume_across_rounds(monkeypatch):
     assert len(exact) == sol.iterations > 3 and len(calls) == sol.iterations + comp.iterations
     # Each solve keeps one live master LP, which only grows.  Each solve's
     # first master is given a start and the later ones none: they resume
-    # the previous optimum.  So every master solve is warm.
+    # the previous optimum.
     first = [k in (0, len(exact)) for k in range(len(calls))]
-    assert [lp is not calls[k - 1][0] for k, (lp, _, _, _) in enumerate(calls)] == first
-    assert all(b >= a for (_, a, _, _), (_, b, _, _), new in zip(calls, calls[1:], first[1:]) if not new)
-    assert [given for _, _, given, _ in calls] == first
-    assert all(warm for _, _, _, warm in calls)
+    assert [lp is not calls[k - 1][0] for k, (lp, _, _) in enumerate(calls)] == first
+    assert all(b >= a for (_, a, _), (_, b, _), new in zip(calls, calls[1:], first[1:]) if not new)
+    assert [given for _, _, given in calls] == first
 
 
 def test_stats_sum_the_master_solves(monkeypatch):
@@ -428,7 +427,9 @@ def test_incremental_master_matches_fresh_build(monkeypatch):
         fresh = lp_from_rows(costs, [(list(rows[key]), list(rows[key].values()), ">=" if key[0] == "job" else "<=", b)
                                      for key, b in zip(rows, rhs)])
         res = solve(master, start)
-        assert res[0].objective == pytest.approx(solve_lp(fresh).objective, rel=1e-9, abs=1e-9)
+        # The list schedule's chains, columns 0..n-1, start the fresh build
+        # as they start the run's first master.
+        assert res[0].objective == pytest.approx(solve_lp(fresh, np.arange(n)).objective, rel=1e-9, abs=1e-9)
         checked.append((len(master.columns), len(pairs)))
         return res
 
@@ -555,8 +556,8 @@ def test_first_master_opens_with_the_list_schedule(monkeypatch):
         assert (load <= lengths).all()
         # The opening appends its chains first, so they are columns 0..n-1.
         assert len(solves) == sol.iterations > 1
-        assert solves[0][0].tolist() == list(range(n)) and solves[0][1].warm
-        assert all(given is None and res.warm for given, res in solves[1:])
+        assert solves[0][0].tolist() == list(range(n))
+        assert all(given is None for given, _ in solves[1:])
     assert ends.size < ends[-1]  # the compressed solve's blocks are not all unit ones
 
 
@@ -674,7 +675,7 @@ def test_resumed_masters_perturb_at_their_first_stall(monkeypatch):
     monkeypatch.setattr(chain_lp, "solve_lp", recording_solve_lp)
     sol = solve_chain_lp(random_instance(np.random.default_rng(8010), 8, 2, p_max=40, r_max=40))
     assert sol.stats["perturbations"] > 0
-    assert sum(res.stats["perturbations"] for res in masters if res.warm) > 0
+    assert sum(res.stats["perturbations"] for res in masters[1:]) > 0
 
 
 def _smoothing_by_round(monkeypatch, inst, solve):

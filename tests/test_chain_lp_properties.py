@@ -20,6 +20,7 @@ from alphasched.chain_lp import (  # noqa: E402
     validate_chain_solution,
 )
 from alphasched.instance import Instance, horizon  # noqa: E402
+from alphasched.interval_lp import list_schedule  # noqa: E402
 from alphasched.simplex import solve_lp  # noqa: E402
 from chain_reference import earliest_per_block, enumerate_chains  # noqa: E402
 from lp_rows import lp_from_rows  # noqa: E402
@@ -47,7 +48,9 @@ def instances(draw):
 
 def all_chains_optimum(inst, ends):
     """The chain LP over every chain, each in its blocks' earliest slots
-    after the release (equal forms are one column), solved cold."""
+    after the release (equal forms are one column), solved from the list
+    schedule's chains, one per job: they overlap nowhere, so no block holds
+    more of them than its length."""
     rel, E = inst.release_matrix(), ends.tolist()
     chains = {}
     for j, i in zip(*inst.allowed_mask().nonzero()):
@@ -66,7 +69,13 @@ def all_chains_optimum(inst, ends):
         (list(row), list(row.values()), ">=", 1.0) if key[0] == "job" else (list(row), list(row.values()), "<=", float(lengths[key[1]]))
         for key, row in rows.items()
     ]
-    res = solve_lp(lp_from_rows(costs, spec))
+    machine, start = list_schedule(inst)
+    index = {c: k for k, c in enumerate(chains)}
+    scheduled = [
+        index[earliest_per_block(i, j, list(range(s + 1, s + inst.size(j, i) + 1)), int(rel[j, i]), E)]
+        for j, (i, s) in enumerate(zip(machine.tolist(), start.tolist()))
+    ]
+    res = solve_lp(lp_from_rows(costs, spec), scheduled)
     assert res.status == "optimal"
     return res.objective
 

@@ -20,6 +20,7 @@ from alphasched.instance import (
 from alphasched.interval_lp import (
     IntervalLpError,
     StartTimeSet,
+    _variables_at,
     build_interval_lp,
     compress_start_times,
     list_schedule,
@@ -174,8 +175,15 @@ def test_compressed_cover_rows_only_at_retained_times():
     st = compress_start_times(inst, 0.5)
     model = build_interval_lp(inst, st)
     assert model.cover_times.tolist() == [int(t) + 1 for t in st.times if t + 1 <= st.horizon]
-    res = solve_lp(model.lp)
+    solve_model(inst, model, st)
+
+
+def solve_model(inst, model, starts=None):
+    """The model's LP over the whole start set, solved from its list
+    schedule."""
+    res = solve_lp(model.lp, _variables_at(model, starts, *list_schedule(inst, starts)))
     assert res.status == "optimal"
+    return res
 
 
 def _cover_rows_by_loop(inst, model):
@@ -245,6 +253,19 @@ def build_by_pair_loop(inst, starts=None):
     rows[ptr[:-1]] = job
     lp.add_columns(ptr, rows, np.ones(rows.size), inst.weights[job] * (start + p))
     return lp, machine, job, start
+
+
+def solve_by_pair_loop(inst, starts=None):
+    """``build_by_pair_loop``'s LP solved from the list schedule, whose
+    variables are looked up in the loop's own (machine, job, start)."""
+    lp, machine, job, start = build_by_pair_loop(inst, starts)
+    chosen = [
+        np.flatnonzero((job == j) & (machine == i) & (start == s))[0]
+        for j, (i, s) in enumerate(zip(*list_schedule(inst, starts)))
+    ]
+    res = solve_lp(lp, chosen)
+    assert res.status == "optimal"
+    return res
 
 
 def test_builder_matches_the_pair_loop():
@@ -356,12 +377,10 @@ def test_solve_starts_warm_and_matches_cold():
     rng = np.random.default_rng(5)
     inst = make(rng.integers(1, 6, size=(6, 2)), rng.integers(0, 8, size=6), rng.uniform(1, 5, 6))
     for eps in (None, 0.5):
-        sol, [res] = solve_recorded(inst, eps)
-        assert res.warm
+        sol, [_] = solve_recorded(inst, eps)
         starts = None if eps is None else compress_start_times(inst, eps)
-        cold = solve_lp(build_interval_lp(inst, starts).lp)
-        assert not cold.warm
-        assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+        whole = solve_model(inst, build_interval_lp(inst, starts), starts)
+        assert sol.objective == pytest.approx(whole.objective, rel=1e-9)
 
 
 def test_list_schedule_start_perturbs_its_first_stall():
@@ -370,12 +389,11 @@ def test_list_schedule_start_perturbs_its_first_stall():
     # perturbing at the first stall takes 17.
     inst = random_instance(np.random.default_rng(124), 5, 2, p_max=40, r_max=40)
     _, [res] = solve_recorded(inst)
-    assert res.warm
     assert res.iterations <= 35
     assert res.stats["perturbations"] >= 1
-    cold = solve_lp(build_interval_lp(normalize_weights(inst)[0]).lp)
-    assert not cold.warm
-    assert res.objective == pytest.approx(cold.objective, rel=1e-9)
+    scaled = normalize_weights(inst)[0]
+    whole = solve_model(scaled, build_interval_lp(scaled))
+    assert res.objective == pytest.approx(whole.objective, rel=1e-9)
 
 
 def test_a_solve_that_grows_is_built_again_and_certifies():
@@ -389,11 +407,11 @@ def test_a_solve_that_grows_is_built_again_and_certifies():
         starts = None if eps is None else compress_start_times(inst, eps)
         sol, seen = solve_recorded_lps(inst, eps)
         calls = [res for _, res in seen]
-        assert len(calls) == 2 and all(res.warm for res in calls)
+        assert len(calls) == 2
         assert seen[0][0] is not seen[1][0]
         assert sol.horizon == (16 if eps is None else starts.horizon)
         assert sol.stats["pivots"] == sum(res.stats["pivots"] for res in calls)
-        direct = solve_lp(build_by_pair_loop(inst, starts)[0])
+        direct = solve_by_pair_loop(inst, starts)
         assert sol.objective == pytest.approx(direct.objective, rel=1e-12)
         assert 0.0 <= sol.gap_bound <= 1e-12 * sol.objective
 
@@ -419,19 +437,17 @@ def test_a_grown_lp_is_the_builders_lp_to_its_reach():
     assert seen[0][0].num_rows == 8 + 2 * 73 and horizon >= 74
 
 
-def test_unplaceable_list_schedule_falls_back_cold():
+def test_list_schedule_is_none_on_an_unplaceable_start_set():
     # Starts {0, 2}, horizon 3.  Job 1 (w/p = 1) takes start 0; job 0 (p = 2)
     # then has only start 0 left, which overlaps, so there is no list
-    # schedule.  The LP is feasible: job 0 at 0, job 1 at 2.
+    # schedule, though the LP is feasible: job 0 at 0, job 1 at 2.  No set
+    # of ``compress_start_times`` is like this (see ``list_schedule``).
     inst = make([[2], [1]], [0, 0], [1.0, 1.0])
     starts = StartTimeSet(times=np.array([0, 2]), epsilon=0.5, delta=0.125, horizon=3)
     assert list_schedule(inst, starts) is None
-    with mock.patch.object(interval_lp, "compress_start_times", lambda inst, eps: starts):
-        sol, [res] = solve_recorded(inst, 0.5)
-    assert not res.warm
-    cold = solve_lp(build_interval_lp(inst, starts).lp)
-    assert sol.objective == pytest.approx(cold.objective, rel=1e-12)
-    assert sorted(zip(sol.job.tolist(), sol.start.tolist())) == [(0, 0), (1, 2)]
+    model = build_interval_lp(inst, starts)
+    res = solve_lp(model.lp, _variables_at(model, starts, np.array([0, 0]), np.array([0, 2])))
+    assert res.status == "optimal" and res.objective == 5.0
 
 
 def oversized():

@@ -1,8 +1,9 @@
 """Property tests for the interval LP's list-schedule start: on random
-instances the list schedule is a valid schedule, the LP optimum lies at or
-below its cost, and the solve starts warm from it (again from it in each
-LP built once more as the solve grows) and reaches the optimum of a cold
-solve.  The list schedule also makes the same choices as a reference that
+instances the list schedule is a valid schedule, which ends by its bound
+over the full range and over compressed start sets, the LP optimum lies at
+or below its cost, and the solve, which starts from it (again from it in
+each LP built once more as the solve grows), reaches the optimum of the LP
+over the whole start set.  The list schedule also makes the same choices as a reference that
 walks the model's variables and keeps each machine's busy windows as
 sorted intervals.  The full-range LP at
 ``lp_horizon`` has the optimum of the LP at the instance's horizon."""
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from alphasched.bench import random_instance  # noqa: E402
 from alphasched.instance import (  # noqa: E402
@@ -28,11 +29,11 @@ from alphasched.interval_lp import (  # noqa: E402
     build_interval_lp,
     compress_start_times,
     list_schedule,
+    solve_interval_lp,
 )
-from alphasched.simplex import solve_lp  # noqa: E402
 
 from list_schedule_reference import array_list_schedule  # noqa: E402
-from test_interval_lp import build_by_pair_loop, solve_recorded  # noqa: E402
+from test_interval_lp import solve_by_pair_loop, solve_model, solve_recorded  # noqa: E402
 
 
 @st.composite
@@ -136,19 +137,44 @@ def test_list_schedule_matches_the_array_reference(case):
         assert schedule[1].tolist() == reference[1].tolist()
 
 
+# One machine, unit sizes and releases past ceil(1/delta) = 4n at eps 0.5:
+# every start is rounded up to a geometric time of the compressed set.
+LATE_RELEASES = [
+    Instance(1, 40, np.ones((40, 1), dtype=np.int64), np.random.default_rng(4001).integers(161, 401, 40), np.ones(40)),
+    Instance(1, 20, np.ones((20, 1), dtype=np.int64), np.full(20, 200), np.arange(1.0, 21.0)),
+    Instance(1, 3, np.ones((3, 1), dtype=np.int64), [13, 13, 40], [1.0, 2.0, 3.0]),
+]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(schedule_cases())
-def test_full_range_list_schedule_ends_by_lp_horizon(case):
+@given(schedule_cases(), st.floats(0.01, 0.5))
+@example((LATE_RELEASES[0], None), 0.5)
+@example((LATE_RELEASES[1], None), 0.5)
+@example((LATE_RELEASES[2], None), 0.5)
+def test_full_range_list_schedule_ends_by_lp_horizon(case, eps):
     """Over the full range the list schedule reads no horizon: every job
-    finishes by r_max + sum_j max_i p_ij, at most ``lp_horizon``."""
+    finishes by r_max + sum_j max_i p_ij, at most ``lp_horizon``.  On the
+    set of ``compress_start_times(inst, eps)`` it exists, and every job
+    finishes by (1 + delta)^n times that, within the set's horizon (the
+    proof is in ``list_schedule``)."""
     inst = case[0]
     machine, start = list_schedule(inst)
     evaluate_schedule(inst, NonPreemptiveSchedule(machine, start))
     allowed = inst.allowed_mask()
     r_max = int(inst.release_matrix()[allowed].max())
+    bound = r_max + int(np.where(allowed, inst.sizes, 0).max(axis=1).sum())
     finish = int((start + inst.sizes[np.arange(inst.num_jobs), machine]).max())
-    assert finish <= r_max + int(np.where(allowed, inst.sizes, 0).max(axis=1).sum())
+    assert finish <= bound
     assert finish <= lp_horizon(inst)
+
+    starts = compress_start_times(inst, eps)
+    schedule = list_schedule(inst, starts)
+    assert schedule is not None
+    machine, start = schedule
+    evaluate_schedule(inst, NonPreemptiveSchedule(machine, start))
+    assert np.isin(start, starts.times).all()
+    finish = int((start + inst.sizes[np.arange(inst.num_jobs), machine]).max())
+    assert finish <= (1 + starts.delta) ** inst.num_jobs * bound <= starts.horizon
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -166,13 +192,11 @@ def test_list_schedule_start_is_warm_and_optimal(inst, eps):
     assert model.lp.objective[chosen].sum() == pytest.approx(cost, rel=1e-12)
 
     # Every solve starts from the list schedule: the first LP's, and each
-    # LP built again to a longer horizon when the solve grows.
-    sol, calls = solve_recorded(inst, eps)
-    assert all(res.warm for res in calls)
+    # LP built again to a longer horizon when the solve grows.  Its job
+    # rows take a start, so a solve given none would raise.
+    sol = solve_interval_lp(inst, eps)
     assert sol.objective <= cost * (1 + 1e-12)
-    cold = solve_lp(build_interval_lp(inst, starts).lp)
-    assert cold.status == "optimal" and not cold.warm
-    assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert sol.objective == pytest.approx(solve_model(inst, model, starts).objective, rel=1e-9)
 
 
 @st.composite
@@ -184,14 +208,6 @@ def release_instances(draw):
         releases = rng.integers(0, 9, size=(inst.num_jobs, inst.num_machines))
         inst = Instance(inst.num_machines, inst.num_jobs, inst.sizes, releases, inst.weights)
     return inst
-
-
-def solve_model(inst, model, starts=None):
-    """The model's LP over the whole start set, solved from its list
-    schedule."""
-    res = solve_lp(model.lp, _variables_at(model, starts, *list_schedule(inst, starts)))
-    assert res.status == "optimal"
-    return res
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -209,8 +225,8 @@ def test_solve_matches_a_direct_solve_of_the_whole_range():
     # solve_interval_lp builds the LP up to its list schedule's makespan and
     # builds it again to a longer horizon while a start past that prices
     # below OPT_TOL.  Its answer is the optimum of the whole range, built by
-    # the test's own pair loop and solved cold, and its Lagrangian bound
-    # closes.  Some examples grow.
+    # the test's own pair loop and solved from the list schedule, and its
+    # Lagrangian bound closes.  Some examples grow.
     grown = []
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -218,9 +234,7 @@ def test_solve_matches_a_direct_solve_of_the_whole_range():
     def check(inst, eps):
         sol, calls = solve_recorded(inst, eps)
         grown.append(len(calls) > 1)
-        lp, *_ = build_by_pair_loop(inst, None if eps is None else compress_start_times(inst, eps))
-        direct = solve_lp(lp)
-        assert direct.status == "optimal"
+        direct = solve_by_pair_loop(inst, None if eps is None else compress_start_times(inst, eps))
         assert sol.objective == pytest.approx(direct.objective, rel=1e-9)
         assert 0.0 <= sol.gap_bound <= 1e-9 * (1.0 + sol.objective)
 

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from alphasched import simplex
-from alphasched.simplex import LinearProgram, LpError, solve_lp
-from lp_rows import live_basis, lp_from_rows
+from alphasched.simplex import LinearProgram, LpError, NumericalError, solve_lp
+from lp_rows import live_basis, lp_from_rows, starts
 
 
 def test_min_x_geq_one():
     lp = lp_from_rows([1.0], [([0], [1.0], ">=", 1.0)])
-    res = solve_lp(lp)
+    res = solve_lp(lp, [0])
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(1.0)
     assert res.objective == pytest.approx(1.0)
@@ -20,14 +20,19 @@ def test_min_x_geq_one():
 
 def test_two_variable_lp():
     lp = lp_from_rows([1.0, 1.0], [([0, 1], [1.0, 1.0], ">=", 2.0), ([0], [1.0], "<=", 0.5)])
-    res = solve_lp(lp)
+    res = solve_lp(lp, [1])
     assert res.status == "optimal"
     assert res.objective == pytest.approx(2.0)
 
 
 def test_infeasible():
+    # The row takes a start, and its only one, x0 = -1, is infeasible; with
+    # no start and nothing to resume the solve takes the empty one.
     lp = lp_from_rows([1.0], [([0], [1.0], "<=", -1.0)])
-    assert solve_lp(lp).status == "infeasible"
+    with pytest.raises(LpError, match="start names one variable per row that takes a start, 1, not 0"):
+        solve_lp(lp)
+    with pytest.raises(LpError, match="primal feasible"):
+        solve_lp(lp, [0])
 
 
 def test_unbounded():
@@ -37,7 +42,7 @@ def test_unbounded():
 
 def test_equality_row_and_duality():
     lp = lp_from_rows([2.0, 3.0], [([0, 1], [1.0, 1.0], "==", 4.0), ([0], [1.0], "<=", 3.0)])
-    res = solve_lp(lp)
+    res = solve_lp(lp, [1])
     assert res.status == "optimal"
     assert res.objective == pytest.approx(2 * 3 + 3 * 1)
     # strong duality on the original data
@@ -92,7 +97,7 @@ def test_objective_is_read_only():
         lp.objective = np.zeros(2)
     assert lp.objective.tolist() == [-1.0, -1.0]
     res = solve_lp(lp)
-    assert res.warm and res.iterations == 0 and res.objective == -3.0
+    assert res.iterations == 0 and res.objective == -3.0
 
 
 # A malformed row as (indices, coefficients, sense, rhs).  Rows come with no
@@ -178,7 +183,7 @@ def test_add_columns_builds_the_same_lp_as_add_rows():
     for got, want in zip(by_cols.rows, by_rows.rows):
         assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
         assert got[2:] == want[2:]
-    assert solve_lp(by_cols).objective == pytest.approx(solve_lp(by_rows).objective)
+    assert solve_lp(by_cols, [0]).objective == pytest.approx(solve_lp(by_rows, [0]).objective)
     for bad in [
         ([0, 1], [3], [1.0], [1.0]),  # row out of range
         ([0, 2], [0], [1.0], [1.0]),  # pointers do not end at the entry count
@@ -191,38 +196,30 @@ def test_add_columns_builds_the_same_lp_as_add_rows():
     assert by_cols.num_vars == 3 and by_cols.objective.size == 3 and len(by_cols.rows[0][0]) == 2
 
 
-def _lp_with_redundant_equation():
-    """x0 >= 0 and an empty row '== 0', solved once: the optimum keeps the
-    empty row's artificial basic at zero."""
+def test_start_on_a_redundant_equation_row_is_singular():
+    # x0 >= 0 and an empty row '== 0', which takes a start: no variable has
+    # an entry in it, so the start x0 leaves it to no basic column.
     lp = lp_from_rows(np.zeros(1), [([0], [1.0], ">=", 0.0), ([], [], "==", 0.0)])
-    first = solve_lp(lp)
-    assert first.status == "optimal" and first.objective == 0.0
-    columns, slack_rows = live_basis(lp)
-    assert columns.size + slack_rows.size == 1  # a row short
-    return lp
-
-
-def test_appended_column_on_a_redundant_row_does_not_resume():
-    # The new column's entry in the empty row forces x1 = 0; resuming would
-    # let x1 grow against the locked artificial and report unbounded.
-    lp = _lp_with_redundant_equation()
+    with pytest.raises(NumericalError, match="singular"):
+        solve_lp(lp, [0])
+    # A column with an entry there starts it, and the row forces x1 = 0.
     lp.add_columns([0, 1], [1], [-1.0], [-1.0])
-    res = solve_lp(lp)
-    assert res.status == "optimal" and not res.warm
-    assert res.objective == pytest.approx(0.0, abs=1e-12)
+    res = solve_lp(lp, [1])
+    assert res.status == "optimal" and res.objective == pytest.approx(0.0, abs=1e-12)
     assert res.x[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_column_store_holds_the_lps_own_entry_arrays():
     # The standard form keeps the LP's entry arrays, not copies, after a
-    # cold solve and after resumed appends alike.
+    # solve from the empty start and after resumed appends alike.
     lp = lp_from_rows([-1.0, -2.0], [([0, 1], [1.0, 1.0], "<=", 4.0), ([1], [1.0], "<=", 3.0)])
     for step in range(3):
         if step:
             lp.add_rows(["<="], [2.0])
             lp.add_columns([0, 2], [0, lp.num_rows - 1], [1.0, 1.0], [-3.0])
+        state = lp._live
         res = solve_lp(lp)
-        assert res.status == "optimal" and res.warm == (step > 0)
+        assert res.status == "optimal" and (lp._live is state) == (step > 0)  # resumed after the first
         cols = lp._live.cols
         assert cols.rows is lp._row and cols.vals is lp._val
     assert res.objective == -12.0  # x2 = x3 = 2 fill row 0
@@ -242,14 +239,14 @@ def test_add_columns_copies():
         assert not lp._row.flags.writeable and not lp._val.flags.writeable
         if writeable:
             vals[0] = 3.0
-        assert lp.rows[0][1].tolist() == [2.0] and solve_lp(lp).objective == 0.5
+        assert lp.rows[0][1].tolist() == [2.0] and solve_lp(lp, [0]).objective == 0.5
 
 
 def test_lp_without_rows_takes_the_one_solve_path():
     # Positive costs: x = 0, with no dual and an empty basis, which the
-    # empty start names.
+    # empty start names, as a solve with no start does.
     lp = lp_from_rows([1.0, 0.5, 2.0])
-    assert solve_lp(lp, []).warm
+    assert solve_lp(lp, []).objective == 0.0
     res = solve_lp(lp)
     assert res.status == "optimal" and res.x.tolist() == [0.0, 0.0, 0.0] and res.objective == 0.0
     assert res.duals.shape == (0,)
@@ -260,13 +257,13 @@ def test_lp_without_rows_takes_the_one_solve_path():
     # and agrees with a fresh solve of the same LP.
     lp.add_rows(["<=", "<="], [2.0, 3.0])
     lp.add_columns([0, 2, 3], [0, 1, 0], [1.0, 1.0, 1.0], [-1.0, 1.0])
+    state = lp._live
     res = solve_lp(lp)
-    fresh = lp_from_rows(lp.objective, [([3, 4], [1.0, 1.0], "<=", 2.0), ([3], [1.0], "<=", 3.0)])
-    cold = solve_lp(fresh)
-    assert res.warm and not cold.warm
-    assert res.status == cold.status == "optimal" and res.objective == cold.objective == -2.0
-    assert res.x.tolist() == cold.x.tolist() == [0.0, 0.0, 0.0, 2.0, 0.0]
-    assert res.duals.tolist() == cold.duals.tolist()
+    assert lp._live is state
+    fresh = solve_lp(lp_from_rows(lp.objective, [([3, 4], [1.0, 1.0], "<=", 2.0), ([3], [1.0], "<=", 3.0)]))
+    assert res.status == fresh.status == "optimal" and res.objective == fresh.objective == -2.0
+    assert res.x.tolist() == fresh.x.tolist() == [0.0, 0.0, 0.0, 2.0, 0.0]
+    assert res.duals.tolist() == fresh.duals.tolist()
 
 
 def test_stats_count_one_solve():
@@ -276,29 +273,29 @@ def test_stats_count_one_solve():
         ([0, 1], [1.0, 1.0], "<=", 3.0),
         ([2], [1.0], "<=", 4.0),
     ])
-    first = solve_lp(lp)
+    first = solve_lp(lp, [2])
     assert set(first.stats) == set(simplex.STATS)
     assert first.stats["pivots"] == first.iterations > 0
     # From an optimal start (x0 = 2, both slacks basic) the LP never pivots:
     # nothing is counted, not even the factorization of the starting basis.
     again = solve_lp(lp, [0])
-    assert again.warm and again.iterations == 0
+    assert again.iterations == 0
     assert again.stats == dict.fromkeys(simplex.STATS, 0)
     assert solve_lp(lp_from_rows(np.zeros(2))).stats == dict.fromkeys(simplex.STATS, 0)
 
 
 def test_start_covers_a_covering_row():
     # min x0 + x1 + 2 x2  s.t.  x0 + x1 + x2 >= 2,  x0 + x1 <= 3,  x2 <= 4.
-    # Row 0's surplus alone is infeasible at x = 0, so a cold start gives it
-    # an artificial, and a start names a variable for it: x0 = 2, with the
-    # slacks of rows 1 and 2 basic, is optimal and takes no pivot.
+    # Row 0's surplus alone is infeasible at x = 0, so it takes a start, a
+    # variable named for it: x0 = 2, with the slacks of rows 1 and 2 basic,
+    # is optimal and takes no pivot.
     lp = lp_from_rows([1.0, 1.0, 2.0], [
         ([0, 1, 2], [1.0, 1.0, 1.0], ">=", 2.0),
         ([0, 1], [1.0, 1.0], "<=", 3.0),
         ([2], [1.0], "<=", 4.0),
     ])
     res = solve_lp(lp, [0])
-    assert res.warm and res.status == "optimal" and res.iterations == 0
+    assert res.status == "optimal" and res.iterations == 0
     assert res.objective == 2.0 and res.x.tolist() == [2.0, 0.0, 0.0]
     basic, slack_rows = live_basis(lp)
     assert basic.tolist() == [0] and slack_rows.tolist() == [1, 2]
@@ -308,7 +305,7 @@ def test_start_covers_a_covering_row():
         solve_lp(lp, [])
     # x2 = 2 is a feasible start too, and the solve pivots to x0 or x1.
     res = solve_lp(lp, [2])
-    assert res.warm and res.iterations > 0 and res.objective == 2.0
+    assert res.iterations > 0 and res.objective == 2.0
 
 
 # A chain-LP master of random_instance(default_rng(8010), 8, 2, p_max=40,
@@ -329,12 +326,12 @@ def test_degenerate_chain_master_solves_and_certifies():
     # The fixture stores bounds, which are those of x >= 0.
     assert (d["lower"] == 0.0).all() and np.isposinf(d["upper"]).all()
     lp.add_columns(ptr, d["row"][order], d["val"][order], d["objective"])
-    res = solve_lp(lp)
+    # Columns 0..7 are the list schedule's chains, one per job row: the
+    # start of the run's first master.
+    res = solve_lp(lp, np.arange(8))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(DEGENERATE_MASTER_OPTIMUM, rel=1e-9)
-    # About 3,200 pivots, perturbing at each stalled one; about 7,400 when
-    # a cold start waited for 3 m + 50 stalled pivots before it perturbed,
-    # and about 88,000 without the perturbation.
+    # 3,298 pivots, perturbing at each stalled one, 16 times.
     assert res.iterations < 5_000
     assert res.stats["pivots"] == res.iterations and res.stats["perturbations"] >= 1
     # The certificate, from the LP's data alone: primal feasible, dual
@@ -373,9 +370,11 @@ def _vertex_oracle(c, rows):
 
 
 def test_random_lps_match_vertex_enumeration():
+    # Every start of each LP is tried: one that is a feasible basis reaches
+    # the oracle's optimum, and any other raises.  An LP the oracle finds
+    # empty has no feasible start.
     rng = np.random.default_rng(2024)
     solved = 0
-    infeasible = 0
     for _ in range(100):
         n = int(rng.integers(2, 6))
         k = int(rng.integers(1, 6))
@@ -391,20 +390,25 @@ def test_random_lps_match_vertex_enumeration():
             rows.append((e, box))  # keeps the polytope bounded
 
         lp = lp_from_rows(c, [(np.arange(n), a, "<=", rhs) for a, rhs in rows])
-        res = solve_lp(lp)
         expected = _vertex_oracle(c, rows)
-        if expected is None:
-            assert res.status == "infeasible"
-            infeasible += 1
-        else:
+        feasible = 0
+        for start, ok in starts(lp):
+            if not ok:
+                with pytest.raises((LpError, NumericalError)):
+                    solve_lp(lp, start)
+                continue
+            assert expected is not None
+            res = solve_lp(lp, start)
             assert res.status == "optimal"
             assert res.objective == pytest.approx(expected, abs=1e-6)
-            solved += 1
+            feasible += 1
+        solved += feasible > 0
     assert solved >= 50  # the generator must actually exercise the solver
 
 
 def test_complementary_slackness_and_feasibility():
     rng = np.random.default_rng(7)
+    checked = 0
     for _ in range(30):
         n = int(rng.integers(2, 6))
         k = int(rng.integers(1, 5))
@@ -415,19 +419,25 @@ def test_complementary_slackness_and_feasibility():
             rhs = float(rng.uniform(0.5, 4))
             sense = rng.choice([">=", "<="])
             rows.append((a, sense, rhs))
-        res = solve_lp(lp_from_rows(c, [(np.arange(n), a, sense, rhs) for a, sense, rhs in rows]))
-        if res.status != "optimal":
-            continue
-        scale = 1.0 + abs(res.objective)
-        for (a, sense, rhs), y in zip(rows, res.duals):
-            slack = rhs - float(a @ res.x)
-            if sense == "<=":
-                assert slack >= -1e-7
-                assert y <= 1e-7
-            else:
-                assert slack <= 1e-7
-                assert y >= -1e-7
-            assert abs(slack * y) <= 1e-6 * scale
+        lp = lp_from_rows(c, [(np.arange(n), a, sense, rhs) for a, sense, rhs in rows])
+        for start, ok in starts(lp):
+            if not ok:
+                continue
+            res = solve_lp(lp, start)
+            if res.status != "optimal":
+                continue
+            checked += 1
+            scale = 1.0 + abs(res.objective)
+            for (a, sense, rhs), y in zip(rows, res.duals):
+                slack = rhs - float(a @ res.x)
+                if sense == "<=":
+                    assert slack >= -1e-7
+                    assert y <= 1e-7
+                else:
+                    assert slack <= 1e-7
+                    assert y >= -1e-7
+                assert abs(slack * y) <= 1e-6 * scale
+    assert checked >= 30
 
 
 def test_rows_read_between_random_appends_match_a_sort_of_all_entries():

@@ -1,5 +1,6 @@
 """Property tests for solve_lp on random small LPs with mixed senses,
-checked against an exhaustive vertex oracle, and for starts and resumes."""
+solved from each of their starts and checked against an exhaustive vertex
+oracle, and for resumes."""
 
 from itertools import combinations
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from alphasched import simplex  # noqa: E402
 from alphasched.simplex import LinearProgram, LpError, NumericalError, solve_lp  # noqa: E402
-from lp_rows import live_basis, lp_from_rows  # noqa: E402
+from lp_rows import is_feasible_basis, live_basis, lp_from_rows, own_slack_rows, row_matrix, starts  # noqa: E402
 
 TOL = 1e-6
 BOX = 1e5  # far beyond any vertex of the generated LPs (integer data <= 5)
@@ -71,15 +72,8 @@ def _oracle(lp):
     return "optimal", near
 
 
-def _row_matrix(lp):
-    A = np.zeros((len(lp.rows), lp.num_vars))
-    for k, (idx, val, _, _) in enumerate(lp.rows):
-        np.add.at(A[k], idx, val)
-    return A
-
-
 def _check_certificate(lp, res):
-    A = _row_matrix(lp)
+    A = row_matrix(lp)
     x, y = res.x, res.duals
     senses = [s for _, _, s, _ in lp.rows]
     rhs = np.array([r for _, _, _, r in lp.rows])
@@ -99,60 +93,27 @@ def _check_certificate(lp, res):
     assert abs(res.objective - float(lp.objective @ x)) <= TOL * scale
 
 
-def _own_slack_rows(lp):
-    """The rows whose slack or surplus alone is feasible at x = 0: the
-    inequality rows a cold start gives no artificial."""
-    own = [sense == "<=" and rhs >= 0 or sense == ">=" and rhs <= 0 for _, _, sense, rhs in lp.rows]
-    return np.flatnonzero(own)
-
-
-def _hint_is_feasible_basis(lp, columns, slack_rows):
-    """Independent check: the variables ``columns`` and the slacks of the
-    rows ``slack_rows`` form a nonsingular basis whose basic solution is
-    non-negative."""
-    A = _row_matrix(lp)
-    m = len(lp.rows)
-    senses = [s for _, _, s, _ in lp.rows]
-    b = np.array([r for _, _, _, r in lp.rows])
-    if any(senses[r] == "==" for r in slack_rows):
-        return False
-    B = np.zeros((m, m))
-    B[:, : columns.size] = A[:, columns]
-    for k, r in enumerate(slack_rows):
-        B[r, columns.size + k] = 1.0 if senses[r] == "<=" else -1.0
-    if np.linalg.matrix_rank(B) < m:
-        return False
-    return bool((np.linalg.solve(B, b) >= -1e-7).all())
+def _solve_from_every_start(lp, status, value):
+    """Solve ``lp`` from each of its starts: one that is a nonsingular,
+    primal feasible basis reaches ``status`` and, if optimal, ``value``
+    with a certificate; any other raises.  So when ``status`` is
+    ``infeasible``, every start raises."""
+    for start, feasible in starts(lp):
+        if not feasible:
+            with pytest.raises((LpError, NumericalError)):
+                solve_lp(lp, start)
+            continue
+        res = solve_lp(lp, start)
+        assert res.status == status
+        if status == "optimal":
+            assert res.objective == pytest.approx(value, abs=TOL * (1 + abs(value)))
+            _check_certificate(lp, res)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(small_lps(), st.randoms(use_true_random=False))
-def test_solve_lp_matches_oracle_and_certifies(lp, rnd):
-    res = solve_lp(lp)
-    status, value = _oracle(lp)
-    assert res.status == status
-    if status != "optimal":
-        return
-    assert res.objective == pytest.approx(value, abs=TOL * (1 + abs(value)))
-    _check_certificate(lp, res)
-
-    # A start of one variable per row that a cold start gives an
-    # artificial, with every other row's slack or surplus, solves warm to
-    # the same optimum if it is a nonsingular, primal feasible basis, and
-    # raises otherwise.
-    slacks = _own_slack_rows(lp)
-    covered = len(lp.rows) - slacks.size
-    if covered > lp.num_vars:
-        return
-    start = np.array(rnd.sample(range(lp.num_vars), covered), dtype=np.int64)
-    if not _hint_is_feasible_basis(lp, start, slacks):
-        with pytest.raises((LpError, NumericalError)):
-            solve_lp(lp, start)
-        return
-    other = solve_lp(lp, start)
-    assert other.warm and other.status == "optimal"
-    assert other.objective == pytest.approx(value, abs=TOL * (1 + abs(value)))
-    _check_certificate(lp, other)
+@given(small_lps())
+def test_solve_lp_matches_oracle_and_certifies(lp):
+    _solve_from_every_start(lp, *_oracle(lp))
 
 
 def _two_column_lp():
@@ -181,7 +142,7 @@ def test_singular_start_raises():
         solve_lp(lp, [1, 2])
     # x0 and x1 with row 2's slack: x1 = 1, x0 = 1 and the slack 2.
     res = solve_lp(lp, [0, 1])
-    assert res.warm and res.status == "optimal" and res.objective == pytest.approx(2.0)
+    assert res.status == "optimal" and res.objective == pytest.approx(2.0)
     # x0 == 1 and x0 + x1 <= 2: the start x1 holds row 1 with that row's
     # slack and leaves row 0 to no basic column.
     lp = lp_from_rows([1.0, 1.0], [([0], [1.0], "==", 1.0), ([0, 1], [1.0, 1.0], "<=", 2.0)])
@@ -200,7 +161,7 @@ def test_infeasible_start_raises():
     ])
     with pytest.raises(LpError, match="primal feasible"):
         solve_lp(lp, [0, 2])
-    assert solve_lp(lp, [0, 1]).objective == solve_lp(_copy(lp)).objective == 2.0
+    assert solve_lp(lp, [0, 1]).objective == 2.0
 
 
 def test_malformed_start_raises():
@@ -212,7 +173,7 @@ def test_malformed_start_raises():
     ineq = lp_from_rows([1.0, 2.0], [([0, 1], [1.0, 1.0], "<=", 1.0)])
     with pytest.raises(LpError, match="start names"):
         solve_lp(ineq, [0])
-    assert solve_lp(ineq, []).warm
+    assert solve_lp(ineq, []).status == "optimal"
 
 
 def _copy(lp):
@@ -220,10 +181,17 @@ def _copy(lp):
     return lp_from_rows(lp.objective, lp.rows)
 
 
-def _assert_same_answer(res, cold, lp):
-    assert res.status == cold.status
-    if cold.status == "optimal":
-        assert abs(res.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective))
+def _assert_same_answer(res, lp):
+    """``res``, a solve of ``lp``, has the status and objective of a fresh
+    copy's solve from each of its feasible starts, and a certificate."""
+    fresh = _copy(lp)
+    for start, feasible in starts(fresh):
+        if feasible:
+            other = solve_lp(fresh, start)
+            assert res.status == other.status
+            if other.status == "optimal":
+                assert abs(res.objective - other.objective) <= 1e-9 * (1.0 + abs(other.objective))
+    if res.status == "optimal":
         _check_certificate(lp, res)
 
 
@@ -244,24 +212,19 @@ def appended_columns(draw, lp):
 
 @st.composite
 def appended(draw, lp):
-    """Columns, then rows, or rows, then columns, appended to ``lp``; returns
-    whether an equation row was among them.  Rows come with no entries; the
-    columns appended after them may have entries in them."""
-    equation = False
+    """Columns, then rows, or rows, then columns, appended to ``lp``.  Rows
+    come with no entries; the columns appended after them may have entries
+    in them."""
 
     def columns():
         draw(appended_columns(lp))
 
     def rows():
-        nonlocal equation
         for _ in range(draw(st.integers(0, 3))):
-            sense = draw(st.sampled_from(("<=", "==", ">=")))
-            equation |= sense == "=="
-            lp.add_rows([sense], [float(draw(st.integers(-5, 5)))])
+            lp.add_rows([draw(st.sampled_from(("<=", "==", ">=")))], [float(draw(st.integers(-5, 5)))])
 
     for step in (columns, rows) if draw(st.booleans()) else (rows, columns):
         step()
-    return equation
 
 
 def _resumed_start(basis, lp, R0):
@@ -271,35 +234,50 @@ def _resumed_start(basis, lp, R0):
     return columns, np.concatenate((slack_rows, np.arange(R0, lp.num_rows)))
 
 
+def _first_solve(lp):
+    """``lp`` solved from its first feasible start, or None when it has
+    none."""
+    start = next((start for start, feasible in starts(lp) if feasible), None)
+    return None if start is None else solve_lp(lp, start)
+
+
+def _check_solve_after_growth(lp, first, R0):
+    """The solve of ``lp`` grown from ``R0`` rows after ``first``: a resume
+    of its optimum when there is one, which raises unless the old basis
+    and the new rows' slacks are a feasible basis, else a solve from the
+    empty start.  Returns it, or None when it raised."""
+    if first is not None and first.status == "optimal":
+        basis = live_basis(lp)
+        if not is_feasible_basis(lp, *_resumed_start(basis, lp, R0)):
+            with pytest.raises(LpError):
+                solve_lp(lp)
+            return None
+    elif own_slack_rows(lp).size < lp.num_rows:
+        with pytest.raises(LpError, match="start names"):
+            solve_lp(lp)
+        return None
+    res = solve_lp(lp)
+    _assert_same_answer(res, lp)
+    return res
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(small_lps(), st.data())
 def test_resume_after_appending_matches_cold_solve(lp, data):
-    first = solve_lp(lp)
-    basis = live_basis(lp) if first.status == "optimal" else None
+    first = _first_solve(lp)
     n0, R0 = lp.num_vars, lp.num_rows
-    equation = data.draw(appended(lp))
-    res = solve_lp(lp)
-    _assert_same_answer(res, solve_lp(_copy(lp)), lp)
-    if res.status == "optimal":
+    data.draw(appended(lp))
+    res = _check_solve_after_growth(lp, first, R0)
+    if res is not None and res.status == "optimal":
         columns, slack_rows = live_basis(lp)
-        if columns.size + slack_rows.size == lp.num_rows and slack_rows.tolist() == _own_slack_rows(lp).tolist():
-            # No artificial, and the slack of every row without one is
-            # basic: the resumed optimum's variables are a start of the
-            # grown LP, at its optimum.
+        if slack_rows.tolist() == own_slack_rows(lp).tolist():
+            # The slack of every row that takes no start is basic: the
+            # resumed optimum's variables are a start of the grown LP, at
+            # its optimum.
             again = solve_lp(_copy(lp), columns)
-            assert again.warm and again.iterations == 0
-    if first.status != "optimal":
-        assert not res.warm  # nothing to resume from
-        return
-    if basis[0].size + basis[1].size < R0:
-        # An artificial stays basic, which blocks a resume: an appended
-        # column may have an entry in its row.
-        assert not res.warm
-        return
-    # An appended equation has no slack to enter the basis with.
-    assert res.warm == (not equation and _hint_is_feasible_basis(lp, *_resumed_start(basis, lp, R0)))
-    if lp.num_vars == n0 and lp.num_rows == R0:
-        assert res.warm and res.iterations == 0
+            assert again.iterations == 0
+        if first is not None and first.status == "optimal" and lp.num_vars == n0 and lp.num_rows == R0:
+            assert res.iterations == 0
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -307,19 +285,18 @@ def test_resume_after_appending_matches_cold_solve(lp, data):
 def test_resume_after_empty_rows_then_columns_matches_cold_solve(lp, data):
     # A column-generation round: inequality rows open with no entries, then
     # new variables get entries in new and old rows.  The solve resumes
-    # whenever the old basis plus the new slacks is primal feasible.
-    first = solve_lp(lp)
-    basis = live_basis(lp) if first.status == "optimal" else None
+    # whenever every new row's slack is feasible at x = 0: the old basic
+    # values stay, and the old basis plus the new slacks is primal feasible.
+    first = _first_solve(lp)
     R0 = lp.num_rows
     k = data.draw(st.integers(0, 3))
     senses = data.draw(st.lists(st.sampled_from(("<=", ">=")), min_size=k, max_size=k))
     rhs = data.draw(st.lists(st.integers(-2, 5), min_size=k, max_size=k))
     lp.add_rows(senses, np.array(rhs, dtype=float))
     data.draw(appended_columns(lp))
-    res = solve_lp(lp)
-    _assert_same_answer(res, solve_lp(_copy(lp)), lp)
-    full = basis is not None and basis[0].size + basis[1].size == R0
-    assert res.warm == (full and _hint_is_feasible_basis(lp, *_resumed_start(basis, lp, R0)))
+    res = _check_solve_after_growth(lp, first, R0)
+    if first is not None and first.status == "optimal":
+        assert (res is not None) == set(range(R0, lp.num_rows)).issubset(own_slack_rows(lp).tolist())
 
 
 @st.composite
@@ -344,15 +321,9 @@ def set_partitioning_lps(draw):
 def test_degenerate_set_partitioning_matches_oracle(lp):
     # The first pivot without progress perturbs the right-hand side, so the
     # perturbed optimum and its dual repair run on LPs whose optimum is
-    # known.
-    res = solve_lp(lp)
+    # known.  Every row takes a start.
     value = _vertex_min(lp, BOX)  # costs >= 1 and x >= 0: never unbounded
-    if value is None:
-        assert res.status == "infeasible"
-        return
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(value, abs=TOL * (1 + abs(value)))
-    _check_certificate(lp, res)
+    _solve_from_every_start(lp, "infeasible" if value is None else "optimal", value)
 
 
 @st.composite
@@ -383,10 +354,12 @@ def test_large_perturbations_repair_to_the_certified_optimum(lp):
     # Shifts of 0.3 against right-hand sides of 1 make the perturbed optimum
     # often infeasible for the LP itself, so the dual repair has real work.
     # Every LP is feasible and bounded; the certificate proves optimality.
-    expected = solve_lp(_copy(lp))
+    # Both solves start from job j's column on slots 2j, 2j + 1.
+    jobs = sum(sense != "<=" for _, _, sense, _ in lp.rows)
+    expected = solve_lp(_copy(lp), np.arange(jobs))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "PERTURB", 0.3)
-        res = solve_lp(lp)
+        res = solve_lp(lp, np.arange(jobs))
     assert res.status == expected.status == "optimal"
     assert res.objective == pytest.approx(expected.objective, abs=TOL * (1 + abs(expected.objective)))
     _check_certificate(lp, res)
@@ -397,12 +370,11 @@ def test_large_perturbations_repair_to_the_certified_optimum(lp):
 def test_degenerate_given_basis_perturbs_to_the_certified_optimum(lp):
     # Job j's column on slots 2j, 2j + 1, with every slot row's slack, is a
     # feasible start with the slacks of those slots basic at zero: a solve
-    # from it perturbs at its first stalled pivot.
+    # from it perturbs at its first stalled pivot.  The certificate proves
+    # the optimum.
     jobs = sum(sense == "==" for _, _, sense, _ in lp.rows)
-    expected = solve_lp(_copy(lp))
     res = solve_lp(lp, np.arange(jobs))
-    assert res.warm and res.status == expected.status == "optimal"
-    assert res.objective == pytest.approx(expected.objective, abs=TOL * (1 + abs(expected.objective)))
+    assert res.status == "optimal"
     _check_certificate(lp, res)
 
 
